@@ -146,14 +146,6 @@ def parse_k_list(text: str) -> list:
     return ks
 
 
-def _time_index(t: float, tg: TimeGrid) -> int:
-    kf = t / tg.dt
-    k = int(round(kf))
-    if abs(kf - k) > 1e-9 or not 0 <= k <= tg.K:
-        raise ValueError("start time %.17g is off the grid" % t)
-    return k
-
-
 def _write(out_dir: str, name: str, text: str):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, name), "w") as fh:
@@ -210,7 +202,7 @@ def cmd_price(cfg: dict, out_dir: str) -> int:
     files = {"value_field.txt": _value_field_text(field, deriv, lattice)}
     summary = []
     for i, (t0, y0) in enumerate(starts):
-        k0 = _time_index(t0, tg)
+        k0 = tg.index_of(t0)
         if k0 == tg.K:
             raise ValueError("start time %.17g has no remaining horizon" % t0)
         pos0 = vg.index_of(y0)
@@ -320,7 +312,7 @@ def _verify_checks(cfg: dict):
 
     def check_marginal():
         starts = parse_starts(cfg["starts"]) if "starts" in cfg else [(0.0, 0.0)]
-        rep = marginal_value_report(field, lattice, ens, starts, policy.tie_tol)
+        rep = marginal_value_report(field, deriv, policy, lattice, ens, starts)
         return "%d starts within %.3g" % (len(rep.rows), rep.tol)
 
     run("value_invariants", check_values)
@@ -381,7 +373,7 @@ def cmd_stopping(cfg: dict, out_dir: str) -> int:
     lattice, tg, vg, field, deriv, policy = _solve_all(cfg)
     ens = make_ensemble(lattice, cfg)
     starts = parse_starts(cfg.get("starts", "0:0"))
-    report = marginal_value_report(field, lattice, ens, starts, policy.tie_tol)
+    report = marginal_value_report(field, deriv, policy, lattice, ens, starts)
     text = report.format_table()
     _write(out_dir, "marginal.txt", text)
     print(text, end="")
@@ -399,9 +391,8 @@ def cmd_example(cfg: dict, out_dir: str) -> int:
         return code
     lattice, tg, vg, field, deriv, policy = _solve_all(sub)
     ens = make_ensemble(lattice, sub)
-    report = marginal_value_report(field, lattice, ens,
-                                   [(0.0, 0.5), (0.0, 0.0), (2.0, 0.0), (0.0, 1.0)],
-                                   policy.tie_tol)
+    report = marginal_value_report(field, deriv, policy, lattice, ens,
+                                   [(0.0, 0.5), (0.0, 0.0), (2.0, 0.0), (0.0, 1.0)])
     _write(out_dir, "marginal.txt", report.format_table())
     write_lattice(os.path.join(out_dir, "example_lattice.txt"), lattice, tg, vg.L)
     K = sub["K"]

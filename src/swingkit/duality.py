@@ -153,50 +153,46 @@ def build_optimal_martingale(lattice: ScenarioLattice, time_grid: TimeGrid,
 
     # forward closure of realized volume levels up to the band exit
     realized = [np.full(lattice.n_nodes(k), -1, dtype=np.int64) for k in range(K + 1)]
-    trigger = [np.zeros(lattice.n_nodes(k), dtype=bool) for k in range(K + 1)]
-    exit_up = [np.zeros(lattice.n_nodes(k), dtype=bool) for k in range(K + 1)]
+    trigger = []
+    exit_up = []
     realized[0][0] = pos0
     for k in range(K + 1):
-        for n in np.nonzero(realized[k] >= 0)[0]:
-            pos = int(realized[k][n])
-            hit_u = pos >= vg.cap_pos
-            hit_l = vg.cap_pos - pos >= K - k
-            trigger[k][n] = hit_u or hit_l
-            exit_up[k][n] = hit_u
-            if trigger[k][n] or k == K:
-                continue
-            child_pos = pos + (1 if policy.decisions[k][n, pos] else 0)
-            for c in lattice.slices[k][n].children:
-                prev = realized[k + 1][c]
-                if prev >= 0 and prev != child_pos:
-                    raise ValueError(
-                        "pre-exit volume level at slice %d node %d is path-dependent"
-                        % (k + 1, c))
-                realized[k + 1][c] = child_pos
+        pos = realized[k]
+        active = pos >= 0
+        exit_up.append(active & (pos >= vg.cap_pos))
+        trigger.append(exit_up[k] | (active & (vg.cap_pos - pos >= K - k)))
+        if k == K:
+            break
+        _, child, _ = lattice.edges(k)
+        parent = lattice.parents(k)
+        moving = (active & ~trigger[k])[parent]
+        kids = child[moving]
+        src_pos = pos[parent[moving]]
+        kid_pos = src_pos + policy.decisions[k][parent[moving], src_pos]
+        realized[k + 1][kids] = kid_pos
+        clash = np.flatnonzero(realized[k + 1][kids] != kid_pos)
+        if clash.size:
+            raise ValueError("pre-exit volume level at slice %d node %d is path-dependent"
+                             % (k + 1, kids[clash[0]]))
 
     # conditional expectation of X at the exit, on the pre-exit region
-    w_field = [np.full(lattice.n_nodes(k), np.nan) for k in range(K + 1)]
+    w_field = [None] * (K + 1)
     for k in range(K, -1, -1):
-        xk = lattice.x(k)
-        for n in np.nonzero(realized[k] >= 0)[0]:
-            if trigger[k][n]:
-                w_field[k][n] = xk[n]
-            else:
-                node = lattice.slices[k][n]
-                kids = np.array(node.children)
-                w_field[k][n] = float(np.array(node.probs) @ w_field[k + 1][kids])
+        w = np.where(trigger[k], lattice.x(k), np.nan)
+        if k < K:
+            cont = (realized[k] >= 0) & ~trigger[k]
+            w[cont] = lattice.expect_next(k, w_field[k + 1])[cont]
+        w_field[k] = w
     m0 = float(w_field[0][0])
 
     dual1 = 0.0
     dual2 = 0.0
     for k in range(K + 1):
-        for n in np.nonzero(realized[k] >= 0)[0]:
-            if trigger[k][n]:
-                env = sup_env if exit_up[k][n] else inf_env
-                dual2 = max(dual2, abs(lattice.x(k)[n] - float(env.values[k][n])))
-            else:
-                lhs = -deriv.dminus[k][n, int(realized[k][n])]
-                dual1 = max(dual1, abs(lhs - w_field[k][n]))
+        env = np.where(exit_up[k], sup_env.values[k], inf_env.values[k])
+        dual2 = max(dual2, float(np.abs(lattice.x(k) - env)[trigger[k]].max(initial=0.0)))
+        pre = np.flatnonzero((realized[k] >= 0) & ~trigger[k])
+        lhs = -deriv.dminus[k][pre, realized[k][pre]]
+        dual1 = max(dual1, float(np.abs(lhs - w_field[k][pre]).max(initial=0.0)))
 
     # forward state machine: phase 0 pre-exit, 1 post-exit via sup envelope,
     # 2 post-exit via inf envelope
@@ -209,10 +205,12 @@ def build_optimal_martingale(lattice: ScenarioLattice, time_grid: TimeGrid,
     ident = 0.0
     node_stats = []
     for k in range(K + 1):
-        xk = lattice.x(k)
+        # Python floats and ints: numpy scalars would slow this per-state loop
+        xk = lattice.x(k).tolist()
+        wk = w_field[k].tolist()
         stats = {}
         for (n, phase, _), (p, msum) in states.items():
-            v = w_field[k][n] if phase == 0 else msum / p
+            v = wk[n] if phase == 0 else msum / p
             st = stats.get(n)
             if st is None:
                 stats[n] = [p, p * v, v, v]
@@ -230,32 +228,36 @@ def build_optimal_martingale(lattice: ScenarioLattice, time_grid: TimeGrid,
         node_stats.append(stats)
         if k == K:
             break
+        start, child, prob = (arr.tolist() for arr in lattice.edges(k))
+        w_next = w_field[k + 1].tolist()
+        inc_by_phase = {1: dsup.increments[k].tolist(), 2: dinf.increments[k].tolist()}
+        pre_exit = (~trigger[k]).tolist()
+        up = exit_up[k].tolist()
         nxt = {}
         for (n, phase, qk), (p, msum) in states.items():
-            node = lattice.slices[k][n]
-            probs = node.probs
-            if phase == 0 and not trigger[k][n]:
+            edges = range(start[n], start[n + 1])
+            if phase == 0 and pre_exit[n]:
                 ev = 0.0
-                for ci, c in enumerate(node.children):
-                    ev += probs[ci] * w_field[k + 1][c]
-                    slot = nxt.setdefault((c, 0, None), [0.0, 0.0])
-                    slot[0] += p * probs[ci]
-                ident = max(ident, abs(ev - w_field[k][n]))
+                for e in edges:
+                    ev += prob[e] * w_next[child[e]]
+                    slot = nxt.setdefault((child[e], 0, None), [0.0, 0.0])
+                    slot[0] += p * prob[e]
+                ident = max(ident, abs(ev - wk[n]))
                 continue
             if phase == 0:
-                new_phase = 1 if exit_up[k][n] else 2
-                base = float(xk[n])
+                new_phase = 1 if up[n] else 2
+                base = xk[n]
             else:
                 new_phase = phase
                 base = msum / p
-            inc = (dsup if new_phase == 1 else dinf).increments[k][n]
+            inc = inc_by_phase[new_phase]
             ev = 0.0
-            for ci, c in enumerate(node.children):
-                m2 = base + float(inc[ci])
-                ev += probs[ci] * m2
-                slot = nxt.setdefault((c, new_phase, round(m2 / qtol)), [0.0, 0.0])
-                slot[0] += p * probs[ci]
-                slot[1] += p * probs[ci] * m2
+            for e in edges:
+                m2 = base + inc[e]
+                ev += prob[e] * m2
+                slot = nxt.setdefault((child[e], new_phase, round(m2 / qtol)), [0.0, 0.0])
+                slot[0] += p * prob[e]
+                slot[1] += p * prob[e] * m2
             ident = max(ident, abs(ev - base))
         states = nxt
         if len(states) > 200000:

@@ -1,6 +1,6 @@
 """Scenario lattices for the cashflow process, path ensembles, and lattice I/O.
 
-A lattice is a finite sequence of time slices; each slice holds nodes carrying
+A lattice has one time slice per grid time; each slice holds nodes carrying
 a nonnegative cashflow value and one-step transition probabilities into the
 next slice. The cashflow is treated as constant on [t_k, t_{k+1}), so integrals
 of piecewise-constant exercise rates against it are exact sums.
@@ -8,7 +8,7 @@ of piecewise-constant exercise rates against it are exact sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,10 +38,18 @@ class TimeGrid:
         t[-1] = self.T
         return t
 
+    def index_of(self, t: float) -> int:
+        kf = t / self.dt
+        k = int(round(kf))
+        if abs(kf - k) > 1e-9 or not 0 <= k <= self.K:
+            raise ValueError("time %.17g is off the grid" % t)
+        return k
+
 
 @dataclass(frozen=True)
 class LatticeNode:
-    """One lattice node: cashflow value plus transitions into the next slice.
+    """Constructor input for one node: cashflow value plus transitions into
+    the next slice.
 
     Terminal nodes carry empty children/probs tuples.
     """
@@ -51,35 +59,44 @@ class LatticeNode:
     probs: tuple = ()
 
 
-@dataclass(eq=False)
 class ScenarioLattice:
     """Finite scenario lattice for the cashflow process.
 
-    slices[k] is the list of nodes alive at time index k. lce_declared is a
-    model attribute (left-continuity in expectation of the continuous-time
-    limit cannot be decided from finitely many grid values). p_exponent is
-    recorded for diagnostics only. Instances are immutable by convention once
-    built; the cached arrays must not be mutated.
+    Built from one list of LatticeNode records per time slice and stored as
+    arrays: x(k) holds the cashflows of slice k and, for k < K, edges(k) =
+    (start, child, prob) holds the one-step transitions grouped by parent
+    (node n owns edges start[n]:start[n+1], which lead to node child[e] of
+    slice k+1 with probability prob[e]). lce_declared is a model attribute
+    (left-continuity in expectation of the continuous-time limit cannot be
+    decided from finitely many grid values). The arrays must not be mutated.
     """
 
-    slices: list
-    lce_declared: bool = True
-    p_exponent: float = 2.0
-    _x: list = field(default_factory=list, repr=False)
-    _P: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self.slices = [tuple(sl) for sl in self.slices]
-        if len(self.slices) < 2:
+    def __init__(self, rows, lce_declared: bool = True):
+        rows = [list(row) for row in rows]
+        if len(rows) < 2:
             raise ValueError("lattice needs at least two time slices")
-        self._x = [np.array([node.x for node in sl], dtype=float) for sl in self.slices]
+        self.lce_declared = lce_declared
+        self._x = [np.array([node.x for node in row], dtype=float) for row in rows]
+        for k, row in enumerate(rows):
+            for n, node in enumerate(row):
+                if len(node.children) != len(node.probs):
+                    raise ValueError("children/probs length mismatch at slice %d node %d" % (k, n))
+                if k == len(rows) - 1 and node.children:
+                    raise ValueError("terminal node %d has children" % n)
+        self._edges = []
+        for row in rows[:-1]:
+            start = np.zeros(len(row) + 1, dtype=np.int64)
+            np.cumsum([len(node.children) for node in row], out=start[1:])
+            child = np.array([c for node in row for c in node.children], dtype=np.int64)
+            prob = np.array([p for node in row for p in node.probs], dtype=float)
+            self._edges.append((start, child, prob))
 
     @property
     def n_steps(self) -> int:
-        return len(self.slices) - 1
+        return len(self._x) - 1
 
     def n_nodes(self, k: int) -> int:
-        return len(self.slices[k])
+        return self._x[k].size
 
     def x(self, k: int) -> np.ndarray:
         """Cashflow values at slice k as a vector."""
@@ -88,21 +105,30 @@ class ScenarioLattice:
     def max_x(self) -> float:
         return max(float(v.max()) for v in self._x)
 
-    def transition_matrix(self, k: int) -> np.ndarray:
-        """Dense one-step transition matrix from slice k to slice k+1."""
-        if k not in self._P:
-            if k >= self.n_steps:
-                raise ValueError("no transitions out of the terminal slice")
-            P = np.zeros((self.n_nodes(k), self.n_nodes(k + 1)))
-            for n, node in enumerate(self.slices[k]):
-                for c, p in zip(node.children, node.probs):
-                    P[n, c] += p
-            self._P[k] = P
-        return self._P[k]
+    def edges(self, k: int):
+        """(start, child, prob) of the transitions from slice k to k+1."""
+        if not 0 <= k < self.n_steps:
+            raise ValueError("no transitions out of slice %d" % k)
+        return self._edges[k]
+
+    def parents(self, k: int) -> np.ndarray:
+        """Parent node of each edge of edges(k)."""
+        start = self.edges(k)[0]
+        return np.repeat(np.arange(start.size - 1), np.diff(start))
 
     def expect_next(self, k: int, values_next: np.ndarray) -> np.ndarray:
         """Conditional expectation of a slice-(k+1) quantity given each node at k."""
-        return self.transition_matrix(k) @ values_next
+        start, child, prob = self.edges(k)
+        first, deg = start[:-1], np.diff(start)
+        col = (-1,) + (1,) * (np.ndim(values_next) - 1)
+        # one pass per fan-out position (j-th edge of every node); much faster
+        # than np.add.reduceat along axis 0 and summed in the same edge order
+        out = prob[first].reshape(col) * values_next[child[first]]
+        for j in range(1, int(deg.max(initial=0))):
+            e = np.minimum(first + j, child.size - 1)
+            out += np.where((deg > j).reshape(col),
+                            prob[e].reshape(col) * values_next[child[e]], 0.0)
+        return out
 
     def occupancy(self) -> list:
         """Forward node probabilities from the single root."""
@@ -110,55 +136,45 @@ class ScenarioLattice:
             raise ValueError("occupancy needs a single root node")
         occ = [np.array([1.0])]
         for k in range(self.n_steps):
-            occ.append(occ[k] @ self.transition_matrix(k))
+            _, child, prob = self.edges(k)
+            occ.append(np.bincount(child, occ[k][self.parents(k)] * prob,
+                                   minlength=self.n_nodes(k + 1)))
         return occ
 
     def is_tree(self) -> bool:
         """True when no two edges merge, i.e. every node has a unique parent."""
-        for k in range(self.n_steps):
-            incoming = np.zeros(self.n_nodes(k + 1), dtype=int)
-            for node in self.slices[k]:
-                for c in node.children:
-                    incoming[c] += 1
-            if np.any(incoming != 1):
-                return False
-        return True
+        return all(np.all(np.bincount(self.edges(k)[1], minlength=self.n_nodes(k + 1)) == 1)
+                   for k in range(self.n_steps))
 
     def validate(self):
-        """Check cashflow sign, probability sums, and reachability."""
-        K = self.n_steps
-        for k, sl in enumerate(self.slices):
-            for n, node in enumerate(sl):
-                if node.x < 0:
-                    raise ValueError(
-                        "negative cashflow %.17g at slice %d node %d" % (node.x, k, n)
-                    )
-                if len(node.children) != len(node.probs):
-                    raise ValueError("children/probs length mismatch at slice %d node %d" % (k, n))
-                if k == K:
-                    if node.children:
-                        raise ValueError("terminal node %d has children" % n)
-                    continue
-                if not node.children:
-                    raise ValueError("non-terminal node at slice %d has no children" % k)
-                if any(p < 0 for p in node.probs):
-                    raise ValueError("negative transition probability at slice %d node %d" % (k, n))
-                if abs(sum(node.probs) - 1.0) > PROB_TOL:
-                    raise ValueError(
-                        "transition probabilities at slice %d node %d sum to %.17g"
-                        % (k, n, sum(node.probs))
-                    )
-                for c in node.children:
-                    if not 0 <= c < self.n_nodes(k + 1):
-                        raise ValueError("child index %d out of range at slice %d" % (c, k))
-        for k in range(K):
-            incoming = np.zeros(self.n_nodes(k + 1), dtype=int)
-            for node in self.slices[k]:
-                for c in node.children:
-                    incoming[c] += 1
+        """Check cashflows, probabilities, child indices and reachability.
+
+        The comparisons are written so that NaN fails them.
+        """
+        for k, x in enumerate(self._x):
+            bad = np.flatnonzero(~((x >= 0) & (x < np.inf)))
+            if bad.size:
+                raise ValueError("non-finite or negative cashflow %.17g at slice %d node %d"
+                                 % (x[bad[0]], k, bad[0]))
+        for k, (start, child, prob) in enumerate(self._edges):
+            if np.any(start[1:] == start[:-1]):
+                raise ValueError("non-terminal node at slice %d has no children" % k)
+            bad = np.flatnonzero(prob < 0)
+            if bad.size:
+                raise ValueError("negative transition probability at slice %d node %d"
+                                 % (k, self.parents(k)[bad[0]]))
+            total = np.add.reduceat(prob, start[:-1])
+            bad = np.flatnonzero(~(np.abs(total - 1.0) <= PROB_TOL))
+            if bad.size:
+                raise ValueError("transition probabilities at slice %d node %d sum to %.17g"
+                                 % (k, bad[0], total[bad[0]]))
+            bad = np.flatnonzero(~((child >= 0) & (child < self.n_nodes(k + 1))))
+            if bad.size:
+                raise ValueError("child index %d out of range at slice %d" % (child[bad[0]], k))
+            incoming = np.bincount(child, minlength=self.n_nodes(k + 1))
             if np.any(incoming == 0):
-                orphan = int(np.argmin(incoming))
-                raise ValueError("node %d at slice %d is unreachable" % (orphan, k + 1))
+                raise ValueError("node %d at slice %d is unreachable"
+                                 % (int(np.argmin(incoming)), k + 1))
         return self
 
 
@@ -193,29 +209,28 @@ def build_binary_example(K: int) -> ScenarioLattice:
     T = 3.0
     k_jump = K // 3
     times = TimeGrid(T, K).times
-    slices = []
+    rows = []
     for k in range(K + 1):
         t = times[k]
         if k < k_jump:
             if k == k_jump - 1:
-                slices.append([LatticeNode(1.0, (0, 1), (0.5, 0.5))])
+                rows.append([LatticeNode(1.0, (0, 1), (0.5, 0.5))])
             else:
-                slices.append([LatticeNode(1.0, (0,), (1.0,))])
+                rows.append([LatticeNode(1.0, (0,), (1.0,))])
         else:
             hi = 1.0 + (2.0 - t)
             lo = 1.0 - (2.0 - t)
             if k == K:
-                slices.append([LatticeNode(hi), LatticeNode(lo)])
+                rows.append([LatticeNode(hi), LatticeNode(lo)])
             else:
-                slices.append([LatticeNode(hi, (0,), (1.0,)), LatticeNode(lo, (1,), (1.0,))])
-    lat = ScenarioLattice(slices, lce_declared=True, p_exponent=2.0)
-    return lat.validate()
+                rows.append([LatticeNode(hi, (0,), (1.0,)), LatticeNode(lo, (1,), (1.0,))])
+    return ScenarioLattice(rows, lce_declared=True).validate()
 
 
 def build_binomial(kind: str, K: int, T: float, c: float = None, x0: float = None,
                    up: float = None, down: float = None, p_up: float = 0.5,
                    drift: float = None, noise: float = None,
-                   lce_declared: bool = True, p_exponent: float = 2.0) -> ScenarioLattice:
+                   lce_declared: bool = True) -> ScenarioLattice:
     """Recombining binomial lattice of one of four drift kinds.
 
     kind "constant" needs c and yields X identically c on a single-node chain.
@@ -231,9 +246,9 @@ def build_binomial(kind: str, K: int, T: float, c: float = None, x0: float = Non
             raise ValueError("constant kind needs c")
         if c < 0:
             raise ValueError("constant cashflow must be nonnegative")
-        slices = [[LatticeNode(float(c), (0,), (1.0,))] for _ in range(K)]
-        slices.append([LatticeNode(float(c))])
-        return ScenarioLattice(slices, lce_declared, p_exponent).validate()
+        rows = [[LatticeNode(float(c), (0,), (1.0,))] for _ in range(K)]
+        rows.append([LatticeNode(float(c))])
+        return ScenarioLattice(rows, lce_declared).validate()
 
     if kind not in ("martingale", "submartingale", "supermartingale"):
         raise ValueError("unknown kind %r" % kind)
@@ -277,7 +292,7 @@ def build_binomial(kind: str, K: int, T: float, c: float = None, x0: float = Non
         if kind == "supermartingale" and not drift < 0.0:
             raise ValueError("declared supermartingale but additive drift is %.17g" % drift)
 
-    slices = []
+    rows = []
     for k in range(K + 1):
         row = []
         for i in range(k + 1):
@@ -290,8 +305,8 @@ def build_binomial(kind: str, K: int, T: float, c: float = None, x0: float = Non
                 row.append(LatticeNode(float(v)))
             else:
                 row.append(LatticeNode(float(v), (i, i + 1), (1.0 - p, p)))
-        slices.append(row)
-    return ScenarioLattice(slices, lce_declared, p_exponent).validate()
+        rows.append(row)
+    return ScenarioLattice(rows, lce_declared).validate()
 
 
 @dataclass(eq=False)
@@ -317,11 +332,12 @@ class PathEnsemble:
         K = lattice.n_steps
         if self.nodes.shape[1] != K + 1:
             raise ValueError("path length does not match the lattice")
-        for r in range(self.n_paths):
-            for k in range(K):
-                node = lattice.slices[k][self.nodes[r, k]]
-                if int(self.nodes[r, k + 1]) not in node.children:
-                    raise ValueError("invalid transition on path %d at step %d" % (r, k))
+        for k in range(K):
+            n, c, n_next = self.nodes[:, k], self.nodes[:, k + 1], lattice.n_nodes(k + 1)
+            edge_keys = lattice.parents(k) * n_next + lattice.edges(k)[1]
+            bad = np.flatnonzero(~((0 <= c) & (c < n_next) & np.isin(n * n_next + c, edge_keys)))
+            if bad.size:
+                raise ValueError("invalid transition on path %d at step %d" % (bad[0], k))
         return self
 
     def expectation_of_x(self, lattice: ScenarioLattice, k: int) -> float:
@@ -333,44 +349,44 @@ def count_paths(lattice: ScenarioLattice) -> int:
     counts = np.ones(lattice.n_nodes(0), dtype=object)
     for k in range(lattice.n_steps):
         nxt = np.zeros(lattice.n_nodes(k + 1), dtype=object)
-        for n, node in enumerate(lattice.slices[k]):
-            for c in node.children:
-                nxt[c] += counts[n]
+        np.add.at(nxt, lattice.edges(k)[1], counts[lattice.parents(k)])
         counts = nxt
     return int(counts.sum())
 
 
 def enumerate_paths(lattice: ScenarioLattice, max_paths: int = 65536) -> PathEnsemble:
-    """Exhaustive path ensemble with exact probability weights."""
+    """Exhaustive path ensemble with exact probability weights.
+
+    Paths come in lexicographic order of their edge choices; each weight is
+    the product of its start weight and edge probabilities, left to right.
+    """
     total = count_paths(lattice)
     if total > max_paths:
         raise ValueError("path count %d exceeds the bound %d" % (total, max_paths))
-    K = lattice.n_steps
-    paths = []
-    weights = []
-
-    def walk(k, n, prefix, prob):
-        if k == K:
-            paths.append(prefix)
-            weights.append(prob)
-            return
-        node = lattice.slices[k][n]
-        for c, p in zip(node.children, node.probs):
-            walk(k + 1, c, prefix + [c], prob * p)
-
-    for n0 in range(lattice.n_nodes(0)):
-        start_w = 1.0 / lattice.n_nodes(0)
-        walk(0, n0, [n0], start_w)
-    return PathEnsemble(np.array(paths, dtype=np.int64), np.array(weights), exhaustive=True)
+    n0 = lattice.n_nodes(0)
+    nodes = np.arange(n0)[:, None]
+    weights = np.full(n0, 1.0 / n0)
+    for k in range(lattice.n_steps):
+        start, child, prob = lattice.edges(k)
+        first = start[nodes[:, k]]
+        deg = start[nodes[:, k] + 1] - first
+        owner = np.repeat(np.arange(deg.size), deg)
+        edge = np.arange(owner.size) + (first + deg - np.cumsum(deg))[owner]
+        nodes = np.column_stack([nodes[owner], child[edge]])
+        weights = weights[owner] * prob[edge]
+    return PathEnsemble(nodes, weights, exhaustive=True)
 
 
 def sample_paths(lattice: ScenarioLattice, n_paths: int = 0, seed: int = 0,
                  exhaustive: bool = False, max_paths: int = 65536) -> PathEnsemble:
     """Sampled (uniform-weight) or exhaustive path ensemble.
 
-    Sampling is deterministic given the seed. Exhaustive mode enumerates all
-    paths with exact probabilities and rejects lattices whose path count
-    exceeds max_paths.
+    Sampling is deterministic given the seed. Start nodes are drawn first
+    (only when slice 0 has several nodes), then one uniform per path and
+    step, path-major; each step picks the first edge whose normalized
+    cumulative probability exceeds the uniform, the rule of
+    numpy's Generator.choice. Exhaustive mode enumerates all paths with exact
+    probabilities and rejects lattices whose path count exceeds max_paths.
     """
     if exhaustive:
         return enumerate_paths(lattice, max_paths)
@@ -379,14 +395,19 @@ def sample_paths(lattice: ScenarioLattice, n_paths: int = 0, seed: int = 0,
     rng = np.random.default_rng(seed)
     K = lattice.n_steps
     nodes = np.zeros((n_paths, K + 1), dtype=np.int64)
-    for r in range(n_paths):
-        n = rng.integers(lattice.n_nodes(0)) if lattice.n_nodes(0) > 1 else 0
-        nodes[r, 0] = n
-        for k in range(K):
-            node = lattice.slices[k][n]
-            ci = rng.choice(len(node.children), p=np.array(node.probs) / sum(node.probs))
-            n = node.children[ci]
-            nodes[r, k + 1] = n
+    if lattice.n_nodes(0) > 1:
+        nodes[:, 0] = rng.integers(lattice.n_nodes(0), size=n_paths)
+    u = rng.random((n_paths, K))
+    for k in range(K):
+        start, child, prob = lattice.edges(k)
+        first = start[nodes[:, k]]
+        deg = start[nodes[:, k] + 1] - first
+        # probabilities per fan-out position, zero-padded; summed left to right
+        p = [np.where(j < deg, prob[np.minimum(first + j, prob.size - 1)], 0.0)
+             for j in range(int(deg.max()))]
+        cdf = np.cumsum(np.array(p) / sum(p), axis=0)
+        cdf /= cdf[-1]
+        nodes[:, k + 1] = child[first + (cdf[:-1] <= u[:, k]).sum(axis=0)]
     weights = np.full(n_paths, 1.0 / n_paths)
     return PathEnsemble(nodes, weights, exhaustive=False)
 
@@ -394,17 +415,21 @@ def sample_paths(lattice: ScenarioLattice, n_paths: int = 0, seed: int = 0,
 def write_lattice(path: str, lattice: ScenarioLattice, time_grid: TimeGrid, L: float):
     """Plain-text lattice export, one node per line.
 
-    Header: `T K L lce p_exponent`. Node lines: `k node X child:prob ...`.
-    All floats use 17 significant digits so a write/read/write round trip is
-    byte-identical.
+    Header: `T K L lce 2`; the fifth field is kept for file compatibility and
+    ignored on reading. Node lines: `k node X child:prob ...`. All floats use
+    17 significant digits so a write/read/write round trip is byte-identical.
     """
-    lines = ["%.17g %d %.17g %d %.17g" % (time_grid.T, time_grid.K, L,
-                                          int(lattice.lce_declared), lattice.p_exponent)]
-    for k, sl in enumerate(lattice.slices):
-        for n, node in enumerate(sl):
-            parts = ["%d %d %.17g" % (k, n, node.x)]
-            parts += ["%d:%.17g" % (c, p) for c, p in zip(node.children, node.probs)]
-            lines.append(" ".join(parts))
+    K = lattice.n_steps
+    lines = ["%.17g %d %.17g %d 2" % (time_grid.T, time_grid.K, L, int(lattice.lce_declared))]
+    for k in range(K + 1):
+        if k < K:
+            start, child, prob = lattice.edges(k)
+            tokens = ["%d:%.17g" % cp for cp in zip(child.tolist(), prob.tolist())]
+            bounds = start.tolist()
+        else:
+            tokens, bounds = [], [0] * (lattice.n_nodes(k) + 1)
+        for n, x in enumerate(lattice.x(k).tolist()):
+            lines.append(" ".join(["%d %d %.17g" % (k, n, x)] + tokens[bounds[n]:bounds[n + 1]]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -412,28 +437,36 @@ def write_lattice(path: str, lattice: ScenarioLattice, time_grid: TimeGrid, L: f
 def read_lattice(path: str):
     """Read a lattice export; returns (lattice, time_grid, L)."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    head = lines[0].split()
-    if len(head) != 5:
+        lines = [ln.split() for ln in fh if ln.strip()]
+    if not lines or len(lines[0]) != 5:
         raise ValueError("malformed lattice header")
+    head = lines[0]
     T, K, L = float(head[0]), int(head[1]), float(head[2])
-    lce, p_exp = bool(int(head[3])), float(head[4])
+    lce = bool(int(head[3]))
     raw = {}
-    for ln in lines[1:]:
-        parts = ln.split()
+    for parts in lines[1:]:
+        if len(parts) < 3:
+            raise ValueError("malformed node line %r" % " ".join(parts))
         k, n, x = int(parts[0]), int(parts[1]), float(parts[2])
+        if not 0 <= k <= K:
+            raise ValueError("slice index %d outside 0..%d" % (k, K))
+        row = raw.setdefault(k, {})
+        if n in row:
+            raise ValueError("duplicate node %d at slice %d" % (n, k))
         children = []
         probs = []
         for tok in parts[3:]:
             cs, ps = tok.split(":")
             children.append(int(cs))
             probs.append(float(ps))
-        raw.setdefault(k, {})[n] = LatticeNode(x, tuple(children), tuple(probs))
-    slices = []
+        row[n] = LatticeNode(x, tuple(children), tuple(probs))
+    rows = []
     for k in range(K + 1):
         if k not in raw:
             raise ValueError("missing slice %d in lattice file" % k)
         row = raw[k]
-        slices.append([row[n] for n in range(len(row))])
-    lat = ScenarioLattice(slices, lce_declared=lce, p_exponent=p_exp).validate()
+        if min(row) != 0 or max(row) != len(row) - 1:
+            raise ValueError("node numbering at slice %d is not 0..%d" % (k, len(row) - 1))
+        rows.append([row[n] for n in range(len(row))])
+    lat = ScenarioLattice(rows, lce_declared=lce).validate()
     return lat, TimeGrid(T, K), L

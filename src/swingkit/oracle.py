@@ -40,6 +40,11 @@ def brute_force_value(lattice: ScenarioLattice, time_grid: TimeGrid,
     starts = [(n, float(occ[k0][n])) for n in range(lattice.n_nodes(k0))
               if occ[k0][n] > 0.0]
 
+    def children(k, n):
+        start, child, prob = lattice.edges(k)
+        lo, hi = start[n], start[n + 1]
+        return list(zip(child[lo:hi].tolist(), prob[lo:hi].tolist()))
+
     # reachable states, then a bit index per decision state
     reach = set()
     frontier = {(k0, n, pos0) for n, _ in starts}
@@ -50,8 +55,7 @@ def brute_force_value(lattice: ScenarioLattice, time_grid: TimeGrid,
                 reach.add((k, n, pos))
                 continue
             reach.add((k, n, pos))
-            node = lattice.slices[k][n]
-            for c in node.children:
+            for c, _ in children(k, n):
                 nxt.add((k + 1, c, pos))
                 if pos < vg.cap_pos:
                     nxt.add((k + 1, c, pos + 1))
@@ -76,16 +80,16 @@ def brute_force_value(lattice: ScenarioLattice, time_grid: TimeGrid,
             if k == K:
                 vals[s] = np.zeros(masks.shape)
                 continue
-            node = lattice.slices[k][n]
+            kids = children(k, n)
             stay = np.zeros(masks.shape)
-            for ci, c in enumerate(node.children):
-                stay += node.probs[ci] * vals[(k + 1, c, pos)]
+            for c, p in kids:
+                stay += p * vals[(k + 1, c, pos)]
             if pos >= vg.cap_pos:
                 vals[s] = stay
                 continue
             go = np.full(masks.shape, vg.step * lattice.x(k)[n])
-            for ci, c in enumerate(node.children):
-                go += node.probs[ci] * vals[(k + 1, c, pos + 1)]
+            for c, p in kids:
+                go += p * vals[(k + 1, c, pos + 1)]
             u = (masks >> bit[s]) & 1
             vals[s] = np.where(u == 1, go, stay)
         total = np.zeros(masks.shape)
@@ -115,10 +119,7 @@ def closed_form(kind: str, lattice: ScenarioLattice, time_grid: TimeGrid,
     t > 0 match the solver only when the lattice is deterministic up to t.
     """
     tg = time_grid
-    kf = t / tg.dt
-    k = int(round(kf))
-    if abs(kf - k) > 1e-9 or not 0 <= k <= tg.K:
-        raise ValueError("time %.17g is off the grid" % t)
+    k = tg.index_of(t)
     if kind == "constant":
         if c is None:
             raise ValueError("kind 'constant' needs the level c")

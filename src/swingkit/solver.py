@@ -135,7 +135,7 @@ def lipschitz_diagnostic(lattice: ScenarioLattice) -> LipschitzDiagnostic:
 
 
 def solve(lattice: ScenarioLattice, time_grid: TimeGrid, volume_grid: VolumeGrid) -> ValueField:
-    """Backward induction over (node, volume level) slices.
+    """Backward induction over (node, volume level) arrays, one per time slice.
 
     At each state the stay candidate is E[J_{k+1}(same level)] and the
     exercise candidate is step*X + E[J_{k+1}(level+1)], excluded at the cap.
@@ -259,12 +259,10 @@ def bellman_residual(field: ValueField, deriv: DerivativeField,
             ej = lattice.expect_next(k, field.values[k + 1])
             r = vals - (step * np.maximum(x[:, None] + deriv.dminus[k], 0.0) + ej)
         else:
-            P = lattice.transition_matrix(k)
-            r = np.empty_like(vals)
-            for n in range(vals.shape[0]):
-                inner = step * np.maximum(x[n] + deriv.dminus[k + 1], 0.0) + field.values[k + 1]
-                r[n] = P[n] @ inner
-            r = vals - r
+            start, child, prob = lattice.edges(k)
+            inner = (step * np.maximum(x[lattice.parents(k), None] + deriv.dminus[k + 1][child], 0.0)
+                     + field.values[k + 1][child])
+            r = vals - np.add.reduceat(prob[:, None] * inner, start[:-1])
         b = vg.boundary_pos(k)
         if 0 <= b < vg.n_levels:
             r[:, b] = np.nan

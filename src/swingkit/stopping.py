@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import PathEnsemble, ScenarioLattice, backward_extremum
-from .policy import RolloutBundle, exit_times, extract_policy, rollout, TIE_TOL
-from .solver import InvariantError, ValueField, derivatives
+from .policy import PolicyField, RolloutBundle, exit_times, rollout
+from .solver import DerivativeField, InvariantError, ValueField
 
 
 @dataclass(eq=False)
@@ -131,12 +131,12 @@ class StoppingRule:
         if not self.predictable:
             return
         for k in range(self.k0 + 1, lattice.n_steps + 1):
-            for node in lattice.slices[k - 1]:
-                vals = {bool(self.stop[k][c]) for c in node.children}
-                if len(vals) > 1:
-                    raise InvariantError(
-                        "stop decision at slice %d varies across one parent's children" % k
-                    )
+            start, child, _ = lattice.edges(k - 1)
+            stops = np.add.reduceat(self.stop[k][child].astype(np.int64), start[:-1])
+            if np.any((stops != 0) & (stops != np.diff(start))):
+                raise InvariantError(
+                    "stop decision at slice %d varies across one parent's children" % k
+                )
 
 
 def evaluate_stop_rule(lattice: ScenarioLattice, rule: StoppingRule,
@@ -165,17 +165,15 @@ def evaluate_stop_rule(lattice: ScenarioLattice, rule: StoppingRule,
 def _node_flags(windows: StopWindows, lattice: ScenarioLattice, constraint) -> list:
     """Map per-path window flags onto tree nodes; inconsistent mappings are a
     structural error (would mean the flags are not adapted)."""
-    K = lattice.n_steps
     path_flags = windows.flags(constraint)
-    flags = [np.zeros(lattice.n_nodes(k), dtype=bool) for k in range(K + 1)]
-    seen = [np.zeros(lattice.n_nodes(k), dtype=bool) for k in range(K + 1)]
-    for r in range(windows.nodes.shape[0]):
-        for m in range(windows.k0 + 1, K + 1):
-            n = int(windows.nodes[r, m])
-            if seen[m][n] and flags[m][n] != path_flags[r, m]:
-                raise ValueError("window flag is not a node function at slice %d" % m)
-            seen[m][n] = True
-            flags[m][n] = path_flags[r, m]
+    flags, seen = [], []
+    for m in range(lattice.n_steps + 1):
+        visits = np.bincount(windows.nodes[:, m], minlength=lattice.n_nodes(m))
+        raised = np.bincount(windows.nodes[:, m], path_flags[:, m], minlength=lattice.n_nodes(m))
+        if m > windows.k0 and np.any((raised > 0) & (raised < visits)):
+            raise ValueError("window flag is not a node function at slice %d" % m)
+        seen.append(visits > 0)
+        flags.append(raised > 0)
     return flags, seen
 
 
@@ -206,80 +204,59 @@ def optimal_predictable_stop(lattice: ScenarioLattice, windows: StopWindows,
     sense = 1.0 if direction == "sup" else -1.0
     bad = -np.inf
     value = [np.full(lattice.n_nodes(k), bad) for k in range(K + 1)]
-    choice = [np.zeros(lattice.n_nodes(k), dtype=np.int8) for k in range(K + 1)]
-    # choice codes: 1 = stop next step (predictable) / stop here (plain), 0 = continue
+    # choice: stop next step (predictable) / stop here (plain) rather than continue
+    choice = [np.zeros(lattice.n_nodes(k), dtype=bool) for k in range(K + 1)]
+
+    def expect(k, v):
+        """E[v | node] over slice k+1; -inf where a child's value is -inf."""
+        start, child, _ = lattice.edges(k)
+        ok = np.isfinite(v)
+        all_ok = np.logical_and.reduceat(ok[child], start[:-1])
+        return np.where(all_ok, lattice.expect_next(k, np.where(ok, v, 0.0)), bad)
+
+    def settle(k, stop_val, cont_val):
+        keep = seen[k] if k > k0 else True
+        value[k] = np.where(keep, np.maximum(stop_val, cont_val), bad)
+        choice[k] = keep & (stop_val >= cont_val)
 
     if predictable:
         for k in range(K - 1, k0 - 1, -1):
-            for n in range(lattice.n_nodes(k)):
-                if k > k0 and not seen[k][n]:
-                    continue
-                node = lattice.slices[k][n]
-                probs = np.array(node.probs)
-                kids = np.array(node.children)
-                stop_ok = all(flags[k + 1][c] for c in kids)
-                stop_val = float(probs @ (sense * lattice.x(k + 1)[kids])) if stop_ok else bad
-                if k + 1 <= K - 1:
-                    kid_vals = value[k + 1][kids]
-                    cont_val = float(probs @ kid_vals) if np.all(np.isfinite(kid_vals)) else bad
-                else:
-                    cont_val = bad
-                value[k][n] = max(stop_val, cont_val)
-                choice[k][n] = 1 if stop_val >= cont_val else 0
+            settle(k, expect(k, np.where(flags[k + 1], sense * lattice.x(k + 1), bad)),
+                   expect(k, value[k + 1]) if k + 1 <= K - 1 else bad)
     else:
         first = k0 if include_start else k0 + 1
         for k in range(K, first - 1, -1):
-            for n in range(lattice.n_nodes(k)):
-                if k > k0 and not seen[k][n]:
-                    continue
-                here_ok = flags[k][n] if k > k0 else True
-                here = sense * lattice.x(k)[n] if here_ok else bad
-                if k < K:
-                    node = lattice.slices[k][n]
-                    kid_vals = value[k + 1][np.array(node.children)]
-                    cont = (float(np.array(node.probs) @ kid_vals)
-                            if np.all(np.isfinite(kid_vals)) else bad)
-                else:
-                    cont = bad
-                value[k][n] = max(here, cont)
-                choice[k][n] = 1 if here >= cont else 0
+            here = sense * lattice.x(k)
+            settle(k, np.where(flags[k], here, bad) if k > k0 else here,
+                   expect(k, value[k + 1]) if k < K else bad)
         if not include_start:
-            for n in range(lattice.n_nodes(k0)):
-                node = lattice.slices[k0][n]
-                kid_vals = value[k0 + 1][np.array(node.children)]
-                value[k0][n] = (float(np.array(node.probs) @ kid_vals)
-                                if np.all(np.isfinite(kid_vals)) else bad)
-                choice[k0][n] = 0
+            value[k0] = expect(k0, value[k0 + 1])
 
-    start_nodes = np.unique(windows.nodes[:, k0])
-    start_w = np.array([windows.weights[windows.nodes[:, k0] == n].sum() for n in start_nodes])
-    start_vals = np.array([value[k0][n] for n in start_nodes])
-    if np.any(~np.isfinite(start_vals[start_w > 0])):
+    start_w = np.bincount(windows.nodes[:, k0], windows.weights, minlength=lattice.n_nodes(k0))
+    reached = start_w > 0
+    if np.any(~np.isfinite(value[k0][reached])):
         raise ValueError("no admissible stopping rule for constraint %r" % (constraint,))
-    best = float(start_w @ start_vals) * sense
+    best = float(start_w[reached] @ value[k0][reached]) * sense
 
     stop = [np.zeros(lattice.n_nodes(k), dtype=bool) for k in range(K + 1)]
-    alive = {int(n) for n in start_nodes}
+    alive = np.zeros(lattice.n_nodes(k0), dtype=bool)
+    alive[windows.nodes[:, k0]] = True
     if not predictable and include_start:
-        stopped = {n for n in alive if choice[k0][n] == 1}
-        for n in stopped:
-            stop[k0][n] = True
-        alive -= stopped
+        stop[k0] = alive & choice[k0]
+        alive &= ~stop[k0]
     for k in range(k0, K):
-        nxt = set()
-        for n in alive:
-            node = lattice.slices[k][n]
-            if predictable and choice[k][n] == 1:
-                for c in node.children:
-                    stop[k + 1][c] = True
-                continue
-            for c in node.children:
-                nxt.add(int(c))
+        _, child, _ = lattice.edges(k)
+        parent = lattice.parents(k)
+        moving = alive[parent]
+        nxt = np.zeros(lattice.n_nodes(k + 1), dtype=bool)
+        if predictable:
+            stopping = moving & choice[k][parent]
+            stop[k + 1][child[stopping]] = True
+            moving &= ~stopping
+        nxt[child[moving]] = True
         if not predictable:
-            stopped = {n for n in nxt if choice[k + 1][n] == 1}
-            for n in stopped:
-                stop[k + 1][n] = True
-            nxt -= stopped
+            stop[k + 1] = nxt & choice[k + 1]
+            nxt &= ~stop[k + 1]
         alive = nxt
     rule = StoppingRule(stop, predictable, k0, include_start)
     rule.check_predictable(lattice)
@@ -290,9 +267,9 @@ def optimal_predictable_stop(lattice: ScenarioLattice, windows: StopWindows,
 class DoobDecomposition:
     """Martingale/compensator split of an envelope field.
 
-    increments[k][n][ci] = Y[k+1][child_ci] - E[Y[k+1] | node n]. The
-    node-valued martingale part exists only on tree lattices; pathwise
-    accumulation works on any lattice.
+    increments[k][e] = Y[k+1][child] - E[Y[k+1] | parent] for each edge e of
+    lattice.edges(k). The node-valued martingale part exists only on tree
+    lattices; pathwise accumulation works on any lattice.
     """
 
     direction: str
@@ -302,17 +279,12 @@ class DoobDecomposition:
 
     def accumulate(self, lattice: ScenarioLattice, ensemble: PathEnsemble) -> np.ndarray:
         """Martingale part along each ensemble path, started at Y[0]."""
-        K = lattice.n_steps
-        out = np.zeros((ensemble.n_paths, K + 1))
-        for r in range(ensemble.n_paths):
-            n = int(ensemble.nodes[r, 0])
-            out[r, 0] = self._y0[n]
-            for k in range(K):
-                node = lattice.slices[k][n]
-                c = int(ensemble.nodes[r, k + 1])
-                ci = node.children.index(c)
-                out[r, k + 1] = out[r, k] + self.increments[k][n][ci]
-                n = c
+        y, nodes = self._values, ensemble.nodes
+        out = np.zeros((ensemble.n_paths, lattice.n_steps + 1))
+        out[:, 0] = y[0][nodes[:, 0]]
+        for k in range(lattice.n_steps):
+            ey = lattice.expect_next(k, y[k + 1])
+            out[:, k + 1] = out[:, k] + (y[k + 1][nodes[:, k + 1]] - ey[nodes[:, k]])
         return out
 
 
@@ -322,30 +294,25 @@ def doob_decomposition(snell_field: SnellField, lattice: ScenarioLattice) -> Doo
     increments = []
     scale = max(1.0, max(float(np.abs(v).max()) for v in vals))
     for k in range(K):
-        per_node = []
-        for n, node in enumerate(lattice.slices[k]):
-            kids = np.array(node.children)
-            probs = np.array(node.probs)
-            ey = float(probs @ vals[k + 1][kids])
-            inc = vals[k + 1][kids] - ey
-            if abs(float(probs @ inc)) > 1e-12 * scale:
-                raise InvariantError("increment mean %.3g at slice %d node %d"
-                                     % (float(probs @ inc), k, n))
-            per_node.append(inc)
-        increments.append(per_node)
+        start, child, prob = lattice.edges(k)
+        inc = vals[k + 1][child] - lattice.expect_next(k, vals[k + 1])[lattice.parents(k)]
+        mean = np.add.reduceat(prob * inc, start[:-1])
+        bad = np.flatnonzero(~(np.abs(mean) <= 1e-12 * scale))
+        if bad.size:
+            raise InvariantError("increment mean %.3g at slice %d node %d"
+                                 % (mean[bad[0]], k, bad[0]))
+        increments.append(inc)
     martingale = None
     compensator = None
     if lattice.is_tree():
         martingale = [vals[0].copy()]
         for k in range(K):
             nxt = np.zeros(lattice.n_nodes(k + 1))
-            for n, node in enumerate(lattice.slices[k]):
-                for ci, c in enumerate(node.children):
-                    nxt[c] = martingale[k][n] + increments[k][n][ci]
+            nxt[lattice.edges(k)[1]] = martingale[k][lattice.parents(k)] + increments[k]
             martingale.append(nxt)
         compensator = [vals[k] - martingale[k] for k in range(K + 1)]
     dec = DoobDecomposition(snell_field.direction, increments, martingale, compensator)
-    dec._y0 = vals[0]
+    dec._values = vals
     return dec
 
 
@@ -383,10 +350,12 @@ class MarginalReport:
         return "\n".join(lines) + "\n"
 
 
-def marginal_value_report(field: ValueField, lattice: ScenarioLattice,
-                          ensemble: PathEnsemble, starts,
-                          tie_tol: float = TIE_TOL) -> MarginalReport:
+def marginal_value_report(field: ValueField, deriv: DerivativeField, policy: PolicyField,
+                          lattice: ScenarioLattice, ensemble: PathEnsemble,
+                          starts) -> MarginalReport:
     """Stopping representations of -D-J and -D+J at each start.
+
+    deriv and policy are the derivatives and bang-bang policy of field.
 
     Per start (t0, y0) the row carries both one-sided derivatives, the value
     E[X(sigma)] of the canonical exit time, the constrained predictable
@@ -406,8 +375,6 @@ def marginal_value_report(field: ValueField, lattice: ScenarioLattice,
     tg = field.time_grid
     vg = field.volume_grid
     K = tg.K
-    deriv = derivatives(field)
-    policy = extract_policy(field, deriv, lattice, tie_tol)
     occ = lattice.occupancy()
     sup_env = snell(lattice, "sup")
     inf_env = snell(lattice, "inf")
@@ -415,10 +382,9 @@ def marginal_value_report(field: ValueField, lattice: ScenarioLattice,
     searchable = lattice.is_tree() and ensemble.exhaustive
     rows = []
     for (t0, y0) in starts:
-        k0f = t0 / tg.dt
-        k0 = int(round(k0f))
-        if abs(k0f - k0) > 1e-9 or not 0 <= k0 < K:
-            raise ValueError("start time %.17g is off the grid" % t0)
+        k0 = tg.index_of(t0)
+        if k0 == K:
+            raise ValueError("start time %.17g has no remaining horizon" % t0)
         boundary_y = 1.0 - vg.L * (tg.T - tg.times[k0])
         try:
             pos0 = vg.index_of(y0)

@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +11,32 @@ from swingkit import (LatticeNode, PathEnsemble, ScenarioLattice, TimeGrid,
                       write_lattice)
 
 from conftest import make_exp_martingale
+
+
+@st.composite
+def tiny_lattice_rows(draw):
+    """LatticeNode rows shaped like conftest.random_tiny_lattice: one root,
+    1-3 nodes per slice, every node reachable, 2-3 steps."""
+    K = draw(st.integers(2, 3))
+    sizes = [1] + [draw(st.integers(1, 3)) for _ in range(K)]
+    rows = []
+    for k in range(K + 1):
+        nxt = sizes[k + 1] if k < K else 0
+        owner = [draw(st.integers(0, sizes[k] - 1)) for _ in range(nxt)]
+        row = []
+        for n in range(sizes[k]):
+            x = draw(st.floats(0.0, 3.0))
+            if k == K:
+                row.append(LatticeNode(x))
+                continue
+            kids = {c for c in range(nxt) if owner[c] == n}
+            kids |= draw(st.sets(st.integers(0, nxt - 1), min_size=0 if kids else 1))
+            kids = sorted(kids)
+            w = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=len(kids),
+                                       max_size=len(kids))))
+            row.append(LatticeNode(x, tuple(kids), tuple((w / w.sum()).tolist())))
+        rows.append(row)
+    return rows
 
 
 def test_time_grid():
@@ -30,7 +59,7 @@ def test_binary_example_values():
     assert lat.x(10)[1] == 1.5
     assert lat.x(12)[0] == 0.0
     assert lat.x(12)[1] == 2.0
-    assert lat.slices[3][0].probs == (0.5, 0.5)
+    assert lat.edges(3)[2].tolist() == [0.5, 0.5]
     assert lat.is_tree()
 
 
@@ -42,10 +71,9 @@ def test_binary_rejects_bad_step_count():
 def test_additive_submartingale_leaves():
     lat = build_binomial("submartingale", 2, 2.0, x0=2.0, drift=0.5, noise=0.5)
     assert list(lat.x(2)) == [2.0, 3.0, 4.0]
+    _, child, prob = lat.edges(1)
     probs = np.zeros(3)
-    for n, node in enumerate(lat.slices[1]):
-        for c, p in zip(node.children, node.probs):
-            probs[c] += 0.5 * p
+    np.add.at(probs, child, 0.5 * prob)
     assert np.allclose(probs, [0.25, 0.5, 0.25], atol=1e-15)
     ens = enumerate_paths(lat)
     assert ens.expectation_of_x(lat, 2) == pytest.approx(3.0, abs=1e-15)
@@ -84,9 +112,9 @@ def test_martingale_identity_holds(a, b):
 def test_transition_matrix_rows():
     lat = make_exp_martingale(8)
     for k in range(8):
-        P = lat.transition_matrix(k)
-        assert P.shape == (k + 1, k + 2)
-        assert np.allclose(P.sum(axis=1), 1.0, atol=1e-15)
+        start, child, prob = lat.edges(k)
+        assert start.size == k + 2 and np.array_equal(np.unique(child), np.arange(k + 2))
+        assert np.allclose(np.add.reduceat(prob, start[:-1]), 1.0, atol=1e-15)
 
 
 def test_occupancy_sums_to_one():
@@ -183,6 +211,13 @@ def test_lattice_validate_rejections():
         ScenarioLattice([[LatticeNode(1.0, (0,), (0.5, 0.5))], [term]]).validate()
     with pytest.raises(ValueError, match="negative transition"):
         ScenarioLattice([[LatticeNode(1.0, (0, 0), (1.5, -0.5))], [term]]).validate()
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite or negative cashflow"):
+            ScenarioLattice([[LatticeNode(bad, (0,), (1.0,))], [term]]).validate()
+        with pytest.raises(ValueError, match="non-finite or negative cashflow"):
+            ScenarioLattice([[ok], [LatticeNode(bad)]]).validate()
+    with pytest.raises(ValueError, match="sum to nan"):
+        ScenarioLattice([[LatticeNode(1.0, (0, 1), (np.nan, 1.0))], [term, term]]).validate()
 
 
 def test_serialization_round_trip(tmp_path):
@@ -197,9 +232,9 @@ def test_serialization_round_trip(tmp_path):
     assert lat2.lce_declared == lat.lce_declared
     for k in range(13):
         assert np.array_equal(lat2.x(k), lat.x(k))
-        for a, b in zip(lat.slices[k], lat2.slices[k]):
-            assert a.children == b.children
-            assert a.probs == b.probs
+        if k < 12:
+            for a, b in zip(lat.edges(k), lat2.edges(k)):
+                assert np.array_equal(a, b)
     write_lattice(str(p2), lat2, tg2, L2)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -209,3 +244,49 @@ def test_read_lattice_rejects_garbage(tmp_path):
     p.write_text("1.0 4\n")
     with pytest.raises(ValueError, match="malformed lattice header"):
         read_lattice(str(p))
+    good = "3 3 1 1 2\n0 0 1 0:1\n1 0 1 0:1\n2 0 1 0:1\n3 0 1\n"
+    p.write_text(good)
+    assert read_lattice(str(p))[0].n_steps == 3
+    for text, msg in ((good.replace("2 0 1", "2 1 1"), "numbering at slice 2"),
+                      (good + "1 2 1 0:1\n", "numbering at slice 1"),
+                      (good + "3 0 5\n", "duplicate node 0 at slice 3"),
+                      (good + "4 0 1\n", "slice index 4 outside"),
+                      (good + "-1 0 1 0:1\n", "slice index -1 outside")):
+        p.write_text(text)
+        with pytest.raises(ValueError, match=msg):
+            read_lattice(str(p))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rows=tiny_lattice_rows(), seed=st.integers(0, 2 ** 32 - 1))
+def test_edge_layout_properties(rows, seed):
+    """expect_next matches the dense matrix of the rows; enumeration covers
+    count_paths paths of total weight one; sampled paths follow edges."""
+    lat = ScenarioLattice(rows).validate()
+    for k in range(lat.n_steps):
+        P = np.zeros((lat.n_nodes(k), lat.n_nodes(k + 1)))
+        for n, node in enumerate(rows[k]):
+            for c, p in zip(node.children, node.probs):
+                P[n, c] += p
+        v = np.random.default_rng(seed).normal(size=(lat.n_nodes(k + 1), 3))
+        np.testing.assert_allclose(lat.expect_next(k, lat.x(k + 1)), P @ lat.x(k + 1),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(lat.expect_next(k, v), P @ v, rtol=0, atol=1e-14)
+    ens = enumerate_paths(lat)
+    assert ens.n_paths == count_paths(lat)
+    assert ens.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    ens.validate(lat)
+    sample_paths(lat, n_paths=20, seed=seed).validate(lat)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rows=tiny_lattice_rows())
+def test_lattice_file_round_trip_is_byte_identical(rows):
+    lat = ScenarioLattice(rows).validate()
+    tg = TimeGrid(float(lat.n_steps), lat.n_steps)
+    with tempfile.TemporaryDirectory() as tmp:
+        p1, p2 = os.path.join(tmp, "a.txt"), os.path.join(tmp, "b.txt")
+        write_lattice(p1, lat, tg, 1.0)
+        write_lattice(p2, *read_lattice(p1))
+        with open(p1, "rb") as f1, open(p2, "rb") as f2:
+            assert f1.read() == f2.read()
