@@ -12,13 +12,13 @@ from .models import (LatticeNode, PathEnsemble, ScenarioLattice, TimeGrid,
                      count_paths, enumerate_paths, read_lattice, sample_paths,
                      write_lattice)
 from .solver import (BoundaryReport, DerivativeField, InvariantError,
-                     LipschitzDiagnostic, ResidualReport, ValueField, VolumeGrid,
-                     bellman_residual, boundary_check, check_value_invariants,
-                     derivatives, lipschitz_diagnostic, solve)
-from .policy import (ControlPath, ExerciseBoundary, ExerciseRegions,
-                     MollifiedControl, PolicyField, RolloutBundle, check_inclusion,
-                     check_saturation, exercise_regions, exit_times, extract_policy,
-                     mollified_iterate, rollout)
+                     LipschitzDiagnostic, PreconditionError, ResidualReport,
+                     ValueField, VolumeGrid, bellman_residual, boundary_check,
+                     check_value_invariants, derivatives, lipschitz_diagnostic, solve)
+from .policy import (ExerciseBoundary, ExerciseRegions, MollifiedControl,
+                     PolicyField, RolloutBundle, check_inclusion, check_saturation,
+                     exercise_regions, exit_times, extract_policy, mollified_iterate,
+                     rollout)
 from .stopping import (DoobDecomposition, MarginalReport, MarginalRow, SnellField,
                        StopWindows, StoppingRule, check_snell, doob_decomposition,
                        evaluate_stop_rule, marginal_value_report,
@@ -36,13 +36,12 @@ __all__ = [
     "backward_extremum", "build_binary_example", "build_binomial", "count_paths",
     "enumerate_paths", "read_lattice", "sample_paths", "write_lattice",
     "BoundaryReport", "DerivativeField", "InvariantError", "LipschitzDiagnostic",
-    "ResidualReport", "ValueField", "VolumeGrid", "bellman_residual",
-    "boundary_check", "check_value_invariants", "derivatives",
+    "PreconditionError", "ResidualReport", "ValueField", "VolumeGrid",
+    "bellman_residual", "boundary_check", "check_value_invariants", "derivatives",
     "lipschitz_diagnostic", "solve",
-    "ControlPath", "ExerciseBoundary", "ExerciseRegions", "MollifiedControl",
-    "PolicyField", "RolloutBundle", "check_inclusion", "check_saturation",
-    "exercise_regions", "exit_times", "extract_policy", "mollified_iterate",
-    "rollout",
+    "ExerciseBoundary", "ExerciseRegions", "MollifiedControl", "PolicyField",
+    "RolloutBundle", "check_inclusion", "check_saturation", "exercise_regions",
+    "exit_times", "extract_policy", "mollified_iterate", "rollout",
     "DoobDecomposition", "MarginalReport", "MarginalRow", "SnellField",
     "StopWindows", "StoppingRule", "check_snell", "doob_decomposition",
     "evaluate_stop_rule", "marginal_value_report", "optimal_predictable_stop",

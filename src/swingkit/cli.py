@@ -21,8 +21,9 @@ from .models import (TimeGrid, build_binary_example, build_binomial, count_paths
                      read_lattice, sample_paths, write_lattice)
 from .oracle import brute_force_value
 from .policy import check_inclusion, check_saturation, exit_times, extract_policy, rollout
-from .solver import (InvariantError, VolumeGrid, bellman_residual, boundary_check,
-                     check_value_invariants, derivatives, lipschitz_diagnostic, solve)
+from .solver import (InvariantError, PreconditionError, VolumeGrid, bellman_residual,
+                     boundary_check, check_value_invariants, derivatives,
+                     lipschitz_diagnostic, solve)
 from .stopping import check_snell, doob_decomposition, marginal_value_report, snell
 
 _KEY_TYPES = {
@@ -154,35 +155,38 @@ def _write(out_dir: str, name: str, text: str):
 
 def _value_field_text(field, deriv, lattice) -> str:
     tg, vg = field.time_grid, field.volume_grid
+    times, levels = tg.times.tolist(), vg.levels.tolist()
     lines = ["t node y J dminus dplus"]
     for k in range(tg.K + 1):
+        t, J = times[k], field.values[k].tolist()
+        dm, dp = deriv.dminus[k].tolist(), deriv.dplus[k].tolist()
         for n in range(lattice.n_nodes(k)):
             for p in range(vg.n_levels):
                 lines.append("%.17g %d %.17g %.17g %.17g %.17g"
-                             % (tg.times[k], n, vg.levels[p], field.values[k][n, p],
-                                deriv.dminus[k][n, p], deriv.dplus[k][n, p]))
+                             % (t, n, levels[p], J[n][p], dm[n][p], dp[n][p]))
     return "\n".join(lines) + "\n"
 
 
 def _rollout_text(bundle, lattice) -> str:
-    tg = bundle.time_grid
+    k0, K = bundle.k0, bundle.time_grid.K
+    times = bundle.time_grid.times[k0:K].tolist()
+    x = np.stack([lattice.x(k)[bundle.nodes[:, k]] for k in range(k0, K)], axis=1)
     lines = ["path t u y X inc"]
-    for cp in bundle.paths:
-        for i in range(tg.K - bundle.k0):
-            k = bundle.k0 + i
-            lines.append("%d %.17g %.17g %.17g %.17g %.17g"
-                         % (cp.path_id, tg.times[k], cp.rates[i], cp.volumes[i],
-                            lattice.x(k)[int(cp.nodes[k])], cp.reward_increments[i]))
+    for pid, u, y, xs, inc in zip(bundle.path_ids.tolist(), bundle.rates.tolist(),
+                                  bundle.volumes[:, :-1].tolist(), x.tolist(),
+                                  bundle.increments.tolist()):
+        lines.extend("%d %.17g %.17g %.17g %.17g %.17g" % (pid, *row)
+                     for row in zip(times, u, y, xs, inc))
     return "\n".join(lines) + "\n"
 
 
 def _exits_text(bundle) -> str:
     ex = exit_times(bundle)
     lines = ["path sigma_u sigma_l sigma case"]
-    for r in range(bundle.n_paths):
-        lines.append("%d %.17g %.17g %.17g %s"
-                     % (bundle.paths[r].path_id, ex.sigma_u[r], ex.sigma_l[r],
-                        ex.sigma[r], "U" if ex.case_u[r] else "L"))
+    for pid, s_u, s_l, sigma, case_u in zip(bundle.path_ids.tolist(), ex.sigma_u.tolist(),
+                                            ex.sigma_l.tolist(), ex.sigma.tolist(),
+                                            ex.case_u.tolist()):
+        lines.append("%d %.17g %.17g %.17g %s" % (pid, s_u, s_l, sigma, "U" if case_u else "L"))
     return "\n".join(lines) + "\n"
 
 
@@ -200,13 +204,14 @@ def cmd_price(cfg: dict, out_dir: str) -> int:
     ens = make_ensemble(lattice, cfg)
     starts = parse_starts(cfg.get("starts", "0:0"))
     files = {"value_field.txt": _value_field_text(field, deriv, lattice)}
+    occ = lattice.occupancy()
     summary = []
     for i, (t0, y0) in enumerate(starts):
         k0 = tg.index_of(t0)
         if k0 == tg.K:
             raise ValueError("start time %.17g has no remaining horizon" % t0)
         pos0 = vg.index_of(y0)
-        value = float(lattice.occupancy()[k0] @ field.values[k0][:, pos0])
+        value = float(occ[k0] @ field.values[k0][:, pos0])
         summary.append("J(%.17g,%.17g)=%.17g" % (t0, y0, value))
         bundle = rollout(policy, lattice, ens, (k0, y0))
         summary.append("rollout_mean(%.17g,%.17g)=%.17g" % (t0, y0, bundle.mean))
@@ -240,8 +245,10 @@ def _verify_checks(cfg: dict):
             results.append(("PASS", name, fn()))
         except InvariantError as exc:
             results.append(("FAIL", name, str(exc)))
-        except ValueError as exc:
+        except PreconditionError as exc:
             results.append(("SKIP", name, str(exc)))
+        except ValueError as exc:
+            results.append(("ERROR", name, str(exc)))
 
     def check_values():
         ext = check_value_invariants(field, lattice, diag)
@@ -281,7 +288,7 @@ def _verify_checks(cfg: dict):
 
     def check_oracle():
         if tg.K > 4:
-            raise ValueError("enumeration oracle runs at K <= 4 only")
+            raise PreconditionError("enumeration oracle runs at K <= 4 only")
         res = brute_force_value(lattice, tg, vg)
         err = abs(res.value - float(field.values[0][0, vg.index_of(0.0)]))
         if err > 1e-12:
@@ -290,7 +297,7 @@ def _verify_checks(cfg: dict):
 
     def check_weak_duality():
         if not lt_above_one:
-            raise ValueError("dual bound needs L*T > 1")
+            raise PreconditionError("dual bound needs L*T > 1")
         primal = float(field.values[0][0, vg.index_of(0.0)])
         worst = np.inf
         for seed in range(10):
@@ -302,7 +309,7 @@ def _verify_checks(cfg: dict):
 
     def check_optimal_martingale():
         if not lt_above_one:
-            raise ValueError("dual construction needs L*T > 1")
+            raise PreconditionError("dual construction needs L*T > 1")
         res = build_optimal_martingale(lattice, tg, vg, field, deriv, policy)
         if res.report.gap < -1e-10:
             raise InvariantError("negative gap %.3g" % res.report.gap)
@@ -333,7 +340,7 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
     _write(out_dir, "report.txt", "\n".join(lines) + "\n")
     for line in lines:
         print(line)
-    return 2 if any(status == "FAIL" for status, _, _ in results) else 0
+    return 2 if any(status in ("FAIL", "ERROR") for status, _, _ in results) else 0
 
 
 def cmd_dual(cfg: dict, out_dir: str) -> int:

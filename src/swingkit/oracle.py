@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ScenarioLattice, TimeGrid
-from .solver import VolumeGrid
+from .solver import PreconditionError, VolumeGrid
 
 
 @dataclass(eq=False)
@@ -64,8 +64,8 @@ def brute_force_value(lattice: ScenarioLattice, time_grid: TimeGrid,
     P = len(decision_states)
     n_pol = 2 ** P
     if n_pol > max_policies:
-        raise ValueError("%d decision points give %d policies, above the cap %d"
-                         % (P, n_pol, max_policies))
+        raise PreconditionError("%d decision points give %d policies, above the cap %d"
+                                % (P, n_pol, max_policies))
     bit = {s: i for i, s in enumerate(decision_states)}
 
     order = sorted(reach, key=lambda s: -s[0])

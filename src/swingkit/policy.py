@@ -63,47 +63,53 @@ def extract_policy(field: ValueField, deriv: DerivativeField,
 
 
 @dataclass(eq=False)
-class ControlPath:
-    """One rolled-out trajectory: rates, volume levels, and realized reward."""
-
-    path_id: int
-    nodes: np.ndarray
-    rates: np.ndarray
-    positions: np.ndarray
-    volumes: np.ndarray
-    reward_increments: np.ndarray
-    reward: float
-    weight: float
-
-
-@dataclass(eq=False)
 class RolloutBundle:
-    """Policy rollout over an ensemble from a common start (t_{k0}, y_0)."""
+    """Policy rollout over an ensemble from a common start (t_{k0}, y_0).
+
+    Row r is ensemble path path_ids[r]. nodes covers slices 0..K, positions
+    the volume positions at slices k0..K, rates and increments the steps
+    k0..K-1; rewards are the row sums of increments and weights the ensemble
+    weights renormalized over the rows.
+    """
 
     time_grid: TimeGrid
     volume_grid: VolumeGrid
     k0: int
     pos0: int
     node0: int
-    paths: list
+    path_ids: np.ndarray
+    nodes: np.ndarray
+    positions: np.ndarray
+    rates: np.ndarray
+    increments: np.ndarray
+    rewards: np.ndarray
+    weights: np.ndarray
     mean: float
     exhaustive: bool = False
 
     @property
     def n_paths(self) -> int:
-        return len(self.paths)
+        return len(self.path_ids)
+
+    @property
+    def volumes(self) -> np.ndarray:
+        return self.volume_grid.levels[self.positions]
 
     def realized_positions(self) -> list:
         """Per (k, node) realized volume position, or raise if two paths visit
         the same node at different levels."""
-        K = self.time_grid.K
-        table = [dict() for _ in range(K + 1)]
-        for cp in self.paths:
-            for i, pos in enumerate(cp.positions):
-                k = self.k0 + i
-                n = int(cp.nodes[k])
-                if table[k].setdefault(n, int(pos)) != int(pos):
-                    raise ValueError("node %d at slice %d is visited at two volume levels" % (n, k))
+        table = [dict() for _ in range(self.time_grid.K + 1)]
+        for i in range(self.positions.shape[1]):
+            k = self.k0 + i
+            n, pos = self.nodes[:, k], self.positions[:, i]
+            level = np.zeros(n.max() + 1, dtype=np.int64)
+            level[n] = pos
+            clash = np.flatnonzero(level[n] != pos)
+            if clash.size:
+                raise ValueError("node %d at slice %d is visited at two volume levels"
+                                 % (n[clash[0]], k))
+            seen = np.unique(n)
+            table[k] = dict(zip(seen.tolist(), level[seen].tolist()))
         return table
 
 
@@ -121,35 +127,28 @@ def rollout(policy: PolicyField, lattice: ScenarioLattice, ensemble: PathEnsembl
     if not 0 <= k0 < K:
         raise ValueError("start index %d outside the grid" % k0)
     pos0 = vg.index_of(y0)
-    rows = range(ensemble.n_paths)
+    rows = np.arange(ensemble.n_paths)
     if node0 is not None:
-        rows = [r for r in rows if ensemble.nodes[r, k0] == node0]
-        if not rows:
+        rows = np.flatnonzero(ensemble.nodes[:, k0] == node0)
+        if not rows.size:
             raise ValueError("no ensemble path passes node %d at slice %d" % (node0, k0))
-    total_w = sum(float(ensemble.weights[r]) for r in rows)
-    paths = []
-    mean = 0.0
-    for r in rows:
-        nodes = ensemble.nodes[r]
-        pos = pos0
-        positions = np.empty(K - k0 + 1, dtype=np.int64)
-        rates = np.zeros(K - k0)
-        incs = np.zeros(K - k0)
-        positions[0] = pos
-        for m in range(k0, K):
-            n = int(nodes[m])
-            if policy.decisions[m][n, pos]:
-                rates[m - k0] = vg.L
-                incs[m - k0] = vg.step * lattice.x(m)[n]
-                pos += 1
-            positions[m - k0 + 1] = pos
-        reward = float(incs.sum())
-        w = float(ensemble.weights[r]) / total_w
-        paths.append(ControlPath(r, nodes, rates, positions, vg.levels[positions],
-                                 incs, reward, w))
-        mean += w * reward
-    return RolloutBundle(tg, vg, k0, pos0, node0, paths, mean,
-                         ensemble.exhaustive and node0 is None)
+    nodes = ensemble.nodes[rows]
+    positions = np.empty((rows.size, K - k0 + 1), dtype=np.int64)
+    rates = np.zeros((rows.size, K - k0))
+    incs = np.zeros((rows.size, K - k0))
+    positions[:, 0] = pos0
+    for m in range(k0, K):
+        n, pos = nodes[:, m], positions[:, m - k0]
+        go = policy.decisions[m][n, pos]
+        rates[go, m - k0] = vg.L
+        incs[go, m - k0] = vg.step * lattice.x(m)[n[go]]
+        positions[:, m - k0 + 1] = pos + go
+    rewards = incs.sum(axis=1)
+    # running sums keep the left-to-right order of a path-by-path accumulation
+    weights = ensemble.weights[rows] / np.cumsum(ensemble.weights[rows])[-1]
+    mean = float(np.cumsum(weights * rewards)[-1])
+    return RolloutBundle(tg, vg, k0, pos0, node0, rows, nodes, positions, rates, incs,
+                         rewards, weights, mean, ensemble.exhaustive and node0 is None)
 
 
 def check_inclusion(bundle: RolloutBundle, deriv: DerivativeField,
@@ -163,18 +162,12 @@ def check_inclusion(bundle: RolloutBundle, deriv: DerivativeField,
     """
     worst_zero = -np.inf
     worst_full = np.inf
-    K = bundle.time_grid.K
-    for cp in bundle.paths:
-        for m in range(bundle.k0, K):
-            n = int(cp.nodes[m])
-            pos = int(cp.positions[m - bundle.k0])
-            s = lattice.x(m)[n] + deriv.dminus[m][n, pos]
-            if np.isnan(s):
-                continue
-            if cp.rates[m - bundle.k0] > 0:
-                worst_full = min(worst_full, s)
-            else:
-                worst_zero = max(worst_zero, s)
+    for m in range(bundle.k0, bundle.time_grid.K):
+        n, i = bundle.nodes[:, m], m - bundle.k0
+        s = lattice.x(m)[n] + deriv.dminus[m][n, bundle.positions[:, i]]
+        full, ok = bundle.rates[:, i] > 0, ~np.isnan(s)
+        worst_zero = max(worst_zero, np.max(s[ok & ~full], initial=-np.inf))
+        worst_full = min(worst_full, np.min(s[ok & full], initial=np.inf))
     if worst_zero > tie_tol:
         raise InvariantError("zero rate taken where X + D = %.3g > 0" % worst_zero)
     if worst_full < -tie_tol:
@@ -190,11 +183,11 @@ def check_saturation(bundle: RolloutBundle) -> bool:
     K = bundle.time_grid.K
     if K - bundle.k0 < vg.cap_pos - bundle.pos0:
         return False
-    for cp in bundle.paths:
-        if cp.positions[-1] != vg.cap_pos:
-            raise InvariantError(
-                "path %d ends at volume %.17g, not 1" % (cp.path_id, cp.volumes[-1])
-            )
+    short = np.flatnonzero(bundle.positions[:, -1] != vg.cap_pos)
+    if short.size:
+        r = short[0]
+        raise InvariantError("path %d ends at volume %.17g, not 1"
+                             % (bundle.path_ids[r], bundle.volumes[r, -1]))
     return True
 
 
@@ -224,23 +217,14 @@ def exit_times(bundle: RolloutBundle) -> ExerciseBoundary:
     tg = bundle.time_grid
     K = tg.K
     times = tg.times
-    n = bundle.n_paths
     m_event = (K - bundle.k0) > (vg.cap_pos - bundle.pos0) > 0
-    k_u = np.full(n, -1, dtype=np.int64)
-    k_l = np.full(n, K, dtype=np.int64)
-    k_sig = np.full(n, K, dtype=np.int64)
-    case_u = np.zeros(n, dtype=bool)
-    for r, cp in enumerate(bundle.paths):
-        pos = cp.positions
-        ms = np.arange(bundle.k0, K + 1)
-        hit_u = np.nonzero(pos >= vg.cap_pos)[0]
-        hit_l = np.nonzero(vg.cap_pos - pos >= K - ms)[0]
-        if hit_u.size:
-            k_u[r] = bundle.k0 + hit_u[0]
-        k_l[r] = bundle.k0 + hit_l[0]
-        ku = k_u[r] if k_u[r] >= 0 else K + 1
-        case_u[r] = ku <= k_l[r]
-        k_sig[r] = min(ku, k_l[r]) if m_event else K
+    pos = bundle.positions
+    hit_u = pos >= vg.cap_pos
+    k_u = np.where(hit_u.any(axis=1), bundle.k0 + hit_u.argmax(axis=1), -1)
+    k_l = bundle.k0 + (vg.cap_pos - pos >= K - np.arange(bundle.k0, K + 1)).argmax(axis=1)
+    ku = np.where(k_u >= 0, k_u, K + 1)
+    case_u = ku <= k_l
+    k_sig = np.minimum(ku, k_l) if m_event else np.full(bundle.n_paths, K)
     sigma_u = times[np.where(k_u >= 0, k_u, K)]
     sigma_l = times[k_l]
     sigma = times[k_sig]
@@ -348,14 +332,11 @@ def mollified_iterate(regions: ExerciseRegions, lattice: ScenarioLattice,
         clamped = raw < 1.0 - 1e-12
         f = [_window_field(regions.positive(k), m, vg.L) for k in range(K + 1)]
         traj = np.empty((ensemble.n_paths, K - k0 + 1))
-        for r in range(ensemble.n_paths):
-            y = vg.levels[pos0]
-            traj[r, 0] = y
-            for mm in range(k0, K):
-                node = int(ensemble.nodes[r, mm])
-                p = int(np.floor(y * vg.j_cap + 1e-9)) - vg.j_min
-                p = min(max(p, 0), vg.n_levels - 1)
-                y = y + dt * f[mm][node, p]
-                traj[r, mm - k0 + 1] = y
+        traj[:, 0] = vg.levels[pos0]
+        for mm in range(k0, K):
+            y = traj[:, mm - k0]
+            p = np.floor(y * vg.j_cap + 1e-9).astype(np.int64) - vg.j_min
+            p = np.clip(p, 0, vg.n_levels - 1)
+            traj[:, mm - k0 + 1] = y + dt * f[mm][ensemble.nodes[:, mm], p]
         out.append(MollifiedControl(n, width, m, clamped, f, traj))
     return out

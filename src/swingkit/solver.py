@@ -21,6 +21,10 @@ class InvariantError(Exception):
     """A structural property of a solved field failed to hold."""
 
 
+class PreconditionError(ValueError):
+    """Valid input outside the declared range of a check or oracle."""
+
+
 @dataclass(frozen=True, eq=False)
 class VolumeGrid:
     """Volume levels y_j = j * step for j = j_min..j_cap, with y_{j_cap} = 1.

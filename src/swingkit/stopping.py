@@ -93,24 +93,16 @@ def stop_windows(bundle: RolloutBundle) -> StopWindows:
     K = bundle.time_grid.K
     k0 = bundle.k0
     vg = bundle.volume_grid
-    n = bundle.n_paths
-    can_raise = np.zeros((n, K + 1), dtype=bool)
-    can_lower = np.zeros((n, K + 1), dtype=bool)
-    nodes = np.zeros((n, K + 1), dtype=np.int64)
-    weights = np.zeros(n)
-    for r, cp in enumerate(bundle.paths):
-        nodes[r] = cp.nodes
-        weights[r] = cp.weight
-        u = cp.rates
-        for m in range(k0 + 1, K + 1):
-            prev_low = u[m - 1 - k0] < vg.L
-            prev_pos = u[m - 1 - k0] > 0.0
-            next_low = m <= K - 1 and u[m - k0] < vg.L
-            next_pos = m <= K - 1 and u[m - k0] > 0.0
-            can_raise[r, m] = prev_low or next_low
-            can_lower[r, m] = prev_pos or next_pos
+    low, pos = bundle.rates < vg.L, bundle.rates > 0.0
+    can_raise = np.zeros((bundle.n_paths, K + 1), dtype=bool)
+    can_lower = np.zeros((bundle.n_paths, K + 1), dtype=bool)
+    # a time is open when the step before it or the step after it allows the move
+    can_raise[:, k0 + 1:] = low
+    can_lower[:, k0 + 1:] = pos
+    can_raise[:, k0 + 1:K] |= low[:, 1:]
+    can_lower[:, k0 + 1:K] |= pos[:, 1:]
     m_event = (K - k0) > (vg.cap_pos - bundle.pos0) > 0
-    return StopWindows(k0, m_event, can_raise, can_lower, nodes, weights,
+    return StopWindows(k0, m_event, can_raise, can_lower, bundle.nodes, bundle.weights,
                        bundle.exhaustive)
 
 
@@ -144,22 +136,21 @@ def evaluate_stop_rule(lattice: ScenarioLattice, rule: StoppingRule,
     """Expected stopped cashflow of a rule over an ensemble; every path must
     stop by the terminal time."""
     k0 = rule.k0
-    rows = range(ensemble.n_paths)
+    rows = np.arange(ensemble.n_paths)
     if node0 is not None:
-        rows = [r for r in rows if ensemble.nodes[r, k0] == node0]
-    total_w = sum(float(ensemble.weights[r]) for r in rows)
-    first = k0 if rule.include_start else k0 + 1
-    value = 0.0
-    for r in rows:
-        hit = None
-        for m in range(first, lattice.n_steps + 1):
-            if rule.stop[m][int(ensemble.nodes[r, m])]:
-                hit = m
-                break
-        if hit is None:
-            raise ValueError("path %d never stops" % r)
-        value += float(ensemble.weights[r]) / total_w * lattice.x(hit)[int(ensemble.nodes[r, hit])]
-    return value
+        rows = np.flatnonzero(ensemble.nodes[:, k0] == node0)
+        if not rows.size:
+            raise ValueError("no ensemble path passes node %d at slice %d" % (node0, k0))
+    nodes = ensemble.nodes[rows]
+    x_hit = np.full(rows.size, np.nan)
+    for m in range(k0 if rule.include_start else k0 + 1, lattice.n_steps + 1):
+        hit = np.isnan(x_hit) & rule.stop[m][nodes[:, m]]
+        x_hit[hit] = lattice.x(m)[nodes[hit, m]]
+    if np.isnan(x_hit).any():
+        raise ValueError("path %d never stops" % rows[np.isnan(x_hit).argmax()])
+    # running sums keep the left-to-right order of a path-by-path accumulation
+    weights = ensemble.weights[rows]
+    return float(np.cumsum(weights / np.cumsum(weights)[-1] * x_hit)[-1])
 
 
 def _node_flags(windows: StopWindows, lattice: ScenarioLattice, constraint) -> list:
@@ -416,8 +407,11 @@ def marginal_value_report(field: ValueField, deriv: DerivativeField, policy: Pol
         if region != "cap":
             bundle = rollout(policy, lattice, ensemble, (k0, y0))
             exits = exit_times(bundle)
-            ex_sig = sum(cp.weight * lattice.x(int(exits.k_sigma[r]))[int(cp.nodes[exits.k_sigma[r]])]
-                         for r, cp in enumerate(bundle.paths))
+            x_sig = np.empty(bundle.n_paths)
+            for m in np.unique(exits.k_sigma):
+                at = exits.k_sigma == m
+                x_sig[at] = lattice.x(m)[bundle.nodes[at, m]]
+            ex_sig = float(np.cumsum(bundle.weights * x_sig)[-1])
             if searchable and region == "interior":
                 windows = stop_windows(bundle)
                 _, sup_a = optimal_predictable_stop(lattice, windows, "can_raise", "sup")

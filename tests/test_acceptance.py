@@ -92,9 +92,9 @@ def test_criterion_02_marginal_value_and_exit(binary_solved):
     bundle = rollout(b["policy"], b["lat"], b["ens"], (0, 0.5))
     ex = exit_times(bundle)
     assert ex.sigma.tolist() == [1.5, 2.5]
-    w = np.array([cp.weight for cp in bundle.paths])
-    x_at = np.array([b["lat"].x(k)[int(cp.nodes[k])]
-                     for cp, k in zip(bundle.paths, ex.k_sigma)])
+    w = bundle.weights
+    x_at = np.array([b["lat"].x(k)[int(row[k])]
+                     for row, k in zip(bundle.nodes, ex.k_sigma)])
     value = float(w @ x_at)
     assert value == 1.5
     print("criterion 2 PASS: -D-J(0,0.5)=%.17g E[X(sigma)]=%.17g sigma=%s"
@@ -266,7 +266,7 @@ def test_criterion_10_mollified_controls(binary_solved):
     for lo, hi in zip(controls, controls[1:]):
         assert float((hi.trajectories - lo.trajectories).min()) >= 0.0
     bundle = rollout(b["policy"], b["lat"], b["ens"], (0, 0.5))
-    roll = np.array([cp.volumes for cp in bundle.paths])
+    roll = bundle.volumes
     bound = 2.0 * b["vg"].L * b["tg"].dt
     gap4 = float(np.max(np.abs(roll - controls[3].trajectories)))
     assert gap4 <= bound

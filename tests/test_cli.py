@@ -2,7 +2,10 @@ import filecmp
 
 import pytest
 
+from swingkit import write_lattice
 from swingkit.cli import main, parse_config, parse_k_list, parse_starts
+
+from conftest import collision_lattice
 
 
 def run(tmp, *args):
@@ -81,10 +84,24 @@ def test_cli_verify_binary(tmp_path, capsys):
     assert run(tmp_path, "verify", "--config", cfg, "--steps", "48",
                "--exhaustive") == 0
     report = (tmp_path / "report.txt").read_text()
-    assert "FAIL" not in report
+    assert "FAIL" not in report and "ERROR" not in report
+    assert "SKIP enumeration_oracle: enumeration oracle runs at K <= 4 only" in report
     names = [ln.split()[1].rstrip(":") for ln in report.splitlines() if ln.strip()]
     assert "value_invariants" in names
     assert "optimal_martingale" in names
+
+
+def test_cli_verify_reports_a_defect_as_error(tmp_path, capsys):
+    """A check that fails on a ValueError outside the declared skips is an
+    ERROR with exit code 2, not a SKIP."""
+    lat, tg, vg = collision_lattice()
+    write_lattice(str(tmp_path / "lattice.txt"), lat, tg, vg.L)
+    cfg = write_cfg(tmp_path, "model=file\nlattice_file=%s\n" % (tmp_path / "lattice.txt"))
+    assert run(tmp_path, "verify", "--config", cfg) == 2
+    out = capsys.readouterr().out
+    assert ("ERROR optimal_martingale: pre-exit volume level at slice 2 node 0 "
+            "is path-dependent") in out
+    assert "SKIP" not in out and "FAIL" not in out
 
 
 def test_cli_verify_binomial_sampled(tmp_path):

@@ -10,33 +10,7 @@ from swingkit import (LatticeNode, PathEnsemble, ScenarioLattice, TimeGrid,
                       count_paths, enumerate_paths, read_lattice, sample_paths,
                       write_lattice)
 
-from conftest import make_exp_martingale
-
-
-@st.composite
-def tiny_lattice_rows(draw):
-    """LatticeNode rows shaped like conftest.random_tiny_lattice: one root,
-    1-3 nodes per slice, every node reachable, 2-3 steps."""
-    K = draw(st.integers(2, 3))
-    sizes = [1] + [draw(st.integers(1, 3)) for _ in range(K)]
-    rows = []
-    for k in range(K + 1):
-        nxt = sizes[k + 1] if k < K else 0
-        owner = [draw(st.integers(0, sizes[k] - 1)) for _ in range(nxt)]
-        row = []
-        for n in range(sizes[k]):
-            x = draw(st.floats(0.0, 3.0))
-            if k == K:
-                row.append(LatticeNode(x))
-                continue
-            kids = {c for c in range(nxt) if owner[c] == n}
-            kids |= draw(st.sets(st.integers(0, nxt - 1), min_size=0 if kids else 1))
-            kids = sorted(kids)
-            w = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=len(kids),
-                                       max_size=len(kids))))
-            row.append(LatticeNode(x, tuple(kids), tuple((w / w.sum()).tolist())))
-        rows.append(row)
-    return rows
+from conftest import make_exp_martingale, tiny_lattice_rows
 
 
 def test_time_grid():

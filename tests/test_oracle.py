@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from swingkit import (TimeGrid, VolumeGrid, brute_force_value, build_binary_example,
-                      build_binomial, closed_form, solve)
+from swingkit import (PreconditionError, TimeGrid, VolumeGrid, brute_force_value,
+                      build_binary_example, build_binomial, closed_form, solve)
 
 from conftest import random_tiny_lattice, solved
 
@@ -54,7 +54,7 @@ def test_enumeration_policy_cap():
     lat = build_binary_example(6)
     tg = TimeGrid(3.0, 6)
     vg = VolumeGrid.aligned(1.0, tg)
-    with pytest.raises(ValueError, match="above the cap"):
+    with pytest.raises(PreconditionError, match="above the cap"):
         brute_force_value(lat, tg, vg, max_policies=4)
 
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from swingkit import (ExerciseRegions, InvariantError, check_inclusion,
-                      check_saturation, derivatives, exercise_regions,
-                      exit_times, extract_policy, mollified_iterate, rollout,
-                      sample_paths, solve)
+from swingkit import (ExerciseRegions, InvariantError, ScenarioLattice,
+                      check_inclusion, check_saturation, derivatives,
+                      exercise_regions, exit_times, extract_policy,
+                      mollified_iterate, rollout, sample_paths, solve)
 
-from conftest import collision_lattice, make_exp_martingale, solved
+from conftest import collision_lattice, make_exp_martingale, solved, tiny_lattice_rows
 
 
 def test_binary_policy_switches_at_the_jump(binary96):
@@ -42,7 +43,7 @@ def test_supermartingale_policy_exercises_immediately():
 def test_rollout_reproduces_value(binary96):
     b = rollout(binary96["policy"], binary96["lat"], binary96["ens"], (0, 0.5))
     assert b.mean == 0.875
-    assert sorted(cp.reward for cp in b.paths) == [0.8671875, 0.8828125]
+    assert sorted(b.rewards.tolist()) == [0.8671875, 0.8828125]
     assert b.exhaustive
     b0 = rollout(binary96["policy"], binary96["lat"], binary96["ens"], (0, 0.0))
     assert b0.mean == 1.5
@@ -50,14 +51,39 @@ def test_rollout_reproduces_value(binary96):
 
 def test_rollout_path_bookkeeping(binary96):
     b = rollout(binary96["policy"], binary96["lat"], binary96["ens"], (0, 0.5))
-    for cp in b.paths:
-        assert len(cp.positions) == 97
-        assert len(cp.rates) == 96
-        assert cp.reward == pytest.approx(cp.reward_increments.sum(), abs=1e-15)
-        assert cp.positions[0] == 80
+    assert b.positions.shape == (2, 97)
+    assert b.rates.shape == b.increments.shape == (2, 96)
+    assert b.nodes.shape == (2, 97)
+    assert b.volumes.shape == (2, 97)
+    for r in range(b.n_paths):
+        assert b.rewards[r] == pytest.approx(b.increments[r].sum(), abs=1e-15)
+        assert b.positions[r, 0] == 80
         # positions advance one pitch exactly when the rate is L
-        steps = np.diff(cp.positions)
-        assert np.array_equal(steps == 1, cp.rates > 0)
+        steps = np.diff(b.positions[r])
+        assert np.array_equal(steps == 1, b.rates[r] > 0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rows=tiny_lattice_rows(), j_cap=st.integers(1, 2), data=st.data())
+def test_rollout_from_a_node(rows, j_cap, data):
+    """Rolling out from (k0, node0, y0) over the exhaustive ensemble keeps the
+    paths through node0 and earns their conditional value J, up to the
+    tie_tol a tie can cost per step."""
+    lat = ScenarioLattice(rows).validate()
+    K = lat.n_steps
+    tg, vg, field, deriv, pol = solved(lat, float(K), 1.0 / j_cap)
+    ens = sample_paths(lat, exhaustive=True)
+    k0 = data.draw(st.integers(0, K - 1))
+    node0 = data.draw(st.integers(0, lat.n_nodes(k0) - 1))
+    pos0 = data.draw(st.integers(0, vg.n_levels - 1))
+    b = rollout(pol, lat, ens, (k0, vg.levels[pos0]), node0=node0)
+    assert b.path_ids.tolist() == np.flatnonzero(ens.nodes[:, k0] == node0).tolist()
+    assert np.array_equal(b.nodes, ens.nodes[b.path_ids])
+    assert abs(b.weights.sum() - 1.0) <= 1e-12
+    assert np.array_equal(np.diff(b.positions, axis=1), (b.rates == vg.L).astype(int))
+    assert b.rewards.tolist() == [row.sum() for row in b.increments]
+    J = field.values[k0][node0, pos0]
+    assert J - (K - k0) * vg.step * pol.tie_tol - 1e-12 <= b.mean <= J + 1e-12
 
 
 def test_constant_rollout_reward_is_deterministic():
@@ -69,8 +95,8 @@ def test_constant_rollout_reward_is_deterministic():
     for y0 in (0.0, 0.5):
         b = rollout(pol, lat, ens, (0, y0))
         want = c * min(1.0 - y0, vg.L * tg.T)
-        for cp in b.paths:
-            assert cp.reward == pytest.approx(want, abs=1e-12)
+        for reward in b.rewards:
+            assert reward == pytest.approx(want, abs=1e-12)
 
 
 def test_inclusion_holds_along_rollout(binary96):
@@ -96,9 +122,9 @@ def test_exit_times_from_half(binary96):
     assert ex.sigma.tolist() == [1.5, 2.5]
     assert ex.case_u.tolist() == [True, False]
     assert ex.k_sigma.tolist() == [48, 80]
-    w = np.array([cp.weight for cp in b.paths])
-    x_at = np.array([binary96["lat"].x(k)[int(cp.nodes[k])]
-                     for cp, k in zip(b.paths, ex.k_sigma)])
+    w = b.weights
+    x_at = np.array([binary96["lat"].x(k)[int(row[k])]
+                     for row, k in zip(b.nodes, ex.k_sigma)])
     assert float(w @ x_at) == 1.5
 
 
@@ -107,9 +133,9 @@ def test_exit_times_from_zero(binary96):
     ex = exit_times(b)
     assert ex.sigma.tolist() == [2.0, 2.0]
     assert ex.case_u.tolist() == [True, False]
-    w = np.array([cp.weight for cp in b.paths])
-    x_at = np.array([binary96["lat"].x(k)[int(cp.nodes[k])]
-                     for cp, k in zip(b.paths, ex.k_sigma)])
+    w = b.weights
+    x_at = np.array([binary96["lat"].x(k)[int(row[k])]
+                     for row, k in zip(b.nodes, ex.k_sigma)])
     assert float(w @ x_at) == 1.0
 
 
@@ -177,7 +203,7 @@ def test_mollified_trajectories_rise_to_the_rollout(binary96):
     mcs = mollified_iterate(regs, binary96["lat"], binary96["ens"], (0, 0.5), 5,
                             binary96["tg"])
     b = rollout(binary96["policy"], binary96["lat"], binary96["ens"], (0, 0.5))
-    roll = np.array([cp.volumes for cp in b.paths])
+    roll = b.volumes
     prev = None
     for mc in mcs:
         if prev is not None:

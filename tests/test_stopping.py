@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from swingkit import (InvariantError, StoppingRule, StopWindows, TimeGrid,
-                      VolumeGrid, build_binomial, check_snell,
+                      VolumeGrid, build_binary_example, build_binomial, check_snell,
                       doob_decomposition, evaluate_stop_rule,
                       marginal_value_report, optimal_predictable_stop, rollout,
                       sample_paths, snell, stop_windows)
@@ -121,6 +121,11 @@ def test_evaluate_requires_stopping(binary96):
     rule = StoppingRule(stop=stop, predictable=False, k0=0)
     with pytest.raises(ValueError, match="never stops"):
         evaluate_stop_rule(lat, rule, binary96["ens"])
+    small = build_binary_example(12)
+    stop = [np.ones(small.n_nodes(k), dtype=bool) for k in range(13)]
+    rule = StoppingRule(stop=stop, predictable=False, k0=6)
+    with pytest.raises(ValueError, match="no ensemble path passes node 5 at slice 6"):
+        evaluate_stop_rule(small, rule, sample_paths(small, exhaustive=True), node0=5)
 
 
 def test_search_rejections(binary96, half_bundle):
