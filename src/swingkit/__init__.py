@@ -11,10 +11,10 @@ from .models import (LatticeNode, PathEnsemble, ScenarioLattice, TimeGrid,
                      backward_extremum, build_binary_example, build_binomial,
                      count_paths, enumerate_paths, read_lattice, sample_paths,
                      write_lattice)
-from .solver import (BoundaryReport, DerivativeField, InvariantError,
-                     LipschitzDiagnostic, PreconditionError, ResidualReport,
-                     ValueField, VolumeGrid, bellman_residual, boundary_check,
-                     check_value_invariants, derivatives, lipschitz_diagnostic, solve)
+from .solver import (BoundaryReport, InvariantError, LipschitzDiagnostic,
+                     PreconditionError, ResidualReport, ValueField, VolumeGrid,
+                     bellman_residual, boundary_check, check_value_invariants,
+                     lipschitz_diagnostic, solve)
 from .policy import (ExerciseBoundary, ExerciseRegions, MollifiedControl,
                      PolicyField, RolloutBundle, check_inclusion, check_saturation,
                      exercise_regions, exit_times, extract_policy, mollified_iterate,
@@ -35,10 +35,9 @@ __all__ = [
     "LatticeNode", "PathEnsemble", "ScenarioLattice", "TimeGrid",
     "backward_extremum", "build_binary_example", "build_binomial", "count_paths",
     "enumerate_paths", "read_lattice", "sample_paths", "write_lattice",
-    "BoundaryReport", "DerivativeField", "InvariantError", "LipschitzDiagnostic",
-    "PreconditionError", "ResidualReport", "ValueField", "VolumeGrid",
-    "bellman_residual", "boundary_check", "check_value_invariants", "derivatives",
-    "lipschitz_diagnostic", "solve",
+    "BoundaryReport", "InvariantError", "LipschitzDiagnostic", "PreconditionError",
+    "ResidualReport", "ValueField", "VolumeGrid", "bellman_residual",
+    "boundary_check", "check_value_invariants", "lipschitz_diagnostic", "solve",
     "ExerciseBoundary", "ExerciseRegions", "MollifiedControl", "PolicyField",
     "RolloutBundle", "check_inclusion", "check_saturation", "exercise_regions",
     "exit_times", "extract_policy", "mollified_iterate", "rollout",

@@ -22,8 +22,7 @@ from .models import (TimeGrid, build_binary_example, build_binomial, count_paths
 from .oracle import brute_force_value
 from .policy import check_inclusion, check_saturation, exit_times, extract_policy, rollout
 from .solver import (InvariantError, PreconditionError, VolumeGrid, bellman_residual,
-                     boundary_check, check_value_invariants, derivatives,
-                     lipschitz_diagnostic, solve)
+                     boundary_check, check_value_invariants, lipschitz_diagnostic, solve)
 from .stopping import check_snell, doob_decomposition, marginal_value_report, snell
 
 _KEY_TYPES = {
@@ -131,7 +130,10 @@ def parse_starts(text: str) -> list:
         parts = chunk.split(":")
         if len(parts) != 2:
             raise ValueError("start %r is not t:y" % chunk)
-        starts.append((float(parts[0]), float(parts[1])))
+        t, y = float(parts[0]), float(parts[1])
+        if not (np.isfinite(t) and np.isfinite(y)):
+            raise ValueError("start %r is not finite" % chunk)
+        starts.append((t, y))
     if not starts:
         raise ValueError("empty start list")
     return starts
@@ -153,13 +155,13 @@ def _write(out_dir: str, name: str, text: str):
         fh.write(text)
 
 
-def _value_field_text(field, deriv, lattice) -> str:
+def _value_field_text(field, lattice) -> str:
     tg, vg = field.time_grid, field.volume_grid
     times, levels = tg.times.tolist(), vg.levels.tolist()
     lines = ["t node y J dminus dplus"]
     for k in range(tg.K + 1):
         t, J = times[k], field.values[k].tolist()
-        dm, dp = deriv.dminus[k].tolist(), deriv.dplus[k].tolist()
+        dm, dp = field.dminus(k).tolist(), field.dplus(k).tolist()
         for n in range(lattice.n_nodes(k)):
             for p in range(vg.n_levels):
                 lines.append("%.17g %d %.17g %.17g %.17g %.17g"
@@ -194,16 +196,21 @@ def _solve_all(cfg: dict):
     lattice, tg, L = build_model(cfg)
     vg = VolumeGrid.aligned(L, tg)
     field = solve(lattice, tg, vg)
-    deriv = derivatives(field)
-    policy = extract_policy(field, deriv, lattice, cfg.get("tie_tol", 1e-9))
-    return lattice, tg, vg, field, deriv, policy
+    policy = extract_policy(field, lattice, cfg.get("tie_tol", 1e-9))
+    return lattice, tg, vg, field, policy
 
 
 def cmd_price(cfg: dict, out_dir: str) -> int:
-    lattice, tg, vg, field, deriv, policy = _solve_all(cfg)
-    ens = make_ensemble(lattice, cfg)
+    lattice, tg, vg, field, policy = _solve_all(cfg)
+    _export_price(cfg, out_dir, lattice, field, policy, make_ensemble(lattice, cfg))
+    return 0
+
+
+def _export_price(cfg: dict, out_dir: str, lattice, field, policy, ens):
+    """Write the price bundle of a solved model and print its summary."""
+    tg, vg = field.time_grid, field.volume_grid
     starts = parse_starts(cfg.get("starts", "0:0"))
-    files = {"value_field.txt": _value_field_text(field, deriv, lattice)}
+    files = {"value_field.txt": _value_field_text(field, lattice)}
     occ = lattice.occupancy()
     summary = []
     for i, (t0, y0) in enumerate(starts):
@@ -222,7 +229,6 @@ def cmd_price(cfg: dict, out_dir: str) -> int:
         _write(out_dir, name, text)
     for line in summary:
         print(line)
-    return 0
 
 
 def _verify_ensemble(lattice, cfg: dict):
@@ -234,7 +240,8 @@ def _verify_ensemble(lattice, cfg: dict):
 
 
 def _verify_checks(cfg: dict):
-    lattice, tg, vg, field, deriv, policy = _solve_all(cfg)
+    starts = parse_starts(cfg["starts"]) if "starts" in cfg else [(0.0, 0.0)]
+    lattice, tg, vg, field, policy = _solve_all(cfg)
     lt_above_one = vg.n_steps > vg.j_cap
     diag = lipschitz_diagnostic(lattice)
     ens = _verify_ensemble(lattice, cfg)
@@ -256,7 +263,7 @@ def _verify_checks(cfg: dict):
             ext["monotone"], ext["concavity"], ext["lipschitz"])
 
     def check_residual():
-        rep = bellman_residual(field, deriv, lattice, "implicit")
+        rep = bellman_residual(field, lattice, "implicit")
         if rep.max_abs > 1e-10:
             raise InvariantError("implicit residual %.3g above 1e-10" % rep.max_abs)
         return "max residual %.3g" % rep.max_abs
@@ -270,7 +277,7 @@ def _verify_checks(cfg: dict):
 
     def check_rollout():
         bundle = rollout(policy, lattice, ens, (0, 0.0))
-        inc = check_inclusion(bundle, deriv, lattice, policy.tie_tol)
+        inc = check_inclusion(bundle, field, lattice, policy.tie_tol)
         saturated = check_saturation(bundle)
         if ens.exhaustive:
             err = abs(bundle.mean - float(field.values[0][0, vg.index_of(0.0)]))
@@ -280,10 +287,11 @@ def _verify_checks(cfg: dict):
             saturated, inc["max_zero_side"], inc["min_full_side"])
 
     def check_envelopes():
-        a = check_snell(snell(lattice, "sup"), lattice)
-        b = check_snell(snell(lattice, "inf"), lattice)
-        doob_decomposition(snell(lattice, "sup"), lattice)
-        doob_decomposition(snell(lattice, "inf"), lattice)
+        sup, inf = snell(lattice, "sup"), snell(lattice, "inf")
+        a = check_snell(sup, lattice)
+        b = check_snell(inf, lattice)
+        doob_decomposition(sup, lattice)
+        doob_decomposition(inf, lattice)
         return "sup drift %.3g inf drift %.3g" % (a["drift"], b["drift"])
 
     def check_oracle():
@@ -310,7 +318,7 @@ def _verify_checks(cfg: dict):
     def check_optimal_martingale():
         if not lt_above_one:
             raise PreconditionError("dual construction needs L*T > 1")
-        res = build_optimal_martingale(lattice, tg, vg, field, deriv, policy)
+        res = build_optimal_martingale(lattice, tg, vg, field, policy)
         if res.report.gap < -1e-10:
             raise InvariantError("negative gap %.3g" % res.report.gap)
         if res.flags:
@@ -318,8 +326,7 @@ def _verify_checks(cfg: dict):
         return "gap %.3g spread %.3g" % (res.report.gap, res.diagnostics["node_spread"])
 
     def check_marginal():
-        starts = parse_starts(cfg["starts"]) if "starts" in cfg else [(0.0, 0.0)]
-        rep = marginal_value_report(field, deriv, policy, lattice, ens, starts)
+        rep = marginal_value_report(field, policy, lattice, ens, starts)
         return "%d starts within %.3g" % (len(rep.rows), rep.tol)
 
     run("value_invariants", check_values)
@@ -377,10 +384,10 @@ def cmd_dual(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_stopping(cfg: dict, out_dir: str) -> int:
-    lattice, tg, vg, field, deriv, policy = _solve_all(cfg)
+    lattice, tg, vg, field, policy = _solve_all(cfg)
     ens = make_ensemble(lattice, cfg)
     starts = parse_starts(cfg.get("starts", "0:0"))
-    report = marginal_value_report(field, deriv, policy, lattice, ens, starts)
+    report = marginal_value_report(field, policy, lattice, ens, starts)
     text = report.format_table()
     _write(out_dir, "marginal.txt", text)
     print(text, end="")
@@ -393,12 +400,10 @@ def cmd_example(cfg: dict, out_dir: str) -> int:
     sub["model"] = "binary"
     sub.setdefault("K", 96)
     sub.setdefault("starts", "0:0.5;0:0")
-    code = cmd_price(sub, out_dir)
-    if code != 0:
-        return code
-    lattice, tg, vg, field, deriv, policy = _solve_all(sub)
+    lattice, tg, vg, field, policy = _solve_all(sub)
     ens = make_ensemble(lattice, sub)
-    report = marginal_value_report(field, deriv, policy, lattice, ens,
+    _export_price(sub, out_dir, lattice, field, policy, ens)
+    report = marginal_value_report(field, policy, lattice, ens,
                                    [(0.0, 0.5), (0.0, 0.0), (2.0, 0.0), (0.0, 1.0)])
     _write(out_dir, "marginal.txt", report.format_table())
     write_lattice(os.path.join(out_dir, "example_lattice.txt"), lattice, tg, vg.L)

@@ -18,8 +18,7 @@ import numpy as np
 
 from .models import ScenarioLattice, TimeGrid
 from .policy import PolicyField, extract_policy
-from .solver import (DerivativeField, InvariantError, ValueField, VolumeGrid,
-                     derivatives, solve)
+from .solver import InvariantError, ValueField, VolumeGrid, solve
 from .stopping import doob_decomposition, snell
 
 
@@ -121,7 +120,6 @@ class OptimalMartingaleResult:
 
 def build_optimal_martingale(lattice: ScenarioLattice, time_grid: TimeGrid,
                              volume_grid: VolumeGrid, value_field: ValueField,
-                             deriv: DerivativeField = None,
                              policy: PolicyField = None) -> OptimalMartingaleResult:
     """Assemble the optimizing martingale for start (0, y=0).
 
@@ -138,10 +136,8 @@ def build_optimal_martingale(lattice: ScenarioLattice, time_grid: TimeGrid,
         raise ValueError("the dual construction needs L*T > 1; this grid has L*T <= 1")
     if lattice.n_nodes(0) != 1:
         raise ValueError("needs a single-root lattice")
-    if deriv is None:
-        deriv = derivatives(value_field)
     if policy is None:
-        policy = extract_policy(value_field, deriv, lattice)
+        policy = extract_policy(value_field, lattice)
     pos0 = vg.index_of(0.0)
     maxx = max(1.0, lattice.max_x())
     tol = 3.0 * time_grid.dt * lattice.max_x()
@@ -168,7 +164,7 @@ def build_optimal_martingale(lattice: ScenarioLattice, time_grid: TimeGrid,
         moving = (active & ~trigger[k])[parent]
         kids = child[moving]
         src_pos = pos[parent[moving]]
-        kid_pos = src_pos + policy.decisions[k][parent[moving], src_pos]
+        kid_pos = src_pos + policy.go(k, parent[moving], src_pos)
         realized[k + 1][kids] = kid_pos
         clash = np.flatnonzero(realized[k + 1][kids] != kid_pos)
         if clash.size:
@@ -191,7 +187,7 @@ def build_optimal_martingale(lattice: ScenarioLattice, time_grid: TimeGrid,
         env = np.where(exit_up[k], sup_env.values[k], inf_env.values[k])
         dual2 = max(dual2, float(np.abs(lattice.x(k) - env)[trigger[k]].max(initial=0.0)))
         pre = np.flatnonzero((realized[k] >= 0) & ~trigger[k])
-        lhs = -deriv.dminus[k][pre, realized[k][pre]]
+        lhs = -value_field.dminus(k)[pre, realized[k][pre]]
         dual1 = max(dual1, float(np.abs(lhs - w_field[k][pre]).max(initial=0.0)))
 
     # forward state machine: phase 0 pre-exit, 1 post-exit via sup envelope,
@@ -327,10 +323,7 @@ def duality_gap_study(make_instance, k_list) -> list:
     for K in k_list:
         lattice, tg, vg = make_instance(K)
         lce = lce and lattice.lce_declared
-        field = solve(lattice, tg, vg)
-        deriv = derivatives(field)
-        policy = extract_policy(field, deriv, lattice)
-        res = build_optimal_martingale(lattice, tg, vg, field, deriv, policy)
+        res = build_optimal_martingale(lattice, tg, vg, solve(lattice, tg, vg))
         rows.append(GapRow(int(K), res.report.primal, res.report.dual_value,
                            res.report.gap))
     for row in rows:

@@ -40,7 +40,7 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         kf = t / self.dt
-        k = int(round(kf))
+        k = int(round(kf)) if np.isfinite(kf) else -1
         if abs(kf - k) > 1e-9 or not 0 <= k <= self.K:
             raise ValueError("time %.17g is off the grid" % t)
         return k

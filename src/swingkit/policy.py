@@ -15,51 +15,55 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import PathEnsemble, ScenarioLattice, TimeGrid
-from .solver import DerivativeField, InvariantError, ValueField, VolumeGrid
+from .solver import InvariantError, ValueField, VolumeGrid
 
 TIE_TOL = 1e-9
 
 
 @dataclass(eq=False)
 class PolicyField:
-    """decisions[k][node][position] is True where the optimal rate is L."""
+    """The bang-bang policy of a solved field, read off J on demand."""
 
-    time_grid: TimeGrid
-    volume_grid: VolumeGrid
-    decisions: list
+    field: ValueField
+    lattice: ScenarioLattice
     tie_tol: float = TIE_TOL
 
     @property
     def L(self) -> float:
-        return self.volume_grid.L
+        return self.field.volume_grid.L
+
+    def go(self, k: int, nodes, pos) -> np.ndarray:
+        """True where the optimal rate at slice k < K is L: the cap leaves room
+        and X + dminus(level+1) >= -tie_tol. nodes and pos broadcast."""
+        vg = self.field.volume_grid
+        J = self.field.values[k]
+        up = np.minimum(pos + 1, vg.cap_pos)
+        return (pos < vg.cap_pos) & (
+            self.lattice.x(k)[nodes] + (J[nodes, up] - J[nodes, pos]) / vg.step >= -self.tie_tol)
 
     def rate(self, k: int, node: int, pos: int) -> float:
-        return self.L if self.decisions[k][node, pos] else 0.0
+        return self.L if self.go(k, node, pos) else 0.0
 
 
-def extract_policy(field: ValueField, deriv: DerivativeField,
-                   lattice: ScenarioLattice, tie_tol: float = TIE_TOL) -> PolicyField:
-    """Read the bang-bang policy off the solved derivative field.
+def extract_policy(field: ValueField, lattice: ScenarioLattice,
+                   tie_tol: float = TIE_TOL) -> PolicyField:
+    """The bang-bang policy of a solved field.
 
     decision = L iff X + dminus(level+1) >= -tie_tol and the cap leaves room.
-    Feasibility at the cap and the forced full rate on and below the moving
-    boundary are verified before returning.
+    The forced full rate on and below the moving boundary is verified before
+    returning.
     """
+    if not (np.isfinite(tie_tol) and tie_tol >= 0):
+        raise ValueError("tie_tol must be finite and nonnegative, got %r" % tie_tol)
+    policy = PolicyField(field, lattice, tie_tol)
     vg = field.volume_grid
-    K = field.time_grid.K
-    decisions = []
-    for k in range(K):
-        x = lattice.x(k)
-        dec = np.zeros((lattice.n_nodes(k), vg.n_levels), dtype=bool)
-        dec[:, :-1] = x[:, None] + deriv.dminus[k][:, 1:] >= -tie_tol
+    for k in range(field.time_grid.K):
         b = vg.boundary_pos(k)
         if b >= 0:
-            forced = dec[:, :min(b, vg.cap_pos - 1) + 1]
-            if not forced.all():
+            nodes = np.arange(lattice.n_nodes(k))[:, None]
+            if not policy.go(k, nodes, np.arange(min(b, vg.cap_pos - 1) + 1)).all():
                 raise InvariantError("full rate not selected below the boundary at slice %d" % k)
-        decisions.append(dec)
-    decisions.append(np.zeros((lattice.n_nodes(K), vg.n_levels), dtype=bool))
-    return PolicyField(field.time_grid, vg, decisions, tie_tol)
+    return policy
 
 
 @dataclass(eq=False)
@@ -121,8 +125,8 @@ def rollout(policy: PolicyField, lattice: ScenarioLattice, ensemble: PathEnsembl
     paths passing through that node at k0 enter, with weights renormalized.
     """
     k0, y0 = start
-    vg = policy.volume_grid
-    tg = policy.time_grid
+    vg = policy.field.volume_grid
+    tg = policy.field.time_grid
     K = tg.K
     if not 0 <= k0 < K:
         raise ValueError("start index %d outside the grid" % k0)
@@ -139,7 +143,7 @@ def rollout(policy: PolicyField, lattice: ScenarioLattice, ensemble: PathEnsembl
     positions[:, 0] = pos0
     for m in range(k0, K):
         n, pos = nodes[:, m], positions[:, m - k0]
-        go = policy.decisions[m][n, pos]
+        go = policy.go(m, n, pos)
         rates[go, m - k0] = vg.L
         incs[go, m - k0] = vg.step * lattice.x(m)[n[go]]
         positions[:, m - k0 + 1] = pos + go
@@ -151,20 +155,20 @@ def rollout(policy: PolicyField, lattice: ScenarioLattice, ensemble: PathEnsembl
                          rewards, weights, mean, ensemble.exhaustive and node0 is None)
 
 
-def check_inclusion(bundle: RolloutBundle, deriv: DerivativeField,
+def check_inclusion(bundle: RolloutBundle, field: ValueField,
                     lattice: ScenarioLattice, tie_tol: float = TIE_TOL) -> dict:
     """Differential-inclusion consistency along rolled-out paths.
 
     At every realized (k, node, level): a zero rate requires X + dminus <=
-    tie_tol and a full rate requires X + dminus >= -tie_tol. Positions whose
-    left derivative is undefined (the lowest level of a grid that does not
-    extend below zero) are skipped.
+    tie_tol and a full rate requires X + dminus >= -tie_tol, with dminus read
+    off field. Positions whose left derivative is undefined (the lowest level
+    of a grid that does not extend below zero) are skipped.
     """
     worst_zero = -np.inf
     worst_full = np.inf
     for m in range(bundle.k0, bundle.time_grid.K):
         n, i = bundle.nodes[:, m], m - bundle.k0
-        s = lattice.x(m)[n] + deriv.dminus[m][n, bundle.positions[:, i]]
+        s = lattice.x(m)[n] + field.dminus(m)[n, bundle.positions[:, i]]
         full, ok = bundle.rates[:, i] > 0, ~np.isnan(s)
         worst_zero = max(worst_zero, np.max(s[ok & ~full], initial=-np.inf))
         worst_full = min(worst_full, np.min(s[ok & full], initial=np.inf))
@@ -252,28 +256,26 @@ class ExerciseRegions:
         return self.sign[k] == 0
 
 
-def exercise_regions(deriv: DerivativeField, lattice: ScenarioLattice,
+def exercise_regions(field: ValueField, lattice: ScenarioLattice,
                      tie_tol: float = TIE_TOL) -> ExerciseRegions:
     """Classify every (k, node, level) by the sign of X + dminus.
 
     Where the left derivative is undefined (lowest level of a grid with no
-    extension below zero) the right derivative stands in.
+    extension below zero) the right derivative stands in. The terminal slice
+    is all zero.
     """
-    K = deriv.time_grid.K
+    K = field.time_grid.K
     sign = []
-    for k in range(K + 1):
-        if k < K:
-            s = lattice.x(k)[:, None] + deriv.dminus[k]
-            fallback = lattice.x(k)[:, None] + deriv.dplus[k]
-        else:
-            s = deriv.dminus[k] * 0.0
-            fallback = s
-        s = np.where(np.isnan(s), fallback, s)
+    for k in range(K):
+        x = lattice.x(k)[:, None]
+        s = x + field.dminus(k)
+        s = np.where(np.isnan(s), x + field.dplus(k), s)
         out = np.zeros(s.shape, dtype=np.int8)
         out[s > tie_tol] = 1
         out[s < -tie_tol] = -1
         sign.append(out)
-    return ExerciseRegions(deriv.volume_grid, sign, tie_tol)
+    sign.append(np.zeros(field.values[K].shape, dtype=np.int8))
+    return ExerciseRegions(field.volume_grid, sign, tie_tol)
 
 
 @dataclass(eq=False)

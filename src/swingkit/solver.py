@@ -72,8 +72,9 @@ class VolumeGrid:
         return self.cap_pos - (self.n_steps - k)
 
     def index_of(self, y: float) -> int:
-        pos = int(round((y * self.j_cap))) - self.j_min
-        if not 0 <= pos < self.n_levels or abs(y * self.j_cap - round(y * self.j_cap)) > 1e-9:
+        yj = y * self.j_cap
+        pos = int(round(yj)) - self.j_min if np.isfinite(yj) else -1
+        if not 0 <= pos < self.n_levels or abs(yj - round(yj)) > 1e-9:
             raise ValueError("start volume %.17g is off the grid" % y)
         return pos
 
@@ -102,23 +103,24 @@ class ValueField:
     def at(self, k: int, node: int, y: float) -> float:
         return float(self.values[k][node, self.volume_grid.index_of(y)])
 
+    def dminus(self, k: int) -> np.ndarray:
+        """Left volume difference quotients at slice k, computed on demand.
 
-@dataclass(eq=False)
-class DerivativeField:
-    """One-sided volume difference quotients of a solved value field.
+        dminus(k)[n, p] = (J[p] - J[p-1]) / step. The lowest column is 0 when
+        the grid extends through the full-rate region (J is constant in y
+        there) and NaN otherwise.
+        """
+        vals = self.values[k]
+        dm = np.empty_like(vals)
+        dm[:, 1:] = np.diff(vals, axis=1) / self.volume_grid.step
+        dm[:, 0] = 0.0 if self.volume_grid.j_min < 0 else np.nan
+        return dm
 
-    dminus[k][n][p] = (J[p] - J[p-1]) / step. The lowest column is 0 when the
-    grid extends through the full-rate region (J is constant in y there) and
-    NaN otherwise. dplus[k][n][p] = dminus[k][n][p+1], padded at the top.
-    """
-
-    time_grid: TimeGrid
-    volume_grid: VolumeGrid
-    dminus: list
-    dplus: list
-
-    def gap(self, k: int) -> np.ndarray:
-        return self.dminus[k] - self.dplus[k]
+    def dplus(self, k: int) -> np.ndarray:
+        """Right quotients: dplus(k)[n, p] = dminus(k)[n, p+1], with the top
+        column repeated."""
+        dm = self.dminus(k)
+        return np.concatenate([dm[:, 1:], dm[:, -1:]], axis=1)
 
 
 @dataclass(eq=False)
@@ -161,24 +163,6 @@ def solve(lattice: ScenarioLattice, time_grid: TimeGrid, volume_grid: VolumeGrid
         ex[:, -1] = -np.inf
         values[k] = np.maximum(ej, ex)
     return ValueField(time_grid, volume_grid, values)
-
-
-def derivatives(field: ValueField) -> DerivativeField:
-    vg = field.volume_grid
-    step = vg.step
-    dminus = []
-    dplus = []
-    low = 0.0 if vg.j_min < 0 else np.nan
-    for vals in field.values:
-        dm = np.empty_like(vals)
-        dm[:, 1:] = np.diff(vals, axis=1) / step
-        dm[:, 0] = low
-        dp = np.empty_like(vals)
-        dp[:, :-1] = dm[:, 1:]
-        dp[:, -1] = dm[:, -1]
-        dminus.append(dm)
-        dplus.append(dp)
-    return DerivativeField(field.time_grid, vg, dminus, dplus)
 
 
 def check_value_invariants(field: ValueField, lattice: ScenarioLattice,
@@ -228,20 +212,19 @@ def check_value_invariants(field: ValueField, lattice: ScenarioLattice,
 
 @dataclass(eq=False)
 class ResidualReport:
-    """One-step consistency residuals of a solved field.
+    """Largest one-step consistency residual of a solved field.
 
-    residuals[k][n][p] is NaN at masked positions: the moving-boundary level
-    (where the left and right volume derivatives legitimately differ) and
-    levels where the left derivative itself is undefined.
+    Masked positions are left out: the moving-boundary level (where the left
+    and right volume derivatives legitimately differ) and levels where the
+    left derivative itself is undefined.
     """
 
     form: str
-    residuals: list
     max_abs: float
 
 
-def bellman_residual(field: ValueField, deriv: DerivativeField,
-                     lattice: ScenarioLattice, form: str = "implicit") -> ResidualReport:
+def bellman_residual(field: ValueField, lattice: ScenarioLattice,
+                     form: str = "implicit") -> ResidualReport:
     """Residual of J against its one-step optimality identity.
 
     implicit: r = J_k - (step*(X + dminus_k)_+ + E[J_{k+1}]), with the
@@ -254,28 +237,28 @@ def bellman_residual(field: ValueField, deriv: DerivativeField,
     vg = field.volume_grid
     step = vg.step
     K = field.time_grid.K
-    residuals = []
     max_abs = 0.0
     for k in range(K):
         vals = field.values[k]
         x = lattice.x(k)
+        dm = field.dminus(k)
         if form == "implicit":
             ej = lattice.expect_next(k, field.values[k + 1])
-            r = vals - (step * np.maximum(x[:, None] + deriv.dminus[k], 0.0) + ej)
+            r = vals - (step * np.maximum(x[:, None] + dm, 0.0) + ej)
         else:
             start, child, prob = lattice.edges(k)
-            inner = (step * np.maximum(x[lattice.parents(k), None] + deriv.dminus[k + 1][child], 0.0)
+            dm_next = field.dminus(k + 1)[child]
+            inner = (step * np.maximum(x[lattice.parents(k), None] + dm_next, 0.0)
                      + field.values[k + 1][child])
             r = vals - np.add.reduceat(prob[:, None] * inner, start[:-1])
         b = vg.boundary_pos(k)
         if 0 <= b < vg.n_levels:
             r[:, b] = np.nan
-        r[np.isnan(deriv.dminus[k])] = np.nan
-        residuals.append(r)
+        r[np.isnan(dm)] = np.nan
         finite = r[np.isfinite(r)]
         if finite.size:
             max_abs = max(max_abs, float(np.abs(finite).max()))
-    return ResidualReport(form, residuals, max_abs)
+    return ResidualReport(form, max_abs)
 
 
 @dataclass(eq=False)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .models import PathEnsemble, ScenarioLattice, backward_extremum
 from .policy import PolicyField, RolloutBundle, exit_times, rollout
-from .solver import DerivativeField, InvariantError, ValueField
+from .solver import InvariantError, ValueField
 
 
 @dataclass(eq=False)
@@ -341,12 +341,12 @@ class MarginalReport:
         return "\n".join(lines) + "\n"
 
 
-def marginal_value_report(field: ValueField, deriv: DerivativeField, policy: PolicyField,
+def marginal_value_report(field: ValueField, policy: PolicyField,
                           lattice: ScenarioLattice, ensemble: PathEnsemble,
                           starts) -> MarginalReport:
     """Stopping representations of -D-J and -D+J at each start.
 
-    deriv and policy are the derivatives and bang-bang policy of field.
+    policy is the bang-bang policy of field.
 
     Per start (t0, y0) the row carries both one-sided derivatives, the value
     E[X(sigma)] of the canonical exit time, the constrained predictable
@@ -396,8 +396,8 @@ def marginal_value_report(field: ValueField, deriv: DerivativeField, policy: Pol
         else:
             region = "interior"
         w = occ[k0]
-        ndm = -float(w @ deriv.dminus[k0][:, pos0]) + 0.0
-        ndp = -float(w @ deriv.dplus[k0][:, pos0]) + 0.0
+        ndm = -float(w @ field.dminus(k0)[:, pos0]) + 0.0
+        ndp = -float(w @ field.dplus(k0)[:, pos0]) + 0.0
         ssup = float(w @ sup_env.values[k0])
         sinf = float(w @ inf_env.values[k0])
         ex_sig = np.nan

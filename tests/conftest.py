@@ -3,8 +3,8 @@ import pytest
 from hypothesis import strategies as st
 
 from swingkit import (LatticeNode, ScenarioLattice, TimeGrid, VolumeGrid,
-                      build_binary_example, build_binomial, derivatives,
-                      extract_policy, sample_paths, solve)
+                      build_binary_example, build_binomial, extract_policy,
+                      sample_paths, solve)
 
 
 def exp_sigma_params(K, T=2.0, sigma=0.15):
@@ -25,18 +25,17 @@ def solved(lattice, T, L=1.0):
     tg = TimeGrid(T, lattice.n_steps)
     vg = VolumeGrid.aligned(L, tg)
     field = solve(lattice, tg, vg)
-    deriv = derivatives(field)
-    policy = extract_policy(field, deriv, lattice)
-    return tg, vg, field, deriv, policy
+    policy = extract_policy(field, lattice)
+    return tg, vg, field, policy
 
 
 @pytest.fixture(scope="session")
 def binary96():
     lat = build_binary_example(96)
-    tg, vg, field, deriv, policy = solved(lat, 3.0)
+    tg, vg, field, policy = solved(lat, 3.0)
     ens = sample_paths(lat, exhaustive=True)
     return {"lat": lat, "tg": tg, "vg": vg, "field": field,
-            "deriv": deriv, "policy": policy, "ens": ens}
+            "policy": policy, "ens": ens}
 
 
 def collision_lattice():
@@ -117,6 +116,5 @@ def tiny_lattice_rows(draw):
 @pytest.fixture(scope="session")
 def mart96():
     lat = make_exp_martingale(96)
-    tg, vg, field, deriv, policy = solved(lat, 2.0)
-    return {"lat": lat, "tg": tg, "vg": vg, "field": field,
-            "deriv": deriv, "policy": policy}
+    tg, vg, field, policy = solved(lat, 2.0)
+    return {"lat": lat, "tg": tg, "vg": vg, "field": field, "policy": policy}

@@ -14,7 +14,7 @@ import pytest
 from swingkit import (StoppingRule, TimeGrid, VolumeGrid, boundary_check,
                       brute_force_value, build_binary_example, build_binomial,
                       check_inclusion, check_saturation, check_value_invariants,
-                      closed_form, constant_martingale, derivatives, dual_value,
+                      closed_form, constant_martingale, dual_value,
                       duality_gap_study, evaluate_stop_rule, exercise_regions,
                       exit_times, extract_policy, mollified_iterate,
                       optimal_predictable_stop, random_martingale, rollout,
@@ -68,8 +68,7 @@ def binary_multi():
 @pytest.fixture(scope="module")
 def binary_solved(binary_multi):
     b = dict(binary_multi[96])
-    b["deriv"] = derivatives(b["field"])
-    b["policy"] = extract_policy(b["field"], b["deriv"], b["lat"])
+    b["policy"] = extract_policy(b["field"], b["lat"])
     b["ens"] = sample_paths(b["lat"], exhaustive=True)
     return b
 
@@ -87,7 +86,7 @@ def test_criterion_01_value_and_refinement(binary_multi):
 
 def test_criterion_02_marginal_value_and_exit(binary_solved):
     b = binary_solved
-    ndm = -b["deriv"].dminus[0][0, b["vg"].index_of(0.5)]
+    ndm = -b["field"].dminus(0)[0, b["vg"].index_of(0.5)]
     assert abs(ndm - 1.5) <= 0.05
     bundle = rollout(b["policy"], b["lat"], b["ens"], (0, 0.5))
     ex = exit_times(bundle)
@@ -203,8 +202,7 @@ def test_criterion_08_invariant_suite():
     details = []
     for name, (lat, tg, vg) in shipped_models(96):
         field = solve(lat, tg, vg)
-        deriv = derivatives(field)
-        policy = extract_policy(field, deriv, lat)
+        policy = extract_policy(field, lat)
         check_value_invariants(field, lat)
         rep = boundary_check(field, lat)
         assert rep.violations == []
@@ -214,7 +212,7 @@ def test_criterion_08_invariant_suite():
             ens = sample_paths(lat, n_paths=256, seed=11)
         for y0 in (0.0, 0.5):
             bundle = rollout(policy, lat, ens, (0, y0))
-            check_inclusion(bundle, deriv, lat)
+            check_inclusion(bundle, field, lat)
             if tg.K - 0 >= vg.cap_pos - vg.index_of(y0):
                 assert check_saturation(bundle) is True
         details.append(name)
@@ -225,13 +223,12 @@ def test_criterion_08_invariant_suite():
 def test_criterion_09_derivative_gap_refinement():
     def mean_interior_gap(lat, tg, vg):
         field = solve(lat, tg, vg)
-        deriv = derivatives(field)
         total, count = 0.0, 0
         for k in range(tg.K + 1):
             mask = field.region_masks(k)["interior"]
             if not mask.any():
                 continue
-            g = deriv.dminus[k][:, mask] - deriv.dplus[k][:, mask]
+            g = field.dminus(k)[:, mask] - field.dplus(k)[:, mask]
             g = g[np.isfinite(g)]
             total += float(g.sum())
             count += g.size
@@ -261,7 +258,7 @@ def test_criterion_09_derivative_gap_refinement():
 
 def test_criterion_10_mollified_controls(binary_solved):
     b = binary_solved
-    regions = exercise_regions(b["deriv"], b["lat"])
+    regions = exercise_regions(b["field"], b["lat"])
     controls = mollified_iterate(regions, b["lat"], b["ens"], (0, 0.5), 5, b["tg"])
     for lo, hi in zip(controls, controls[1:]):
         assert float((hi.trajectories - lo.trajectories).min()) >= 0.0

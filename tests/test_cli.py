@@ -79,6 +79,21 @@ def test_cli_binary_pins_its_horizon(tmp_path, capsys):
     assert "T = 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["price", "stopping", "verify"])
+def test_cli_rejects_non_finite_starts(tmp_path, capsys, command):
+    for start in ("inf:0", "0:inf", "-inf:0", "nan:0", "0:nan"):
+        cfg = write_cfg(tmp_path, "model=binary\nstarts=%s\n" % start)
+        assert run(tmp_path, command, "--config", cfg, "--steps", "12") == 1
+        assert "is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tie_tol", ["nan", "inf", "-1"])
+def test_cli_rejects_a_bad_tie_tol(tmp_path, capsys, tie_tol):
+    cfg = write_cfg(tmp_path, "model=binary\ntie_tol=%s\n" % tie_tol)
+    assert run(tmp_path, "price", "--config", cfg, "--steps", "12") == 1
+    assert "tie_tol must be finite and nonnegative" in capsys.readouterr().err
+
+
 def test_cli_verify_binary(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "model=binary\n")
     assert run(tmp_path, "verify", "--config", cfg, "--steps", "48",

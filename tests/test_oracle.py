@@ -92,7 +92,7 @@ def test_closed_form_constant_needs_level():
 
 def test_closed_form_submartingale_matches_solver():
     lat = build_binomial("submartingale", 16, 2.0, x0=3.0, drift=0.2, noise=0.1)
-    tg, vg, field, _, _ = solved(lat, 2.0)
+    tg, vg, field, _ = solved(lat, 2.0)
     for y in (0.0, 0.5):
         want = closed_form("submartingale", lat, tg, vg, 0.0, y)
         assert abs(field.at(0, 0, y) - want) <= 1e-10
@@ -100,7 +100,7 @@ def test_closed_form_submartingale_matches_solver():
 
 def test_closed_form_supermartingale_matches_solver():
     lat = build_binomial("supermartingale", 16, 2.0, x0=3.0, up=1.02, down=0.95, p_up=0.5)
-    tg, vg, field, _, _ = solved(lat, 2.0)
+    tg, vg, field, _ = solved(lat, 2.0)
     for y in (0.0, 0.5):
         want = closed_form("supermartingale", lat, tg, vg, 0.0, y)
         assert abs(field.at(0, 0, y) - want) <= 1e-10

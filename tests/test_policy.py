@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swingkit import (ExerciseRegions, InvariantError, ScenarioLattice,
-                      check_inclusion, check_saturation, derivatives,
+from swingkit import (ExerciseRegions, InvariantError, PolicyField, ScenarioLattice,
+                      check_inclusion, check_saturation,
                       exercise_regions, exit_times, extract_policy,
                       mollified_iterate, rollout, sample_paths, solve)
 
@@ -13,31 +15,65 @@ from conftest import collision_lattice, make_exp_martingale, solved, tiny_lattic
 def test_binary_policy_switches_at_the_jump(binary96):
     pol = binary96["policy"]
     # from y=0.5 the high branch starts exercising the moment X jumps to 2
-    assert not pol.decisions[31][0, 80]
-    assert pol.decisions[32][0, 80]
-    assert not pol.decisions[32][1, 80]
+    assert not pol.go(31, 0, 80)
+    assert pol.go(32, 0, 80)
+    assert not pol.go(32, 1, 80)
     assert pol.rate(32, 0, 80) == 1.0
     assert pol.rate(32, 1, 80) == 0.0
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rows=tiny_lattice_rows(), j_cap=st.integers(1, 2), flat=st.booleans(),
+       tie_tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 1.0]))
+def test_go_matches_the_dense_rule(rows, j_cap, flat, tie_tol):
+    """go(k, nodes, pos) equals the dense (node x level) rule pos < cap and
+    X + (J[pos+1] - J[pos]) / step >= -tie_tol, broadcast or one state at a
+    time. A constant X puts the whole band on a tie, which any tie_tol >= 1e-9
+    resolves to the full rate."""
+    if flat:
+        rows = [[replace(nd, x=rows[0][0].x) for nd in row] for row in rows]
+    lat = ScenarioLattice(rows).validate()
+    K = lat.n_steps
+    tg, vg, field, _ = solved(lat, float(K), 1.0 / j_cap)
+    pol = PolicyField(field, lat, tie_tol)
+    for k in range(K):
+        J = field.values[k]
+        want = np.zeros(J.shape, dtype=bool)
+        want[:, :-1] = lat.x(k)[:, None] + np.diff(J, axis=1) / vg.step >= -tie_tol
+        got = pol.go(k, np.arange(lat.n_nodes(k))[:, None], np.arange(vg.n_levels))
+        assert np.array_equal(got, want)
+        for n, p in np.ndindex(*J.shape):
+            assert pol.go(k, n, p) == want[n, p]
+        if flat and tie_tol >= 1e-9:
+            assert want[:, :-1].all()
+
+
+def test_extract_policy_rejects_a_bad_tie_tol(binary96):
+    for bad in (np.nan, np.inf, -1.0, -1e-12):
+        with pytest.raises(ValueError, match="tie_tol"):
+            extract_policy(binary96["field"], binary96["lat"], bad)
 
 
 def test_submartingale_policy_is_the_late_window():
     from swingkit import build_binomial
     lat = build_binomial("submartingale", 48, 2.0, x0=1.0, drift=0.05, noise=0.02)
-    tg, vg, field, deriv, pol = solved(lat, 2.0)
+    tg, vg, field, pol = solved(lat, 2.0)
+    levels = np.arange(vg.cap_pos)
     for k in range(48):
         b = vg.boundary_pos(k)
         want = np.zeros(vg.cap_pos, dtype=bool)
         want[:min(max(b + 1, 0), vg.cap_pos)] = True
         for n in range(lat.n_nodes(k)):
-            assert np.array_equal(pol.decisions[k][n, :vg.cap_pos], want)
+            assert np.array_equal(pol.go(k, n, levels), want)
 
 
 def test_supermartingale_policy_exercises_immediately():
     from swingkit import build_binomial
     lat = build_binomial("supermartingale", 48, 2.0, x0=1.0, up=1.02, down=0.97, p_up=0.5)
-    tg, vg, field, deriv, pol = solved(lat, 2.0)
+    tg, vg, field, pol = solved(lat, 2.0)
     for k in range(48):
-        assert pol.decisions[k][:, :vg.cap_pos].all()
+        nodes = np.arange(lat.n_nodes(k))[:, None]
+        assert pol.go(k, nodes, np.arange(vg.cap_pos)).all()
 
 
 def test_rollout_reproduces_value(binary96):
@@ -71,7 +107,7 @@ def test_rollout_from_a_node(rows, j_cap, data):
     tie_tol a tie can cost per step."""
     lat = ScenarioLattice(rows).validate()
     K = lat.n_steps
-    tg, vg, field, deriv, pol = solved(lat, float(K), 1.0 / j_cap)
+    tg, vg, field, pol = solved(lat, float(K), 1.0 / j_cap)
     ens = sample_paths(lat, exhaustive=True)
     k0 = data.draw(st.integers(0, K - 1))
     node0 = data.draw(st.integers(0, lat.n_nodes(k0) - 1))
@@ -90,7 +126,7 @@ def test_constant_rollout_reward_is_deterministic():
     from swingkit import build_binomial
     c = 1.25
     lat = build_binomial("constant", 24, 3.0, c=c)
-    tg, vg, field, deriv, pol = solved(lat, 3.0)
+    tg, vg, field, pol = solved(lat, 3.0)
     ens = sample_paths(lat, exhaustive=True)
     for y0 in (0.0, 0.5):
         b = rollout(pol, lat, ens, (0, y0))
@@ -101,7 +137,7 @@ def test_constant_rollout_reward_is_deterministic():
 
 def test_inclusion_holds_along_rollout(binary96):
     b = rollout(binary96["policy"], binary96["lat"], binary96["ens"], (0, 0.5))
-    rep = check_inclusion(b, binary96["deriv"], binary96["lat"])
+    rep = check_inclusion(b, binary96["field"], binary96["lat"])
     assert rep["max_zero_side"] <= 1e-9
     assert rep["min_full_side"] >= -1e-9
     assert rep["max_zero_side"] == 0.0
@@ -150,8 +186,7 @@ def test_exit_times_off_event(binary96):
 def test_realized_positions_collision_raises():
     lat, tg, vg = collision_lattice()
     field = solve(lat, tg, vg)
-    deriv = derivatives(field)
-    pol = extract_policy(field, deriv, lat)
+    pol = extract_policy(field, lat)
     ens = sample_paths(lat, exhaustive=True)
     b = rollout(pol, lat, ens, (0, 0.0))
     with pytest.raises(ValueError, match="two volume levels"):
@@ -166,7 +201,7 @@ def test_realized_positions_on_clean_rollout(binary96):
 
 
 def test_exercise_regions_partition(binary96):
-    regs = exercise_regions(binary96["deriv"], binary96["lat"])
+    regs = exercise_regions(binary96["field"], binary96["lat"])
     assert regs.sign[0][0, 80] == -1
     assert regs.positive(32)[0, 80]
     n_levels = binary96["vg"].n_levels
@@ -179,7 +214,7 @@ def test_exercise_regions_partition(binary96):
 def test_exercise_regions_ties_on_martingale(mart96):
     """X + D-J vanishes identically on a martingale cashflow: the zero set
     covers the whole undecided band."""
-    regs = exercise_regions(mart96["deriv"], mart96["lat"])
+    regs = exercise_regions(mart96["field"], mart96["lat"])
     field = mart96["field"]
     for k in (0, 48, 95):
         m = field.region_masks(k)["interior"]
@@ -190,7 +225,7 @@ def test_exercise_regions_ties_on_martingale(mart96):
 
 
 def test_mollified_pitches_and_clamping(binary96):
-    regs = exercise_regions(binary96["deriv"], binary96["lat"])
+    regs = exercise_regions(binary96["field"], binary96["lat"])
     mcs = mollified_iterate(regs, binary96["lat"], binary96["ens"], (0, 0.5), 6,
                             binary96["tg"])
     assert [mc.pitches for mc in mcs] == [16, 8, 4, 2, 1, 1]
@@ -199,7 +234,7 @@ def test_mollified_pitches_and_clamping(binary96):
 
 
 def test_mollified_trajectories_rise_to_the_rollout(binary96):
-    regs = exercise_regions(binary96["deriv"], binary96["lat"])
+    regs = exercise_regions(binary96["field"], binary96["lat"])
     mcs = mollified_iterate(regs, binary96["lat"], binary96["ens"], (0, 0.5), 5,
                             binary96["tg"])
     b = rollout(binary96["policy"], binary96["lat"], binary96["ens"], (0, 0.5))

@@ -145,9 +145,9 @@ def test_search_needs_a_tree():
     lat = build_binomial("martingale", 4, 2.0, x0=1.0, up=1.25, down=0.8, p_up=4 / 9)
     tg = TimeGrid(2.0, 4)
     vg = VolumeGrid.aligned(1.0, tg)
-    from swingkit import derivatives, extract_policy, solve
+    from swingkit import extract_policy, solve
     field = solve(lat, tg, vg)
-    pol = extract_policy(field, derivatives(field), lat)
+    pol = extract_policy(field, lat)
     ens = sample_paths(lat, exhaustive=True)
     w = stop_windows(rollout(pol, lat, ens, (0, 0.0)))
     with pytest.raises(ValueError, match="needs a tree lattice"):
@@ -220,7 +220,7 @@ def test_doob_node_view_needs_a_tree():
 
 
 def test_marginal_report_regions(binary96):
-    rep = marginal_value_report(binary96["field"], binary96["deriv"], binary96["policy"],
+    rep = marginal_value_report(binary96["field"], binary96["policy"],
                                 binary96["lat"], binary96["ens"],
                                 [(0.0, 0.5), (0.0, 0.0), (2.0, 0.0), (2.5, 0.0),
                                  (0.0, 1.0)])
@@ -258,7 +258,7 @@ def test_marginal_report_regions(binary96):
 
 
 def test_marginal_report_table_format(binary96):
-    rep = marginal_value_report(binary96["field"], binary96["deriv"], binary96["policy"],
+    rep = marginal_value_report(binary96["field"], binary96["policy"],
                                 binary96["lat"], binary96["ens"], [(0.0, 0.5)])
     lines = rep.format_table().splitlines()
     assert lines[0].split() == ["t0", "y0", "region", "neg_dminus", "neg_dplus",
