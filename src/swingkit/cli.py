@@ -155,46 +155,68 @@ def _write(out_dir: str, name: str, text: str):
         fh.write(text)
 
 
-def _value_field_text(field, lattice) -> str:
+def _strings(a, spec: str = "%.17g") -> np.ndarray:
+    """spec % v for every element of a float64 or int64 array, as an object
+    array of the same shape.
+
+    Each distinct bit pattern is formatted once and gathered back, so the
+    text equals per-element formatting: -0.0 and 0.0 stay apart and every
+    NaN prints as nan.
+    """
+    a = np.ascontiguousarray(a)
+    bits, inv = np.unique(a.view(np.int64), return_inverse=True)
+    text = (spec + "\n") * len(bits) % tuple(bits.view(a.dtype).tolist())
+    return np.array(text.split("\n")[:-1], dtype=object)[inv.reshape(a.shape)]
+
+
+def _write_table(fh, *columns):
+    """Write one line per element of the broadcast string columns, with the
+    fields separated by single spaces."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
+    table = np.empty(shape + (2 * len(columns),), dtype=object)
+    table[..., 1:-1:2] = " "
+    table[..., -1] = "\n"
+    for i, col in enumerate(columns):
+        table[..., 2 * i] = col
+    fh.write("".join(table.ravel().tolist()))
+
+
+def _write_value_field(fh, field, lattice):
     tg, vg = field.time_grid, field.volume_grid
-    times, levels = tg.times.tolist(), vg.levels.tolist()
-    lines = ["t node y J dminus dplus"]
+    fh.write("t node y J dminus dplus\n")
+    times, levels = _strings(tg.times), _strings(vg.levels)
     for k in range(tg.K + 1):
-        t, J = times[k], field.values[k].tolist()
-        dm, dp = field.dminus(k).tolist(), field.dplus(k).tolist()
-        for n in range(lattice.n_nodes(k)):
-            for p in range(vg.n_levels):
-                lines.append("%.17g %d %.17g %.17g %.17g %.17g"
-                             % (t, n, levels[p], J[n][p], dm[n][p], dp[n][p]))
-    return "\n".join(lines) + "\n"
+        dm = _strings(field.dminus(k))
+        dp = np.concatenate([dm[:, 1:], dm[:, -1:]], axis=1)   # dplus(k), bit for bit
+        _write_table(fh, times[k], _strings(np.arange(lattice.n_nodes(k)), "%d")[:, None],
+                     levels, _strings(field.values[k]), dm, dp)
 
 
-def _rollout_text(bundle, lattice) -> str:
+def _write_rollout(fh, bundle, lattice):
     k0, K = bundle.k0, bundle.time_grid.K
-    times = bundle.time_grid.times[k0:K].tolist()
+    fh.write("path t u y X inc\n")
+    times = _strings(bundle.time_grid.times[k0:K])
     x = np.stack([lattice.x(k)[bundle.nodes[:, k]] for k in range(k0, K)], axis=1)
-    lines = ["path t u y X inc"]
-    for pid, u, y, xs, inc in zip(bundle.path_ids.tolist(), bundle.rates.tolist(),
-                                  bundle.volumes[:, :-1].tolist(), x.tolist(),
-                                  bundle.increments.tolist()):
-        lines.extend("%d %.17g %.17g %.17g %.17g %.17g" % (pid, *row)
-                     for row in zip(times, u, y, xs, inc))
-    return "\n".join(lines) + "\n"
+    y = bundle.volumes[:, :-1]
+    block = max(1, (1 << 16) // (K - k0))          # paths per ~65k lines
+    for rows in (slice(r, r + block) for r in range(0, bundle.n_paths, block)):
+        _write_table(fh, _strings(bundle.path_ids[rows], "%d")[:, None], times,
+                     _strings(bundle.rates[rows]), _strings(y[rows]), _strings(x[rows]),
+                     _strings(bundle.increments[rows]))
 
 
-def _exits_text(bundle) -> str:
-    ex = exit_times(bundle)
-    lines = ["path sigma_u sigma_l sigma case"]
-    for pid, s_u, s_l, sigma, case_u in zip(bundle.path_ids.tolist(), ex.sigma_u.tolist(),
-                                            ex.sigma_l.tolist(), ex.sigma.tolist(),
-                                            ex.case_u.tolist()):
-        lines.append("%d %.17g %.17g %.17g %s" % (pid, s_u, s_l, sigma, "U" if case_u else "L"))
-    return "\n".join(lines) + "\n"
+def _write_exits(fh, bundle, ex):
+    fh.write("path sigma_u sigma_l sigma case\n")
+    _write_table(fh, _strings(bundle.path_ids, "%d"), _strings(ex.sigma_u),
+                 _strings(ex.sigma_l), _strings(ex.sigma), np.where(ex.case_u, "U", "L"))
 
 
-def _solve_all(cfg: dict):
+def _solve_all(cfg: dict, starts=()):
+    """Build, solve and extract the policy; the given starts are checked
+    against the grids before the solve."""
     lattice, tg, L = build_model(cfg)
     vg = VolumeGrid.aligned(L, tg)
+    _start_indices(starts, tg, vg)
     field = solve(lattice, tg, vg)
     policy = extract_policy(field, lattice, cfg.get("tie_tol", 1e-9))
     return lattice, tg, vg, field, policy
@@ -206,27 +228,42 @@ def cmd_price(cfg: dict, out_dir: str) -> int:
     return 0
 
 
-def _export_price(cfg: dict, out_dir: str, lattice, field, policy, ens):
-    """Write the price bundle of a solved model and print its summary."""
-    tg, vg = field.time_grid, field.volume_grid
-    starts = parse_starts(cfg.get("starts", "0:0"))
-    files = {"value_field.txt": _value_field_text(field, lattice)}
-    occ = lattice.occupancy()
-    summary = []
-    for i, (t0, y0) in enumerate(starts):
+def _start_indices(starts: list, tg, vg) -> list:
+    """(k0, pos0) of each (t0, y0) start; raises ValueError unless every start
+    lies on both grids and before the horizon."""
+    out = []
+    for t0, y0 in starts:
         k0 = tg.index_of(t0)
         if k0 == tg.K:
             raise ValueError("start time %.17g has no remaining horizon" % t0)
-        pos0 = vg.index_of(y0)
+        out.append((k0, vg.index_of(y0)))
+    return out
+
+
+def _export_price(cfg: dict, out_dir: str, lattice, field, policy, ens):
+    """Write the price bundle of a solved model and print its summary.
+
+    Everything that can fail on the input runs before the first file is
+    opened, so a bad start leaves no files behind."""
+    starts = parse_starts(cfg.get("starts", "0:0"))
+    occ = lattice.occupancy()
+    summary, runs = [], []
+    for (t0, y0), (k0, pos0) in zip(starts, _start_indices(starts, field.time_grid,
+                                                           field.volume_grid)):
         value = float(occ[k0] @ field.values[k0][:, pos0])
         summary.append("J(%.17g,%.17g)=%.17g" % (t0, y0, value))
         bundle = rollout(policy, lattice, ens, (k0, y0))
         summary.append("rollout_mean(%.17g,%.17g)=%.17g" % (t0, y0, bundle.mean))
-        files["rollout_%d.txt" % i] = _rollout_text(bundle, lattice)
-        files["exits_%d.txt" % i] = _exits_text(bundle)
-    files["summary.txt"] = "\n".join(summary) + "\n"
-    for name, text in files.items():
-        _write(out_dir, name, text)
+        runs.append((bundle, exit_times(bundle)))
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "value_field.txt"), "w") as fh:
+        _write_value_field(fh, field, lattice)
+    for i, (bundle, ex) in enumerate(runs):
+        with open(os.path.join(out_dir, "rollout_%d.txt" % i), "w") as fh:
+            _write_rollout(fh, bundle, lattice)
+        with open(os.path.join(out_dir, "exits_%d.txt" % i), "w") as fh:
+            _write_exits(fh, bundle, ex)
+    _write(out_dir, "summary.txt", "\n".join(summary) + "\n")
     for line in summary:
         print(line)
 
@@ -241,7 +278,7 @@ def _verify_ensemble(lattice, cfg: dict):
 
 def _verify_checks(cfg: dict):
     starts = parse_starts(cfg["starts"]) if "starts" in cfg else [(0.0, 0.0)]
-    lattice, tg, vg, field, policy = _solve_all(cfg)
+    lattice, tg, vg, field, policy = _solve_all(cfg, starts)
     lt_above_one = vg.n_steps > vg.j_cap
     diag = lipschitz_diagnostic(lattice)
     ens = _verify_ensemble(lattice, cfg)
@@ -368,14 +405,11 @@ def cmd_dual(cfg: dict, out_dir: str) -> int:
         lines.append("%d %.17g %.17g %.17g" % (row.K, row.primal, row.dual, row.gap))
     _write(out_dir, "gap_study.txt", "\n".join(lines) + "\n")
 
-    lattice, tg, vg = make_instance(max(k_list))
-    field = solve(lattice, tg, vg)
-    res = build_optimal_martingale(lattice, tg, vg, field)
-    mbar = ["k node M"]
-    for k, vals in enumerate(res.node_values):
-        for n in range(vals.shape[0]):
-            mbar.append("%d %d %.17g" % (k, n, vals[n]))
-    _write(out_dir, "martingale.txt", "\n".join(mbar) + "\n")
+    res = max(rows, key=lambda row: row.K).martingale
+    with open(os.path.join(out_dir, "martingale.txt"), "w") as fh:
+        fh.write("k node M\n")
+        for k, vals in enumerate(res.node_values):
+            _write_table(fh, "%d" % k, _strings(np.arange(len(vals)), "%d"), _strings(vals))
     for line in lines:
         print(line)
     for flag in res.flags:

@@ -304,10 +304,13 @@ def build_optimal_martingale(lattice: ScenarioLattice, time_grid: TimeGrid,
 
 @dataclass(eq=False)
 class GapRow:
+    """One refinement level; martingale is the construction the row reports."""
+
     K: int
     primal: float
     dual: float
     gap: float
+    martingale: OptimalMartingaleResult
 
 
 def duality_gap_study(make_instance, k_list) -> list:
@@ -325,7 +328,7 @@ def duality_gap_study(make_instance, k_list) -> list:
         lce = lce and lattice.lce_declared
         res = build_optimal_martingale(lattice, tg, vg, solve(lattice, tg, vg))
         rows.append(GapRow(int(K), res.report.primal, res.report.dual_value,
-                           res.report.gap))
+                           res.report.gap, res))
     for row in rows:
         if row.gap < -1e-10:
             raise InvariantError("negative duality gap %.3g at K=%d" % (row.gap, row.K))

@@ -87,6 +87,29 @@ def test_cli_rejects_non_finite_starts(tmp_path, capsys, command):
         assert "is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("starts", ["0:0;3:0", "0:0;0.01:0", "0:0;0:0.013"])
+def test_cli_price_bad_start_writes_nothing(tmp_path, capsys, starts):
+    """A start at the horizon or off either grid fails before any file is
+    written, even after a good start."""
+    cfg = write_cfg(tmp_path, "model=binary\nstarts=%s\n" % starts)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["price", "--config", cfg, "--steps", "12", "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_cli_verify_rejects_an_off_grid_start(tmp_path, capsys):
+    """An off-grid start is bad input (exit 1) under verify as under price,
+    not an ERROR line."""
+    cfg = write_cfg(tmp_path, "model=binary\nstarts=0.01:0\n")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--steps", "12", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "error: time 0.01 is off the grid" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("tie_tol", ["nan", "inf", "-1"])
 def test_cli_rejects_a_bad_tie_tol(tmp_path, capsys, tie_tol):
     cfg = write_cfg(tmp_path, "model=binary\ntie_tol=%s\n" % tie_tol)
@@ -138,6 +161,24 @@ def test_cli_dual_study(tmp_path, capsys):
     assert (tmp_path / "martingale.txt").read_text().splitlines()[0].split() == \
         ["k", "node", "M"]
     assert "12" in out and "24" in out
+
+
+def test_cli_example_builds_each_martingale_once(tmp_path, monkeypatch):
+    """The dual study's construction at the finest K is the one written to
+    martingale.txt; it is not built a second time."""
+    import swingkit.cli as cli
+    import swingkit.duality as duality
+    built = []
+    real = duality.build_optimal_martingale
+
+    def counting(lattice, tg, *args, **kwargs):
+        built.append(tg.K)
+        return real(lattice, tg, *args, **kwargs)
+
+    monkeypatch.setattr(duality, "build_optimal_martingale", counting)
+    monkeypatch.setattr(cli, "build_optimal_martingale", counting)
+    assert main(["example", "--steps", "12", "--out", str(tmp_path)]) == 0
+    assert sorted(built) == [6, 12, 24]
 
 
 def test_cli_stopping_table(tmp_path):

@@ -160,6 +160,8 @@ def test_gap_study_binary_is_exactly_tight():
     for r in rows:
         assert r.primal == 1.5
         assert abs(r.gap) <= 1e-12
+        assert r.martingale.report.gap == r.gap
+        assert len(r.martingale.node_values) == r.K + 1
 
 
 def test_gap_study_martingale_family():

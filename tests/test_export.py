@@ -1,0 +1,129 @@
+"""The streamed text export against per-line reference formatting.
+
+The reference functions below format one line at a time, the way the export
+was first written; the streamed writers in `swingkit.cli` must reproduce
+their text byte for byte.
+"""
+
+import io
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from swingkit import ScenarioLattice, exit_times, rollout, sample_paths
+from swingkit.cli import (_solve_all, _strings, _write_exits, _write_rollout,
+                          _write_value_field, main, make_ensemble, parse_config,
+                          parse_starts)
+
+from conftest import solved, tiny_lattice_rows
+
+
+def reference_value_field(field, lattice) -> str:
+    tg, vg = field.time_grid, field.volume_grid
+    times, levels = tg.times.tolist(), vg.levels.tolist()
+    lines = ["t node y J dminus dplus"]
+    for k in range(tg.K + 1):
+        t, J = times[k], field.values[k].tolist()
+        dm, dp = field.dminus(k).tolist(), field.dplus(k).tolist()
+        for n in range(lattice.n_nodes(k)):
+            for p in range(vg.n_levels):
+                lines.append("%.17g %d %.17g %.17g %.17g %.17g"
+                             % (t, n, levels[p], J[n][p], dm[n][p], dp[n][p]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_rollout(bundle, lattice) -> str:
+    k0, K = bundle.k0, bundle.time_grid.K
+    times = bundle.time_grid.times[k0:K].tolist()
+    x = np.stack([lattice.x(k)[bundle.nodes[:, k]] for k in range(k0, K)], axis=1)
+    lines = ["path t u y X inc"]
+    for pid, u, y, xs, inc in zip(bundle.path_ids.tolist(), bundle.rates.tolist(),
+                                  bundle.volumes[:, :-1].tolist(), x.tolist(),
+                                  bundle.increments.tolist()):
+        lines.extend("%d %.17g %.17g %.17g %.17g %.17g" % (pid, *row)
+                     for row in zip(times, u, y, xs, inc))
+    return "\n".join(lines) + "\n"
+
+
+def reference_exits(bundle) -> str:
+    ex = exit_times(bundle)
+    lines = ["path sigma_u sigma_l sigma case"]
+    for pid, s_u, s_l, sigma, case_u in zip(bundle.path_ids.tolist(), ex.sigma_u.tolist(),
+                                            ex.sigma_l.tolist(), ex.sigma.tolist(),
+                                            ex.case_u.tolist()):
+        lines.append("%d %.17g %.17g %.17g %s" % (pid, s_u, s_l, sigma, "U" if case_u else "L"))
+    return "\n".join(lines) + "\n"
+
+
+def streamed(writer, *args) -> str:
+    fh = io.StringIO()
+    writer(fh, *args)
+    return fh.getvalue()
+
+
+SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+           2.2250738585072009e-308, 2.2250738585072014e-308, 1.0, 1.0 + 2.0 ** -52,
+           1.0 - 2.0 ** -53, 0.1, 1e16, 1.7976931348623157e308]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(pool=st.lists(st.sampled_from(SPECIAL) | st.floats(), min_size=1, max_size=6),
+       data=st.data())
+def test_strings_match_per_element_formatting(pool, data):
+    """Formatting each distinct bit pattern once gives the text of formatting
+    every element: repeats, both zeros, NaN, infinities, subnormals and
+    neighbouring doubles, in 1-D and 2-D arrays, contiguous or not."""
+    shape = data.draw(st.sampled_from([(0,), (1,), (7,), (40,), (0, 3), (3, 5), (6, 4)]))
+    idx = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=int(np.prod(shape)),
+                             max_size=int(np.prod(shape))))
+    a = np.array(pool, dtype=np.float64)[np.array(idx, dtype=np.int64)].reshape(shape)
+    if a.ndim == 2 and data.draw(st.booleans()):
+        a = a.T
+    got = _strings(a)
+    assert got.shape == a.shape
+    assert got.ravel().tolist() == ["%.17g" % v for v in a.ravel().tolist()]
+    ints = np.array(idx, dtype=np.int64) - 3
+    assert _strings(ints, "%d").tolist() == ["%d" % i for i in ints.tolist()]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rows=tiny_lattice_rows(), j_cap=st.integers(1, 3), data=st.data())
+def test_streamed_tables_match_the_reference(rows, j_cap, data):
+    """On drawn tiny lattices (j_cap >= K gives a grid that stops at zero and
+    a NaN dminus column) every table equals the per-line reference."""
+    lat = ScenarioLattice(rows).validate()
+    K = lat.n_steps
+    tg, vg, field, pol = solved(lat, float(K), 1.0 / j_cap)
+    assert streamed(_write_value_field, field, lat) == reference_value_field(field, lat)
+    ens = sample_paths(lat, exhaustive=True)
+    k0 = data.draw(st.integers(0, K - 1))
+    pos0 = data.draw(st.integers(0, vg.n_levels - 1))
+    b = rollout(pol, lat, ens, (k0, vg.levels[pos0]))
+    assert streamed(_write_rollout, b, lat) == reference_rollout(b, lat)
+    assert streamed(_write_exits, b, exit_times(b)) == reference_exits(b)
+
+
+def test_price_files_match_the_reference(tmp_path):
+    """`price` files equal the reference on the binary K=12 example (6000
+    sampled paths, so a rollout spans two blocks of lines) and on a binomial
+    grid that stops at zero, whose dminus column is NaN."""
+    cases = {
+        "binary": "model=binary\nK=12\nn_paths=6000\nseed=3\nstarts=0:0.5;1.5:0\n",
+        "floor": ("model=binomial\nkind=submartingale\ndrift=0.01\nnoise=0.005\nx0=1\n"
+                  "T=1\nK=12\nstarts=0:0;0.25:0.5\n"),
+    }
+    for name, text in cases.items():
+        cfg_path = tmp_path / (name + ".cfg")
+        cfg_path.write_text(text)
+        out = tmp_path / name
+        assert main(["price", "--config", str(cfg_path), "--out", str(out)]) == 0
+        cfg = parse_config(str(cfg_path))
+        lat, tg, vg, field, pol = _solve_all(cfg)
+        ens = make_ensemble(lat, cfg)
+        if name == "floor":
+            assert vg.j_min == 0 and np.isnan(field.dminus(0)[:, 0]).all()
+        assert (out / "value_field.txt").read_text() == reference_value_field(field, lat)
+        for i, (t0, y0) in enumerate(parse_starts(cfg["starts"])):
+            b = rollout(pol, lat, ens, (tg.index_of(t0), y0))
+            assert (out / ("rollout_%d.txt" % i)).read_text() == reference_rollout(b, lat)
+            assert (out / ("exits_%d.txt" % i)).read_text() == reference_exits(b)
