@@ -1,0 +1,113 @@
+"""Golden outputs: the CLI's files and stdout, pinned byte for byte.
+
+Each case runs `main()` on a small fixed config and compares the sha256 of
+every file in the output directory and of stdout with the digests pinned
+below. The configs stay small so that the short sums in them do not depend
+on numpy's SIMD paths. A change that alters a digest on purpose updates the
+pin and says which files changed and why.
+"""
+
+import hashlib
+
+import pytest
+
+from swingkit import TimeGrid, write_lattice
+from swingkit.cli import main
+
+from conftest import exp_sigma_params, make_exp_martingale
+
+
+def exp_martingale_keys(K, T=2.0):
+    up, down, p_up = exp_sigma_params(K, T)
+    return "up=%.17g\ndown=%.17g\np_up=%.17g\n" % (up, down, p_up)
+
+
+# name -> (subcommand arguments, config text or None); {lattice} is the path
+# of a K=12 exp-martingale lattice file written next to the outputs
+CASES = {
+    "example": (["example", "--steps", "12"], None),
+    "price-floor": (["price"], "model=binomial\nkind=submartingale\ndrift=0.01\nnoise=0.005\n"
+                               "x0=1\nT=1\nK=12\nstarts=0:0;0.25:0.5\n"),
+    "price-exp-martingale": (["price"], "model=binomial\nkind=martingale\nx0=1\nT=2\nK=12\n"
+                                        + exp_martingale_keys(12) + "starts=0:0;0.5:0.5\n"),
+    "verify-file": (["verify"], "model=file\nlattice_file={lattice}\n"),
+    "stopping-file": (["stopping"], "model=file\nlattice_file={lattice}\nstarts=0:0;0.5:0.5\n"),
+    "dual": (["dual"], "model=binary\nk_list=6,12,24\n"),
+}
+
+GOLDEN = {
+    "dual": {
+        "stdout": "1ce6c30762c673f22966bc2db53f3518e33c1930233da83bc0ed61816a464fc9",
+        "gap_study.txt": "1ce6c30762c673f22966bc2db53f3518e33c1930233da83bc0ed61816a464fc9",
+        "martingale.txt": "9ee4d8b6067809171c5fddd8bb00b4435900ca39a8ccd07ea91b1fa6c94b6b2c",
+    },
+    "example": {
+        "stdout": "ee6a86b402e5486a661685da63beacb659b80de914165959d21d3401c983461f",
+        "example_lattice.txt": "490cf52b3a5a95c05db9a6dd7f633d63cbe08eeff9e03c202e33ba12de7057ab",
+        "exits_0.txt": "3e727f2e823856f7a72943951edbbb8e6ceb0e76a7354ef8aa2b21c0fbef2f80",
+        "exits_1.txt": "a41465d888a79f6aa8d50c4969467b241b18298c5f23c4a0cc1716d12d77bdb1",
+        "gap_study.txt": "1ce6c30762c673f22966bc2db53f3518e33c1930233da83bc0ed61816a464fc9",
+        "marginal.txt": "6e5357ea5f99a4041a46be397271d5832329a5fee4d475ecbd18a225ee68c460",
+        "martingale.txt": "9ee4d8b6067809171c5fddd8bb00b4435900ca39a8ccd07ea91b1fa6c94b6b2c",
+        "rollout_0.txt": "d39dfd0e1ccc4b1156152d8191870b4ba34dd7fc6ba926d5e78eb2a76f827e37",
+        "rollout_1.txt": "77edacad19b7cbd817c672fc6df3955063cd1b5140ac58428d2ce264f2b34247",
+        "summary.txt": "11d50ea124ca11d1b29addcf2e157ec526dbb507a9bfb38093dd0196fb9c9b8d",
+        "value_field.txt": "6beaa721d663ca1acaf7b5bed787ef33a2fbd24bb5d556a24326e7a0f0668f2f",
+    },
+    "price-exp-martingale": {
+        "stdout": "d84b88bb6001e481d78160f9a66c9c84a1d5d0ed695c54974609306c682b6dcb",
+        "exits_0.txt": "e1be10efc7b8fd1d51daa4ecea7df1ab39cf52ca3cb57fd06f791ce067fcd9f8",
+        "exits_1.txt": "e1be10efc7b8fd1d51daa4ecea7df1ab39cf52ca3cb57fd06f791ce067fcd9f8",
+        "rollout_0.txt": "caae60db6dd9b6dcbe96ce8bd2826a5c2ed0c1cf94c06483d9774b5d321b776e",
+        "rollout_1.txt": "ca0eb8ba3d9de614ef227f0c0b12dbe5a10777211fd14c011d4bac824f23342e",
+        "summary.txt": "d84b88bb6001e481d78160f9a66c9c84a1d5d0ed695c54974609306c682b6dcb",
+        "value_field.txt": "6efca5c952f2ab6e36737887fbb209a5daf204b385318f49a2fa962df1706e59",
+    },
+    "price-floor": {
+        "stdout": "e850c790fee5ea96d2e2d9d33038179c81bc366cfc4fdf57f4af344c507e0d42",
+        "exits_0.txt": "0e1d5c1499916a2cf04e97725eb193117675265000d87531299fbfce75a93691",
+        "exits_1.txt": "070732fc26227082a663d7f6fe2ce21125a8a8dad5715924849fafdcbccec84f",
+        "rollout_0.txt": "a9baf6456e2a049b064f6519e3777c0c39ab94319b18c5a38171da4f683a175f",
+        "rollout_1.txt": "3a4c7d6c33bf90079f9ebeb4821b9cf363782449f042fb0c97d012d223ad5a7c",
+        "summary.txt": "e850c790fee5ea96d2e2d9d33038179c81bc366cfc4fdf57f4af344c507e0d42",
+        "value_field.txt": "52c507561ddbb003ece4672854a0b70535f3ff1cc70f406e77a9f660211d6600",
+    },
+    "stopping-file": {
+        "stdout": "6eae13922ff71b6cc877fcb304c312c6e98fbcdf437546b74902fe000252e841",
+        "lattice.txt": "bda614f8dcbe58e800bc5173ce512470eb76e4002ede0e18d4d8baafa741f95c",
+        "marginal.txt": "6eae13922ff71b6cc877fcb304c312c6e98fbcdf437546b74902fe000252e841",
+    },
+    "verify-file": {
+        "stdout": "ae632e569b4ab2f12775816c3fd7bf8b4cf35982c019b50c1f0bfbfd47ae0f6f",
+        "lattice.txt": "bda614f8dcbe58e800bc5173ce512470eb76e4002ede0e18d4d8baafa741f95c",
+        "report.txt": "ae632e569b4ab2f12775816c3fd7bf8b4cf35982c019b50c1f0bfbfd47ae0f6f",
+    },
+}
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(name, tmp_path, capsys) -> dict:
+    """sha256 of stdout and of every output file of one case."""
+    args, text = CASES[name]
+    out = tmp_path / "out"
+    out.mkdir()
+    lattice = out / "lattice.txt"
+    if text is not None and "{lattice}" in text:
+        write_lattice(str(lattice), make_exp_martingale(12), TimeGrid(2.0, 12), 1.0)
+    if text is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text.format(lattice=lattice))
+        args = args + ["--config", str(cfg)]
+    capsys.readouterr()
+    assert main(args + ["--out", str(out)]) == 0
+    digests = {"stdout": sha(capsys.readouterr().out.encode())}
+    digests.update((p.name, sha(p.read_bytes())) for p in sorted(out.iterdir()))
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name, tmp_path, capsys):
+    assert run_case(name, tmp_path, capsys) == GOLDEN[name]
