@@ -110,13 +110,16 @@ def build_model(cfg: dict):
     raise ValueError("unknown model %r" % model)
 
 
-def make_ensemble(lattice, cfg: dict):
-    if cfg.get("exhaustive", False):
+def make_ensemble(lattice, cfg: dict, n_paths: int = 0, prefer_exhaustive: bool = False):
+    """All paths under exhaustive=true, or when at most 65536 and either
+    prefer_exhaustive is set or no count is given (the config's n_paths, else
+    the n_paths here); otherwise that many sampled paths."""
+    if cfg.get("n_paths", 0) >= 1:
+        n_paths = cfg["n_paths"]
+    if cfg.get("exhaustive", False) or (
+            (prefer_exhaustive or n_paths < 1) and count_paths(lattice) <= 65536):
         return sample_paths(lattice, exhaustive=True)
-    n_paths = cfg.get("n_paths", 0)
     if n_paths < 1:
-        if count_paths(lattice) <= 65536:
-            return sample_paths(lattice, exhaustive=True)
         raise ValueError("too many paths to enumerate; set n_paths= or exhaustive=true")
     return sample_paths(lattice, n_paths=n_paths, seed=cfg.get("seed", 0))
 
@@ -268,20 +271,12 @@ def _export_price(cfg: dict, out_dir: str, lattice, field, policy, ens):
         print(line)
 
 
-def _verify_ensemble(lattice, cfg: dict):
-    if cfg.get("exhaustive", False) or count_paths(lattice) <= 65536:
-        return sample_paths(lattice, exhaustive=True)
-    n_paths = cfg.get("n_paths", 0)
-    return sample_paths(lattice, n_paths=n_paths if n_paths >= 1 else 256,
-                        seed=cfg.get("seed", 0))
-
-
 def _verify_checks(cfg: dict):
     starts = parse_starts(cfg["starts"]) if "starts" in cfg else [(0.0, 0.0)]
     lattice, tg, vg, field, policy = _solve_all(cfg, starts)
     lt_above_one = vg.n_steps > vg.j_cap
     diag = lipschitz_diagnostic(lattice)
-    ens = _verify_ensemble(lattice, cfg)
+    ens = make_ensemble(lattice, cfg, n_paths=256, prefer_exhaustive=True)
     results = []
 
     def run(name, fn):
@@ -387,17 +382,21 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
     return 2 if any(status in ("FAIL", "ERROR") for status, _, _ in results) else 0
 
 
-def cmd_dual(cfg: dict, out_dir: str) -> int:
+def cmd_dual(cfg: dict, out_dir: str, solved=None) -> int:
+    """solved: an optional solved (lattice, tg, vg, field) the study reuses at its K."""
     model = cfg.get("model", "binary")
     if model == "file":
         raise ValueError("the refinement study needs a rebuildable model, not model=file")
     k_list = parse_k_list(cfg.get("k_list", "48,96,192"))
 
     def make_instance(K):
+        if solved is not None and solved[1].K == K:
+            return solved
         sub = dict(cfg)
         sub["K"] = int(K)
         lattice, tg, L = build_model(sub)
-        return lattice, tg, VolumeGrid.aligned(L, tg)
+        vg = VolumeGrid.aligned(L, tg)
+        return lattice, tg, vg, solve(lattice, tg, vg)
 
     rows = duality_gap_study(make_instance, k_list)
     lines = ["K primal dual gap"]
@@ -443,7 +442,7 @@ def cmd_example(cfg: dict, out_dir: str) -> int:
     write_lattice(os.path.join(out_dir, "example_lattice.txt"), lattice, tg, vg.L)
     K = sub["K"]
     sub["k_list"] = "%d,%d,%d" % (K // 2, K, 2 * K)
-    return cmd_dual(sub, out_dir)
+    return cmd_dual(sub, out_dir, (lattice, tg, vg, field))
 
 
 class _Parser(argparse.ArgumentParser):

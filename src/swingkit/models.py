@@ -9,6 +9,8 @@ of piecewise-constant exercise rates against it are exact sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -25,8 +27,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.K < 1:
             raise ValueError("K must be at least 1")
-        if not self.T > 0:
-            raise ValueError("horizon T must be positive")
+        if not 0 < self.T < np.inf:
+            raise ValueError("horizon T must be positive and finite")
 
     @property
     def dt(self) -> float:
@@ -48,8 +50,8 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class LatticeNode:
-    """Constructor input for one node: cashflow value plus transitions into
-    the next slice.
+    """One node of a hand-built lattice for ScenarioLattice.from_rows:
+    cashflow value plus transitions into the next slice.
 
     Terminal nodes carry empty children/probs tuples.
     """
@@ -62,34 +64,37 @@ class LatticeNode:
 class ScenarioLattice:
     """Finite scenario lattice for the cashflow process.
 
-    Built from one list of LatticeNode records per time slice and stored as
-    arrays: x(k) holds the cashflows of slice k and, for k < K, edges(k) =
-    (start, child, prob) holds the one-step transitions grouped by parent
-    (node n owns edges start[n]:start[n+1], which lead to node child[e] of
-    slice k+1 with probability prob[e]). lce_declared is a model attribute
+    xs holds one array of cashflows per time slice and edges one
+    (start, child, prob) triple per step: node n of slice k owns edges
+    start[n]:start[n+1] of edges[k], which lead to node child[e] of slice
+    k+1 with probability prob[e]. Arrays of the right dtype are kept
+    without a copy and must not be mutated. lce_declared is a model attribute
     (left-continuity in expectation of the continuous-time limit cannot be
-    decided from finitely many grid values). The arrays must not be mutated.
+    decided from finitely many grid values).
     """
 
-    def __init__(self, rows, lce_declared: bool = True):
-        rows = [list(row) for row in rows]
-        if len(rows) < 2:
-            raise ValueError("lattice needs at least two time slices")
+    def __init__(self, xs, edges, lce_declared: bool = True):
+        if len(xs) < 2 or len(edges) != len(xs) - 1:
+            raise ValueError("lattice needs at least two time slices and one edge triple per step")
         self.lce_declared = lce_declared
-        self._x = [np.array([node.x for node in row], dtype=float) for row in rows]
+        self._x = [np.asarray(x, dtype=float) for x in xs]
+        self._edges = [(np.asarray(s, dtype=np.int64), np.asarray(c, dtype=np.int64),
+                        np.asarray(p, dtype=float)) for s, c, p in edges]
+
+    @classmethod
+    def from_rows(cls, rows, lce_declared: bool = True) -> "ScenarioLattice":
+        """Lattice from one list of LatticeNode records per time slice."""
+        rows = [list(row) for row in rows]
         for k, row in enumerate(rows):
             for n, node in enumerate(row):
                 if len(node.children) != len(node.probs):
                     raise ValueError("children/probs length mismatch at slice %d node %d" % (k, n))
                 if k == len(rows) - 1 and node.children:
                     raise ValueError("terminal node %d has children" % n)
-        self._edges = []
-        for row in rows[:-1]:
-            start = np.zeros(len(row) + 1, dtype=np.int64)
-            np.cumsum([len(node.children) for node in row], out=start[1:])
-            child = np.array([c for node in row for c in node.children], dtype=np.int64)
-            prob = np.array([p for node in row for p in node.probs], dtype=float)
-            self._edges.append((start, child, prob))
+        edges = [(np.cumsum([0] + [len(node.children) for node in row]),
+                  [c for node in row for c in node.children],
+                  [p for node in row for p in node.probs]) for row in rows[:-1]]
+        return cls([[node.x for node in row] for row in rows], edges, lce_declared)
 
     @property
     def n_steps(self) -> int:
@@ -147,7 +152,7 @@ class ScenarioLattice:
                    for k in range(self.n_steps))
 
     def validate(self):
-        """Check cashflows, probabilities, child indices and reachability.
+        """Check cashflows, edge layout, probabilities, child indices and reachability.
 
         The comparisons are written so that NaN fails them.
         """
@@ -157,7 +162,10 @@ class ScenarioLattice:
                 raise ValueError("non-finite or negative cashflow %.17g at slice %d node %d"
                                  % (x[bad[0]], k, bad[0]))
         for k, (start, child, prob) in enumerate(self._edges):
-            if np.any(start[1:] == start[:-1]):
+            if not (start.size == self.n_nodes(k) + 1 and start[0] == 0
+                    and start[-1] == child.size == prob.size):
+                raise ValueError("edge layout of slice %d does not fit its nodes" % k)
+            if np.any(start[1:] <= start[:-1]):
                 raise ValueError("non-terminal node at slice %d has no children" % k)
             bad = np.flatnonzero(prob < 0)
             if bad.size:
@@ -206,25 +214,14 @@ def build_binary_example(K: int) -> ScenarioLattice:
     """
     if K % 6 != 0:
         raise ValueError("K must be divisible by 6, got %d" % K)
-    T = 3.0
     k_jump = K // 3
-    times = TimeGrid(T, K).times
-    rows = []
-    for k in range(K + 1):
-        t = times[k]
-        if k < k_jump:
-            if k == k_jump - 1:
-                rows.append([LatticeNode(1.0, (0, 1), (0.5, 0.5))])
-            else:
-                rows.append([LatticeNode(1.0, (0,), (1.0,))])
-        else:
-            hi = 1.0 + (2.0 - t)
-            lo = 1.0 - (2.0 - t)
-            if k == K:
-                rows.append([LatticeNode(hi), LatticeNode(lo)])
-            else:
-                rows.append([LatticeNode(hi, (0,), (1.0,)), LatticeNode(lo, (1,), (1.0,))])
-    return ScenarioLattice(rows, lce_declared=True).validate()
+    t = TimeGrid(3.0, K).times[k_jump:]
+    xs = [np.ones(1)] * k_jump + list(np.stack([1.0 + (2.0 - t), 1.0 - (2.0 - t)], axis=1))
+    link = (np.array([0, 1]), np.array([0]), np.array([1.0]))
+    split = (np.array([0, 2]), np.array([0, 1]), np.array([0.5, 0.5]))
+    pair = (np.array([0, 1, 2]), np.array([0, 1]), np.array([1.0, 1.0]))
+    edges = [link] * (k_jump - 1) + [split] + [pair] * (K - k_jump)
+    return ScenarioLattice(xs, edges, lce_declared=True).validate()
 
 
 def build_binomial(kind: str, K: int, T: float, c: float = None, x0: float = None,
@@ -246,9 +243,9 @@ def build_binomial(kind: str, K: int, T: float, c: float = None, x0: float = Non
             raise ValueError("constant kind needs c")
         if c < 0:
             raise ValueError("constant cashflow must be nonnegative")
-        rows = [[LatticeNode(float(c), (0,), (1.0,))] for _ in range(K)]
-        rows.append([LatticeNode(float(c))])
-        return ScenarioLattice(rows, lce_declared).validate()
+        link = (np.array([0, 1]), np.array([0]), np.array([1.0]))
+        return ScenarioLattice([np.full(1, float(c))] * (K + 1), [link] * K,
+                               lce_declared).validate()
 
     if kind not in ("martingale", "submartingale", "supermartingale"):
         raise ValueError("unknown kind %r" % kind)
@@ -268,45 +265,33 @@ def build_binomial(kind: str, K: int, T: float, c: float = None, x0: float = Non
         if not 0 <= p_up <= 1:
             raise ValueError("p_up must lie in [0, 1]")
         m = p_up * up + (1.0 - p_up) * down
-        value = lambda k, i: x0 * up ** i * down ** (k - i)
+        # Python ** on scalars: np.power can differ from it in the last bit
+        upow = np.array([up ** i for i in range(K + 1)], dtype=float)
+        dpow = np.array([down ** i for i in range(K + 1)], dtype=float)
+        value = lambda k, i: x0 * upow[i] * dpow[k - i]
         p = p_up
     else:
         if drift is None or noise is None:
             raise ValueError("additive parameterization needs both drift and noise")
-        m = None
         value = lambda k, i: x0 + k * drift + (2 * i - k) * noise
         p = 0.5
+    # the declared kind against the one-step factor m or the additive drift
+    c, v, tol, what = ((1.0, m, PROB_TOL, "one-step factor") if multiplicative
+                       else (0.0, drift, 0.0, "additive drift"))
+    if not {"martingale": abs(v - c) <= tol, "submartingale": v > c + tol,
+            "supermartingale": v < c - tol}[kind]:
+        raise ValueError("declared %s but %s is %.17g" % (kind, what, v))
 
-    if multiplicative:
-        if kind == "martingale" and abs(m - 1.0) > PROB_TOL:
-            raise ValueError("declared martingale but one-step factor is %.17g" % m)
-        if kind == "submartingale" and not m > 1.0 + PROB_TOL:
-            raise ValueError("declared submartingale but one-step factor is %.17g" % m)
-        if kind == "supermartingale" and not m < 1.0 - PROB_TOL:
-            raise ValueError("declared supermartingale but one-step factor is %.17g" % m)
-    else:
-        if kind == "martingale" and drift != 0.0:
-            raise ValueError("declared martingale but additive drift is %.17g" % drift)
-        if kind == "submartingale" and not drift > 0.0:
-            raise ValueError("declared submartingale but additive drift is %.17g" % drift)
-        if kind == "supermartingale" and not drift < 0.0:
-            raise ValueError("declared supermartingale but additive drift is %.17g" % drift)
-
-    rows = []
+    xs = []
     for k in range(K + 1):
-        row = []
-        for i in range(k + 1):
-            v = value(k, i)
-            if v < 0:
-                raise ValueError(
-                    "parameters clip: cashflow %.17g at slice %d node %d" % (v, k, i)
-                )
-            if k == K:
-                row.append(LatticeNode(float(v)))
-            else:
-                row.append(LatticeNode(float(v), (i, i + 1), (1.0 - p, p)))
-        rows.append(row)
-    return ScenarioLattice(rows, lce_declared).validate()
+        xs.append(value(k, np.arange(k + 1)))
+        bad = np.flatnonzero(xs[k] < 0)
+        if bad.size:
+            raise ValueError("parameters clip: cashflow %.17g at slice %d node %d"
+                             % (xs[k][bad[0]], k, bad[0]))
+    edges = [(np.arange(0, 2 * k + 3, 2), (np.arange(2 * k + 2) + 1) // 2,
+              np.tile([1.0 - p, p], k + 1)) for k in range(K)]
+    return ScenarioLattice(xs, edges, lce_declared).validate()
 
 
 @dataclass(eq=False)
@@ -434,39 +419,65 @@ def write_lattice(path: str, lattice: ScenarioLattice, time_grid: TimeGrid, L: f
         fh.write("\n".join(lines) + "\n")
 
 
+def _ints(tokens) -> np.ndarray:
+    values = list(map(int, tokens))
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("integer %d is out of range" % max(values, key=abs)) from None
+
+
 def read_lattice(path: str):
-    """Read a lattice export; returns (lattice, time_grid, L)."""
+    """Read a lattice export; returns (lattice, time_grid, L).
+
+    Node lines may come in any order. Each line is split once and each
+    column converted in one pass; the checks run on the resulting arrays.
+    """
     with open(path) as fh:
-        lines = [ln.split() for ln in fh if ln.strip()]
+        lines = [words for words in map(str.split, fh) if words]
     if not lines or len(lines[0]) != 5:
         raise ValueError("malformed lattice header")
-    head = lines[0]
-    T, K, L = float(head[0]), int(head[1]), float(head[2])
-    lce = bool(int(head[3]))
-    raw = {}
-    for parts in lines[1:]:
-        if len(parts) < 3:
-            raise ValueError("malformed node line %r" % " ".join(parts))
-        k, n, x = int(parts[0]), int(parts[1]), float(parts[2])
-        if not 0 <= k <= K:
-            raise ValueError("slice index %d outside 0..%d" % (k, K))
-        row = raw.setdefault(k, {})
-        if n in row:
-            raise ValueError("duplicate node %d at slice %d" % (n, k))
-        children = []
-        probs = []
-        for tok in parts[3:]:
-            cs, ps = tok.split(":")
-            children.append(int(cs))
-            probs.append(float(ps))
-        row[n] = LatticeNode(x, tuple(children), tuple(probs))
-    rows = []
-    for k in range(K + 1):
-        if k not in raw:
-            raise ValueError("missing slice %d in lattice file" % k)
-        row = raw[k]
-        if min(row) != 0 or max(row) != len(row) - 1:
-            raise ValueError("node numbering at slice %d is not 0..%d" % (k, len(row) - 1))
-        rows.append([row[n] for n in range(len(row))])
-    lat = ScenarioLattice(rows, lce_declared=lce).validate()
-    return lat, TimeGrid(T, K), L
+    head, body = lines[0], lines[1:]
+    tg, L, lce = TimeGrid(float(head[0]), int(head[1])), float(head[2]), bool(int(head[3]))
+    K = tg.K
+    deg = np.fromiter(map(len, body), np.int64, len(body)) - 3
+    bad = np.flatnonzero(deg < 0)
+    if bad.size:
+        raise ValueError("malformed node line %r" % " ".join(body[bad[0]]))
+    k = _ints(map(itemgetter(0), body))
+    bad = np.flatnonzero((k < 0) | (k > K))
+    if bad.size:
+        raise ValueError("slice index %d outside 0..%d" % (k[bad[0]], K))
+    present = np.unique(k)          # checked before any array is sized by K
+    missing = np.append(np.flatnonzero(present != np.arange(present.size)), present.size)[0]
+    if missing <= K:
+        raise ValueError("missing slice %d in lattice file" % missing)
+    n = _ints(map(itemgetter(1), body))
+    order = np.lexsort((n, k))
+    k, n, deg, body = k[order], n[order], deg[order], list(map(body.__getitem__, order.tolist()))
+    bad = np.flatnonzero((k[1:] == k[:-1]) & (n[1:] == n[:-1]))
+    if bad.size:
+        raise ValueError("duplicate node %d at slice %d" % (n[bad[0]], k[bad[0]]))
+    off = np.concatenate([[0], np.cumsum(np.bincount(k, minlength=K + 1))])
+    bad = np.flatnonzero(n != np.arange(n.size) - off[k])
+    if bad.size:
+        kb = k[bad[0]]
+        raise ValueError("node numbering at slice %d is not 0..%d" % (kb, np.diff(off)[kb] - 1))
+    bad = np.flatnonzero(deg[off[K]:])
+    if bad.size:
+        raise ValueError("terminal node %d has children" % bad[0])
+    tokens = list(chain.from_iterable(map(itemgetter(slice(3, None)), body)))
+    fields = " ".join(tokens).replace(":", " ").split()
+    colons = np.fromiter(map(str.count, tokens, repeat(":")), np.int64, len(tokens))
+    if len(fields) != 2 * len(tokens) or np.any(colons != 1):
+        raise ValueError("edge token %r is not child:prob" % next(
+            t for t in tokens if t.count(":") != 1 or t.startswith(":") or t.endswith(":")))
+    x = np.array(list(map(float, map(itemgetter(2), body))), dtype=float)
+    child = _ints(fields[0::2])
+    prob = np.array(list(map(float, fields[1::2])), dtype=float)
+    start = np.concatenate([[0], np.cumsum(deg)])
+    lo, hi = off.tolist(), start[off].tolist()
+    edges = [(start[lo[j]:lo[j + 1] + 1] - hi[j], child[hi[j]:hi[j + 1]], prob[hi[j]:hi[j + 1]])
+             for j in range(K)]
+    lat = ScenarioLattice(np.split(x, off[1:-1]), edges, lce_declared=lce).validate()
+    return lat, tg, L

@@ -21,6 +21,14 @@ def make_exp_martingale(K, T=2.0, x0=1.0):
     return build_binomial("martingale", K, T, x0=x0, up=up, down=down, p_up=p_up)
 
 
+def with_field(make):
+    """Gap-study instance maker: make(K) = (lattice, tg, vg) plus its solved field."""
+    def make_instance(K):
+        lattice, tg, vg = make(K)
+        return lattice, tg, vg, solve(lattice, tg, vg)
+    return make_instance
+
+
 def solved(lattice, T, L=1.0):
     tg = TimeGrid(T, lattice.n_steps)
     vg = VolumeGrid.aligned(L, tg)
@@ -47,7 +55,7 @@ def collision_lattice():
         [LatticeNode(0.5, (0,), (1.0,))],
         [LatticeNode(0.0)],
     ]
-    lat = ScenarioLattice(slices).validate()
+    lat = ScenarioLattice.from_rows(slices).validate()
     tg = TimeGrid(3.0, 3)
     vg = VolumeGrid.aligned(1.0, tg)
     return lat, tg, vg
@@ -80,7 +88,7 @@ def random_tiny_lattice(seed):
             row.append(LatticeNode(x, tuple(int(i) for i in kids),
                                    tuple(float(v) for v in w)))
         slices.append(row)
-    lat = ScenarioLattice(slices).validate()
+    lat = ScenarioLattice.from_rows(slices).validate()
     tg = TimeGrid(float(K), K)
     j_cap = int(rng.integers(1, 3))
     vg = VolumeGrid.aligned(1.0 / (j_cap * tg.dt), tg)

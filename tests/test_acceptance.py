@@ -20,7 +20,7 @@ from swingkit import (StoppingRule, TimeGrid, VolumeGrid, boundary_check,
                       optimal_predictable_stop, random_martingale, rollout,
                       sample_paths, solve, stop_windows)
 
-from conftest import make_exp_martingale, random_tiny_lattice
+from conftest import make_exp_martingale, random_tiny_lattice, with_field
 
 FLOOR = 1e-12
 
@@ -169,13 +169,13 @@ def test_criterion_06_strong_duality_refinement():
 
     summaries = []
     for name, make in (("binary", binary_make), ("martingale", mart_make)):
-        rows = duality_gap_study(make, [48, 96, 192])
+        rows = duality_gap_study(with_field(make), [48, 96, 192])
         for row in rows:
             assert row.gap >= -1e-10
         for a, b in zip(rows, rows[1:]):
             assert max(b.gap, FLOOR) <= 0.75 * max(a.gap, FLOOR) + FLOOR
         summaries.append("%s gaps %s" % (name, ["%.2g" % r.gap for r in rows]))
-    for row in duality_gap_study(const_make, [48, 96, 192]):
+    for row in duality_gap_study(with_field(const_make), [48, 96, 192]):
         assert row.gap == 0.0
     summaries.append("constant gaps identically 0")
     print("criterion 6 PASS: " + "; ".join(summaries))

@@ -181,6 +181,32 @@ def test_cli_example_builds_each_martingale_once(tmp_path, monkeypatch):
     assert sorted(built) == [6, 12, 24]
 
 
+def test_cli_example_solves_each_k_once(tmp_path, monkeypatch):
+    """The dual study reuses the example's own solved K instead of solving
+    it again."""
+    import swingkit.cli as cli
+    import swingkit.duality as duality
+    seen = []
+    real = cli.solve
+
+    def counting(lattice, tg, *args, **kwargs):
+        seen.append(tg.K)
+        return real(lattice, tg, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", counting)
+    monkeypatch.setattr(duality, "solve", counting, raising=False)
+    assert main(["example", "--steps", "12", "--out", str(tmp_path)]) == 0
+    assert sorted(seen) == [6, 12, 24]
+
+
+def test_cli_rejects_an_infinite_horizon(tmp_path, capsys):
+    """T=inf in a lattice-file header is bad input with its own message."""
+    (tmp_path / "lattice.txt").write_text("inf 3 1 1 2\n0 0 1 0:1\n1 0 1 0:1\n2 0 1 0:1\n3 0 1\n")
+    cfg = write_cfg(tmp_path, "model=file\nlattice_file=%s\n" % (tmp_path / "lattice.txt"))
+    assert run(tmp_path, "price", "--config", cfg) == 1
+    assert "error: horizon T must be positive and finite" in capsys.readouterr().err
+
+
 def test_cli_stopping_table(tmp_path):
     cfg = write_cfg(tmp_path, "model=binary\nstarts=0:0.5\n")
     assert run(tmp_path, "stopping", "--config", cfg, "--exhaustive") == 0

@@ -6,7 +6,7 @@ from swingkit import (InvariantError, LatticeNode, ScenarioLattice, TimeGrid,
                       constant_martingale, doob_martingale_of_terminal,
                       dual_value, duality_gap_study, random_martingale, solve)
 
-from conftest import collision_lattice, make_exp_martingale
+from conftest import collision_lattice, make_exp_martingale, with_field
 
 
 def test_martingale_field_validate(binary96):
@@ -140,7 +140,7 @@ def test_optimal_martingale_rejects_level_collision():
 def test_optimal_martingale_needs_single_root():
     slices = [[LatticeNode(1.0, (0,), (1.0,)), LatticeNode(2.0, (0,), (1.0,))],
               [LatticeNode(1.0, (0,), (1.0,))], [LatticeNode(0.0)]]
-    lat = ScenarioLattice(slices).validate()
+    lat = ScenarioLattice.from_rows(slices).validate()
     tg = TimeGrid(2.0, 2)
     vg = VolumeGrid.aligned(1.0, tg)
     field = solve(lat, tg, vg)
@@ -155,7 +155,7 @@ def test_gap_study_binary_is_exactly_tight():
         tg = TimeGrid(3.0, K)
         return build_binary_example(K), tg, VolumeGrid.aligned(1.0, tg)
 
-    rows = duality_gap_study(make, [48, 96, 192])
+    rows = duality_gap_study(with_field(make), [48, 96, 192])
     assert [r.K for r in rows] == [48, 96, 192]
     for r in rows:
         assert r.primal == 1.5
@@ -169,7 +169,7 @@ def test_gap_study_martingale_family():
         tg = TimeGrid(2.0, K)
         return make_exp_martingale(K), tg, VolumeGrid.aligned(1.0, tg)
 
-    rows = duality_gap_study(make, [24, 48])
+    rows = duality_gap_study(with_field(make), [24, 48])
     for r in rows:
         assert r.gap >= -1e-10
         assert abs(r.gap) <= 1e-12
@@ -182,5 +182,5 @@ def test_gap_study_rows_respect_weak_duality():
         tg = TimeGrid(3.0, K)
         return build_binary_example(K), tg, VolumeGrid.aligned(1.0, tg)
 
-    for row in duality_gap_study(make, [24, 48]):
+    for row in duality_gap_study(with_field(make), [24, 48]):
         assert row.dual >= row.primal - 1e-10

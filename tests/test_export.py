@@ -91,7 +91,7 @@ def test_strings_match_per_element_formatting(pool, data):
 def test_streamed_tables_match_the_reference(rows, j_cap, data):
     """On drawn tiny lattices (j_cap >= K gives a grid that stops at zero and
     a NaN dminus column) every table equals the per-line reference."""
-    lat = ScenarioLattice(rows).validate()
+    lat = ScenarioLattice.from_rows(rows).validate()
     K = lat.n_steps
     tg, vg, field, pol = solved(lat, float(K), 1.0 / j_cap)
     assert streamed(_write_value_field, field, lat) == reference_value_field(field, lat)

@@ -10,7 +10,38 @@ from swingkit import (LatticeNode, PathEnsemble, ScenarioLattice, TimeGrid,
                       count_paths, enumerate_paths, read_lattice, sample_paths,
                       write_lattice)
 
-from conftest import make_exp_martingale, tiny_lattice_rows
+from conftest import exp_sigma_params, make_exp_martingale, tiny_lattice_rows
+
+
+def reference_binomial_rows(K, x0, up=None, down=None, p_up=0.5, drift=None, noise=None):
+    """One LatticeNode per node, the way build_binomial built its lattices
+    before it worked on whole slices."""
+    if up is not None:
+        value = lambda k, i: x0 * up ** i * down ** (k - i)
+        p = p_up
+    else:
+        value = lambda k, i: x0 + k * drift + (2 * i - k) * noise
+        p = 0.5
+    rows = []
+    for k in range(K + 1):
+        row = []
+        for i in range(k + 1):
+            v = value(k, i)
+            row.append(LatticeNode(float(v)) if k == K
+                       else LatticeNode(float(v), (i, i + 1), (1.0 - p, p)))
+        rows.append(row)
+    return rows
+
+
+def assert_bitwise_equal(a, b):
+    """Same slices, cashflows and edge arrays, bit for bit."""
+    assert a.n_steps == b.n_steps and a.lce_declared == b.lce_declared
+    for k in range(a.n_steps + 1):
+        pairs = [(a.x(k), b.x(k))]
+        if k < a.n_steps:
+            pairs += list(zip(a.edges(k), b.edges(k)))
+        for u, v in pairs:
+            assert u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
 
 
 def test_time_grid():
@@ -19,6 +50,9 @@ def test_time_grid():
     assert tg.times[0] == 0.0
     assert tg.times[-1] == 3.0
     assert len(tg.times) == 97
+    for T in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="horizon T must be positive and finite"):
+            TimeGrid(T, 4)
 
 
 def test_binary_example_values():
@@ -51,6 +85,20 @@ def test_additive_submartingale_leaves():
     assert np.allclose(probs, [0.25, 0.5, 0.25], atol=1e-15)
     ens = enumerate_paths(lat)
     assert ens.expectation_of_x(lat, 2) == pytest.approx(3.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("kind, K, params", [
+    ("martingale", 384, dict(zip(("up", "down", "p_up"), exp_sigma_params(384)), x0=1.0)),
+    ("submartingale", 96, dict(x0=1.0, up=1.05, down=0.97, p_up=0.4)),
+    ("martingale", 200, dict(x0=2.0, drift=0.0, noise=0.005)),
+    ("submartingale", 200, dict(x0=2.0, drift=0.001, noise=0.007)),
+    ("supermartingale", 200, dict(x0=3.0, drift=-0.003, noise=0.0049)),
+])
+def test_build_binomial_matches_the_per_node_rows(kind, K, params):
+    """build_binomial, a slice at a time, equals the old per-node rows bit for bit;
+    p_up differs from 1/2 in the multiplicative cases."""
+    lat = build_binomial(kind, K, 2.0, **params)
+    assert_bitwise_equal(lat, ScenarioLattice.from_rows(reference_binomial_rows(K, **params)))
 
 
 def test_binomial_parameter_validation():
@@ -168,30 +216,42 @@ def test_lattice_validate_rejections():
     ok = LatticeNode(1.0, (0,), (1.0,))
     term = LatticeNode(1.0)
     with pytest.raises(ValueError, match="at least two time slices"):
-        ScenarioLattice([[term]])
+        ScenarioLattice.from_rows([[term]])
     with pytest.raises(ValueError, match="negative cashflow"):
-        ScenarioLattice([[LatticeNode(-1.0, (0,), (1.0,))], [term]]).validate()
+        ScenarioLattice.from_rows([[LatticeNode(-1.0, (0,), (1.0,))], [term]]).validate()
     with pytest.raises(ValueError, match="sum to"):
-        ScenarioLattice([[LatticeNode(1.0, (0,), (0.6,))], [term]]).validate()
+        ScenarioLattice.from_rows([[LatticeNode(1.0, (0,), (0.6,))], [term]]).validate()
     with pytest.raises(ValueError, match="has children"):
-        ScenarioLattice([[ok], [LatticeNode(1.0, (0,), (1.0,))]]).validate()
+        ScenarioLattice.from_rows([[ok], [LatticeNode(1.0, (0,), (1.0,))]]).validate()
     with pytest.raises(ValueError, match="no children"):
-        ScenarioLattice([[LatticeNode(1.0)], [term]]).validate()
+        ScenarioLattice.from_rows([[LatticeNode(1.0)], [term]]).validate()
     with pytest.raises(ValueError, match="out of range"):
-        ScenarioLattice([[LatticeNode(1.0, (0, 2), (0.5, 0.5))], [term, term]]).validate()
+        ScenarioLattice.from_rows([[LatticeNode(1.0, (0, 2), (0.5, 0.5))],
+                                   [term, term]]).validate()
     with pytest.raises(ValueError, match="unreachable"):
-        ScenarioLattice([[ok], [term, term]]).validate()
+        ScenarioLattice.from_rows([[ok], [term, term]]).validate()
     with pytest.raises(ValueError, match="length mismatch"):
-        ScenarioLattice([[LatticeNode(1.0, (0,), (0.5, 0.5))], [term]]).validate()
+        ScenarioLattice.from_rows([[LatticeNode(1.0, (0,), (0.5, 0.5))], [term]]).validate()
     with pytest.raises(ValueError, match="negative transition"):
-        ScenarioLattice([[LatticeNode(1.0, (0, 0), (1.5, -0.5))], [term]]).validate()
+        ScenarioLattice.from_rows([[LatticeNode(1.0, (0, 0), (1.5, -0.5))], [term]]).validate()
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="non-finite or negative cashflow"):
-            ScenarioLattice([[LatticeNode(bad, (0,), (1.0,))], [term]]).validate()
+            ScenarioLattice.from_rows([[LatticeNode(bad, (0,), (1.0,))], [term]]).validate()
         with pytest.raises(ValueError, match="non-finite or negative cashflow"):
-            ScenarioLattice([[ok], [LatticeNode(bad)]]).validate()
+            ScenarioLattice.from_rows([[ok], [LatticeNode(bad)]]).validate()
     with pytest.raises(ValueError, match="sum to nan"):
-        ScenarioLattice([[LatticeNode(1.0, (0, 1), (np.nan, 1.0))], [term, term]]).validate()
+        ScenarioLattice.from_rows([[LatticeNode(1.0, (0, 1), (np.nan, 1.0))],
+                                   [term, term]]).validate()
+    # the array constructor: one edge triple per step, laid out to fit its slices
+    with pytest.raises(ValueError, match="one edge triple per step"):
+        ScenarioLattice([[1.0], [1.0]], [])
+    for start, child, prob in (([0, 1, 1], [0], [1.0]), ([1, 1], [0], [1.0]),
+                               ([0, 2], [0], [1.0]), ([0, 1], [0], [0.5, 0.5])):
+        with pytest.raises(ValueError, match="edge layout of slice 0"):
+            ScenarioLattice([[1.0], [1.0]], [(start, child, prob)]).validate()
+    assert_bitwise_equal(ScenarioLattice([[1.0], [2.0, 0.0]], [([0, 2], [0, 1], [0.5, 0.5])]),
+                         ScenarioLattice.from_rows([[LatticeNode(1.0, (0, 1), (0.5, 0.5))],
+                                                    [LatticeNode(2.0), LatticeNode(0.0)]]))
 
 
 def test_serialization_round_trip(tmp_path):
@@ -221,14 +281,49 @@ def test_read_lattice_rejects_garbage(tmp_path):
     good = "3 3 1 1 2\n0 0 1 0:1\n1 0 1 0:1\n2 0 1 0:1\n3 0 1\n"
     p.write_text(good)
     assert read_lattice(str(p))[0].n_steps == 3
+    big = "99999999999999999999"
     for text, msg in ((good.replace("2 0 1", "2 1 1"), "numbering at slice 2"),
                       (good + "1 2 1 0:1\n", "numbering at slice 1"),
                       (good + "3 0 5\n", "duplicate node 0 at slice 3"),
                       (good + "4 0 1\n", "slice index 4 outside"),
-                      (good + "-1 0 1 0:1\n", "slice index -1 outside")):
+                      (good + "-1 0 1 0:1\n", "slice index -1 outside"),
+                      ("", "malformed lattice header"),
+                      ("\n  \n", "malformed lattice header"),
+                      (good + "3 1\n", "malformed node line '3 1'"),
+                      (good.replace("1 0 1 0:1", "1 0 abc 0:1"), "could not convert string to"),
+                      (good.replace("2 0 1", "2.0 0 1"), "invalid literal for int"),
+                      (good.replace("2 0 1 0:1", "2 0 1 0:x"), "could not convert string to"),
+                      (good.replace("3 0 1", "3 0 1 0:1"), "terminal node 0 has children"),
+                      (good.replace("3 3 1", "3 1000000000000 1"), "missing slice 4 in"),
+                      (good.replace("1 0 1 0:1", "1 0 1 0:1:1"), "edge token '0:1:1' is not"),
+                      (good.replace("1 0 1 0:1", "1 0 1 0:1:0 1"), "edge token '0:1:0' is not"),
+                      (good.replace("1 0 1 0:1", "1 0 1 01"), "edge token '01' is not"),
+                      (good.replace("1 0 1 0:1", "1 0 1 0:"), "edge token '0:' is not"),
+                      (good.replace("1 0 1 0:1", "1 0 1 :1"), "edge token ':1' is not"),
+                      (good.replace("1 0 1 0:1", "1 0 1 0:1 :"), "edge token ':' is not"),
+                      (good.replace("1 0 1 0:1", "1 0 1 %s:1" % big), "integer %s" % big),
+                      (good.replace("2 0 1", big + " 0 1"), "integer %s" % big),
+                      ("inf 3 1 1 2" + good[good.index("\n"):], "positive and finite")):
         p.write_text(text)
         with pytest.raises(ValueError, match=msg):
             read_lattice(str(p))
+
+
+def test_read_lattice_accepts_lines_in_any_order(tmp_path):
+    lat = build_binary_example(12)
+    p = tmp_path / "a.txt"
+    write_lattice(str(p), lat, TimeGrid(3.0, 12), 1.0)
+    head, *body = p.read_text().splitlines()
+    order = np.random.default_rng(0).permutation(len(body))
+    p.write_text("\n".join([head] + [body[i] for i in order]) + "\n\n")
+    assert_bitwise_equal(read_lattice(str(p))[0], lat)
+
+
+def test_read_lattice_is_bitwise_on_a_written_k384_file(tmp_path):
+    lat = make_exp_martingale(384)
+    p = tmp_path / "k384.txt"
+    write_lattice(str(p), lat, TimeGrid(2.0, 384), 1.0)
+    assert_bitwise_equal(read_lattice(str(p))[0], lat)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -236,7 +331,7 @@ def test_read_lattice_rejects_garbage(tmp_path):
 def test_edge_layout_properties(rows, seed):
     """expect_next matches the dense matrix of the rows; enumeration covers
     count_paths paths of total weight one; sampled paths follow edges."""
-    lat = ScenarioLattice(rows).validate()
+    lat = ScenarioLattice.from_rows(rows).validate()
     for k in range(lat.n_steps):
         P = np.zeros((lat.n_nodes(k), lat.n_nodes(k + 1)))
         for n, node in enumerate(rows[k]):
@@ -256,7 +351,7 @@ def test_edge_layout_properties(rows, seed):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(rows=tiny_lattice_rows())
 def test_lattice_file_round_trip_is_byte_identical(rows):
-    lat = ScenarioLattice(rows).validate()
+    lat = ScenarioLattice.from_rows(rows).validate()
     tg = TimeGrid(float(lat.n_steps), lat.n_steps)
     with tempfile.TemporaryDirectory() as tmp:
         p1, p2 = os.path.join(tmp, "a.txt"), os.path.join(tmp, "b.txt")

@@ -32,7 +32,7 @@ def test_go_matches_the_dense_rule(rows, j_cap, flat, tie_tol):
     resolves to the full rate."""
     if flat:
         rows = [[replace(nd, x=rows[0][0].x) for nd in row] for row in rows]
-    lat = ScenarioLattice(rows).validate()
+    lat = ScenarioLattice.from_rows(rows).validate()
     K = lat.n_steps
     tg, vg, field, _ = solved(lat, float(K), 1.0 / j_cap)
     pol = PolicyField(field, lat, tie_tol)
@@ -105,7 +105,7 @@ def test_rollout_from_a_node(rows, j_cap, data):
     """Rolling out from (k0, node0, y0) over the exhaustive ensemble keeps the
     paths through node0 and earns their conditional value J, up to the
     tie_tol a tie can cost per step."""
-    lat = ScenarioLattice(rows).validate()
+    lat = ScenarioLattice.from_rows(rows).validate()
     K = lat.n_steps
     tg, vg, field, pol = solved(lat, float(K), 1.0 / j_cap)
     ens = sample_paths(lat, exhaustive=True)

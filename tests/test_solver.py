@@ -170,7 +170,7 @@ def test_derivatives_match_a_dense_reference(rows, j_cap):
     """dminus/dplus are the column differences of J over the step, with the
     lowest left quotient 0 (grid below zero) or NaN and the top right
     quotient repeated."""
-    lat = ScenarioLattice(rows).validate()
+    lat = ScenarioLattice.from_rows(rows).validate()
     K = lat.n_steps
     tg, vg, field, _ = solved(lat, float(K), 1.0 / j_cap)
     for k in range(K + 1):
@@ -194,7 +194,7 @@ def test_shift_and_scale_identities(rows, j_cap, c, a):
     assume(K > j_cap)
 
     def value(f):
-        lat = ScenarioLattice([[replace(nd, x=f(nd.x)) for nd in row] for row in rows])
+        lat = ScenarioLattice.from_rows([[replace(nd, x=f(nd.x)) for nd in row] for row in rows])
         return solved(lat.validate(), float(K), 1.0 / j_cap)[2]
 
     field = value(lambda x: x)
