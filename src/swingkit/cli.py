@@ -17,8 +17,8 @@ import numpy as np
 
 from .duality import (build_optimal_martingale, dual_value, duality_gap_study,
                       random_martingale)
-from .models import (TimeGrid, build_binary_example, build_binomial, count_paths,
-                     read_lattice, sample_paths, write_lattice)
+from .models import (TimeGrid, _strings, _write_table, build_binary_example, build_binomial,
+                     count_paths, read_lattice, sample_paths, write_lattice)
 from .oracle import brute_force_value
 from .policy import check_inclusion, check_saturation, exit_times, extract_policy, rollout
 from .solver import (InvariantError, PreconditionError, VolumeGrid, bellman_residual,
@@ -158,32 +158,6 @@ def _write(out_dir: str, name: str, text: str):
         fh.write(text)
 
 
-def _strings(a, spec: str = "%.17g") -> np.ndarray:
-    """spec % v for every element of a float64 or int64 array, as an object
-    array of the same shape.
-
-    Each distinct bit pattern is formatted once and gathered back, so the
-    text equals per-element formatting: -0.0 and 0.0 stay apart and every
-    NaN prints as nan.
-    """
-    a = np.ascontiguousarray(a)
-    bits, inv = np.unique(a.view(np.int64), return_inverse=True)
-    text = (spec + "\n") * len(bits) % tuple(bits.view(a.dtype).tolist())
-    return np.array(text.split("\n")[:-1], dtype=object)[inv.reshape(a.shape)]
-
-
-def _write_table(fh, *columns):
-    """Write one line per element of the broadcast string columns, with the
-    fields separated by single spaces."""
-    shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
-    table = np.empty(shape + (2 * len(columns),), dtype=object)
-    table[..., 1:-1:2] = " "
-    table[..., -1] = "\n"
-    for i, col in enumerate(columns):
-        table[..., 2 * i] = col
-    fh.write("".join(table.ravel().tolist()))
-
-
 def _write_value_field(fh, field, lattice):
     tg, vg = field.time_grid, field.volume_grid
     fh.write("t node y J dminus dplus\n")
@@ -312,7 +286,7 @@ def _verify_checks(cfg: dict):
         inc = check_inclusion(bundle, field, lattice, policy.tie_tol)
         saturated = check_saturation(bundle)
         if ens.exhaustive:
-            err = abs(bundle.mean - float(field.values[0][0, vg.index_of(0.0)]))
+            err = abs(bundle.mean - field.at(0, 0, 0.0))
             if err > 1e-10:
                 raise InvariantError("rollout mean misses the value by %.3g" % err)
         return "saturated %s zero-side %.3g full-side %.3g" % (
@@ -330,7 +304,7 @@ def _verify_checks(cfg: dict):
         if tg.K > 4:
             raise PreconditionError("enumeration oracle runs at K <= 4 only")
         res = brute_force_value(lattice, tg, vg)
-        err = abs(res.value - float(field.values[0][0, vg.index_of(0.0)]))
+        err = abs(res.value - field.at(0, 0, 0.0))
         if err > 1e-12:
             raise InvariantError("solver misses enumeration by %.3g" % err)
         return "enumerated %d policies, error %.3g" % (res.n_policies, err)
@@ -338,7 +312,7 @@ def _verify_checks(cfg: dict):
     def check_weak_duality():
         if not lt_above_one:
             raise PreconditionError("dual bound needs L*T > 1")
-        primal = float(field.values[0][0, vg.index_of(0.0)])
+        primal = field.at(0, 0, 0.0)
         worst = np.inf
         for seed in range(10):
             rep = dual_value(lattice, tg, vg, random_martingale(lattice, seed), primal)

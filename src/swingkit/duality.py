@@ -187,7 +187,7 @@ def build_optimal_martingale(lattice: ScenarioLattice, time_grid: TimeGrid,
         env = np.where(exit_up[k], sup_env.values[k], inf_env.values[k])
         dual2 = max(dual2, float(np.abs(lattice.x(k) - env)[trigger[k]].max(initial=0.0)))
         pre = np.flatnonzero((realized[k] >= 0) & ~trigger[k])
-        lhs = -value_field.dminus(k)[pre, realized[k][pre]]
+        lhs = -value_field.dminus_at(k, pre, realized[k][pre])
         dual1 = max(dual1, float(np.abs(lhs - w_field[k][pre]).max(initial=0.0)))
 
     # forward state machine: phase 0 pre-exit, 1 post-exit via sup envelope,
@@ -261,7 +261,7 @@ def build_optimal_martingale(lattice: ScenarioLattice, time_grid: TimeGrid,
                 "post-exit martingale is path-dependent beyond 200000 states at "
                 "slice %d; no node view exists on this lattice" % (k + 1))
 
-    primal = float(value_field.values[0][0, pos0])
+    primal = float(value_field.point(0, 0, pos0))
     dual = m0 + vg.step * integrand
     report = DualReport(dual, primal, dual - primal, "optimal")
 

@@ -151,16 +151,20 @@ class ScenarioLattice:
         return all(np.all(np.bincount(self.edges(k)[1], minlength=self.n_nodes(k + 1)) == 1)
                    for k in range(self.n_steps))
 
-    def validate(self):
-        """Check cashflows, edge layout, probabilities, child indices and reachability.
-
-        The comparisons are written so that NaN fails them.
-        """
+    def check_cashflows(self):
+        """Raise ValueError naming the first negative or non-finite X."""
         for k, x in enumerate(self._x):
             bad = np.flatnonzero(~((x >= 0) & (x < np.inf)))
             if bad.size:
                 raise ValueError("non-finite or negative cashflow %.17g at slice %d node %d"
                                  % (x[bad[0]], k, bad[0]))
+
+    def validate(self):
+        """Check cashflows, edge layout, probabilities, child indices and reachability.
+
+        The comparisons are written so that NaN fails them.
+        """
+        self.check_cashflows()
         for k, (start, child, prob) in enumerate(self._edges):
             if not (start.size == self.n_nodes(k) + 1 and start[0] == 0
                     and start[-1] == child.size == prob.size):
@@ -397,6 +401,32 @@ def sample_paths(lattice: ScenarioLattice, n_paths: int = 0, seed: int = 0,
     return PathEnsemble(nodes, weights, exhaustive=False)
 
 
+def _strings(a, spec: str = "%.17g") -> np.ndarray:
+    """spec % v for every element of a float64 or int64 array, as an object
+    array of the same shape.
+
+    Each distinct bit pattern is formatted once and gathered back, so the
+    text equals per-element formatting: -0.0 and 0.0 stay apart and every
+    NaN prints as nan.
+    """
+    a = np.ascontiguousarray(a)
+    bits, inv = np.unique(a.view(np.int64), return_inverse=True)
+    text = (spec + "\n") * len(bits) % tuple(bits.view(a.dtype).tolist())
+    return np.array(text.split("\n")[:-1], dtype=object)[inv.reshape(a.shape)]
+
+
+def _write_table(fh, *columns):
+    """Write one line per element of the broadcast string columns, with the
+    fields separated by single spaces."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
+    table = np.empty(shape + (2 * len(columns),), dtype=object)
+    table[..., 1:-1:2] = " "
+    table[..., -1] = "\n"
+    for i, col in enumerate(columns):
+        table[..., 2 * i] = col
+    fh.write("".join(table.ravel().tolist()))
+
+
 def write_lattice(path: str, lattice: ScenarioLattice, time_grid: TimeGrid, L: float):
     """Plain-text lattice export, one node per line.
 
@@ -405,18 +435,25 @@ def write_lattice(path: str, lattice: ScenarioLattice, time_grid: TimeGrid, L: f
     17 significant digits so a write/read/write round trip is byte-identical.
     """
     K = lattice.n_steps
-    lines = ["%.17g %d %.17g %d 2" % (time_grid.T, time_grid.K, L, int(lattice.lce_declared))]
-    for k in range(K + 1):
-        if k < K:
-            start, child, prob = lattice.edges(k)
-            tokens = ["%d:%.17g" % cp for cp in zip(child.tolist(), prob.tolist())]
-            bounds = start.tolist()
-        else:
-            tokens, bounds = [], [0] * (lattice.n_nodes(k) + 1)
-        for n, x in enumerate(lattice.x(k).tolist()):
-            lines.append(" ".join(["%d %d %.17g" % (k, n, x)] + tokens[bounds[n]:bounds[n + 1]]))
+    sizes = np.array([lattice.n_nodes(k) for k in range(K + 1)])
+    k_of = np.repeat(np.arange(K + 1), sizes)
+    node = np.arange(k_of.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    heads = ("\n" + _strings(np.arange(K + 1), "%d")[k_of] + " "
+             + _strings(np.arange(sizes.max()), "%d")[node] + " "
+             + _strings(np.concatenate([lattice.x(k) for k in range(K + 1)])))
+    edges = [lattice.edges(k) for k in range(K)]
+    deg = np.concatenate([np.diff(start) for start, _, _ in edges] + [np.zeros(sizes[K], int)])
+    # each node's line start, then one " child:prob" piece per edge
+    pieces = np.empty(k_of.size + deg.sum(), dtype=object)
+    at = np.cumsum(deg + 1) - deg - 1
+    pieces[at] = heads
+    on_edge = np.ones(pieces.size, dtype=bool)
+    on_edge[at] = False
+    pieces[on_edge] = (" " + _strings(np.concatenate([e[1] for e in edges]), "%d") + ":"
+                       + _strings(np.concatenate([e[2] for e in edges])))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("%.17g %d %.17g %d 2" % (time_grid.T, time_grid.K, L, int(lattice.lce_declared)))
+        fh.write("".join(pieces.tolist()) + "\n")
 
 
 def _ints(tokens) -> np.ndarray:

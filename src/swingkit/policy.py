@@ -10,7 +10,7 @@ saturating optimal control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -22,24 +22,41 @@ TIE_TOL = 1e-9
 
 @dataclass(eq=False)
 class PolicyField:
-    """The bang-bang policy of a solved field, read off J on demand."""
+    """The bang-bang policy of a solved field as a volume threshold.
+
+    thr[k][node] is the highest position at which the optimal rate is L
+    (-1 for none): X + dminus(level+1) >= -tie_tol holds exactly at the
+    positions up to it. J is concave in the volume, so that set is a prefix
+    of the levels; a row that is not raises InvariantError.
+    """
 
     field: ValueField
     lattice: ScenarioLattice
     tie_tol: float = TIE_TOL
+    thr: list = dataclass_field(init=False, repr=False)
+
+    def __post_init__(self):
+        vg = self.field.volume_grid
+        self.thr = []
+        for k in range(self.field.time_grid.K):
+            # below the boundary J is flat in y and X >= 0, so the rule holds
+            lo = max(vg.boundary_pos(k), 0)
+            J = self.field.row(k, lo)
+            go = self.lattice.x(k)[:, None] + np.diff(J, axis=1) / vg.step >= -self.tie_tol
+            bad = np.flatnonzero((go[:, 1:] > go[:, :-1]).any(axis=1))
+            if bad.size:
+                raise InvariantError("policy at slice %d node %d is not a volume threshold"
+                                     % (k, bad[0]))
+            self.thr.append((lo - 1 + go.sum(axis=1)).astype(np.int32))
 
     @property
     def L(self) -> float:
         return self.field.volume_grid.L
 
     def go(self, k: int, nodes, pos) -> np.ndarray:
-        """True where the optimal rate at slice k < K is L: the cap leaves room
-        and X + dminus(level+1) >= -tie_tol. nodes and pos broadcast."""
-        vg = self.field.volume_grid
-        J = self.field.values[k]
-        up = np.minimum(pos + 1, vg.cap_pos)
-        return (pos < vg.cap_pos) & (
-            self.lattice.x(k)[nodes] + (J[nodes, up] - J[nodes, pos]) / vg.step >= -self.tie_tol)
+        """True where the optimal rate at slice k < K is L. nodes and pos
+        broadcast."""
+        return pos <= self.thr[k][nodes]
 
     def rate(self, k: int, node: int, pos: int) -> float:
         return self.L if self.go(k, node, pos) else 0.0
@@ -58,11 +75,8 @@ def extract_policy(field: ValueField, lattice: ScenarioLattice,
     policy = PolicyField(field, lattice, tie_tol)
     vg = field.volume_grid
     for k in range(field.time_grid.K):
-        b = vg.boundary_pos(k)
-        if b >= 0:
-            nodes = np.arange(lattice.n_nodes(k))[:, None]
-            if not policy.go(k, nodes, np.arange(min(b, vg.cap_pos - 1) + 1)).all():
-                raise InvariantError("full rate not selected below the boundary at slice %d" % k)
+        if np.any(policy.thr[k] < vg.boundary_pos(k)):
+            raise InvariantError("full rate not selected below the boundary at slice %d" % k)
     return policy
 
 
@@ -168,7 +182,7 @@ def check_inclusion(bundle: RolloutBundle, field: ValueField,
     worst_full = np.inf
     for m in range(bundle.k0, bundle.time_grid.K):
         n, i = bundle.nodes[:, m], m - bundle.k0
-        s = lattice.x(m)[n] + field.dminus(m)[n, bundle.positions[:, i]]
+        s = lattice.x(m)[n] + field.dminus_at(m, n, bundle.positions[:, i])
         full, ok = bundle.rates[:, i] > 0, ~np.isnan(s)
         worst_zero = max(worst_zero, np.max(s[ok & ~full], initial=-np.inf))
         worst_full = min(worst_full, np.min(s[ok & full], initial=np.inf))

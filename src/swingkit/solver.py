@@ -8,7 +8,9 @@ successor values are evaluated on aligned levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +45,8 @@ class VolumeGrid:
 
     @classmethod
     def aligned(cls, L: float, time_grid: TimeGrid) -> "VolumeGrid":
-        if not L > 0:
-            raise ValueError("rate cap L must be positive")
+        if not 0 < L < np.inf:
+            raise ValueError("rate cap L must be positive and finite")
         raw = 1.0 / (L * time_grid.dt)
         j_cap = int(round(raw))
         if j_cap < 1 or abs(raw - j_cap) > 1e-9:
@@ -79,13 +81,71 @@ class VolumeGrid:
         return pos
 
 
+class _Rows(Sequence):
+    """Read-only sequence of full (node x level) slices, each built on demand."""
+
+    def __init__(self, build, n: int):
+        self._build = build
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, k):
+        row = self._build(range(self._n)[operator.index(k)])
+        row.flags.writeable = False
+        return row
+
+
 @dataclass(eq=False)
 class ValueField:
-    """Solved value surface J[k][node][position] plus its grids."""
+    """Solved value surface J[k][node][position] plus its grids, stored as the
+    band and the full-rate tail.
+
+    band[k] holds the positions strictly between the full-rate boundary and
+    the cap (n_tail(k) .. cap_pos - 1). At and below the boundary J equals the
+    full-rate value tail[k][node] and at the cap it is 0, so values[k] builds
+    the full slice from the three parts when it is read.
+    """
 
     time_grid: TimeGrid
     volume_grid: VolumeGrid
-    values: list
+    tail: list
+    band: list
+
+    @property
+    def values(self) -> Sequence:
+        return _Rows(self.row, len(self.tail))
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self.tail + self.band)
+
+    def n_tail(self, k: int) -> int:
+        """Number of leading positions of slice k that hold tail[k]."""
+        vg = self.volume_grid
+        return min(max(vg.boundary_pos(k) + 1, 0), vg.cap_pos)
+
+    def row(self, k: int, lo: int = 0) -> np.ndarray:
+        """J at slice k over the positions lo..cap_pos, as a new array."""
+        nt = self.n_tail(k)
+        tail = self.tail[k]
+        out = np.empty((tail.size, self.volume_grid.n_levels - lo))
+        cut = max(nt - lo, 0)
+        out[:, :cut] = tail[:, None]
+        out[:, cut:-1] = self.band[k][:, max(lo - nt, 0):]
+        out[:, -1] = 0.0
+        return out
+
+    def point(self, k: int, nodes, pos) -> np.ndarray:
+        """values[k][nodes, pos] for broadcast index arrays, gathered from the
+        band and the tail without building the slice."""
+        nodes, pos = np.broadcast_arrays(np.asarray(nodes), np.asarray(pos))
+        nt = self.n_tail(k)
+        out = np.where(pos < nt, self.tail[k][nodes], 0.0)
+        inside = (pos >= nt) & (pos < self.volume_grid.cap_pos)
+        out[inside] = self.band[k][nodes[inside], pos[inside] - nt]
+        return out
 
     def region_masks(self, k: int) -> dict:
         """Boolean masks over positions: deep (strictly below the full-rate
@@ -101,7 +161,7 @@ class ValueField:
         }
 
     def at(self, k: int, node: int, y: float) -> float:
-        return float(self.values[k][node, self.volume_grid.index_of(y)])
+        return float(self.point(k, node, self.volume_grid.index_of(y)))
 
     def dminus(self, k: int) -> np.ndarray:
         """Left volume difference quotients at slice k, computed on demand.
@@ -110,11 +170,20 @@ class ValueField:
         the grid extends through the full-rate region (J is constant in y
         there) and NaN otherwise.
         """
-        vals = self.values[k]
+        vals = self.row(k)
         dm = np.empty_like(vals)
         dm[:, 1:] = np.diff(vals, axis=1) / self.volume_grid.step
-        dm[:, 0] = 0.0 if self.volume_grid.j_min < 0 else np.nan
+        dm[:, 0] = self._dminus_floor()
         return dm
+
+    def dminus_at(self, k: int, nodes, pos) -> np.ndarray:
+        """dminus(k)[nodes, pos], bit for bit, without building the slice."""
+        pos = np.asarray(pos)
+        d = (self.point(k, nodes, pos) - self.point(k, nodes, pos - 1)) / self.volume_grid.step
+        return np.where(pos > 0, d, self._dminus_floor())
+
+    def _dminus_floor(self) -> float:
+        return 0.0 if self.volume_grid.j_min < 0 else np.nan
 
     def dplus(self, k: int) -> np.ndarray:
         """Right quotients: dplus(k)[n, p] = dminus(k)[n, p+1], with the top
@@ -145,6 +214,9 @@ def solve(lattice: ScenarioLattice, time_grid: TimeGrid, volume_grid: VolumeGrid
 
     At each state the stay candidate is E[J_{k+1}(same level)] and the
     exercise candidate is step*X + E[J_{k+1}(level+1)], excluded at the cap.
+    Only the band is computed: at and below the full-rate boundary both
+    candidates read the tail of slice k+1, and fl(step*X + e) >= e for
+    X >= 0, so J there equals tail[k] = step*X + E[tail[k+1]] bit for bit.
     """
     K = time_grid.K
     if lattice.n_steps != K:
@@ -153,16 +225,19 @@ def solve(lattice: ScenarioLattice, time_grid: TimeGrid, volume_grid: VolumeGrid
         raise ValueError("volume grid was aligned to a different time grid")
     if any(lattice.n_nodes(k) == 0 for k in range(K + 1)):
         raise ValueError("empty lattice slice")
+    lattice.check_cashflows()
     step = volume_grid.step
-    values = [None] * (K + 1)
-    values[K] = np.zeros((lattice.n_nodes(K), volume_grid.n_levels))
+    tail = [None] * (K + 1)
+    band = [None] * (K + 1)
+    tail[K] = np.zeros(lattice.n_nodes(K))
+    band[K] = np.zeros((lattice.n_nodes(K), 0))
+    field = ValueField(time_grid, volume_grid, tail, band)
     for k in range(K - 1, -1, -1):
-        ej = lattice.expect_next(k, values[k + 1])
-        ex = np.empty_like(ej)
-        ex[:, :-1] = step * lattice.x(k)[:, None] + ej[:, 1:]
-        ex[:, -1] = -np.inf
-        values[k] = np.maximum(ej, ex)
-    return ValueField(time_grid, volume_grid, values)
+        x = lattice.x(k)
+        tail[k] = step * x + lattice.expect_next(k, tail[k + 1])
+        ej = lattice.expect_next(k, field.row(k + 1, field.n_tail(k)))
+        band[k] = np.maximum(ej[:, :-1], step * x[:, None] + ej[:, 1:])
+    return field
 
 
 def check_value_invariants(field: ValueField, lattice: ScenarioLattice,

@@ -37,6 +37,35 @@ def solved(lattice, T, L=1.0):
     return tg, vg, field, policy
 
 
+def reference_solve(lattice, tg, vg):
+    """The full-grid backward induction that band storage replaced: yields
+    (k, J_k) over every (node, level) for k = K down to 0, keeping only the
+    slice it has just built."""
+    K = tg.K
+    J = np.zeros((lattice.n_nodes(K), vg.n_levels))
+    yield K, J
+    for k in range(K - 1, -1, -1):
+        ej = lattice.expect_next(k, J)
+        ex = np.empty_like(ej)
+        ex[:, :-1] = vg.step * lattice.x(k)[:, None] + ej[:, 1:]
+        ex[:, -1] = -np.inf
+        J = np.maximum(ej, ex)
+        yield k, J
+
+
+def dense_go(lattice, k, J, vg, tie_tol):
+    """The (node x level) rate-L rule on a full slice J: pos < cap and
+    X + (J[pos+1] - J[pos]) / step >= -tie_tol."""
+    want = np.zeros(J.shape, dtype=bool)
+    want[:, :-1] = lattice.x(k)[:, None] + np.diff(J, axis=1) / vg.step >= -tie_tol
+    return want
+
+
+def is_threshold(go):
+    """True when every row of go is a prefix of the levels."""
+    return not np.any(go[:, 1:] & ~go[:, :-1])
+
+
 @pytest.fixture(scope="session")
 def binary96():
     lat = build_binary_example(96)

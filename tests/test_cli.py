@@ -207,6 +207,14 @@ def test_cli_rejects_an_infinite_horizon(tmp_path, capsys):
     assert "error: horizon T must be positive and finite" in capsys.readouterr().err
 
 
+def test_cli_rejects_an_infinite_rate_cap(tmp_path, capsys):
+    """L=inf in a lattice-file header names the rate cap, not the grid pitch."""
+    (tmp_path / "lattice.txt").write_text("3 3 inf 1 2\n0 0 1 0:1\n1 0 1 0:1\n2 0 1 0:1\n3 0 1\n")
+    cfg = write_cfg(tmp_path, "model=file\nlattice_file=%s\n" % (tmp_path / "lattice.txt"))
+    assert run(tmp_path, "price", "--config", cfg) == 1
+    assert "error: rate cap L must be positive and finite" in capsys.readouterr().err
+
+
 def test_cli_stopping_table(tmp_path):
     cfg = write_cfg(tmp_path, "model=binary\nstarts=0:0.5\n")
     assert run(tmp_path, "stopping", "--config", cfg, "--exhaustive") == 0

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from swingkit import (InvariantError, LatticeNode, ScenarioLattice, TimeGrid,
                       VolumeGrid, build_binomial, build_optimal_martingale,
                       constant_martingale, doob_martingale_of_terminal,
                       dual_value, duality_gap_study, random_martingale, solve)
 
-from conftest import collision_lattice, make_exp_martingale, with_field
+from conftest import collision_lattice, make_exp_martingale, solved, tiny_lattice_rows, with_field
 
 
 def test_martingale_field_validate(binary96):
@@ -24,6 +25,21 @@ def test_doob_martingale_of_terminal(binary96):
     m = doob_martingale_of_terminal(lat, lat.x(96))
     assert m.at(0, 0) == 1.0
     assert m.validate(lat) == 0.0
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rows=tiny_lattice_rows(), j_cap=st.integers(1, 2), data=st.data())
+def test_weak_duality_for_drawn_terminal_payoffs(rows, j_cap, data):
+    """Whenever L*T > 1, the closed martingale of any terminal payoff bounds
+    the solved value from above."""
+    K = len(rows) - 1
+    assume(K > j_cap)
+    lat = ScenarioLattice.from_rows(rows).validate()
+    tg, vg, field, _ = solved(lat, float(K), 1.0 / j_cap)
+    payoff = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=lat.n_nodes(K),
+                                max_size=lat.n_nodes(K)))
+    rep = dual_value(lat, tg, vg, doob_martingale_of_terminal(lat, payoff), field.at(0, 0, 0.0))
+    assert rep.gap >= -1e-10
 
 
 def test_random_martingales_are_martingales(binary96):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from swingkit import (PreconditionError, TimeGrid, VolumeGrid, brute_force_value,
-                      build_binary_example, build_binomial, closed_form, solve)
+from swingkit import (PreconditionError, ScenarioLattice, TimeGrid, VolumeGrid,
+                      brute_force_value, build_binary_example, build_binomial, closed_form,
+                      solve)
 
-from conftest import random_tiny_lattice, solved
+from conftest import random_tiny_lattice, solved, tiny_lattice_rows
 
 
 def test_enumeration_matches_solver_on_small_binary():
@@ -66,6 +68,15 @@ def test_enumeration_matches_solver_on_random_lattices():
         field = solve(lat, tg, vg)
         worst = max(worst, abs(res.value - field.at(0, 0, 0.0)))
     assert worst <= 1e-12
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rows=tiny_lattice_rows(), j_cap=st.integers(1, 2))
+def test_enumeration_matches_solver_on_drawn_lattices(rows, j_cap):
+    lat = ScenarioLattice.from_rows(rows).validate()
+    K = lat.n_steps
+    tg, vg, field, _ = solved(lat, float(K), 1.0 / j_cap)
+    assert abs(brute_force_value(lat, tg, vg).value - field.at(0, 0, 0.0)) <= 1e-12
 
 
 def test_closed_form_example():

@@ -9,7 +9,8 @@ from swingkit import (ExerciseRegions, InvariantError, PolicyField, ScenarioLatt
                       exercise_regions, exit_times, extract_policy,
                       mollified_iterate, rollout, sample_paths, solve)
 
-from conftest import collision_lattice, make_exp_martingale, solved, tiny_lattice_rows
+from conftest import (collision_lattice, dense_go, is_threshold, make_exp_martingale, solved,
+                      tiny_lattice_rows)
 
 
 def test_binary_policy_switches_at_the_jump(binary96):
@@ -28,24 +29,41 @@ def test_binary_policy_switches_at_the_jump(binary96):
 def test_go_matches_the_dense_rule(rows, j_cap, flat, tie_tol):
     """go(k, nodes, pos) equals the dense (node x level) rule pos < cap and
     X + (J[pos+1] - J[pos]) / step >= -tie_tol, broadcast or one state at a
-    time. A constant X puts the whole band on a tie, which any tie_tol >= 1e-9
-    resolves to the full rate."""
+    time, whenever every row of that rule is a volume threshold; otherwise
+    building the policy raises InvariantError. A constant X puts the whole
+    band on a tie, which any tie_tol >= 1e-9 resolves to the full rate, while
+    tie_tol = 0 leaves rounding to split the tie."""
     if flat:
         rows = [[replace(nd, x=rows[0][0].x) for nd in row] for row in rows]
     lat = ScenarioLattice.from_rows(rows).validate()
     K = lat.n_steps
     tg, vg, field, _ = solved(lat, float(K), 1.0 / j_cap)
+    wants = [dense_go(lat, k, field.values[k], vg, tie_tol) for k in range(K)]
+    if not all(map(is_threshold, wants)):
+        with pytest.raises(InvariantError, match="not a volume threshold"):
+            PolicyField(field, lat, tie_tol)
+        return
     pol = PolicyField(field, lat, tie_tol)
-    for k in range(K):
-        J = field.values[k]
-        want = np.zeros(J.shape, dtype=bool)
-        want[:, :-1] = lat.x(k)[:, None] + np.diff(J, axis=1) / vg.step >= -tie_tol
+    for k, want in enumerate(wants):
         got = pol.go(k, np.arange(lat.n_nodes(k))[:, None], np.arange(vg.n_levels))
         assert np.array_equal(got, want)
-        for n, p in np.ndindex(*J.shape):
+        for n, p in np.ndindex(*want.shape):
             assert pol.go(k, n, p) == want[n, p]
         if flat and tie_tol >= 1e-9:
             assert want[:, :-1].all()
+
+
+def test_extract_policy_rejects_a_non_threshold_row(binary96):
+    """A dent in a stored band row makes the rate-L set skip a level; the
+    policy is refused rather than read as a wrong threshold."""
+    field, lat = binary96["field"], binary96["lat"]
+    k, n = 60, 0
+    assert binary96["policy"].thr[k][n] == field.volume_grid.cap_pos - 1
+    band = [b.copy() for b in field.band]
+    band[k][n, 1] -= 10.0
+    broken = type(field)(field.time_grid, field.volume_grid, field.tail, band)
+    with pytest.raises(InvariantError, match="slice 60 node 0 is not a volume threshold"):
+        extract_policy(broken, lat)
 
 
 def test_extract_policy_rejects_a_bad_tie_tol(binary96):

@@ -6,10 +6,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from swingkit import (InvariantError, ScenarioLattice, TimeGrid, VolumeGrid,
                       bellman_residual, boundary_check, build_binary_example,
-                      build_binomial, check_value_invariants, lipschitz_diagnostic,
-                      solve)
+                      build_binomial, check_value_invariants, extract_policy,
+                      lipschitz_diagnostic, solve)
 
-from conftest import make_exp_martingale, solved, tiny_lattice_rows
+from conftest import (dense_go, is_threshold, make_exp_martingale, reference_solve, solved,
+                      tiny_lattice_rows)
 
 
 def test_volume_grid_anchors():
@@ -169,7 +170,7 @@ def test_dminus_nan_when_grid_stops_at_zero():
 def test_derivatives_match_a_dense_reference(rows, j_cap):
     """dminus/dplus are the column differences of J over the step, with the
     lowest left quotient 0 (grid below zero) or NaN and the top right
-    quotient repeated."""
+    quotient repeated. The point reads give the same bits as the slices."""
     lat = ScenarioLattice.from_rows(rows).validate()
     K = lat.n_steps
     tg, vg, field, _ = solved(lat, float(K), 1.0 / j_cap)
@@ -182,6 +183,9 @@ def test_derivatives_match_a_dense_reference(rows, j_cap):
         dp[:, :-1] = dm[:, 1:]
         assert np.array_equal(field.dminus(k), dm, equal_nan=True)
         assert np.array_equal(field.dplus(k), dp, equal_nan=True)
+        nodes, pos = np.arange(J.shape[0])[:, None], np.arange(vg.n_levels)
+        assert np.array_equal(field.point(k, nodes, pos), J)
+        assert np.array_equal(field.dminus_at(k, nodes, pos), dm, equal_nan=True)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -219,9 +223,112 @@ def test_lipschitz_dominates_derivative(binary96):
 
 
 def test_invariant_error_on_corrupted_field(binary96):
+    """The slices are built on demand and read-only, so the corruption goes
+    into a stored band entry: J then rises in y at slice 3."""
     field = binary96["field"]
+    with pytest.raises(ValueError, match="read-only"):
+        field.values[3][0, 5] = 0.0
     broken = type(field)(field.time_grid, field.volume_grid,
-                         [v.copy() for v in field.values])
-    broken.values[3][0, 5] = broken.values[3][0, 4] + 1.0
+                         [t.copy() for t in field.tail], [b.copy() for b in field.band])
+    broken.band[3][0, 1] = broken.band[3][0, 0] + 1.0
     with pytest.raises(InvariantError):
         check_value_invariants(broken, binary96["lat"])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rows=tiny_lattice_rows(), j_cap=st.integers(1, 2), flat=st.booleans(),
+       tie_tol=st.sampled_from([0.0, 1e-12, 1e-9, 1.0]))
+def test_band_solve_matches_the_full_grid_reference(rows, j_cap, flat, tie_tol):
+    """Every slice assembled from band and tail equals the full-grid solve bit
+    for bit, and thr reproduces the dense rate-L rule on the reference slices,
+    ties included. A rule that is not a threshold, or (tie_tol = 0 on a
+    rounding tie) leaves the full rate below the boundary, is refused."""
+    if flat:
+        rows = [[replace(nd, x=rows[0][0].x) for nd in row] for row in rows]
+    lat = ScenarioLattice.from_rows(rows).validate()
+    K = lat.n_steps
+    tg = TimeGrid(float(K), K)
+    vg = VolumeGrid.aligned(1.0 / j_cap, tg)
+    field = solve(lat, tg, vg)
+    ref = dict(reference_solve(lat, tg, vg))
+    for k in range(K + 1):
+        assert np.array_equal(field.values[k].view(np.int64), ref[k].view(np.int64))
+    wants = [dense_go(lat, k, ref[k], vg, tie_tol) for k in range(K)]
+    if not all(map(is_threshold, wants)):
+        with pytest.raises(InvariantError, match="not a volume threshold"):
+            extract_policy(field, lat, tie_tol)
+        return
+    thr_want = [want.sum(axis=1) - 1 for want in wants]
+    if any(np.any(t < vg.boundary_pos(k)) for k, t in enumerate(thr_want)):
+        with pytest.raises(InvariantError, match="full rate not selected"):
+            extract_policy(field, lat, tie_tol)
+        return
+    thr = extract_policy(field, lat, tie_tol).thr
+    for k, want in enumerate(thr_want):
+        assert thr[k].dtype == np.int32
+        assert np.array_equal(thr[k], want)
+
+
+@pytest.fixture(scope="module")
+def mart384():
+    lat = make_exp_martingale(384)
+    tg = TimeGrid(2.0, 384)
+    vg = VolumeGrid.aligned(1.0, tg)
+    return lat, tg, vg, solve(lat, tg, vg)
+
+
+def test_band_solve_is_bitwise_on_exp_martingale_k384(mart384):
+    lat, tg, vg, field = mart384
+    policy = extract_policy(field, lat)
+    for k, J in reference_solve(lat, tg, vg):
+        assert np.array_equal(field.values[k].view(np.int64), J.view(np.int64))
+        if k < tg.K:
+            assert np.array_equal(policy.thr[k], dense_go(lat, k, J, vg, 1e-9).sum(axis=1) - 1)
+
+
+def test_band_storage_is_under_40_percent_at_k384(mart384):
+    lat, tg, vg, field = mart384
+    full = sum(lat.n_nodes(k) * vg.n_levels * 8 for k in range(tg.K + 1))
+    assert field.nbytes <= 0.4 * full
+    assert field.nbytes == sum(a.nbytes for a in field.tail + field.band)
+
+
+def test_solve_rejects_a_negative_or_non_finite_cashflow():
+    """The array constructor does not validate, so solve checks X itself."""
+    edges = [(np.array([0, 2]), np.array([0, 1]), np.array([0.5, 0.5])),
+             (np.array([0, 1, 2]), np.array([0, 0]), np.array([1.0, 1.0]))]
+    tg = TimeGrid(2.0, 2)
+    vg = VolumeGrid.aligned(1.0, tg)
+    for bad in (-0.5, np.nan, np.inf):
+        lat = ScenarioLattice([np.array([1.0]), np.array([1.0, bad]), np.array([1.0])], edges)
+        with pytest.raises(ValueError, match="cashflow .* at slice 1 node 1"):
+            solve(lat, tg, vg)
+
+
+def test_volume_grid_rejects_an_infinite_rate_cap():
+    for L in (np.inf, np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="rate cap L must be positive and finite"):
+            VolumeGrid.aligned(L, TimeGrid(2.0, 4))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(rows=tiny_lattice_rows(), j_cap=st.integers(1, 2), data=st.data())
+def test_relabeling_a_slice_permutes_j_and_the_threshold(rows, j_cap, data):
+    """Renumbering the nodes of one slice (and the child indices pointing at
+    them, in the same edge order) permutes that slice of J and thr and leaves
+    every other slice unchanged, bit for bit."""
+    K = len(rows) - 1
+    s = data.draw(st.integers(1, K))
+    perm = data.draw(st.permutations(range(len(rows[s]))))
+    inv = np.argsort(perm)
+    moved = [list(row) for row in rows]
+    moved[s] = [rows[s][i] for i in perm]
+    moved[s - 1] = [replace(nd, children=tuple(int(inv[c]) for c in nd.children))
+                    for nd in rows[s - 1]]
+    _, vg, field, pol = solved(ScenarioLattice.from_rows(rows).validate(), float(K), 1.0 / j_cap)
+    _, _, field2, pol2 = solved(ScenarioLattice.from_rows(moved).validate(), float(K), 1.0 / j_cap)
+    for k in range(K + 1):
+        order = perm if k == s else slice(None)
+        assert np.array_equal(field2.values[k], field.values[k][order])
+        if k < K:
+            assert np.array_equal(pol2.thr[k], pol.thr[k][order])
