@@ -11,10 +11,9 @@ from .models import (LatticeNode, PathEnsemble, ScenarioLattice, TimeGrid,
                      backward_extremum, build_binary_example, build_binomial,
                      count_paths, enumerate_paths, read_lattice, sample_paths,
                      write_lattice)
-from .solver import (BoundaryReport, InvariantError, LipschitzDiagnostic,
-                     PreconditionError, ResidualReport, ValueField, VolumeGrid,
-                     bellman_residual, boundary_check, check_value_invariants,
-                     lipschitz_diagnostic, solve)
+from .solver import (BoundaryReport, InvariantError, PreconditionError, ResidualReport,
+                     ValueField, VolumeGrid, bellman_residual, boundary_check,
+                     check_value_invariants, solve)
 from .policy import (ExerciseBoundary, ExerciseRegions, MollifiedControl,
                      PolicyField, RolloutBundle, check_inclusion, check_saturation,
                      exercise_regions, exit_times, extract_policy, mollified_iterate,
@@ -35,9 +34,9 @@ __all__ = [
     "LatticeNode", "PathEnsemble", "ScenarioLattice", "TimeGrid",
     "backward_extremum", "build_binary_example", "build_binomial", "count_paths",
     "enumerate_paths", "read_lattice", "sample_paths", "write_lattice",
-    "BoundaryReport", "InvariantError", "LipschitzDiagnostic", "PreconditionError",
-    "ResidualReport", "ValueField", "VolumeGrid", "bellman_residual",
-    "boundary_check", "check_value_invariants", "lipschitz_diagnostic", "solve",
+    "BoundaryReport", "InvariantError", "PreconditionError", "ResidualReport",
+    "ValueField", "VolumeGrid", "bellman_residual", "boundary_check",
+    "check_value_invariants", "solve",
     "ExerciseBoundary", "ExerciseRegions", "MollifiedControl", "PolicyField",
     "RolloutBundle", "check_inclusion", "check_saturation", "exercise_regions",
     "exit_times", "extract_policy", "mollified_iterate", "rollout",

@@ -22,7 +22,7 @@ from .models import (TimeGrid, _strings, _write_table, build_binary_example, bui
 from .oracle import brute_force_value
 from .policy import check_inclusion, check_saturation, exit_times, extract_policy, rollout
 from .solver import (InvariantError, PreconditionError, VolumeGrid, bellman_residual,
-                     boundary_check, check_value_invariants, lipschitz_diagnostic, solve)
+                     boundary_check, check_value_invariants, solve)
 from .stopping import check_snell, doob_decomposition, marginal_value_report, snell
 
 _KEY_TYPES = {
@@ -249,7 +249,6 @@ def _verify_checks(cfg: dict):
     starts = parse_starts(cfg["starts"]) if "starts" in cfg else [(0.0, 0.0)]
     lattice, tg, vg, field, policy = _solve_all(cfg, starts)
     lt_above_one = vg.n_steps > vg.j_cap
-    diag = lipschitz_diagnostic(lattice)
     ens = make_ensemble(lattice, cfg, n_paths=256, prefer_exhaustive=True)
     results = []
 
@@ -264,7 +263,7 @@ def _verify_checks(cfg: dict):
             results.append(("ERROR", name, str(exc)))
 
     def check_values():
-        ext = check_value_invariants(field, lattice, diag)
+        ext = check_value_invariants(field, lattice)
         return "monotone %.3g concavity %.3g lipschitz %.3g" % (
             ext["monotone"], ext["concavity"], ext["lipschitz"])
 

@@ -33,7 +33,13 @@ class MartingaleField:
         return float(self.values[k][n])
 
     def validate(self, lattice: ScenarioLattice) -> float:
-        """Worst one-step drift; raises when it exceeds the scaled tolerance."""
+        """Worst one-step drift; raises on a non-finite value or when the
+        drift exceeds the scaled tolerance."""
+        for k, v in enumerate(self.values):
+            bad = np.flatnonzero(~np.isfinite(v))
+            if bad.size:
+                raise ValueError("martingale value at slice %d node %d is not finite"
+                                 % (k, bad[0]))
         scale = max(1.0, max(float(np.abs(v).max()) for v in self.values))
         worst = 0.0
         for k in range(lattice.n_steps):
@@ -109,6 +115,8 @@ class OptimalMartingaleResult:
     field is the node-valued view and is only present when every node's
     path-states agree to rounding; otherwise it is None and a flag records
     the spread (the bound itself is always computed exactly, state by state).
+    node_values[k][node] is the probability-weighted mean of M over the
+    node's states, or its first state's M where that probability is 0.
     """
 
     report: DualReport
@@ -116,6 +124,7 @@ class OptimalMartingaleResult:
     field: MartingaleField
     diagnostics: dict
     flags: list
+    node_values: list
 
 
 def build_optimal_martingale(lattice: ScenarioLattice, time_grid: TimeGrid,
@@ -139,7 +148,6 @@ def build_optimal_martingale(lattice: ScenarioLattice, time_grid: TimeGrid,
     if policy is None:
         policy = extract_policy(value_field, lattice)
     pos0 = vg.index_of(0.0)
-    maxx = max(1.0, lattice.max_x())
     tol = 3.0 * time_grid.dt * lattice.max_x()
 
     sup_env = snell(lattice, "sup")
@@ -190,89 +198,78 @@ def build_optimal_martingale(lattice: ScenarioLattice, time_grid: TimeGrid,
         lhs = -value_field.dminus_at(k, pre, realized[k][pre])
         dual1 = max(dual1, float(np.abs(lhs - w_field[k][pre]).max(initial=0.0)))
 
-    # forward state machine: phase 0 pre-exit, 1 post-exit via sup envelope,
-    # 2 post-exit via inf envelope
-    mscale = max(1.0, maxx, abs(m0))
+    # post-exit state table, one row per state in first-seen order. phase 0
+    # is pre-exit (M reads w_field), 1 continues by the sup envelope's
+    # increments, 2 by the inf envelope's; m is M of a post-exit state, or
+    # of its first arrival when the state has probability 0
+    mscale = max(1.0, lattice.max_x(), abs(m0))
     qtol = 1e-9 * mscale
-    states = {(0, 0, None): [1.0, 0.0]}
+    node = np.zeros(1, dtype=np.int64)
+    phase = np.zeros(1, dtype=np.int64)
+    p = np.ones(1)
+    m = np.zeros(1)
     integrand = 0.0
-    dom_u = 0.0
-    dom_l = 0.0
+    dom = 0.0
     ident = 0.0
-    node_stats = []
+    spread = 0.0
+    node_values = []
+    key = np.dtype([("node", np.int64), ("phase", np.int64), ("q", float)])
     for k in range(K + 1):
-        # Python floats and ints: numpy scalars would slow this per-state loop
-        xk = lattice.x(k).tolist()
-        wk = w_field[k].tolist()
-        stats = {}
-        for (n, phase, _), (p, msum) in states.items():
-            v = wk[n] if phase == 0 else msum / p
-            st = stats.get(n)
-            if st is None:
-                stats[n] = [p, p * v, v, v]
-            else:
-                st[0] += p
-                st[1] += p * v
-                st[2] = min(st[2], v)
-                st[3] = max(st[3], v)
-            if k < K:
-                integrand += p * max(xk[n] - v, 0.0)
-            if phase == 1:
-                dom_u = max(dom_u, xk[n] - v)
-            elif phase == 2:
-                dom_l = max(dom_l, v - xk[n])
-        node_stats.append(stats)
+        x = lattice.x(k)[node]
+        v = np.where(phase == 0, w_field[k][node], m)
+        size = lattice.n_nodes(k)
+        mass = np.bincount(node, p, size)
+        seen, head = np.unique(node, return_index=True)
+        vals = np.full(size, np.nan)
+        vals[seen] = v[head]
+        np.divide(np.bincount(node, p * v, size), mass, out=vals, where=mass > 0)
+        node_values.append(vals)
+        vmin = np.full(size, np.inf)
+        vmax = np.full(size, -np.inf)
+        np.minimum.at(vmin, node, v)
+        np.maximum.at(vmax, node, v)
+        spread = max(spread, float((vmax - vmin)[seen].max()))
+        dom = max(dom, float(np.where(phase == 1, x - v, v - x)[phase > 0].max(initial=0.0)))
         if k == K:
             break
-        start, child, prob = (arr.tolist() for arr in lattice.edges(k))
-        w_next = w_field[k + 1].tolist()
-        inc_by_phase = {1: dsup.increments[k].tolist(), 2: dinf.increments[k].tolist()}
-        pre_exit = (~trigger[k]).tolist()
-        up = exit_up[k].tolist()
-        nxt = {}
-        for (n, phase, qk), (p, msum) in states.items():
-            edges = range(start[n], start[n + 1])
-            if phase == 0 and pre_exit[n]:
-                ev = 0.0
-                for e in edges:
-                    ev += prob[e] * w_next[child[e]]
-                    slot = nxt.setdefault((child[e], 0, None), [0.0, 0.0])
-                    slot[0] += p * prob[e]
-                ident = max(ident, abs(ev - wk[n]))
-                continue
-            if phase == 0:
-                new_phase = 1 if up[n] else 2
-                base = xk[n]
-            else:
-                new_phase = phase
-                base = msum / p
-            inc = inc_by_phase[new_phase]
-            ev = 0.0
-            for e in edges:
-                m2 = base + inc[e]
-                ev += prob[e] * m2
-                slot = nxt.setdefault((child[e], new_phase, round(m2 / qtol)), [0.0, 0.0])
-                slot[0] += p * prob[e]
-                slot[1] += p * prob[e] * m2
-            ident = max(ident, abs(ev - base))
-        states = nxt
-        if len(states) > 200000:
+        # sums run in state order (bincount, cumsum) so every bit matches a
+        # state-by-state loop
+        integrand = float(np.cumsum(np.append(integrand, p * np.maximum(x - v, 0.0)))[-1])
+        start, child, prob = lattice.edges(k)
+        count = start[node + 1] - start[node]
+        row = np.repeat(np.arange(node.size), count)
+        e = np.repeat(start[node] - np.cumsum(count) + count, count) + np.arange(row.size)
+        stay = (phase == 0) & ~trigger[k][node]
+        new_phase = np.where(phase > 0, phase, np.where(exit_up[k][node], 1, 2))
+        base = np.where(stay, w_field[k][node], np.where(phase == 0, x, m))
+        inc = np.where(new_phase[row] == 1, dsup.increments[k][e], dinf.increments[k][e])
+        m2 = np.where(stay[row], w_field[k + 1][child[e]], base[row] + inc)
+        ev = np.bincount(row, prob[e] * m2, node.size)
+        ident = max(ident, float(np.abs(ev - base).max()))
+        keys = np.empty(row.size, key)
+        keys["node"] = child[e]
+        keys["phase"] = np.where(stay, 0, new_phase)[row]
+        # + 0.0 maps -0.0 to 0.0: both are the one integer key 0
+        keys["q"] = np.where(stay[row], 0.0, np.rint(m2 / qtol) + 0.0)
+        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+        if first.size > 200000:
             raise ValueError(
                 "post-exit martingale is path-dependent beyond 200000 states at "
                 "slice %d; no node view exists on this lattice" % (k + 1))
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(first.size)
+        group = rank[group]
+        first = np.sort(first)
+        w = p[row] * prob[e]
+        p = np.bincount(group, w, first.size)
+        m = m2[first]
+        np.divide(np.bincount(group, w * m2, first.size), p, out=m, where=p > 0)
+        node = keys["node"][first]
+        phase = keys["phase"][first]
 
     primal = float(value_field.point(0, 0, pos0))
     dual = m0 + vg.step * integrand
     report = DualReport(dual, primal, dual - primal, "optimal")
-
-    spread = 0.0
-    node_values = []
-    for k in range(K + 1):
-        vals = np.full(lattice.n_nodes(k), np.nan)
-        for n, (w, vsum, vmin, vmax) in node_stats[k].items():
-            vals[n] = vsum / w
-            spread = max(spread, vmax - vmin)
-        node_values.append(vals)
 
     flags = []
     field = None
@@ -287,19 +284,17 @@ def build_optimal_martingale(lattice: ScenarioLattice, time_grid: TimeGrid,
         flags.append("pre-exit derivative mismatch %.3g" % dual1)
     if dual2 > tol:
         flags.append("exit envelope mismatch %.3g" % dual2)
-    if max(dom_u, dom_l) > tol:
-        flags.append("post-exit dominance violation %.3g" % max(dom_u, dom_l))
+    if dom > tol:
+        flags.append("post-exit dominance violation %.3g" % dom)
 
     diagnostics = {
         "premart_vs_derivative": dual1,
         "exit_envelope_match": dual2,
-        "post_exit_dominance": max(dom_u, dom_l),
+        "post_exit_dominance": dom,
         "martingale_identity": ident,
         "node_spread": spread,
     }
-    result = OptimalMartingaleResult(report, m0, field, diagnostics, flags)
-    result.node_values = node_values
-    return result
+    return OptimalMartingaleResult(report, m0, field, diagnostics, flags, node_values)
 
 
 @dataclass(eq=False)

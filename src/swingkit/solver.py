@@ -192,23 +192,6 @@ class ValueField:
         return np.concatenate([dm[:, 1:], dm[:, -1:]], axis=1)
 
 
-@dataclass(eq=False)
-class LipschitzDiagnostic:
-    """Dominating field z[k][node] = max(X, E[z_next | node]) and its maximum.
-
-    z dominates the magnitude of every volume derivative of J, giving the
-    Lipschitz bound |J(y1) - J(y2)| <= z * |y1 - y2|.
-    """
-
-    z: list
-    c_max: float
-
-
-def lipschitz_diagnostic(lattice: ScenarioLattice) -> LipschitzDiagnostic:
-    z = backward_extremum(lattice, "max")
-    return LipschitzDiagnostic(z=z, c_max=max(float(v.max()) for v in z))
-
-
 def solve(lattice: ScenarioLattice, time_grid: TimeGrid, volume_grid: VolumeGrid) -> ValueField:
     """Backward induction over (node, volume level) arrays, one per time slice.
 
@@ -240,20 +223,20 @@ def solve(lattice: ScenarioLattice, time_grid: TimeGrid, volume_grid: VolumeGrid
     return field
 
 
-def check_value_invariants(field: ValueField, lattice: ScenarioLattice,
-                           diag: LipschitzDiagnostic = None) -> dict:
+def check_value_invariants(field: ValueField, lattice: ScenarioLattice) -> dict:
     """Assert the structural properties of a solved field.
 
     Terminal and cap columns vanish, J is nonincreasing and concave in the
-    volume level, and adjacent differences obey the Lipschitz bound through
-    the dominating field z. Raises InvariantError on the first violation and
-    returns the observed extremes otherwise.
+    volume level, and adjacent differences obey the Lipschitz bound
+    |J(y1) - J(y2)| <= z * |y1 - y2| through the dominating field
+    z[k][node] = max(X, E[z_next | node]), the sup Snell envelope. Raises
+    InvariantError on the first violation and returns the observed extremes
+    otherwise.
     """
     vg = field.volume_grid
     step = vg.step
     K = field.time_grid.K
-    if diag is None:
-        diag = lipschitz_diagnostic(lattice)
+    z = backward_extremum(lattice, "max")
     report = {"monotone": 0.0, "concavity": 0.0, "lipschitz": 0.0,
               "terminal": 0.0, "cap": 0.0}
     term = float(np.abs(field.values[K]).max())
@@ -277,7 +260,7 @@ def check_value_invariants(field: ValueField, lattice: ScenarioLattice,
             report["concavity"] = max(report["concavity"], worst2)
             if worst2 > EXACT_TOL:
                 raise InvariantError("J is non-concave in y by %.3g at slice %d" % (worst2, k))
-        bound = diag.z[k][:, None] * step + EXACT_TOL
+        bound = z[k][:, None] * step + EXACT_TOL
         excess = float((np.abs(d1) - bound).max())
         report["lipschitz"] = max(report["lipschitz"], excess)
         if excess > 0:

@@ -260,17 +260,19 @@ class DoobDecomposition:
 
     increments[k][e] = Y[k+1][child] - E[Y[k+1] | parent] for each edge e of
     lattice.edges(k). The node-valued martingale part exists only on tree
-    lattices; pathwise accumulation works on any lattice.
+    lattices; pathwise accumulation works on any lattice. values is the
+    envelope Y itself.
     """
 
     direction: str
     increments: list
     martingale: list
     compensator: list
+    values: list
 
     def accumulate(self, lattice: ScenarioLattice, ensemble: PathEnsemble) -> np.ndarray:
         """Martingale part along each ensemble path, started at Y[0]."""
-        y, nodes = self._values, ensemble.nodes
+        y, nodes = self.values, ensemble.nodes
         out = np.zeros((ensemble.n_paths, lattice.n_steps + 1))
         out[:, 0] = y[0][nodes[:, 0]]
         for k in range(lattice.n_steps):
@@ -302,9 +304,7 @@ def doob_decomposition(snell_field: SnellField, lattice: ScenarioLattice) -> Doo
             nxt[lattice.edges(k)[1]] = martingale[k][lattice.parents(k)] + increments[k]
             martingale.append(nxt)
         compensator = [vals[k] - martingale[k] for k in range(K + 1)]
-    dec = DoobDecomposition(snell_field.direction, increments, martingale, compensator)
-    dec._values = vals
-    return dec
+    return DoobDecomposition(snell_field.direction, increments, martingale, compensator, vals)
 
 
 @dataclass(eq=False)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from swingkit import (LatticeNode, ScenarioLattice, TimeGrid, VolumeGrid,
-                      build_binary_example, build_binomial, extract_policy,
-                      sample_paths, solve)
+from swingkit import (DualReport, LatticeNode, MartingaleField, OptimalMartingaleResult,
+                      ScenarioLattice, TimeGrid, VolumeGrid, build_binary_example,
+                      build_binomial, doob_decomposition, extract_policy, sample_paths,
+                      snell, solve)
 
 
 def exp_sigma_params(K, T=2.0, sigma=0.15):
@@ -155,3 +156,178 @@ def mart96():
     lat = make_exp_martingale(96)
     tg, vg, field, policy = solved(lat, 2.0)
     return {"lat": lat, "tg": tg, "vg": vg, "field": field, "policy": policy}
+
+
+def reference_optimal_martingale(lattice, time_grid, volume_grid, value_field, policy=None):
+    """The dict state machine that the array state table of
+    build_optimal_martingale replaced: states keyed by (node, phase,
+    round(M/qtol)) in insertion order, summed one state at a time. Kept as
+    the bitwise oracle for that table."""
+    K = time_grid.K
+    vg = volume_grid
+    if vg.n_steps <= vg.j_cap:
+        raise ValueError("the dual construction needs L*T > 1; this grid has L*T <= 1")
+    if lattice.n_nodes(0) != 1:
+        raise ValueError("needs a single-root lattice")
+    if policy is None:
+        policy = extract_policy(value_field, lattice)
+    pos0 = vg.index_of(0.0)
+    maxx = max(1.0, lattice.max_x())
+    tol = 3.0 * time_grid.dt * lattice.max_x()
+
+    sup_env = snell(lattice, "sup")
+    inf_env = snell(lattice, "inf")
+    dsup = doob_decomposition(sup_env, lattice)
+    dinf = doob_decomposition(inf_env, lattice)
+
+    # forward closure of realized volume levels up to the band exit
+    realized = [np.full(lattice.n_nodes(k), -1, dtype=np.int64) for k in range(K + 1)]
+    trigger = []
+    exit_up = []
+    realized[0][0] = pos0
+    for k in range(K + 1):
+        pos = realized[k]
+        active = pos >= 0
+        exit_up.append(active & (pos >= vg.cap_pos))
+        trigger.append(exit_up[k] | (active & (vg.cap_pos - pos >= K - k)))
+        if k == K:
+            break
+        _, child, _ = lattice.edges(k)
+        parent = lattice.parents(k)
+        moving = (active & ~trigger[k])[parent]
+        kids = child[moving]
+        src_pos = pos[parent[moving]]
+        kid_pos = src_pos + policy.go(k, parent[moving], src_pos)
+        realized[k + 1][kids] = kid_pos
+        clash = np.flatnonzero(realized[k + 1][kids] != kid_pos)
+        if clash.size:
+            raise ValueError("pre-exit volume level at slice %d node %d is path-dependent"
+                             % (k + 1, kids[clash[0]]))
+
+    # conditional expectation of X at the exit, on the pre-exit region
+    w_field = [None] * (K + 1)
+    for k in range(K, -1, -1):
+        w = np.where(trigger[k], lattice.x(k), np.nan)
+        if k < K:
+            cont = (realized[k] >= 0) & ~trigger[k]
+            w[cont] = lattice.expect_next(k, w_field[k + 1])[cont]
+        w_field[k] = w
+    m0 = float(w_field[0][0])
+
+    dual1 = 0.0
+    dual2 = 0.0
+    for k in range(K + 1):
+        env = np.where(exit_up[k], sup_env.values[k], inf_env.values[k])
+        dual2 = max(dual2, float(np.abs(lattice.x(k) - env)[trigger[k]].max(initial=0.0)))
+        pre = np.flatnonzero((realized[k] >= 0) & ~trigger[k])
+        lhs = -value_field.dminus_at(k, pre, realized[k][pre])
+        dual1 = max(dual1, float(np.abs(lhs - w_field[k][pre]).max(initial=0.0)))
+
+    # forward state machine: phase 0 pre-exit, 1 post-exit via sup envelope,
+    # 2 post-exit via inf envelope
+    mscale = max(1.0, maxx, abs(m0))
+    qtol = 1e-9 * mscale
+    states = {(0, 0, None): [1.0, 0.0]}
+    integrand = 0.0
+    dom_u = 0.0
+    dom_l = 0.0
+    ident = 0.0
+    node_stats = []
+    for k in range(K + 1):
+        # Python floats and ints: numpy scalars would slow this per-state loop
+        xk = lattice.x(k).tolist()
+        wk = w_field[k].tolist()
+        stats = {}
+        for (n, phase, _), (p, msum) in states.items():
+            v = wk[n] if phase == 0 else msum / p
+            st = stats.get(n)
+            if st is None:
+                stats[n] = [p, p * v, v, v]
+            else:
+                st[0] += p
+                st[1] += p * v
+                st[2] = min(st[2], v)
+                st[3] = max(st[3], v)
+            if k < K:
+                integrand += p * max(xk[n] - v, 0.0)
+            if phase == 1:
+                dom_u = max(dom_u, xk[n] - v)
+            elif phase == 2:
+                dom_l = max(dom_l, v - xk[n])
+        node_stats.append(stats)
+        if k == K:
+            break
+        start, child, prob = (arr.tolist() for arr in lattice.edges(k))
+        w_next = w_field[k + 1].tolist()
+        inc_by_phase = {1: dsup.increments[k].tolist(), 2: dinf.increments[k].tolist()}
+        pre_exit = (~trigger[k]).tolist()
+        up = exit_up[k].tolist()
+        nxt = {}
+        for (n, phase, qk), (p, msum) in states.items():
+            edges = range(start[n], start[n + 1])
+            if phase == 0 and pre_exit[n]:
+                ev = 0.0
+                for e in edges:
+                    ev += prob[e] * w_next[child[e]]
+                    slot = nxt.setdefault((child[e], 0, None), [0.0, 0.0])
+                    slot[0] += p * prob[e]
+                ident = max(ident, abs(ev - wk[n]))
+                continue
+            if phase == 0:
+                new_phase = 1 if up[n] else 2
+                base = xk[n]
+            else:
+                new_phase = phase
+                base = msum / p
+            inc = inc_by_phase[new_phase]
+            ev = 0.0
+            for e in edges:
+                m2 = base + inc[e]
+                ev += prob[e] * m2
+                slot = nxt.setdefault((child[e], new_phase, round(m2 / qtol)), [0.0, 0.0])
+                slot[0] += p * prob[e]
+                slot[1] += p * prob[e] * m2
+            ident = max(ident, abs(ev - base))
+        states = nxt
+        if len(states) > 200000:
+            raise ValueError(
+                "post-exit martingale is path-dependent beyond 200000 states at "
+                "slice %d; no node view exists on this lattice" % (k + 1))
+
+    primal = float(value_field.point(0, 0, pos0))
+    dual = m0 + vg.step * integrand
+    report = DualReport(dual, primal, dual - primal, "optimal")
+
+    spread = 0.0
+    node_values = []
+    for k in range(K + 1):
+        vals = np.full(lattice.n_nodes(k), np.nan)
+        for n, (w, vsum, vmin, vmax) in node_stats[k].items():
+            vals[n] = vsum / w
+            spread = max(spread, vmax - vmin)
+        node_values.append(vals)
+
+    flags = []
+    field = None
+    if spread <= 1e-10 * mscale:
+        field = MartingaleField(node_values, "optimal")
+        field.validate(lattice)
+    else:
+        flags.append("node aggregation spread %.3g; bound computed statewise" % spread)
+    if ident > 5.0 * time_grid.dt * lattice.max_x():
+        flags.append("martingale identity violation %.3g" % ident)
+    if dual1 > tol:
+        flags.append("pre-exit derivative mismatch %.3g" % dual1)
+    if dual2 > tol:
+        flags.append("exit envelope mismatch %.3g" % dual2)
+    if max(dom_u, dom_l) > tol:
+        flags.append("post-exit dominance violation %.3g" % max(dom_u, dom_l))
+
+    diagnostics = {
+        "premart_vs_derivative": dual1,
+        "exit_envelope_match": dual2,
+        "post_exit_dominance": max(dom_u, dom_l),
+        "martingale_identity": ident,
+        "node_spread": spread,
+    }
+    return OptimalMartingaleResult(report, m0, field, diagnostics, flags, node_values)

@@ -151,6 +151,22 @@ def test_cli_verify_binomial_sampled(tmp_path):
     assert "FAIL" not in report
 
 
+ZERO_PROB_BINOMIAL = "model=binomial\nkind=martingale\nx0=1\nup=1\ndown=0.9\np_up=1\nT=2\n"
+
+
+def test_cli_zero_probability_edges(tmp_path, capsys):
+    """p_up=1 puts probability 0 on every down edge: states reached only
+    that way keep the martingale value of their first arrival, so verify
+    passes and the dual's node trace is finite."""
+    cfg = write_cfg(tmp_path, ZERO_PROB_BINOMIAL + "K=12\nk_list=6,12\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    report = (tmp_path / "v" / "report.txt").read_text().splitlines()
+    assert [ln.split()[0] for ln in report] == ["PASS"] * 5 + ["SKIP"] + ["PASS"] * 3
+    assert main(["dual", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+    trace = (tmp_path / "d" / "martingale.txt").read_text()
+    assert "nan" not in trace and len(trace.splitlines()) == 1 + 13 * 14 // 2
+
+
 def test_cli_dual_study(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "model=binary\nk_list=12,24\n")
     assert run(tmp_path, "dual", "--config", cfg) == 0

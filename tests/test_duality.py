@@ -7,7 +7,40 @@ from swingkit import (InvariantError, LatticeNode, ScenarioLattice, TimeGrid,
                       constant_martingale, doob_martingale_of_terminal,
                       dual_value, duality_gap_study, random_martingale, solve)
 
-from conftest import collision_lattice, make_exp_martingale, solved, tiny_lattice_rows, with_field
+from conftest import (collision_lattice, make_exp_martingale, reference_optimal_martingale,
+                      solved, tiny_lattice_rows, with_field)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def outcome(build, *args):
+    """build(*args), or the message of the ValueError it raises."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_same_construction(lattice, tg, vg, field):
+    """The state table and the dict machine agree bit for bit, or raise the
+    same ValueError."""
+    got = outcome(build_optimal_martingale, lattice, tg, vg, field)
+    want = outcome(reference_optimal_martingale, lattice, tg, vg, field)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert bits(got.report.dual_value) == bits(want.report.dual_value)
+    assert bits(got.m0) == bits(want.m0)
+    assert got.diagnostics.keys() == want.diagnostics.keys()
+    for name in want.diagnostics:
+        assert bits(got.diagnostics[name]) == bits(want.diagnostics[name]), name
+    assert got.flags == want.flags
+    assert (got.field is None) == (want.field is None)
+    assert len(got.node_values) == len(want.node_values)
+    for a, b in zip(got.node_values, want.node_values):
+        assert np.array_equal(bits(a), bits(b))
 
 
 def test_martingale_field_validate(binary96):
@@ -18,6 +51,15 @@ def test_martingale_field_validate(binary96):
     m.values[5][0] = 2.0
     with pytest.raises(ValueError, match="martingale identity fails"):
         m.validate(lat)
+    for bad in (np.nan, np.inf, -np.inf):
+        m = constant_martingale(lat, 1.0)
+        m.values[70][1] = bad
+        with pytest.raises(ValueError, match="slice 70 node 1 is not finite"):
+            m.validate(lat)
+    m = constant_martingale(lat, 1.0)
+    m.values[0][0] = np.nan
+    with pytest.raises(ValueError, match="slice 0 node 0 is not finite"):
+        dual_value(lat, binary96["tg"], binary96["vg"], m)
 
 
 def test_doob_martingale_of_terminal(binary96):
@@ -200,3 +242,29 @@ def test_gap_study_rows_respect_weak_duality():
 
     for row in duality_gap_study(with_field(make), [24, 48]):
         assert row.dual >= row.primal - 1e-10
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(rows=tiny_lattice_rows(), j_cap=st.integers(1, 2))
+def test_state_table_matches_dict_machine_on_drawn_lattices(rows, j_cap):
+    K = len(rows) - 1
+    assume(K > j_cap)
+    lat = ScenarioLattice.from_rows(rows).validate()
+    tg, vg, field, _ = solved(lat, float(K), 1.0 / j_cap)
+    assert_same_construction(lat, tg, vg, field)
+
+
+def test_state_table_matches_dict_machine_at_k384():
+    lat = make_exp_martingale(384)
+    tg, vg, field, _ = solved(lat, 2.0)
+    assert_same_construction(lat, tg, vg, field)
+
+
+def test_state_table_and_dict_machine_hit_the_cap_at_the_same_slice():
+    lat = build_binomial("supermartingale", 48, 2.0, x0=1.0, up=1.02, down=0.97,
+                         p_up=0.5)
+    tg, vg, field, _ = solved(lat, 2.0)
+    msg = outcome(build_optimal_martingale, lat, tg, vg, field)
+    assert msg.startswith("post-exit martingale is path-dependent beyond 200000 states "
+                          "at slice 37;")
+    assert msg == outcome(reference_optimal_martingale, lat, tg, vg, field)

@@ -33,6 +33,8 @@ CASES = {
     "verify-file": (["verify"], "model=file\nlattice_file={lattice}\n"),
     "stopping-file": (["stopping"], "model=file\nlattice_file={lattice}\nstarts=0:0;0.5:0.5\n"),
     "dual": (["dual"], "model=binary\nk_list=6,12,24\n"),
+    "dual-zero-probability": (["dual"], "model=binomial\nkind=martingale\nx0=1\nup=1\n"
+                                        "down=0.9\np_up=1\nT=2\nk_list=6,12\n"),
 }
 
 GOLDEN = {
@@ -40,6 +42,13 @@ GOLDEN = {
         "stdout": "1ce6c30762c673f22966bc2db53f3518e33c1930233da83bc0ed61816a464fc9",
         "gap_study.txt": "1ce6c30762c673f22966bc2db53f3518e33c1930233da83bc0ed61816a464fc9",
         "martingale.txt": "9ee4d8b6067809171c5fddd8bb00b4435900ca39a8ccd07ea91b1fa6c94b6b2c",
+    },
+    # p_up=1: every down edge has probability 0, so most nodes show the
+    # martingale value of their first state
+    "dual-zero-probability": {
+        "stdout": "6711777670264e1907683f68cd85679041d607cdb925a58cd06f83b0811614a7",
+        "gap_study.txt": "6711777670264e1907683f68cd85679041d607cdb925a58cd06f83b0811614a7",
+        "martingale.txt": "1ade90e956855c6afcadaea58171f1cbff4a6c486218527e20946209fb6acc19",
     },
     "example": {
         "stdout": "ee6a86b402e5486a661685da63beacb659b80de914165959d21d3401c983461f",
