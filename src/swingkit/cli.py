@@ -158,14 +158,14 @@ def _write(out_dir: str, name: str, text: str):
         fh.write(text)
 
 
-def _write_value_field(fh, field, lattice):
+def _write_value_field(fh, field):
     tg, vg = field.time_grid, field.volume_grid
     fh.write("t node y J dminus dplus\n")
     times, levels = _strings(tg.times), _strings(vg.levels)
     for k in range(tg.K + 1):
         dm = _strings(field.dminus(k))
         dp = np.concatenate([dm[:, 1:], dm[:, -1:]], axis=1)   # dplus(k), bit for bit
-        _write_table(fh, times[k], _strings(np.arange(lattice.n_nodes(k)), "%d")[:, None],
+        _write_table(fh, times[k], _strings(np.arange(field.lattice.n_nodes(k)), "%d")[:, None],
                      levels, _strings(field.values[k]), dm, dp)
 
 
@@ -189,19 +189,17 @@ def _write_exits(fh, bundle, ex):
 
 
 def _solve_all(cfg: dict, starts=()):
-    """Build, solve and extract the policy; the given starts are checked
-    against the grids before the solve."""
+    """Build, solve and return the policy, which carries the solved field; the
+    given starts are checked against the grids before the solve."""
     lattice, tg, L = build_model(cfg)
     vg = VolumeGrid.aligned(L, tg)
     _start_indices(starts, tg, vg)
-    field = solve(lattice, tg, vg)
-    policy = extract_policy(field, lattice, cfg.get("tie_tol", 1e-9))
-    return lattice, tg, vg, field, policy
+    return extract_policy(solve(lattice, tg, vg), cfg.get("tie_tol", 1e-9))
 
 
 def cmd_price(cfg: dict, out_dir: str) -> int:
-    lattice, tg, vg, field, policy = _solve_all(cfg)
-    _export_price(cfg, out_dir, lattice, field, policy, make_ensemble(lattice, cfg))
+    policy = _solve_all(cfg)
+    _export_price(cfg, out_dir, policy, make_ensemble(policy.field.lattice, cfg))
     return 0
 
 
@@ -217,27 +215,28 @@ def _start_indices(starts: list, tg, vg) -> list:
     return out
 
 
-def _export_price(cfg: dict, out_dir: str, lattice, field, policy, ens):
+def _export_price(cfg: dict, out_dir: str, policy, ens):
     """Write the price bundle of a solved model and print its summary.
 
     Everything that can fail on the input runs before the first file is
     opened, so a bad start leaves no files behind."""
     starts = parse_starts(cfg.get("starts", "0:0"))
-    occ = lattice.occupancy()
+    field = policy.field
+    occ = field.lattice.occupancy()
     summary, runs = [], []
     for (t0, y0), (k0, pos0) in zip(starts, _start_indices(starts, field.time_grid,
                                                            field.volume_grid)):
         value = float(occ[k0] @ field.values[k0][:, pos0])
         summary.append("J(%.17g,%.17g)=%.17g" % (t0, y0, value))
-        bundle = rollout(policy, lattice, ens, (k0, y0))
+        bundle = rollout(policy, ens, (k0, y0))
         summary.append("rollout_mean(%.17g,%.17g)=%.17g" % (t0, y0, bundle.mean))
         runs.append((bundle, exit_times(bundle)))
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "value_field.txt"), "w") as fh:
-        _write_value_field(fh, field, lattice)
+        _write_value_field(fh, field)
     for i, (bundle, ex) in enumerate(runs):
         with open(os.path.join(out_dir, "rollout_%d.txt" % i), "w") as fh:
-            _write_rollout(fh, bundle, lattice)
+            _write_rollout(fh, bundle, field.lattice)
         with open(os.path.join(out_dir, "exits_%d.txt" % i), "w") as fh:
             _write_exits(fh, bundle, ex)
     _write(out_dir, "summary.txt", "\n".join(summary) + "\n")
@@ -247,8 +246,9 @@ def _export_price(cfg: dict, out_dir: str, lattice, field, policy, ens):
 
 def _verify_checks(cfg: dict):
     starts = parse_starts(cfg["starts"]) if "starts" in cfg else [(0.0, 0.0)]
-    lattice, tg, vg, field, policy = _solve_all(cfg, starts)
-    lt_above_one = vg.n_steps > vg.j_cap
+    policy = _solve_all(cfg, starts)
+    field = policy.field
+    lattice, vg = field.lattice, field.volume_grid
     ens = make_ensemble(lattice, cfg, n_paths=256, prefer_exhaustive=True)
     results = []
 
@@ -263,26 +263,26 @@ def _verify_checks(cfg: dict):
             results.append(("ERROR", name, str(exc)))
 
     def check_values():
-        ext = check_value_invariants(field, lattice)
+        ext = check_value_invariants(field)
         return "monotone %.3g concavity %.3g lipschitz %.3g" % (
             ext["monotone"], ext["concavity"], ext["lipschitz"])
 
     def check_residual():
-        rep = bellman_residual(field, lattice, "implicit")
+        rep = bellman_residual(field, "implicit")
         if rep.max_abs > 1e-10:
             raise InvariantError("implicit residual %.3g above 1e-10" % rep.max_abs)
         return "max residual %.3g" % rep.max_abs
 
     def check_boundary():
-        rep = boundary_check(field, lattice)
+        rep = boundary_check(field)
         if rep.violations:
             raise InvariantError("%d violations, deep %.3g cap %.3g"
                                  % (len(rep.violations), rep.max_deep, rep.max_cap))
         return "deep %.3g cap %.3g" % (rep.max_deep, rep.max_cap)
 
     def check_rollout():
-        bundle = rollout(policy, lattice, ens, (0, 0.0))
-        inc = check_inclusion(bundle, field, lattice, policy.tie_tol)
+        bundle = rollout(policy, ens, (0, 0.0))
+        inc = check_inclusion(bundle, policy)
         saturated = check_saturation(bundle)
         if ens.exhaustive:
             err = abs(bundle.mean - field.at(0, 0, 0.0))
@@ -300,30 +300,26 @@ def _verify_checks(cfg: dict):
         return "sup drift %.3g inf drift %.3g" % (a["drift"], b["drift"])
 
     def check_oracle():
-        if tg.K > 4:
+        if lattice.n_steps > 4:
             raise PreconditionError("enumeration oracle runs at K <= 4 only")
-        res = brute_force_value(lattice, tg, vg)
+        res = brute_force_value(lattice, vg)
         err = abs(res.value - field.at(0, 0, 0.0))
         if err > 1e-12:
             raise InvariantError("solver misses enumeration by %.3g" % err)
         return "enumerated %d policies, error %.3g" % (res.n_policies, err)
 
     def check_weak_duality():
-        if not lt_above_one:
-            raise PreconditionError("dual bound needs L*T > 1")
         primal = field.at(0, 0, 0.0)
         worst = np.inf
         for seed in range(10):
-            rep = dual_value(lattice, tg, vg, random_martingale(lattice, seed), primal)
+            rep = dual_value(lattice, vg, random_martingale(lattice, seed), primal)
             worst = min(worst, rep.gap)
             if rep.gap < -1e-10:
                 raise InvariantError("weak duality broken by %.3g (seed %d)" % (rep.gap, seed))
         return "10 random martingales, worst gap %.3g" % worst
 
     def check_optimal_martingale():
-        if not lt_above_one:
-            raise PreconditionError("dual construction needs L*T > 1")
-        res = build_optimal_martingale(lattice, tg, vg, field, policy)
+        res = build_optimal_martingale(policy)
         if res.report.gap < -1e-10:
             raise InvariantError("negative gap %.3g" % res.report.gap)
         if res.flags:
@@ -331,7 +327,7 @@ def _verify_checks(cfg: dict):
         return "gap %.3g spread %.3g" % (res.report.gap, res.diagnostics["node_spread"])
 
     def check_marginal():
-        rep = marginal_value_report(field, policy, lattice, ens, starts)
+        rep = marginal_value_report(policy, ens, starts)
         return "%d starts within %.3g" % (len(rep.rows), rep.tol)
 
     run("value_invariants", check_values)
@@ -356,22 +352,21 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_dual(cfg: dict, out_dir: str, solved=None) -> int:
-    """solved: an optional solved (lattice, tg, vg, field) the study reuses at its K."""
+    """solved: an optional solved field the study reuses at its K."""
     model = cfg.get("model", "binary")
     if model == "file":
         raise ValueError("the refinement study needs a rebuildable model, not model=file")
     k_list = parse_k_list(cfg.get("k_list", "48,96,192"))
 
-    def make_instance(K):
-        if solved is not None and solved[1].K == K:
+    def make_field(K):
+        if solved is not None and solved.time_grid.K == K:
             return solved
         sub = dict(cfg)
         sub["K"] = int(K)
         lattice, tg, L = build_model(sub)
-        vg = VolumeGrid.aligned(L, tg)
-        return lattice, tg, vg, solve(lattice, tg, vg)
+        return solve(lattice, tg, VolumeGrid.aligned(L, tg))
 
-    rows = duality_gap_study(make_instance, k_list)
+    rows = duality_gap_study(make_field, k_list)
     lines = ["K primal dual gap"]
     for row in rows:
         lines.append("%d %.17g %.17g %.17g" % (row.K, row.primal, row.dual, row.gap))
@@ -390,10 +385,10 @@ def cmd_dual(cfg: dict, out_dir: str, solved=None) -> int:
 
 
 def cmd_stopping(cfg: dict, out_dir: str) -> int:
-    lattice, tg, vg, field, policy = _solve_all(cfg)
-    ens = make_ensemble(lattice, cfg)
+    policy = _solve_all(cfg)
+    ens = make_ensemble(policy.field.lattice, cfg)
     starts = parse_starts(cfg.get("starts", "0:0"))
-    report = marginal_value_report(field, policy, lattice, ens, starts)
+    report = marginal_value_report(policy, ens, starts)
     text = report.format_table()
     _write(out_dir, "marginal.txt", text)
     print(text, end="")
@@ -406,16 +401,18 @@ def cmd_example(cfg: dict, out_dir: str) -> int:
     sub["model"] = "binary"
     sub.setdefault("K", 96)
     sub.setdefault("starts", "0:0.5;0:0")
-    lattice, tg, vg, field, policy = _solve_all(sub)
-    ens = make_ensemble(lattice, sub)
-    _export_price(sub, out_dir, lattice, field, policy, ens)
-    report = marginal_value_report(field, policy, lattice, ens,
+    policy = _solve_all(sub)
+    field = policy.field
+    ens = make_ensemble(field.lattice, sub)
+    _export_price(sub, out_dir, policy, ens)
+    report = marginal_value_report(policy, ens,
                                    [(0.0, 0.5), (0.0, 0.0), (2.0, 0.0), (0.0, 1.0)])
     _write(out_dir, "marginal.txt", report.format_table())
-    write_lattice(os.path.join(out_dir, "example_lattice.txt"), lattice, tg, vg.L)
+    write_lattice(os.path.join(out_dir, "example_lattice.txt"), field.lattice,
+                  field.time_grid, field.volume_grid.L)
     K = sub["K"]
     sub["k_list"] = "%d,%d,%d" % (K // 2, K, 2 * K)
-    return cmd_dual(sub, out_dir, (lattice, tg, vg, field))
+    return cmd_dual(sub, out_dir, field)
 
 
 class _Parser(argparse.ArgumentParser):

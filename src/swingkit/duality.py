@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ScenarioLattice, TimeGrid
+from .models import ScenarioLattice
 from .policy import PolicyField, extract_policy
-from .solver import InvariantError, ValueField, VolumeGrid
+from .solver import InvariantError, PreconditionError, VolumeGrid
 from .stopping import doob_decomposition, snell
 
 
@@ -88,7 +88,7 @@ class DualReport:
     label: str
 
 
-def dual_value(lattice: ScenarioLattice, time_grid: TimeGrid, volume_grid: VolumeGrid,
+def dual_value(lattice: ScenarioLattice, volume_grid: VolumeGrid,
                martingale: MartingaleField, primal: float = None) -> DualReport:
     """Upper bound from one martingale field, start (0, y=0).
 
@@ -96,7 +96,7 @@ def dual_value(lattice: ScenarioLattice, time_grid: TimeGrid, volume_grid: Volum
     the solver's reward convention, so weak duality is exact lattice algebra.
     """
     if volume_grid.n_steps <= volume_grid.j_cap:
-        raise ValueError("the dual bound needs L*T > 1; this grid has L*T <= 1")
+        raise PreconditionError("the dual bound needs L*T > 1; this grid has L*T <= 1")
     martingale.validate(lattice)
     occ = lattice.occupancy()
     total = 0.0
@@ -127,10 +127,9 @@ class OptimalMartingaleResult:
     node_values: list
 
 
-def build_optimal_martingale(lattice: ScenarioLattice, time_grid: TimeGrid,
-                             volume_grid: VolumeGrid, value_field: ValueField,
-                             policy: PolicyField = None) -> OptimalMartingaleResult:
-    """Assemble the optimizing martingale for start (0, y=0).
+def build_optimal_martingale(policy: PolicyField) -> OptimalMartingaleResult:
+    """Assemble the optimizing martingale for start (0, y=0) from a policy and
+    its solved field.
 
     Before the canonical band exit the martingale is the conditional
     expectation of X at the exit; afterwards it continues by the martingale
@@ -139,14 +138,14 @@ def build_optimal_martingale(lattice: ScenarioLattice, time_grid: TimeGrid,
     function of the node up to the exit; lattices where optimal paths reach
     one pre-exit node at two levels are rejected.
     """
+    value_field = policy.field
+    lattice, time_grid = value_field.lattice, value_field.time_grid
+    vg = value_field.volume_grid
     K = time_grid.K
-    vg = volume_grid
     if vg.n_steps <= vg.j_cap:
-        raise ValueError("the dual construction needs L*T > 1; this grid has L*T <= 1")
+        raise PreconditionError("the dual construction needs L*T > 1; this grid has L*T <= 1")
     if lattice.n_nodes(0) != 1:
         raise ValueError("needs a single-root lattice")
-    if policy is None:
-        policy = extract_policy(value_field, lattice)
     pos0 = vg.index_of(0.0)
     tol = 3.0 * time_grid.dt * lattice.max_x()
 
@@ -308,11 +307,11 @@ class GapRow:
     martingale: OptimalMartingaleResult
 
 
-def duality_gap_study(make_instance, k_list) -> list:
+def duality_gap_study(make_field, k_list) -> list:
     """Primal/dual/gap per refinement level.
 
-    make_instance(K) must return (lattice, time_grid, volume_grid, field),
-    where field is the solved value of that lattice on those grids. Asserts
+    make_field(K) must return the solved field at K; the construction uses
+    its default-tolerance policy. Asserts
     gap >= -1e-10 at every K, and on declared-regular models a 0.75 decay
     factor between consecutive exact doublings, with a 1e-12 absolute floor
     for gaps at rounding level.
@@ -320,9 +319,9 @@ def duality_gap_study(make_instance, k_list) -> list:
     rows = []
     lce = True
     for K in k_list:
-        lattice, tg, vg, field = make_instance(K)
-        lce = lce and lattice.lce_declared
-        res = build_optimal_martingale(lattice, tg, vg, field)
+        field = make_field(K)
+        lce = lce and field.lattice.lce_declared
+        res = build_optimal_martingale(extract_policy(field))
         rows.append(GapRow(int(K), res.report.primal, res.report.dual_value,
                            res.report.gap, res))
     for row in rows:

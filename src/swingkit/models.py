@@ -241,7 +241,9 @@ def build_binomial(kind: str, K: int, T: float, c: float = None, x0: float = Non
     X = x0 + k*drift + (2i - k)*noise with p = 1/2. The declared kind is
     validated against the actual one-step drift, and any parameterization
     that would produce a negative cashflow is rejected rather than clipped.
+    The grid (T, K) is validated as a TimeGrid.
     """
+    TimeGrid(T, K)
     if kind == "constant":
         if c is None:
             raise ValueError("constant kind needs c")

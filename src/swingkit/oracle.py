@@ -19,8 +19,7 @@ class EnumerationResult:
     n_decision_points: int
 
 
-def brute_force_value(lattice: ScenarioLattice, time_grid: TimeGrid,
-                      volume_grid: VolumeGrid, start=(0, 0.0),
+def brute_force_value(lattice: ScenarioLattice, volume_grid: VolumeGrid, start=(0, 0.0),
                       max_policies: int = 2 ** 20) -> EnumerationResult:
     """Maximum over every deterministic-table policy, by direct evaluation.
 

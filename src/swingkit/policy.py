@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .models import PathEnsemble, ScenarioLattice, TimeGrid
+from .models import PathEnsemble, TimeGrid
 from .solver import InvariantError, ValueField, VolumeGrid
 
 TIE_TOL = 1e-9
@@ -31,7 +31,6 @@ class PolicyField:
     """
 
     field: ValueField
-    lattice: ScenarioLattice
     tie_tol: float = TIE_TOL
     thr: list = dataclass_field(init=False, repr=False)
 
@@ -42,7 +41,7 @@ class PolicyField:
             # below the boundary J is flat in y and X >= 0, so the rule holds
             lo = max(vg.boundary_pos(k), 0)
             J = self.field.row(k, lo)
-            go = self.lattice.x(k)[:, None] + np.diff(J, axis=1) / vg.step >= -self.tie_tol
+            go = self.field.lattice.x(k)[:, None] + np.diff(J, axis=1) / vg.step >= -self.tie_tol
             bad = np.flatnonzero((go[:, 1:] > go[:, :-1]).any(axis=1))
             if bad.size:
                 raise InvariantError("policy at slice %d node %d is not a volume threshold"
@@ -62,8 +61,7 @@ class PolicyField:
         return self.L if self.go(k, node, pos) else 0.0
 
 
-def extract_policy(field: ValueField, lattice: ScenarioLattice,
-                   tie_tol: float = TIE_TOL) -> PolicyField:
+def extract_policy(field: ValueField, tie_tol: float = TIE_TOL) -> PolicyField:
     """The bang-bang policy of a solved field.
 
     decision = L iff X + dminus(level+1) >= -tie_tol and the cap leaves room.
@@ -72,7 +70,7 @@ def extract_policy(field: ValueField, lattice: ScenarioLattice,
     """
     if not (np.isfinite(tie_tol) and tie_tol >= 0):
         raise ValueError("tie_tol must be finite and nonnegative, got %r" % tie_tol)
-    policy = PolicyField(field, lattice, tie_tol)
+    policy = PolicyField(field, tie_tol)
     vg = field.volume_grid
     for k in range(field.time_grid.K):
         if np.any(policy.thr[k] < vg.boundary_pos(k)):
@@ -131,14 +129,15 @@ class RolloutBundle:
         return table
 
 
-def rollout(policy: PolicyField, lattice: ScenarioLattice, ensemble: PathEnsemble,
-            start, node0: int = None) -> RolloutBundle:
+def rollout(policy: PolicyField, ensemble: PathEnsemble, start,
+            node0: int = None) -> RolloutBundle:
     """Apply the policy along each ensemble path from (t_{k0}, y0).
 
     start is (k0, y0) with y0 on the volume grid. When node0 is given, only
     paths passing through that node at k0 enter, with weights renormalized.
     """
     k0, y0 = start
+    lattice = policy.field.lattice
     vg = policy.field.volume_grid
     tg = policy.field.time_grid
     K = tg.K
@@ -169,20 +168,20 @@ def rollout(policy: PolicyField, lattice: ScenarioLattice, ensemble: PathEnsembl
                          rewards, weights, mean, ensemble.exhaustive and node0 is None)
 
 
-def check_inclusion(bundle: RolloutBundle, field: ValueField,
-                    lattice: ScenarioLattice, tie_tol: float = TIE_TOL) -> dict:
+def check_inclusion(bundle: RolloutBundle, policy: PolicyField) -> dict:
     """Differential-inclusion consistency along rolled-out paths.
 
     At every realized (k, node, level): a zero rate requires X + dminus <=
-    tie_tol and a full rate requires X + dminus >= -tie_tol, with dminus read
-    off field. Positions whose left derivative is undefined (the lowest level
-    of a grid that does not extend below zero) are skipped.
+    tie_tol and a full rate requires X + dminus >= -tie_tol, with dminus and
+    tie_tol read off the policy. Positions whose left derivative is undefined
+    (the lowest level of a grid that does not extend below zero) are skipped.
     """
+    field, tie_tol = policy.field, policy.tie_tol
     worst_zero = -np.inf
     worst_full = np.inf
     for m in range(bundle.k0, bundle.time_grid.K):
         n, i = bundle.nodes[:, m], m - bundle.k0
-        s = lattice.x(m)[n] + field.dminus_at(m, n, bundle.positions[:, i])
+        s = field.lattice.x(m)[n] + field.dminus_at(m, n, bundle.positions[:, i])
         full, ok = bundle.rates[:, i] > 0, ~np.isnan(s)
         worst_zero = max(worst_zero, np.max(s[ok & ~full], initial=-np.inf))
         worst_full = min(worst_full, np.min(s[ok & full], initial=np.inf))
@@ -254,9 +253,10 @@ def exit_times(bundle: RolloutBundle) -> ExerciseBoundary:
 
 @dataclass(eq=False)
 class ExerciseRegions:
-    """Sign of X + dminus per (k, node, level): +1, -1, or 0 within tie_tol."""
+    """Sign of X + dminus per (k, node, level) of field: +1, -1, or 0 within
+    tie_tol."""
 
-    volume_grid: VolumeGrid
+    field: ValueField
     sign: list
     tie_tol: float
 
@@ -270,8 +270,7 @@ class ExerciseRegions:
         return self.sign[k] == 0
 
 
-def exercise_regions(field: ValueField, lattice: ScenarioLattice,
-                     tie_tol: float = TIE_TOL) -> ExerciseRegions:
+def exercise_regions(field: ValueField, tie_tol: float = TIE_TOL) -> ExerciseRegions:
     """Classify every (k, node, level) by the sign of X + dminus.
 
     Where the left derivative is undefined (lowest level of a grid with no
@@ -281,7 +280,7 @@ def exercise_regions(field: ValueField, lattice: ScenarioLattice,
     K = field.time_grid.K
     sign = []
     for k in range(K):
-        x = lattice.x(k)[:, None]
+        x = field.lattice.x(k)[:, None]
         s = x + field.dminus(k)
         s = np.where(np.isnan(s), x + field.dplus(k), s)
         out = np.zeros(s.shape, dtype=np.int8)
@@ -289,7 +288,7 @@ def exercise_regions(field: ValueField, lattice: ScenarioLattice,
         out[s < -tie_tol] = -1
         sign.append(out)
     sign.append(np.zeros(field.values[K].shape, dtype=np.int8))
-    return ExerciseRegions(field.volume_grid, sign, tie_tol)
+    return ExerciseRegions(field, sign, tie_tol)
 
 
 @dataclass(eq=False)
@@ -325,9 +324,8 @@ def _window_field(mask: np.ndarray, m: int, L: float) -> np.ndarray:
     return (spad[:, p_idx] - spad[:, a_idx]) * (L / m)
 
 
-def mollified_iterate(regions: ExerciseRegions, lattice: ScenarioLattice,
-                      ensemble: PathEnsemble, start, n_max: int,
-                      time_grid: TimeGrid) -> list:
+def mollified_iterate(regions: ExerciseRegions, ensemble: PathEnsemble, start,
+                      n_max: int) -> list:
     """Window-averaged control iterates n = 1..n_max from a common start.
 
     The window width 2^-n is snapped to whole grid pitches; a width below one
@@ -336,9 +334,9 @@ def mollified_iterate(regions: ExerciseRegions, lattice: ScenarioLattice,
     so the Euler volume paths rise monotonically toward the rollout path.
     """
     k0, y0 = start
-    vg = regions.volume_grid
-    dt = time_grid.dt
-    K = time_grid.K
+    vg = regions.field.volume_grid
+    dt = regions.field.time_grid.dt
+    K = regions.field.time_grid.K
     pos0 = vg.index_of(y0)
     out = []
     for n in range(1, n_max + 1):

@@ -99,15 +99,18 @@ class _Rows(Sequence):
 
 @dataclass(eq=False)
 class ValueField:
-    """Solved value surface J[k][node][position] plus its grids, stored as the
-    band and the full-rate tail.
+    """Solved value surface J[k][node][position] of a lattice on its grids,
+    stored as the band and the full-rate tail.
 
     band[k] holds the positions strictly between the full-rate boundary and
     the cap (n_tail(k) .. cap_pos - 1). At and below the boundary J equals the
     full-rate value tail[k][node] and at the cap it is 0, so values[k] builds
-    the full slice from the three parts when it is read.
+    the full slice from the three parts when it is read. The field keeps the
+    lattice and grids it was solved on, so everything derived from it reads
+    them here.
     """
 
+    lattice: ScenarioLattice
     time_grid: TimeGrid
     volume_grid: VolumeGrid
     tail: list
@@ -214,7 +217,7 @@ def solve(lattice: ScenarioLattice, time_grid: TimeGrid, volume_grid: VolumeGrid
     band = [None] * (K + 1)
     tail[K] = np.zeros(lattice.n_nodes(K))
     band[K] = np.zeros((lattice.n_nodes(K), 0))
-    field = ValueField(time_grid, volume_grid, tail, band)
+    field = ValueField(lattice, time_grid, volume_grid, tail, band)
     for k in range(K - 1, -1, -1):
         x = lattice.x(k)
         tail[k] = step * x + lattice.expect_next(k, tail[k + 1])
@@ -223,7 +226,7 @@ def solve(lattice: ScenarioLattice, time_grid: TimeGrid, volume_grid: VolumeGrid
     return field
 
 
-def check_value_invariants(field: ValueField, lattice: ScenarioLattice) -> dict:
+def check_value_invariants(field: ValueField) -> dict:
     """Assert the structural properties of a solved field.
 
     Terminal and cap columns vanish, J is nonincreasing and concave in the
@@ -236,7 +239,7 @@ def check_value_invariants(field: ValueField, lattice: ScenarioLattice) -> dict:
     vg = field.volume_grid
     step = vg.step
     K = field.time_grid.K
-    z = backward_extremum(lattice, "max")
+    z = backward_extremum(field.lattice, "max")
     report = {"monotone": 0.0, "concavity": 0.0, "lipschitz": 0.0,
               "terminal": 0.0, "cap": 0.0}
     term = float(np.abs(field.values[K]).max())
@@ -281,8 +284,7 @@ class ResidualReport:
     max_abs: float
 
 
-def bellman_residual(field: ValueField, lattice: ScenarioLattice,
-                     form: str = "implicit") -> ResidualReport:
+def bellman_residual(field: ValueField, form: str = "implicit") -> ResidualReport:
     """Residual of J against its one-step optimality identity.
 
     implicit: r = J_k - (step*(X + dminus_k)_+ + E[J_{k+1}]), with the
@@ -292,6 +294,7 @@ def bellman_residual(field: ValueField, lattice: ScenarioLattice,
     """
     if form not in ("implicit", "explicit"):
         raise ValueError("form must be 'implicit' or 'explicit'")
+    lattice = field.lattice
     vg = field.volume_grid
     step = vg.step
     K = field.time_grid.K
@@ -328,14 +331,14 @@ class BoundaryReport:
     violations: list
 
 
-def boundary_check(field: ValueField, lattice: ScenarioLattice,
-                   tol: float = EXACT_TOL) -> BoundaryReport:
+def boundary_check(field: ValueField, tol: float = EXACT_TOL) -> BoundaryReport:
     """Check J = 0 at y = 1 and the full-rate identity below the boundary.
 
     For every level with y <= 1 - L*(T - t_k) the value must equal the
     expected remaining reward of exercising at the full rate throughout,
     E[sum step*X | node].
     """
+    lattice = field.lattice
     vg = field.volume_grid
     step = vg.step
     K = field.time_grid.K

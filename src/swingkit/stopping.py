@@ -16,7 +16,7 @@ import numpy as np
 
 from .models import PathEnsemble, ScenarioLattice, backward_extremum
 from .policy import PolicyField, RolloutBundle, exit_times, rollout
-from .solver import InvariantError, ValueField
+from .solver import InvariantError
 
 
 @dataclass(eq=False)
@@ -68,11 +68,10 @@ class StopWindows:
     can_raise[r, m] marks grid times t_m in (t_{k0}, T] at which the rate was
     below L in the adjacent step on path r (the holder could still exercise
     more there); can_lower marks times with rate above 0 (could exercise
-    less). m_event is the flag {L*(T - t0) > 1 - y0 > 0}.
+    less).
     """
 
     k0: int
-    m_event: bool
     can_raise: np.ndarray
     can_lower: np.ndarray
     nodes: np.ndarray
@@ -92,8 +91,7 @@ class StopWindows:
 def stop_windows(bundle: RolloutBundle) -> StopWindows:
     K = bundle.time_grid.K
     k0 = bundle.k0
-    vg = bundle.volume_grid
-    low, pos = bundle.rates < vg.L, bundle.rates > 0.0
+    low, pos = bundle.rates < bundle.volume_grid.L, bundle.rates > 0.0
     can_raise = np.zeros((bundle.n_paths, K + 1), dtype=bool)
     can_lower = np.zeros((bundle.n_paths, K + 1), dtype=bool)
     # a time is open when the step before it or the step after it allows the move
@@ -101,8 +99,7 @@ def stop_windows(bundle: RolloutBundle) -> StopWindows:
     can_lower[:, k0 + 1:] = pos
     can_raise[:, k0 + 1:K] |= low[:, 1:]
     can_lower[:, k0 + 1:K] |= pos[:, 1:]
-    m_event = (K - k0) > (vg.cap_pos - bundle.pos0) > 0
-    return StopWindows(k0, m_event, can_raise, can_lower, bundle.nodes, bundle.weights,
+    return StopWindows(k0, can_raise, can_lower, bundle.nodes, bundle.weights,
                        bundle.exhaustive)
 
 
@@ -341,12 +338,10 @@ class MarginalReport:
         return "\n".join(lines) + "\n"
 
 
-def marginal_value_report(field: ValueField, policy: PolicyField,
-                          lattice: ScenarioLattice, ensemble: PathEnsemble,
+def marginal_value_report(policy: PolicyField, ensemble: PathEnsemble,
                           starts) -> MarginalReport:
-    """Stopping representations of -D-J and -D+J at each start.
-
-    policy is the bang-bang policy of field.
+    """Stopping representations of -D-J and -D+J at the starts, read off the
+    solved field of the bang-bang policy.
 
     Per start (t0, y0) the row carries both one-sided derivatives, the value
     E[X(sigma)] of the canonical exit time, the constrained predictable
@@ -363,8 +358,8 @@ def marginal_value_report(field: ValueField, policy: PolicyField,
     Starts whose region membership cannot be resolved on the grid (the
     boundary level falls below the grid) are tagged and skipped.
     """
-    tg = field.time_grid
-    vg = field.volume_grid
+    field = policy.field
+    lattice, tg, vg = field.lattice, field.time_grid, field.volume_grid
     K = tg.K
     occ = lattice.occupancy()
     sup_env = snell(lattice, "sup")
@@ -405,7 +400,7 @@ def marginal_value_report(field: ValueField, policy: PolicyField,
         inf_b = np.nan
         note = ""
         if region != "cap":
-            bundle = rollout(policy, lattice, ensemble, (k0, y0))
+            bundle = rollout(policy, ensemble, (k0, y0))
             exits = exit_times(bundle)
             x_sig = np.empty(bundle.n_paths)
             for m in np.unique(exits.k_sigma):

@@ -23,18 +23,17 @@ def make_exp_martingale(K, T=2.0, x0=1.0):
 
 
 def with_field(make):
-    """Gap-study instance maker: make(K) = (lattice, tg, vg) plus its solved field."""
-    def make_instance(K):
-        lattice, tg, vg = make(K)
-        return lattice, tg, vg, solve(lattice, tg, vg)
-    return make_instance
+    """Gap-study field maker: the solved field of make(K) = (lattice, tg, vg)."""
+    def make_field(K):
+        return solve(*make(K))
+    return make_field
 
 
 def solved(lattice, T, L=1.0):
     tg = TimeGrid(T, lattice.n_steps)
     vg = VolumeGrid.aligned(L, tg)
     field = solve(lattice, tg, vg)
-    policy = extract_policy(field, lattice)
+    policy = extract_policy(field)
     return tg, vg, field, policy
 
 
@@ -158,19 +157,19 @@ def mart96():
     return {"lat": lat, "tg": tg, "vg": vg, "field": field, "policy": policy}
 
 
-def reference_optimal_martingale(lattice, time_grid, volume_grid, value_field, policy=None):
+def reference_optimal_martingale(policy):
     """The dict state machine that the array state table of
     build_optimal_martingale replaced: states keyed by (node, phase,
     round(M/qtol)) in insertion order, summed one state at a time. Kept as
     the bitwise oracle for that table."""
+    value_field = policy.field
+    lattice, time_grid = value_field.lattice, value_field.time_grid
+    vg = value_field.volume_grid
     K = time_grid.K
-    vg = volume_grid
     if vg.n_steps <= vg.j_cap:
         raise ValueError("the dual construction needs L*T > 1; this grid has L*T <= 1")
     if lattice.n_nodes(0) != 1:
         raise ValueError("needs a single-root lattice")
-    if policy is None:
-        policy = extract_policy(value_field, lattice)
     pos0 = vg.index_of(0.0)
     maxx = max(1.0, lattice.max_x())
     tol = 3.0 * time_grid.dt * lattice.max_x()

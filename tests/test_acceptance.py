@@ -68,7 +68,7 @@ def binary_multi():
 @pytest.fixture(scope="module")
 def binary_solved(binary_multi):
     b = dict(binary_multi[96])
-    b["policy"] = extract_policy(b["field"], b["lat"])
+    b["policy"] = extract_policy(b["field"])
     b["ens"] = sample_paths(b["lat"], exhaustive=True)
     return b
 
@@ -88,7 +88,7 @@ def test_criterion_02_marginal_value_and_exit(binary_solved):
     b = binary_solved
     ndm = -b["field"].dminus(0)[0, b["vg"].index_of(0.5)]
     assert abs(ndm - 1.5) <= 0.05
-    bundle = rollout(b["policy"], b["lat"], b["ens"], (0, 0.5))
+    bundle = rollout(b["policy"], b["ens"], (0, 0.5))
     ex = exit_times(bundle)
     assert ex.sigma.tolist() == [1.5, 2.5]
     w = bundle.weights
@@ -103,7 +103,7 @@ def test_criterion_02_marginal_value_and_exit(binary_solved):
 def test_criterion_03_predictability_separation(binary_solved):
     b = binary_solved
     start = time.perf_counter()
-    bundle = rollout(b["policy"], b["lat"], b["ens"], (0, 0.5))
+    bundle = rollout(b["policy"], b["ens"], (0, 0.5))
     windows = stop_windows(bundle)
     _, sup_a = optimal_predictable_stop(b["lat"], windows, "can_raise", "sup")
     stop = [np.zeros(b["lat"].n_nodes(k), dtype=bool) for k in range(97)]
@@ -124,7 +124,7 @@ def test_criterion_04_enumeration_oracle():
     biggest = 0
     for seed in range(20):
         lat, tg, vg = random_tiny_lattice(seed)
-        res = brute_force_value(lat, tg, vg)
+        res = brute_force_value(lat, vg)
         assert res.n_policies <= 2 ** 20
         field = solve(lat, tg, vg)
         worst = max(worst, abs(res.value - field.at(0, 0, 0.0)))
@@ -148,7 +148,7 @@ def test_criterion_05_weak_duality():
     for lat, tg, vg in models:
         primal = solve(lat, tg, vg).at(0, 0, 0.0)
         for seed in range(10):
-            rep = dual_value(lat, tg, vg, random_martingale(lat, seed), primal=primal)
+            rep = dual_value(lat, vg, random_martingale(lat, seed), primal=primal)
             assert rep.dual_value >= primal - 1e-10
             worst = min(worst, rep.dual_value - primal)
             checked += 1
@@ -202,17 +202,17 @@ def test_criterion_08_invariant_suite():
     details = []
     for name, (lat, tg, vg) in shipped_models(96):
         field = solve(lat, tg, vg)
-        policy = extract_policy(field, lat)
-        check_value_invariants(field, lat)
-        rep = boundary_check(field, lat)
+        policy = extract_policy(field)
+        check_value_invariants(field)
+        rep = boundary_check(field)
         assert rep.violations == []
         try:
             ens = sample_paths(lat, exhaustive=True)
         except ValueError:
             ens = sample_paths(lat, n_paths=256, seed=11)
         for y0 in (0.0, 0.5):
-            bundle = rollout(policy, lat, ens, (0, y0))
-            check_inclusion(bundle, field, lat)
+            bundle = rollout(policy, ens, (0, y0))
+            check_inclusion(bundle, policy)
             if tg.K - 0 >= vg.cap_pos - vg.index_of(y0):
                 assert check_saturation(bundle) is True
         details.append(name)
@@ -258,11 +258,11 @@ def test_criterion_09_derivative_gap_refinement():
 
 def test_criterion_10_mollified_controls(binary_solved):
     b = binary_solved
-    regions = exercise_regions(b["field"], b["lat"])
-    controls = mollified_iterate(regions, b["lat"], b["ens"], (0, 0.5), 5, b["tg"])
+    regions = exercise_regions(b["field"])
+    controls = mollified_iterate(regions, b["ens"], (0, 0.5), 5)
     for lo, hi in zip(controls, controls[1:]):
         assert float((hi.trajectories - lo.trajectories).min()) >= 0.0
-    bundle = rollout(b["policy"], b["lat"], b["ens"], (0, 0.5))
+    bundle = rollout(b["policy"], b["ens"], (0, 0.5))
     roll = bundle.volumes
     bound = 2.0 * b["vg"].L * b["tg"].dt
     gap4 = float(np.max(np.abs(roll - controls[3].trajectories)))

@@ -142,6 +142,24 @@ def test_cli_verify_reports_a_defect_as_error(tmp_path, capsys):
     assert "SKIP" not in out and "FAIL" not in out
 
 
+def test_cli_verify_skips_the_dual_checks_when_lt_is_one(tmp_path, capsys):
+    """L*T = 1 is outside the range of the dual bound: both dual checks are a
+    SKIP with the library's message, the rest pass, and verify exits 0;
+    dual itself rejects the input with exit 1."""
+    cfg = write_cfg(tmp_path, "model=binomial\nkind=martingale\nx0=1\ndrift=0\n"
+                              "noise=0.005\nT=1\nK=12\n")
+    assert run(tmp_path, "verify", "--config", cfg) == 0
+    report = (tmp_path / "report.txt").read_text().splitlines()
+    assert [ln.split()[0] for ln in report] == ["PASS"] * 5 + ["SKIP"] * 3 + ["PASS"]
+    assert ("SKIP weak_duality: the dual bound needs L*T > 1; "
+            "this grid has L*T <= 1") in report
+    assert ("SKIP optimal_martingale: the dual construction needs L*T > 1; "
+            "this grid has L*T <= 1") in report
+    capsys.readouterr()
+    assert main(["dual", "--config", cfg, "--out", str(tmp_path / "d")]) == 1
+    assert "error: the dual construction needs L*T > 1" in capsys.readouterr().err
+
+
 def test_cli_verify_binomial_sampled(tmp_path):
     cfg = write_cfg(tmp_path, "model=binomial\nkind=martingale\nx0=1\n"
                               "up=1.05\ndown=0.96\np_up=0.44444444444444442\n")
@@ -187,9 +205,9 @@ def test_cli_example_builds_each_martingale_once(tmp_path, monkeypatch):
     built = []
     real = duality.build_optimal_martingale
 
-    def counting(lattice, tg, *args, **kwargs):
-        built.append(tg.K)
-        return real(lattice, tg, *args, **kwargs)
+    def counting(policy):
+        built.append(policy.field.time_grid.K)
+        return real(policy)
 
     monkeypatch.setattr(duality, "build_optimal_martingale", counting)
     monkeypatch.setattr(cli, "build_optimal_martingale", counting)

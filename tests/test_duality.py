@@ -5,7 +5,8 @@ from hypothesis import assume, given, settings, strategies as st
 from swingkit import (InvariantError, LatticeNode, ScenarioLattice, TimeGrid,
                       VolumeGrid, build_binomial, build_optimal_martingale,
                       constant_martingale, doob_martingale_of_terminal,
-                      dual_value, duality_gap_study, random_martingale, solve)
+                      dual_value, duality_gap_study, extract_policy, random_martingale,
+                      solve)
 
 from conftest import (collision_lattice, make_exp_martingale, reference_optimal_martingale,
                       solved, tiny_lattice_rows, with_field)
@@ -23,11 +24,11 @@ def outcome(build, *args):
         return str(exc)
 
 
-def assert_same_construction(lattice, tg, vg, field):
+def assert_same_construction(policy):
     """The state table and the dict machine agree bit for bit, or raise the
     same ValueError."""
-    got = outcome(build_optimal_martingale, lattice, tg, vg, field)
-    want = outcome(reference_optimal_martingale, lattice, tg, vg, field)
+    got = outcome(build_optimal_martingale, policy)
+    want = outcome(reference_optimal_martingale, policy)
     if isinstance(want, str):
         assert got == want
         return
@@ -59,7 +60,7 @@ def test_martingale_field_validate(binary96):
     m = constant_martingale(lat, 1.0)
     m.values[0][0] = np.nan
     with pytest.raises(ValueError, match="slice 0 node 0 is not finite"):
-        dual_value(lat, binary96["tg"], binary96["vg"], m)
+        dual_value(lat, binary96["vg"], m)
 
 
 def test_doob_martingale_of_terminal(binary96):
@@ -80,7 +81,7 @@ def test_weak_duality_for_drawn_terminal_payoffs(rows, j_cap, data):
     tg, vg, field, _ = solved(lat, float(K), 1.0 / j_cap)
     payoff = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=lat.n_nodes(K),
                                 max_size=lat.n_nodes(K)))
-    rep = dual_value(lat, tg, vg, doob_martingale_of_terminal(lat, payoff), field.at(0, 0, 0.0))
+    rep = dual_value(lat, vg, doob_martingale_of_terminal(lat, payoff), field.at(0, 0, 0.0))
     assert rep.gap >= -1e-10
 
 
@@ -100,13 +101,13 @@ def test_random_martingales_are_martingales(binary96):
 def test_constant_martingale_duals(binary96):
     lat, tg, vg = binary96["lat"], binary96["tg"], binary96["vg"]
     primal = binary96["field"].at(0, 0, 0.0)
-    r2 = dual_value(lat, tg, vg, constant_martingale(lat, 2.0), primal=primal)
+    r2 = dual_value(lat, vg, constant_martingale(lat, 2.0), primal=primal)
     assert abs(r2.dual_value - 2.0) <= 1e-12
-    r15 = dual_value(lat, tg, vg, constant_martingale(lat, 1.5), primal=primal)
+    r15 = dual_value(lat, vg, constant_martingale(lat, 1.5), primal=primal)
     assert abs(r15.dual_value - 1.625) <= 1e-12
     assert abs(r15.gap - 0.125) <= 1e-12
     assert r15.label == "constant"
-    bare = dual_value(lat, tg, vg, constant_martingale(lat, 1.5))
+    bare = dual_value(lat, vg, constant_martingale(lat, 1.5))
     assert np.isnan(bare.primal) and np.isnan(bare.gap)
 
 
@@ -114,7 +115,7 @@ def test_weak_duality_over_random_martingales(binary96):
     lat, tg, vg = binary96["lat"], binary96["tg"], binary96["vg"]
     primal = binary96["field"].at(0, 0, 0.0)
     for seed in range(12):
-        rep = dual_value(lat, tg, vg, random_martingale(lat, seed), primal=primal)
+        rep = dual_value(lat, vg, random_martingale(lat, seed), primal=primal)
         assert rep.dual_value >= primal - 1e-10
 
 
@@ -123,15 +124,14 @@ def test_dual_needs_lt_above_one():
     tg = TimeGrid(1.0, 4)
     vg = VolumeGrid.aligned(1.0, tg)
     with pytest.raises(ValueError, match="needs L\\*T > 1"):
-        dual_value(lat, tg, vg, constant_martingale(lat, 1.0))
+        dual_value(lat, vg, constant_martingale(lat, 1.0))
     field = solve(lat, tg, vg)
     with pytest.raises(ValueError, match="needs L\\*T > 1"):
-        build_optimal_martingale(lat, tg, vg, field)
+        build_optimal_martingale(extract_policy(field))
 
 
 def test_optimal_martingale_closes_the_gap(binary96):
-    res = build_optimal_martingale(binary96["lat"], binary96["tg"], binary96["vg"],
-                                   binary96["field"])
+    res = build_optimal_martingale(binary96["policy"])
     assert res.m0 == 1.0
     assert res.report.dual_value == 1.5
     assert res.report.primal == 1.5
@@ -144,8 +144,7 @@ def test_optimal_martingale_closes_the_gap(binary96):
 
 
 def test_optimal_martingale_diagnostics(binary96):
-    res = build_optimal_martingale(binary96["lat"], binary96["tg"], binary96["vg"],
-                                   binary96["field"])
+    res = build_optimal_martingale(binary96["policy"])
     assert sorted(res.diagnostics) == ["exit_envelope_match", "martingale_identity",
                                        "node_spread", "post_exit_dominance",
                                        "premart_vs_derivative"]
@@ -158,8 +157,7 @@ def test_optimal_martingale_diagnostics(binary96):
 
 def test_optimal_martingale_is_x_under_martingale_cashflow(mart96):
     """When X itself is a martingale the construction must return X."""
-    res = build_optimal_martingale(mart96["lat"], mart96["tg"], mart96["vg"],
-                                   mart96["field"])
+    res = build_optimal_martingale(mart96["policy"])
     worst = max(float(np.max(np.abs(res.field.values[k] - mart96["lat"].x(k))))
                 for k in range(97))
     assert worst <= 1e-12
@@ -172,7 +170,7 @@ def test_optimal_martingale_constant_model():
     lat = build_binomial("constant", 48, 3.0, c=c)
     tg = TimeGrid(3.0, 48)
     vg = VolumeGrid.aligned(1.0, tg)
-    res = build_optimal_martingale(lat, tg, vg, solve(lat, tg, vg))
+    res = build_optimal_martingale(extract_policy(solve(lat, tg, vg)))
     assert all(float(np.max(np.abs(res.field.values[k] - c))) == 0.0
                for k in range(49))
     assert res.report.gap == 0.0
@@ -185,14 +183,14 @@ def test_optimal_martingale_detects_path_dependence():
     vg = VolumeGrid.aligned(1.0, tg)
     field = solve(lat, tg, vg)
     with pytest.raises(ValueError, match="path-dependent"):
-        build_optimal_martingale(lat, tg, vg, field)
+        build_optimal_martingale(extract_policy(field))
 
 
 def test_optimal_martingale_rejects_level_collision():
     lat, tg, vg = collision_lattice()
     field = solve(lat, tg, vg)
     with pytest.raises(ValueError, match="pre-exit volume level"):
-        build_optimal_martingale(lat, tg, vg, field)
+        build_optimal_martingale(extract_policy(field))
 
 
 def test_optimal_martingale_needs_single_root():
@@ -203,7 +201,7 @@ def test_optimal_martingale_needs_single_root():
     vg = VolumeGrid.aligned(1.0, tg)
     field = solve(lat, tg, vg)
     with pytest.raises(ValueError, match="single-root"):
-        build_optimal_martingale(lat, tg, vg, field)
+        build_optimal_martingale(extract_policy(field))
 
 
 def test_gap_study_binary_is_exactly_tight():
@@ -250,21 +248,21 @@ def test_state_table_matches_dict_machine_on_drawn_lattices(rows, j_cap):
     K = len(rows) - 1
     assume(K > j_cap)
     lat = ScenarioLattice.from_rows(rows).validate()
-    tg, vg, field, _ = solved(lat, float(K), 1.0 / j_cap)
-    assert_same_construction(lat, tg, vg, field)
+    *_, policy = solved(lat, float(K), 1.0 / j_cap)
+    assert_same_construction(policy)
 
 
 def test_state_table_matches_dict_machine_at_k384():
     lat = make_exp_martingale(384)
-    tg, vg, field, _ = solved(lat, 2.0)
-    assert_same_construction(lat, tg, vg, field)
+    *_, policy = solved(lat, 2.0)
+    assert_same_construction(policy)
 
 
 def test_state_table_and_dict_machine_hit_the_cap_at_the_same_slice():
     lat = build_binomial("supermartingale", 48, 2.0, x0=1.0, up=1.02, down=0.97,
                          p_up=0.5)
-    tg, vg, field, _ = solved(lat, 2.0)
-    msg = outcome(build_optimal_martingale, lat, tg, vg, field)
+    *_, policy = solved(lat, 2.0)
+    msg = outcome(build_optimal_martingale, policy)
     assert msg.startswith("post-exit martingale is path-dependent beyond 200000 states "
                           "at slice 37;")
-    assert msg == outcome(reference_optimal_martingale, lat, tg, vg, field)
+    assert msg == outcome(reference_optimal_martingale, policy)

@@ -94,11 +94,11 @@ def test_streamed_tables_match_the_reference(rows, j_cap, data):
     lat = ScenarioLattice.from_rows(rows).validate()
     K = lat.n_steps
     tg, vg, field, pol = solved(lat, float(K), 1.0 / j_cap)
-    assert streamed(_write_value_field, field, lat) == reference_value_field(field, lat)
+    assert streamed(_write_value_field, field) == reference_value_field(field, lat)
     ens = sample_paths(lat, exhaustive=True)
     k0 = data.draw(st.integers(0, K - 1))
     pos0 = data.draw(st.integers(0, vg.n_levels - 1))
-    b = rollout(pol, lat, ens, (k0, vg.levels[pos0]))
+    b = rollout(pol, ens, (k0, vg.levels[pos0]))
     assert streamed(_write_rollout, b, lat) == reference_rollout(b, lat)
     assert streamed(_write_exits, b, exit_times(b)) == reference_exits(b)
 
@@ -118,12 +118,14 @@ def test_price_files_match_the_reference(tmp_path):
         out = tmp_path / name
         assert main(["price", "--config", str(cfg_path), "--out", str(out)]) == 0
         cfg = parse_config(str(cfg_path))
-        lat, tg, vg, field, pol = _solve_all(cfg)
+        pol = _solve_all(cfg)
+        field = pol.field
+        lat, tg, vg = field.lattice, field.time_grid, field.volume_grid
         ens = make_ensemble(lat, cfg)
         if name == "floor":
             assert vg.j_min == 0 and np.isnan(field.dminus(0)[:, 0]).all()
         assert (out / "value_field.txt").read_text() == reference_value_field(field, lat)
         for i, (t0, y0) in enumerate(parse_starts(cfg["starts"])):
-            b = rollout(pol, lat, ens, (tg.index_of(t0), y0))
+            b = rollout(pol, ens, (tg.index_of(t0), y0))
             assert (out / ("rollout_%d.txt" % i)).read_text() == reference_rollout(b, lat)
             assert (out / ("exits_%d.txt" % i)).read_text() == reference_exits(b)

@@ -118,6 +118,11 @@ def test_binomial_parameter_validation():
         build_binomial("submartingale", 2, 1.0, x0=1.0, drift=0.1, noise=1.0)
     with pytest.raises(ValueError, match="p_up"):
         build_binomial("martingale", 4, 1.0, x0=1.0, up=1.1, down=0.9, p_up=1.5)
+    for T in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="horizon T must be positive and finite"):
+            build_binomial("martingale", 4, T, x0=1.0, up=1.1, down=0.9, p_up=0.5)
+        with pytest.raises(ValueError, match="horizon T must be positive and finite"):
+            build_binomial("constant", 4, T, c=1.0)
 
 
 @settings(derandomize=True, max_examples=40)

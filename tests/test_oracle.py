@@ -14,12 +14,12 @@ def test_enumeration_matches_solver_on_small_binary():
     tg = TimeGrid(3.0, 6)
     vg = VolumeGrid.aligned(1.0, tg)
     field = solve(lat, tg, vg)
-    res = brute_force_value(lat, tg, vg, start=(0, 0.0))
+    res = brute_force_value(lat, vg, start=(0, 0.0))
     assert res.value == 1.5
     assert field.at(0, 0, 0.0) == 1.5
     assert res.n_decision_points == 19
     assert res.n_policies == 2 ** 19
-    half = brute_force_value(lat, tg, vg, start=(0, 0.5))
+    half = brute_force_value(lat, vg, start=(0, 0.5))
     assert half.value == 0.875
     assert field.at(0, 0, 0.5) == 0.875
 
@@ -30,7 +30,7 @@ def test_enumeration_two_step_martingale():
     lat = build_binomial("martingale", 2, 2.0, x0=1.0, up=1.25, down=0.75, p_up=0.5)
     tg = TimeGrid(2.0, 2)
     vg = VolumeGrid.aligned(1.0, tg)
-    res = brute_force_value(lat, tg, vg)
+    res = brute_force_value(lat, vg)
     assert res.value == 1.0
     assert solve(lat, tg, vg).at(0, 0, 0.0) == 1.0
 
@@ -39,7 +39,7 @@ def test_enumeration_two_step_submartingale():
     lat = build_binomial("submartingale", 2, 2.0, x0=2.0, drift=0.5, noise=0.5)
     tg = TimeGrid(2.0, 2)
     vg = VolumeGrid.aligned(1.0, tg)
-    res = brute_force_value(lat, tg, vg)
+    res = brute_force_value(lat, vg)
     assert res.value == 2.5
     assert solve(lat, tg, vg).at(0, 0, 0.0) == 2.5
     assert closed_form("submartingale", lat, tg, vg, 0.0, 0.0) == 2.5
@@ -49,7 +49,7 @@ def test_enumeration_constant():
     lat = build_binomial("constant", 3, 3.0, c=1.0)
     tg = TimeGrid(3.0, 3)
     vg = VolumeGrid.aligned(1.0, tg)
-    assert brute_force_value(lat, tg, vg).value == 1.0
+    assert brute_force_value(lat, vg).value == 1.0
 
 
 def test_enumeration_policy_cap():
@@ -57,14 +57,14 @@ def test_enumeration_policy_cap():
     tg = TimeGrid(3.0, 6)
     vg = VolumeGrid.aligned(1.0, tg)
     with pytest.raises(PreconditionError, match="above the cap"):
-        brute_force_value(lat, tg, vg, max_policies=4)
+        brute_force_value(lat, vg, max_policies=4)
 
 
 def test_enumeration_matches_solver_on_random_lattices():
     worst = 0.0
     for seed in range(8):
         lat, tg, vg = random_tiny_lattice(seed)
-        res = brute_force_value(lat, tg, vg)
+        res = brute_force_value(lat, vg)
         field = solve(lat, tg, vg)
         worst = max(worst, abs(res.value - field.at(0, 0, 0.0)))
     assert worst <= 1e-12
@@ -76,7 +76,7 @@ def test_enumeration_matches_solver_on_drawn_lattices(rows, j_cap):
     lat = ScenarioLattice.from_rows(rows).validate()
     K = lat.n_steps
     tg, vg, field, _ = solved(lat, float(K), 1.0 / j_cap)
-    assert abs(brute_force_value(lat, tg, vg).value - field.at(0, 0, 0.0)) <= 1e-12
+    assert abs(brute_force_value(lat, vg).value - field.at(0, 0, 0.0)) <= 1e-12
 
 
 def test_closed_form_example():

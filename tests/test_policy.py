@@ -41,9 +41,9 @@ def test_go_matches_the_dense_rule(rows, j_cap, flat, tie_tol):
     wants = [dense_go(lat, k, field.values[k], vg, tie_tol) for k in range(K)]
     if not all(map(is_threshold, wants)):
         with pytest.raises(InvariantError, match="not a volume threshold"):
-            PolicyField(field, lat, tie_tol)
+            PolicyField(field, tie_tol)
         return
-    pol = PolicyField(field, lat, tie_tol)
+    pol = PolicyField(field, tie_tol)
     for k, want in enumerate(wants):
         got = pol.go(k, np.arange(lat.n_nodes(k))[:, None], np.arange(vg.n_levels))
         assert np.array_equal(got, want)
@@ -61,15 +61,15 @@ def test_extract_policy_rejects_a_non_threshold_row(binary96):
     assert binary96["policy"].thr[k][n] == field.volume_grid.cap_pos - 1
     band = [b.copy() for b in field.band]
     band[k][n, 1] -= 10.0
-    broken = type(field)(field.time_grid, field.volume_grid, field.tail, band)
+    broken = replace(field, band=band)
     with pytest.raises(InvariantError, match="slice 60 node 0 is not a volume threshold"):
-        extract_policy(broken, lat)
+        extract_policy(broken)
 
 
 def test_extract_policy_rejects_a_bad_tie_tol(binary96):
     for bad in (np.nan, np.inf, -1.0, -1e-12):
         with pytest.raises(ValueError, match="tie_tol"):
-            extract_policy(binary96["field"], binary96["lat"], bad)
+            extract_policy(binary96["field"], bad)
 
 
 def test_submartingale_policy_is_the_late_window():
@@ -95,16 +95,16 @@ def test_supermartingale_policy_exercises_immediately():
 
 
 def test_rollout_reproduces_value(binary96):
-    b = rollout(binary96["policy"], binary96["lat"], binary96["ens"], (0, 0.5))
+    b = rollout(binary96["policy"], binary96["ens"], (0, 0.5))
     assert b.mean == 0.875
     assert sorted(b.rewards.tolist()) == [0.8671875, 0.8828125]
     assert b.exhaustive
-    b0 = rollout(binary96["policy"], binary96["lat"], binary96["ens"], (0, 0.0))
+    b0 = rollout(binary96["policy"], binary96["ens"], (0, 0.0))
     assert b0.mean == 1.5
 
 
 def test_rollout_path_bookkeeping(binary96):
-    b = rollout(binary96["policy"], binary96["lat"], binary96["ens"], (0, 0.5))
+    b = rollout(binary96["policy"], binary96["ens"], (0, 0.5))
     assert b.positions.shape == (2, 97)
     assert b.rates.shape == b.increments.shape == (2, 96)
     assert b.nodes.shape == (2, 97)
@@ -130,7 +130,7 @@ def test_rollout_from_a_node(rows, j_cap, data):
     k0 = data.draw(st.integers(0, K - 1))
     node0 = data.draw(st.integers(0, lat.n_nodes(k0) - 1))
     pos0 = data.draw(st.integers(0, vg.n_levels - 1))
-    b = rollout(pol, lat, ens, (k0, vg.levels[pos0]), node0=node0)
+    b = rollout(pol, ens, (k0, vg.levels[pos0]), node0=node0)
     assert b.path_ids.tolist() == np.flatnonzero(ens.nodes[:, k0] == node0).tolist()
     assert np.array_equal(b.nodes, ens.nodes[b.path_ids])
     assert abs(b.weights.sum() - 1.0) <= 1e-12
@@ -147,15 +147,15 @@ def test_constant_rollout_reward_is_deterministic():
     tg, vg, field, pol = solved(lat, 3.0)
     ens = sample_paths(lat, exhaustive=True)
     for y0 in (0.0, 0.5):
-        b = rollout(pol, lat, ens, (0, y0))
+        b = rollout(pol, ens, (0, y0))
         want = c * min(1.0 - y0, vg.L * tg.T)
         for reward in b.rewards:
             assert reward == pytest.approx(want, abs=1e-12)
 
 
 def test_inclusion_holds_along_rollout(binary96):
-    b = rollout(binary96["policy"], binary96["lat"], binary96["ens"], (0, 0.5))
-    rep = check_inclusion(b, binary96["field"], binary96["lat"])
+    b = rollout(binary96["policy"], binary96["ens"], (0, 0.5))
+    rep = check_inclusion(b, binary96["policy"])
     assert rep["max_zero_side"] <= 1e-9
     assert rep["min_full_side"] >= -1e-9
     assert rep["max_zero_side"] == 0.0
@@ -163,14 +163,14 @@ def test_inclusion_holds_along_rollout(binary96):
 
 
 def test_saturation_in_and_out_of_region(binary96):
-    b0 = rollout(binary96["policy"], binary96["lat"], binary96["ens"], (0, 0.0))
+    b0 = rollout(binary96["policy"], binary96["ens"], (0, 0.0))
     assert check_saturation(b0) is True
-    late = rollout(binary96["policy"], binary96["lat"], binary96["ens"], (90, 0.5))
+    late = rollout(binary96["policy"], binary96["ens"], (90, 0.5))
     assert check_saturation(late) is False
 
 
 def test_exit_times_from_half(binary96):
-    b = rollout(binary96["policy"], binary96["lat"], binary96["ens"], (0, 0.5))
+    b = rollout(binary96["policy"], binary96["ens"], (0, 0.5))
     ex = exit_times(b)
     assert ex.m_event
     assert ex.sigma.tolist() == [1.5, 2.5]
@@ -183,7 +183,7 @@ def test_exit_times_from_half(binary96):
 
 
 def test_exit_times_from_zero(binary96):
-    b = rollout(binary96["policy"], binary96["lat"], binary96["ens"], (0, 0.0))
+    b = rollout(binary96["policy"], binary96["ens"], (0, 0.0))
     ex = exit_times(b)
     assert ex.sigma.tolist() == [2.0, 2.0]
     assert ex.case_u.tolist() == [True, False]
@@ -194,7 +194,7 @@ def test_exit_times_from_zero(binary96):
 
 
 def test_exit_times_off_event(binary96):
-    b = rollout(binary96["policy"], binary96["lat"], binary96["ens"], (0, 1.0))
+    b = rollout(binary96["policy"], binary96["ens"], (0, 1.0))
     ex = exit_times(b)
     assert not ex.m_event
     assert ex.sigma.tolist() == [3.0, 3.0]
@@ -204,22 +204,22 @@ def test_exit_times_off_event(binary96):
 def test_realized_positions_collision_raises():
     lat, tg, vg = collision_lattice()
     field = solve(lat, tg, vg)
-    pol = extract_policy(field, lat)
+    pol = extract_policy(field)
     ens = sample_paths(lat, exhaustive=True)
-    b = rollout(pol, lat, ens, (0, 0.0))
+    b = rollout(pol, ens, (0, 0.0))
     with pytest.raises(ValueError, match="two volume levels"):
         b.realized_positions()
 
 
 def test_realized_positions_on_clean_rollout(binary96):
-    b = rollout(binary96["policy"], binary96["lat"], binary96["ens"], (0, 0.5))
+    b = rollout(binary96["policy"], binary96["ens"], (0, 0.5))
     table = b.realized_positions()
     assert table[0][0] == 80
     assert table[96][0] == 96
 
 
 def test_exercise_regions_partition(binary96):
-    regs = exercise_regions(binary96["field"], binary96["lat"])
+    regs = exercise_regions(binary96["field"])
     assert regs.sign[0][0, 80] == -1
     assert regs.positive(32)[0, 80]
     n_levels = binary96["vg"].n_levels
@@ -232,7 +232,7 @@ def test_exercise_regions_partition(binary96):
 def test_exercise_regions_ties_on_martingale(mart96):
     """X + D-J vanishes identically on a martingale cashflow: the zero set
     covers the whole undecided band."""
-    regs = exercise_regions(mart96["field"], mart96["lat"])
+    regs = exercise_regions(mart96["field"])
     field = mart96["field"]
     for k in (0, 48, 95):
         m = field.region_masks(k)["interior"]
@@ -243,19 +243,17 @@ def test_exercise_regions_ties_on_martingale(mart96):
 
 
 def test_mollified_pitches_and_clamping(binary96):
-    regs = exercise_regions(binary96["field"], binary96["lat"])
-    mcs = mollified_iterate(regs, binary96["lat"], binary96["ens"], (0, 0.5), 6,
-                            binary96["tg"])
+    regs = exercise_regions(binary96["field"])
+    mcs = mollified_iterate(regs, binary96["ens"], (0, 0.5), 6)
     assert [mc.pitches for mc in mcs] == [16, 8, 4, 2, 1, 1]
     assert [mc.clamped for mc in mcs] == [False] * 5 + [True]
     assert [mc.window for mc in mcs] == [2.0 ** -n for n in range(1, 7)]
 
 
 def test_mollified_trajectories_rise_to_the_rollout(binary96):
-    regs = exercise_regions(binary96["field"], binary96["lat"])
-    mcs = mollified_iterate(regs, binary96["lat"], binary96["ens"], (0, 0.5), 5,
-                            binary96["tg"])
-    b = rollout(binary96["policy"], binary96["lat"], binary96["ens"], (0, 0.5))
+    regs = exercise_regions(binary96["field"])
+    mcs = mollified_iterate(regs, binary96["ens"], (0, 0.5), 5)
+    b = rollout(binary96["policy"], binary96["ens"], (0, 0.5))
     roll = b.volumes
     prev = None
     for mc in mcs:
@@ -273,9 +271,8 @@ def test_window_field_saturates_inside_a_solid_region(binary96):
     K = binary96["tg"].K
     solid = [np.ones((binary96["lat"].n_nodes(k), vg.n_levels), dtype=np.int8)
              for k in range(K + 1)]
-    regs = ExerciseRegions(vg, solid, 1e-9)
-    mcs = mollified_iterate(regs, binary96["lat"], binary96["ens"], (0, 0.0), 3,
-                            binary96["tg"])
+    regs = ExerciseRegions(binary96["field"], solid, 1e-9)
+    mcs = mollified_iterate(regs, binary96["ens"], (0, 0.0), 3)
     for mc in mcs:
         m = mc.pitches
         band = mc.f[0][0, m:vg.n_levels - m]
@@ -287,9 +284,8 @@ def test_empty_region_gives_zero_rate(binary96):
     K = binary96["tg"].K
     hollow = [-np.ones((binary96["lat"].n_nodes(k), vg.n_levels), dtype=np.int8)
               for k in range(K + 1)]
-    regs = ExerciseRegions(vg, hollow, 1e-9)
-    mcs = mollified_iterate(regs, binary96["lat"], binary96["ens"], (0, 0.5), 2,
-                            binary96["tg"])
+    regs = ExerciseRegions(binary96["field"], hollow, 1e-9)
+    mcs = mollified_iterate(regs, binary96["ens"], (0, 0.5), 2)
     for mc in mcs:
         assert all(np.all(fk == 0.0) for fk in mc.f)
         assert np.all(mc.trajectories == 0.5)

@@ -87,26 +87,26 @@ def test_two_step_martingale_value():
 
 
 def test_bellman_residual_implicit_is_exact(binary96):
-    rep = bellman_residual(binary96["field"], binary96["lat"], "implicit")
+    rep = bellman_residual(binary96["field"], "implicit")
     assert rep.form == "implicit"
     assert rep.max_abs <= 1e-12
     lat = build_binomial("constant", 24, 3.0, c=1.0)
     tg, vg, field, _ = solved(lat, 3.0)
-    assert bellman_residual(field, lat, "implicit").max_abs <= 1e-12
+    assert bellman_residual(field, "implicit").max_abs <= 1e-12
 
 
 def test_bellman_residual_explicit_is_order_dt(binary96):
-    rep = bellman_residual(binary96["field"], binary96["lat"], "explicit")
+    rep = bellman_residual(binary96["field"], "explicit")
     assert 0.0 < rep.max_abs <= 5.0 * binary96["tg"].dt
 
 
 def test_bellman_residual_rejects_unknown_form(binary96):
     with pytest.raises(ValueError, match="form must be"):
-        bellman_residual(binary96["field"], binary96["lat"], "midpoint")
+        bellman_residual(binary96["field"], "midpoint")
 
 
 def test_boundary_identities_are_exact(binary96):
-    rep = boundary_check(binary96["field"], binary96["lat"])
+    rep = boundary_check(binary96["field"])
     assert rep.max_deep == 0.0
     assert rep.max_cap == 0.0
     assert rep.violations == []
@@ -114,7 +114,7 @@ def test_boundary_identities_are_exact(binary96):
 
 def test_value_invariants_pass(binary96, mart96):
     for bundle in (binary96, mart96):
-        ext = check_value_invariants(bundle["field"], bundle["lat"])
+        ext = check_value_invariants(bundle["field"])
         assert set(ext) == {"monotone", "concavity", "lipschitz", "terminal", "cap"}
         assert ext["terminal"] == 0.0
         assert ext["cap"] == 0.0
@@ -231,11 +231,11 @@ def test_invariant_error_on_corrupted_field(binary96):
     field = binary96["field"]
     with pytest.raises(ValueError, match="read-only"):
         field.values[3][0, 5] = 0.0
-    broken = type(field)(field.time_grid, field.volume_grid,
-                         [t.copy() for t in field.tail], [b.copy() for b in field.band])
+    broken = replace(field, tail=[t.copy() for t in field.tail],
+                     band=[b.copy() for b in field.band])
     broken.band[3][0, 1] = broken.band[3][0, 0] + 1.0
     with pytest.raises(InvariantError):
-        check_value_invariants(broken, binary96["lat"])
+        check_value_invariants(broken)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -259,14 +259,14 @@ def test_band_solve_matches_the_full_grid_reference(rows, j_cap, flat, tie_tol):
     wants = [dense_go(lat, k, ref[k], vg, tie_tol) for k in range(K)]
     if not all(map(is_threshold, wants)):
         with pytest.raises(InvariantError, match="not a volume threshold"):
-            extract_policy(field, lat, tie_tol)
+            extract_policy(field, tie_tol)
         return
     thr_want = [want.sum(axis=1) - 1 for want in wants]
     if any(np.any(t < vg.boundary_pos(k)) for k, t in enumerate(thr_want)):
         with pytest.raises(InvariantError, match="full rate not selected"):
-            extract_policy(field, lat, tie_tol)
+            extract_policy(field, tie_tol)
         return
-    thr = extract_policy(field, lat, tie_tol).thr
+    thr = extract_policy(field, tie_tol).thr
     for k, want in enumerate(thr_want):
         assert thr[k].dtype == np.int32
         assert np.array_equal(thr[k], want)
@@ -282,7 +282,7 @@ def mart384():
 
 def test_band_solve_is_bitwise_on_exp_martingale_k384(mart384):
     lat, tg, vg, field = mart384
-    policy = extract_policy(field, lat)
+    policy = extract_policy(field)
     for k, J in reference_solve(lat, tg, vg):
         assert np.array_equal(field.values[k].view(np.int64), J.view(np.int64))
         if k < tg.K:

@@ -3,14 +3,14 @@ import pytest
 
 from swingkit import (InvariantError, StoppingRule, StopWindows, TimeGrid,
                       VolumeGrid, build_binary_example, build_binomial, check_snell,
-                      doob_decomposition, evaluate_stop_rule,
+                      doob_decomposition, evaluate_stop_rule, exit_times,
                       marginal_value_report, optimal_predictable_stop, rollout,
                       sample_paths, snell, stop_windows)
 
 
 @pytest.fixture()
 def half_bundle(binary96):
-    return rollout(binary96["policy"], binary96["lat"], binary96["ens"], (0, 0.5))
+    return rollout(binary96["policy"], binary96["ens"], (0, 0.5))
 
 
 def test_snell_roots(binary96):
@@ -39,7 +39,7 @@ def test_snell_detects_corruption(binary96):
 
 def test_stop_windows_exact_sets(half_bundle):
     w = stop_windows(half_bundle)
-    assert w.k0 == 0 and w.m_event and w.exhaustive
+    assert w.k0 == 0 and exit_times(half_bundle).m_event and w.exhaustive
     hi_raise = set(np.nonzero(w.can_raise[0])[0].tolist())
     hi_lower = set(np.nonzero(w.can_lower[0])[0].tolist())
     lo_raise = set(np.nonzero(w.can_raise[1])[0].tolist())
@@ -136,7 +136,7 @@ def test_search_rejections(binary96, half_bundle):
     with pytest.raises(ValueError, match="direction must be"):
         optimal_predictable_stop(lat, w, None, "max")
     sampled = sample_paths(lat, n_paths=16, seed=3)
-    ws = stop_windows(rollout(binary96["policy"], lat, sampled, (0, 0.5)))
+    ws = stop_windows(rollout(binary96["policy"], sampled, (0, 0.5)))
     with pytest.raises(ValueError, match="exhaustive window flags"):
         optimal_predictable_stop(lat, ws, "can_raise", "sup")
 
@@ -147,17 +147,17 @@ def test_search_needs_a_tree():
     vg = VolumeGrid.aligned(1.0, tg)
     from swingkit import extract_policy, solve
     field = solve(lat, tg, vg)
-    pol = extract_policy(field, lat)
+    pol = extract_policy(field)
     ens = sample_paths(lat, exhaustive=True)
-    w = stop_windows(rollout(pol, lat, ens, (0, 0.0)))
+    w = stop_windows(rollout(pol, ens, (0, 0.0)))
     with pytest.raises(ValueError, match="needs a tree lattice"):
         optimal_predictable_stop(lat, w, None, "sup")
 
 
 def test_infeasible_constraint(binary96):
-    b = rollout(binary96["policy"], binary96["lat"], binary96["ens"], (0, 1.0))
+    b = rollout(binary96["policy"], binary96["ens"], (0, 1.0))
     w = stop_windows(b)
-    assert not w.m_event
+    assert not exit_times(b).m_event
     assert not w.can_lower.any()
     with pytest.raises(ValueError, match="no admissible stopping rule"):
         optimal_predictable_stop(binary96["lat"], w, "can_lower", "inf")
@@ -170,7 +170,7 @@ def test_window_flags_must_be_node_functions():
     cr = np.zeros((2, 7), dtype=bool)
     cr[0, 1] = True  # paths share node 0 at m=1 but disagree
     cr[:, 6] = True
-    w = StopWindows(k0=0, m_event=True, can_raise=cr, can_lower=np.zeros_like(cr),
+    w = StopWindows(k0=0, can_raise=cr, can_lower=np.zeros_like(cr),
                     nodes=ens.nodes, weights=ens.weights, exhaustive=True)
     with pytest.raises(ValueError, match="not a node function"):
         optimal_predictable_stop(lat, w, "can_raise", "sup")
@@ -220,8 +220,7 @@ def test_doob_node_view_needs_a_tree():
 
 
 def test_marginal_report_regions(binary96):
-    rep = marginal_value_report(binary96["field"], binary96["policy"],
-                                binary96["lat"], binary96["ens"],
+    rep = marginal_value_report(binary96["policy"], binary96["ens"],
                                 [(0.0, 0.5), (0.0, 0.0), (2.0, 0.0), (2.5, 0.0),
                                  (0.0, 1.0)])
     assert rep.tol == 0.1875
@@ -258,8 +257,7 @@ def test_marginal_report_regions(binary96):
 
 
 def test_marginal_report_table_format(binary96):
-    rep = marginal_value_report(binary96["field"], binary96["policy"],
-                                binary96["lat"], binary96["ens"], [(0.0, 0.5)])
+    rep = marginal_value_report(binary96["policy"], binary96["ens"], [(0.0, 0.5)])
     lines = rep.format_table().splitlines()
     assert lines[0].split() == ["t0", "y0", "region", "neg_dminus", "neg_dplus",
                                 "ex_sigma", "sup_can_raise", "inf_can_lower",
