@@ -352,21 +352,18 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_dual(cfg: dict, out_dir: str, solved=None) -> int:
-    """solved: an optional solved field the study reuses at its K."""
+    """solved: an optional policy the study reuses at its K."""
     model = cfg.get("model", "binary")
     if model == "file":
         raise ValueError("the refinement study needs a rebuildable model, not model=file")
     k_list = parse_k_list(cfg.get("k_list", "48,96,192"))
 
-    def make_field(K):
-        if solved is not None and solved.time_grid.K == K:
+    def make_policy(K):
+        if solved is not None and solved.field.time_grid.K == K:
             return solved
-        sub = dict(cfg)
-        sub["K"] = int(K)
-        lattice, tg, L = build_model(sub)
-        return solve(lattice, tg, VolumeGrid.aligned(L, tg))
+        return _solve_all(dict(cfg, K=int(K)))
 
-    rows = duality_gap_study(make_field, k_list)
+    rows = duality_gap_study(make_policy, k_list)
     lines = ["K primal dual gap"]
     for row in rows:
         lines.append("%d %.17g %.17g %.17g" % (row.K, row.primal, row.dual, row.gap))
@@ -412,7 +409,7 @@ def cmd_example(cfg: dict, out_dir: str) -> int:
                   field.time_grid, field.volume_grid.L)
     K = sub["K"]
     sub["k_list"] = "%d,%d,%d" % (K // 2, K, 2 * K)
-    return cmd_dual(sub, out_dir, field)
+    return cmd_dual(sub, out_dir, policy)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ScenarioLattice
-from .policy import PolicyField, extract_policy
+from .policy import PolicyField
 from .solver import InvariantError, PreconditionError, VolumeGrid
 from .stopping import doob_decomposition, snell
 
@@ -307,11 +307,11 @@ class GapRow:
     martingale: OptimalMartingaleResult
 
 
-def duality_gap_study(make_field, k_list) -> list:
+def duality_gap_study(make_policy, k_list) -> list:
     """Primal/dual/gap per refinement level.
 
-    make_field(K) must return the solved field at K; the construction uses
-    its default-tolerance policy. Asserts
+    make_policy(K) must return the policy of the solved field at K; the
+    construction is built from it. Asserts
     gap >= -1e-10 at every K, and on declared-regular models a 0.75 decay
     factor between consecutive exact doublings, with a 1e-12 absolute floor
     for gaps at rounding level.
@@ -319,9 +319,9 @@ def duality_gap_study(make_field, k_list) -> list:
     rows = []
     lce = True
     for K in k_list:
-        field = make_field(K)
-        lce = lce and field.lattice.lce_declared
-        res = build_optimal_martingale(extract_policy(field))
+        policy = make_policy(K)
+        lce = lce and policy.field.lattice.lce_declared
+        res = build_optimal_martingale(policy)
         rows.append(GapRow(int(K), res.report.primal, res.report.dual_value,
                            res.report.gap, res))
     for row in rows:

@@ -17,6 +17,11 @@ import numpy as np
 PROB_TOL = 1e-12
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Uniform grid 0 = t_0 < t_1 < ... < t_K = T."""
@@ -68,9 +73,11 @@ class ScenarioLattice:
     (start, child, prob) triple per step: node n of slice k owns edges
     start[n]:start[n+1] of edges[k], which lead to node child[e] of slice
     k+1 with probability prob[e]. Arrays of the right dtype are kept
-    without a copy and must not be mutated. lce_declared is a model attribute
-    (left-continuity in expectation of the continuous-time limit cannot be
-    decided from finitely many grid values).
+    without a copy and must not be mutated: the per-step fan-out tables,
+    parents and occupancy are derived from them once, on first use, and
+    handed out read-only. lce_declared is a model attribute (left-continuity
+    in expectation of the continuous-time limit cannot be decided from
+    finitely many grid values).
     """
 
     def __init__(self, xs, edges, lce_declared: bool = True):
@@ -80,6 +87,10 @@ class ScenarioLattice:
         self._x = [np.asarray(x, dtype=float) for x in xs]
         self._edges = [(np.asarray(s, dtype=np.int64), np.asarray(c, dtype=np.int64),
                         np.asarray(p, dtype=float)) for s, c, p in edges]
+        # built on first use: the constructor does not check the edge layout
+        self._fanouts = [None] * len(self._edges)
+        self._parents = [None] * len(self._edges)
+        self._occupancy = None
 
     @classmethod
     def from_rows(cls, rows, lce_declared: bool = True) -> "ScenarioLattice":
@@ -117,34 +128,62 @@ class ScenarioLattice:
         return self._edges[k]
 
     def parents(self, k: int) -> np.ndarray:
-        """Parent node of each edge of edges(k)."""
+        """Parent node of each edge of edges(k), as a read-only array."""
         start = self.edges(k)[0]
-        return np.repeat(np.arange(start.size - 1), np.diff(start))
+        if self._parents[k] is None:
+            self._parents[k] = _read_only(np.repeat(np.arange(start.size - 1), np.diff(start)))
+        return self._parents[k]
+
+    def _fanout(self, k: int) -> list:
+        """(child, prob, absent) per fan-out position j of edges(k), read-only.
+
+        Entry j holds, for every node of slice k, the child and probability
+        of the node's j-th edge, clamped to the last edge for the nodes of
+        degree j or less, whose indices absent lists. Position 0 has no
+        absent list: every node of a non-terminal slice owns an edge.
+        """
+        start, child, prob = self.edges(k)
+        if self._fanouts[k] is None:
+            first, deg = start[:-1], np.diff(start)
+            table = [(child[first], prob[first], None)]
+            for j in range(1, int(deg.max(initial=0))):
+                e = np.minimum(first + j, child.size - 1)
+                table.append((child[e], prob[e], np.flatnonzero(deg <= j)))
+            self._fanouts[k] = [tuple(a if a is None else _read_only(a) for a in entry)
+                                for entry in table]
+        return self._fanouts[k]
 
     def expect_next(self, k: int, values_next: np.ndarray) -> np.ndarray:
-        """Conditional expectation of a slice-(k+1) quantity given each node at k."""
-        start, child, prob = self.edges(k)
-        first, deg = start[:-1], np.diff(start)
-        col = (-1,) + (1,) * (np.ndim(values_next) - 1)
-        # one pass per fan-out position (j-th edge of every node); much faster
-        # than np.add.reduceat along axis 0 and summed in the same edge order
-        out = prob[first].reshape(col) * values_next[child[first]]
-        for j in range(1, int(deg.max(initial=0))):
-            e = np.minimum(first + j, child.size - 1)
-            out += np.where((deg > j).reshape(col),
-                            prob[e].reshape(col) * values_next[child[e]], 0.0)
+        """Conditional expectation of a slice-(k+1) quantity given each node
+        at k; values_next is read as float64, one row per slice-(k+1) node."""
+        values_next = np.asarray(values_next, dtype=float)
+        col = (-1,) + (1,) * (values_next.ndim - 1)
+        (child, prob, _), *rest = self._fanout(k)
+        # one pass per fan-out position, summed in edge order; a node without
+        # a j-th edge adds an exact 0.0 there. Each product is formed in the
+        # gathered rows (v * p is p * v bit for bit)
+        out = values_next[child]
+        out *= prob.reshape(col)
+        for child, prob, absent in rest:
+            term = values_next[child]
+            term *= prob.reshape(col)
+            term[absent] = 0.0
+            out += term
         return out
 
     def occupancy(self) -> list:
-        """Forward node probabilities from the single root."""
+        """Forward node probabilities from the single root, one read-only
+        array per slice; the forward pass runs once."""
         if self.n_nodes(0) != 1:
             raise ValueError("occupancy needs a single root node")
-        occ = [np.array([1.0])]
-        for k in range(self.n_steps):
-            _, child, prob = self.edges(k)
-            occ.append(np.bincount(child, occ[k][self.parents(k)] * prob,
-                                   minlength=self.n_nodes(k + 1)))
-        return occ
+        if self._occupancy is None:
+            occ = [np.array([1.0])]
+            for k in range(self.n_steps):
+                _, child, prob = self.edges(k)
+                occ.append(np.bincount(child, occ[k][self.parents(k)] * prob,
+                                       minlength=self.n_nodes(k + 1)))
+            self._occupancy = [_read_only(a) for a in occ]
+        return list(self._occupancy)
 
     def is_tree(self) -> bool:
         """True when no two edges merge, i.e. every node has a unique parent."""
@@ -302,13 +341,14 @@ def build_binomial(kind: str, K: int, T: float, c: float = None, x0: float = Non
 
 @dataclass(eq=False)
 class PathEnsemble:
-    """A set of lattice paths with probability weights.
+    """A set of paths through lattice with probability weights.
 
     nodes has shape (n_paths, K+1) and holds node indices per time index.
     exhaustive marks ensembles that enumerate every path with its exact
     probability.
     """
 
+    lattice: ScenarioLattice
     nodes: np.ndarray
     weights: np.ndarray
     exhaustive: bool = False
@@ -317,9 +357,15 @@ class PathEnsemble:
     def n_paths(self) -> int:
         return self.nodes.shape[0]
 
-    def validate(self, lattice: ScenarioLattice):
+    def check_lattice(self, lattice: ScenarioLattice):
+        """Raise ValueError unless the paths run through this very lattice."""
+        if self.lattice is not lattice:
+            raise ValueError("the path ensemble was drawn from another lattice")
+
+    def validate(self):
         if abs(self.weights.sum() - 1.0) > PROB_TOL * max(1, self.n_paths):
             raise ValueError("path weights sum to %.17g" % self.weights.sum())
+        lattice = self.lattice
         K = lattice.n_steps
         if self.nodes.shape[1] != K + 1:
             raise ValueError("path length does not match the lattice")
@@ -331,8 +377,8 @@ class PathEnsemble:
                 raise ValueError("invalid transition on path %d at step %d" % (bad[0], k))
         return self
 
-    def expectation_of_x(self, lattice: ScenarioLattice, k: int) -> float:
-        return float(self.weights @ lattice.x(k)[self.nodes[:, k]])
+    def expectation_of_x(self, k: int) -> float:
+        return float(self.weights @ self.lattice.x(k)[self.nodes[:, k]])
 
 
 def count_paths(lattice: ScenarioLattice) -> int:
@@ -365,7 +411,7 @@ def enumerate_paths(lattice: ScenarioLattice, max_paths: int = 65536) -> PathEns
         edge = np.arange(owner.size) + (first + deg - np.cumsum(deg))[owner]
         nodes = np.column_stack([nodes[owner], child[edge]])
         weights = weights[owner] * prob[edge]
-    return PathEnsemble(nodes, weights, exhaustive=True)
+    return PathEnsemble(lattice, nodes, weights, exhaustive=True)
 
 
 def sample_paths(lattice: ScenarioLattice, n_paths: int = 0, seed: int = 0,
@@ -400,7 +446,7 @@ def sample_paths(lattice: ScenarioLattice, n_paths: int = 0, seed: int = 0,
         cdf /= cdf[-1]
         nodes[:, k + 1] = child[first + (cdf[:-1] <= u[:, k]).sum(axis=0)]
     weights = np.full(n_paths, 1.0 / n_paths)
-    return PathEnsemble(nodes, weights, exhaustive=False)
+    return PathEnsemble(lattice, nodes, weights, exhaustive=False)
 
 
 def _strings(a, spec: str = "%.17g") -> np.ndarray:

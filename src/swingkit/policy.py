@@ -138,6 +138,7 @@ def rollout(policy: PolicyField, ensemble: PathEnsemble, start,
     """
     k0, y0 = start
     lattice = policy.field.lattice
+    ensemble.check_lattice(lattice)
     vg = policy.field.volume_grid
     tg = policy.field.time_grid
     K = tg.K
@@ -333,6 +334,7 @@ def mollified_iterate(regions: ExerciseRegions, ensemble: PathEnsemble, start,
     halve exactly on the grid give rate fields that increase pointwise with n,
     so the Euler volume paths rise monotonically toward the rollout path.
     """
+    ensemble.check_lattice(regions.field.lattice)
     k0, y0 = start
     vg = regions.field.volume_grid
     dt = regions.field.time_grid.dt

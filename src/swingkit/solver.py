@@ -173,7 +173,10 @@ class ValueField:
         the grid extends through the full-rate region (J is constant in y
         there) and NaN otherwise.
         """
-        vals = self.row(k)
+        return self._dminus_of(self.row(k))
+
+    def _dminus_of(self, vals: np.ndarray) -> np.ndarray:
+        """dminus of a full slice that row(k) has already built."""
         dm = np.empty_like(vals)
         dm[:, 1:] = np.diff(vals, axis=1) / self.volume_grid.step
         dm[:, 0] = self._dminus_floor()
@@ -258,7 +261,7 @@ def check_value_invariants(field: ValueField) -> dict:
         if worst > EXACT_TOL:
             raise InvariantError("J increases in y by %.3g at slice %d" % (worst, k))
         if vals.shape[1] >= 3:
-            d2 = np.diff(vals, n=2, axis=1)
+            d2 = np.diff(d1, axis=1)
             worst2 = float(d2.max())
             report["concavity"] = max(report["concavity"], worst2)
             if worst2 > EXACT_TOL:
@@ -299,26 +302,27 @@ def bellman_residual(field: ValueField, form: str = "implicit") -> ResidualRepor
     step = vg.step
     K = field.time_grid.K
     max_abs = 0.0
+    # each slice is built once: the row of k+1 is the next step's vals
+    vals = field.row(0)
+    dm = field._dminus_of(vals)
     for k in range(K):
-        vals = field.values[k]
         x = lattice.x(k)
-        dm = field.dminus(k)
+        nxt = field.row(k + 1)
+        dm_next = field._dminus_of(nxt)
         if form == "implicit":
-            ej = lattice.expect_next(k, field.values[k + 1])
+            ej = lattice.expect_next(k, nxt)
             r = vals - (step * np.maximum(x[:, None] + dm, 0.0) + ej)
         else:
             start, child, prob = lattice.edges(k)
-            dm_next = field.dminus(k + 1)[child]
-            inner = (step * np.maximum(x[lattice.parents(k), None] + dm_next, 0.0)
-                     + field.values[k + 1][child])
+            inner = (step * np.maximum(x[lattice.parents(k), None] + dm_next[child], 0.0)
+                     + nxt[child])
             r = vals - np.add.reduceat(prob[:, None] * inner, start[:-1])
         b = vg.boundary_pos(k)
         if 0 <= b < vg.n_levels:
             r[:, b] = np.nan
         r[np.isnan(dm)] = np.nan
-        finite = r[np.isfinite(r)]
-        if finite.size:
-            max_abs = max(max_abs, float(np.abs(finite).max()))
+        max_abs = max(max_abs, float(np.max(np.abs(r), where=np.isfinite(r), initial=0.0)))
+        vals, dm = nxt, dm_next
     return ResidualReport(form, max_abs)
 
 

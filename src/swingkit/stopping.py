@@ -128,10 +128,11 @@ class StoppingRule:
                 )
 
 
-def evaluate_stop_rule(lattice: ScenarioLattice, rule: StoppingRule,
-                       ensemble: PathEnsemble, node0: int = None) -> float:
-    """Expected stopped cashflow of a rule over an ensemble; every path must
-    stop by the terminal time."""
+def evaluate_stop_rule(rule: StoppingRule, ensemble: PathEnsemble,
+                       node0: int = None) -> float:
+    """Expected stopped cashflow of a rule over an ensemble, read on the
+    ensemble's lattice; every path must stop by the terminal time."""
+    lattice = ensemble.lattice
     k0 = rule.k0
     rows = np.arange(ensemble.n_paths)
     if node0 is not None:
@@ -267,9 +268,9 @@ class DoobDecomposition:
     compensator: list
     values: list
 
-    def accumulate(self, lattice: ScenarioLattice, ensemble: PathEnsemble) -> np.ndarray:
+    def accumulate(self, ensemble: PathEnsemble) -> np.ndarray:
         """Martingale part along each ensemble path, started at Y[0]."""
-        y, nodes = self.values, ensemble.nodes
+        lattice, y, nodes = ensemble.lattice, self.values, ensemble.nodes
         out = np.zeros((ensemble.n_paths, lattice.n_steps + 1))
         out[:, 0] = y[0][nodes[:, 0]]
         for k in range(lattice.n_steps):
@@ -360,6 +361,7 @@ def marginal_value_report(policy: PolicyField, ensemble: PathEnsemble,
     """
     field = policy.field
     lattice, tg, vg = field.lattice, field.time_grid, field.volume_grid
+    ensemble.check_lattice(lattice)
     K = tg.K
     occ = lattice.occupancy()
     sup_env = snell(lattice, "sup")

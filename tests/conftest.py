@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from swingkit import (DualReport, LatticeNode, MartingaleField, OptimalMartingaleResult,
-                      ScenarioLattice, TimeGrid, VolumeGrid, build_binary_example,
-                      build_binomial, doob_decomposition, extract_policy, sample_paths,
-                      snell, solve)
+from swingkit import (DualReport, InvariantError, LatticeNode, MartingaleField,
+                      OptimalMartingaleResult, ScenarioLattice, TimeGrid, VolumeGrid,
+                      backward_extremum, build_binary_example, build_binomial,
+                      doob_decomposition, extract_policy, sample_paths, snell, solve)
+from swingkit.solver import EXACT_TOL
 
 
 def exp_sigma_params(K, T=2.0, sigma=0.15):
@@ -22,11 +23,12 @@ def make_exp_martingale(K, T=2.0, x0=1.0):
     return build_binomial("martingale", K, T, x0=x0, up=up, down=down, p_up=p_up)
 
 
-def with_field(make):
-    """Gap-study field maker: the solved field of make(K) = (lattice, tg, vg)."""
-    def make_field(K):
-        return solve(*make(K))
-    return make_field
+def with_policy(make):
+    """Gap-study policy maker: the default-tolerance policy of the solved
+    field of make(K) = (lattice, tg, vg)."""
+    def make_policy(K):
+        return extract_policy(solve(*make(K)))
+    return make_policy
 
 
 def solved(lattice, T, L=1.0):
@@ -51,6 +53,107 @@ def reference_solve(lattice, tg, vg):
         ex[:, -1] = -np.inf
         J = np.maximum(ej, ex)
         yield k, J
+
+
+def reference_expect_next(lattice, k, values_next):
+    """expect_next as it was before the per-step fan-out tables: first, deg,
+    the clamped edge index and the deg > j mask rebuilt from the edge arrays
+    on every call."""
+    start, child, prob = lattice.edges(k)
+    first, deg = start[:-1], np.diff(start)
+    col = (-1,) + (1,) * (np.ndim(values_next) - 1)
+    out = prob[first].reshape(col) * values_next[child[first]]
+    for j in range(1, int(deg.max(initial=0))):
+        e = np.minimum(first + j, child.size - 1)
+        out += np.where((deg > j).reshape(col),
+                        prob[e].reshape(col) * values_next[child[e]], 0.0)
+    return out
+
+
+def reference_parents(lattice, k):
+    """parents as it was before the cached table."""
+    start = lattice.edges(k)[0]
+    return np.repeat(np.arange(start.size - 1), np.diff(start))
+
+
+def reference_occupancy(lattice):
+    """occupancy as it was before the cached forward pass."""
+    occ = [np.array([1.0])]
+    for k in range(lattice.n_steps):
+        _, child, prob = lattice.edges(k)
+        occ.append(np.bincount(child, occ[k][reference_parents(lattice, k)] * prob,
+                               minlength=lattice.n_nodes(k + 1)))
+    return occ
+
+
+def reference_check_value_invariants(field):
+    """check_value_invariants as it was before the second difference was
+    taken from the first."""
+    vg = field.volume_grid
+    step = vg.step
+    K = field.time_grid.K
+    z = backward_extremum(field.lattice, "max")
+    report = {"monotone": 0.0, "concavity": 0.0, "lipschitz": 0.0,
+              "terminal": 0.0, "cap": 0.0}
+    term = float(np.abs(field.values[K]).max())
+    report["terminal"] = term
+    if term != 0.0:
+        raise InvariantError("terminal values are not identically zero")
+    for k in range(K + 1):
+        vals = field.values[k]
+        cap = float(np.abs(vals[:, -1]).max())
+        report["cap"] = max(report["cap"], cap)
+        if cap != 0.0:
+            raise InvariantError("value at y=1 is %.3g at slice %d" % (cap, k))
+        d1 = np.diff(vals, axis=1)
+        worst = float(d1.max())
+        report["monotone"] = max(report["monotone"], worst)
+        if worst > EXACT_TOL:
+            raise InvariantError("J increases in y by %.3g at slice %d" % (worst, k))
+        if vals.shape[1] >= 3:
+            d2 = np.diff(vals, n=2, axis=1)
+            worst2 = float(d2.max())
+            report["concavity"] = max(report["concavity"], worst2)
+            if worst2 > EXACT_TOL:
+                raise InvariantError("J is non-concave in y by %.3g at slice %d" % (worst2, k))
+        bound = z[k][:, None] * step + EXACT_TOL
+        excess = float((np.abs(d1) - bound).max())
+        report["lipschitz"] = max(report["lipschitz"], excess)
+        if excess > 0:
+            raise InvariantError("Lipschitz bound violated by %.3g at slice %d" % (excess, k))
+    return report
+
+
+def reference_bellman_residual(field, form="implicit"):
+    """bellman_residual as it was before each slice was built once: J_k and
+    J_{k+1} rebuilt per use, and the finite residuals copied out before the
+    reduction. Returns (form, max_abs)."""
+    lattice = field.lattice
+    vg = field.volume_grid
+    step = vg.step
+    K = field.time_grid.K
+    max_abs = 0.0
+    for k in range(K):
+        vals = field.values[k]
+        x = lattice.x(k)
+        dm = field.dminus(k)
+        if form == "implicit":
+            ej = reference_expect_next(lattice, k, field.values[k + 1])
+            r = vals - (step * np.maximum(x[:, None] + dm, 0.0) + ej)
+        else:
+            start, child, prob = lattice.edges(k)
+            dm_next = field.dminus(k + 1)[child]
+            inner = (step * np.maximum(x[reference_parents(lattice, k), None] + dm_next, 0.0)
+                     + field.values[k + 1][child])
+            r = vals - np.add.reduceat(prob[:, None] * inner, start[:-1])
+        b = vg.boundary_pos(k)
+        if 0 <= b < vg.n_levels:
+            r[:, b] = np.nan
+        r[np.isnan(dm)] = np.nan
+        finite = r[np.isfinite(r)]
+        if finite.size:
+            max_abs = max(max_abs, float(np.abs(finite).max()))
+    return form, max_abs
 
 
 def dense_go(lattice, k, J, vg, tie_tol):

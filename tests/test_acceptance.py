@@ -20,7 +20,7 @@ from swingkit import (StoppingRule, TimeGrid, VolumeGrid, boundary_check,
                       optimal_predictable_stop, random_martingale, rollout,
                       sample_paths, solve, stop_windows)
 
-from conftest import make_exp_martingale, random_tiny_lattice, with_field
+from conftest import make_exp_martingale, random_tiny_lattice, with_policy
 
 FLOOR = 1e-12
 
@@ -110,7 +110,7 @@ def test_criterion_03_predictability_separation(binary_solved):
     stop[32][0] = True
     stop[80][1] = True
     rule = StoppingRule(stop=stop, predictable=False, k0=0)
-    ripped = evaluate_stop_rule(b["lat"], rule, b["ens"])
+    ripped = evaluate_stop_rule(rule, b["ens"])
     seconds = time.perf_counter() - start
     assert sup_a == 1.5
     assert ripped == 1.75
@@ -169,13 +169,13 @@ def test_criterion_06_strong_duality_refinement():
 
     summaries = []
     for name, make in (("binary", binary_make), ("martingale", mart_make)):
-        rows = duality_gap_study(with_field(make), [48, 96, 192])
+        rows = duality_gap_study(with_policy(make), [48, 96, 192])
         for row in rows:
             assert row.gap >= -1e-10
         for a, b in zip(rows, rows[1:]):
             assert max(b.gap, FLOOR) <= 0.75 * max(a.gap, FLOOR) + FLOOR
         summaries.append("%s gaps %s" % (name, ["%.2g" % r.gap for r in rows]))
-    for row in duality_gap_study(with_field(const_make), [48, 96, 192]):
+    for row in duality_gap_study(with_policy(const_make), [48, 96, 192]):
         assert row.gap == 0.0
     summaries.append("constant gaps identically 0")
     print("criterion 6 PASS: " + "; ".join(summaries))

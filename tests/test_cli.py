@@ -233,6 +233,34 @@ def test_cli_example_solves_each_k_once(tmp_path, monkeypatch):
     assert sorted(seen) == [6, 12, 24]
 
 
+def spy_extract_policy(monkeypatch):
+    """Record (K, tie_tol) of every extract_policy call the CLI makes."""
+    import swingkit.cli as cli
+    seen = []
+    real = cli.extract_policy
+
+    def spying(field, tie_tol):
+        seen.append((field.time_grid.K, tie_tol))
+        return real(field, tie_tol)
+
+    monkeypatch.setattr(cli, "extract_policy", spying)
+    return seen
+
+
+def test_cli_dual_extracts_at_the_configured_tie_tol(tmp_path, monkeypatch):
+    seen = spy_extract_policy(monkeypatch)
+    cfg = write_cfg(tmp_path, "model=binary\nk_list=6,12\ntie_tol=1e-3\n")
+    assert run(tmp_path, "dual", "--config", cfg) == 0
+    assert seen == [(6, 1e-3), (12, 1e-3)]
+
+
+def test_cli_example_extracts_its_own_k_once(tmp_path, monkeypatch):
+    seen = spy_extract_policy(monkeypatch)
+    cfg = write_cfg(tmp_path, "tie_tol=1e-3\n")
+    assert run(tmp_path, "example", "--config", cfg, "--steps", "12") == 0
+    assert sorted(seen) == [(6, 1e-3), (12, 1e-3), (24, 1e-3)]
+
+
 def test_cli_rejects_an_infinite_horizon(tmp_path, capsys):
     """T=inf in a lattice-file header is bad input with its own message."""
     (tmp_path / "lattice.txt").write_text("inf 3 1 1 2\n0 0 1 0:1\n1 0 1 0:1\n2 0 1 0:1\n3 0 1\n")

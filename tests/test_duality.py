@@ -9,7 +9,7 @@ from swingkit import (InvariantError, LatticeNode, ScenarioLattice, TimeGrid,
                       solve)
 
 from conftest import (collision_lattice, make_exp_martingale, reference_optimal_martingale,
-                      solved, tiny_lattice_rows, with_field)
+                      solved, tiny_lattice_rows, with_policy)
 
 
 def bits(x):
@@ -211,7 +211,7 @@ def test_gap_study_binary_is_exactly_tight():
         tg = TimeGrid(3.0, K)
         return build_binary_example(K), tg, VolumeGrid.aligned(1.0, tg)
 
-    rows = duality_gap_study(with_field(make), [48, 96, 192])
+    rows = duality_gap_study(with_policy(make), [48, 96, 192])
     assert [r.K for r in rows] == [48, 96, 192]
     for r in rows:
         assert r.primal == 1.5
@@ -225,7 +225,7 @@ def test_gap_study_martingale_family():
         tg = TimeGrid(2.0, K)
         return make_exp_martingale(K), tg, VolumeGrid.aligned(1.0, tg)
 
-    rows = duality_gap_study(with_field(make), [24, 48])
+    rows = duality_gap_study(with_policy(make), [24, 48])
     for r in rows:
         assert r.gap >= -1e-10
         assert abs(r.gap) <= 1e-12
@@ -238,7 +238,7 @@ def test_gap_study_rows_respect_weak_duality():
         tg = TimeGrid(3.0, K)
         return build_binary_example(K), tg, VolumeGrid.aligned(1.0, tg)
 
-    for row in duality_gap_study(with_field(make), [24, 48]):
+    for row in duality_gap_study(with_policy(make), [24, 48]):
         assert row.dual >= row.primal - 1e-10
 
 

@@ -10,7 +10,8 @@ from swingkit import (LatticeNode, PathEnsemble, ScenarioLattice, TimeGrid,
                       count_paths, enumerate_paths, read_lattice, sample_paths,
                       write_lattice)
 
-from conftest import exp_sigma_params, make_exp_martingale, tiny_lattice_rows
+from conftest import (exp_sigma_params, make_exp_martingale, reference_expect_next,
+                      reference_occupancy, reference_parents, tiny_lattice_rows)
 
 
 def reference_binomial_rows(K, x0, up=None, down=None, p_up=0.5, drift=None, noise=None):
@@ -84,7 +85,7 @@ def test_additive_submartingale_leaves():
     np.add.at(probs, child, 0.5 * prob)
     assert np.allclose(probs, [0.25, 0.5, 0.25], atol=1e-15)
     ens = enumerate_paths(lat)
-    assert ens.expectation_of_x(lat, 2) == pytest.approx(3.0, abs=1e-15)
+    assert ens.expectation_of_x(2) == pytest.approx(3.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("kind, K, params", [
@@ -172,7 +173,7 @@ def test_path_counts_and_enumeration():
     assert ens.n_paths == 2
     assert ens.exhaustive
     assert sorted(ens.weights.tolist()) == [0.5, 0.5]
-    ens.validate(lat)
+    ens.validate()
 
     const = build_binomial("constant", 5, 1.0, c=1.0)
     assert count_paths(const) == 1
@@ -198,7 +199,7 @@ def test_sample_paths_deterministic():
     b = sample_paths(lat, n_paths=50, seed=7)
     assert np.array_equal(a.nodes, b.nodes)
     assert not a.exhaustive
-    a.validate(lat)
+    a.validate()
     c = sample_paths(lat, n_paths=50, seed=8)
     assert not np.array_equal(a.nodes, c.nodes)
     with pytest.raises(ValueError, match="at least 1"):
@@ -208,13 +209,13 @@ def test_sample_paths_deterministic():
 def test_ensemble_validate_rejects_bad_paths():
     lat = build_binary_example(6)
     ens = enumerate_paths(lat)
-    bad = PathEnsemble(ens.nodes.copy(), ens.weights * 0.5, exhaustive=True)
+    bad = PathEnsemble(lat, ens.nodes.copy(), ens.weights * 0.5, exhaustive=True)
     with pytest.raises(ValueError, match="weights sum"):
-        bad.validate(lat)
+        bad.validate()
     nodes = ens.nodes.copy()
     nodes[0, -1] = 1 - nodes[0, -1]
     with pytest.raises(ValueError, match="invalid transition"):
-        PathEnsemble(nodes, ens.weights.copy(), exhaustive=True).validate(lat)
+        PathEnsemble(lat, nodes, ens.weights.copy(), exhaustive=True).validate()
 
 
 def test_lattice_validate_rejections():
@@ -349,8 +350,8 @@ def test_edge_layout_properties(rows, seed):
     ens = enumerate_paths(lat)
     assert ens.n_paths == count_paths(lat)
     assert ens.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    ens.validate(lat)
-    sample_paths(lat, n_paths=20, seed=seed).validate(lat)
+    ens.validate()
+    sample_paths(lat, n_paths=20, seed=seed).validate()
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -364,3 +365,65 @@ def test_lattice_file_round_trip_is_byte_identical(rows):
         write_lattice(p2, *read_lattice(p1))
         with open(p1, "rb") as f1, open(p2, "rb") as f2:
             assert f1.read() == f2.read()
+
+
+SPECIALS = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, -2.5, 1e308, -5e-324])
+
+
+def probe_values(n, seed):
+    """1-D and 2-D slice-(k+1) quantities of n rows: signed normals with the
+    special values -0.0, +-inf and NaN scattered through them."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for shape in (n, (n, 5)):
+        v = rng.normal(size=shape)
+        spots = rng.random(shape) < 0.3
+        v[spots] = rng.choice(SPECIALS, size=spots.sum())
+        out.append(v)
+    return out + [np.full(n, -0.0), np.full((n, 2), np.nan)]
+
+
+def assert_tables_match_reference(lat, seed):
+    """expect_next, parents and occupancy equal the per-call reference code
+    bit for bit."""
+    for k in range(lat.n_steps):
+        assert np.array_equal(lat.parents(k), reference_parents(lat, k))
+        for v in probe_values(lat.n_nodes(k + 1), seed + k):
+            with np.errstate(invalid="ignore"):         # inf - inf makes NaN
+                got, want = lat.expect_next(k, v), reference_expect_next(lat, k, v)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    if lat.n_nodes(0) == 1:
+        for got, want in zip(lat.occupancy(), reference_occupancy(lat), strict=True):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(rows=tiny_lattice_rows(), seed=st.integers(0, 2 ** 32 - 1))
+def test_step_tables_match_the_reference_on_mixed_fanout(rows, seed):
+    assert_tables_match_reference(ScenarioLattice.from_rows(rows).validate(), seed)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_binomial("martingale", 96, 2.0, x0=1.0, up=1.05, down=0.95, p_up=0.5),
+    lambda: make_exp_martingale(384),
+    lambda: build_binary_example(12),
+])
+def test_step_tables_match_the_reference_on_uniform_fanout(make):
+    assert_tables_match_reference(make(), 7)
+
+
+def test_step_tables_are_read_only_and_built_once():
+    lat = build_binary_example(12)
+    for k in (3, 4):
+        entries = lat._fanout(k)
+        assert lat._fanout(k) is entries and lat.parents(k) is lat.parents(k)
+        for table in [lat.parents(k)] + [a for entry in entries for a in entry if a is not None]:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+    occ = lat.occupancy()
+    assert all(a is b for a, b in zip(occ, lat.occupancy()))
+    with pytest.raises(ValueError, match="read-only"):
+        occ[4][0] = 0.25
+    occ[4] = None               # the list is the caller's own
+    assert lat.occupancy()[4].tolist() == [0.5, 0.5]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from swingkit import (ExerciseRegions, InvariantError, PolicyField, ScenarioLattice,
                       check_inclusion, check_saturation,
                       exercise_regions, exit_times, extract_policy,
-                      mollified_iterate, rollout, sample_paths, solve)
+                      build_binomial, mollified_iterate, rollout, sample_paths, solve)
 
 from conftest import (collision_lattice, dense_go, is_threshold, make_exp_martingale, solved,
                       tiny_lattice_rows)
@@ -289,3 +289,22 @@ def test_empty_region_gives_zero_rate(binary96):
     for mc in mcs:
         assert all(np.all(fk == 0.0) for fk in mc.f)
         assert np.all(mc.trajectories == 0.5)
+
+
+def binomial_pair():
+    """K=12 binomials with the same shape and up/down moves: A a martingale
+    (p_up 0.5), B a submartingale (p_up 0.7)."""
+    return [build_binomial(kind, 12, 2.0, x0=1.0, up=1.25, down=0.75, p_up=p)
+            for kind, p in (("martingale", 0.5), ("submartingale", 0.7))]
+
+
+def test_rollout_refuses_an_ensemble_of_another_lattice():
+    a, b = binomial_pair()
+    policy = solved(a, 2.0)[3]
+    own = rollout(policy, sample_paths(a, exhaustive=True), (0, 0.0))
+    assert own.mean == pytest.approx(policy.field.at(0, 0, 0.0), abs=1e-12)
+    with pytest.raises(ValueError, match="another lattice"):
+        rollout(policy, sample_paths(b, exhaustive=True), (0, 0.0))
+    with pytest.raises(ValueError, match="another lattice"):
+        mollified_iterate(exercise_regions(policy.field), sample_paths(b, exhaustive=True),
+                          (0, 0.0), 1)

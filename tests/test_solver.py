@@ -9,8 +9,9 @@ from swingkit import (InvariantError, ScenarioLattice, TimeGrid, VolumeGrid,
                       build_binary_example, build_binomial, check_value_invariants,
                       extract_policy, solve)
 
-from conftest import (dense_go, is_threshold, make_exp_martingale, reference_solve, solved,
-                      tiny_lattice_rows)
+from conftest import (dense_go, is_threshold, make_exp_martingale,
+                      reference_bellman_residual, reference_check_value_invariants,
+                      reference_solve, solved, tiny_lattice_rows)
 
 
 def test_volume_grid_anchors():
@@ -335,3 +336,55 @@ def test_relabeling_a_slice_permutes_j_and_the_threshold(rows, j_cap, data):
         assert np.array_equal(field2.values[k], field.values[k][order])
         if k < K:
             assert np.array_equal(pol2.thr[k], pol.thr[k][order])
+
+
+def bits(x):
+    return np.float64(x).view(np.int64)
+
+
+def assert_scans_match_reference(field):
+    """bellman_residual (both forms) and check_value_invariants give the
+    reports of the reference scans bit for bit, or raise the same message."""
+    for form in ("implicit", "explicit"):
+        rep = bellman_residual(field, form)
+        ref_form, ref_max = reference_bellman_residual(field, form)
+        assert rep.form == ref_form and bits(rep.max_abs) == bits(ref_max)
+    try:
+        want = reference_check_value_invariants(field)
+    except InvariantError as exc:
+        with pytest.raises(InvariantError) as got:
+            check_value_invariants(field)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    got = check_value_invariants(field)
+    assert got.keys() == want.keys()
+    assert all(bits(got[key]) == bits(want[key]) for key in want)
+    return None
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rows=tiny_lattice_rows(), j_cap=st.integers(1, 3))
+def test_verify_scans_match_the_reference_on_drawn_lattices(rows, j_cap):
+    lat = ScenarioLattice.from_rows(rows).validate()
+    tg = TimeGrid(float(lat.n_steps), lat.n_steps)
+    assert_scans_match_reference(solve(lat, tg, VolumeGrid.aligned(1.0 / j_cap, tg)))
+
+
+def test_verify_scans_match_the_reference_on_exp_martingale_k384(mart384):
+    assert assert_scans_match_reference(mart384[3]) is None
+
+
+@pytest.mark.parametrize("rise, prefix", [
+    (True, "J increases in y by 1 "),
+    (False, "J is non-concave in y by "),
+])
+def test_a_band_dent_is_reported_at_the_same_slice(mart96, rise, prefix):
+    """A dent in one stored band entry is found at its slice, with the
+    message of the reference scan; the residual reports still agree."""
+    field = mart96["field"]
+    broken = replace(field, tail=[t.copy() for t in field.tail],
+                     band=[b.copy() for b in field.band])
+    band = broken.band[40]
+    band[3, 5] = band[3, 4] + 1.0 if rise else band[3, 5] - 1e-3
+    message = assert_scans_match_reference(broken)
+    assert message.startswith(prefix) and message.endswith(" at slice 40")

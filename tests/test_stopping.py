@@ -7,6 +7,8 @@ from swingkit import (InvariantError, StoppingRule, StopWindows, TimeGrid,
                       marginal_value_report, optimal_predictable_stop, rollout,
                       sample_paths, snell, stop_windows)
 
+from conftest import solved
+
 
 @pytest.fixture()
 def half_bundle(binary96):
@@ -70,8 +72,8 @@ def test_constrained_searches_hit_the_marginal_values(binary96, half_bundle):
     rule_a.check_predictable(lat)
     rule_b.check_predictable(lat)
     ens = binary96["ens"]
-    assert evaluate_stop_rule(lat, rule_a, ens) == 1.5
-    assert evaluate_stop_rule(lat, rule_b, ens) == 1.5
+    assert evaluate_stop_rule(rule_a, ens) == 1.5
+    assert evaluate_stop_rule(rule_b, ens) == 1.5
 
 
 def test_unconstrained_search_recovers_the_envelope(binary96, half_bundle):
@@ -99,7 +101,7 @@ def test_named_rule_evaluates_to_seven_quarters(binary96):
     stop[32][0] = True
     stop[80][1] = True
     rule = StoppingRule(stop=stop, predictable=False, k0=0)
-    assert evaluate_stop_rule(lat, rule, binary96["ens"]) == 1.75
+    assert evaluate_stop_rule(rule, binary96["ens"]) == 1.75
 
 
 def test_predictability_check(binary96):
@@ -120,12 +122,12 @@ def test_evaluate_requires_stopping(binary96):
     stop = [np.zeros(lat.n_nodes(k), dtype=bool) for k in range(97)]
     rule = StoppingRule(stop=stop, predictable=False, k0=0)
     with pytest.raises(ValueError, match="never stops"):
-        evaluate_stop_rule(lat, rule, binary96["ens"])
+        evaluate_stop_rule(rule, binary96["ens"])
     small = build_binary_example(12)
     stop = [np.ones(small.n_nodes(k), dtype=bool) for k in range(13)]
     rule = StoppingRule(stop=stop, predictable=False, k0=6)
     with pytest.raises(ValueError, match="no ensemble path passes node 5 at slice 6"):
-        evaluate_stop_rule(small, rule, sample_paths(small, exhaustive=True), node0=5)
+        evaluate_stop_rule(rule, sample_paths(small, exhaustive=True), node0=5)
 
 
 def test_search_rejections(binary96, half_bundle):
@@ -182,7 +184,7 @@ def test_doob_decomposition_on_the_tree(binary96):
     dd = doob_decomposition(snell(lat, "sup"), lat)
     assert dd.direction == "sup"
     assert dd.martingale is not None and dd.compensator is not None
-    acc = dd.accumulate(lat, ens)
+    acc = dd.accumulate(ens)
     for r in range(2):
         node_view = np.array([dd.martingale[k][int(ens.nodes[r, k])]
                               for k in range(97)])
@@ -192,7 +194,7 @@ def test_doob_decomposition_on_the_tree(binary96):
                       for k in range(97)])
         assert np.diff(acc[r] - y).min() >= 0.0
     dd_inf = doob_decomposition(snell(lat, "inf"), lat)
-    acc_inf = dd_inf.accumulate(lat, ens)
+    acc_inf = dd_inf.accumulate(ens)
     for r in range(2):
         y = np.array([snell(lat, "inf").values[k][int(ens.nodes[r, k])]
                       for k in range(97)])
@@ -214,7 +216,7 @@ def test_doob_node_view_needs_a_tree():
     assert dd.martingale is None
     assert dd.compensator is None
     ens = sample_paths(lat, exhaustive=True)
-    acc = dd.accumulate(lat, ens)  # pathwise accumulation still works
+    acc = dd.accumulate(ens)  # pathwise accumulation still works
     assert acc.shape == (4, 3)
     assert np.max(np.abs(ens.weights @ acc - acc[0, 0])) <= 1e-12
 
@@ -264,3 +266,22 @@ def test_marginal_report_table_format(binary96):
                                 "snell_sup", "snell_inf", "note"]
     assert lines[1].split()[:3] == ["0", "0.5", "interior"]
     assert lines[1].split()[-1] == "-"
+
+
+def test_stopping_reads_an_ensemble_on_its_own_lattice():
+    """marginal_value_report refuses an ensemble of another lattice than its
+    policy's; evaluate_stop_rule reads the cashflows of the ensemble's own
+    lattice."""
+    a, b = [build_binomial(kind, 12, 2.0, x0=1.0, up=1.25, down=0.75, p_up=p)
+            for kind, p in (("martingale", 0.5), ("submartingale", 0.7))]
+    policy = solved(a, 2.0)[3]
+    ens_a, ens_b = sample_paths(a, exhaustive=True), sample_paths(b, exhaustive=True)
+    assert marginal_value_report(policy, ens_a, [(0.0, 0.5)]).rows[0].region == "interior"
+    with pytest.raises(ValueError, match="another lattice"):
+        marginal_value_report(policy, ens_b, [(0.0, 0.5)])
+    at_end = StoppingRule([np.arange(a.n_nodes(k)) >= 0 if k == 12
+                           else np.zeros(a.n_nodes(k), dtype=bool) for k in range(13)],
+                          predictable=False, k0=0)
+    assert evaluate_stop_rule(at_end, ens_a) == pytest.approx(1.0, abs=1e-12)
+    # E[X_12] on b: one-step factor 0.7 * 1.25 + 0.3 * 0.75 = 1.1
+    assert evaluate_stop_rule(at_end, ens_b) == pytest.approx(1.1 ** 12, rel=1e-12)
