@@ -69,8 +69,8 @@ class VolumeGrid:
         return np.arange(self.j_min, self.j_cap + 1) / self.j_cap
 
     def boundary_pos(self, k: int) -> int:
-        """Array position of the level 1 - L*(T - t_k); may be negative when
-        that level sits below the grid (only possible when L*T <= 1)."""
+        """Array position of the level 1 - L*(T - t_k). On an aligned grid it
+        is k + max(j_cap - K, 0), so the level is always on the grid."""
         return self.cap_pos - (self.n_steps - k)
 
     def index_of(self, y: float) -> int:
@@ -173,10 +173,7 @@ class ValueField:
         the grid extends through the full-rate region (J is constant in y
         there) and NaN otherwise.
         """
-        return self._dminus_of(self.row(k))
-
-    def _dminus_of(self, vals: np.ndarray) -> np.ndarray:
-        """dminus of a full slice that row(k) has already built."""
+        vals = self.row(k)
         dm = np.empty_like(vals)
         dm[:, 1:] = np.diff(vals, axis=1) / self.volume_grid.step
         dm[:, 0] = self._dminus_floor()
@@ -238,6 +235,10 @@ def check_value_invariants(field: ValueField) -> dict:
     z[k][node] = max(X, E[z_next | node]), the sup Snell envelope. Raises
     InvariantError on the first violation and returns the observed extremes
     otherwise.
+
+    Each slice is read from three columns below the band: the full-rate
+    columns further down repeat those values, so every maximum (and
+    message) is the one the full slice gives.
     """
     vg = field.volume_grid
     step = vg.step
@@ -245,12 +246,17 @@ def check_value_invariants(field: ValueField) -> dict:
     z = backward_extremum(field.lattice, "max")
     report = {"monotone": 0.0, "concavity": 0.0, "lipschitz": 0.0,
               "terminal": 0.0, "cap": 0.0}
-    term = float(np.abs(field.values[K]).max())
+
+    def window(k):
+        return field.row(k, max(field.n_tail(k) - 3, 0))
+
+    last = window(K)
+    term = float(np.abs(last).max())
     report["terminal"] = term
     if term != 0.0:
         raise InvariantError("terminal values are not identically zero")
     for k in range(K + 1):
-        vals = field.values[k]
+        vals = last if k == K else window(k)
         cap = float(np.abs(vals[:, -1]).max())
         report["cap"] = max(report["cap"], cap)
         if cap != 0.0:
@@ -260,7 +266,7 @@ def check_value_invariants(field: ValueField) -> dict:
         report["monotone"] = max(report["monotone"], worst)
         if worst > EXACT_TOL:
             raise InvariantError("J increases in y by %.3g at slice %d" % (worst, k))
-        if vals.shape[1] >= 3:
+        if vg.n_levels >= 3:
             d2 = np.diff(d1, axis=1)
             worst2 = float(d2.max())
             report["concavity"] = max(report["concavity"], worst2)
@@ -294,6 +300,11 @@ def bellman_residual(field: ValueField, form: str = "implicit") -> ResidualRepor
     derivative taken from the solved field at the same time index.
     explicit: the derivative and positive part are taken at k+1 inside the
     conditional expectation instead.
+
+    Slice k is scanned from position max(b - 1, 0), b = boundary_pos(k), to
+    the cap. Every position further down is full-rate at k and k+1, so its
+    residual column is that of position b - 1 (or, at position 0, masked or
+    equal to it), and the maximum is the one the full slice gives.
     """
     if form not in ("implicit", "explicit"):
         raise ValueError("form must be 'implicit' or 'explicit'")
@@ -301,28 +312,44 @@ def bellman_residual(field: ValueField, form: str = "implicit") -> ResidualRepor
     vg = field.volume_grid
     step = vg.step
     K = field.time_grid.K
+    explicit = form == "explicit"
+
+    def window(vals, first, lo):
+        """J and dminus at positions lo..cap of a row built from position
+        first <= max(lo - 1, 0)."""
+        v = vals[:, lo - first:]
+        dm = np.empty_like(v)
+        dm[:, 1:] = np.diff(v, axis=1) / step
+        dm[:, 0] = (v[:, 0] - vals[:, lo - first - 1]) / step if lo else field._dminus_floor()
+        return v, dm
+
     max_abs = 0.0
-    # each slice is built once: the row of k+1 is the next step's vals
-    vals = field.row(0)
-    dm = field._dminus_of(vals)
+    # each slice is built once. Slice k+1 starts at lo (implicit) or one
+    # position lower (explicit, for dminus_{k+1} at lo), which is at or below
+    # max(lo_{k+1} - 1, 0) = lo, so it serves as the next step's vals
+    first = max(vg.boundary_pos(0) - 2, 0)
+    vals = field.row(0, first)
     for k in range(K):
         x = lattice.x(k)
-        nxt = field.row(k + 1)
-        dm_next = field._dminus_of(nxt)
-        if form == "implicit":
-            ej = lattice.expect_next(k, nxt)
-            r = vals - (step * np.maximum(x[:, None] + dm, 0.0) + ej)
-        else:
+        b = vg.boundary_pos(k)
+        lo = max(b - 1, 0)
+        nfirst = max(lo - 1, 0) if explicit else lo
+        nxt = field.row(k + 1, nfirst)
+        v, dm = window(vals, first, lo)
+        if explicit:
+            nv, dm_next = window(nxt, nfirst, lo)
             start, child, prob = lattice.edges(k)
             inner = (step * np.maximum(x[lattice.parents(k), None] + dm_next[child], 0.0)
-                     + nxt[child])
-            r = vals - np.add.reduceat(prob[:, None] * inner, start[:-1])
-        b = vg.boundary_pos(k)
-        if 0 <= b < vg.n_levels:
-            r[:, b] = np.nan
+                     + nv[child])
+            r = v - np.add.reduceat(prob[:, None] * inner, start[:-1])
+        else:
+            ej = lattice.expect_next(k, nxt)
+            r = v - (step * np.maximum(x[:, None] + dm, 0.0) + ej)
+        if lo <= b < vg.n_levels:
+            r[:, b - lo] = np.nan
         r[np.isnan(dm)] = np.nan
         max_abs = max(max_abs, float(np.max(np.abs(r), where=np.isfinite(r), initial=0.0)))
-        vals, dm = nxt, dm_next
+        vals, first = nxt, nfirst
     return ResidualReport(form, max_abs)
 
 
@@ -340,7 +367,8 @@ def boundary_check(field: ValueField, tol: float = EXACT_TOL) -> BoundaryReport:
 
     For every level with y <= 1 - L*(T - t_k) the value must equal the
     expected remaining reward of exercising at the full rate throughout,
-    E[sum step*X | node].
+    E[sum step*X | node]. Those levels hold the stored tail[k] (and, at
+    k = K, the cap column), so each node is compared once.
     """
     lattice = field.lattice
     vg = field.volume_grid
@@ -354,15 +382,17 @@ def boundary_check(field: ValueField, tol: float = EXACT_TOL) -> BoundaryReport:
     max_cap = 0.0
     violations = []
     for k in range(K + 1):
-        vals = field.values[k]
-        cap_err = float(np.abs(vals[:, -1]).max())
+        cap = field.row(k, vg.cap_pos)
+        cap_err = float(np.abs(cap).max())
         max_cap = max(max_cap, cap_err)
         if cap_err > tol:
             violations.append(("cap", k, cap_err))
         b = vg.boundary_pos(k)
-        hi = min(b, vg.n_levels - 1)
-        if hi >= 0:
-            err = float(np.abs(vals[:, :hi + 1] - tail[k][:, None]).max())
+        if b >= 0:
+            deep = [field.tail[k]]
+            if b >= vg.cap_pos:  # at k = K the cap level is full-rate too
+                deep.append(cap[:, 0])
+            err = float(np.abs(np.column_stack(deep) - tail[k][:, None]).max())
             max_deep = max(max_deep, err)
             if err > tol:
                 violations.append(("deep", k, err))

@@ -156,6 +156,35 @@ def reference_bellman_residual(field, form="implicit"):
     return form, max_abs
 
 
+def reference_boundary_check(field, tol=EXACT_TOL):
+    """boundary_check as it was before it read the stored tail: every full
+    slice compared with the recomputed tail at each level at or below the
+    boundary. Returns (max_deep, max_cap, violations)."""
+    lattice = field.lattice
+    vg = field.volume_grid
+    K = field.time_grid.K
+    tail = [None] * (K + 1)
+    tail[K] = np.zeros(lattice.n_nodes(K))
+    for k in range(K - 1, -1, -1):
+        tail[k] = vg.step * lattice.x(k) + lattice.expect_next(k, tail[k + 1])
+    max_deep = 0.0
+    max_cap = 0.0
+    violations = []
+    for k in range(K + 1):
+        vals = field.values[k]
+        cap_err = float(np.abs(vals[:, -1]).max())
+        max_cap = max(max_cap, cap_err)
+        if cap_err > tol:
+            violations.append(("cap", k, cap_err))
+        hi = min(vg.boundary_pos(k), vg.n_levels - 1)
+        if hi >= 0:
+            err = float(np.abs(vals[:, :hi + 1] - tail[k][:, None]).max())
+            max_deep = max(max_deep, err)
+            if err > tol:
+                violations.append(("deep", k, err))
+    return max_deep, max_cap, violations
+
+
 def dense_go(lattice, k, J, vg, tie_tol):
     """The (node x level) rate-L rule on a full slice J: pos < cap and
     X + (J[pos+1] - J[pos]) / step >= -tie_tol."""
@@ -228,10 +257,10 @@ def random_tiny_lattice(seed):
 
 
 @st.composite
-def tiny_lattice_rows(draw):
+def tiny_lattice_rows(draw, max_steps=3):
     """LatticeNode rows shaped like random_tiny_lattice: one root, 1-3 nodes
-    per slice, every node reachable, 2-3 steps."""
-    K = draw(st.integers(2, 3))
+    per slice, every node reachable, 2..max_steps steps."""
+    K = draw(st.integers(2, max_steps))
     sizes = [1] + [draw(st.integers(1, 3)) for _ in range(K)]
     rows = []
     for k in range(K + 1):

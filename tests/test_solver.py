@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from swingkit import (InvariantError, ScenarioLattice, TimeGrid, VolumeGrid,
+from swingkit import (InvariantError, ScenarioLattice, TimeGrid, ValueField, VolumeGrid,
                       backward_extremum, bellman_residual, boundary_check,
                       build_binary_example, build_binomial, check_value_invariants,
                       extract_policy, solve)
 
-from conftest import (dense_go, is_threshold, make_exp_martingale,
-                      reference_bellman_residual, reference_check_value_invariants,
+from conftest import (dense_go, is_threshold, make_exp_martingale, reference_bellman_residual,
+                      reference_boundary_check, reference_check_value_invariants,
                       reference_solve, solved, tiny_lattice_rows)
 
 
@@ -343,12 +343,18 @@ def bits(x):
 
 
 def assert_scans_match_reference(field):
-    """bellman_residual (both forms) and check_value_invariants give the
-    reports of the reference scans bit for bit, or raise the same message."""
+    """bellman_residual (both forms), boundary_check and check_value_invariants
+    give the reports of the reference scans bit for bit, or raise the same
+    message."""
     for form in ("implicit", "explicit"):
         rep = bellman_residual(field, form)
         ref_form, ref_max = reference_bellman_residual(field, form)
         assert rep.form == ref_form and bits(rep.max_abs) == bits(ref_max)
+    rep = boundary_check(field)
+    ref_deep, ref_cap, ref_violations = reference_boundary_check(field)
+    assert bits(rep.max_deep) == bits(ref_deep) and bits(rep.max_cap) == bits(ref_cap)
+    assert [(kind, k, bits(err)) for kind, k, err in rep.violations] == \
+        [(kind, k, bits(err)) for kind, k, err in ref_violations]
     try:
         want = reference_check_value_invariants(field)
     except InvariantError as exc:
@@ -363,15 +369,38 @@ def assert_scans_match_reference(field):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(rows=tiny_lattice_rows(), j_cap=st.integers(1, 3))
+@given(rows=tiny_lattice_rows(max_steps=6), j_cap=st.integers(1, 8))
 def test_verify_scans_match_the_reference_on_drawn_lattices(rows, j_cap):
+    """Horizons up to 6 steps with j_cap up to 8 cover L*T below, at and
+    above 1, and slices with several full-rate columns below the boundary."""
     lat = ScenarioLattice.from_rows(rows).validate()
     tg = TimeGrid(float(lat.n_steps), lat.n_steps)
     assert_scans_match_reference(solve(lat, tg, VolumeGrid.aligned(1.0 / j_cap, tg)))
 
 
+@pytest.mark.parametrize("j_cap, j_min, floor", [
+    (9, 0, np.nan),   # L*T = 2/3: the boundary starts above y = 0
+    (6, 0, np.nan),   # L*T = 1: the boundary starts at y = 0
+    (2, -4, 0.0),     # L*T = 3: the grid extends below y = 0
+])
+def test_verify_scans_match_the_reference_for_each_regime_of_lt(j_cap, j_min, floor):
+    lat = make_exp_martingale(6, T=6.0)
+    tg = TimeGrid(6.0, 6)
+    vg = VolumeGrid.aligned(1.0 / j_cap, tg)
+    assert vg.j_min == j_min
+    field = solve(lat, tg, vg)
+    assert np.array_equal(field.dminus(3)[:, 0], np.full(lat.n_nodes(3), floor), equal_nan=True)
+    assert vg.boundary_pos(0) == max(j_cap - 6, 0)
+    assert assert_scans_match_reference(field) is None
+
+
 def test_verify_scans_match_the_reference_on_exp_martingale_k384(mart384):
     assert assert_scans_match_reference(mart384[3]) is None
+
+
+def dented(field):
+    return replace(field, tail=[t.copy() for t in field.tail],
+                   band=[b.copy() for b in field.band])
 
 
 @pytest.mark.parametrize("rise, prefix", [
@@ -380,11 +409,45 @@ def test_verify_scans_match_the_reference_on_exp_martingale_k384(mart384):
 ])
 def test_a_band_dent_is_reported_at_the_same_slice(mart96, rise, prefix):
     """A dent in one stored band entry is found at its slice, with the
-    message of the reference scan; the residual reports still agree."""
-    field = mart96["field"]
-    broken = replace(field, tail=[t.copy() for t in field.tail],
-                     band=[b.copy() for b in field.band])
+    message of the reference scan; the residual and boundary reports still
+    agree, and the residual is far above verify's 1e-10."""
+    broken = dented(mart96["field"])
     band = broken.band[40]
     band[3, 5] = band[3, 4] + 1.0 if rise else band[3, 5] - 1e-3
     message = assert_scans_match_reference(broken)
     assert message.startswith(prefix) and message.endswith(" at slice 40")
+    assert bellman_residual(broken).max_abs > 1e-4
+
+
+@pytest.mark.parametrize("k, node", [(40, 3), (0, 0), (95, 10)])
+def test_a_tail_dent_is_reported_as_the_same_deep_violation(mart96, k, node):
+    """A dent in one stored tail entry is the one deep violation, with the
+    error of the full-row reference."""
+    broken = dented(mart96["field"])
+    broken.tail[k][node] += 1e-6
+    assert [(kind, j) for kind, j, _ in boundary_check(broken).violations] == [("deep", k)]
+    assert_scans_match_reference(broken)
+
+
+def test_scans_build_no_more_than_the_band_plus_four_columns(mart96, monkeypatch):
+    """Each scan builds at most the stored band plus four columns per slice
+    through ValueField.row. The explicit residual takes one column more, for
+    dminus at k+1; boundary_check reads only the cap column."""
+    field = mart96["field"]
+    band = sum(b.size for b in field.band)
+    column = sum(t.size for t in field.tail)
+    built = []
+    row = ValueField.row
+
+    def counted(self, k, lo=0):
+        out = row(self, k, lo)
+        built.append(out.size)
+        return out
+
+    monkeypatch.setattr(ValueField, "row", counted)
+    for scan, extra in [(check_value_invariants, 4), (boundary_check, 1),
+                        (bellman_residual, 4),
+                        (lambda f: bellman_residual(f, "explicit"), 5)]:
+        built.clear()
+        scan(field)
+        assert 0 < sum(built) <= band + extra * column
