@@ -18,10 +18,9 @@ from .policy import (ExerciseBoundary, ExerciseRegions, MollifiedControl,
                      PolicyField, RolloutBundle, check_inclusion, check_saturation,
                      exercise_regions, exit_times, extract_policy, mollified_iterate,
                      rollout)
-from .stopping import (DoobDecomposition, MarginalReport, MarginalRow, SnellField,
-                       StopWindows, StoppingRule, check_snell, doob_decomposition,
+from .stopping import (Envelope, MarginalReport, MarginalRow, StopWindows, StoppingRule,
                        evaluate_stop_rule, marginal_value_report,
-                       optimal_predictable_stop, snell, stop_windows)
+                       optimal_predictable_stop, stop_windows)
 from .duality import (DualReport, GapRow, MartingaleField, OptimalMartingaleResult,
                       build_optimal_martingale, constant_martingale,
                       doob_martingale_of_terminal, dual_value, duality_gap_study,
@@ -40,10 +39,9 @@ __all__ = [
     "ExerciseBoundary", "ExerciseRegions", "MollifiedControl", "PolicyField",
     "RolloutBundle", "check_inclusion", "check_saturation", "exercise_regions",
     "exit_times", "extract_policy", "mollified_iterate", "rollout",
-    "DoobDecomposition", "MarginalReport", "MarginalRow", "SnellField",
-    "StopWindows", "StoppingRule", "check_snell", "doob_decomposition",
+    "Envelope", "MarginalReport", "MarginalRow", "StopWindows", "StoppingRule",
     "evaluate_stop_rule", "marginal_value_report", "optimal_predictable_stop",
-    "snell", "stop_windows",
+    "stop_windows",
     "DualReport", "GapRow", "MartingaleField", "OptimalMartingaleResult",
     "build_optimal_martingale", "constant_martingale",
     "doob_martingale_of_terminal", "dual_value", "duality_gap_study",

@@ -23,7 +23,7 @@ from .oracle import brute_force_value
 from .policy import check_inclusion, check_saturation, exit_times, extract_policy, rollout
 from .solver import (InvariantError, PreconditionError, VolumeGrid, bellman_residual,
                      boundary_check, check_value_invariants, solve)
-from .stopping import check_snell, doob_decomposition, marginal_value_report, snell
+from .stopping import Envelope, marginal_value_report
 
 _KEY_TYPES = {
     "model": str,
@@ -169,10 +169,11 @@ def _write_value_field(fh, field):
                      levels, _strings(field.values[k]), dm, dp)
 
 
-def _write_rollout(fh, bundle, lattice):
-    k0, K = bundle.k0, bundle.time_grid.K
+def _write_rollout(fh, bundle):
+    lattice, tg = bundle.policy.field.lattice, bundle.policy.field.time_grid
+    k0, K = bundle.k0, tg.K
     fh.write("path t u y X inc\n")
-    times = _strings(bundle.time_grid.times[k0:K])
+    times = _strings(tg.times[k0:K])
     x = np.stack([lattice.x(k)[bundle.nodes[:, k]] for k in range(k0, K)], axis=1)
     y = bundle.volumes[:, :-1]
     block = max(1, (1 << 16) // (K - k0))          # paths per ~65k lines
@@ -236,7 +237,7 @@ def _export_price(cfg: dict, out_dir: str, policy, ens):
         _write_value_field(fh, field)
     for i, (bundle, ex) in enumerate(runs):
         with open(os.path.join(out_dir, "rollout_%d.txt" % i), "w") as fh:
-            _write_rollout(fh, bundle, field.lattice)
+            _write_rollout(fh, bundle)
         with open(os.path.join(out_dir, "exits_%d.txt" % i), "w") as fh:
             _write_exits(fh, bundle, ex)
     _write(out_dir, "summary.txt", "\n".join(summary) + "\n")
@@ -282,7 +283,7 @@ def _verify_checks(cfg: dict):
 
     def check_rollout():
         bundle = rollout(policy, ens, (0, 0.0))
-        inc = check_inclusion(bundle, policy)
+        inc = check_inclusion(bundle)
         saturated = check_saturation(bundle)
         if ens.exhaustive:
             err = abs(bundle.mean - field.at(0, 0, 0.0))
@@ -292,11 +293,7 @@ def _verify_checks(cfg: dict):
             saturated, inc["max_zero_side"], inc["min_full_side"])
 
     def check_envelopes():
-        sup, inf = snell(lattice, "sup"), snell(lattice, "inf")
-        a = check_snell(sup, lattice)
-        b = check_snell(inf, lattice)
-        doob_decomposition(sup, lattice)
-        doob_decomposition(inf, lattice)
+        a, b = Envelope(lattice, "max").check(), Envelope(lattice, "min").check()
         return "sup drift %.3g inf drift %.3g" % (a["drift"], b["drift"])
 
     def check_oracle():
@@ -312,7 +309,7 @@ def _verify_checks(cfg: dict):
         primal = field.at(0, 0, 0.0)
         worst = np.inf
         for seed in range(10):
-            rep = dual_value(lattice, vg, random_martingale(lattice, seed), primal)
+            rep = dual_value(random_martingale(lattice, seed), vg, primal)
             worst = min(worst, rep.gap)
             if rep.gap < -1e-10:
                 raise InvariantError("weak duality broken by %.3g (seed %d)" % (rep.gap, seed))

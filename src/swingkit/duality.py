@@ -19,22 +19,24 @@ import numpy as np
 from .models import ScenarioLattice
 from .policy import PolicyField
 from .solver import InvariantError, PreconditionError, VolumeGrid
-from .stopping import doob_decomposition, snell
+from .stopping import Envelope
 
 
 @dataclass(eq=False)
 class MartingaleField:
-    """Adapted node values with the one-step martingale property."""
+    """Adapted node values on its lattice with the one-step martingale property."""
 
+    lattice: ScenarioLattice
     values: list
     label: str = "user"
 
     def at(self, k: int, n: int) -> float:
         return float(self.values[k][n])
 
-    def validate(self, lattice: ScenarioLattice) -> float:
+    def validate(self) -> float:
         """Worst one-step drift; raises on a non-finite value or when the
         drift exceeds the scaled tolerance."""
+        lattice = self.lattice
         for k, v in enumerate(self.values):
             bad = np.flatnonzero(~np.isfinite(v))
             if bad.size:
@@ -52,7 +54,7 @@ class MartingaleField:
 
 def constant_martingale(lattice: ScenarioLattice, c: float) -> MartingaleField:
     vals = [np.full(lattice.n_nodes(k), float(c)) for k in range(lattice.n_steps + 1)]
-    return MartingaleField(vals, "constant")
+    return MartingaleField(lattice, vals, "constant")
 
 
 def doob_martingale_of_terminal(lattice: ScenarioLattice, terminal,
@@ -66,7 +68,7 @@ def doob_martingale_of_terminal(lattice: ScenarioLattice, terminal,
     vals[K] = term.copy()
     for k in range(K - 1, -1, -1):
         vals[k] = lattice.expect_next(k, vals[k + 1])
-    return MartingaleField(vals, label)
+    return MartingaleField(lattice, vals, label)
 
 
 def random_martingale(lattice: ScenarioLattice, seed: int) -> MartingaleField:
@@ -88,16 +90,19 @@ class DualReport:
     label: str
 
 
-def dual_value(lattice: ScenarioLattice, volume_grid: VolumeGrid,
-               martingale: MartingaleField, primal: float = None) -> DualReport:
-    """Upper bound from one martingale field, start (0, y=0).
+def dual_value(martingale: MartingaleField, volume_grid: VolumeGrid,
+               primal: float = None) -> DualReport:
+    """Upper bound from one martingale field on its lattice, start (0, y=0).
 
     The integrand samples X and M at the left endpoint of each step, matching
     the solver's reward convention, so weak duality is exact lattice algebra.
     """
+    lattice = martingale.lattice
+    if volume_grid.n_steps != lattice.n_steps:
+        raise ValueError("volume grid was aligned to a different time grid")
     if volume_grid.n_steps <= volume_grid.j_cap:
         raise PreconditionError("the dual bound needs L*T > 1; this grid has L*T <= 1")
-    martingale.validate(lattice)
+    martingale.validate()
     occ = lattice.occupancy()
     total = 0.0
     for k in range(lattice.n_steps):
@@ -149,10 +154,8 @@ def build_optimal_martingale(policy: PolicyField) -> OptimalMartingaleResult:
     pos0 = vg.index_of(0.0)
     tol = 3.0 * time_grid.dt * lattice.max_x()
 
-    sup_env = snell(lattice, "sup")
-    inf_env = snell(lattice, "inf")
-    dsup = doob_decomposition(sup_env, lattice)
-    dinf = doob_decomposition(inf_env, lattice)
+    sup_env = Envelope(lattice, "max")
+    inf_env = Envelope(lattice, "min")
 
     # forward closure of realized volume levels up to the band exit
     realized = [np.full(lattice.n_nodes(k), -1, dtype=np.int64) for k in range(K + 1)]
@@ -241,7 +244,7 @@ def build_optimal_martingale(policy: PolicyField) -> OptimalMartingaleResult:
         stay = (phase == 0) & ~trigger[k][node]
         new_phase = np.where(phase > 0, phase, np.where(exit_up[k][node], 1, 2))
         base = np.where(stay, w_field[k][node], np.where(phase == 0, x, m))
-        inc = np.where(new_phase[row] == 1, dsup.increments[k][e], dinf.increments[k][e])
+        inc = np.where(new_phase[row] == 1, sup_env.increments[k][e], inf_env.increments[k][e])
         m2 = np.where(stay[row], w_field[k + 1][child[e]], base[row] + inc)
         ev = np.bincount(row, prob[e] * m2, node.size)
         ident = max(ident, float(np.abs(ev - base).max()))
@@ -273,8 +276,8 @@ def build_optimal_martingale(policy: PolicyField) -> OptimalMartingaleResult:
     flags = []
     field = None
     if spread <= 1e-10 * mscale:
-        field = MartingaleField(node_values, "optimal")
-        field.validate(lattice)
+        field = MartingaleField(lattice, node_values, "optimal")
+        field.validate()
     else:
         flags.append("node aggregation spread %.3g; bound computed statewise" % spread)
     if ident > 5.0 * time_grid.dt * lattice.max_x():

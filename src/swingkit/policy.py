@@ -14,8 +14,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .models import PathEnsemble, TimeGrid
-from .solver import InvariantError, ValueField, VolumeGrid
+from .models import PathEnsemble
+from .solver import InvariantError, ValueField
 
 TIE_TOL = 1e-9
 
@@ -88,8 +88,7 @@ class RolloutBundle:
     weights renormalized over the rows.
     """
 
-    time_grid: TimeGrid
-    volume_grid: VolumeGrid
+    policy: PolicyField
     k0: int
     pos0: int
     node0: int
@@ -109,12 +108,12 @@ class RolloutBundle:
 
     @property
     def volumes(self) -> np.ndarray:
-        return self.volume_grid.levels[self.positions]
+        return self.policy.field.volume_grid.levels[self.positions]
 
     def realized_positions(self) -> list:
         """Per (k, node) realized volume position, or raise if two paths visit
         the same node at different levels."""
-        table = [dict() for _ in range(self.time_grid.K + 1)]
+        table = [dict() for _ in range(self.policy.field.time_grid.K + 1)]
         for i in range(self.positions.shape[1]):
             k = self.k0 + i
             n, pos = self.nodes[:, k], self.positions[:, i]
@@ -140,8 +139,7 @@ def rollout(policy: PolicyField, ensemble: PathEnsemble, start,
     lattice = policy.field.lattice
     ensemble.check_lattice(lattice)
     vg = policy.field.volume_grid
-    tg = policy.field.time_grid
-    K = tg.K
+    K = policy.field.time_grid.K
     if not 0 <= k0 < K:
         raise ValueError("start index %d outside the grid" % k0)
     pos0 = vg.index_of(y0)
@@ -165,22 +163,23 @@ def rollout(policy: PolicyField, ensemble: PathEnsemble, start,
     # running sums keep the left-to-right order of a path-by-path accumulation
     weights = ensemble.weights[rows] / np.cumsum(ensemble.weights[rows])[-1]
     mean = float(np.cumsum(weights * rewards)[-1])
-    return RolloutBundle(tg, vg, k0, pos0, node0, rows, nodes, positions, rates, incs,
+    return RolloutBundle(policy, k0, pos0, node0, rows, nodes, positions, rates, incs,
                          rewards, weights, mean, ensemble.exhaustive and node0 is None)
 
 
-def check_inclusion(bundle: RolloutBundle, policy: PolicyField) -> dict:
+def check_inclusion(bundle: RolloutBundle) -> dict:
     """Differential-inclusion consistency along rolled-out paths.
 
     At every realized (k, node, level): a zero rate requires X + dminus <=
     tie_tol and a full rate requires X + dminus >= -tie_tol, with dminus and
-    tie_tol read off the policy. Positions whose left derivative is undefined
-    (the lowest level of a grid that does not extend below zero) are skipped.
+    tie_tol read off the bundle's policy. Positions whose left derivative is
+    undefined (the lowest level of a grid that does not extend below zero)
+    are skipped.
     """
-    field, tie_tol = policy.field, policy.tie_tol
+    field, tie_tol = bundle.policy.field, bundle.policy.tie_tol
     worst_zero = -np.inf
     worst_full = np.inf
-    for m in range(bundle.k0, bundle.time_grid.K):
+    for m in range(bundle.k0, field.time_grid.K):
         n, i = bundle.nodes[:, m], m - bundle.k0
         s = field.lattice.x(m)[n] + field.dminus_at(m, n, bundle.positions[:, i])
         full, ok = bundle.rates[:, i] > 0, ~np.isnan(s)
@@ -197,8 +196,8 @@ def check_saturation(bundle: RolloutBundle) -> bool:
     """When the full-rate budget covers the remaining horizon, every path must
     finish with the volume exactly exhausted. Returns False when the start is
     not in that region (nothing to check)."""
-    vg = bundle.volume_grid
-    K = bundle.time_grid.K
+    vg = bundle.policy.field.volume_grid
+    K = bundle.policy.field.time_grid.K
     if K - bundle.k0 < vg.cap_pos - bundle.pos0:
         return False
     short = np.flatnonzero(bundle.positions[:, -1] != vg.cap_pos)
@@ -231,8 +230,8 @@ class ExerciseBoundary:
 
 
 def exit_times(bundle: RolloutBundle) -> ExerciseBoundary:
-    vg = bundle.volume_grid
-    tg = bundle.time_grid
+    vg = bundle.policy.field.volume_grid
+    tg = bundle.policy.field.time_grid
     K = tg.K
     times = tg.times
     m_event = (K - bundle.k0) > (vg.cap_pos - bundle.pos0) > 0

@@ -10,7 +10,7 @@ placed at a grid time is seen by a rule that stops exactly there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -20,45 +20,80 @@ from .solver import InvariantError
 
 
 @dataclass(eq=False)
-class SnellField:
-    """Envelope values per (k, node) for one direction.
+class Envelope:
+    """Snell envelope Y of the cashflow on its lattice, with its Doob split.
 
-    direction "sup": smallest supermartingale dominating X, the value of
-    sup E[X(sigma)]. direction "inf": largest submartingale below X.
+    direction "max": smallest supermartingale dominating X, the value of
+    sup E[X(sigma)]; "min": largest submartingale below X. increments[k][e] =
+    Y[k+1][child] - E[Y[k+1] | parent] for each edge e of lattice.edges(k).
+    The node-valued martingale part and the compensator Y - martingale exist
+    only on tree lattices (None otherwise); accumulate works on any lattice.
     """
 
+    lattice: ScenarioLattice
     direction: str
-    values: list
+    values: list = dataclass_field(init=False, repr=False)
+    increments: list = dataclass_field(init=False, repr=False)
+    martingale: list = dataclass_field(init=False, repr=False)
+    compensator: list = dataclass_field(init=False, repr=False)
 
+    def __post_init__(self):
+        lattice, K = self.lattice, self.lattice.n_steps
+        self.values = vals = backward_extremum(lattice, self.direction)
+        self.increments = incs = []
+        scale = max(1.0, max(float(np.abs(v).max()) for v in vals))
+        for k in range(K):
+            start, child, prob = lattice.edges(k)
+            inc = vals[k + 1][child] - lattice.expect_next(k, vals[k + 1])[lattice.parents(k)]
+            mean = np.add.reduceat(prob * inc, start[:-1])
+            bad = np.flatnonzero(~(np.abs(mean) <= 1e-12 * scale))
+            if bad.size:
+                raise InvariantError("increment mean %.3g at slice %d node %d"
+                                     % (mean[bad[0]], k, bad[0]))
+            incs.append(inc)
+        self.martingale = self.compensator = None
+        if lattice.is_tree():
+            mart = [vals[0].copy()]
+            for k in range(K):
+                nxt = np.zeros(lattice.n_nodes(k + 1))
+                nxt[lattice.edges(k)[1]] = mart[k][lattice.parents(k)] + incs[k]
+                mart.append(nxt)
+            self.martingale = mart
+            self.compensator = [vals[k] - mart[k] for k in range(K + 1)]
 
-def snell(lattice: ScenarioLattice, direction: str) -> SnellField:
-    if direction not in ("sup", "inf"):
-        raise ValueError("direction must be 'sup' or 'inf'")
-    w = backward_extremum(lattice, "max" if direction == "sup" else "min")
-    return SnellField(direction, w)
+    def check(self, tol: float = 1e-12) -> dict:
+        """Dominance, one-step super/sub-martingale property, terminal match."""
+        lattice, vals = self.lattice, self.values
+        K = lattice.n_steps
+        sup = self.direction == "max"
+        worst_dom = 0.0
+        worst_mart = 0.0
+        if np.any(vals[K] != lattice.x(K)):
+            raise InvariantError("terminal envelope does not equal the terminal cashflow")
+        for k in range(K + 1):
+            gap = lattice.x(k) - vals[k] if sup else vals[k] - lattice.x(k)
+            worst_dom = max(worst_dom, float(gap.max()))
+            if k < K:
+                drift = lattice.expect_next(k, vals[k + 1]) - vals[k]
+                drift = drift if sup else -drift
+                worst_mart = max(worst_mart, float(drift.max()))
+        if worst_dom > tol:
+            raise InvariantError("envelope fails to dominate the cashflow by %.3g" % worst_dom)
+        if worst_mart > tol:
+            raise InvariantError("envelope drifts the wrong way by %.3g" % worst_mart)
+        return {"dominance": worst_dom, "drift": worst_mart}
 
-
-def check_snell(field: SnellField, lattice: ScenarioLattice, tol: float = 1e-12) -> dict:
-    """Dominance, one-step super/sub-martingale property, terminal match."""
-    K = lattice.n_steps
-    vals = field.values
-    sup = field.direction == "sup"
-    worst_dom = 0.0
-    worst_mart = 0.0
-    if np.any(vals[K] != lattice.x(K)):
-        raise InvariantError("terminal envelope does not equal the terminal cashflow")
-    for k in range(K + 1):
-        gap = lattice.x(k) - vals[k] if sup else vals[k] - lattice.x(k)
-        worst_dom = max(worst_dom, float(gap.max()))
-        if k < K:
-            drift = lattice.expect_next(k, vals[k + 1]) - vals[k]
-            drift = drift if sup else -drift
-            worst_mart = max(worst_mart, float(drift.max()))
-    if worst_dom > tol:
-        raise InvariantError("envelope fails to dominate the cashflow by %.3g" % worst_dom)
-    if worst_mart > tol:
-        raise InvariantError("envelope drifts the wrong way by %.3g" % worst_mart)
-    return {"dominance": worst_dom, "drift": worst_mart}
+    def accumulate(self, ensemble: PathEnsemble) -> np.ndarray:
+        """Martingale part along each path of an ensemble of this lattice,
+        started at Y[0]."""
+        ensemble.check_lattice(self.lattice)
+        lattice, y, nodes = self.lattice, self.values, ensemble.nodes
+        out = np.zeros((ensemble.n_paths, lattice.n_steps + 1))
+        out[:, 0] = y[0][nodes[:, 0]]
+        for k in range(lattice.n_steps):
+            ey = lattice.expect_next(k, y[k + 1])
+            out[:, k + 1] = out[:, k] + (y[k + 1][nodes[:, k + 1]] - ey[nodes[:, k]])
+        return out
 
 
 @dataclass(eq=False)
@@ -71,6 +106,7 @@ class StopWindows:
     less).
     """
 
+    lattice: ScenarioLattice
     k0: int
     can_raise: np.ndarray
     can_lower: np.ndarray
@@ -89,9 +125,10 @@ class StopWindows:
 
 
 def stop_windows(bundle: RolloutBundle) -> StopWindows:
-    K = bundle.time_grid.K
+    lattice = bundle.policy.field.lattice
+    K = lattice.n_steps
     k0 = bundle.k0
-    low, pos = bundle.rates < bundle.volume_grid.L, bundle.rates > 0.0
+    low, pos = bundle.rates < bundle.policy.L, bundle.rates > 0.0
     can_raise = np.zeros((bundle.n_paths, K + 1), dtype=bool)
     can_lower = np.zeros((bundle.n_paths, K + 1), dtype=bool)
     # a time is open when the step before it or the step after it allows the move
@@ -99,7 +136,7 @@ def stop_windows(bundle: RolloutBundle) -> StopWindows:
     can_lower[:, k0 + 1:] = pos
     can_raise[:, k0 + 1:K] |= low[:, 1:]
     can_lower[:, k0 + 1:K] |= pos[:, 1:]
-    return StopWindows(k0, can_raise, can_lower, bundle.nodes, bundle.weights,
+    return StopWindows(lattice, k0, can_raise, can_lower, bundle.nodes, bundle.weights,
                        bundle.exhaustive)
 
 
@@ -151,10 +188,10 @@ def evaluate_stop_rule(rule: StoppingRule, ensemble: PathEnsemble,
     return float(np.cumsum(weights / np.cumsum(weights)[-1] * x_hit)[-1])
 
 
-def _node_flags(windows: StopWindows, lattice: ScenarioLattice, constraint) -> list:
+def _node_flags(windows: StopWindows, constraint) -> list:
     """Map per-path window flags onto tree nodes; inconsistent mappings are a
     structural error (would mean the flags are not adapted)."""
-    path_flags = windows.flags(constraint)
+    lattice, path_flags = windows.lattice, windows.flags(constraint)
     flags, seen = [], []
     for m in range(lattice.n_steps + 1):
         visits = np.bincount(windows.nodes[:, m], minlength=lattice.n_nodes(m))
@@ -166,10 +203,10 @@ def _node_flags(windows: StopWindows, lattice: ScenarioLattice, constraint) -> l
     return flags, seen
 
 
-def optimal_predictable_stop(lattice: ScenarioLattice, windows: StopWindows,
-                             constraint, direction: str, predictable: bool = True,
-                             include_start: bool = None):
-    """Best stopping rule with stop times confined to a window set.
+def optimal_predictable_stop(windows: StopWindows, constraint, direction: str,
+                             predictable: bool = True, include_start: bool = None):
+    """Best stopping rule with stop times confined to a window set, on the
+    windows' lattice.
 
     Searches over discrete-predictable rules (stop decisions made one step
     ahead, at the parent node) or plain adapted rules when predictable is
@@ -179,6 +216,7 @@ def optimal_predictable_stop(lattice: ScenarioLattice, windows: StopWindows,
     """
     if direction not in ("sup", "inf"):
         raise ValueError("direction must be 'sup' or 'inf'")
+    lattice = windows.lattice
     if not lattice.is_tree():
         raise ValueError("the stopping search needs a tree lattice")
     if not windows.exhaustive:
@@ -189,7 +227,7 @@ def optimal_predictable_stop(lattice: ScenarioLattice, windows: StopWindows,
         raise ValueError("stopping at the start is only allowed unconstrained and non-predictable")
     K = lattice.n_steps
     k0 = windows.k0
-    flags, seen = _node_flags(windows, lattice, constraint)
+    flags, seen = _node_flags(windows, constraint)
     sense = 1.0 if direction == "sup" else -1.0
     bad = -np.inf
     value = [np.full(lattice.n_nodes(k), bad) for k in range(K + 1)]
@@ -253,59 +291,6 @@ def optimal_predictable_stop(lattice: ScenarioLattice, windows: StopWindows,
 
 
 @dataclass(eq=False)
-class DoobDecomposition:
-    """Martingale/compensator split of an envelope field.
-
-    increments[k][e] = Y[k+1][child] - E[Y[k+1] | parent] for each edge e of
-    lattice.edges(k). The node-valued martingale part exists only on tree
-    lattices; pathwise accumulation works on any lattice. values is the
-    envelope Y itself.
-    """
-
-    direction: str
-    increments: list
-    martingale: list
-    compensator: list
-    values: list
-
-    def accumulate(self, ensemble: PathEnsemble) -> np.ndarray:
-        """Martingale part along each ensemble path, started at Y[0]."""
-        lattice, y, nodes = ensemble.lattice, self.values, ensemble.nodes
-        out = np.zeros((ensemble.n_paths, lattice.n_steps + 1))
-        out[:, 0] = y[0][nodes[:, 0]]
-        for k in range(lattice.n_steps):
-            ey = lattice.expect_next(k, y[k + 1])
-            out[:, k + 1] = out[:, k] + (y[k + 1][nodes[:, k + 1]] - ey[nodes[:, k]])
-        return out
-
-
-def doob_decomposition(snell_field: SnellField, lattice: ScenarioLattice) -> DoobDecomposition:
-    K = lattice.n_steps
-    vals = snell_field.values
-    increments = []
-    scale = max(1.0, max(float(np.abs(v).max()) for v in vals))
-    for k in range(K):
-        start, child, prob = lattice.edges(k)
-        inc = vals[k + 1][child] - lattice.expect_next(k, vals[k + 1])[lattice.parents(k)]
-        mean = np.add.reduceat(prob * inc, start[:-1])
-        bad = np.flatnonzero(~(np.abs(mean) <= 1e-12 * scale))
-        if bad.size:
-            raise InvariantError("increment mean %.3g at slice %d node %d"
-                                 % (mean[bad[0]], k, bad[0]))
-        increments.append(inc)
-    martingale = None
-    compensator = None
-    if lattice.is_tree():
-        martingale = [vals[0].copy()]
-        for k in range(K):
-            nxt = np.zeros(lattice.n_nodes(k + 1))
-            nxt[lattice.edges(k)[1]] = martingale[k][lattice.parents(k)] + increments[k]
-            martingale.append(nxt)
-        compensator = [vals[k] - martingale[k] for k in range(K + 1)]
-    return DoobDecomposition(snell_field.direction, increments, martingale, compensator, vals)
-
-
-@dataclass(eq=False)
 class MarginalRow:
     """One start of the marginal-value table."""
 
@@ -364,8 +349,8 @@ def marginal_value_report(policy: PolicyField, ensemble: PathEnsemble,
     ensemble.check_lattice(lattice)
     K = tg.K
     occ = lattice.occupancy()
-    sup_env = snell(lattice, "sup")
-    inf_env = snell(lattice, "inf")
+    sup_env = backward_extremum(lattice, "max")
+    inf_env = backward_extremum(lattice, "min")
     tol = 3.0 * tg.dt * lattice.max_x()
     searchable = lattice.is_tree() and ensemble.exhaustive
     rows = []
@@ -395,8 +380,8 @@ def marginal_value_report(policy: PolicyField, ensemble: PathEnsemble,
         w = occ[k0]
         ndm = -float(w @ field.dminus(k0)[:, pos0]) + 0.0
         ndp = -float(w @ field.dplus(k0)[:, pos0]) + 0.0
-        ssup = float(w @ sup_env.values[k0])
-        sinf = float(w @ inf_env.values[k0])
+        ssup = float(w @ sup_env[k0])
+        sinf = float(w @ inf_env[k0])
         ex_sig = np.nan
         sup_a = np.nan
         inf_b = np.nan
@@ -411,8 +396,8 @@ def marginal_value_report(policy: PolicyField, ensemble: PathEnsemble,
             ex_sig = float(np.cumsum(bundle.weights * x_sig)[-1])
             if searchable and region == "interior":
                 windows = stop_windows(bundle)
-                _, sup_a = optimal_predictable_stop(lattice, windows, "can_raise", "sup")
-                _, inf_b = optimal_predictable_stop(lattice, windows, "can_lower", "inf")
+                _, sup_a = optimal_predictable_stop(windows, "can_raise", "sup")
+                _, inf_b = optimal_predictable_stop(windows, "can_lower", "inf")
         row = MarginalRow(t0, y0, region, ndm, ndp, ex_sig, sup_a, inf_b,
                           ssup if region == "cap" else np.nan,
                           sinf if region == "boundary" else np.nan, note)

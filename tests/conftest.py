@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from swingkit import (DualReport, InvariantError, LatticeNode, MartingaleField,
+from swingkit import (DualReport, Envelope, InvariantError, LatticeNode, MartingaleField,
                       OptimalMartingaleResult, ScenarioLattice, TimeGrid, VolumeGrid,
                       backward_extremum, build_binary_example, build_binomial,
-                      doob_decomposition, extract_policy, sample_paths, snell, solve)
+                      extract_policy, sample_paths, solve)
 from swingkit.solver import EXACT_TOL
 
 
@@ -306,10 +306,8 @@ def reference_optimal_martingale(policy):
     maxx = max(1.0, lattice.max_x())
     tol = 3.0 * time_grid.dt * lattice.max_x()
 
-    sup_env = snell(lattice, "sup")
-    inf_env = snell(lattice, "inf")
-    dsup = doob_decomposition(sup_env, lattice)
-    dinf = doob_decomposition(inf_env, lattice)
+    sup_env = Envelope(lattice, "max")
+    inf_env = Envelope(lattice, "min")
 
     # forward closure of realized volume levels up to the band exit
     realized = [np.full(lattice.n_nodes(k), -1, dtype=np.int64) for k in range(K + 1)]
@@ -390,7 +388,7 @@ def reference_optimal_martingale(policy):
             break
         start, child, prob = (arr.tolist() for arr in lattice.edges(k))
         w_next = w_field[k + 1].tolist()
-        inc_by_phase = {1: dsup.increments[k].tolist(), 2: dinf.increments[k].tolist()}
+        inc_by_phase = {1: sup_env.increments[k].tolist(), 2: inf_env.increments[k].tolist()}
         pre_exit = (~trigger[k]).tolist()
         up = exit_up[k].tolist()
         nxt = {}
@@ -441,8 +439,8 @@ def reference_optimal_martingale(policy):
     flags = []
     field = None
     if spread <= 1e-10 * mscale:
-        field = MartingaleField(node_values, "optimal")
-        field.validate(lattice)
+        field = MartingaleField(lattice, node_values, "optimal")
+        field.validate()
     else:
         flags.append("node aggregation spread %.3g; bound computed statewise" % spread)
     if ident > 5.0 * time_grid.dt * lattice.max_x():

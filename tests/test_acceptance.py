@@ -105,7 +105,7 @@ def test_criterion_03_predictability_separation(binary_solved):
     start = time.perf_counter()
     bundle = rollout(b["policy"], b["ens"], (0, 0.5))
     windows = stop_windows(bundle)
-    _, sup_a = optimal_predictable_stop(b["lat"], windows, "can_raise", "sup")
+    _, sup_a = optimal_predictable_stop(windows, "can_raise", "sup")
     stop = [np.zeros(b["lat"].n_nodes(k), dtype=bool) for k in range(97)]
     stop[32][0] = True
     stop[80][1] = True
@@ -148,7 +148,7 @@ def test_criterion_05_weak_duality():
     for lat, tg, vg in models:
         primal = solve(lat, tg, vg).at(0, 0, 0.0)
         for seed in range(10):
-            rep = dual_value(lat, vg, random_martingale(lat, seed), primal=primal)
+            rep = dual_value(random_martingale(lat, seed), vg, primal=primal)
             assert rep.dual_value >= primal - 1e-10
             worst = min(worst, rep.dual_value - primal)
             checked += 1
@@ -212,7 +212,7 @@ def test_criterion_08_invariant_suite():
             ens = sample_paths(lat, n_paths=256, seed=11)
         for y0 in (0.0, 0.5):
             bundle = rollout(policy, ens, (0, y0))
-            check_inclusion(bundle, policy)
+            check_inclusion(bundle)
             if tg.K - 0 >= vg.cap_pos - vg.index_of(y0):
                 assert check_saturation(bundle) is True
         details.append(name)

@@ -48,26 +48,26 @@ def test_martingale_field_validate(binary96):
     lat = binary96["lat"]
     m = constant_martingale(lat, 1.0)
     assert m.label == "constant"
-    assert m.validate(lat) == 0.0
+    assert m.validate() == 0.0
     m.values[5][0] = 2.0
     with pytest.raises(ValueError, match="martingale identity fails"):
-        m.validate(lat)
+        m.validate()
     for bad in (np.nan, np.inf, -np.inf):
         m = constant_martingale(lat, 1.0)
         m.values[70][1] = bad
         with pytest.raises(ValueError, match="slice 70 node 1 is not finite"):
-            m.validate(lat)
+            m.validate()
     m = constant_martingale(lat, 1.0)
     m.values[0][0] = np.nan
     with pytest.raises(ValueError, match="slice 0 node 0 is not finite"):
-        dual_value(lat, binary96["vg"], m)
+        dual_value(m, binary96["vg"])
 
 
 def test_doob_martingale_of_terminal(binary96):
     lat = binary96["lat"]
     m = doob_martingale_of_terminal(lat, lat.x(96))
     assert m.at(0, 0) == 1.0
-    assert m.validate(lat) == 0.0
+    assert m.validate() == 0.0
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -81,7 +81,7 @@ def test_weak_duality_for_drawn_terminal_payoffs(rows, j_cap, data):
     tg, vg, field, _ = solved(lat, float(K), 1.0 / j_cap)
     payoff = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=lat.n_nodes(K),
                                 max_size=lat.n_nodes(K)))
-    rep = dual_value(lat, vg, doob_martingale_of_terminal(lat, payoff), field.at(0, 0, 0.0))
+    rep = dual_value(doob_martingale_of_terminal(lat, payoff), vg, field.at(0, 0, 0.0))
     assert rep.gap >= -1e-10
 
 
@@ -90,7 +90,7 @@ def test_random_martingales_are_martingales(binary96):
     seen = set()
     for seed in range(6):
         m = random_martingale(lat, seed)
-        assert m.validate(lat) <= 1e-10
+        assert m.validate() <= 1e-10
         seen.add(round(m.at(0, 0), 12))
     assert len(seen) > 1
     a = random_martingale(lat, 3)
@@ -101,13 +101,13 @@ def test_random_martingales_are_martingales(binary96):
 def test_constant_martingale_duals(binary96):
     lat, tg, vg = binary96["lat"], binary96["tg"], binary96["vg"]
     primal = binary96["field"].at(0, 0, 0.0)
-    r2 = dual_value(lat, vg, constant_martingale(lat, 2.0), primal=primal)
+    r2 = dual_value(constant_martingale(lat, 2.0), vg, primal=primal)
     assert abs(r2.dual_value - 2.0) <= 1e-12
-    r15 = dual_value(lat, vg, constant_martingale(lat, 1.5), primal=primal)
+    r15 = dual_value(constant_martingale(lat, 1.5), vg, primal=primal)
     assert abs(r15.dual_value - 1.625) <= 1e-12
     assert abs(r15.gap - 0.125) <= 1e-12
     assert r15.label == "constant"
-    bare = dual_value(lat, vg, constant_martingale(lat, 1.5))
+    bare = dual_value(constant_martingale(lat, 1.5), vg)
     assert np.isnan(bare.primal) and np.isnan(bare.gap)
 
 
@@ -115,7 +115,7 @@ def test_weak_duality_over_random_martingales(binary96):
     lat, tg, vg = binary96["lat"], binary96["tg"], binary96["vg"]
     primal = binary96["field"].at(0, 0, 0.0)
     for seed in range(12):
-        rep = dual_value(lat, vg, random_martingale(lat, seed), primal=primal)
+        rep = dual_value(random_martingale(lat, seed), vg, primal=primal)
         assert rep.dual_value >= primal - 1e-10
 
 
@@ -124,10 +124,22 @@ def test_dual_needs_lt_above_one():
     tg = TimeGrid(1.0, 4)
     vg = VolumeGrid.aligned(1.0, tg)
     with pytest.raises(ValueError, match="needs L\\*T > 1"):
-        dual_value(lat, vg, constant_martingale(lat, 1.0))
+        dual_value(constant_martingale(lat, 1.0), vg)
     field = solve(lat, tg, vg)
     with pytest.raises(ValueError, match="needs L\\*T > 1"):
         build_optimal_martingale(extract_policy(field))
+
+
+def test_dual_value_refuses_a_grid_of_another_step_count():
+    """A volume grid aligned to K = 24 or 6 gave this K=12 lattice other
+    bounds (1.598 and 1.891 against 1.696) without complaint."""
+    lat = build_binomial("martingale", 12, 2.0, x0=1.0, up=1.25, down=0.75, p_up=0.5)
+    m = constant_martingale(lat, 1.5)
+    rep = dual_value(m, VolumeGrid.aligned(1.0, TimeGrid(2.0, 12)))
+    assert rep.dual_value == pytest.approx(1.6955897151880588, abs=1e-12)
+    for K in (24, 6):
+        with pytest.raises(ValueError, match="aligned to a different time grid"):
+            dual_value(m, VolumeGrid.aligned(1.0, TimeGrid(2.0, K)))
 
 
 def test_optimal_martingale_closes_the_gap(binary96):
@@ -140,7 +152,7 @@ def test_optimal_martingale_closes_the_gap(binary96):
     assert res.flags == []
     assert res.field is not None
     assert res.field.at(0, 0) == 1.0
-    assert res.field.validate(binary96["lat"]) <= 1e-12
+    assert res.field.validate() <= 1e-12
 
 
 def test_optimal_martingale_diagnostics(binary96):

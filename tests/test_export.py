@@ -33,8 +33,9 @@ def reference_value_field(field, lattice) -> str:
 
 
 def reference_rollout(bundle, lattice) -> str:
-    k0, K = bundle.k0, bundle.time_grid.K
-    times = bundle.time_grid.times[k0:K].tolist()
+    tg = bundle.policy.field.time_grid
+    k0, K = bundle.k0, tg.K
+    times = tg.times[k0:K].tolist()
     x = np.stack([lattice.x(k)[bundle.nodes[:, k]] for k in range(k0, K)], axis=1)
     lines = ["path t u y X inc"]
     for pid, u, y, xs, inc in zip(bundle.path_ids.tolist(), bundle.rates.tolist(),
@@ -99,7 +100,7 @@ def test_streamed_tables_match_the_reference(rows, j_cap, data):
     k0 = data.draw(st.integers(0, K - 1))
     pos0 = data.draw(st.integers(0, vg.n_levels - 1))
     b = rollout(pol, ens, (k0, vg.levels[pos0]))
-    assert streamed(_write_rollout, b, lat) == reference_rollout(b, lat)
+    assert streamed(_write_rollout, b) == reference_rollout(b, lat)
     assert streamed(_write_exits, b, exit_times(b)) == reference_exits(b)
 
 

@@ -52,6 +52,12 @@ def test_enumeration_constant():
     assert brute_force_value(lat, vg).value == 1.0
 
 
+def test_enumeration_refuses_a_grid_of_another_step_count():
+    lat = build_binomial("constant", 3, 3.0, c=1.0)
+    with pytest.raises(ValueError, match="aligned to a different time grid"):
+        brute_force_value(lat, VolumeGrid.aligned(1.0, TimeGrid(4.0, 4)))
+
+
 def test_enumeration_policy_cap():
     lat = build_binary_example(6)
     tg = TimeGrid(3.0, 6)

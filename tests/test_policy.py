@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swingkit import (ExerciseRegions, InvariantError, PolicyField, ScenarioLattice,
-                      check_inclusion, check_saturation,
-                      exercise_regions, exit_times, extract_policy,
-                      build_binomial, mollified_iterate, rollout, sample_paths, solve)
+                      build_binary_example, build_binomial, check_inclusion,
+                      check_saturation, exercise_regions, exit_times, extract_policy,
+                      mollified_iterate, rollout, sample_paths, solve)
 
 from conftest import (collision_lattice, dense_go, is_threshold, make_exp_martingale, solved,
                       tiny_lattice_rows)
@@ -155,11 +155,23 @@ def test_constant_rollout_reward_is_deterministic():
 
 def test_inclusion_holds_along_rollout(binary96):
     b = rollout(binary96["policy"], binary96["ens"], (0, 0.5))
-    rep = check_inclusion(b, binary96["policy"])
+    rep = check_inclusion(b)
     assert rep["max_zero_side"] <= 1e-9
     assert rep["min_full_side"] >= -1e-9
     assert rep["max_zero_side"] == 0.0
     assert rep["min_full_side"] == 0.03125
+
+
+def test_inclusion_reads_the_bundles_policy_and_tie_tol():
+    """A policy extracted at tie_tol 0.5 takes the full rate where X + D is
+    -0.25; the check reads that tolerance off the bundle's policy, and the
+    same rates judged by a default-tolerance policy fail."""
+    lat = build_binary_example(12)
+    field = solved(lat, 3.0)[2]
+    loose = rollout(extract_policy(field, 0.5), sample_paths(lat, exhaustive=True), (0, 0.0))
+    assert check_inclusion(loose) == {"max_zero_side": 0.0, "min_full_side": -0.25}
+    with pytest.raises(InvariantError, match="full rate taken where X \\+ D = -0.25 < 0"):
+        check_inclusion(replace(loose, policy=extract_policy(field)))
 
 
 def test_saturation_in_and_out_of_region(binary96):

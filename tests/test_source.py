@@ -36,3 +36,62 @@ def test_every_parameter_is_read():
               for path in sorted(SRC.glob("*.py"))
               for func, line, name in unread_parameters(ast.parse(path.read_text()))]
     assert unread == []
+
+
+def _annotation_name(node):
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return getattr(node, "id", None)
+
+
+def lattice_carriers(trees):
+    """Names of the classes that declare a `lattice` field."""
+    return {node.name for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                    and item.target.id == "lattice" for item in node.body)}
+
+
+def second_lattice_copies(tree, carriers):
+    """(function name, line) for each function that takes a `lattice`
+    parameter beside a parameter annotated as a carrier, and for each method
+    of a carrier that takes one. PathEnsemble.check_lattice, whose job is
+    that comparison, is allowed."""
+    owner = {item: node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             for item in node.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        if "lattice" not in [a.arg for a in args]:
+            continue
+        cls = owner.get(node)
+        carried = any(_annotation_name(a.annotation) in carriers for a in args)
+        if (carried or cls in carriers) and (cls, node.name) != ("PathEnsemble", "check_lattice"):
+            yield node.name, node.lineno
+
+
+def test_the_scanner_flags_a_second_lattice_copy():
+    tree = ast.parse("class Env:\n    lattice: object\n"
+                     "    def check(self, lattice):\n        pass\n"
+                     "class PathEnsemble:\n    lattice: object\n"
+                     "    def check_lattice(self, lattice):\n        pass\n"
+                     "class Plain:\n    def m(self, lattice):\n        pass\n"
+                     "def f(env: 'Env', lattice):\n    pass\n"
+                     "def g(env: Env, k):\n    pass\n"
+                     "def h(plain: Plain, lattice):\n    pass\n")
+    carriers = lattice_carriers([tree])
+    assert carriers == {"Env", "PathEnsemble"}
+    assert sorted(second_lattice_copies(tree, carriers)) == [("check", 3), ("f", 12)]
+
+
+def test_no_function_takes_a_second_copy_of_a_carried_lattice():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    carriers = lattice_carriers(trees.values())
+    assert {"ValueField", "PathEnsemble", "Envelope", "MartingaleField",
+            "StopWindows"} <= carriers
+    found = ["%s:%d %s" % (name, line, func) for name, tree in trees.items()
+             for func, line in second_lattice_copies(tree, carriers)]
+    assert found == []

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from swingkit import (InvariantError, StoppingRule, StopWindows, TimeGrid,
-                      VolumeGrid, build_binary_example, build_binomial, check_snell,
-                      doob_decomposition, evaluate_stop_rule, exit_times,
-                      marginal_value_report, optimal_predictable_stop, rollout,
-                      sample_paths, snell, stop_windows)
+from swingkit import (Envelope, InvariantError, ScenarioLattice, StoppingRule, StopWindows,
+                      TimeGrid, VolumeGrid, build_binary_example, build_binomial,
+                      evaluate_stop_rule, exit_times, marginal_value_report,
+                      optimal_predictable_stop, rollout, sample_paths, stop_windows)
 
 from conftest import solved
 
@@ -15,28 +14,35 @@ def half_bundle(binary96):
     return rollout(binary96["policy"], binary96["ens"], (0, 0.5))
 
 
+def doubled(lat):
+    """A lattice of the same shape and probabilities paying twice lat's
+    cashflow."""
+    return ScenarioLattice([2.0 * lat.x(k) for k in range(lat.n_steps + 1)],
+                           [lat.edges(k) for k in range(lat.n_steps)])
+
+
 def test_snell_roots(binary96):
     lat = binary96["lat"]
-    assert snell(lat, "sup").values[0][0] == 2.0
-    assert snell(lat, "inf").values[0][0] == 0.0
+    assert Envelope(lat, "max").values[0][0] == 2.0
+    assert Envelope(lat, "min").values[0][0] == 0.0
     const = build_binomial("constant", 8, 1.0, c=0.7)
-    assert snell(const, "sup").values[0][0] == 0.7
-    assert snell(const, "inf").values[0][0] == 0.7
+    assert Envelope(const, "max").values[0][0] == 0.7
+    assert Envelope(const, "min").values[0][0] == 0.7
 
 
 def test_snell_invariants(binary96):
     lat = binary96["lat"]
-    for d in ("sup", "inf"):
-        rep = check_snell(snell(lat, d), lat)
+    for d in ("max", "min"):
+        rep = Envelope(lat, d).check()
         assert rep == {"dominance": 0.0, "drift": 0.0}
 
 
 def test_snell_detects_corruption(binary96):
     lat = binary96["lat"]
-    field = snell(lat, "sup")
-    field.values[10][0] = 0.0
+    env = Envelope(lat, "max")
+    env.values[10][0] = 0.0
     with pytest.raises(InvariantError, match="fails to dominate"):
-        check_snell(field, lat)
+        env.check()
 
 
 def test_stop_windows_exact_sets(half_bundle):
@@ -64,8 +70,8 @@ def test_stop_windows_flags_accessor(half_bundle):
 def test_constrained_searches_hit_the_marginal_values(binary96, half_bundle):
     lat = binary96["lat"]
     w = stop_windows(half_bundle)
-    rule_a, va = optimal_predictable_stop(lat, w, "can_raise", "sup")
-    rule_b, vb = optimal_predictable_stop(lat, w, "can_lower", "inf")
+    rule_a, va = optimal_predictable_stop(w, "can_raise", "sup")
+    rule_b, vb = optimal_predictable_stop(w, "can_lower", "inf")
     assert va == 1.5
     assert vb == 1.5
     assert rule_a.predictable and rule_b.predictable
@@ -79,19 +85,18 @@ def test_constrained_searches_hit_the_marginal_values(binary96, half_bundle):
 def test_unconstrained_search_recovers_the_envelope(binary96, half_bundle):
     lat = binary96["lat"]
     w = stop_windows(half_bundle)
-    rule, v = optimal_predictable_stop(lat, w, None, "sup", predictable=False)
+    rule, v = optimal_predictable_stop(w, None, "sup", predictable=False)
     assert v == 2.0
     assert rule.include_start
-    assert v == snell(lat, "sup").values[0][0]
+    assert v == Envelope(lat, "max").values[0][0]
 
 
 def test_unconstrained_beats_constrained_strictly(binary96, half_bundle):
     """Dropping both the window constraint and predictability is worth
     exactly the 2 vs 1.5 difference here."""
-    lat = binary96["lat"]
     w = stop_windows(half_bundle)
-    _, va = optimal_predictable_stop(lat, w, "can_raise", "sup")
-    _, vu = optimal_predictable_stop(lat, w, None, "sup", predictable=False)
+    _, va = optimal_predictable_stop(w, "can_raise", "sup")
+    _, vu = optimal_predictable_stop(w, None, "sup", predictable=False)
     assert vu - va == 0.5
 
 
@@ -134,13 +139,13 @@ def test_search_rejections(binary96, half_bundle):
     lat = binary96["lat"]
     w = stop_windows(half_bundle)
     with pytest.raises(ValueError, match="only allowed unconstrained"):
-        optimal_predictable_stop(lat, w, "can_raise", "sup", include_start=True)
+        optimal_predictable_stop(w, "can_raise", "sup", include_start=True)
     with pytest.raises(ValueError, match="direction must be"):
-        optimal_predictable_stop(lat, w, None, "max")
+        optimal_predictable_stop(w, None, "max")
     sampled = sample_paths(lat, n_paths=16, seed=3)
     ws = stop_windows(rollout(binary96["policy"], sampled, (0, 0.5)))
     with pytest.raises(ValueError, match="exhaustive window flags"):
-        optimal_predictable_stop(lat, ws, "can_raise", "sup")
+        optimal_predictable_stop(ws, "can_raise", "sup")
 
 
 def test_search_needs_a_tree():
@@ -153,7 +158,7 @@ def test_search_needs_a_tree():
     ens = sample_paths(lat, exhaustive=True)
     w = stop_windows(rollout(pol, ens, (0, 0.0)))
     with pytest.raises(ValueError, match="needs a tree lattice"):
-        optimal_predictable_stop(lat, w, None, "sup")
+        optimal_predictable_stop(w, None, "sup")
 
 
 def test_infeasible_constraint(binary96):
@@ -162,7 +167,7 @@ def test_infeasible_constraint(binary96):
     assert not exit_times(b).m_event
     assert not w.can_lower.any()
     with pytest.raises(ValueError, match="no admissible stopping rule"):
-        optimal_predictable_stop(binary96["lat"], w, "can_lower", "inf")
+        optimal_predictable_stop(w, "can_lower", "inf")
 
 
 def test_window_flags_must_be_node_functions():
@@ -172,17 +177,17 @@ def test_window_flags_must_be_node_functions():
     cr = np.zeros((2, 7), dtype=bool)
     cr[0, 1] = True  # paths share node 0 at m=1 but disagree
     cr[:, 6] = True
-    w = StopWindows(k0=0, can_raise=cr, can_lower=np.zeros_like(cr),
+    w = StopWindows(lattice=lat, k0=0, can_raise=cr, can_lower=np.zeros_like(cr),
                     nodes=ens.nodes, weights=ens.weights, exhaustive=True)
     with pytest.raises(ValueError, match="not a node function"):
-        optimal_predictable_stop(lat, w, "can_raise", "sup")
+        optimal_predictable_stop(w, "can_raise", "sup")
 
 
 def test_doob_decomposition_on_the_tree(binary96):
     lat = binary96["lat"]
     ens = binary96["ens"]
-    dd = doob_decomposition(snell(lat, "sup"), lat)
-    assert dd.direction == "sup"
+    dd = Envelope(lat, "max")
+    assert dd.direction == "max"
     assert dd.martingale is not None and dd.compensator is not None
     acc = dd.accumulate(ens)
     for r in range(2):
@@ -190,20 +195,20 @@ def test_doob_decomposition_on_the_tree(binary96):
                               for k in range(97)])
         assert np.array_equal(acc[r], node_view)
         # the removed part never decreases along any path
-        y = np.array([snell(lat, "sup").values[k][int(ens.nodes[r, k])]
+        y = np.array([dd.values[k][int(ens.nodes[r, k])]
                       for k in range(97)])
         assert np.diff(acc[r] - y).min() >= 0.0
-    dd_inf = doob_decomposition(snell(lat, "inf"), lat)
+    dd_inf = Envelope(lat, "min")
     acc_inf = dd_inf.accumulate(ens)
     for r in range(2):
-        y = np.array([snell(lat, "inf").values[k][int(ens.nodes[r, k])]
+        y = np.array([dd_inf.values[k][int(ens.nodes[r, k])]
                       for k in range(97)])
         assert np.diff(y - acc_inf[r]).min() >= 0.0
 
 
 def test_doob_increments_are_centered(binary96):
     lat = binary96["lat"]
-    dd = doob_decomposition(snell(lat, "sup"), lat)
+    dd = Envelope(lat, "max")
     for k in range(96):
         start, _, prob = lat.edges(k)
         mean = np.add.reduceat(prob * dd.increments[k], start[:-1])
@@ -212,13 +217,36 @@ def test_doob_increments_are_centered(binary96):
 
 def test_doob_node_view_needs_a_tree():
     lat = build_binomial("martingale", 2, 2.0, x0=1.0, up=1.25, down=0.75, p_up=0.5)
-    dd = doob_decomposition(snell(lat, "sup"), lat)
+    dd = Envelope(lat, "max")
     assert dd.martingale is None
     assert dd.compensator is None
+    assert dd.check() == {"dominance": 0.0, "drift": 0.0}
+    assert Envelope(lat, "min").check() == {"dominance": 0.0, "drift": 0.0}
     ens = sample_paths(lat, exhaustive=True)
     acc = dd.accumulate(ens)  # pathwise accumulation still works
     assert acc.shape == (4, 3)
     assert np.max(np.abs(ens.weights @ acc - acc[0, 0])) <= 1e-12
+
+
+def test_envelope_accumulates_only_its_own_lattice():
+    a = build_binary_example(6)
+    env = Envelope(a, "max")
+    assert env.accumulate(sample_paths(a, exhaustive=True)).shape == (2, 7)
+    with pytest.raises(ValueError, match="another lattice"):
+        env.accumulate(sample_paths(doubled(a), exhaustive=True))
+
+
+def test_searches_read_the_windows_own_lattice():
+    """On two same-shape trees, the second paying twice the first's cashflow,
+    windows carry the lattice of their rollout and the search reads it. A
+    search that took the lattice apart from the windows returned 3.0 for
+    the first tree's windows beside the second tree."""
+    a = build_binary_example(6)
+    for lat, want in ((a, 1.5), (doubled(a), 3.0)):
+        ens = sample_paths(lat, exhaustive=True)
+        windows = stop_windows(rollout(solved(lat, 3.0)[3], ens, (0, 0.5)))
+        assert windows.lattice is lat
+        assert optimal_predictable_stop(windows, "can_raise", "sup")[1] == want
 
 
 def test_marginal_report_regions(binary96):
