@@ -9,7 +9,7 @@ of piecewise-constant exercise rates against it are exact sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -512,24 +512,36 @@ def _ints(tokens) -> np.ndarray:
         raise ValueError("integer %d is out of range" % max(values, key=abs)) from None
 
 
+def _distinct(tokens):
+    """(the distinct tokens in first-occurrence order, the int64 index of
+    each token into them); the reading mirror of `_strings`."""
+    first_seen = {}
+    first = np.fromiter(map(first_seen.setdefault, tokens, count()), np.int64)
+    return list(first_seen), (np.cumsum(first == np.arange(first.size)) - 1)[first]
+
+
 def read_lattice(path: str):
     """Read a lattice export; returns (lattice, time_grid, L).
 
-    Node lines may come in any order. Each line is split once and each
-    column converted in one pass; the checks run on the resulting arrays.
+    Node lines may come in any order. Each line is split once. Each column
+    is then converted one distinct token at a time and gathered back, so the
+    checks run on whole arrays; lattice files repeat their tokens heavily.
     """
     with open(path) as fh:
         lines = [words for words in map(str.split, fh) if words]
     if not lines or len(lines[0]) != 5:
         raise ValueError("malformed lattice header")
     head, body = lines[0], lines[1:]
-    tg, L, lce = TimeGrid(float(head[0]), int(head[1])), float(head[2]), bool(int(head[3]))
+    tg, L, lce = TimeGrid(float(head[0]), int(head[1])), float(head[2]), int(head[3])
+    if lce not in (0, 1):
+        raise ValueError("lattice header field lce = %d is not 0 or 1" % lce)
     K = tg.K
     deg = np.fromiter(map(len, body), np.int64, len(body)) - 3
     bad = np.flatnonzero(deg < 0)
     if bad.size:
         raise ValueError("malformed node line %r" % " ".join(body[bad[0]]))
-    k = _ints(map(itemgetter(0), body))
+    distinct, at = _distinct(map(itemgetter(0), body))
+    k = _ints(distinct)[at]
     bad = np.flatnonzero((k < 0) | (k > K))
     if bad.size:
         raise ValueError("slice index %d outside 0..%d" % (k[bad[0]], K))
@@ -537,7 +549,8 @@ def read_lattice(path: str):
     missing = np.append(np.flatnonzero(present != np.arange(present.size)), present.size)[0]
     if missing <= K:
         raise ValueError("missing slice %d in lattice file" % missing)
-    n = _ints(map(itemgetter(1), body))
+    distinct, at = _distinct(map(itemgetter(1), body))
+    n = _ints(distinct)[at]
     order = np.lexsort((n, k))
     k, n, deg, body = k[order], n[order], deg[order], list(map(body.__getitem__, order.tolist()))
     bad = np.flatnonzero((k[1:] == k[:-1]) & (n[1:] == n[:-1]))
@@ -551,18 +564,19 @@ def read_lattice(path: str):
     bad = np.flatnonzero(deg[off[K]:])
     if bad.size:
         raise ValueError("terminal node %d has children" % bad[0])
-    tokens = list(chain.from_iterable(map(itemgetter(slice(3, None)), body)))
+    tokens, edge = _distinct(chain.from_iterable(map(itemgetter(slice(3, None)), body)))
     fields = " ".join(tokens).replace(":", " ").split()
     colons = np.fromiter(map(str.count, tokens, repeat(":")), np.int64, len(tokens))
     if len(fields) != 2 * len(tokens) or np.any(colons != 1):
         raise ValueError("edge token %r is not child:prob" % next(
             t for t in tokens if t.count(":") != 1 or t.startswith(":") or t.endswith(":")))
-    x = np.array(list(map(float, map(itemgetter(2), body))), dtype=float)
-    child = _ints(fields[0::2])
-    prob = np.array(list(map(float, fields[1::2])), dtype=float)
+    distinct, at = _distinct(map(itemgetter(2), body))
+    x = np.array(list(map(float, distinct)), dtype=float)[at]
+    child = _ints(fields[0::2])[edge]
+    prob = np.array(list(map(float, fields[1::2])), dtype=float)[edge]
     start = np.concatenate([[0], np.cumsum(deg)])
     lo, hi = off.tolist(), start[off].tolist()
     edges = [(start[lo[j]:lo[j + 1] + 1] - hi[j], child[hi[j]:hi[j + 1]], prob[hi[j]:hi[j + 1]])
              for j in range(K)]
-    lat = ScenarioLattice(np.split(x, off[1:-1]), edges, lce_declared=lce).validate()
+    lat = ScenarioLattice(np.split(x, off[1:-1]), edges, lce_declared=bool(lce)).validate()
     return lat, tg, L

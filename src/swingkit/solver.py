@@ -54,6 +54,9 @@ class VolumeGrid:
                 "misaligned grids: 1/(L*dt) = %.17g must be a positive integer" % raw
             )
         j_min = min(0, j_cap - time_grid.K)
+        if j_cap - j_min > np.iinfo(np.int32).max:
+            raise ValueError("rate cap L = %.17g puts the cap at volume position %d, "
+                             "beyond the int32 policy thresholds" % (L, j_cap - j_min))
         return cls(L=L, step=1.0 / j_cap, j_cap=j_cap, j_min=j_min, n_steps=time_grid.K)
 
     @property

@@ -1,3 +1,6 @@
+from itertools import chain, repeat
+from operator import itemgetter
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -84,6 +87,68 @@ def reference_occupancy(lattice):
         occ.append(np.bincount(child, occ[k][reference_parents(lattice, k)] * prob,
                                minlength=lattice.n_nodes(k + 1)))
     return occ
+
+
+def _reference_ints(tokens) -> np.ndarray:
+    values = list(map(int, tokens))
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("integer %d is out of range" % max(values, key=abs)) from None
+
+
+def reference_read_lattice(path: str):
+    """read_lattice as it was before each distinct token was converted once:
+    int()/float() on every token, every edge token re-joined and re-split.
+    Its header still reads lce as bool(int(.)), which accepts any integer."""
+    with open(path) as fh:
+        lines = [words for words in map(str.split, fh) if words]
+    if not lines or len(lines[0]) != 5:
+        raise ValueError("malformed lattice header")
+    head, body = lines[0], lines[1:]
+    tg, L, lce = TimeGrid(float(head[0]), int(head[1])), float(head[2]), bool(int(head[3]))
+    K = tg.K
+    deg = np.fromiter(map(len, body), np.int64, len(body)) - 3
+    bad = np.flatnonzero(deg < 0)
+    if bad.size:
+        raise ValueError("malformed node line %r" % " ".join(body[bad[0]]))
+    k = _reference_ints(map(itemgetter(0), body))
+    bad = np.flatnonzero((k < 0) | (k > K))
+    if bad.size:
+        raise ValueError("slice index %d outside 0..%d" % (k[bad[0]], K))
+    present = np.unique(k)          # checked before any array is sized by K
+    missing = np.append(np.flatnonzero(present != np.arange(present.size)), present.size)[0]
+    if missing <= K:
+        raise ValueError("missing slice %d in lattice file" % missing)
+    n = _reference_ints(map(itemgetter(1), body))
+    order = np.lexsort((n, k))
+    k, n, deg, body = k[order], n[order], deg[order], list(map(body.__getitem__, order.tolist()))
+    bad = np.flatnonzero((k[1:] == k[:-1]) & (n[1:] == n[:-1]))
+    if bad.size:
+        raise ValueError("duplicate node %d at slice %d" % (n[bad[0]], k[bad[0]]))
+    off = np.concatenate([[0], np.cumsum(np.bincount(k, minlength=K + 1))])
+    bad = np.flatnonzero(n != np.arange(n.size) - off[k])
+    if bad.size:
+        kb = k[bad[0]]
+        raise ValueError("node numbering at slice %d is not 0..%d" % (kb, np.diff(off)[kb] - 1))
+    bad = np.flatnonzero(deg[off[K]:])
+    if bad.size:
+        raise ValueError("terminal node %d has children" % bad[0])
+    tokens = list(chain.from_iterable(map(itemgetter(slice(3, None)), body)))
+    fields = " ".join(tokens).replace(":", " ").split()
+    colons = np.fromiter(map(str.count, tokens, repeat(":")), np.int64, len(tokens))
+    if len(fields) != 2 * len(tokens) or np.any(colons != 1):
+        raise ValueError("edge token %r is not child:prob" % next(
+            t for t in tokens if t.count(":") != 1 or t.startswith(":") or t.endswith(":")))
+    x = np.array(list(map(float, map(itemgetter(2), body))), dtype=float)
+    child = _reference_ints(fields[0::2])
+    prob = np.array(list(map(float, fields[1::2])), dtype=float)
+    start = np.concatenate([[0], np.cumsum(deg)])
+    lo, hi = off.tolist(), start[off].tolist()
+    edges = [(start[lo[j]:lo[j + 1] + 1] - hi[j], child[hi[j]:hi[j + 1]], prob[hi[j]:hi[j + 1]])
+             for j in range(K)]
+    lat = ScenarioLattice(np.split(x, off[1:-1]), edges, lce_declared=lce).validate()
+    return lat, tg, L
 
 
 def reference_check_value_invariants(field):

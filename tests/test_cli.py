@@ -277,6 +277,16 @@ def test_cli_rejects_an_infinite_rate_cap(tmp_path, capsys):
     assert "error: rate cap L must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("L", ["1e-10", "1e-20"])
+def test_cli_rejects_a_rate_cap_beyond_the_int32_thresholds(tmp_path, capsys, L):
+    """A cap so small that the policy thresholds would leave int32 is bad
+    input (exit 1), not a wrapped threshold (exit 2) or a traceback."""
+    (tmp_path / "lattice.txt").write_text("3 3 %s 1 2\n0 0 1 0:1\n1 0 1 0:1\n2 0 1 0:1\n3 0 1\n" % L)
+    cfg = write_cfg(tmp_path, "model=file\nlattice_file=%s\n" % (tmp_path / "lattice.txt"))
+    assert run(tmp_path, "verify", "--config", cfg) == 1
+    assert "beyond the int32 policy thresholds" in capsys.readouterr().err
+
+
 def test_cli_stopping_table(tmp_path):
     cfg = write_cfg(tmp_path, "model=binary\nstarts=0:0.5\n")
     assert run(tmp_path, "stopping", "--config", cfg, "--exhaustive") == 0

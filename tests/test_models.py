@@ -11,7 +11,8 @@ from swingkit import (LatticeNode, PathEnsemble, ScenarioLattice, TimeGrid,
                       write_lattice)
 
 from conftest import (exp_sigma_params, make_exp_martingale, reference_expect_next,
-                      reference_occupancy, reference_parents, tiny_lattice_rows)
+                      reference_occupancy, reference_parents, reference_read_lattice,
+                      tiny_lattice_rows)
 
 
 def reference_binomial_rows(K, x0, up=None, down=None, p_up=0.5, drift=None, noise=None):
@@ -279,6 +280,12 @@ def test_serialization_round_trip(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+BIG = "99999999999999999999"
+# Bad tokens for the k, node, X and edge columns of a node line.
+BAD_TOKENS = (("2.0", BIG, "-1", "9"), ("x", BIG, "-1", "7"), ("abc", "nan", "-1", "1e"),
+              ("0:1:1", "01", "0:", ":1", ":", "0:x", BIG + ":1", "0:0.5", "9:1"))
+
+
 def test_read_lattice_rejects_garbage(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("1.0 4\n")
@@ -287,7 +294,6 @@ def test_read_lattice_rejects_garbage(tmp_path):
     good = "3 3 1 1 2\n0 0 1 0:1\n1 0 1 0:1\n2 0 1 0:1\n3 0 1\n"
     p.write_text(good)
     assert read_lattice(str(p))[0].n_steps == 3
-    big = "99999999999999999999"
     for text, msg in ((good.replace("2 0 1", "2 1 1"), "numbering at slice 2"),
                       (good + "1 2 1 0:1\n", "numbering at slice 1"),
                       (good + "3 0 5\n", "duplicate node 0 at slice 3"),
@@ -307,9 +313,11 @@ def test_read_lattice_rejects_garbage(tmp_path):
                       (good.replace("1 0 1 0:1", "1 0 1 0:"), "edge token '0:' is not"),
                       (good.replace("1 0 1 0:1", "1 0 1 :1"), "edge token ':1' is not"),
                       (good.replace("1 0 1 0:1", "1 0 1 0:1 :"), "edge token ':' is not"),
-                      (good.replace("1 0 1 0:1", "1 0 1 %s:1" % big), "integer %s" % big),
-                      (good.replace("2 0 1", big + " 0 1"), "integer %s" % big),
-                      ("inf 3 1 1 2" + good[good.index("\n"):], "positive and finite")):
+                      (good.replace("1 0 1 0:1", "1 0 1 %s:1" % BIG), "integer %s" % BIG),
+                      (good.replace("2 0 1", BIG + " 0 1"), "integer %s" % BIG),
+                      ("inf 3 1 1 2" + good[good.index("\n"):], "positive and finite"),
+                      (good.replace("3 3 1 1 2", "3 3 1 7 2"), "lce = 7 is not 0 or 1"),
+                      (good.replace("3 3 1 1 2", "3 3 1 -1 2"), "lce = -1 is not 0 or 1")):
         p.write_text(text)
         with pytest.raises(ValueError, match=msg):
             read_lattice(str(p))
@@ -330,6 +338,63 @@ def test_read_lattice_is_bitwise_on_a_written_k384_file(tmp_path):
     p = tmp_path / "k384.txt"
     write_lattice(str(p), lat, TimeGrid(2.0, 384), 1.0)
     assert_bitwise_equal(read_lattice(str(p))[0], lat)
+
+
+def spoil(body, fault, rng):
+    """Inject fault number `fault` into the node lines (lists of words):
+    0-3 a bad token in that column (one token, or a draw per line, on a
+    random set of lines), 4 a short line, 5 a repeated line, 6 a dropped
+    line, 7 children on a terminal node; a negative fault injects nothing."""
+    lines = rng.permutation(len(body))[:rng.integers(1, len(body) + 1)]
+    if fault in range(4):
+        bad = BAD_TOKENS[fault]
+        same = bad[rng.integers(len(bad))] if rng.random() < 0.5 else None
+        for i in lines:
+            words = body[i]
+            col = fault if fault < 3 else 3 + rng.integers(max(len(words) - 3, 1))
+            if col < len(words):
+                words[col] = same or bad[rng.integers(len(bad))]
+    elif fault == 4:
+        body[lines[0]] = body[lines[0]][:2]
+    elif fault == 5:
+        body.append(list(body[lines[0]]))
+    elif fault == 6:
+        del body[lines[0]]
+    elif fault == 7:
+        max(body, key=lambda words: int(words[0])).append("0:1")
+    return body
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rows=tiny_lattice_rows(), seed=st.integers(0, 2 ** 32 - 1))
+def test_read_lattice_matches_the_reference(rows, seed):
+    """On a written lattice with its lines shuffled, tab or CRLF separators,
+    blank lines and at most one injected fault, the reader returns the
+    reference's lattice bit for bit or raises its ValueError text."""
+    rng = np.random.default_rng(seed)
+    lat = ScenarioLattice.from_rows(rows).validate()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "lat.txt")
+        write_lattice(path, lat, TimeGrid(float(lat.n_steps), lat.n_steps), 1.0)
+        with open(path) as fh:
+            head, *body = map(str.split, fh)
+        body = spoil(body, rng.integers(-4, 8), rng)
+        sep, end = (" ", "\t", " \t ")[rng.integers(3)], ("\n", "\r\n")[rng.integers(2)]
+        lines = [sep.join(words) for words in [head] + [body[i] for i in rng.permutation(len(body))]]
+        for _ in range(rng.integers(4)):
+            lines.insert(rng.integers(len(lines) + 1), ("", " \t")[rng.integers(2)])
+        with open(path, "w", newline="") as fh:
+            fh.write(end.join(lines) + end)
+        try:
+            want = reference_read_lattice(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                read_lattice(path)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            return
+        got = read_lattice(path)
+    assert_bitwise_equal(got[0], want[0])
+    assert (got[1].T, got[1].K, got[2]) == (want[1].T, want[1].K, want[2])
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -315,6 +315,18 @@ def test_volume_grid_rejects_an_infinite_rate_cap():
             VolumeGrid.aligned(L, TimeGrid(2.0, 4))
 
 
+def test_volume_grid_rejects_a_cap_beyond_the_int32_thresholds():
+    """The policy stores one int32 threshold per node, so the cap position
+    must fit int32: one past it (or 1e-10 on a 4-line file) would wrap the
+    thresholds, and 1e-20 would overflow when they are stored."""
+    tg = TimeGrid(3.0, 3)
+    top = int(np.iinfo(np.int32).max)
+    assert VolumeGrid.aligned(1.0 / top, tg).cap_pos == top
+    for L in (1.0 / (top + 1), 1e-10, 1e-20):
+        with pytest.raises(ValueError, match="beyond the int32 policy thresholds"):
+            VolumeGrid.aligned(L, tg)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(rows=tiny_lattice_rows(), j_cap=st.integers(1, 2), data=st.data())
 def test_relabeling_a_slice_permutes_j_and_the_threshold(rows, j_cap, data):
