@@ -160,33 +160,48 @@ def _write(out_dir: str, name: str, text: str):
 
 def _write_value_field(fh, field):
     tg, vg = field.time_grid, field.volume_grid
-    fh.write("t node y J dminus dplus\n")
-    times, levels = _strings(tg.times), _strings(vg.levels)
+    fh.write("t node y J dminus dplus")
+    times, levels = _strings(tg.times, "\n%.17g"), _strings(vg.levels, " %.17g")
+    sizes = [field.lattice.n_nodes(k) for k in range(tg.K + 1)]
+    nodes = _strings(np.arange(max(sizes)), " %d")
+    seen_J, seen_dm = {}, {}       # bit pattern -> text, for the whole file
     for k in range(tg.K + 1):
-        dm = _strings(field.dminus(k))
+        dm = _strings(field.dminus(k), " %.17g", seen_dm)
         dp = np.concatenate([dm[:, 1:], dm[:, -1:]], axis=1)   # dplus(k), bit for bit
-        _write_table(fh, times[k], _strings(np.arange(field.lattice.n_nodes(k)), "%d")[:, None],
-                     levels, _strings(field.values[k]), dm, dp)
+        _write_table(fh, (times[k] + nodes[:sizes[k]])[:, None], levels,
+                     _strings(field.values[k], " %.17g", seen_J), dm, dp)
+    fh.write("\n")
 
 
 def _write_rollout(fh, bundle):
     lattice, tg = bundle.policy.field.lattice, bundle.policy.field.time_grid
     k0, K = bundle.k0, tg.K
-    fh.write("path t u y X inc\n")
-    times = _strings(tg.times[k0:K])
+    fh.write("path t u y X inc")
+    times = _strings(tg.times[k0:K], " %.17g")
     x = np.stack([lattice.x(k)[bundle.nodes[:, k]] for k in range(k0, K)], axis=1)
     y = bundle.volumes[:, :-1]
     block = max(1, (1 << 16) // (K - k0))          # paths per ~65k lines
     for rows in (slice(r, r + block) for r in range(0, bundle.n_paths, block)):
-        _write_table(fh, _strings(bundle.path_ids[rows], "%d")[:, None], times,
-                     _strings(bundle.rates[rows]), _strings(y[rows]), _strings(x[rows]),
-                     _strings(bundle.increments[rows]))
+        _write_table(fh, _strings(bundle.path_ids[rows], "\n%d")[:, None], times,
+                     *(_strings(col[rows], " %.17g")
+                       for col in (bundle.rates, y, x, bundle.increments)))
+    fh.write("\n")
 
 
 def _write_exits(fh, bundle, ex):
-    fh.write("path sigma_u sigma_l sigma case\n")
-    _write_table(fh, _strings(bundle.path_ids, "%d"), _strings(ex.sigma_u),
-                 _strings(ex.sigma_l), _strings(ex.sigma), np.where(ex.case_u, "U", "L"))
+    fh.write("path sigma_u sigma_l sigma case")
+    _write_table(fh, _strings(bundle.path_ids, "\n%d"), _strings(ex.sigma_u, " %.17g"),
+                 _strings(ex.sigma_l, " %.17g"), _strings(ex.sigma, " %.17g"),
+                 np.where(ex.case_u, " U", " L"))
+    fh.write("\n")
+
+
+def _write_martingale(fh, node_values):
+    fh.write("k node M")
+    nodes = _strings(np.arange(max(map(len, node_values))), " %d")
+    for k, vals in enumerate(node_values):
+        _write_table(fh, "\n%d" % k, nodes[:len(vals)], _strings(vals, " %.17g"))
+    fh.write("\n")
 
 
 def _solve_all(cfg: dict, starts=()):
@@ -368,9 +383,7 @@ def cmd_dual(cfg: dict, out_dir: str, solved=None) -> int:
 
     res = max(rows, key=lambda row: row.K).martingale
     with open(os.path.join(out_dir, "martingale.txt"), "w") as fh:
-        fh.write("k node M\n")
-        for k, vals in enumerate(res.node_values):
-            _write_table(fh, "%d" % k, _strings(np.arange(len(vals)), "%d"), _strings(vals))
+        _write_martingale(fh, res.node_values)
     for line in lines:
         print(line)
     for flag in res.flags:

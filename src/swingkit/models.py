@@ -449,29 +449,40 @@ def sample_paths(lattice: ScenarioLattice, n_paths: int = 0, seed: int = 0,
     return PathEnsemble(lattice, nodes, weights, exhaustive=False)
 
 
-def _strings(a, spec: str = "%.17g") -> np.ndarray:
+def _strings(a, spec: str = "%.17g", memo: dict = None) -> np.ndarray:
     """spec % v for every element of a float64 or int64 array, as an object
     array of the same shape.
 
     Each distinct bit pattern is formatted once and gathered back, so the
     text equals per-element formatting: -0.0 and 0.0 stay apart and every
-    NaN prints as nan.
+    NaN prints as nan. memo, a dict from bit pattern to text kept by the
+    caller for one spec, carries the formatted patterns across calls, so
+    only patterns it has not seen are formatted.
     """
     a = np.ascontiguousarray(a)
     bits, inv = np.unique(a.view(np.int64), return_inverse=True)
-    text = (spec + "\n") * len(bits) % tuple(bits.view(a.dtype).tolist())
-    return np.array(text.split("\n")[:-1], dtype=object)[inv.reshape(a.shape)]
+    memo = {} if memo is None else memo
+    keys = bits.tolist()
+    new = [b for b in keys if b not in memo]
+    if new:
+        memo.update(zip(new, _format(spec, np.array(new, dtype=np.int64).view(a.dtype).tolist())))
+    return np.array(list(map(memo.__getitem__, keys)), dtype=object)[inv.reshape(a.shape)]
+
+
+def _format(spec: str, values: list) -> list:
+    """[spec % v for v in values], in one %-operation; the batch is split on
+    NUL, which no %-conversion of a number produces."""
+    return ((spec + "\0") * len(values) % tuple(values)).split("\0")[:-1]
 
 
 def _write_table(fh, *columns):
-    """Write one line per element of the broadcast string columns, with the
-    fields separated by single spaces."""
+    """Write the broadcast string columns row by row. Each column's strings
+    carry their own separator: the first column's start with the newline that
+    ends the previous line, the others' with a space."""
     shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
-    table = np.empty(shape + (2 * len(columns),), dtype=object)
-    table[..., 1:-1:2] = " "
-    table[..., -1] = "\n"
+    table = np.empty(shape + (len(columns),), dtype=object)
     for i, col in enumerate(columns):
-        table[..., 2 * i] = col
+        table[..., i] = col
     fh.write("".join(table.ravel().tolist()))
 
 
@@ -486,19 +497,19 @@ def write_lattice(path: str, lattice: ScenarioLattice, time_grid: TimeGrid, L: f
     sizes = np.array([lattice.n_nodes(k) for k in range(K + 1)])
     k_of = np.repeat(np.arange(K + 1), sizes)
     node = np.arange(k_of.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    heads = ("\n" + _strings(np.arange(K + 1), "%d")[k_of] + " "
-             + _strings(np.arange(sizes.max()), "%d")[node] + " "
-             + _strings(np.concatenate([lattice.x(k) for k in range(K + 1)])))
     edges = [lattice.edges(k) for k in range(K)]
     deg = np.concatenate([np.diff(start) for start, _, _ in edges] + [np.zeros(sizes[K], int)])
-    # each node's line start, then one " child:prob" piece per edge
-    pieces = np.empty(k_of.size + deg.sum(), dtype=object)
-    at = np.cumsum(deg + 1) - deg - 1
-    pieces[at] = heads
+    # per node line "\nk", " node", " X", then " child", ":prob" per edge
+    pieces = np.empty(3 * k_of.size + 2 * deg.sum(), dtype=object)
+    at = np.cumsum(3 + 2 * deg) - 3 - 2 * deg
+    pieces[at] = _strings(np.arange(K + 1), "\n%d")[k_of]
+    pieces[at + 1] = _strings(np.arange(sizes.max()), " %d")[node]
+    pieces[at + 2] = _strings(np.concatenate([lattice.x(k) for k in range(K + 1)]), " %.17g")
     on_edge = np.ones(pieces.size, dtype=bool)
-    on_edge[at] = False
-    pieces[on_edge] = (" " + _strings(np.concatenate([e[1] for e in edges]), "%d") + ":"
-                       + _strings(np.concatenate([e[2] for e in edges])))
+    on_edge[at] = on_edge[at + 1] = on_edge[at + 2] = False
+    slot = np.flatnonzero(on_edge)
+    pieces[slot[0::2]] = _strings(np.concatenate([e[1] for e in edges]), " %d")
+    pieces[slot[1::2]] = _strings(np.concatenate([e[2] for e in edges]), ":%.17g")
     with open(path, "w") as fh:
         fh.write("%.17g %d %.17g %d 2" % (time_grid.T, time_grid.K, L, int(lattice.lce_declared)))
         fh.write("".join(pieces.tolist()) + "\n")

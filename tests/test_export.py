@@ -1,19 +1,23 @@
 """The streamed text export against per-line reference formatting.
 
 The reference functions below format one line at a time, the way the export
-was first written; the streamed writers in `swingkit.cli` must reproduce
-their text byte for byte.
+was first written; the streamed writers in `swingkit.cli` and
+`write_lattice` must reproduce their text byte for byte.
 """
 
 import io
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from swingkit import ScenarioLattice, exit_times, rollout, sample_paths
-from swingkit.cli import (_solve_all, _strings, _write_exits, _write_rollout,
-                          _write_value_field, main, make_ensemble, parse_config,
-                          parse_starts)
+from swingkit import (ScenarioLattice, TimeGrid, exit_times, rollout, sample_paths,
+                      write_lattice)
+from swingkit import models
+from swingkit.cli import (_solve_all, _strings, _write_exits, _write_martingale,
+                          _write_rollout, _write_value_field, main, make_ensemble,
+                          parse_config, parse_starts)
 
 from conftest import solved, tiny_lattice_rows
 
@@ -56,6 +60,25 @@ def reference_exits(bundle) -> str:
     return "\n".join(lines) + "\n"
 
 
+def reference_martingale(node_values) -> str:
+    lines = ["k node M"]
+    for k, vals in enumerate(node_values):
+        lines.extend("%d %d %.17g" % (k, n, v) for n, v in enumerate(vals.tolist()))
+    return "\n".join(lines) + "\n"
+
+
+def reference_lattice_text(lattice, tg, L) -> str:
+    lines = ["%.17g %d %.17g %d 2" % (tg.T, tg.K, L, int(lattice.lce_declared))]
+    for k in range(tg.K + 1):
+        start, child, prob = ([a.tolist() for a in lattice.edges(k)] if k < tg.K
+                              else ([0] * (lattice.n_nodes(k) + 1), [], []))
+        for n, x in enumerate(lattice.x(k).tolist()):
+            lines.append("%d %d %.17g" % (k, n, x) + "".join(
+                " %d:%.17g" % e for e in zip(child[start[n]:start[n + 1]],
+                                             prob[start[n]:start[n + 1]])))
+    return "\n".join(lines) + "\n"
+
+
 def streamed(writer, *args) -> str:
     fh = io.StringIO()
     writer(fh, *args)
@@ -67,24 +90,59 @@ SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
            1.0 - 2.0 ** -53, 0.1, 1e16, 1.7976931348623157e308]
 
 
+AFFIXES = ["", " ", "\n"]
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(pool=st.lists(st.sampled_from(SPECIAL) | st.floats(), min_size=1, max_size=6),
        data=st.data())
 def test_strings_match_per_element_formatting(pool, data):
     """Formatting each distinct bit pattern once gives the text of formatting
     every element: repeats, both zeros, NaN, infinities, subnormals and
-    neighbouring doubles, in 1-D and 2-D arrays, contiguous or not."""
+    neighbouring doubles, in 1-D and 2-D arrays, contiguous or not, with a
+    space or newline before or after the number, and through a memo that a
+    second call finds filled."""
     shape = data.draw(st.sampled_from([(0,), (1,), (7,), (40,), (0, 3), (3, 5), (6, 4)]))
     idx = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=int(np.prod(shape)),
                              max_size=int(np.prod(shape))))
     a = np.array(pool, dtype=np.float64)[np.array(idx, dtype=np.int64)].reshape(shape)
     if a.ndim == 2 and data.draw(st.booleans()):
         a = a.T
-    got = _strings(a)
-    assert got.shape == a.shape
-    assert got.ravel().tolist() == ["%.17g" % v for v in a.ravel().tolist()]
+    pre, suf = data.draw(st.sampled_from(AFFIXES)), data.draw(st.sampled_from(AFFIXES))
+    memo = {} if data.draw(st.booleans()) else None
+    for b in (a, a[::-1]):
+        got = _strings(b, pre + "%.17g" + suf, memo)
+        assert got.shape == b.shape
+        assert got.ravel().tolist() == [pre + "%.17g" % v + suf for v in b.ravel().tolist()]
     ints = np.array(idx, dtype=np.int64) - 3
-    assert _strings(ints, "%d").tolist() == ["%d" % i for i in ints.tolist()]
+    assert (_strings(ints, pre + "%d" + suf).tolist()
+            == [pre + "%d" % i + suf for i in ints.tolist()])
+
+
+def test_value_field_formats_each_distinct_value_once_per_file(monkeypatch):
+    """On a K=12 binomial martingale the value-field export formats each
+    distinct bit pattern of J and of dminus once for the whole file (plus
+    the times and levels), not once for every slice it occurs in."""
+    formatted, real = [], models._format
+
+    def counting(spec, values):
+        if spec.endswith("g"):
+            formatted.append(len(values))
+        return real(spec, values)
+
+    monkeypatch.setattr(models, "_format", counting)
+    field = _solve_all({"model": "binomial", "kind": "martingale", "drift": 0.0,
+                        "noise": 0.005, "x0": 1.0, "T": 2.0, "K": 12}).field
+    streamed(_write_value_field, field)
+    K, n_levels = field.time_grid.K, field.volume_grid.n_levels
+
+    def distinct(slices):
+        return np.unique(np.concatenate([s.ravel() for s in slices]).view(np.int64)).size
+
+    J = [field.values[k] for k in range(K + 1)]
+    dm = [field.dminus(k) for k in range(K + 1)]
+    assert sum(formatted) == distinct(J) + distinct(dm) + (K + 1) + n_levels
+    assert sum(distinct([s]) for s in J + dm) > distinct(J) + distinct(dm)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -102,6 +160,32 @@ def test_streamed_tables_match_the_reference(rows, j_cap, data):
     b = rollout(pol, ens, (k0, vg.levels[pos0]))
     assert streamed(_write_rollout, b) == reference_rollout(b, lat)
     assert streamed(_write_exits, b, exit_times(b)) == reference_exits(b)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rows=tiny_lattice_rows(), data=st.data())
+def test_martingale_table_matches_the_reference(rows, data):
+    """`martingale.txt`'s table equals the per-line reference for node values
+    shaped by a drawn tiny lattice: drawn floats, repeats and the special
+    values, NaN included."""
+    lat = ScenarioLattice.from_rows(rows).validate()
+    node_values = [np.array(data.draw(st.lists(st.sampled_from(SPECIAL) | st.floats(),
+                                               min_size=n, max_size=n)), dtype=np.float64)
+                   for n in map(lat.n_nodes, range(lat.n_steps + 1))]
+    assert streamed(_write_martingale, node_values) == reference_martingale(node_values)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rows=tiny_lattice_rows(), lce=st.booleans(), L=st.sampled_from([1.0, 0.5, 1.0 / 3.0]))
+def test_lattice_text_matches_the_reference(rows, lce, L):
+    """`write_lattice` on a drawn tiny lattice writes the per-line reference."""
+    lat = ScenarioLattice.from_rows(rows, lce_declared=lce).validate()
+    tg = TimeGrid(float(lat.n_steps), lat.n_steps)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "lattice.txt")
+        write_lattice(path, lat, tg, L)
+        with open(path) as fh:
+            assert fh.read() == reference_lattice_text(lat, tg, L)
 
 
 def test_price_files_match_the_reference(tmp_path):
