@@ -17,8 +17,9 @@ import numpy as np
 
 from .duality import (build_optimal_martingale, dual_value, duality_gap_study,
                       random_martingale)
-from .models import (TimeGrid, _strings, _write_table, build_binary_example, build_binomial,
-                     count_paths, read_lattice, sample_paths, write_lattice)
+from .models import (MAX_PATHS, TimeGrid, _strings, _write_table, build_binary_example,
+                     build_binomial, count_paths, enumerate_paths, read_lattice, sample_paths,
+                     write_lattice)
 from .oracle import brute_force_value
 from .policy import check_inclusion, check_saturation, exit_times, extract_policy, rollout
 from .solver import (InvariantError, PreconditionError, VolumeGrid, bellman_residual,
@@ -111,14 +112,14 @@ def build_model(cfg: dict):
 
 
 def make_ensemble(lattice, cfg: dict, n_paths: int = 0, prefer_exhaustive: bool = False):
-    """All paths under exhaustive=true, or when at most 65536 and either
+    """All paths under exhaustive=true, or when at most MAX_PATHS and either
     prefer_exhaustive is set or no count is given (the config's n_paths, else
     the n_paths here); otherwise that many sampled paths."""
     if cfg.get("n_paths", 0) >= 1:
         n_paths = cfg["n_paths"]
     if cfg.get("exhaustive", False) or (
-            (prefer_exhaustive or n_paths < 1) and count_paths(lattice) <= 65536):
-        return sample_paths(lattice, exhaustive=True)
+            (prefer_exhaustive or n_paths < 1) and count_paths(lattice) <= MAX_PATHS):
+        return enumerate_paths(lattice)
     if n_paths < 1:
         raise ValueError("too many paths to enumerate; set n_paths= or exhaustive=true")
     return sample_paths(lattice, n_paths=n_paths, seed=cfg.get("seed", 0))
@@ -220,15 +221,8 @@ def cmd_price(cfg: dict, out_dir: str) -> int:
 
 
 def _start_indices(starts: list, tg, vg) -> list:
-    """(k0, pos0) of each (t0, y0) start; raises ValueError unless every start
-    lies on both grids and before the horizon."""
-    out = []
-    for t0, y0 in starts:
-        k0 = tg.index_of(t0)
-        if k0 == tg.K:
-            raise ValueError("start time %.17g has no remaining horizon" % t0)
-        out.append((k0, vg.index_of(y0)))
-    return out
+    """(k0, pos0) of each (t0, y0) start, checked against both grids."""
+    return [(tg.start_index(t0), vg.index_of(y0)) for t0, y0 in starts]
 
 
 def _export_price(cfg: dict, out_dir: str, policy, ens):

@@ -98,8 +98,7 @@ def dual_value(martingale: MartingaleField, volume_grid: VolumeGrid,
     the solver's reward convention, so weak duality is exact lattice algebra.
     """
     lattice = martingale.lattice
-    if volume_grid.n_steps != lattice.n_steps:
-        raise ValueError("volume grid was aligned to a different time grid")
+    volume_grid.check_steps(lattice.n_steps)
     if volume_grid.n_steps <= volume_grid.j_cap:
         raise PreconditionError("the dual bound needs L*T > 1; this grid has L*T <= 1")
     martingale.validate()
@@ -166,7 +165,7 @@ def build_optimal_martingale(policy: PolicyField) -> OptimalMartingaleResult:
         pos = realized[k]
         active = pos >= 0
         exit_up.append(active & (pos >= vg.cap_pos))
-        trigger.append(exit_up[k] | (active & (vg.cap_pos - pos >= K - k)))
+        trigger.append(exit_up[k] | (active & (pos <= vg.boundary_pos(k))))
         if k == K:
             break
         _, child, _ = lattice.edges(k)
@@ -237,10 +236,8 @@ def build_optimal_martingale(policy: PolicyField) -> OptimalMartingaleResult:
         # sums run in state order (bincount, cumsum) so every bit matches a
         # state-by-state loop
         integrand = float(np.cumsum(np.append(integrand, p * np.maximum(x - v, 0.0)))[-1])
-        start, child, prob = lattice.edges(k)
-        count = start[node + 1] - start[node]
-        row = np.repeat(np.arange(node.size), count)
-        e = np.repeat(start[node] - np.cumsum(count) + count, count) + np.arange(row.size)
+        child, prob = lattice.edges(k)[1:]
+        row, e = lattice.out_edges(k, node)
         stay = (phase == 0) & ~trigger[k][node]
         new_phase = np.where(phase > 0, phase, np.where(exit_up[k][node], 1, 2))
         base = np.where(stay, w_field[k][node], np.where(phase == 0, x, m))

@@ -15,6 +15,7 @@ from operator import itemgetter
 import numpy as np
 
 PROB_TOL = 1e-12
+MAX_PATHS = 65536       # the most paths enumerate_paths lists
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -50,6 +51,13 @@ class TimeGrid:
         k = int(round(kf)) if np.isfinite(kf) else -1
         if abs(kf - k) > 1e-9 or not 0 <= k <= self.K:
             raise ValueError("time %.17g is off the grid" % t)
+        return k
+
+    def start_index(self, t: float) -> int:
+        """index_of(t) for a start time, which must leave at least one step."""
+        k = self.index_of(t)
+        if k == self.K:
+            raise ValueError("start time %.17g has no remaining horizon" % t)
         return k
 
 
@@ -126,6 +134,15 @@ class ScenarioLattice:
         if not 0 <= k < self.n_steps:
             raise ValueError("no transitions out of slice %d" % k)
         return self._edges[k]
+
+    def out_edges(self, k: int, nodes: np.ndarray):
+        """(row, edge) over the edges of edges(k) leaving each nodes[i] in
+        turn, in edge order: edge[j] is an edge index, row[j] its i."""
+        start = self.edges(k)[0]
+        first = start[nodes]
+        deg = start[nodes + 1] - first
+        row = np.repeat(np.arange(deg.size), deg)
+        return row, np.arange(row.size) + (first + deg - np.cumsum(deg))[row]
 
     def parents(self, k: int) -> np.ndarray:
         """Parent node of each edge of edges(k), as a read-only array."""
@@ -362,6 +379,15 @@ class PathEnsemble:
         if self.lattice is not lattice:
             raise ValueError("the path ensemble was drawn from another lattice")
 
+    def rows_through(self, k: int, node: int = None) -> np.ndarray:
+        """Rows of the paths through node at slice k (all rows for None)."""
+        if node is None:
+            return np.arange(self.n_paths)
+        rows = np.flatnonzero(self.nodes[:, k] == node)
+        if not rows.size:
+            raise ValueError("no ensemble path passes node %d at slice %d" % (node, k))
+        return rows
+
     def validate(self):
         if abs(self.weights.sum() - 1.0) > PROB_TOL * max(1, self.n_paths):
             raise ValueError("path weights sum to %.17g" % self.weights.sum())
@@ -391,42 +417,36 @@ def count_paths(lattice: ScenarioLattice) -> int:
     return int(counts.sum())
 
 
-def enumerate_paths(lattice: ScenarioLattice, max_paths: int = 65536) -> PathEnsemble:
+def enumerate_paths(lattice: ScenarioLattice) -> PathEnsemble:
     """Exhaustive path ensemble with exact probability weights.
 
     Paths come in lexicographic order of their edge choices; each weight is
     the product of its start weight and edge probabilities, left to right.
+    Lattices with more than MAX_PATHS paths are refused before enumerating.
     """
     total = count_paths(lattice)
-    if total > max_paths:
-        raise ValueError("path count %d exceeds the bound %d" % (total, max_paths))
+    if total > MAX_PATHS:
+        raise ValueError("path count %d exceeds the bound %d" % (total, MAX_PATHS))
     n0 = lattice.n_nodes(0)
     nodes = np.arange(n0)[:, None]
     weights = np.full(n0, 1.0 / n0)
     for k in range(lattice.n_steps):
-        start, child, prob = lattice.edges(k)
-        first = start[nodes[:, k]]
-        deg = start[nodes[:, k] + 1] - first
-        owner = np.repeat(np.arange(deg.size), deg)
-        edge = np.arange(owner.size) + (first + deg - np.cumsum(deg))[owner]
+        child, prob = lattice.edges(k)[1:]
+        owner, edge = lattice.out_edges(k, nodes[:, k])
         nodes = np.column_stack([nodes[owner], child[edge]])
         weights = weights[owner] * prob[edge]
     return PathEnsemble(lattice, nodes, weights, exhaustive=True)
 
 
-def sample_paths(lattice: ScenarioLattice, n_paths: int = 0, seed: int = 0,
-                 exhaustive: bool = False, max_paths: int = 65536) -> PathEnsemble:
-    """Sampled (uniform-weight) or exhaustive path ensemble.
+def sample_paths(lattice: ScenarioLattice, n_paths: int, seed: int = 0) -> PathEnsemble:
+    """Sampled path ensemble with uniform weights.
 
     Sampling is deterministic given the seed. Start nodes are drawn first
     (only when slice 0 has several nodes), then one uniform per path and
     step, path-major; each step picks the first edge whose normalized
     cumulative probability exceeds the uniform, the rule of
-    numpy's Generator.choice. Exhaustive mode enumerates all paths with exact
-    probabilities and rejects lattices whose path count exceeds max_paths.
+    numpy's Generator.choice.
     """
-    if exhaustive:
-        return enumerate_paths(lattice, max_paths)
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     rng = np.random.default_rng(seed)

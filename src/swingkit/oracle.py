@@ -31,8 +31,7 @@ def brute_force_value(lattice: ScenarioLattice, volume_grid: VolumeGrid, start=(
     k0, y0 = start
     K = lattice.n_steps
     vg = volume_grid
-    if vg.n_steps != K:
-        raise ValueError("volume grid was aligned to a different time grid")
+    vg.check_steps(K)
     if not 0 <= k0 <= K:
         raise ValueError("start index %d outside the grid" % k0)
     pos0 = vg.index_of(y0)

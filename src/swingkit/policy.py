@@ -91,7 +91,6 @@ class RolloutBundle:
     policy: PolicyField
     k0: int
     pos0: int
-    node0: int
     path_ids: np.ndarray
     nodes: np.ndarray
     positions: np.ndarray
@@ -143,11 +142,7 @@ def rollout(policy: PolicyField, ensemble: PathEnsemble, start,
     if not 0 <= k0 < K:
         raise ValueError("start index %d outside the grid" % k0)
     pos0 = vg.index_of(y0)
-    rows = np.arange(ensemble.n_paths)
-    if node0 is not None:
-        rows = np.flatnonzero(ensemble.nodes[:, k0] == node0)
-        if not rows.size:
-            raise ValueError("no ensemble path passes node %d at slice %d" % (node0, k0))
+    rows = ensemble.rows_through(k0, node0)
     nodes = ensemble.nodes[rows]
     positions = np.empty((rows.size, K - k0 + 1), dtype=np.int64)
     rates = np.zeros((rows.size, K - k0))
@@ -163,7 +158,7 @@ def rollout(policy: PolicyField, ensemble: PathEnsemble, start,
     # running sums keep the left-to-right order of a path-by-path accumulation
     weights = ensemble.weights[rows] / np.cumsum(ensemble.weights[rows])[-1]
     mean = float(np.cumsum(weights * rewards)[-1])
-    return RolloutBundle(policy, k0, pos0, node0, rows, nodes, positions, rates, incs,
+    return RolloutBundle(policy, k0, pos0, rows, nodes, positions, rates, incs,
                          rewards, weights, mean, ensemble.exhaustive and node0 is None)
 
 
@@ -197,8 +192,7 @@ def check_saturation(bundle: RolloutBundle) -> bool:
     finish with the volume exactly exhausted. Returns False when the start is
     not in that region (nothing to check)."""
     vg = bundle.policy.field.volume_grid
-    K = bundle.policy.field.time_grid.K
-    if K - bundle.k0 < vg.cap_pos - bundle.pos0:
+    if bundle.pos0 < vg.boundary_pos(bundle.k0):
         return False
     short = np.flatnonzero(bundle.positions[:, -1] != vg.cap_pos)
     if short.size:
@@ -223,8 +217,6 @@ class ExerciseBoundary:
     sigma_u: np.ndarray
     sigma_l: np.ndarray
     sigma: np.ndarray
-    k_u: np.ndarray
-    k_l: np.ndarray
     k_sigma: np.ndarray
     case_u: np.ndarray
 
@@ -234,11 +226,11 @@ def exit_times(bundle: RolloutBundle) -> ExerciseBoundary:
     tg = bundle.policy.field.time_grid
     K = tg.K
     times = tg.times
-    m_event = (K - bundle.k0) > (vg.cap_pos - bundle.pos0) > 0
+    m_event = vg.boundary_pos(bundle.k0) < bundle.pos0 < vg.cap_pos
     pos = bundle.positions
     hit_u = pos >= vg.cap_pos
     k_u = np.where(hit_u.any(axis=1), bundle.k0 + hit_u.argmax(axis=1), -1)
-    k_l = bundle.k0 + (vg.cap_pos - pos >= K - np.arange(bundle.k0, K + 1)).argmax(axis=1)
+    k_l = bundle.k0 + (pos <= vg.boundary_pos(np.arange(bundle.k0, K + 1))).argmax(axis=1)
     ku = np.where(k_u >= 0, k_u, K + 1)
     case_u = ku <= k_l
     k_sig = np.minimum(ku, k_l) if m_event else np.full(bundle.n_paths, K)
@@ -247,8 +239,7 @@ def exit_times(bundle: RolloutBundle) -> ExerciseBoundary:
     sigma = times[k_sig]
     if m_event and np.any(k_sig <= bundle.k0):
         raise InvariantError("exit at or before the start time on the interior event")
-    return ExerciseBoundary(bundle.k0, m_event, sigma_u, sigma_l, sigma,
-                            k_u, k_l, k_sig, case_u)
+    return ExerciseBoundary(bundle.k0, m_event, sigma_u, sigma_l, sigma, k_sig, case_u)
 
 
 @dataclass(eq=False)
@@ -300,7 +291,6 @@ class MollifiedControl:
     y <- y + dt * f evaluated at the floor-snapped level.
     """
 
-    n: int
     window: float
     pitches: int
     clamped: bool
@@ -353,5 +343,5 @@ def mollified_iterate(regions: ExerciseRegions, ensemble: PathEnsemble, start,
             p = np.floor(y * vg.j_cap + 1e-9).astype(np.int64) - vg.j_min
             p = np.clip(p, 0, vg.n_levels - 1)
             traj[:, mm - k0 + 1] = y + dt * f[mm][ensemble.nodes[:, mm], p]
-        out.append(MollifiedControl(n, width, m, clamped, f, traj))
+        out.append(MollifiedControl(width, m, clamped, f, traj))
     return out

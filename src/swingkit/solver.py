@@ -76,6 +76,11 @@ class VolumeGrid:
         is k + max(j_cap - K, 0), so the level is always on the grid."""
         return self.cap_pos - (self.n_steps - k)
 
+    def check_steps(self, K: int):
+        """Raise ValueError unless the grid was aligned to a K-step time grid."""
+        if self.n_steps != K:
+            raise ValueError("volume grid was aligned to a different time grid")
+
     def index_of(self, y: float) -> int:
         yj = y * self.j_cap
         pos = int(round(yj)) - self.j_min if np.isfinite(yj) else -1
@@ -210,8 +215,7 @@ def solve(lattice: ScenarioLattice, time_grid: TimeGrid, volume_grid: VolumeGrid
     K = time_grid.K
     if lattice.n_steps != K:
         raise ValueError("lattice has %d steps, time grid has %d" % (lattice.n_steps, K))
-    if volume_grid.n_steps != K:
-        raise ValueError("volume grid was aligned to a different time grid")
+    volume_grid.check_steps(K)
     if any(lattice.n_nodes(k) == 0 for k in range(K + 1)):
         raise ValueError("empty lattice slice")
     lattice.check_cashflows()
@@ -365,13 +369,13 @@ class BoundaryReport:
     violations: list
 
 
-def boundary_check(field: ValueField, tol: float = EXACT_TOL) -> BoundaryReport:
+def boundary_check(field: ValueField) -> BoundaryReport:
     """Check J = 0 at y = 1 and the full-rate identity below the boundary.
 
     For every level with y <= 1 - L*(T - t_k) the value must equal the
     expected remaining reward of exercising at the full rate throughout,
-    E[sum step*X | node]. Those levels hold the stored tail[k] (and, at
-    k = K, the cap column), so each node is compared once.
+    E[sum step*X | node], to EXACT_TOL. Those levels hold the stored tail[k]
+    (and, at k = K, the cap column), so each node is compared once.
     """
     lattice = field.lattice
     vg = field.volume_grid
@@ -388,7 +392,7 @@ def boundary_check(field: ValueField, tol: float = EXACT_TOL) -> BoundaryReport:
         cap = field.row(k, vg.cap_pos)
         cap_err = float(np.abs(cap).max())
         max_cap = max(max_cap, cap_err)
-        if cap_err > tol:
+        if cap_err > EXACT_TOL:
             violations.append(("cap", k, cap_err))
         b = vg.boundary_pos(k)
         if b >= 0:
@@ -397,6 +401,6 @@ def boundary_check(field: ValueField, tol: float = EXACT_TOL) -> BoundaryReport:
                 deep.append(cap[:, 0])
             err = float(np.abs(np.column_stack(deep) - tail[k][:, None]).max())
             max_deep = max(max_deep, err)
-            if err > tol:
+            if err > EXACT_TOL:
                 violations.append(("deep", k, err))
     return BoundaryReport(max_deep, max_cap, violations)

@@ -18,6 +18,8 @@ from .models import PathEnsemble, ScenarioLattice, backward_extremum
 from .policy import PolicyField, RolloutBundle, exit_times, rollout
 from .solver import InvariantError
 
+ENVELOPE_TOL = 1e-12
+
 
 @dataclass(eq=False)
 class Envelope:
@@ -61,8 +63,8 @@ class Envelope:
             self.martingale = mart
             self.compensator = [vals[k] - mart[k] for k in range(K + 1)]
 
-    def check(self, tol: float = 1e-12) -> dict:
-        """Dominance, one-step super/sub-martingale property, terminal match."""
+    def check(self) -> dict:
+        """Dominance, one-step drift and terminal match, within ENVELOPE_TOL."""
         lattice, vals = self.lattice, self.values
         K = lattice.n_steps
         sup = self.direction == "max"
@@ -77,9 +79,9 @@ class Envelope:
                 drift = lattice.expect_next(k, vals[k + 1]) - vals[k]
                 drift = drift if sup else -drift
                 worst_mart = max(worst_mart, float(drift.max()))
-        if worst_dom > tol:
+        if worst_dom > ENVELOPE_TOL:
             raise InvariantError("envelope fails to dominate the cashflow by %.3g" % worst_dom)
-        if worst_mart > tol:
+        if worst_mart > ENVELOPE_TOL:
             raise InvariantError("envelope drifts the wrong way by %.3g" % worst_mart)
         return {"dominance": worst_dom, "drift": worst_mart}
 
@@ -171,11 +173,7 @@ def evaluate_stop_rule(rule: StoppingRule, ensemble: PathEnsemble,
     ensemble's lattice; every path must stop by the terminal time."""
     lattice = ensemble.lattice
     k0 = rule.k0
-    rows = np.arange(ensemble.n_paths)
-    if node0 is not None:
-        rows = np.flatnonzero(ensemble.nodes[:, k0] == node0)
-        if not rows.size:
-            raise ValueError("no ensemble path passes node %d at slice %d" % (node0, k0))
+    rows = ensemble.rows_through(k0, node0)
     nodes = ensemble.nodes[rows]
     x_hit = np.full(rows.size, np.nan)
     for m in range(k0 if rule.include_start else k0 + 1, lattice.n_steps + 1):
@@ -347,7 +345,6 @@ def marginal_value_report(policy: PolicyField, ensemble: PathEnsemble,
     field = policy.field
     lattice, tg, vg = field.lattice, field.time_grid, field.volume_grid
     ensemble.check_lattice(lattice)
-    K = tg.K
     occ = lattice.occupancy()
     sup_env = backward_extremum(lattice, "max")
     inf_env = backward_extremum(lattice, "min")
@@ -355,9 +352,7 @@ def marginal_value_report(policy: PolicyField, ensemble: PathEnsemble,
     searchable = lattice.is_tree() and ensemble.exhaustive
     rows = []
     for (t0, y0) in starts:
-        k0 = tg.index_of(t0)
-        if k0 == K:
-            raise ValueError("start time %.17g has no remaining horizon" % t0)
+        k0 = tg.start_index(t0)
         boundary_y = 1.0 - vg.L * (tg.T - tg.times[k0])
         try:
             pos0 = vg.index_of(y0)
@@ -378,8 +373,9 @@ def marginal_value_report(policy: PolicyField, ensemble: PathEnsemble,
         else:
             region = "interior"
         w = occ[k0]
-        ndm = -float(w @ field.dminus(k0)[:, pos0]) + 0.0
-        ndp = -float(w @ field.dplus(k0)[:, pos0]) + 0.0
+        dm = field.dminus(k0)    # -D+J is its column pos0 + 1 (pos0 at the cap)
+        ndm = -float(w @ dm[:, pos0]) + 0.0
+        ndp = -float(w @ dm[:, min(pos0 + 1, vg.cap_pos)]) + 0.0
         ssup = float(w @ sup_env[k0])
         sinf = float(w @ inf_env[k0])
         ex_sig = np.nan

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from swingkit import (DualReport, Envelope, InvariantError, LatticeNode, MartingaleField,
                       OptimalMartingaleResult, ScenarioLattice, TimeGrid, VolumeGrid,
                       backward_extremum, build_binary_example, build_binomial,
-                      extract_policy, sample_paths, solve)
+                      enumerate_paths, extract_policy, solve)
 from swingkit.solver import EXACT_TOL
 
 
@@ -267,7 +267,7 @@ def is_threshold(go):
 def binary96():
     lat = build_binary_example(96)
     tg, vg, field, policy = solved(lat, 3.0)
-    ens = sample_paths(lat, exhaustive=True)
+    ens = enumerate_paths(lat)
     return {"lat": lat, "tg": tg, "vg": vg, "field": field,
             "policy": policy, "ens": ens}
 

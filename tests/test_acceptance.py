@@ -15,7 +15,7 @@ from swingkit import (StoppingRule, TimeGrid, VolumeGrid, boundary_check,
                       brute_force_value, build_binary_example, build_binomial,
                       check_inclusion, check_saturation, check_value_invariants,
                       closed_form, constant_martingale, dual_value,
-                      duality_gap_study, evaluate_stop_rule, exercise_regions,
+                      duality_gap_study, enumerate_paths, evaluate_stop_rule, exercise_regions,
                       exit_times, extract_policy, mollified_iterate,
                       optimal_predictable_stop, random_martingale, rollout,
                       sample_paths, solve, stop_windows)
@@ -69,7 +69,7 @@ def binary_multi():
 def binary_solved(binary_multi):
     b = dict(binary_multi[96])
     b["policy"] = extract_policy(b["field"])
-    b["ens"] = sample_paths(b["lat"], exhaustive=True)
+    b["ens"] = enumerate_paths(b["lat"])
     return b
 
 
@@ -207,7 +207,7 @@ def test_criterion_08_invariant_suite():
         rep = boundary_check(field)
         assert rep.violations == []
         try:
-            ens = sample_paths(lat, exhaustive=True)
+            ens = enumerate_paths(lat)
         except ValueError:
             ens = sample_paths(lat, n_paths=256, seed=11)
         for y0 in (0.0, 0.5):

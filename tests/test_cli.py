@@ -99,6 +99,12 @@ def test_cli_price_bad_start_writes_nothing(tmp_path, capsys, starts):
     assert list(out.iterdir()) == []
 
 
+def test_cli_price_rejects_a_start_at_the_horizon(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "model=binary\nstarts=3:0\n")
+    assert main(["price", "--config", cfg, "--steps", "12", "--out", str(tmp_path)]) == 1
+    assert "error: start time 3 has no remaining horizon" in capsys.readouterr().err
+
+
 def test_cli_verify_rejects_an_off_grid_start(tmp_path, capsys):
     """An off-grid start is bad input (exit 1) under verify as under price,
     not an ERROR line."""

@@ -10,9 +10,9 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
-from swingkit import (ScenarioLattice, TimeGrid, exit_times, rollout, sample_paths,
+from swingkit import (ScenarioLattice, TimeGrid, enumerate_paths, exit_times, rollout,
                       write_lattice)
 from swingkit import models
 from swingkit.cli import (_solve_all, _strings, _write_exits, _write_martingale,
@@ -91,9 +91,11 @@ SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
 
 
 AFFIXES = ["", " ", "\n"]
+# the explain phase can fail inside hypothesis and hide the falsifying example
+PHASES = [p for p in Phase if p is not Phase.explain]
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(derandomize=True, max_examples=200, deadline=None, phases=PHASES)
 @given(pool=st.lists(st.sampled_from(SPECIAL) | st.floats(), min_size=1, max_size=6),
        data=st.data())
 def test_strings_match_per_element_formatting(pool, data):
@@ -145,7 +147,7 @@ def test_value_field_formats_each_distinct_value_once_per_file(monkeypatch):
     assert sum(distinct([s]) for s in J + dm) > distinct(J) + distinct(dm)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(derandomize=True, max_examples=60, deadline=None, phases=PHASES)
 @given(rows=tiny_lattice_rows(), j_cap=st.integers(1, 3), data=st.data())
 def test_streamed_tables_match_the_reference(rows, j_cap, data):
     """On drawn tiny lattices (j_cap >= K gives a grid that stops at zero and
@@ -154,7 +156,7 @@ def test_streamed_tables_match_the_reference(rows, j_cap, data):
     K = lat.n_steps
     tg, vg, field, pol = solved(lat, float(K), 1.0 / j_cap)
     assert streamed(_write_value_field, field) == reference_value_field(field, lat)
-    ens = sample_paths(lat, exhaustive=True)
+    ens = enumerate_paths(lat)
     k0 = data.draw(st.integers(0, K - 1))
     pos0 = data.draw(st.integers(0, vg.n_levels - 1))
     b = rollout(pol, ens, (k0, vg.levels[pos0]))
@@ -162,7 +164,7 @@ def test_streamed_tables_match_the_reference(rows, j_cap, data):
     assert streamed(_write_exits, b, exit_times(b)) == reference_exits(b)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(derandomize=True, max_examples=60, deadline=None, phases=PHASES)
 @given(rows=tiny_lattice_rows(), data=st.data())
 def test_martingale_table_matches_the_reference(rows, data):
     """`martingale.txt`'s table equals the per-line reference for node values
@@ -175,7 +177,7 @@ def test_martingale_table_matches_the_reference(rows, data):
     assert streamed(_write_martingale, node_values) == reference_martingale(node_values)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(derandomize=True, max_examples=60, deadline=None, phases=PHASES)
 @given(rows=tiny_lattice_rows(), lce=st.booleans(), L=st.sampled_from([1.0, 0.5, 1.0 / 3.0]))
 def test_lattice_text_matches_the_reference(rows, lce, L):
     """`write_lattice` on a drawn tiny lattice writes the per-line reference."""

@@ -188,10 +188,10 @@ def test_path_counts_and_enumeration():
 
 
 def test_enumerate_respects_bound():
-    lat = make_exp_martingale(5)
-    assert count_paths(lat) == 32
-    with pytest.raises(ValueError, match="exceeds the bound"):
-        enumerate_paths(lat, max_paths=8)
+    lat = make_exp_martingale(17)
+    assert count_paths(lat) == 131072
+    with pytest.raises(ValueError, match="path count 131072 exceeds the bound 65536"):
+        enumerate_paths(lat)
 
 
 def test_sample_paths_deterministic():

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from swingkit import (ExerciseRegions, InvariantError, PolicyField, ScenarioLattice,
                       build_binary_example, build_binomial, check_inclusion,
-                      check_saturation, exercise_regions, exit_times, extract_policy,
-                      mollified_iterate, rollout, sample_paths, solve)
+                      check_saturation, enumerate_paths, exercise_regions, exit_times,
+                      extract_policy, mollified_iterate, rollout, solve)
 
 from conftest import (collision_lattice, dense_go, is_threshold, make_exp_martingale, solved,
                       tiny_lattice_rows)
@@ -126,7 +126,7 @@ def test_rollout_from_a_node(rows, j_cap, data):
     lat = ScenarioLattice.from_rows(rows).validate()
     K = lat.n_steps
     tg, vg, field, pol = solved(lat, float(K), 1.0 / j_cap)
-    ens = sample_paths(lat, exhaustive=True)
+    ens = enumerate_paths(lat)
     k0 = data.draw(st.integers(0, K - 1))
     node0 = data.draw(st.integers(0, lat.n_nodes(k0) - 1))
     pos0 = data.draw(st.integers(0, vg.n_levels - 1))
@@ -140,12 +140,19 @@ def test_rollout_from_a_node(rows, j_cap, data):
     assert J - (K - k0) * vg.step * pol.tie_tol - 1e-12 <= b.mean <= J + 1e-12
 
 
+def test_rollout_rejects_a_node_no_path_passes():
+    lat = build_binary_example(12)
+    pol = solved(lat, 3.0)[3]
+    with pytest.raises(ValueError, match="no ensemble path passes node 5 at slice 6"):
+        rollout(pol, enumerate_paths(lat), (6, 0.0), node0=5)
+
+
 def test_constant_rollout_reward_is_deterministic():
     from swingkit import build_binomial
     c = 1.25
     lat = build_binomial("constant", 24, 3.0, c=c)
     tg, vg, field, pol = solved(lat, 3.0)
-    ens = sample_paths(lat, exhaustive=True)
+    ens = enumerate_paths(lat)
     for y0 in (0.0, 0.5):
         b = rollout(pol, ens, (0, y0))
         want = c * min(1.0 - y0, vg.L * tg.T)
@@ -168,7 +175,7 @@ def test_inclusion_reads_the_bundles_policy_and_tie_tol():
     same rates judged by a default-tolerance policy fail."""
     lat = build_binary_example(12)
     field = solved(lat, 3.0)[2]
-    loose = rollout(extract_policy(field, 0.5), sample_paths(lat, exhaustive=True), (0, 0.0))
+    loose = rollout(extract_policy(field, 0.5), enumerate_paths(lat), (0, 0.0))
     assert check_inclusion(loose) == {"max_zero_side": 0.0, "min_full_side": -0.25}
     with pytest.raises(InvariantError, match="full rate taken where X \\+ D = -0.25 < 0"):
         check_inclusion(replace(loose, policy=extract_policy(field)))
@@ -217,7 +224,7 @@ def test_realized_positions_collision_raises():
     lat, tg, vg = collision_lattice()
     field = solve(lat, tg, vg)
     pol = extract_policy(field)
-    ens = sample_paths(lat, exhaustive=True)
+    ens = enumerate_paths(lat)
     b = rollout(pol, ens, (0, 0.0))
     with pytest.raises(ValueError, match="two volume levels"):
         b.realized_positions()
@@ -313,10 +320,10 @@ def binomial_pair():
 def test_rollout_refuses_an_ensemble_of_another_lattice():
     a, b = binomial_pair()
     policy = solved(a, 2.0)[3]
-    own = rollout(policy, sample_paths(a, exhaustive=True), (0, 0.0))
+    own = rollout(policy, enumerate_paths(a), (0, 0.0))
     assert own.mean == pytest.approx(policy.field.at(0, 0, 0.0), abs=1e-12)
     with pytest.raises(ValueError, match="another lattice"):
-        rollout(policy, sample_paths(b, exhaustive=True), (0, 0.0))
+        rollout(policy, enumerate_paths(b), (0, 0.0))
     with pytest.raises(ValueError, match="another lattice"):
-        mollified_iterate(exercise_regions(policy.field), sample_paths(b, exhaustive=True),
+        mollified_iterate(exercise_regions(policy.field), enumerate_paths(b),
                           (0, 0.0), 1)

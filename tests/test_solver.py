@@ -297,6 +297,13 @@ def test_band_storage_is_under_40_percent_at_k384(mart384):
     assert field.nbytes == sum(a.nbytes for a in field.tail + field.band)
 
 
+def test_solve_refuses_a_volume_grid_of_another_step_count():
+    lat = build_binary_example(12)
+    for K in (24, 6):
+        with pytest.raises(ValueError, match="aligned to a different time grid"):
+            solve(lat, TimeGrid(3.0, 12), VolumeGrid.aligned(1.0, TimeGrid(3.0, K)))
+
+
 def test_solve_rejects_a_negative_or_non_finite_cashflow():
     """The array constructor does not validate, so solve checks X itself."""
     edges = [(np.array([0, 2]), np.array([0, 1]), np.array([0.5, 0.5])),

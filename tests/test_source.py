@@ -3,7 +3,8 @@
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "swingkit"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "swingkit"
 
 
 def unread_parameters(tree):
@@ -95,3 +96,43 @@ def test_no_function_takes_a_second_copy_of_a_carried_lattice():
     found = ["%s:%d %s" % (name, line, func) for name, tree in trees.items()
              for func, line in second_lattice_copies(tree, carriers)]
     assert found == []
+
+
+def dataclass_fields(tree):
+    """(class name, line, field) for each field a @dataclass class declares."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                _annotation_name(getattr(d, "func", d)) == "dataclass"
+                for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.lineno, item.target.id
+
+
+def attribute_loads(trees):
+    """Every attribute name read as `obj.name` in the trees."""
+    return {n.attr for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def test_the_scanner_flags_an_unread_dataclass_field():
+    tree = ast.parse("@dataclass\nclass A:\n    a: int\n    b: int = 0\n"
+                     "@dataclasses.dataclass(eq=False)\nclass B:\n    c: int\n"
+                     "class C:\n    d: int\n"
+                     "def f(a, b):\n    a.b = a.c\n    return b.a\n")
+    loads = attribute_loads([tree])
+    assert loads == {"a", "c", "dataclass"}
+    assert [(cls, name) for cls, _, name in dataclass_fields(tree)
+            if name not in loads] == [("A", "b")]
+
+
+def test_every_dataclass_field_is_read():
+    """A field that no code in src/, tests/ or bench/ reads is dead state."""
+    paths = sorted(SRC.glob("*.py"))
+    loads = attribute_loads(ast.parse(path.read_text()) for path in
+                            paths + sorted((ROOT / "tests").glob("*.py"))
+                            + sorted((ROOT / "bench").glob("*.py")))
+    unread = ["%s:%d %s.%s" % (path.name, line, cls, name) for path in paths
+              for cls, line, name in dataclass_fields(ast.parse(path.read_text()))
+              if name not in loads]
+    assert unread == []

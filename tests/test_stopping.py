@@ -3,7 +3,7 @@ import pytest
 
 from swingkit import (Envelope, InvariantError, ScenarioLattice, StoppingRule, StopWindows,
                       TimeGrid, VolumeGrid, build_binary_example, build_binomial,
-                      evaluate_stop_rule, exit_times, marginal_value_report,
+                      enumerate_paths, evaluate_stop_rule, exit_times, marginal_value_report,
                       optimal_predictable_stop, rollout, sample_paths, stop_windows)
 
 from conftest import solved
@@ -132,7 +132,7 @@ def test_evaluate_requires_stopping(binary96):
     stop = [np.ones(small.n_nodes(k), dtype=bool) for k in range(13)]
     rule = StoppingRule(stop=stop, predictable=False, k0=6)
     with pytest.raises(ValueError, match="no ensemble path passes node 5 at slice 6"):
-        evaluate_stop_rule(rule, sample_paths(small, exhaustive=True), node0=5)
+        evaluate_stop_rule(rule, enumerate_paths(small), node0=5)
 
 
 def test_search_rejections(binary96, half_bundle):
@@ -155,7 +155,7 @@ def test_search_needs_a_tree():
     from swingkit import extract_policy, solve
     field = solve(lat, tg, vg)
     pol = extract_policy(field)
-    ens = sample_paths(lat, exhaustive=True)
+    ens = enumerate_paths(lat)
     w = stop_windows(rollout(pol, ens, (0, 0.0)))
     with pytest.raises(ValueError, match="needs a tree lattice"):
         optimal_predictable_stop(w, None, "sup")
@@ -173,7 +173,7 @@ def test_infeasible_constraint(binary96):
 def test_window_flags_must_be_node_functions():
     from swingkit import build_binary_example
     lat = build_binary_example(6)
-    ens = sample_paths(lat, exhaustive=True)
+    ens = enumerate_paths(lat)
     cr = np.zeros((2, 7), dtype=bool)
     cr[0, 1] = True  # paths share node 0 at m=1 but disagree
     cr[:, 6] = True
@@ -222,7 +222,7 @@ def test_doob_node_view_needs_a_tree():
     assert dd.compensator is None
     assert dd.check() == {"dominance": 0.0, "drift": 0.0}
     assert Envelope(lat, "min").check() == {"dominance": 0.0, "drift": 0.0}
-    ens = sample_paths(lat, exhaustive=True)
+    ens = enumerate_paths(lat)
     acc = dd.accumulate(ens)  # pathwise accumulation still works
     assert acc.shape == (4, 3)
     assert np.max(np.abs(ens.weights @ acc - acc[0, 0])) <= 1e-12
@@ -231,9 +231,9 @@ def test_doob_node_view_needs_a_tree():
 def test_envelope_accumulates_only_its_own_lattice():
     a = build_binary_example(6)
     env = Envelope(a, "max")
-    assert env.accumulate(sample_paths(a, exhaustive=True)).shape == (2, 7)
+    assert env.accumulate(enumerate_paths(a)).shape == (2, 7)
     with pytest.raises(ValueError, match="another lattice"):
-        env.accumulate(sample_paths(doubled(a), exhaustive=True))
+        env.accumulate(enumerate_paths(doubled(a)))
 
 
 def test_searches_read_the_windows_own_lattice():
@@ -243,10 +243,15 @@ def test_searches_read_the_windows_own_lattice():
     the first tree's windows beside the second tree."""
     a = build_binary_example(6)
     for lat, want in ((a, 1.5), (doubled(a), 3.0)):
-        ens = sample_paths(lat, exhaustive=True)
+        ens = enumerate_paths(lat)
         windows = stop_windows(rollout(solved(lat, 3.0)[3], ens, (0, 0.5)))
         assert windows.lattice is lat
         assert optimal_predictable_stop(windows, "can_raise", "sup")[1] == want
+
+
+def test_marginal_report_rejects_a_start_at_the_horizon(binary96):
+    with pytest.raises(ValueError, match="start time 3 has no remaining horizon"):
+        marginal_value_report(binary96["policy"], binary96["ens"], [(0.0, 0.5), (3.0, 0.5)])
 
 
 def test_marginal_report_regions(binary96):
@@ -303,7 +308,7 @@ def test_stopping_reads_an_ensemble_on_its_own_lattice():
     a, b = [build_binomial(kind, 12, 2.0, x0=1.0, up=1.25, down=0.75, p_up=p)
             for kind, p in (("martingale", 0.5), ("submartingale", 0.7))]
     policy = solved(a, 2.0)[3]
-    ens_a, ens_b = sample_paths(a, exhaustive=True), sample_paths(b, exhaustive=True)
+    ens_a, ens_b = enumerate_paths(a), enumerate_paths(b)
     assert marginal_value_report(policy, ens_a, [(0.0, 0.5)]).rows[0].region == "interior"
     with pytest.raises(ValueError, match="another lattice"):
         marginal_value_report(policy, ens_b, [(0.0, 0.5)])
