@@ -166,11 +166,11 @@ def _write_value_field(fh, field):
     sizes = [field.lattice.n_nodes(k) for k in range(tg.K + 1)]
     nodes = _strings(np.arange(max(sizes)), " %d")
     seen_J, seen_dm = {}, {}       # bit pattern -> text, for the whole file
+    right = vg.right_of(np.arange(vg.n_levels))     # dplus(k) is dminus(k)[:, right]
     for k in range(tg.K + 1):
         dm = _strings(field.dminus(k), " %.17g", seen_dm)
-        dp = np.concatenate([dm[:, 1:], dm[:, -1:]], axis=1)   # dplus(k), bit for bit
         _write_table(fh, (times[k] + nodes[:sizes[k]])[:, None], levels,
-                     _strings(field.values[k], " %.17g", seen_J), dm, dp)
+                     _strings(field.values[k], " %.17g", seen_J), dm, dm[:, right])
     fh.write("\n")
 
 
@@ -286,9 +286,9 @@ def _verify_checks(cfg: dict):
     def check_boundary():
         rep = boundary_check(field)
         if rep.violations:
-            raise InvariantError("%d violations, deep %.3g cap %.3g"
-                                 % (len(rep.violations), rep.max_deep, rep.max_cap))
-        return "deep %.3g cap %.3g" % (rep.max_deep, rep.max_cap)
+            raise InvariantError("%d violations, deep %.3g"
+                                 % (len(rep.violations), rep.max_deep))
+        return "deep %.3g" % rep.max_deep
 
     def check_rollout():
         bundle = rollout(policy, ens, (0, 0.0))

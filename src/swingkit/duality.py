@@ -30,9 +30,6 @@ class MartingaleField:
     values: list
     label: str = "user"
 
-    def at(self, k: int, n: int) -> float:
-        return float(self.values[k][n])
-
     def validate(self) -> float:
         """Worst one-step drift; raises on a non-finite value or when the
         drift exceeds the scaled tolerance."""

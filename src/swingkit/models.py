@@ -403,9 +403,6 @@ class PathEnsemble:
                 raise ValueError("invalid transition on path %d at step %d" % (bad[0], k))
         return self
 
-    def expectation_of_x(self, k: int) -> float:
-        return float(self.weights @ self.lattice.x(k)[self.nodes[:, k]])
-
 
 def count_paths(lattice: ScenarioLattice) -> int:
     """Number of distinct root-to-terminal node sequences."""

@@ -32,9 +32,7 @@ def brute_force_value(lattice: ScenarioLattice, volume_grid: VolumeGrid, start=(
     K = lattice.n_steps
     vg = volume_grid
     vg.check_steps(K)
-    if not 0 <= k0 <= K:
-        raise ValueError("start index %d outside the grid" % k0)
-    pos0 = vg.index_of(y0)
+    pos0 = vg.start_pos(k0, y0)
 
     occ = lattice.occupancy()
     starts = [(n, float(occ[k0][n])) for n in range(lattice.n_nodes(k0))

@@ -57,9 +57,6 @@ class PolicyField:
         broadcast."""
         return pos <= self.thr[k][nodes]
 
-    def rate(self, k: int, node: int, pos: int) -> float:
-        return self.L if self.go(k, node, pos) else 0.0
-
 
 def extract_policy(field: ValueField, tie_tol: float = TIE_TOL) -> PolicyField:
     """The bang-bang policy of a solved field.
@@ -109,23 +106,6 @@ class RolloutBundle:
     def volumes(self) -> np.ndarray:
         return self.policy.field.volume_grid.levels[self.positions]
 
-    def realized_positions(self) -> list:
-        """Per (k, node) realized volume position, or raise if two paths visit
-        the same node at different levels."""
-        table = [dict() for _ in range(self.policy.field.time_grid.K + 1)]
-        for i in range(self.positions.shape[1]):
-            k = self.k0 + i
-            n, pos = self.nodes[:, k], self.positions[:, i]
-            level = np.zeros(n.max() + 1, dtype=np.int64)
-            level[n] = pos
-            clash = np.flatnonzero(level[n] != pos)
-            if clash.size:
-                raise ValueError("node %d at slice %d is visited at two volume levels"
-                                 % (n[clash[0]], k))
-            seen = np.unique(n)
-            table[k] = dict(zip(seen.tolist(), level[seen].tolist()))
-        return table
-
 
 def rollout(policy: PolicyField, ensemble: PathEnsemble, start,
             node0: int = None) -> RolloutBundle:
@@ -139,9 +119,7 @@ def rollout(policy: PolicyField, ensemble: PathEnsemble, start,
     ensemble.check_lattice(lattice)
     vg = policy.field.volume_grid
     K = policy.field.time_grid.K
-    if not 0 <= k0 < K:
-        raise ValueError("start index %d outside the grid" % k0)
-    pos0 = vg.index_of(y0)
+    pos0 = vg.start_pos(k0, y0)
     rows = ensemble.rows_through(k0, node0)
     nodes = ensemble.nodes[rows]
     positions = np.empty((rows.size, K - k0 + 1), dtype=np.int64)
@@ -254,12 +232,6 @@ class ExerciseRegions:
     def positive(self, k: int) -> np.ndarray:
         return self.sign[k] == 1
 
-    def negative(self, k: int) -> np.ndarray:
-        return self.sign[k] == -1
-
-    def zero(self, k: int) -> np.ndarray:
-        return self.sign[k] == 0
-
 
 def exercise_regions(field: ValueField, tie_tol: float = TIE_TOL) -> ExerciseRegions:
     """Classify every (k, node, level) by the sign of X + dminus.
@@ -269,16 +241,19 @@ def exercise_regions(field: ValueField, tie_tol: float = TIE_TOL) -> ExerciseReg
     is all zero.
     """
     K = field.time_grid.K
+    vg = field.volume_grid
+    right = vg.right_of(np.arange(vg.n_levels))
     sign = []
     for k in range(K):
         x = field.lattice.x(k)[:, None]
-        s = x + field.dminus(k)
-        s = np.where(np.isnan(s), x + field.dplus(k), s)
+        dm = field.dminus(k)
+        s = x + dm
+        s = np.where(np.isnan(s), x + dm[:, right], s)
         out = np.zeros(s.shape, dtype=np.int8)
         out[s > tie_tol] = 1
         out[s < -tie_tol] = -1
         sign.append(out)
-    sign.append(np.zeros(field.values[K].shape, dtype=np.int8))
+    sign.append(np.zeros((field.lattice.n_nodes(K), vg.n_levels), dtype=np.int8))
     return ExerciseRegions(field, sign, tie_tol)
 
 
@@ -328,7 +303,7 @@ def mollified_iterate(regions: ExerciseRegions, ensemble: PathEnsemble, start,
     vg = regions.field.volume_grid
     dt = regions.field.time_grid.dt
     K = regions.field.time_grid.K
-    pos0 = vg.index_of(y0)
+    pos0 = vg.start_pos(k0, y0)
     out = []
     for n in range(1, n_max + 1):
         width = 2.0 ** (-n)

@@ -88,6 +88,18 @@ class VolumeGrid:
             raise ValueError("start volume %.17g is off the grid" % y)
         return pos
 
+    def start_pos(self, k0: int, y0: float) -> int:
+        """Array position of a start (k0, y0), which must leave at least one
+        step to go."""
+        if not 0 <= k0 < self.n_steps:
+            raise ValueError("start index %d outside the grid" % k0)
+        return self.index_of(y0)
+
+    def right_of(self, pos):
+        """Position whose left quotient is the right quotient at pos: pos + 1,
+        the cap repeated."""
+        return np.minimum(pos + 1, self.cap_pos)
+
 
 class _Rows(Sequence):
     """Read-only sequence of full (node x level) slices, each built on demand."""
@@ -158,19 +170,6 @@ class ValueField:
         out[inside] = self.band[k][nodes[inside], pos[inside] - nt]
         return out
 
-    def region_masks(self, k: int) -> dict:
-        """Boolean masks over positions: deep (strictly below the full-rate
-        boundary), boundary, interior, cap."""
-        vg = self.volume_grid
-        pos = np.arange(vg.n_levels)
-        b = vg.boundary_pos(k)
-        return {
-            "deep": pos < b,
-            "boundary": pos == b,
-            "interior": (pos > b) & (pos < vg.cap_pos),
-            "cap": pos == vg.cap_pos,
-        }
-
     def at(self, k: int, node: int, y: float) -> float:
         return float(self.point(k, node, self.volume_grid.index_of(y)))
 
@@ -197,10 +196,9 @@ class ValueField:
         return 0.0 if self.volume_grid.j_min < 0 else np.nan
 
     def dplus(self, k: int) -> np.ndarray:
-        """Right quotients: dplus(k)[n, p] = dminus(k)[n, p+1], with the top
-        column repeated."""
-        dm = self.dminus(k)
-        return np.concatenate([dm[:, 1:], dm[:, -1:]], axis=1)
+        """Right quotients: dplus(k)[n, p] = dminus(k)[n, right_of(p)]."""
+        vg = self.volume_grid
+        return self.dminus(k)[:, vg.right_of(np.arange(vg.n_levels))]
 
 
 def solve(lattice: ScenarioLattice, time_grid: TimeGrid, volume_grid: VolumeGrid) -> ValueField:
@@ -236,7 +234,7 @@ def solve(lattice: ScenarioLattice, time_grid: TimeGrid, volume_grid: VolumeGrid
 def check_value_invariants(field: ValueField) -> dict:
     """Assert the structural properties of a solved field.
 
-    Terminal and cap columns vanish, J is nonincreasing and concave in the
+    Terminal values vanish, J is nonincreasing and concave in the
     volume level, and adjacent differences obey the Lipschitz bound
     |J(y1) - J(y2)| <= z * |y1 - y2| through the dominating field
     z[k][node] = max(X, E[z_next | node]), the sup Snell envelope. Raises
@@ -251,8 +249,7 @@ def check_value_invariants(field: ValueField) -> dict:
     step = vg.step
     K = field.time_grid.K
     z = backward_extremum(field.lattice, "max")
-    report = {"monotone": 0.0, "concavity": 0.0, "lipschitz": 0.0,
-              "terminal": 0.0, "cap": 0.0}
+    report = {"monotone": 0.0, "concavity": 0.0, "lipschitz": 0.0, "terminal": 0.0}
 
     def window(k):
         return field.row(k, max(field.n_tail(k) - 3, 0))
@@ -264,10 +261,6 @@ def check_value_invariants(field: ValueField) -> dict:
         raise InvariantError("terminal values are not identically zero")
     for k in range(K + 1):
         vals = last if k == K else window(k)
-        cap = float(np.abs(vals[:, -1]).max())
-        report["cap"] = max(report["cap"], cap)
-        if cap != 0.0:
-            raise InvariantError("value at y=1 is %.3g at slice %d" % (cap, k))
         d1 = np.diff(vals, axis=1)
         worst = float(d1.max())
         report["monotone"] = max(report["monotone"], worst)
@@ -362,20 +355,19 @@ def bellman_residual(field: ValueField, form: str = "implicit") -> ResidualRepor
 
 @dataclass(eq=False)
 class BoundaryReport:
-    """Violations of the terminal/upper boundary and the full-rate identity."""
+    """Violations of the full-rate identity."""
 
     max_deep: float
-    max_cap: float
     violations: list
 
 
 def boundary_check(field: ValueField) -> BoundaryReport:
-    """Check J = 0 at y = 1 and the full-rate identity below the boundary.
+    """Check the full-rate identity below the boundary.
 
     For every level with y <= 1 - L*(T - t_k) the value must equal the
     expected remaining reward of exercising at the full rate throughout,
-    E[sum step*X | node], to EXACT_TOL. Those levels hold the stored tail[k]
-    (and, at k = K, the cap column), so each node is compared once.
+    E[sum step*X | node], to EXACT_TOL. Those levels hold the stored tail[k],
+    so each node is compared once.
     """
     lattice = field.lattice
     vg = field.volume_grid
@@ -386,21 +378,11 @@ def boundary_check(field: ValueField) -> BoundaryReport:
     for k in range(K - 1, -1, -1):
         tail[k] = step * lattice.x(k) + lattice.expect_next(k, tail[k + 1])
     max_deep = 0.0
-    max_cap = 0.0
     violations = []
     for k in range(K + 1):
-        cap = field.row(k, vg.cap_pos)
-        cap_err = float(np.abs(cap).max())
-        max_cap = max(max_cap, cap_err)
-        if cap_err > EXACT_TOL:
-            violations.append(("cap", k, cap_err))
-        b = vg.boundary_pos(k)
-        if b >= 0:
-            deep = [field.tail[k]]
-            if b >= vg.cap_pos:  # at k = K the cap level is full-rate too
-                deep.append(cap[:, 0])
-            err = float(np.abs(np.column_stack(deep) - tail[k][:, None]).max())
+        if vg.boundary_pos(k) >= 0:
+            err = float(np.abs(field.tail[k] - tail[k]).max())
             max_deep = max(max_deep, err)
             if err > EXACT_TOL:
                 violations.append(("deep", k, err))
-    return BoundaryReport(max_deep, max_cap, violations)
+    return BoundaryReport(max_deep, violations)

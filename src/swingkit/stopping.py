@@ -373,9 +373,9 @@ def marginal_value_report(policy: PolicyField, ensemble: PathEnsemble,
         else:
             region = "interior"
         w = occ[k0]
-        dm = field.dminus(k0)    # -D+J is its column pos0 + 1 (pos0 at the cap)
+        dm = field.dminus(k0)
         ndm = -float(w @ dm[:, pos0]) + 0.0
-        ndp = -float(w @ dm[:, min(pos0 + 1, vg.cap_pos)]) + 0.0
+        ndp = -float(w @ dm[:, vg.right_of(pos0)]) + 0.0
         ssup = float(w @ sup_env[k0])
         sinf = float(w @ inf_env[k0])
         ex_sig = np.nan

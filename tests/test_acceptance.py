@@ -20,7 +20,7 @@ from swingkit import (StoppingRule, TimeGrid, VolumeGrid, boundary_check,
                       optimal_predictable_stop, random_martingale, rollout,
                       sample_paths, solve, stop_windows)
 
-from conftest import make_exp_martingale, random_tiny_lattice, with_policy
+from conftest import make_exp_martingale, random_tiny_lattice, region_masks, with_policy
 
 FLOOR = 1e-12
 
@@ -225,7 +225,7 @@ def test_criterion_09_derivative_gap_refinement():
         field = solve(lat, tg, vg)
         total, count = 0.0, 0
         for k in range(tg.K + 1):
-            mask = field.region_masks(k)["interior"]
+            mask = region_masks(field, k)["interior"]
             if not mask.any():
                 continue
             g = field.dminus(k)[:, mask] - field.dplus(k)[:, mask]

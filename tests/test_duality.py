@@ -66,7 +66,7 @@ def test_martingale_field_validate(binary96):
 def test_doob_martingale_of_terminal(binary96):
     lat = binary96["lat"]
     m = doob_martingale_of_terminal(lat, lat.x(96))
-    assert m.at(0, 0) == 1.0
+    assert m.values[0][0] == 1.0
     assert m.validate() == 0.0
 
 
@@ -91,11 +91,11 @@ def test_random_martingales_are_martingales(binary96):
     for seed in range(6):
         m = random_martingale(lat, seed)
         assert m.validate() <= 1e-10
-        seen.add(round(m.at(0, 0), 12))
+        seen.add(round(m.values[0][0], 12))
     assert len(seen) > 1
     a = random_martingale(lat, 3)
     b = random_martingale(lat, 3)
-    assert a.at(0, 0) == b.at(0, 0)
+    assert a.values[0][0] == b.values[0][0]
 
 
 def test_constant_martingale_duals(binary96):
@@ -151,7 +151,7 @@ def test_optimal_martingale_closes_the_gap(binary96):
     assert res.report.label == "optimal"
     assert res.flags == []
     assert res.field is not None
-    assert res.field.at(0, 0) == 1.0
+    assert res.field.values[0][0] == 1.0
     assert res.field.validate() <= 1e-12
 
 

@@ -86,7 +86,7 @@ def test_additive_submartingale_leaves():
     np.add.at(probs, child, 0.5 * prob)
     assert np.allclose(probs, [0.25, 0.5, 0.25], atol=1e-15)
     ens = enumerate_paths(lat)
-    assert ens.expectation_of_x(2) == pytest.approx(3.0, abs=1e-15)
+    assert ens.weights @ lat.x(2)[ens.nodes[:, 2]] == pytest.approx(3.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("kind, K, params", [

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swingkit import (ExerciseRegions, InvariantError, PolicyField, ScenarioLattice,
-                      build_binary_example, build_binomial, check_inclusion,
-                      check_saturation, enumerate_paths, exercise_regions, exit_times,
-                      extract_policy, mollified_iterate, rollout, solve)
+                      ValueField, brute_force_value, build_binary_example, build_binomial,
+                      check_inclusion, check_saturation, enumerate_paths, exercise_regions,
+                      exit_times, extract_policy, mollified_iterate, rollout)
 
-from conftest import (collision_lattice, dense_go, is_threshold, make_exp_martingale, solved,
+from conftest import (dense_go, is_threshold, make_exp_martingale, region_masks, solved,
                       tiny_lattice_rows)
 
 
@@ -19,8 +19,6 @@ def test_binary_policy_switches_at_the_jump(binary96):
     assert not pol.go(31, 0, 80)
     assert pol.go(32, 0, 80)
     assert not pol.go(32, 1, 80)
-    assert pol.rate(32, 0, 80) == 1.0
-    assert pol.rate(32, 1, 80) == 0.0
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -140,6 +138,22 @@ def test_rollout_from_a_node(rows, j_cap, data):
     assert J - (K - k0) * vg.step * pol.tie_tol - 1e-12 <= b.mean <= J + 1e-12
 
 
+@pytest.mark.parametrize("k0", [-1, 4, 5])
+@pytest.mark.parametrize("caller", ["rollout", "brute_force_value", "mollified_iterate"])
+def test_a_start_without_a_step_to_go_is_refused(caller, k0):
+    """Every caller that takes a start index k0 refuses it outside 0..K-1
+    with the same message."""
+    lat = build_binomial("constant", 4, 1.0, c=1.0)
+    _, vg, field, pol = solved(lat, 1.0)
+    ens = enumerate_paths(lat)
+    call = {"rollout": lambda: rollout(pol, ens, (k0, 0.0)),
+            "brute_force_value": lambda: brute_force_value(lat, vg, (k0, 0.0)),
+            "mollified_iterate": lambda: mollified_iterate(exercise_regions(field), ens,
+                                                           (k0, 0.0), 1)}[caller]
+    with pytest.raises(ValueError, match="^start index %d outside the grid$" % k0):
+        call()
+
+
 def test_rollout_rejects_a_node_no_path_passes():
     lat = build_binary_example(12)
     pol = solved(lat, 3.0)[3]
@@ -220,31 +234,14 @@ def test_exit_times_off_event(binary96):
     assert ex.k_sigma.tolist() == [96, 96]
 
 
-def test_realized_positions_collision_raises():
-    lat, tg, vg = collision_lattice()
-    field = solve(lat, tg, vg)
-    pol = extract_policy(field)
-    ens = enumerate_paths(lat)
-    b = rollout(pol, ens, (0, 0.0))
-    with pytest.raises(ValueError, match="two volume levels"):
-        b.realized_positions()
-
-
-def test_realized_positions_on_clean_rollout(binary96):
-    b = rollout(binary96["policy"], binary96["ens"], (0, 0.5))
-    table = b.realized_positions()
-    assert table[0][0] == 80
-    assert table[96][0] == 96
-
-
 def test_exercise_regions_partition(binary96):
     regs = exercise_regions(binary96["field"])
     assert regs.sign[0][0, 80] == -1
     assert regs.positive(32)[0, 80]
     n_levels = binary96["vg"].n_levels
     for k in (0, 32, 60, 96):
-        total = (regs.positive(k).sum() + regs.negative(k).sum()
-                 + regs.zero(k).sum())
+        total = (regs.positive(k).sum() + (regs.sign[k] == -1).sum()
+                 + (regs.sign[k] == 0).sum())
         assert total == binary96["lat"].n_nodes(k) * n_levels
 
 
@@ -254,11 +251,48 @@ def test_exercise_regions_ties_on_martingale(mart96):
     regs = exercise_regions(mart96["field"])
     field = mart96["field"]
     for k in (0, 48, 95):
-        m = field.region_masks(k)["interior"]
+        m = region_masks(field, k)["interior"]
         assert np.all(regs.sign[k][:, m] == 0)
-        deep = field.region_masks(k)["deep"]
+        deep = region_masks(field, k)["deep"]
         if deep.any():
             assert np.all(regs.sign[k][:, deep] == 1)
+
+
+def test_exercise_regions_builds_dminus_once_per_slice(mart96, monkeypatch):
+    calls = []
+    dminus = ValueField.dminus
+
+    def counted(self, k):
+        calls.append(k)
+        return dminus(self, k)
+
+    monkeypatch.setattr(ValueField, "dminus", counted)
+    exercise_regions(mart96["field"])
+    assert calls == list(range(mart96["tg"].K))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rows=tiny_lattice_rows(max_steps=4), j_cap=st.integers(1, 6),
+       tie_tol=st.sampled_from([0.0, 1e-9, 1e-3, 1.0]))
+def test_exercise_regions_match_the_dminus_then_dplus_signs(rows, j_cap, tie_tol):
+    """The sign table is that of X + dminus, with X + dplus where dminus is
+    NaN (grids that stop at y = 0), dplus built as dminus shifted one column
+    left with the top column repeated; the terminal slice is all zero."""
+    lat = ScenarioLattice.from_rows(rows).validate()
+    K = lat.n_steps
+    _, vg, field, _ = solved(lat, float(K), 1.0 / j_cap)
+    regs = exercise_regions(field, tie_tol)
+    for k in range(K + 1):
+        want = np.zeros((lat.n_nodes(k), vg.n_levels), dtype=np.int8)
+        if k < K:
+            x = lat.x(k)[:, None]
+            dm = field.dminus(k)
+            s = x + dm
+            s = np.where(np.isnan(s), x + np.concatenate([dm[:, 1:], dm[:, -1:]], axis=1), s)
+            want[s > tie_tol] = 1
+            want[s < -tie_tol] = -1
+        assert regs.sign[k].dtype == np.int8
+        assert np.array_equal(regs.sign[k], want)
 
 
 def test_mollified_pitches_and_clamping(binary96):

@@ -11,7 +11,7 @@ from swingkit import (InvariantError, ScenarioLattice, TimeGrid, ValueField, Vol
 
 from conftest import (dense_go, is_threshold, make_exp_martingale, reference_bellman_residual,
                       reference_boundary_check, reference_check_value_invariants,
-                      reference_solve, solved, tiny_lattice_rows)
+                      reference_solve, region_masks, solved, tiny_lattice_rows)
 
 
 def test_volume_grid_anchors():
@@ -109,16 +109,14 @@ def test_bellman_residual_rejects_unknown_form(binary96):
 def test_boundary_identities_are_exact(binary96):
     rep = boundary_check(binary96["field"])
     assert rep.max_deep == 0.0
-    assert rep.max_cap == 0.0
     assert rep.violations == []
 
 
 def test_value_invariants_pass(binary96, mart96):
     for bundle in (binary96, mart96):
         ext = check_value_invariants(bundle["field"])
-        assert set(ext) == {"monotone", "concavity", "lipschitz", "terminal", "cap"}
+        assert set(ext) == {"monotone", "concavity", "lipschitz", "terminal"}
         assert ext["terminal"] == 0.0
-        assert ext["cap"] == 0.0
         assert ext["monotone"] <= 1e-10
         assert ext["concavity"] <= 1e-10
 
@@ -143,7 +141,7 @@ def test_constant_derivative_is_flat():
     lat = build_binomial("constant", 24, 3.0, c=c)
     tg, vg, field, _ = solved(lat, 3.0)
     for k in range(24):
-        m = field.region_masks(k)["interior"]
+        m = region_masks(field, k)["interior"]
         if m.any():
             assert np.max(np.abs(-field.dminus(k)[0, m] - c)) <= 1e-12
 
@@ -370,8 +368,8 @@ def assert_scans_match_reference(field):
         ref_form, ref_max = reference_bellman_residual(field, form)
         assert rep.form == ref_form and bits(rep.max_abs) == bits(ref_max)
     rep = boundary_check(field)
-    ref_deep, ref_cap, ref_violations = reference_boundary_check(field)
-    assert bits(rep.max_deep) == bits(ref_deep) and bits(rep.max_cap) == bits(ref_cap)
+    ref_deep, ref_violations = reference_boundary_check(field)
+    assert bits(rep.max_deep) == bits(ref_deep)
     assert [(kind, k, bits(err)) for kind, k, err in rep.violations] == \
         [(kind, k, bits(err)) for kind, k, err in ref_violations]
     try:
@@ -451,7 +449,8 @@ def test_a_tail_dent_is_reported_as_the_same_deep_violation(mart96, k, node):
 def test_scans_build_no_more_than_the_band_plus_four_columns(mart96, monkeypatch):
     """Each scan builds at most the stored band plus four columns per slice
     through ValueField.row. The explicit residual takes one column more, for
-    dminus at k+1; boundary_check reads only the cap column."""
+    dminus at k+1; boundary_check reads only the stored tail and builds
+    nothing."""
     field = mart96["field"]
     band = sum(b.size for b in field.band)
     column = sum(t.size for t in field.tail)
@@ -464,9 +463,11 @@ def test_scans_build_no_more_than_the_band_plus_four_columns(mart96, monkeypatch
         return out
 
     monkeypatch.setattr(ValueField, "row", counted)
-    for scan, extra in [(check_value_invariants, 4), (boundary_check, 1),
-                        (bellman_residual, 4),
+    for scan, extra in [(check_value_invariants, 4), (bellman_residual, 4),
                         (lambda f: bellman_residual(f, "explicit"), 5)]:
         built.clear()
         scan(field)
         assert 0 < sum(built) <= band + extra * column
+    built.clear()
+    boundary_check(field)
+    assert built == []

@@ -136,3 +136,57 @@ def test_every_dataclass_field_is_read():
               for cls, line, name in dataclass_fields(ast.parse(path.read_text()))
               if name not in loads]
     assert unread == []
+
+
+def class_methods(tree):
+    """(class name, line, method) for each method a class body defines,
+    other than the dunder methods that Python itself calls."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield node.name, item.lineno, item.name
+
+
+# Public entry points that only users of the package (or the standard
+# library) call, each with its reason. The scan matches names only, so an
+# entry stays listed when an unrelated attribute of the same name is read
+# (bench/child.py reads the `dplus` of a derivative table).
+USER_ENTRY_POINTS = {
+    ("ScenarioLattice", "from_rows"): "builds a lattice from LatticeNode rows in user code",
+    ("Envelope", "accumulate"): "the martingale part along the paths of a user's ensemble",
+    ("ValueField", "dplus"): "the right volume quotients of a slice, the paper's D+J",
+    ("_Parser", "error"): "argparse calls it on a bad command line",
+}
+
+
+def uncalled_methods(trees, loads):
+    """(class name, line, method) for each method of the trees whose name no
+    attribute load reads."""
+    return [(cls, line, name) for tree in trees for cls, line, name in class_methods(tree)
+            if name not in loads]
+
+
+def test_the_scanner_flags_an_uncalled_method():
+    tree = ast.parse("class A:\n    def __init__(self):\n        self.used()\n"
+                     "    def used(self):\n        pass\n"
+                     "    @property\n    def size(self):\n        return 0\n"
+                     "    def idle(self):\n        pass\n"
+                     "class B:\n    def read(self):\n        pass\n"
+                     "def f(b):\n    return b.read, A().size\n")
+    other = ast.parse("def g(a):\n    a.idle()\n")
+    assert uncalled_methods([tree], attribute_loads([tree])) == [("A", 9, "idle")]
+    assert uncalled_methods([tree], attribute_loads([tree, other])) == []
+
+
+def test_every_method_has_a_caller():
+    """A method that no code in src/ or bench/ calls is dead code, unless it
+    is a listed entry point for users."""
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    loads = attribute_loads(trees + [ast.parse(path.read_text())
+                                     for path in sorted((ROOT / "bench").glob("*.py"))])
+    uncalled = {(cls, name) for cls, _, name in uncalled_methods(trees, loads)}
+    assert sorted(uncalled - USER_ENTRY_POINTS.keys()) == []
+    defined = {(cls, name) for tree in trees for cls, _, name in class_methods(tree)}
+    assert USER_ENTRY_POINTS.keys() <= defined
