@@ -18,9 +18,8 @@ from .policy import (ExerciseBoundary, ExerciseRegions, MollifiedControl,
                      PolicyField, RolloutBundle, check_inclusion, check_saturation,
                      exercise_regions, exit_times, extract_policy, mollified_iterate,
                      rollout)
-from .stopping import (Envelope, MarginalReport, MarginalRow, StopWindows, StoppingRule,
-                       evaluate_stop_rule, marginal_value_report,
-                       optimal_predictable_stop, stop_windows)
+from .stopping import (Envelope, MarginalReport, MarginalRow, StoppingRule,
+                       evaluate_stop_rule, marginal_value_report, optimal_predictable_stop)
 from .duality import (DualReport, GapRow, MartingaleField, OptimalMartingaleResult,
                       build_optimal_martingale, constant_martingale,
                       doob_martingale_of_terminal, dual_value, duality_gap_study,
@@ -39,9 +38,8 @@ __all__ = [
     "ExerciseBoundary", "ExerciseRegions", "MollifiedControl", "PolicyField",
     "RolloutBundle", "check_inclusion", "check_saturation", "exercise_regions",
     "exit_times", "extract_policy", "mollified_iterate", "rollout",
-    "Envelope", "MarginalReport", "MarginalRow", "StopWindows", "StoppingRule",
+    "Envelope", "MarginalReport", "MarginalRow", "StoppingRule",
     "evaluate_stop_rule", "marginal_value_report", "optimal_predictable_stop",
-    "stop_windows",
     "DualReport", "GapRow", "MartingaleField", "OptimalMartingaleResult",
     "build_optimal_martingale", "constant_martingale",
     "doob_martingale_of_terminal", "dual_value", "duality_gap_study",

@@ -114,9 +114,12 @@ def build_model(cfg: dict):
 def make_ensemble(lattice, cfg: dict, n_paths: int = 0, prefer_exhaustive: bool = False):
     """All paths under exhaustive=true, or when at most MAX_PATHS and either
     prefer_exhaustive is set or no count is given (the config's n_paths, else
-    the n_paths here); otherwise that many sampled paths."""
-    if cfg.get("n_paths", 0) >= 1:
+    the n_paths here); otherwise that many sampled paths. A config n_paths
+    below 1 is refused, not read as unset."""
+    if "n_paths" in cfg:
         n_paths = cfg["n_paths"]
+        if n_paths < 1:
+            raise ValueError("n_paths must be at least 1")
     if cfg.get("exhaustive", False) or (
             (prefer_exhaustive or n_paths < 1) and count_paths(lattice) <= MAX_PATHS):
         return enumerate_paths(lattice)

@@ -1,6 +1,7 @@
-"""Optimal stopping machinery: envelope recursions, per-path stop windows,
-constrained predictable stopping searches, Doob decompositions, and the
-stopping representations of the marginal value of volume.
+"""Optimal stopping machinery: envelope recursions with their Doob
+decompositions, predictable stopping searches confined to the stop windows
+of a policy rollout, and the stopping representations of the marginal value
+of volume.
 
 Discrete predictability convention: the event {sigma = t_k} must be decided
 one grid step ahead, i.e. it is constant across all time-k children of each
@@ -99,50 +100,6 @@ class Envelope:
 
 
 @dataclass(eq=False)
-class StopWindows:
-    """Per-path admissible stop flags derived from a policy rollout.
-
-    can_raise[r, m] marks grid times t_m in (t_{k0}, T] at which the rate was
-    below L in the adjacent step on path r (the holder could still exercise
-    more there); can_lower marks times with rate above 0 (could exercise
-    less).
-    """
-
-    lattice: ScenarioLattice
-    k0: int
-    can_raise: np.ndarray
-    can_lower: np.ndarray
-    nodes: np.ndarray
-    weights: np.ndarray
-    exhaustive: bool
-
-    def flags(self, constraint) -> np.ndarray:
-        if constraint is None:
-            return np.ones_like(self.can_raise)
-        if constraint == "can_raise":
-            return self.can_raise
-        if constraint == "can_lower":
-            return self.can_lower
-        raise ValueError("constraint must be 'can_raise', 'can_lower', or None")
-
-
-def stop_windows(bundle: RolloutBundle) -> StopWindows:
-    lattice = bundle.policy.field.lattice
-    K = lattice.n_steps
-    k0 = bundle.k0
-    low, pos = bundle.rates < bundle.policy.L, bundle.rates > 0.0
-    can_raise = np.zeros((bundle.n_paths, K + 1), dtype=bool)
-    can_lower = np.zeros((bundle.n_paths, K + 1), dtype=bool)
-    # a time is open when the step before it or the step after it allows the move
-    can_raise[:, k0 + 1:] = low
-    can_lower[:, k0 + 1:] = pos
-    can_raise[:, k0 + 1:K] |= low[:, 1:]
-    can_lower[:, k0 + 1:K] |= pos[:, 1:]
-    return StopWindows(lattice, k0, can_raise, can_lower, bundle.nodes, bundle.weights,
-                       bundle.exhaustive)
-
-
-@dataclass(eq=False)
 class StoppingRule:
     """Stop decisions per (k, node), applied with first-hit semantics.
 
@@ -186,46 +143,55 @@ def evaluate_stop_rule(rule: StoppingRule, ensemble: PathEnsemble,
     return float(np.cumsum(weights / np.cumsum(weights)[-1] * x_hit)[-1])
 
 
-def _node_flags(windows: StopWindows, constraint) -> list:
-    """Map per-path window flags onto tree nodes; inconsistent mappings are a
-    structural error (would mean the flags are not adapted)."""
-    lattice, path_flags = windows.lattice, windows.flags(constraint)
-    flags, seen = [], []
-    for m in range(lattice.n_steps + 1):
-        visits = np.bincount(windows.nodes[:, m], minlength=lattice.n_nodes(m))
-        raised = np.bincount(windows.nodes[:, m], path_flags[:, m], minlength=lattice.n_nodes(m))
-        if m > windows.k0 and np.any((raised > 0) & (raised < visits)):
-            raise ValueError("window flag is not a node function at slice %d" % m)
-        seen.append(visits > 0)
-        flags.append(raised > 0)
-    return flags, seen
+def _window_flags(bundle: RolloutBundle, constraint) -> list:
+    """Stop flags per node of each slice past the start, read off the rollout.
+
+    t_m is open when the step before it or the step after it allows the
+    move: a rate below L for "can_raise" (the holder could still exercise
+    more), above 0 for "can_lower" (could exercise less); None opens every
+    time. On a tree every path through a node shares its prefix, hence its
+    positions and rates, so each path writes its flag straight onto its node.
+    """
+    lattice, k0 = bundle.policy.field.lattice, bundle.k0
+    K = lattice.n_steps
+    if constraint is None:
+        return [np.ones(lattice.n_nodes(m), dtype=bool) for m in range(K + 1)]
+    if constraint == "can_raise":
+        allowed = bundle.rates < bundle.policy.L
+    elif constraint == "can_lower":
+        allowed = bundle.rates > 0.0
+    else:
+        raise ValueError("constraint must be 'can_raise', 'can_lower', or None")
+    opened = allowed.copy()  # column i is t_{k0+1+i}: the step before it
+    opened[:, :-1] |= allowed[:, 1:]  # or the step after it
+    flags = [np.zeros(lattice.n_nodes(m), dtype=bool) for m in range(K + 1)]
+    for m in range(k0 + 1, K + 1):
+        flags[m][bundle.nodes[:, m]] = opened[:, m - k0 - 1]
+    return flags
 
 
-def optimal_predictable_stop(windows: StopWindows, constraint, direction: str,
-                             predictable: bool = True, include_start: bool = None):
-    """Best stopping rule with stop times confined to a window set, on the
-    windows' lattice.
+def optimal_predictable_stop(bundle: RolloutBundle, constraint, direction: str,
+                             predictable: bool = True):
+    """Best stopping rule with stop times confined to the rollout's windows
+    (see _window_flags), on the rollout's lattice.
 
     Searches over discrete-predictable rules (stop decisions made one step
     ahead, at the parent node) or plain adapted rules when predictable is
-    False. Needs a tree lattice and exhaustive windows so the flags are exact
-    node functions. Returns (rule, value). Raises when no admissible rule
-    exists.
+    False; an unconstrained plain rule may also stop at the start. Needs a
+    tree lattice and an exhaustive rollout so the flags are node functions.
+    Returns (rule, value). Raises when no admissible rule exists.
     """
     if direction not in ("sup", "inf"):
         raise ValueError("direction must be 'sup' or 'inf'")
-    lattice = windows.lattice
+    lattice = bundle.policy.field.lattice
     if not lattice.is_tree():
         raise ValueError("the stopping search needs a tree lattice")
-    if not windows.exhaustive:
-        raise ValueError("the stopping search needs exhaustive window flags")
-    if include_start is None:
-        include_start = constraint is None and not predictable
-    if include_start and (constraint is not None or predictable):
-        raise ValueError("stopping at the start is only allowed unconstrained and non-predictable")
+    if not bundle.exhaustive:
+        raise ValueError("the stopping search needs an exhaustive rollout")
+    include_start = constraint is None and not predictable
     K = lattice.n_steps
-    k0 = windows.k0
-    flags, seen = _node_flags(windows, constraint)
+    k0 = bundle.k0
+    flags = _window_flags(bundle, constraint)
     sense = 1.0 if direction == "sup" else -1.0
     bad = -np.inf
     value = [np.full(lattice.n_nodes(k), bad) for k in range(K + 1)]
@@ -240,9 +206,8 @@ def optimal_predictable_stop(windows: StopWindows, constraint, direction: str,
         return np.where(all_ok, lattice.expect_next(k, np.where(ok, v, 0.0)), bad)
 
     def settle(k, stop_val, cont_val):
-        keep = seen[k] if k > k0 else True
-        value[k] = np.where(keep, np.maximum(stop_val, cont_val), bad)
-        choice[k] = keep & (stop_val >= cont_val)
+        value[k] = np.maximum(stop_val, cont_val)
+        choice[k] = stop_val >= cont_val
 
     if predictable:
         for k in range(K - 1, k0 - 1, -1):
@@ -257,7 +222,7 @@ def optimal_predictable_stop(windows: StopWindows, constraint, direction: str,
         if not include_start:
             value[k0] = expect(k0, value[k0 + 1])
 
-    start_w = np.bincount(windows.nodes[:, k0], windows.weights, minlength=lattice.n_nodes(k0))
+    start_w = np.bincount(bundle.nodes[:, k0], bundle.weights, minlength=lattice.n_nodes(k0))
     reached = start_w > 0
     if np.any(~np.isfinite(value[k0][reached])):
         raise ValueError("no admissible stopping rule for constraint %r" % (constraint,))
@@ -265,8 +230,8 @@ def optimal_predictable_stop(windows: StopWindows, constraint, direction: str,
 
     stop = [np.zeros(lattice.n_nodes(k), dtype=bool) for k in range(K + 1)]
     alive = np.zeros(lattice.n_nodes(k0), dtype=bool)
-    alive[windows.nodes[:, k0]] = True
-    if not predictable and include_start:
+    alive[bundle.nodes[:, k0]] = True
+    if include_start:
         stop[k0] = alive & choice[k0]
         alive &= ~stop[k0]
     for k in range(k0, K):
@@ -391,9 +356,8 @@ def marginal_value_report(policy: PolicyField, ensemble: PathEnsemble,
                 x_sig[at] = lattice.x(m)[bundle.nodes[at, m]]
             ex_sig = float(np.cumsum(bundle.weights * x_sig)[-1])
             if searchable and region == "interior":
-                windows = stop_windows(bundle)
-                _, sup_a = optimal_predictable_stop(windows, "can_raise", "sup")
-                _, inf_b = optimal_predictable_stop(windows, "can_lower", "inf")
+                _, sup_a = optimal_predictable_stop(bundle, "can_raise", "sup")
+                _, inf_b = optimal_predictable_stop(bundle, "can_lower", "inf")
         row = MarginalRow(t0, y0, region, ndm, ndp, ex_sig, sup_a, inf_b,
                           ssup if region == "cap" else np.nan,
                           sinf if region == "boundary" else np.nan, note)

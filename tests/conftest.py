@@ -351,6 +351,45 @@ def tiny_lattice_rows(draw, max_steps=3):
     return rows
 
 
+@st.composite
+def tiny_tree_rows(draw):
+    """LatticeNode rows of a tiny tree: one root, 1-2 children per node,
+    2..4 steps."""
+    K = draw(st.integers(2, 4))
+    rows, width = [], 1
+    for k in range(K + 1):
+        row, nxt = [], 0
+        for _ in range(width):
+            x = draw(st.floats(0.0, 3.0))
+            if k == K:
+                row.append(LatticeNode(x))
+                continue
+            fan = draw(st.integers(1, 2))
+            w = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=fan, max_size=fan)))
+            row.append(LatticeNode(x, tuple(range(nxt, nxt + fan)),
+                                   tuple((w / w.sum()).tolist())))
+            nxt += fan
+        rows.append(row)
+        width = nxt
+    return rows
+
+
+def reference_stop_windows(bundle):
+    """The per-path window rule that per-node flags replaced: for each
+    constraint (None, "can_raise", "can_lower") a (path x slice) flag array
+    in which t_m past the start is open when the step before it or the step
+    after it allows the move (a rate below L to raise, above 0 to lower)."""
+    K, k0 = bundle.policy.field.time_grid.K, bundle.k0
+    low, pos = bundle.rates < bundle.policy.L, bundle.rates > 0.0
+    can_raise = np.zeros((bundle.n_paths, K + 1), dtype=bool)
+    can_lower = np.zeros((bundle.n_paths, K + 1), dtype=bool)
+    can_raise[:, k0 + 1:] = low
+    can_lower[:, k0 + 1:] = pos
+    can_raise[:, k0 + 1:K] |= low[:, 1:]
+    can_lower[:, k0 + 1:K] |= pos[:, 1:]
+    return {None: np.ones_like(can_raise), "can_raise": can_raise, "can_lower": can_lower}
+
+
 @pytest.fixture(scope="session")
 def mart96():
     lat = make_exp_martingale(96)

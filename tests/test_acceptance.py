@@ -18,7 +18,7 @@ from swingkit import (StoppingRule, TimeGrid, VolumeGrid, boundary_check,
                       duality_gap_study, enumerate_paths, evaluate_stop_rule, exercise_regions,
                       exit_times, extract_policy, mollified_iterate,
                       optimal_predictable_stop, random_martingale, rollout,
-                      sample_paths, solve, stop_windows)
+                      sample_paths, solve)
 
 from conftest import make_exp_martingale, random_tiny_lattice, region_masks, with_policy
 
@@ -104,8 +104,7 @@ def test_criterion_03_predictability_separation(binary_solved):
     b = binary_solved
     start = time.perf_counter()
     bundle = rollout(b["policy"], b["ens"], (0, 0.5))
-    windows = stop_windows(bundle)
-    _, sup_a = optimal_predictable_stop(windows, "can_raise", "sup")
+    _, sup_a = optimal_predictable_stop(bundle, "can_raise", "sup")
     stop = [np.zeros(b["lat"].n_nodes(k), dtype=bool) for k in range(97)]
     stop[32][0] = True
     stop[80][1] = True

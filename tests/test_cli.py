@@ -116,6 +116,21 @@ def test_cli_verify_rejects_an_off_grid_start(tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["price", "stopping", "verify"])
+@pytest.mark.parametrize("n_paths", ["0", "-5"])
+def test_cli_rejects_a_path_count_below_one(tmp_path, capsys, command, n_paths):
+    """A config n_paths below 1 is bad input, not "unset": before, a K=12
+    binomial enumerated its paths and exited 0."""
+    cfg = write_cfg(tmp_path, "model=binomial\nkind=martingale\nx0=1\nup=1.05\n"
+                              "down=0.96\np_up=0.44444444444444442\nK=12\n"
+                              "n_paths=%s\n" % n_paths)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "error: n_paths must be at least 1" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("tie_tol", ["nan", "inf", "-1"])
 def test_cli_rejects_a_bad_tie_tol(tmp_path, capsys, tie_tol):
     cfg = write_cfg(tmp_path, "model=binary\ntie_tol=%s\n" % tie_tol)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from swingkit import (InvariantError, ScenarioLattice, TimeGrid, ValueField, VolumeGrid,
+from swingkit import (InvariantError, LatticeNode, ScenarioLattice, TimeGrid, ValueField,
+                      VolumeGrid,
                       backward_extremum, bellman_residual, boundary_check,
                       build_binary_example, build_binomial, check_value_invariants,
                       extract_policy, solve)
@@ -471,3 +472,33 @@ def test_scans_build_no_more_than_the_band_plus_four_columns(mart96, monkeypatch
     built.clear()
     boundary_check(field)
     assert built == []
+
+
+def single_node_chain(K, x_at, lce_declared):
+    """One node per slice on T = 1.5, paying x_at(k, t_k) at slice k."""
+    times = TimeGrid(1.5, K).times
+    rows = [[LatticeNode(float(x_at(k, t)), (0,), (1.0,))] for k, t in enumerate(times[:-1])]
+    rows.append([LatticeNode(float(x_at(K, times[-1])))])
+    return ScenarioLattice.from_rows(rows, lce_declared).validate()
+
+
+def sup_interior_gap(field):
+    """sup of D-J - D+J over k < K and the positions strictly between the
+    full-rate boundary and the cap."""
+    vg, gap = field.volume_grid, -np.inf
+    for k in range(field.time_grid.K):
+        d = (field.dminus(k) - field.dplus(k))[:, max(vg.boundary_pos(k) + 1, 0):vg.cap_pos]
+        gap = max(gap, float(d.max(initial=-np.inf)))
+    return gap
+
+
+@pytest.mark.parametrize("K", [12, 24, 48, 96, 192])
+def test_the_lce_hypothesis_decides_whether_the_volume_derivative_gap_closes(K):
+    """Under LCE (the ramp X = 1 + t) the one-sided volume derivatives differ
+    by exactly slope * dt = 1.5 / K, so J becomes C1 in the volume as K
+    grows; a deterministic jump of 1 at t = 1 (not LCE) keeps the gap at
+    the jump size at every K."""
+    ramp = single_node_chain(K, lambda k, t: 1.0 + t, True)
+    jump = single_node_chain(K, lambda k, t: 2.0 if 3 * k >= 2 * K else 1.0, False)
+    assert sup_interior_gap(solved(ramp, 1.5)[2]) == 1.5 / K
+    assert sup_interior_gap(solved(jump, 1.5)[2]) == 1.0

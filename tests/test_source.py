@@ -91,8 +91,7 @@ def test_the_scanner_flags_a_second_lattice_copy():
 def test_no_function_takes_a_second_copy_of_a_carried_lattice():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     carriers = lattice_carriers(trees.values())
-    assert {"ValueField", "PathEnsemble", "Envelope", "MartingaleField",
-            "StopWindows"} <= carriers
+    assert {"ValueField", "PathEnsemble", "Envelope", "MartingaleField"} <= carriers
     found = ["%s:%d %s" % (name, line, func) for name, tree in trees.items()
              for func, line in second_lattice_copies(tree, carriers)]
     assert found == []
@@ -190,3 +189,41 @@ def test_every_method_has_a_caller():
     assert sorted(uncalled - USER_ENTRY_POINTS.keys()) == []
     defined = {(cls, name) for tree in trees for cls, _, name in class_methods(tree)}
     assert USER_ENTRY_POINTS.keys() <= defined
+
+
+def module_helpers(tree):
+    """(line, name) for each private function or class defined at module
+    level."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.endswith("__")):
+            yield node.lineno, node.name
+
+
+def name_loads(trees):
+    """Every name read as `name` or as `obj.name` in the trees (a list)."""
+    return attribute_loads(trees) | {n.id for tree in trees for n in ast.walk(tree)
+                                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def test_the_scanner_flags_an_unloaded_private_helper():
+    tree = ast.parse("def _used():\n    pass\n"
+                     "def _idle():\n    pass\n"
+                     "class _Idle:\n    pass\n"
+                     "def public():\n    return _used()\n"
+                     "def __getattr__(name):\n    return name\n"
+                     "class C:\n    def _method(self):\n        pass\n")
+    other = ast.parse("from . import m\nm._idle()\n")
+    assert [h for h in module_helpers(tree) if h[1] not in name_loads([tree])] == [
+        (3, "_idle"), (5, "_Idle")]
+    assert [h for h in module_helpers(tree) if h[1] not in name_loads([tree, other])] == [
+        (5, "_Idle")]
+
+
+def test_every_private_helper_has_a_caller():
+    """A module-level _helper that no code in src/ loads is dead code."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    loads = name_loads(trees.values())
+    unloaded = ["%s:%d %s" % (name, line, helper) for name, tree in trees.items()
+                for line, helper in module_helpers(tree) if helper not in loads]
+    assert unloaded == []

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from swingkit import (Envelope, InvariantError, ScenarioLattice, StoppingRule, StopWindows,
-                      TimeGrid, VolumeGrid, build_binary_example, build_binomial,
-                      enumerate_paths, evaluate_stop_rule, exit_times, marginal_value_report,
-                      optimal_predictable_stop, rollout, sample_paths, stop_windows)
+from swingkit import (Envelope, InvariantError, ScenarioLattice, StoppingRule, TimeGrid,
+                      VolumeGrid, build_binary_example, build_binomial, enumerate_paths,
+                      evaluate_stop_rule, exit_times, marginal_value_report,
+                      optimal_predictable_stop, rollout, sample_paths)
+from swingkit.stopping import _window_flags
 
-from conftest import solved
+from conftest import reference_stop_windows, solved, tiny_tree_rows
 
 
 @pytest.fixture()
@@ -46,32 +48,50 @@ def test_snell_detects_corruption(binary96):
 
 
 def test_stop_windows_exact_sets(half_bundle):
-    w = stop_windows(half_bundle)
-    assert w.k0 == 0 and exit_times(half_bundle).m_event and w.exhaustive
-    hi_raise = set(np.nonzero(w.can_raise[0])[0].tolist())
-    hi_lower = set(np.nonzero(w.can_lower[0])[0].tolist())
-    lo_raise = set(np.nonzero(w.can_raise[1])[0].tolist())
-    lo_lower = set(np.nonzero(w.can_lower[1])[0].tolist())
+    """The node flags of each window, read along the high (row 0) and the
+    low (row 1) branch."""
+    b = half_bundle
+    assert b.k0 == 0 and exit_times(b).m_event and b.exhaustive
+
+    def opened(constraint, r):
+        flags = _window_flags(b, constraint)
+        return {m for m in range(1, 97) if flags[m][b.nodes[r, m]]}
+
     # high branch exercises on [1, 1.5): both windows pinch at the exit
-    assert hi_raise == set(range(1, 33)) | set(range(48, 97))
-    assert hi_lower == set(range(32, 49))
-    assert lo_raise == set(range(1, 81))
-    assert lo_lower == set(range(80, 97))
+    assert opened("can_raise", 0) == set(range(1, 33)) | set(range(48, 97))
+    assert opened("can_lower", 0) == set(range(32, 49))
+    assert opened("can_raise", 1) == set(range(1, 81))
+    assert opened("can_lower", 1) == set(range(80, 97))
+    assert opened(None, 0) == opened(None, 1) == set(range(1, 97))
 
 
-def test_stop_windows_flags_accessor(half_bundle):
-    w = stop_windows(half_bundle)
-    assert np.array_equal(w.flags("can_raise"), w.can_raise)
-    assert np.all(w.flags(None))
-    with pytest.raises(ValueError, match="constraint must be"):
-        w.flags("sometimes")
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(rows=tiny_tree_rows(), j_cap=st.integers(1, 2))
+def test_window_flags_follow_the_per_path_rule_on_drawn_trees(rows, j_cap):
+    """From every start of a drawn tiny tree, each path's window flag at
+    every later time sits on the node it passes, and the unconstrained plain
+    search is worth the start-weighted sup envelope."""
+    lat = ScenarioLattice.from_rows(rows).validate()
+    K = lat.n_steps
+    _, vg, _, policy = solved(lat, float(K), 1.0 / j_cap)
+    ens = enumerate_paths(lat)
+    envelope = Envelope(lat, "max").values
+    for k0 in range(K):
+        for y0 in vg.levels:
+            b = rollout(policy, ens, (k0, y0))
+            for constraint, want in reference_stop_windows(b).items():
+                flags = _window_flags(b, constraint)
+                for m in range(k0 + 1, K + 1):
+                    assert np.array_equal(flags[m][b.nodes[:, m]], want[:, m])
+            _, v = optimal_predictable_stop(b, None, "sup", predictable=False)
+            w = np.bincount(b.nodes[:, k0], b.weights, minlength=lat.n_nodes(k0))
+            assert abs(v - w @ envelope[k0]) <= 1e-12
 
 
 def test_constrained_searches_hit_the_marginal_values(binary96, half_bundle):
     lat = binary96["lat"]
-    w = stop_windows(half_bundle)
-    rule_a, va = optimal_predictable_stop(w, "can_raise", "sup")
-    rule_b, vb = optimal_predictable_stop(w, "can_lower", "inf")
+    rule_a, va = optimal_predictable_stop(half_bundle, "can_raise", "sup")
+    rule_b, vb = optimal_predictable_stop(half_bundle, "can_lower", "inf")
     assert va == 1.5
     assert vb == 1.5
     assert rule_a.predictable and rule_b.predictable
@@ -84,8 +104,7 @@ def test_constrained_searches_hit_the_marginal_values(binary96, half_bundle):
 
 def test_unconstrained_search_recovers_the_envelope(binary96, half_bundle):
     lat = binary96["lat"]
-    w = stop_windows(half_bundle)
-    rule, v = optimal_predictable_stop(w, None, "sup", predictable=False)
+    rule, v = optimal_predictable_stop(half_bundle, None, "sup", predictable=False)
     assert v == 2.0
     assert rule.include_start
     assert v == Envelope(lat, "max").values[0][0]
@@ -94,9 +113,8 @@ def test_unconstrained_search_recovers_the_envelope(binary96, half_bundle):
 def test_unconstrained_beats_constrained_strictly(binary96, half_bundle):
     """Dropping both the window constraint and predictability is worth
     exactly the 2 vs 1.5 difference here."""
-    w = stop_windows(half_bundle)
-    _, va = optimal_predictable_stop(w, "can_raise", "sup")
-    _, vu = optimal_predictable_stop(w, None, "sup", predictable=False)
+    _, va = optimal_predictable_stop(half_bundle, "can_raise", "sup")
+    _, vu = optimal_predictable_stop(half_bundle, None, "sup", predictable=False)
     assert vu - va == 0.5
 
 
@@ -136,16 +154,16 @@ def test_evaluate_requires_stopping(binary96):
 
 
 def test_search_rejections(binary96, half_bundle):
-    lat = binary96["lat"]
-    w = stop_windows(half_bundle)
-    with pytest.raises(ValueError, match="only allowed unconstrained"):
-        optimal_predictable_stop(w, "can_raise", "sup", include_start=True)
+    lat, policy = binary96["lat"], binary96["policy"]
+    with pytest.raises(ValueError, match="constraint must be"):
+        optimal_predictable_stop(half_bundle, "sometimes", "sup")
     with pytest.raises(ValueError, match="direction must be"):
-        optimal_predictable_stop(w, None, "max")
-    sampled = sample_paths(lat, n_paths=16, seed=3)
-    ws = stop_windows(rollout(binary96["policy"], sampled, (0, 0.5)))
-    with pytest.raises(ValueError, match="exhaustive window flags"):
-        optimal_predictable_stop(ws, "can_raise", "sup")
+        optimal_predictable_stop(half_bundle, None, "max")
+    sampled = rollout(policy, sample_paths(lat, n_paths=16, seed=3), (0, 0.5))
+    through_one_node = rollout(policy, binary96["ens"], (0, 0.5), node0=0)
+    for b in (sampled, through_one_node):
+        with pytest.raises(ValueError, match="needs an exhaustive rollout"):
+            optimal_predictable_stop(b, "can_raise", "sup")
 
 
 def test_search_needs_a_tree():
@@ -156,31 +174,17 @@ def test_search_needs_a_tree():
     field = solve(lat, tg, vg)
     pol = extract_policy(field)
     ens = enumerate_paths(lat)
-    w = stop_windows(rollout(pol, ens, (0, 0.0)))
+    b = rollout(pol, ens, (0, 0.0))
     with pytest.raises(ValueError, match="needs a tree lattice"):
-        optimal_predictable_stop(w, None, "sup")
+        optimal_predictable_stop(b, None, "sup")
 
 
 def test_infeasible_constraint(binary96):
     b = rollout(binary96["policy"], binary96["ens"], (0, 1.0))
-    w = stop_windows(b)
     assert not exit_times(b).m_event
-    assert not w.can_lower.any()
+    assert not any(flags.any() for flags in _window_flags(b, "can_lower"))
     with pytest.raises(ValueError, match="no admissible stopping rule"):
-        optimal_predictable_stop(w, "can_lower", "inf")
-
-
-def test_window_flags_must_be_node_functions():
-    from swingkit import build_binary_example
-    lat = build_binary_example(6)
-    ens = enumerate_paths(lat)
-    cr = np.zeros((2, 7), dtype=bool)
-    cr[0, 1] = True  # paths share node 0 at m=1 but disagree
-    cr[:, 6] = True
-    w = StopWindows(lattice=lat, k0=0, can_raise=cr, can_lower=np.zeros_like(cr),
-                    nodes=ens.nodes, weights=ens.weights, exhaustive=True)
-    with pytest.raises(ValueError, match="not a node function"):
-        optimal_predictable_stop(w, "can_raise", "sup")
+        optimal_predictable_stop(b, "can_lower", "inf")
 
 
 def test_doob_decomposition_on_the_tree(binary96):
@@ -238,15 +242,15 @@ def test_envelope_accumulates_only_its_own_lattice():
 
 def test_searches_read_the_windows_own_lattice():
     """On two same-shape trees, the second paying twice the first's cashflow,
-    windows carry the lattice of their rollout and the search reads it. A
-    search that took the lattice apart from the windows returned 3.0 for
+    a rollout carries the lattice of its policy and the search reads it. A
+    search that took the lattice apart from its windows returned 3.0 for
     the first tree's windows beside the second tree."""
     a = build_binary_example(6)
     for lat, want in ((a, 1.5), (doubled(a), 3.0)):
         ens = enumerate_paths(lat)
-        windows = stop_windows(rollout(solved(lat, 3.0)[3], ens, (0, 0.5)))
-        assert windows.lattice is lat
-        assert optimal_predictable_stop(windows, "can_raise", "sup")[1] == want
+        bundle = rollout(solved(lat, 3.0)[3], ens, (0, 0.5))
+        assert bundle.policy.field.lattice is lat
+        assert optimal_predictable_stop(bundle, "can_raise", "sup")[1] == want
 
 
 def test_marginal_report_rejects_a_start_at_the_horizon(binary96):
