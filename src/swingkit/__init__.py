@@ -7,19 +7,18 @@ and cross-checks the solution through optimal-stopping representations of
 the marginal value and martingale dual bounds.
 """
 
-from .models import (LatticeNode, PathEnsemble, ScenarioLattice, TimeGrid,
-                     backward_extremum, build_binary_example, build_binomial,
+from .models import (Envelope, InvariantError, LatticeNode, PathEnsemble, PreconditionError,
+                     ScenarioLattice, TimeGrid, build_binary_example, build_binomial,
                      count_paths, enumerate_paths, read_lattice, sample_paths,
                      write_lattice)
-from .solver import (BoundaryReport, InvariantError, PreconditionError, ResidualReport,
-                     ValueField, VolumeGrid, bellman_residual, boundary_check,
-                     check_value_invariants, solve)
+from .solver import (BoundaryReport, ResidualReport, ValueField, VolumeGrid,
+                     bellman_residual, boundary_check, check_value_invariants, solve)
 from .policy import (ExerciseBoundary, ExerciseRegions, MollifiedControl,
                      PolicyField, RolloutBundle, check_inclusion, check_saturation,
                      exercise_regions, exit_times, extract_policy, mollified_iterate,
                      rollout)
-from .stopping import (Envelope, MarginalReport, MarginalRow, StoppingRule,
-                       evaluate_stop_rule, marginal_value_report, optimal_predictable_stop)
+from .stopping import (MarginalReport, MarginalRow, StoppingRule, evaluate_stop_rule,
+                       marginal_value_report, optimal_predictable_stop)
 from .duality import (DualReport, GapRow, MartingaleField, OptimalMartingaleResult,
                       build_optimal_martingale, constant_martingale,
                       doob_martingale_of_terminal, dual_value, duality_gap_study,
@@ -29,16 +28,15 @@ from .oracle import EnumerationResult, brute_force_value, closed_form
 __version__ = "0.1.0"
 
 __all__ = [
-    "LatticeNode", "PathEnsemble", "ScenarioLattice", "TimeGrid",
-    "backward_extremum", "build_binary_example", "build_binomial", "count_paths",
+    "Envelope", "InvariantError", "LatticeNode", "PathEnsemble", "PreconditionError",
+    "ScenarioLattice", "TimeGrid", "build_binary_example", "build_binomial", "count_paths",
     "enumerate_paths", "read_lattice", "sample_paths", "write_lattice",
-    "BoundaryReport", "InvariantError", "PreconditionError", "ResidualReport",
-    "ValueField", "VolumeGrid", "bellman_residual", "boundary_check",
-    "check_value_invariants", "solve",
+    "BoundaryReport", "ResidualReport", "ValueField", "VolumeGrid",
+    "bellman_residual", "boundary_check", "check_value_invariants", "solve",
     "ExerciseBoundary", "ExerciseRegions", "MollifiedControl", "PolicyField",
     "RolloutBundle", "check_inclusion", "check_saturation", "exercise_regions",
     "exit_times", "extract_policy", "mollified_iterate", "rollout",
-    "Envelope", "MarginalReport", "MarginalRow", "StoppingRule",
+    "MarginalReport", "MarginalRow", "StoppingRule",
     "evaluate_stop_rule", "marginal_value_report", "optimal_predictable_stop",
     "DualReport", "GapRow", "MartingaleField", "OptimalMartingaleResult",
     "build_optimal_martingale", "constant_martingale",

@@ -17,14 +17,14 @@ import numpy as np
 
 from .duality import (build_optimal_martingale, dual_value, duality_gap_study,
                       random_martingale)
-from .models import (MAX_PATHS, TimeGrid, _strings, _write_table, build_binary_example,
-                     build_binomial, count_paths, enumerate_paths, read_lattice, sample_paths,
-                     write_lattice)
+from .models import (MAX_PATHS, Envelope, InvariantError, PreconditionError, TimeGrid,
+                     _strings, _write_table, build_binary_example, build_binomial, count_paths,
+                     enumerate_paths, read_lattice, sample_paths, write_lattice)
 from .oracle import brute_force_value
 from .policy import check_inclusion, check_saturation, exit_times, extract_policy, rollout
-from .solver import (InvariantError, PreconditionError, VolumeGrid, bellman_residual,
-                     boundary_check, check_value_invariants, solve)
-from .stopping import Envelope, marginal_value_report
+from .solver import (VolumeGrid, bellman_residual, boundary_check, check_value_invariants,
+                     solve)
+from .stopping import marginal_value_report
 
 _KEY_TYPES = {
     "model": str,
@@ -208,18 +208,28 @@ def _write_martingale(fh, node_values):
     fh.write("\n")
 
 
-def _solve_all(cfg: dict, starts=()):
-    """Build, solve and return the policy, which carries the solved field; the
-    given starts are checked against the grids before the solve."""
+def _solve_all(cfg: dict, model=None):
+    """The policy, which carries the solved field, of the configured model."""
+    if model is None:
+        lattice, tg, L = build_model(cfg)
+        model = lattice, tg, VolumeGrid.aligned(L, tg)
+    return extract_policy(solve(*model), cfg.get("tie_tol", 1e-9))
+
+
+def _prepare(cfg: dict, **ensemble):
+    """(policy, ens, starts) of a run. The starts are checked against the
+    model's grids and the ensemble (make_ensemble with these options) is
+    built before the solve, so bad input fails before the solve is paid for."""
     lattice, tg, L = build_model(cfg)
     vg = VolumeGrid.aligned(L, tg)
+    starts = parse_starts(cfg.get("starts", "0:0"))
     _start_indices(starts, tg, vg)
-    return extract_policy(solve(lattice, tg, vg), cfg.get("tie_tol", 1e-9))
+    ens = make_ensemble(lattice, cfg, **ensemble)
+    return _solve_all(cfg, (lattice, tg, vg)), ens, starts
 
 
 def cmd_price(cfg: dict, out_dir: str) -> int:
-    policy = _solve_all(cfg)
-    _export_price(cfg, out_dir, policy, make_ensemble(policy.field.lattice, cfg))
+    _export_price(out_dir, *_prepare(cfg))
     return 0
 
 
@@ -228,12 +238,11 @@ def _start_indices(starts: list, tg, vg) -> list:
     return [(tg.start_index(t0), vg.index_of(y0)) for t0, y0 in starts]
 
 
-def _export_price(cfg: dict, out_dir: str, policy, ens):
+def _export_price(out_dir: str, policy, ens, starts):
     """Write the price bundle of a solved model and print its summary.
 
     Everything that can fail on the input runs before the first file is
     opened, so a bad start leaves no files behind."""
-    starts = parse_starts(cfg.get("starts", "0:0"))
     field = policy.field
     occ = field.lattice.occupancy()
     summary, runs = [], []
@@ -258,11 +267,9 @@ def _export_price(cfg: dict, out_dir: str, policy, ens):
 
 
 def _verify_checks(cfg: dict):
-    starts = parse_starts(cfg["starts"]) if "starts" in cfg else [(0.0, 0.0)]
-    policy = _solve_all(cfg, starts)
+    policy, ens, starts = _prepare(cfg, n_paths=256, prefer_exhaustive=True)
     field = policy.field
     lattice, vg = field.lattice, field.volume_grid
-    ens = make_ensemble(lattice, cfg, n_paths=256, prefer_exhaustive=True)
     results = []
 
     def run(name, fn):
@@ -389,10 +396,7 @@ def cmd_dual(cfg: dict, out_dir: str, solved=None) -> int:
 
 
 def cmd_stopping(cfg: dict, out_dir: str) -> int:
-    policy = _solve_all(cfg)
-    ens = make_ensemble(policy.field.lattice, cfg)
-    starts = parse_starts(cfg.get("starts", "0:0"))
-    report = marginal_value_report(policy, ens, starts)
+    report = marginal_value_report(*_prepare(cfg))
     text = report.format_table()
     _write(out_dir, "marginal.txt", text)
     print(text, end="")
@@ -405,10 +409,9 @@ def cmd_example(cfg: dict, out_dir: str) -> int:
     sub["model"] = "binary"
     sub.setdefault("K", 96)
     sub.setdefault("starts", "0:0.5;0:0")
-    policy = _solve_all(sub)
+    policy, ens, starts = _prepare(sub)
     field = policy.field
-    ens = make_ensemble(field.lattice, sub)
-    _export_price(sub, out_dir, policy, ens)
+    _export_price(out_dir, policy, ens, starts)
     report = marginal_value_report(policy, ens,
                                    [(0.0, 0.5), (0.0, 0.0), (2.0, 0.0), (0.0, 1.0)])
     _write(out_dir, "marginal.txt", report.format_table())

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ScenarioLattice
+from .models import Envelope, InvariantError, PreconditionError, ScenarioLattice
 from .policy import PolicyField
-from .solver import InvariantError, PreconditionError, VolumeGrid
-from .stopping import Envelope
+from .solver import VolumeGrid
 
 
 @dataclass(eq=False)

@@ -8,7 +8,7 @@ of piecewise-constant exercise rates against it are exact sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from itertools import chain, count, repeat
 from operator import itemgetter
 
@@ -16,6 +16,14 @@ import numpy as np
 
 PROB_TOL = 1e-12
 MAX_PATHS = 65536       # the most paths enumerate_paths lists
+
+
+class InvariantError(Exception):
+    """A structural property of a solved field failed to hold."""
+
+
+class PreconditionError(ValueError):
+    """Valid input outside the declared range of a check or oracle."""
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -246,21 +254,76 @@ class ScenarioLattice:
         return self
 
 
-def backward_extremum(lattice: ScenarioLattice, direction: str) -> list:
-    """Backward recursion W_k = extremum(X_k, E[W_{k+1} | node]).
+ENVELOPE_TOL = 1e-12
 
-    direction "max" gives the smallest supermartingale dominating X (the
-    optimal stopping value of sup E[X(sigma)]); "min" gives the inf version.
+
+@dataclass(eq=False)
+class Envelope:
+    """Snell envelope Y of the cashflow on its lattice, with its Doob increments.
+
+    direction "max": smallest supermartingale dominating X, the value of
+    sup E[X(sigma)]; "min": largest submartingale below X. One backward pass
+    takes e = E[Y[k+1] | node] once per step for Y[k] = extremum(X[k], e) and
+    increments[k] = Y[k+1][child] - e[parent] over the edges of edges(k).
     """
-    if direction not in ("max", "min"):
-        raise ValueError("direction must be 'max' or 'min'")
-    op = np.maximum if direction == "max" else np.minimum
-    K = lattice.n_steps
-    w = [None] * (K + 1)
-    w[K] = lattice.x(K).copy()
-    for k in range(K - 1, -1, -1):
-        w[k] = op(lattice.x(k), lattice.expect_next(k, w[k + 1]))
-    return w
+
+    lattice: ScenarioLattice
+    direction: str
+    values: list = dataclass_field(init=False, repr=False)
+    increments: list = dataclass_field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.direction not in ("max", "min"):
+            raise ValueError("direction must be 'max' or 'min'")
+        op = np.maximum if self.direction == "max" else np.minimum
+        lattice, K = self.lattice, self.lattice.n_steps
+        self.values = vals = [None] * K + [lattice.x(K).copy()]
+        self.increments = incs = [None] * K
+        for k in range(K - 1, -1, -1):
+            e = lattice.expect_next(k, vals[k + 1])
+            vals[k] = op(lattice.x(k), e)
+            incs[k] = vals[k + 1][lattice.edges(k)[1]] - e[lattice.parents(k)]
+
+    def check(self) -> dict:
+        """Terminal match, centred increments, dominance and drift, to ENVELOPE_TOL."""
+        lattice, vals = self.lattice, self.values
+        K = lattice.n_steps
+        sup = self.direction == "max"
+        worst_dom = 0.0
+        worst_mart = 0.0
+        if np.any(vals[K] != lattice.x(K)):
+            raise InvariantError("terminal envelope does not equal the terminal cashflow")
+        scale = max(1.0, max(float(np.abs(v).max()) for v in vals))
+        for k in range(K + 1):
+            gap = lattice.x(k) - vals[k] if sup else vals[k] - lattice.x(k)
+            worst_dom = max(worst_dom, float(gap.max()))
+            if k < K:
+                start, _, prob = lattice.edges(k)
+                mean = np.add.reduceat(prob * self.increments[k], start[:-1])
+                bad = np.flatnonzero(~(np.abs(mean) <= ENVELOPE_TOL * scale))
+                if bad.size:
+                    raise InvariantError("increment mean %.3g at slice %d node %d"
+                                         % (mean[bad[0]], k, bad[0]))
+                drift = lattice.expect_next(k, vals[k + 1]) - vals[k]
+                drift = drift if sup else -drift
+                worst_mart = max(worst_mart, float(drift.max()))
+        if worst_dom > ENVELOPE_TOL:
+            raise InvariantError("envelope fails to dominate the cashflow by %.3g" % worst_dom)
+        if worst_mart > ENVELOPE_TOL:
+            raise InvariantError("envelope drifts the wrong way by %.3g" % worst_mart)
+        return {"dominance": worst_dom, "drift": worst_mart}
+
+    def accumulate(self, ensemble: PathEnsemble) -> np.ndarray:
+        """Martingale part along each path of an ensemble of this lattice,
+        started at Y[0]."""
+        ensemble.check_lattice(self.lattice)
+        lattice, y, nodes = self.lattice, self.values, ensemble.nodes
+        out = np.zeros((ensemble.n_paths, lattice.n_steps + 1))
+        out[:, 0] = y[0][nodes[:, 0]]
+        for k in range(lattice.n_steps):
+            ey = lattice.expect_next(k, y[k + 1])
+            out[:, k + 1] = out[:, k] + (y[k + 1][nodes[:, k + 1]] - ey[nodes[:, k]])
+        return out
 
 
 def build_binary_example(K: int) -> ScenarioLattice:

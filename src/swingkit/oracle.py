@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ScenarioLattice, TimeGrid
-from .solver import PreconditionError, VolumeGrid
+from .models import PreconditionError, ScenarioLattice, TimeGrid
+from .solver import VolumeGrid
 
 
 @dataclass(eq=False)

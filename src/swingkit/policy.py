@@ -14,8 +14,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .models import PathEnsemble
-from .solver import InvariantError, ValueField
+from .models import InvariantError, PathEnsemble
+from .solver import ValueField
 
 TIE_TOL = 1e-9
 

@@ -14,17 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ScenarioLattice, TimeGrid, backward_extremum
+from .models import Envelope, InvariantError, ScenarioLattice, TimeGrid
 
 EXACT_TOL = 1e-10
-
-
-class InvariantError(Exception):
-    """A structural property of a solved field failed to hold."""
-
-
-class PreconditionError(ValueError):
-    """Valid input outside the declared range of a check or oracle."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,7 +240,7 @@ def check_value_invariants(field: ValueField) -> dict:
     vg = field.volume_grid
     step = vg.step
     K = field.time_grid.K
-    z = backward_extremum(field.lattice, "max")
+    z = Envelope(field.lattice, "max").values
     report = {"monotone": 0.0, "concavity": 0.0, "lipschitz": 0.0, "terminal": 0.0}
 
     def window(k):

@@ -1,7 +1,6 @@
-"""Optimal stopping machinery: envelope recursions with their Doob
-decompositions, predictable stopping searches confined to the stop windows
-of a policy rollout, and the stopping representations of the marginal value
-of volume.
+"""Optimal stopping machinery: predictable stopping searches confined to
+the stop windows of a policy rollout, and the stopping representations of
+the marginal value of volume, which read the Snell envelopes of models.
 
 Discrete predictability convention: the event {sigma = t_k} must be decided
 one grid step ahead, i.e. it is constant across all time-k children of each
@@ -11,112 +10,33 @@ placed at a grid time is seen by a rule that stops exactly there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .models import PathEnsemble, ScenarioLattice, backward_extremum
+from .models import Envelope, InvariantError, PathEnsemble, ScenarioLattice
 from .policy import PolicyField, RolloutBundle, exit_times, rollout
-from .solver import InvariantError
-
-ENVELOPE_TOL = 1e-12
-
-
-@dataclass(eq=False)
-class Envelope:
-    """Snell envelope Y of the cashflow on its lattice, with its Doob split.
-
-    direction "max": smallest supermartingale dominating X, the value of
-    sup E[X(sigma)]; "min": largest submartingale below X. increments[k][e] =
-    Y[k+1][child] - E[Y[k+1] | parent] for each edge e of lattice.edges(k).
-    The node-valued martingale part and the compensator Y - martingale exist
-    only on tree lattices (None otherwise); accumulate works on any lattice.
-    """
-
-    lattice: ScenarioLattice
-    direction: str
-    values: list = dataclass_field(init=False, repr=False)
-    increments: list = dataclass_field(init=False, repr=False)
-    martingale: list = dataclass_field(init=False, repr=False)
-    compensator: list = dataclass_field(init=False, repr=False)
-
-    def __post_init__(self):
-        lattice, K = self.lattice, self.lattice.n_steps
-        self.values = vals = backward_extremum(lattice, self.direction)
-        self.increments = incs = []
-        scale = max(1.0, max(float(np.abs(v).max()) for v in vals))
-        for k in range(K):
-            start, child, prob = lattice.edges(k)
-            inc = vals[k + 1][child] - lattice.expect_next(k, vals[k + 1])[lattice.parents(k)]
-            mean = np.add.reduceat(prob * inc, start[:-1])
-            bad = np.flatnonzero(~(np.abs(mean) <= 1e-12 * scale))
-            if bad.size:
-                raise InvariantError("increment mean %.3g at slice %d node %d"
-                                     % (mean[bad[0]], k, bad[0]))
-            incs.append(inc)
-        self.martingale = self.compensator = None
-        if lattice.is_tree():
-            mart = [vals[0].copy()]
-            for k in range(K):
-                nxt = np.zeros(lattice.n_nodes(k + 1))
-                nxt[lattice.edges(k)[1]] = mart[k][lattice.parents(k)] + incs[k]
-                mart.append(nxt)
-            self.martingale = mart
-            self.compensator = [vals[k] - mart[k] for k in range(K + 1)]
-
-    def check(self) -> dict:
-        """Dominance, one-step drift and terminal match, within ENVELOPE_TOL."""
-        lattice, vals = self.lattice, self.values
-        K = lattice.n_steps
-        sup = self.direction == "max"
-        worst_dom = 0.0
-        worst_mart = 0.0
-        if np.any(vals[K] != lattice.x(K)):
-            raise InvariantError("terminal envelope does not equal the terminal cashflow")
-        for k in range(K + 1):
-            gap = lattice.x(k) - vals[k] if sup else vals[k] - lattice.x(k)
-            worst_dom = max(worst_dom, float(gap.max()))
-            if k < K:
-                drift = lattice.expect_next(k, vals[k + 1]) - vals[k]
-                drift = drift if sup else -drift
-                worst_mart = max(worst_mart, float(drift.max()))
-        if worst_dom > ENVELOPE_TOL:
-            raise InvariantError("envelope fails to dominate the cashflow by %.3g" % worst_dom)
-        if worst_mart > ENVELOPE_TOL:
-            raise InvariantError("envelope drifts the wrong way by %.3g" % worst_mart)
-        return {"dominance": worst_dom, "drift": worst_mart}
-
-    def accumulate(self, ensemble: PathEnsemble) -> np.ndarray:
-        """Martingale part along each path of an ensemble of this lattice,
-        started at Y[0]."""
-        ensemble.check_lattice(self.lattice)
-        lattice, y, nodes = self.lattice, self.values, ensemble.nodes
-        out = np.zeros((ensemble.n_paths, lattice.n_steps + 1))
-        out[:, 0] = y[0][nodes[:, 0]]
-        for k in range(lattice.n_steps):
-            ey = lattice.expect_next(k, y[k + 1])
-            out[:, k + 1] = out[:, k] + (y[k + 1][nodes[:, k + 1]] - ey[nodes[:, k]])
-        return out
-
 
 @dataclass(eq=False)
 class StoppingRule:
-    """Stop decisions per (k, node), applied with first-hit semantics.
+    """Stop decisions per (k, node) of its lattice, applied with first-hit
+    semantics.
 
     A predictable rule keeps the stop flag constant across all children of
     each parent node, so {sigma = t_k} is decided at t_{k-1}.
     """
 
+    lattice: ScenarioLattice
     stop: list
     predictable: bool
     k0: int
     include_start: bool = False
 
-    def check_predictable(self, lattice: ScenarioLattice):
+    def check_predictable(self):
         if not self.predictable:
             return
-        for k in range(self.k0 + 1, lattice.n_steps + 1):
-            start, child, _ = lattice.edges(k - 1)
+        for k in range(self.k0 + 1, self.lattice.n_steps + 1):
+            start, child, _ = self.lattice.edges(k - 1)
             stops = np.add.reduceat(self.stop[k][child].astype(np.int64), start[:-1])
             if np.any((stops != 0) & (stops != np.diff(start))):
                 raise InvariantError(
@@ -126,16 +46,16 @@ class StoppingRule:
 
 def evaluate_stop_rule(rule: StoppingRule, ensemble: PathEnsemble,
                        node0: int = None) -> float:
-    """Expected stopped cashflow of a rule over an ensemble, read on the
-    ensemble's lattice; every path must stop by the terminal time."""
-    lattice = ensemble.lattice
+    """Expected stopped cashflow of a rule over an ensemble of the rule's
+    lattice; every path must stop by the terminal time."""
+    ensemble.check_lattice(rule.lattice)
     k0 = rule.k0
     rows = ensemble.rows_through(k0, node0)
     nodes = ensemble.nodes[rows]
     x_hit = np.full(rows.size, np.nan)
-    for m in range(k0 if rule.include_start else k0 + 1, lattice.n_steps + 1):
+    for m in range(k0 if rule.include_start else k0 + 1, rule.lattice.n_steps + 1):
         hit = np.isnan(x_hit) & rule.stop[m][nodes[:, m]]
-        x_hit[hit] = lattice.x(m)[nodes[hit, m]]
+        x_hit[hit] = rule.lattice.x(m)[nodes[hit, m]]
     if np.isnan(x_hit).any():
         raise ValueError("path %d never stops" % rows[np.isnan(x_hit).argmax()])
     # running sums keep the left-to-right order of a path-by-path accumulation
@@ -248,8 +168,8 @@ def optimal_predictable_stop(bundle: RolloutBundle, constraint, direction: str,
             stop[k + 1] = nxt & choice[k + 1]
             nxt &= ~stop[k + 1]
         alive = nxt
-    rule = StoppingRule(stop, predictable, k0, include_start)
-    rule.check_predictable(lattice)
+    rule = StoppingRule(lattice, stop, predictable, k0, include_start)
+    rule.check_predictable()
     return rule, best
 
 
@@ -304,6 +224,11 @@ def marginal_value_report(policy: PolicyField, ensemble: PathEnsemble,
         all five within tolerance of each other;
       cap (y = 1): -D- matches the sup envelope.
 
+    -D- at the cap and -D+ on the boundary equal exactly the envelopes over
+    the stops up to t_{K-1}. The snell_sup and snell_inf columns are the
+    Envelope values, which may also stop at t_K; that offset, of order
+    dt*max(X), is why they are compared within the tolerance.
+
     Starts whose region membership cannot be resolved on the grid (the
     boundary level falls below the grid) are tagged and skipped.
     """
@@ -311,8 +236,8 @@ def marginal_value_report(policy: PolicyField, ensemble: PathEnsemble,
     lattice, tg, vg = field.lattice, field.time_grid, field.volume_grid
     ensemble.check_lattice(lattice)
     occ = lattice.occupancy()
-    sup_env = backward_extremum(lattice, "max")
-    inf_env = backward_extremum(lattice, "min")
+    sup_env = Envelope(lattice, "max").values
+    inf_env = Envelope(lattice, "min").values
     tol = 3.0 * tg.dt * lattice.max_x()
     searchable = lattice.is_tree() and ensemble.exhaustive
     rows = []

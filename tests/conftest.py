@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from swingkit import (DualReport, Envelope, InvariantError, LatticeNode, MartingaleField,
                       OptimalMartingaleResult, ScenarioLattice, TimeGrid, VolumeGrid,
-                      backward_extremum, build_binary_example, build_binomial,
-                      enumerate_paths, extract_policy, solve)
+                      build_binary_example, build_binomial, enumerate_paths, extract_policy,
+                      solve)
 from swingkit.solver import EXACT_TOL
 
 
@@ -157,7 +157,7 @@ def reference_check_value_invariants(field):
     vg = field.volume_grid
     step = vg.step
     K = field.time_grid.K
-    z = backward_extremum(field.lattice, "max")
+    z = Envelope(field.lattice, "max").values
     report = {"monotone": 0.0, "concavity": 0.0, "lipschitz": 0.0, "terminal": 0.0}
     term = float(np.abs(field.values[K]).max())
     report["terminal"] = term
@@ -238,6 +238,22 @@ def reference_boundary_check(field, tol=EXACT_TOL):
             if err > tol:
                 violations.append(("deep", k, err))
     return max_deep, violations
+
+
+def reference_stopping_envelopes(lattice):
+    """(sup, inf) Snell envelopes of the cashflow over the stops t_k ..
+    t_{K-1}, one array per slice k < K, by the plain backward recursion: the
+    sup from W_K = 0 (worth X_{K-1} at K-1, as X >= 0), the inf from
+    V_{K-1} = X_{K-1}. Unlike Envelope, neither may stop at t_K."""
+    K = lattice.n_steps
+    sup, inf = [None] * K, [None] * K
+    sup[K - 1] = np.maximum(lattice.x(K - 1), reference_expect_next(
+        lattice, K - 1, np.zeros(lattice.n_nodes(K))))
+    inf[K - 1] = lattice.x(K - 1).copy()
+    for k in range(K - 2, -1, -1):
+        sup[k] = np.maximum(lattice.x(k), reference_expect_next(lattice, k, sup[k + 1]))
+        inf[k] = np.minimum(lattice.x(k), reference_expect_next(lattice, k, inf[k + 1]))
+    return sup, inf
 
 
 def region_masks(field, k):

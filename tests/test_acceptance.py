@@ -108,7 +108,7 @@ def test_criterion_03_predictability_separation(binary_solved):
     stop = [np.zeros(b["lat"].n_nodes(k), dtype=bool) for k in range(97)]
     stop[32][0] = True
     stop[80][1] = True
-    rule = StoppingRule(stop=stop, predictable=False, k0=0)
+    rule = StoppingRule(b["lat"], stop=stop, predictable=False, k0=0)
     ripped = evaluate_stop_rule(rule, b["ens"])
     seconds = time.perf_counter() - start
     assert sup_a == 1.5

@@ -131,6 +131,38 @@ def test_cli_rejects_a_path_count_below_one(tmp_path, capsys, command, n_paths):
     assert captured.out == "" and not out.exists()
 
 
+BINOMIAL_K20 = ("model=binomial\nkind=martingale\nx0=1\nup=1.05\ndown=0.96\n"
+                "p_up=0.44444444444444442\nK=20\n")
+
+
+@pytest.mark.parametrize("command", ["price", "stopping", "verify"])
+@pytest.mark.parametrize("text, message", [
+    ("model=binary\nK=12\nn_paths=0\n", "n_paths must be at least 1"),
+    ("model=binary\nK=96\nstarts=0.3:0\n", "time 0.29999999999999999 is off the grid"),
+    (BINOMIAL_K20, "too many paths to enumerate"),
+], ids=["n_paths", "off-grid-start", "too-many-paths"])
+def test_cli_refuses_bad_input_before_the_solve(tmp_path, capsys, monkeypatch, command,
+                                                text, message):
+    """The starts and the path ensemble are checked before the solve: each
+    bad input exits 1 with its message, writes nothing and never solves."""
+    import swingkit.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve was called")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    if command == "verify" and text == BINOMIAL_K20:
+        # verify samples 256 paths where there are too many to enumerate,
+        # so only a forced enumeration is refused there
+        text, message = text + "exhaustive=true\n", "path count 1048576 exceeds the bound 65536"
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "error: " + message in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("tie_tol", ["nan", "inf", "-1"])
 def test_cli_rejects_a_bad_tie_tol(tmp_path, capsys, tie_tol):
     cfg = write_cfg(tmp_path, "model=binary\ntie_tol=%s\n" % tie_tol)

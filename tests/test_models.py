@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swingkit import (LatticeNode, PathEnsemble, ScenarioLattice, TimeGrid,
-                      backward_extremum, build_binary_example, build_binomial,
-                      count_paths, enumerate_paths, read_lattice, sample_paths,
-                      write_lattice)
+from swingkit import (Envelope, LatticeNode, PathEnsemble, ScenarioLattice, TimeGrid,
+                      build_binary_example, build_binomial, count_paths, enumerate_paths,
+                      read_lattice, sample_paths, write_lattice)
 
 from conftest import (exp_sigma_params, make_exp_martingale, reference_expect_next,
                       reference_occupancy, reference_parents, reference_read_lattice,
@@ -158,13 +157,13 @@ def test_occupancy_sums_to_one():
 
 def test_backward_extremum_roots():
     lat = build_binary_example(96)
-    assert backward_extremum(lat, "max")[0][0] == 2.0
-    assert backward_extremum(lat, "min")[0][0] == 0.0
+    assert Envelope(lat, "max").values[0][0] == 2.0
+    assert Envelope(lat, "min").values[0][0] == 0.0
     const = build_binomial("constant", 8, 1.0, c=0.7)
-    assert backward_extremum(const, "max")[0][0] == 0.7
-    assert backward_extremum(const, "min")[0][0] == 0.7
+    assert Envelope(const, "max").values[0][0] == 0.7
+    assert Envelope(const, "min").values[0][0] == 0.7
     with pytest.raises(ValueError, match="'max' or 'min'"):
-        backward_extremum(const, "sup")
+        Envelope(const, "sup")
 
 
 def test_path_counts_and_enumeration():

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from swingkit import (InvariantError, LatticeNode, ScenarioLattice, TimeGrid, ValueField,
-                      VolumeGrid,
-                      backward_extremum, bellman_residual, boundary_check,
+from swingkit import (Envelope, InvariantError, LatticeNode, ScenarioLattice, TimeGrid,
+                      ValueField, VolumeGrid, bellman_residual, boundary_check,
                       build_binary_example, build_binomial, check_value_invariants,
                       extract_policy, solve)
 
@@ -214,9 +213,9 @@ def test_shift_and_scale_identities(rows, j_cap, c, a):
 
 
 def test_lipschitz_dominates_derivative(binary96):
-    """The sup Snell envelope z = backward_extremum(max) bounds every volume
+    """The sup Snell envelope z = Envelope(max).values bounds every volume
     derivative of J."""
-    z = backward_extremum(binary96["lat"], "max")
+    z = Envelope(binary96["lat"], "max").values
     c_max = max(float(v.max()) for v in z)
     for k in range(96):
         dm = binary96["field"].dminus(k)

@@ -6,9 +6,12 @@ from swingkit import (Envelope, InvariantError, ScenarioLattice, StoppingRule, T
                       VolumeGrid, build_binary_example, build_binomial, enumerate_paths,
                       evaluate_stop_rule, exit_times, marginal_value_report,
                       optimal_predictable_stop, rollout, sample_paths)
+from swingkit.models import ENVELOPE_TOL
+from swingkit.solver import EXACT_TOL
 from swingkit.stopping import _window_flags
 
-from conftest import reference_stop_windows, solved, tiny_tree_rows
+from conftest import (make_exp_martingale, reference_stop_windows, reference_stopping_envelopes,
+                      solved, tiny_lattice_rows, tiny_tree_rows)
 
 
 @pytest.fixture()
@@ -32,6 +35,24 @@ def test_snell_roots(binary96):
     assert Envelope(const, "min").values[0][0] == 0.7
 
 
+def test_an_envelope_takes_one_expectation_per_step(monkeypatch):
+    """Building an envelope, values and Doob increments together, calls
+    expect_next once per step; its check may read it again."""
+    for lat in (build_binary_example(12), make_exp_martingale(24)):
+        calls = []
+        real = lat.expect_next
+
+        def counting(k, values_next):
+            calls.append(k)
+            return real(k, values_next)
+
+        monkeypatch.setattr(lat, "expect_next", counting)
+        for d in ("max", "min"):
+            calls.clear()
+            Envelope(lat, d)
+            assert sorted(calls) == list(range(lat.n_steps))
+
+
 def test_snell_invariants(binary96):
     lat = binary96["lat"]
     for d in ("max", "min"):
@@ -44,6 +65,11 @@ def test_snell_detects_corruption(binary96):
     env = Envelope(lat, "max")
     env.values[10][0] = 0.0
     with pytest.raises(InvariantError, match="fails to dominate"):
+        env.check()
+    # building never checks: an off-centre increment surfaces in check()
+    env = Envelope(lat, "max")
+    env.increments[40][1] += 1e-6
+    with pytest.raises(InvariantError, match="increment mean .* at slice 40 node 1"):
         env.check()
 
 
@@ -95,8 +121,9 @@ def test_constrained_searches_hit_the_marginal_values(binary96, half_bundle):
     assert va == 1.5
     assert vb == 1.5
     assert rule_a.predictable and rule_b.predictable
-    rule_a.check_predictable(lat)
-    rule_b.check_predictable(lat)
+    assert rule_a.lattice is rule_b.lattice is lat
+    rule_a.check_predictable()
+    rule_b.check_predictable()
     ens = binary96["ens"]
     assert evaluate_stop_rule(rule_a, ens) == 1.5
     assert evaluate_stop_rule(rule_b, ens) == 1.5
@@ -123,7 +150,7 @@ def test_named_rule_evaluates_to_seven_quarters(binary96):
     stop = [np.zeros(lat.n_nodes(k), dtype=bool) for k in range(97)]
     stop[32][0] = True
     stop[80][1] = True
-    rule = StoppingRule(stop=stop, predictable=False, k0=0)
+    rule = StoppingRule(lat, stop=stop, predictable=False, k0=0)
     assert evaluate_stop_rule(rule, binary96["ens"]) == 1.75
 
 
@@ -133,22 +160,22 @@ def test_predictability_check(binary96):
     stop[32][0] = True
     stop[80][1] = True
     stop[96][:] = True
-    bad = StoppingRule(stop=stop, predictable=True, k0=0)
+    bad = StoppingRule(lat, stop=stop, predictable=True, k0=0)
     with pytest.raises(InvariantError, match="varies across one parent's children"):
-        bad.check_predictable(lat)
+        bad.check_predictable()
     # the same decisions are fine when not declared predictable
-    StoppingRule(stop=stop, predictable=False, k0=0).check_predictable(lat)
+    StoppingRule(lat, stop=stop, predictable=False, k0=0).check_predictable()
 
 
 def test_evaluate_requires_stopping(binary96):
     lat = binary96["lat"]
     stop = [np.zeros(lat.n_nodes(k), dtype=bool) for k in range(97)]
-    rule = StoppingRule(stop=stop, predictable=False, k0=0)
+    rule = StoppingRule(lat, stop=stop, predictable=False, k0=0)
     with pytest.raises(ValueError, match="never stops"):
         evaluate_stop_rule(rule, binary96["ens"])
     small = build_binary_example(12)
     stop = [np.ones(small.n_nodes(k), dtype=bool) for k in range(13)]
-    rule = StoppingRule(stop=stop, predictable=False, k0=6)
+    rule = StoppingRule(small, stop=stop, predictable=False, k0=6)
     with pytest.raises(ValueError, match="no ensemble path passes node 5 at slice 6"):
         evaluate_stop_rule(rule, enumerate_paths(small), node0=5)
 
@@ -187,27 +214,34 @@ def test_infeasible_constraint(binary96):
         optimal_predictable_stop(b, "can_lower", "inf")
 
 
+def assert_doob_split_on_a_tree(lat, tol=0.0):
+    """On a tree the accumulated martingale part M is a function of the
+    node, and along every path the compensator Y - M never rises for the sup
+    envelope and never falls for the inf envelope (by more than tol)."""
+    ens = enumerate_paths(lat)
+    for d, sense in (("max", -1.0), ("min", 1.0)):
+        env = Envelope(lat, d)
+        assert env.direction == d
+        acc = env.accumulate(ens)
+        for k in range(lat.n_steps + 1):
+            node_view = np.full(lat.n_nodes(k), np.nan)
+            node_view[ens.nodes[:, k]] = acc[:, k]
+            assert np.array_equal(node_view[ens.nodes[:, k]], acc[:, k])
+        y = np.stack([env.values[k][ens.nodes[:, k]] for k in range(lat.n_steps + 1)], axis=1)
+        assert (sense * np.diff(y - acc, axis=1)).min() >= -tol
+
+
 def test_doob_decomposition_on_the_tree(binary96):
-    lat = binary96["lat"]
-    ens = binary96["ens"]
-    dd = Envelope(lat, "max")
-    assert dd.direction == "max"
-    assert dd.martingale is not None and dd.compensator is not None
-    acc = dd.accumulate(ens)
-    for r in range(2):
-        node_view = np.array([dd.martingale[k][int(ens.nodes[r, k])]
-                              for k in range(97)])
-        assert np.array_equal(acc[r], node_view)
-        # the removed part never decreases along any path
-        y = np.array([dd.values[k][int(ens.nodes[r, k])]
-                      for k in range(97)])
-        assert np.diff(acc[r] - y).min() >= 0.0
-    dd_inf = Envelope(lat, "min")
-    acc_inf = dd_inf.accumulate(ens)
-    for r in range(2):
-        y = np.array([dd_inf.values[k][int(ens.nodes[r, k])]
-                      for k in range(97)])
-        assert np.diff(y - acc_inf[r]).min() >= 0.0
+    assert_doob_split_on_a_tree(binary96["lat"])
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(rows=tiny_tree_rows())
+def test_doob_decomposition_on_drawn_trees(rows):
+    """Drawn cashflows leave rounding in Y - M, so a step may go the wrong
+    way by ENVELOPE_TOL times the largest cashflow."""
+    lat = ScenarioLattice.from_rows(rows).validate()
+    assert_doob_split_on_a_tree(lat, ENVELOPE_TOL * max(1.0, lat.max_x()))
 
 
 def test_doob_increments_are_centered(binary96):
@@ -219,11 +253,9 @@ def test_doob_increments_are_centered(binary96):
         assert np.abs(mean).max() <= 1e-12
 
 
-def test_doob_node_view_needs_a_tree():
+def test_envelope_accumulates_on_a_recombining_lattice():
     lat = build_binomial("martingale", 2, 2.0, x0=1.0, up=1.25, down=0.75, p_up=0.5)
     dd = Envelope(lat, "max")
-    assert dd.martingale is None
-    assert dd.compensator is None
     assert dd.check() == {"dominance": 0.0, "drift": 0.0}
     assert Envelope(lat, "min").check() == {"dominance": 0.0, "drift": 0.0}
     ens = enumerate_paths(lat)
@@ -238,6 +270,20 @@ def test_envelope_accumulates_only_its_own_lattice():
     assert env.accumulate(enumerate_paths(a)).shape == (2, 7)
     with pytest.raises(ValueError, match="another lattice"):
         env.accumulate(enumerate_paths(doubled(a)))
+
+
+def test_a_rule_is_refused_on_another_lattice():
+    """A rule carries the lattice it was found on: on the binary K=6 tree it
+    evaluates to its search value, and an ensemble of a same-shape lattice
+    paying twice the cashflow is refused rather than read."""
+    a = build_binary_example(6)
+    ens = enumerate_paths(a)
+    rule, v = optimal_predictable_stop(rollout(solved(a, 3.0)[3], ens, (0, 0.5)),
+                                       "can_raise", "sup")
+    assert rule.lattice is a
+    assert evaluate_stop_rule(rule, ens) == v == 1.5
+    with pytest.raises(ValueError, match="another lattice"):
+        evaluate_stop_rule(rule, enumerate_paths(doubled(a)))
 
 
 def test_searches_read_the_windows_own_lattice():
@@ -307,8 +353,8 @@ def test_marginal_report_table_format(binary96):
 
 def test_stopping_reads_an_ensemble_on_its_own_lattice():
     """marginal_value_report refuses an ensemble of another lattice than its
-    policy's; evaluate_stop_rule reads the cashflows of the ensemble's own
-    lattice."""
+    policy's; evaluate_stop_rule reads the cashflows of the rule's own
+    lattice and refuses an ensemble of another."""
     a, b = [build_binomial(kind, 12, 2.0, x0=1.0, up=1.25, down=0.75, p_up=p)
             for kind, p in (("martingale", 0.5), ("submartingale", 0.7))]
     policy = solved(a, 2.0)[3]
@@ -316,9 +362,50 @@ def test_stopping_reads_an_ensemble_on_its_own_lattice():
     assert marginal_value_report(policy, ens_a, [(0.0, 0.5)]).rows[0].region == "interior"
     with pytest.raises(ValueError, match="another lattice"):
         marginal_value_report(policy, ens_b, [(0.0, 0.5)])
-    at_end = StoppingRule([np.arange(a.n_nodes(k)) >= 0 if k == 12
-                           else np.zeros(a.n_nodes(k), dtype=bool) for k in range(13)],
-                          predictable=False, k0=0)
-    assert evaluate_stop_rule(at_end, ens_a) == pytest.approx(1.0, abs=1e-12)
+    at_end = [StoppingRule(lat, [np.arange(lat.n_nodes(k)) >= 0 if k == 12
+                                 else np.zeros(lat.n_nodes(k), dtype=bool) for k in range(13)],
+                           predictable=False, k0=0) for lat in (a, b)]
+    assert evaluate_stop_rule(at_end[0], ens_a) == pytest.approx(1.0, abs=1e-12)
     # E[X_12] on b: one-step factor 0.7 * 1.25 + 0.3 * 0.75 = 1.1
-    assert evaluate_stop_rule(at_end, ens_b) == pytest.approx(1.1 ** 12, rel=1e-12)
+    assert evaluate_stop_rule(at_end[1], ens_b) == pytest.approx(1.1 ** 12, rel=1e-12)
+    with pytest.raises(ValueError, match="another lattice"):
+        evaluate_stop_rule(at_end[0], ens_b)
+
+
+def assert_regional_identities(field):
+    """-D-J at the cap is the sup envelope and, where the full-rate boundary
+    lies below the cap, -D+J on it is the inf envelope, over the stops up to
+    t_{K-1}, at every node of every slice k < K. Returns how many boundary
+    slices were compared."""
+    lat, vg = field.lattice, field.volume_grid
+    sup, inf = reference_stopping_envelopes(lat)
+    tol = EXACT_TOL * max(1.0, lat.max_x())
+    n_boundary = 0
+    for k in range(lat.n_steps):
+        dm = field.dminus(k)
+        assert np.abs(-dm[:, vg.cap_pos] - sup[k]).max() <= tol
+        b = vg.boundary_pos(k)
+        if 0 <= b < vg.cap_pos:
+            assert np.abs(-dm[:, vg.right_of(b)] - inf[k]).max() <= tol
+            n_boundary += 1
+    return n_boundary
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(rows=tiny_lattice_rows(), j_cap=st.integers(1, 3))
+def test_regional_identities_are_exact_on_drawn_lattices(rows, j_cap):
+    lat = ScenarioLattice.from_rows(rows).validate()
+    assert_regional_identities(solved(lat, float(lat.n_steps), 1.0 / j_cap)[2])
+
+
+def test_regional_identities_are_exact(binary96):
+    """Binary K=96, the K=384 exp-martingale, a sub- and a supermartingale,
+    and a grid with L*T <= 1 (whose boundary never leaves the grid)."""
+    fields = [binary96["field"], solved(make_exp_martingale(384), 2.0)[2]]
+    for kind, up, down in (("submartingale", 1.05, 0.96), ("supermartingale", 1.02, 0.97)):
+        fields.append(solved(build_binomial(kind, 48, 2.0, x0=1.0, up=up, down=down), 2.0)[2])
+    short = solved(make_exp_martingale(24, T=1.0), 1.0, 0.5)[2]
+    assert short.volume_grid.L * short.time_grid.T <= 1
+    fields.append(short)
+    for field in fields:
+        assert assert_regional_identities(field) > 0
