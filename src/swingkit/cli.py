@@ -186,7 +186,7 @@ def _write_rollout(fh, bundle):
     y = bundle.volumes[:, :-1]
     block = max(1, (1 << 16) // (K - k0))          # paths per ~65k lines
     for rows in (slice(r, r + block) for r in range(0, bundle.n_paths, block)):
-        _write_table(fh, _strings(bundle.path_ids[rows], "\n%d")[:, None], times,
+        _write_table(fh, _strings(np.arange(bundle.n_paths)[rows], "\n%d")[:, None], times,
                      *(_strings(col[rows], " %.17g")
                        for col in (bundle.rates, y, x, bundle.increments)))
     fh.write("\n")
@@ -194,7 +194,7 @@ def _write_rollout(fh, bundle):
 
 def _write_exits(fh, bundle, ex):
     fh.write("path sigma_u sigma_l sigma case")
-    _write_table(fh, _strings(bundle.path_ids, "\n%d"), _strings(ex.sigma_u, " %.17g"),
+    _write_table(fh, _strings(np.arange(bundle.n_paths), "\n%d"), _strings(ex.sigma_u, " %.17g"),
                  _strings(ex.sigma_l, " %.17g"), _strings(ex.sigma, " %.17g"),
                  np.where(ex.case_u, " U", " L"))
     fh.write("\n")

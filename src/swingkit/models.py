@@ -442,15 +442,6 @@ class PathEnsemble:
         if self.lattice is not lattice:
             raise ValueError("the path ensemble was drawn from another lattice")
 
-    def rows_through(self, k: int, node: int = None) -> np.ndarray:
-        """Rows of the paths through node at slice k (all rows for None)."""
-        if node is None:
-            return np.arange(self.n_paths)
-        rows = np.flatnonzero(self.nodes[:, k] == node)
-        if not rows.size:
-            raise ValueError("no ensemble path passes node %d at slice %d" % (node, k))
-        return rows
-
     def validate(self):
         if abs(self.weights.sum() - 1.0) > PROB_TOL * max(1, self.n_paths):
             raise ValueError("path weights sum to %.17g" % self.weights.sum())

@@ -79,16 +79,15 @@ def extract_policy(field: ValueField, tie_tol: float = TIE_TOL) -> PolicyField:
 class RolloutBundle:
     """Policy rollout over an ensemble from a common start (t_{k0}, y_0).
 
-    Row r is ensemble path path_ids[r]. nodes covers slices 0..K, positions
-    the volume positions at slices k0..K, rates and increments the steps
-    k0..K-1; rewards are the row sums of increments and weights the ensemble
-    weights renormalized over the rows.
+    Row r is ensemble row r. nodes, the ensemble's own array, covers slices
+    0..K, positions the volume positions at slices k0..K, rates and
+    increments the steps k0..K-1; rewards are the row sums of increments and
+    weights the ensemble weights renormalized to sum to one.
     """
 
     policy: PolicyField
     k0: int
     pos0: int
-    path_ids: np.ndarray
     nodes: np.ndarray
     positions: np.ndarray
     rates: np.ndarray
@@ -96,35 +95,30 @@ class RolloutBundle:
     rewards: np.ndarray
     weights: np.ndarray
     mean: float
-    exhaustive: bool = False
+    exhaustive: bool
 
     @property
     def n_paths(self) -> int:
-        return len(self.path_ids)
+        return self.nodes.shape[0]
 
     @property
     def volumes(self) -> np.ndarray:
         return self.policy.field.volume_grid.levels[self.positions]
 
 
-def rollout(policy: PolicyField, ensemble: PathEnsemble, start,
-            node0: int = None) -> RolloutBundle:
-    """Apply the policy along each ensemble path from (t_{k0}, y0).
-
-    start is (k0, y0) with y0 on the volume grid. When node0 is given, only
-    paths passing through that node at k0 enter, with weights renormalized.
-    """
+def rollout(policy: PolicyField, ensemble: PathEnsemble, start) -> RolloutBundle:
+    """Apply the policy along each ensemble path from (t_{k0}, y0), where
+    start is (k0, y0) with y0 on the volume grid."""
     k0, y0 = start
     lattice = policy.field.lattice
     ensemble.check_lattice(lattice)
     vg = policy.field.volume_grid
     K = policy.field.time_grid.K
     pos0 = vg.start_pos(k0, y0)
-    rows = ensemble.rows_through(k0, node0)
-    nodes = ensemble.nodes[rows]
-    positions = np.empty((rows.size, K - k0 + 1), dtype=np.int64)
-    rates = np.zeros((rows.size, K - k0))
-    incs = np.zeros((rows.size, K - k0))
+    nodes = ensemble.nodes
+    positions = np.empty((ensemble.n_paths, K - k0 + 1), dtype=np.int64)
+    rates = np.zeros((ensemble.n_paths, K - k0))
+    incs = np.zeros((ensemble.n_paths, K - k0))
     positions[:, 0] = pos0
     for m in range(k0, K):
         n, pos = nodes[:, m], positions[:, m - k0]
@@ -134,10 +128,10 @@ def rollout(policy: PolicyField, ensemble: PathEnsemble, start,
         positions[:, m - k0 + 1] = pos + go
     rewards = incs.sum(axis=1)
     # running sums keep the left-to-right order of a path-by-path accumulation
-    weights = ensemble.weights[rows] / np.cumsum(ensemble.weights[rows])[-1]
+    weights = ensemble.weights / np.cumsum(ensemble.weights)[-1]
     mean = float(np.cumsum(weights * rewards)[-1])
-    return RolloutBundle(policy, k0, pos0, rows, nodes, positions, rates, incs,
-                         rewards, weights, mean, ensemble.exhaustive and node0 is None)
+    return RolloutBundle(policy, k0, pos0, nodes, positions, rates, incs, rewards,
+                         weights, mean, ensemble.exhaustive)
 
 
 def check_inclusion(bundle: RolloutBundle) -> dict:
@@ -176,7 +170,7 @@ def check_saturation(bundle: RolloutBundle) -> bool:
     if short.size:
         r = short[0]
         raise InvariantError("path %d ends at volume %.17g, not 1"
-                             % (bundle.path_ids[r], bundle.volumes[r, -1]))
+                             % (r, bundle.volumes[r, -1]))
     return True
 
 

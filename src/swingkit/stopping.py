@@ -19,8 +19,8 @@ from .policy import PolicyField, RolloutBundle, exit_times, rollout
 
 @dataclass(eq=False)
 class StoppingRule:
-    """Stop decisions per (k, node) of its lattice, applied with first-hit
-    semantics.
+    """Stop decisions per (k, node) of its lattice past k0, applied with
+    first-hit semantics.
 
     A predictable rule keeps the stop flag constant across all children of
     each parent node, so {sigma = t_k} is decided at t_{k-1}.
@@ -30,7 +30,6 @@ class StoppingRule:
     stop: list
     predictable: bool
     k0: int
-    include_start: bool = False
 
     def check_predictable(self):
         if not self.predictable:
@@ -44,44 +43,39 @@ class StoppingRule:
                 )
 
 
-def evaluate_stop_rule(rule: StoppingRule, ensemble: PathEnsemble,
-                       node0: int = None) -> float:
+def evaluate_stop_rule(rule: StoppingRule, ensemble: PathEnsemble) -> float:
     """Expected stopped cashflow of a rule over an ensemble of the rule's
     lattice; every path must stop by the terminal time."""
     ensemble.check_lattice(rule.lattice)
-    k0 = rule.k0
-    rows = ensemble.rows_through(k0, node0)
-    nodes = ensemble.nodes[rows]
-    x_hit = np.full(rows.size, np.nan)
-    for m in range(k0 if rule.include_start else k0 + 1, rule.lattice.n_steps + 1):
+    nodes = ensemble.nodes
+    x_hit = np.full(ensemble.n_paths, np.nan)
+    for m in range(rule.k0 + 1, rule.lattice.n_steps + 1):
         hit = np.isnan(x_hit) & rule.stop[m][nodes[:, m]]
         x_hit[hit] = rule.lattice.x(m)[nodes[hit, m]]
     if np.isnan(x_hit).any():
-        raise ValueError("path %d never stops" % rows[np.isnan(x_hit).argmax()])
+        raise ValueError("path %d never stops" % np.isnan(x_hit).argmax())
     # running sums keep the left-to-right order of a path-by-path accumulation
-    weights = ensemble.weights[rows]
+    weights = ensemble.weights
     return float(np.cumsum(weights / np.cumsum(weights)[-1] * x_hit)[-1])
 
 
-def _window_flags(bundle: RolloutBundle, constraint) -> list:
+def _window_flags(bundle: RolloutBundle, constraint: str) -> list:
     """Stop flags per node of each slice past the start, read off the rollout.
 
     t_m is open when the step before it or the step after it allows the
     move: a rate below L for "can_raise" (the holder could still exercise
-    more), above 0 for "can_lower" (could exercise less); None opens every
-    time. On a tree every path through a node shares its prefix, hence its
-    positions and rates, so each path writes its flag straight onto its node.
+    more), above 0 for "can_lower" (could exercise less). On a tree every
+    path through a node shares its prefix, hence its positions and rates, so
+    each path writes its flag straight onto its node.
     """
     lattice, k0 = bundle.policy.field.lattice, bundle.k0
     K = lattice.n_steps
-    if constraint is None:
-        return [np.ones(lattice.n_nodes(m), dtype=bool) for m in range(K + 1)]
     if constraint == "can_raise":
         allowed = bundle.rates < bundle.policy.L
     elif constraint == "can_lower":
         allowed = bundle.rates > 0.0
     else:
-        raise ValueError("constraint must be 'can_raise', 'can_lower', or None")
+        raise ValueError("constraint must be 'can_raise' or 'can_lower'")
     opened = allowed.copy()  # column i is t_{k0+1+i}: the step before it
     opened[:, :-1] |= allowed[:, 1:]  # or the step after it
     flags = [np.zeros(lattice.n_nodes(m), dtype=bool) for m in range(K + 1)]
@@ -90,33 +84,26 @@ def _window_flags(bundle: RolloutBundle, constraint) -> list:
     return flags
 
 
-def optimal_predictable_stop(bundle: RolloutBundle, constraint, direction: str,
-                             predictable: bool = True):
-    """Best stopping rule with stop times confined to the rollout's windows
-    (see _window_flags), on the rollout's lattice.
+def optimal_predictable_stop(bundle: RolloutBundle, constraint: str):
+    """Best discrete-predictable stopping rule (stop decisions made one step
+    ahead, at the parent node) with stop times confined to the rollout's
+    windows (see _window_flags), on the rollout's lattice: the sup over the
+    "can_raise" windows, which represents -D-J, or the inf over the
+    "can_lower" windows, which represents -D+J.
 
-    Searches over discrete-predictable rules (stop decisions made one step
-    ahead, at the parent node) or plain adapted rules when predictable is
-    False; an unconstrained plain rule may also stop at the start. Needs a
-    tree lattice and an exhaustive rollout so the flags are node functions.
-    Returns (rule, value). Raises when no admissible rule exists.
+    Needs a tree lattice and an exhaustive rollout so the flags are node
+    functions. Returns (rule, value). Raises when no admissible rule exists.
     """
-    if direction not in ("sup", "inf"):
-        raise ValueError("direction must be 'sup' or 'inf'")
     lattice = bundle.policy.field.lattice
     if not lattice.is_tree():
         raise ValueError("the stopping search needs a tree lattice")
     if not bundle.exhaustive:
         raise ValueError("the stopping search needs an exhaustive rollout")
-    include_start = constraint is None and not predictable
     K = lattice.n_steps
     k0 = bundle.k0
     flags = _window_flags(bundle, constraint)
-    sense = 1.0 if direction == "sup" else -1.0
+    sense = 1.0 if constraint == "can_raise" else -1.0
     bad = -np.inf
-    value = [np.full(lattice.n_nodes(k), bad) for k in range(K + 1)]
-    # choice: stop next step (predictable) / stop here (plain) rather than continue
-    choice = [np.zeros(lattice.n_nodes(k), dtype=bool) for k in range(K + 1)]
 
     def expect(k, v):
         """E[v | node] over slice k+1; -inf where a child's value is -inf."""
@@ -125,50 +112,31 @@ def optimal_predictable_stop(bundle: RolloutBundle, constraint, direction: str,
         all_ok = np.logical_and.reduceat(ok[child], start[:-1])
         return np.where(all_ok, lattice.expect_next(k, np.where(ok, v, 0.0)), bad)
 
-    def settle(k, stop_val, cont_val):
-        value[k] = np.maximum(stop_val, cont_val)
-        choice[k] = stop_val >= cont_val
-
-    if predictable:
-        for k in range(K - 1, k0 - 1, -1):
-            settle(k, expect(k, np.where(flags[k + 1], sense * lattice.x(k + 1), bad)),
-                   expect(k, value[k + 1]) if k + 1 <= K - 1 else bad)
-    else:
-        first = k0 if include_start else k0 + 1
-        for k in range(K, first - 1, -1):
-            here = sense * lattice.x(k)
-            settle(k, np.where(flags[k], here, bad) if k > k0 else here,
-                   expect(k, value[k + 1]) if k < K else bad)
-        if not include_start:
-            value[k0] = expect(k0, value[k0 + 1])
+    # choice[k]: stop at the next step rather than continue
+    value, choice = None, [None] * K
+    for k in range(K - 1, k0 - 1, -1):
+        stop_val = expect(k, np.where(flags[k + 1], sense * lattice.x(k + 1), bad))
+        cont_val = bad if value is None else expect(k, value)
+        value, choice[k] = np.maximum(stop_val, cont_val), stop_val >= cont_val
 
     start_w = np.bincount(bundle.nodes[:, k0], bundle.weights, minlength=lattice.n_nodes(k0))
     reached = start_w > 0
-    if np.any(~np.isfinite(value[k0][reached])):
+    if np.any(~np.isfinite(value[reached])):
         raise ValueError("no admissible stopping rule for constraint %r" % (constraint,))
-    best = float(start_w[reached] @ value[k0][reached]) * sense
+    best = float(start_w[reached] @ value[reached]) * sense
 
     stop = [np.zeros(lattice.n_nodes(k), dtype=bool) for k in range(K + 1)]
     alive = np.zeros(lattice.n_nodes(k0), dtype=bool)
     alive[bundle.nodes[:, k0]] = True
-    if include_start:
-        stop[k0] = alive & choice[k0]
-        alive &= ~stop[k0]
     for k in range(k0, K):
         _, child, _ = lattice.edges(k)
         parent = lattice.parents(k)
         moving = alive[parent]
-        nxt = np.zeros(lattice.n_nodes(k + 1), dtype=bool)
-        if predictable:
-            stopping = moving & choice[k][parent]
-            stop[k + 1][child[stopping]] = True
-            moving &= ~stopping
-        nxt[child[moving]] = True
-        if not predictable:
-            stop[k + 1] = nxt & choice[k + 1]
-            nxt &= ~stop[k + 1]
-        alive = nxt
-    rule = StoppingRule(lattice, stop, predictable, k0, include_start)
+        stopping = moving & choice[k][parent]
+        stop[k + 1][child[stopping]] = True
+        alive = np.zeros(lattice.n_nodes(k + 1), dtype=bool)
+        alive[child[moving & ~stopping]] = True
+    rule = StoppingRule(lattice, stop, True, k0)
     rule.check_predictable()
     return rule, best
 
@@ -187,7 +155,6 @@ class MarginalRow:
     inf_lower: float
     snell_sup: float
     snell_inf: float
-    note: str = ""
 
 
 @dataclass(eq=False)
@@ -200,10 +167,9 @@ class MarginalReport:
                   "inf_can_lower snell_sup snell_inf note")
         lines = [header]
         for r in self.rows:
-            lines.append("%.17g %.17g %s %.17g %.17g %.17g %.17g %.17g %.17g %.17g %s"
+            lines.append("%.17g %.17g %s %.17g %.17g %.17g %.17g %.17g %.17g %.17g -"
                          % (r.t0, r.y0, r.region, r.dminus_neg, r.dplus_neg, r.ex_sigma,
-                            r.sup_raise, r.inf_lower, r.snell_sup, r.snell_inf,
-                            r.note or "-"))
+                            r.sup_raise, r.inf_lower, r.snell_sup, r.snell_inf))
         return "\n".join(lines) + "\n"
 
 
@@ -228,9 +194,6 @@ def marginal_value_report(policy: PolicyField, ensemble: PathEnsemble,
     the stops up to t_{K-1}. The snell_sup and snell_inf columns are the
     Envelope values, which may also stop at t_K; that offset, of order
     dt*max(X), is why they are compared within the tolerance.
-
-    Starts whose region membership cannot be resolved on the grid (the
-    boundary level falls below the grid) are tagged and skipped.
     """
     field = policy.field
     lattice, tg, vg = field.lattice, field.time_grid, field.volume_grid
@@ -243,16 +206,7 @@ def marginal_value_report(policy: PolicyField, ensemble: PathEnsemble,
     rows = []
     for (t0, y0) in starts:
         k0 = tg.start_index(t0)
-        boundary_y = 1.0 - vg.L * (tg.T - tg.times[k0])
-        try:
-            pos0 = vg.index_of(y0)
-        except ValueError:
-            if abs(y0 - boundary_y) <= 1e-9:
-                rows.append(MarginalRow(t0, y0, "boundary", np.nan, np.nan, np.nan,
-                                        np.nan, np.nan, np.nan, np.nan,
-                                        "boundary-unaligned"))
-                continue
-            raise
+        pos0 = vg.index_of(y0)
         b = vg.boundary_pos(k0)
         if pos0 == vg.cap_pos:
             region = "cap"
@@ -271,7 +225,6 @@ def marginal_value_report(policy: PolicyField, ensemble: PathEnsemble,
         ex_sig = np.nan
         sup_a = np.nan
         inf_b = np.nan
-        note = ""
         if region != "cap":
             bundle = rollout(policy, ensemble, (k0, y0))
             exits = exit_times(bundle)
@@ -281,11 +234,11 @@ def marginal_value_report(policy: PolicyField, ensemble: PathEnsemble,
                 x_sig[at] = lattice.x(m)[bundle.nodes[at, m]]
             ex_sig = float(np.cumsum(bundle.weights * x_sig)[-1])
             if searchable and region == "interior":
-                _, sup_a = optimal_predictable_stop(bundle, "can_raise", "sup")
-                _, inf_b = optimal_predictable_stop(bundle, "can_lower", "inf")
+                _, sup_a = optimal_predictable_stop(bundle, "can_raise")
+                _, inf_b = optimal_predictable_stop(bundle, "can_lower")
         row = MarginalRow(t0, y0, region, ndm, ndp, ex_sig, sup_a, inf_b,
                           ssup if region == "cap" else np.nan,
-                          sinf if region == "boundary" else np.nan, note)
+                          sinf if region == "boundary" else np.nan)
         rows.append(row)
         if not lattice.lce_declared:
             continue

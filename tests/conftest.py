@@ -392,7 +392,7 @@ def tiny_tree_rows(draw):
 
 def reference_stop_windows(bundle):
     """The per-path window rule that per-node flags replaced: for each
-    constraint (None, "can_raise", "can_lower") a (path x slice) flag array
+    constraint ("can_raise", "can_lower") a (path x slice) flag array
     in which t_m past the start is open when the step before it or the step
     after it allows the move (a rate below L to raise, above 0 to lower)."""
     K, k0 = bundle.policy.field.time_grid.K, bundle.k0
@@ -403,7 +403,7 @@ def reference_stop_windows(bundle):
     can_lower[:, k0 + 1:] = pos
     can_raise[:, k0 + 1:K] |= low[:, 1:]
     can_lower[:, k0 + 1:K] |= pos[:, 1:]
-    return {None: np.ones_like(can_raise), "can_raise": can_raise, "can_lower": can_lower}
+    return {"can_raise": can_raise, "can_lower": can_lower}
 
 
 @pytest.fixture(scope="session")

@@ -104,7 +104,7 @@ def test_criterion_03_predictability_separation(binary_solved):
     b = binary_solved
     start = time.perf_counter()
     bundle = rollout(b["policy"], b["ens"], (0, 0.5))
-    _, sup_a = optimal_predictable_stop(bundle, "can_raise", "sup")
+    _, sup_a = optimal_predictable_stop(bundle, "can_raise")
     stop = [np.zeros(b["lat"].n_nodes(k), dtype=bool) for k in range(97)]
     stop[32][0] = True
     stop[80][1] = True

@@ -42,7 +42,7 @@ def reference_rollout(bundle, lattice) -> str:
     times = tg.times[k0:K].tolist()
     x = np.stack([lattice.x(k)[bundle.nodes[:, k]] for k in range(k0, K)], axis=1)
     lines = ["path t u y X inc"]
-    for pid, u, y, xs, inc in zip(bundle.path_ids.tolist(), bundle.rates.tolist(),
+    for pid, u, y, xs, inc in zip(range(bundle.n_paths), bundle.rates.tolist(),
                                   bundle.volumes[:, :-1].tolist(), x.tolist(),
                                   bundle.increments.tolist()):
         lines.extend("%d %.17g %.17g %.17g %.17g %.17g" % (pid, *row)
@@ -53,7 +53,7 @@ def reference_rollout(bundle, lattice) -> str:
 def reference_exits(bundle) -> str:
     ex = exit_times(bundle)
     lines = ["path sigma_u sigma_l sigma case"]
-    for pid, s_u, s_l, sigma, case_u in zip(bundle.path_ids.tolist(), ex.sigma_u.tolist(),
+    for pid, s_u, s_l, sigma, case_u in zip(range(bundle.n_paths), ex.sigma_u.tolist(),
                                             ex.sigma_l.tolist(), ex.sigma.tolist(),
                                             ex.case_u.tolist()):
         lines.append("%d %.17g %.17g %.17g %s" % (pid, s_u, s_l, sigma, "U" if case_u else "L"))

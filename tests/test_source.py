@@ -228,3 +228,81 @@ def test_every_private_helper_has_a_caller():
     unloaded = ["%s:%d %s" % (name, line, helper) for name, tree in trees.items()
                 for line, helper in module_helpers(tree) if helper not in loads]
     assert unloaded == []
+
+
+def defaulted_parameters(tree):
+    """(function name, line, parameter, positional parameters) for each
+    parameter with a default. A class's __init__ goes by the class name, and
+    the positional parameters of a method leave out self or cls."""
+    owner = {item: node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             for item in node.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        bound = node in owner and positional[:1] in (["self"], ["cls"])
+        name = owner[node] if node.name == "__init__" and node in owner else node.name
+        defaulted = positional[len(positional) - len(args.defaults):]
+        defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        for param in defaulted:
+            yield name, node.lineno, param, positional[bound:]
+
+
+def set_arguments(trees):
+    """(called name, parameter name or position) for each argument a call
+    passes, matched by the called name only; a starred argument at position
+    i is recorded as "*i". A **mapping sets nothing the scan can see."""
+    out = set()
+    for n in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        name = getattr(n.func, "id", getattr(n.func, "attr", None))
+        out |= {(name, kw.arg) for kw in n.keywords if kw.arg}
+        out |= {(name, "*%d" % i if isinstance(a, ast.Starred) else i)
+                for i, a in enumerate(n.args)}
+    return out
+
+
+def unset_knobs(trees):
+    """(function name, line, parameter) for each defaulted parameter that no
+    call in the trees sets by keyword or by position."""
+    calls = set_arguments(trees)
+    for tree in trees:
+        for name, line, param, positional in defaulted_parameters(tree):
+            i = positional.index(param) if param in positional else None
+            if (name, param) in calls or i is not None and (
+                    (name, i) in calls or any((name, "*%d" % j) in calls for j in range(i + 1))):
+                continue
+            yield name, line, param
+
+
+def test_the_scanner_flags_an_unset_knob():
+    tree = ast.parse("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+                     "def g(a, b=1, c=2):\n    pass\n"
+                     "class C:\n    def __init__(self, a, b=1):\n        pass\n"
+                     "    def m(self, a=1, b=2):\n        pass\n"
+                     "f(0, 1, e=5)\ng(*xs)\nC(0, 2)\nC(0).m(b=3)\nf(**opts)\n")
+    assert sorted(unset_knobs([tree])) == [("f", 1, "c"), ("f", 1, "d"), ("m", 8, "a")]
+
+
+# Defaulted parameters that no src/ call sets, each with its reason.
+USER_KNOBS = {
+    ("from_rows", "lce_declared"): "a user's lattice declares LCE or not",
+    ("build_binomial", "lce_declared"): "a user's binomial declares LCE or not",
+    ("main", "argv"): "tests and embedding programs pass a command line",
+    ("make_ensemble", "n_paths"): "forwarded by _prepare(**ensemble), which the scan cannot see",
+    ("make_ensemble", "prefer_exhaustive"): "forwarded by _prepare(**ensemble) as well",
+    ("brute_force_value", "start"): "the oracle prices any start, not only (0, 0)",
+    ("brute_force_value", "max_policies"): "a user may enumerate past the default limit",
+    ("closed_form", "c"): "the cashflow of the constant family",
+    ("doob_martingale_of_terminal", "label"): "names a user's martingale in reports",
+    ("exercise_regions", "tie_tol"): "matches a policy extracted with another tie_tol",
+}
+
+
+def test_every_knob_is_set_somewhere():
+    """A defaulted parameter that no src/ call sets is a knob nobody turns,
+    unless it is listed for users with its reason."""
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    unset = {(name, param) for name, _, param in unset_knobs(trees)}
+    assert sorted(unset - USER_KNOBS.keys()) == []
+    assert sorted(USER_KNOBS.keys() - unset) == []

@@ -88,20 +88,17 @@ def test_stop_windows_exact_sets(half_bundle):
     assert opened("can_lower", 0) == set(range(32, 49))
     assert opened("can_raise", 1) == set(range(1, 81))
     assert opened("can_lower", 1) == set(range(80, 97))
-    assert opened(None, 0) == opened(None, 1) == set(range(1, 97))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(rows=tiny_tree_rows(), j_cap=st.integers(1, 2))
 def test_window_flags_follow_the_per_path_rule_on_drawn_trees(rows, j_cap):
     """From every start of a drawn tiny tree, each path's window flag at
-    every later time sits on the node it passes, and the unconstrained plain
-    search is worth the start-weighted sup envelope."""
+    every later time sits on the node it passes."""
     lat = ScenarioLattice.from_rows(rows).validate()
     K = lat.n_steps
     _, vg, _, policy = solved(lat, float(K), 1.0 / j_cap)
     ens = enumerate_paths(lat)
-    envelope = Envelope(lat, "max").values
     for k0 in range(K):
         for y0 in vg.levels:
             b = rollout(policy, ens, (k0, y0))
@@ -109,15 +106,44 @@ def test_window_flags_follow_the_per_path_rule_on_drawn_trees(rows, j_cap):
                 flags = _window_flags(b, constraint)
                 for m in range(k0 + 1, K + 1):
                     assert np.array_equal(flags[m][b.nodes[:, m]], want[:, m])
-            _, v = optimal_predictable_stop(b, None, "sup", predictable=False)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(rows=tiny_tree_rows(), j_cap=st.integers(1, 2))
+def test_searches_are_bounded_by_the_envelopes_on_drawn_trees(rows, j_cap):
+    """From every start of a drawn tiny tree, the can_raise search is worth
+    at most the start-weighted sup envelope and the can_lower search at least
+    the inf one: the envelopes stop at any time, adapted. Each returned rule
+    is predictable and evaluates to its value along the paths."""
+    lat = ScenarioLattice.from_rows(rows).validate()
+    K = lat.n_steps
+    _, vg, _, policy = solved(lat, float(K), 1.0 / j_cap)
+    ens = enumerate_paths(lat)
+    tol = ENVELOPE_TOL * max(1.0, lat.max_x())
+    sup, inf = Envelope(lat, "max").values, Envelope(lat, "min").values
+    searched = 0
+    for k0 in range(K):
+        for y0 in vg.levels:
+            b = rollout(policy, ens, (k0, y0))
             w = np.bincount(b.nodes[:, k0], b.weights, minlength=lat.n_nodes(k0))
-            assert abs(v - w @ envelope[k0]) <= 1e-12
+            for constraint, sense, bound in (("can_raise", 1.0, w @ sup[k0]),
+                                             ("can_lower", -1.0, w @ inf[k0])):
+                try:
+                    rule, v = optimal_predictable_stop(b, constraint)
+                except ValueError as e:
+                    assert "no admissible stopping rule" in str(e)
+                    continue
+                searched += 1
+                assert sense * (v - bound) <= tol
+                rule.check_predictable()
+                assert abs(evaluate_stop_rule(rule, ens) - v) <= tol
+    assert searched > 0
 
 
 def test_constrained_searches_hit_the_marginal_values(binary96, half_bundle):
     lat = binary96["lat"]
-    rule_a, va = optimal_predictable_stop(half_bundle, "can_raise", "sup")
-    rule_b, vb = optimal_predictable_stop(half_bundle, "can_lower", "inf")
+    rule_a, va = optimal_predictable_stop(half_bundle, "can_raise")
+    rule_b, vb = optimal_predictable_stop(half_bundle, "can_lower")
     assert va == 1.5
     assert vb == 1.5
     assert rule_a.predictable and rule_b.predictable
@@ -129,19 +155,11 @@ def test_constrained_searches_hit_the_marginal_values(binary96, half_bundle):
     assert evaluate_stop_rule(rule_b, ens) == 1.5
 
 
-def test_unconstrained_search_recovers_the_envelope(binary96, half_bundle):
-    lat = binary96["lat"]
-    rule, v = optimal_predictable_stop(half_bundle, None, "sup", predictable=False)
-    assert v == 2.0
-    assert rule.include_start
-    assert v == Envelope(lat, "max").values[0][0]
-
-
 def test_unconstrained_beats_constrained_strictly(binary96, half_bundle):
-    """Dropping both the window constraint and predictability is worth
-    exactly the 2 vs 1.5 difference here."""
-    _, va = optimal_predictable_stop(half_bundle, "can_raise", "sup")
-    _, vu = optimal_predictable_stop(half_bundle, None, "sup", predictable=False)
+    """Dropping both the window constraint and predictability, which the
+    sup envelope does, is worth exactly the 2 vs 1.5 difference here."""
+    _, va = optimal_predictable_stop(half_bundle, "can_raise")
+    vu = Envelope(binary96["lat"], "max").values[0][0]
     assert vu - va == 0.5
 
 
@@ -171,26 +189,18 @@ def test_evaluate_requires_stopping(binary96):
     lat = binary96["lat"]
     stop = [np.zeros(lat.n_nodes(k), dtype=bool) for k in range(97)]
     rule = StoppingRule(lat, stop=stop, predictable=False, k0=0)
-    with pytest.raises(ValueError, match="never stops"):
+    with pytest.raises(ValueError, match="path 0 never stops"):
         evaluate_stop_rule(rule, binary96["ens"])
-    small = build_binary_example(12)
-    stop = [np.ones(small.n_nodes(k), dtype=bool) for k in range(13)]
-    rule = StoppingRule(small, stop=stop, predictable=False, k0=6)
-    with pytest.raises(ValueError, match="no ensemble path passes node 5 at slice 6"):
-        evaluate_stop_rule(rule, enumerate_paths(small), node0=5)
 
 
 def test_search_rejections(binary96, half_bundle):
     lat, policy = binary96["lat"], binary96["policy"]
-    with pytest.raises(ValueError, match="constraint must be"):
-        optimal_predictable_stop(half_bundle, "sometimes", "sup")
-    with pytest.raises(ValueError, match="direction must be"):
-        optimal_predictable_stop(half_bundle, None, "max")
+    for constraint in ("sometimes", None):
+        with pytest.raises(ValueError, match="constraint must be 'can_raise' or 'can_lower'"):
+            optimal_predictable_stop(half_bundle, constraint)
     sampled = rollout(policy, sample_paths(lat, n_paths=16, seed=3), (0, 0.5))
-    through_one_node = rollout(policy, binary96["ens"], (0, 0.5), node0=0)
-    for b in (sampled, through_one_node):
-        with pytest.raises(ValueError, match="needs an exhaustive rollout"):
-            optimal_predictable_stop(b, "can_raise", "sup")
+    with pytest.raises(ValueError, match="needs an exhaustive rollout"):
+        optimal_predictable_stop(sampled, "can_raise")
 
 
 def test_search_needs_a_tree():
@@ -203,7 +213,7 @@ def test_search_needs_a_tree():
     ens = enumerate_paths(lat)
     b = rollout(pol, ens, (0, 0.0))
     with pytest.raises(ValueError, match="needs a tree lattice"):
-        optimal_predictable_stop(b, None, "sup")
+        optimal_predictable_stop(b, "can_raise")
 
 
 def test_infeasible_constraint(binary96):
@@ -211,7 +221,7 @@ def test_infeasible_constraint(binary96):
     assert not exit_times(b).m_event
     assert not any(flags.any() for flags in _window_flags(b, "can_lower"))
     with pytest.raises(ValueError, match="no admissible stopping rule"):
-        optimal_predictable_stop(b, "can_lower", "inf")
+        optimal_predictable_stop(b, "can_lower")
 
 
 def assert_doob_split_on_a_tree(lat, tol=0.0):
@@ -278,8 +288,7 @@ def test_a_rule_is_refused_on_another_lattice():
     paying twice the cashflow is refused rather than read."""
     a = build_binary_example(6)
     ens = enumerate_paths(a)
-    rule, v = optimal_predictable_stop(rollout(solved(a, 3.0)[3], ens, (0, 0.5)),
-                                       "can_raise", "sup")
+    rule, v = optimal_predictable_stop(rollout(solved(a, 3.0)[3], ens, (0, 0.5)), "can_raise")
     assert rule.lattice is a
     assert evaluate_stop_rule(rule, ens) == v == 1.5
     with pytest.raises(ValueError, match="another lattice"):
@@ -296,12 +305,19 @@ def test_searches_read_the_windows_own_lattice():
         ens = enumerate_paths(lat)
         bundle = rollout(solved(lat, 3.0)[3], ens, (0, 0.5))
         assert bundle.policy.field.lattice is lat
-        assert optimal_predictable_stop(bundle, "can_raise", "sup")[1] == want
+        assert optimal_predictable_stop(bundle, "can_raise")[1] == want
 
 
 def test_marginal_report_rejects_a_start_at_the_horizon(binary96):
     with pytest.raises(ValueError, match="start time 3 has no remaining horizon"):
         marginal_value_report(binary96["policy"], binary96["ens"], [(0.0, 0.5), (3.0, 0.5)])
+
+
+def test_marginal_report_refuses_a_start_off_the_volume_grid(binary96):
+    """A start within 1e-9 of the full-rate boundary level (-2 at t = 0)
+    but off the volume grid is refused as the command line refuses it."""
+    with pytest.raises(ValueError, match="start volume .* is off the grid"):
+        marginal_value_report(binary96["policy"], binary96["ens"], [(0.0, -2.0 + 5e-10)])
 
 
 def test_marginal_report_regions(binary96):
