@@ -15,15 +15,15 @@ import sys
 
 import numpy as np
 
-from .duality import (build_optimal_martingale, dual_value, duality_gap_study,
+from .duality import (_pre_exit, build_optimal_martingale, dual_value, duality_gap_study,
                       random_martingale)
-from .models import (MAX_PATHS, Envelope, InvariantError, PreconditionError, TimeGrid,
+from .models import (MAX_PATHS, InvariantError, PreconditionError, TimeGrid,
                      _strings, _write_table, build_binary_example, build_binomial, count_paths,
                      enumerate_paths, read_lattice, sample_paths, write_lattice)
 from .oracle import brute_force_value
-from .policy import check_inclusion, check_saturation, exit_times, extract_policy, rollout
-from .solver import (VolumeGrid, bellman_residual, boundary_check, check_value_invariants,
-                     solve)
+from .policy import (ThresholdScan, check_inclusion, check_saturation, exit_times,
+                     extract_policy, inclusion_reads, rollout)
+from .solver import InvariantScan, ResidualScan, VolumeGrid, boundary_check, solve
 from .stopping import marginal_value_report
 
 _KEY_TYPES = {
@@ -208,24 +208,27 @@ def _write_martingale(fh, node_values):
     fh.write("\n")
 
 
-def _solve_all(cfg: dict, model=None):
-    """The policy, which carries the solved field, of the configured model."""
+def _solve_all(cfg: dict, model=None, keep=None, scans=()):
+    """The policy, which carries the solved field, of the configured model;
+    keep=None stores the whole band, which only value_field.txt reads."""
     if model is None:
         lattice, tg, L = build_model(cfg)
         model = lattice, tg, VolumeGrid.aligned(L, tg)
-    return extract_policy(solve(*model), cfg.get("tie_tol", 1e-9))
+    scan = ThresholdScan(cfg.get("tie_tol", 1e-9))
+    return extract_policy(solve(*model, keep, scan, *scans), scan.tie_tol, scan.result())
 
 
-def _prepare(cfg: dict, **ensemble):
+def _prepare(cfg: dict, store: bool = True, scans=(), **ensemble):
     """(policy, ens, starts) of a run. The starts are checked against the
     model's grids and the ensemble (make_ensemble with these options) is
-    built before the solve, so bad input fails before the solve is paid for."""
+    built before the solve, so bad input fails before the solve is paid for.
+    Unless store is set, the band is kept at slice 0 and the start slices."""
     lattice, tg, L = build_model(cfg)
     vg = VolumeGrid.aligned(L, tg)
     starts = parse_starts(cfg.get("starts", "0:0"))
-    _start_indices(starts, tg, vg)
+    keep = {0} | {k0 for k0, _ in _start_indices(starts, tg, vg)}
     ens = make_ensemble(lattice, cfg, **ensemble)
-    return _solve_all(cfg, (lattice, tg, vg)), ens, starts
+    return _solve_all(cfg, (lattice, tg, vg), None if store else keep, scans), ens, starts
 
 
 def cmd_price(cfg: dict, out_dir: str) -> int:
@@ -267,10 +270,15 @@ def _export_price(out_dir: str, policy, ens, starts):
 
 
 def _verify_checks(cfg: dict):
-    policy, ens, starts = _prepare(cfg, n_paths=256, prefer_exhaustive=True)
-    field = policy.field
-    lattice, vg = field.lattice, field.volume_grid
+    invariants, residual = InvariantScan(), ResidualScan("implicit")
+    policy, ens, starts = _prepare(cfg, False, (invariants, residual), n_paths=256,
+                                   prefer_exhaustive=True)
+    field, lattice, vg = policy.field, policy.field.lattice, policy.field.volume_grid
     results = []
+    try:        # one replay answers the dminus_at reads of both rollout checks
+        field.keep(inclusion_reads(rollout(policy, ens, (0, 0.0))) + _pre_exit(policy)[2])
+    except ValueError:      # the optimal_martingale line reports it
+        field.keep(inclusion_reads(rollout(policy, ens, (0, 0.0))))
 
     def run(name, fn):
         try:
@@ -283,12 +291,12 @@ def _verify_checks(cfg: dict):
             results.append(("ERROR", name, str(exc)))
 
     def check_values():
-        ext = check_value_invariants(field)
+        ext = invariants.result()
         return "monotone %.3g concavity %.3g lipschitz %.3g" % (
             ext["monotone"], ext["concavity"], ext["lipschitz"])
 
     def check_residual():
-        rep = bellman_residual(field, "implicit")
+        rep = residual.result()
         if rep.max_abs > 1e-10:
             raise InvariantError("implicit residual %.3g above 1e-10" % rep.max_abs)
         return "max residual %.3g" % rep.max_abs
@@ -312,7 +320,7 @@ def _verify_checks(cfg: dict):
             saturated, inc["max_zero_side"], inc["min_full_side"])
 
     def check_envelopes():
-        a, b = Envelope(lattice, "max").check(), Envelope(lattice, "min").check()
+        a, b = lattice.envelope("max").check(), lattice.envelope("min").check()
         return "sup drift %.3g inf drift %.3g" % (a["drift"], b["drift"])
 
     def check_oracle():
@@ -377,7 +385,7 @@ def cmd_dual(cfg: dict, out_dir: str, solved=None) -> int:
     def make_policy(K):
         if solved is not None and solved.field.time_grid.K == K:
             return solved
-        return _solve_all(dict(cfg, K=int(K)))
+        return _solve_all(dict(cfg, K=int(K)), None, (0,))
 
     rows = duality_gap_study(make_policy, k_list)
     lines = ["K primal dual gap"]
@@ -396,7 +404,7 @@ def cmd_dual(cfg: dict, out_dir: str, solved=None) -> int:
 
 
 def cmd_stopping(cfg: dict, out_dir: str) -> int:
-    report = marginal_value_report(*_prepare(cfg))
+    report = marginal_value_report(*_prepare(cfg, False))
     text = report.format_table()
     _write(out_dir, "marginal.txt", text)
     print(text, end="")

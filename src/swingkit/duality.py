@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Envelope, InvariantError, PreconditionError, ScenarioLattice
+from .models import InvariantError, PreconditionError, ScenarioLattice
 from .policy import PolicyField
 from .solver import VolumeGrid
 
@@ -127,41 +127,25 @@ class OptimalMartingaleResult:
     node_values: list
 
 
-def build_optimal_martingale(policy: PolicyField) -> OptimalMartingaleResult:
-    """Assemble the optimizing martingale for start (0, y=0) from a policy and
-    its solved field.
-
-    Before the canonical band exit the martingale is the conditional
-    expectation of X at the exit; afterwards it continues by the martingale
-    increments of the sup envelope (budget exhausted first) or the inf
-    envelope (forced-rate region hit first). Realized volume levels must be a
-    function of the node up to the exit; lattices where optimal paths reach
-    one pre-exit node at two levels are rejected.
-    """
-    value_field = policy.field
-    lattice, time_grid = value_field.lattice, value_field.time_grid
-    vg = value_field.volume_grid
-    K = time_grid.K
+def _pre_exit(policy: PolicyField):
+    """(trigger, exit_up, reads) of the forward closure of realized volume
+    levels from (0, y=0) up to the band exit: the exit nodes, those at the
+    cap, and the (k, nodes, pos) of the pre-exit states, one per slice."""
+    lattice, vg, K = policy.field.lattice, policy.field.volume_grid, policy.field.time_grid.K
     if vg.n_steps <= vg.j_cap:
         raise PreconditionError("the dual construction needs L*T > 1; this grid has L*T <= 1")
     if lattice.n_nodes(0) != 1:
         raise ValueError("needs a single-root lattice")
-    pos0 = vg.index_of(0.0)
-    tol = 3.0 * time_grid.dt * lattice.max_x()
-
-    sup_env = Envelope(lattice, "max")
-    inf_env = Envelope(lattice, "min")
-
-    # forward closure of realized volume levels up to the band exit
     realized = [np.full(lattice.n_nodes(k), -1, dtype=np.int64) for k in range(K + 1)]
-    trigger = []
-    exit_up = []
-    realized[0][0] = pos0
+    trigger, exit_up, reads = [], [], []
+    realized[0][0] = vg.index_of(0.0)
     for k in range(K + 1):
         pos = realized[k]
         active = pos >= 0
         exit_up.append(active & (pos >= vg.cap_pos))
         trigger.append(exit_up[k] | (active & (pos <= vg.boundary_pos(k))))
+        pre = np.flatnonzero(active & ~trigger[k])
+        reads.append((k, pre, pos[pre]))
         if k == K:
             break
         _, child, _ = lattice.edges(k)
@@ -175,24 +159,44 @@ def build_optimal_martingale(policy: PolicyField) -> OptimalMartingaleResult:
         if clash.size:
             raise ValueError("pre-exit volume level at slice %d node %d is path-dependent"
                              % (k + 1, kids[clash[0]]))
+    return trigger, exit_up, reads
+
+
+def build_optimal_martingale(policy: PolicyField) -> OptimalMartingaleResult:
+    """Assemble the optimizing martingale for start (0, y=0) from a policy and
+    its solved field.
+
+    Before the canonical band exit the martingale is the conditional
+    expectation of X at the exit; afterwards it continues by the martingale
+    increments of the sup envelope (budget exhausted first) or the inf
+    envelope (forced-rate region hit first). Realized volume levels must be a
+    function of the node up to the exit; lattices where optimal paths reach
+    one pre-exit node at two levels are rejected.
+    """
+    value_field = policy.field
+    lattice, time_grid, vg = value_field.lattice, value_field.time_grid, value_field.volume_grid
+    K = time_grid.K
+    trigger, exit_up, reads = _pre_exit(policy)
+    pos0 = vg.index_of(0.0)
+    tol = 3.0 * time_grid.dt * lattice.max_x()
+    sup_env, inf_env = lattice.envelope("max"), lattice.envelope("min")
 
     # conditional expectation of X at the exit, on the pre-exit region
     w_field = [None] * (K + 1)
     for k in range(K, -1, -1):
         w = np.where(trigger[k], lattice.x(k), np.nan)
         if k < K:
-            cont = (realized[k] >= 0) & ~trigger[k]
-            w[cont] = lattice.expect_next(k, w_field[k + 1])[cont]
+            pre = reads[k][1]
+            w[pre] = lattice.expect_next(k, w_field[k + 1])[pre]
         w_field[k] = w
     m0 = float(w_field[0][0])
 
-    dual1 = 0.0
-    dual2 = 0.0
-    for k in range(K + 1):
+    dual1 = dual2 = 0.0
+    value_field.keep(reads)
+    for k, pre, pos in reads:
         env = np.where(exit_up[k], sup_env.values[k], inf_env.values[k])
         dual2 = max(dual2, float(np.abs(lattice.x(k) - env)[trigger[k]].max(initial=0.0)))
-        pre = np.flatnonzero((realized[k] >= 0) & ~trigger[k])
-        lhs = -value_field.dminus_at(k, pre, realized[k][pre])
+        lhs = -value_field.dminus_at(k, pre, pos)
         dual1 = max(dual1, float(np.abs(lhs - w_field[k][pre]).max(initial=0.0)))
 
     # post-exit state table, one row per state in first-seen order. phase 0
@@ -266,8 +270,7 @@ def build_optimal_martingale(policy: PolicyField) -> OptimalMartingaleResult:
     dual = m0 + vg.step * integrand
     report = DualReport(dual, primal, dual - primal, "optimal")
 
-    flags = []
-    field = None
+    flags, field = [], None
     if spread <= 1e-10 * mscale:
         field = MartingaleField(lattice, node_values, "optimal")
         field.validate()

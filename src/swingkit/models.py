@@ -90,10 +90,10 @@ class ScenarioLattice:
     start[n]:start[n+1] of edges[k], which lead to node child[e] of slice
     k+1 with probability prob[e]. Arrays of the right dtype are kept
     without a copy and must not be mutated: the per-step fan-out tables,
-    parents and occupancy are derived from them once, on first use, and
-    handed out read-only. lce_declared is a model attribute (left-continuity
-    in expectation of the continuous-time limit cannot be decided from
-    finitely many grid values).
+    parents, occupancy and Snell envelopes are derived from them once, on
+    first use, and handed out read-only. lce_declared is a model attribute
+    (left-continuity in expectation of the continuous-time limit cannot be
+    decided from finitely many grid values).
     """
 
     def __init__(self, xs, edges, lce_declared: bool = True):
@@ -107,6 +107,7 @@ class ScenarioLattice:
         self._fanouts = [None] * len(self._edges)
         self._parents = [None] * len(self._edges)
         self._occupancy = None
+        self._envelopes = {}
 
     @classmethod
     def from_rows(cls, rows, lce_declared: bool = True) -> "ScenarioLattice":
@@ -209,6 +210,14 @@ class ScenarioLattice:
                                        minlength=self.n_nodes(k + 1)))
             self._occupancy = [_read_only(a) for a in occ]
         return list(self._occupancy)
+
+    def envelope(self, direction: str) -> "Envelope":
+        """The Snell envelope in direction "max" or "min", built once."""
+        if direction not in self._envelopes:
+            env = self._envelopes[direction] = Envelope(self, direction)
+            for a in env.values + env.increments:
+                _read_only(a)
+        return self._envelopes[direction]
 
     def is_tree(self) -> bool:
         """True when no two edges merge, i.e. every node has a unique parent."""

@@ -15,9 +15,38 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .models import InvariantError, PathEnsemble
-from .solver import ValueField
+from .solver import Slice, ValueField
 
 TIE_TOL = 1e-9
+
+
+class ThresholdScan:
+    """The thresholds of PolicyField, fed (field, Slice) for k = K down to 0.
+    result() raises for the lowest slice whose rate-L set is not a prefix."""
+
+    def __init__(self, tie_tol: float):
+        if not (np.isfinite(tie_tol) and tie_tol >= 0):
+            raise ValueError("tie_tol must be finite and nonnegative, got %r" % tie_tol)
+        self.tie_tol = tie_tol
+        self.thr, self.error = {}, None
+
+    def __call__(self, field: ValueField, s: Slice):
+        vg, k = field.volume_grid, s.k
+        if k == vg.n_steps:
+            return
+        # below the boundary J is flat in y and X >= 0, so the rule holds
+        lo = max(vg.boundary_pos(k), 0)
+        J = s.J[:, lo - vg.scan_start(k):]
+        go = field.lattice.x(k)[:, None] + np.diff(J, axis=1) / vg.step >= -self.tie_tol
+        bad = np.flatnonzero((go[:, 1:] > go[:, :-1]).any(axis=1))
+        if bad.size:
+            self.error = "policy at slice %d node %d is not a volume threshold" % (k, bad[0])
+        self.thr[k] = (lo - 1 + go.sum(axis=1)).astype(np.int32)
+
+    def result(self) -> list:
+        if self.error is not None:
+            raise InvariantError(self.error)
+        return [self.thr[k] for k in range(len(self.thr))]
 
 
 @dataclass(eq=False)
@@ -27,26 +56,17 @@ class PolicyField:
     thr[k][node] is the highest position at which the optimal rate is L
     (-1 for none): X + dminus(level+1) >= -tie_tol holds exactly at the
     positions up to it. J is concave in the volume, so that set is a prefix
-    of the levels; a row that is not raises InvariantError.
+    of the levels; a row that is not raises InvariantError. Without thr a
+    ThresholdScan reads them off the stored field.
     """
 
     field: ValueField
     tie_tol: float = TIE_TOL
-    thr: list = dataclass_field(init=False, repr=False)
+    thr: list = dataclass_field(default=None, repr=False)
 
     def __post_init__(self):
-        vg = self.field.volume_grid
-        self.thr = []
-        for k in range(self.field.time_grid.K):
-            # below the boundary J is flat in y and X >= 0, so the rule holds
-            lo = max(vg.boundary_pos(k), 0)
-            J = self.field.row(k, lo)
-            go = self.field.lattice.x(k)[:, None] + np.diff(J, axis=1) / vg.step >= -self.tie_tol
-            bad = np.flatnonzero((go[:, 1:] > go[:, :-1]).any(axis=1))
-            if bad.size:
-                raise InvariantError("policy at slice %d node %d is not a volume threshold"
-                                     % (k, bad[0]))
-            self.thr.append((lo - 1 + go.sum(axis=1)).astype(np.int32))
+        if self.thr is None:
+            self.thr = self.field.feed(ThresholdScan(self.tie_tol))
 
     @property
     def L(self) -> float:
@@ -58,16 +78,15 @@ class PolicyField:
         return pos <= self.thr[k][nodes]
 
 
-def extract_policy(field: ValueField, tie_tol: float = TIE_TOL) -> PolicyField:
-    """The bang-bang policy of a solved field.
+def extract_policy(field: ValueField, tie_tol: float = TIE_TOL, thr: list = None) -> PolicyField:
+    """The bang-bang policy of a solved field, with the thresholds thr if a
+    ThresholdScan read them while solve solved the field.
 
     decision = L iff X + dminus(level+1) >= -tie_tol and the cap leaves room.
     The forced full rate on and below the moving boundary is verified before
     returning.
     """
-    if not (np.isfinite(tie_tol) and tie_tol >= 0):
-        raise ValueError("tie_tol must be finite and nonnegative, got %r" % tie_tol)
-    policy = PolicyField(field, tie_tol)
+    policy = PolicyField(field, tie_tol, thr)
     vg = field.volume_grid
     for k in range(field.time_grid.K):
         if np.any(policy.thr[k] < vg.boundary_pos(k)):
@@ -134,6 +153,12 @@ def rollout(policy: PolicyField, ensemble: PathEnsemble, start) -> RolloutBundle
                          weights, mean, ensemble.exhaustive)
 
 
+def inclusion_reads(bundle: RolloutBundle) -> list:
+    """(k, nodes, pos) of the dminus_at reads of check_inclusion."""
+    return [(m, bundle.nodes[:, m], bundle.positions[:, m - bundle.k0])
+            for m in range(bundle.k0, bundle.policy.field.time_grid.K)]
+
+
 def check_inclusion(bundle: RolloutBundle) -> dict:
     """Differential-inclusion consistency along rolled-out paths.
 
@@ -144,12 +169,12 @@ def check_inclusion(bundle: RolloutBundle) -> dict:
     are skipped.
     """
     field, tie_tol = bundle.policy.field, bundle.policy.tie_tol
-    worst_zero = -np.inf
-    worst_full = np.inf
-    for m in range(bundle.k0, field.time_grid.K):
-        n, i = bundle.nodes[:, m], m - bundle.k0
-        s = field.lattice.x(m)[n] + field.dminus_at(m, n, bundle.positions[:, i])
-        full, ok = bundle.rates[:, i] > 0, ~np.isnan(s)
+    reads = inclusion_reads(bundle)
+    field.keep(reads)
+    worst_zero, worst_full = -np.inf, np.inf
+    for m, n, pos in reads:
+        s = field.lattice.x(m)[n] + field.dminus_at(m, n, pos)
+        full, ok = bundle.rates[:, m - bundle.k0] > 0, ~np.isnan(s)
         worst_zero = max(worst_zero, np.max(s[ok & ~full], initial=-np.inf))
         worst_full = min(worst_full, np.min(s[ok & full], initial=np.inf))
     if worst_zero > tie_tol:

@@ -9,12 +9,13 @@ successor values are evaluated on aligned levels.
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Envelope, InvariantError, ScenarioLattice, TimeGrid
+from .models import InvariantError, ScenarioLattice, TimeGrid
 
 EXACT_TOL = 1e-10
 
@@ -68,6 +69,14 @@ class VolumeGrid:
         is k + max(j_cap - K, 0), so the level is always on the grid."""
         return self.cap_pos - (self.n_steps - k)
 
+    def n_tail(self, k: int) -> int:
+        """Number of leading positions of slice k that hold its tail value."""
+        return min(max(self.boundary_pos(k) + 1, 0), self.cap_pos)
+
+    def scan_start(self, k: int) -> int:
+        """Where the rows that the per-slice scans read start."""
+        return max(self.n_tail(k) - 3, 0)
+
     def check_steps(self, K: int):
         """Raise ValueError unless the grid was aligned to a K-step time grid."""
         if self.n_steps != K:
@@ -109,6 +118,39 @@ class _Rows(Sequence):
         return row
 
 
+class _Points:
+    """Band entries at sorted keys node * width + j, read like the band slice
+    as points[nodes, j]; a last key past all others ends every search."""
+
+    def __init__(self, band: np.ndarray, keys: np.ndarray):
+        self.width = band.shape[1]
+        self.keys = np.append(keys, np.iinfo(np.int64).max)
+        self.values = np.append(band.reshape(-1)[keys], np.nan)
+
+    def __getitem__(self, index):
+        key = index[0] * self.width + index[1]
+        at = self.keys.searchsorted(key)
+        if np.any(self.keys[at] != key):
+            raise ValueError("the band was not kept at every point read")
+        return self.values[at]
+
+
+# slice k of the band recursion: its tail and band, J = its row from
+# scan_start(k) and ej = E[J_{k+1} | node] from scan_start(k + 1), or None
+Slice = namedtuple("Slice", "k tail band J ej")
+
+
+def _row(vg: VolumeGrid, k: int, tail: np.ndarray, band: np.ndarray, lo: int) -> np.ndarray:
+    """J at slice k over the positions lo..cap_pos, as a new array."""
+    nt = vg.n_tail(k)
+    out = np.empty((tail.size, vg.n_levels - lo))
+    cut = max(nt - lo, 0)
+    out[:, :cut] = tail[:, None]
+    out[:, cut:-1] = band[:, max(lo - nt, 0):]
+    out[:, -1] = 0.0
+    return out
+
+
 @dataclass(eq=False)
 class ValueField:
     """Solved value surface J[k][node][position] of a lattice on its grids,
@@ -117,9 +159,10 @@ class ValueField:
     band[k] holds the positions strictly between the full-rate boundary and
     the cap (n_tail(k) .. cap_pos - 1). At and below the boundary J equals the
     full-rate value tail[k][node] and at the cap it is 0, so values[k] builds
-    the full slice from the three parts when it is read. The field keeps the
-    lattice and grids it was solved on, so everything derived from it reads
-    them here.
+    the full slice from the three parts when it is read. Where solve was not
+    asked to keep the band, band[k] holds only the points keep() asked for.
+    The field keeps the lattice and grids it was solved on, so everything
+    derived from it reads them here.
     """
 
     lattice: ScenarioLattice
@@ -134,33 +177,47 @@ class ValueField:
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in self.tail + self.band)
-
-    def n_tail(self, k: int) -> int:
-        """Number of leading positions of slice k that hold tail[k]."""
-        vg = self.volume_grid
-        return min(max(vg.boundary_pos(k) + 1, 0), vg.cap_pos)
+        return sum(a.nbytes for a in self.tail + self.band if isinstance(a, np.ndarray))
 
     def row(self, k: int, lo: int = 0) -> np.ndarray:
-        """J at slice k over the positions lo..cap_pos, as a new array."""
-        nt = self.n_tail(k)
-        tail = self.tail[k]
-        out = np.empty((tail.size, self.volume_grid.n_levels - lo))
-        cut = max(nt - lo, 0)
-        out[:, :cut] = tail[:, None]
-        out[:, cut:-1] = self.band[k][:, max(lo - nt, 0):]
-        out[:, -1] = 0.0
-        return out
+        if not isinstance(self.band[k], np.ndarray):
+            raise TypeError("the band of slice %d was not kept" % k)
+        return _row(self.volume_grid, k, self.tail[k], self.band[k], lo)
 
     def point(self, k: int, nodes, pos) -> np.ndarray:
         """values[k][nodes, pos] for broadcast index arrays, gathered from the
         band and the tail without building the slice."""
         nodes, pos = np.broadcast_arrays(np.asarray(nodes), np.asarray(pos))
-        nt = self.n_tail(k)
+        nt = self.volume_grid.n_tail(k)
         out = np.where(pos < nt, self.tail[k][nodes], 0.0)
         inside = (pos >= nt) & (pos < self.volume_grid.cap_pos)
         out[inside] = self.band[k][nodes[inside], pos[inside] - nt]
         return out
+
+    def keep(self, reads):
+        """Make dminus_at answer the (k, nodes, pos) reads: one replay of the
+        recursion keeps the band entries they touch that are not stored."""
+        want = {}
+        for k, nodes, pos in reads:
+            points = self.band[k]
+            if not isinstance(points, np.ndarray):
+                j = np.append(pos, pos - 1) - self.volume_grid.n_tail(k)
+                inside = (j >= 0) & (j < points.width)
+                keys = np.append(nodes, nodes)[inside] * points.width + j[inside]
+                keys = keys[points.keys[points.keys.searchsorted(keys)] != keys]
+                if keys.size:
+                    want[k] = np.append(want.get(k, keys[:0]), keys)
+        for s in _recursion(self.lattice, self.time_grid, self.volume_grid) if want else ():
+            if s.k in want:
+                self.band[s.k] = _Points(s.band, np.union1d(self.band[s.k].keys[:-1], want[s.k]))
+
+    def feed(self, scan):
+        """Feed scan(field, Slice) the stored slices, K down to 0 (ej None),
+        and return scan.result()."""
+        for k in range(self.time_grid.K, -1, -1):
+            J = self.row(k, self.volume_grid.scan_start(k))
+            scan(self, Slice(k, self.tail[k], self.band[k], J, None))
+        return scan.result()
 
     def at(self, k: int, node: int, y: float) -> float:
         return float(self.point(k, node, self.volume_grid.index_of(y)))
@@ -172,11 +229,7 @@ class ValueField:
         the grid extends through the full-rate region (J is constant in y
         there) and NaN otherwise.
         """
-        vals = self.row(k)
-        dm = np.empty_like(vals)
-        dm[:, 1:] = np.diff(vals, axis=1) / self.volume_grid.step
-        dm[:, 0] = self._dminus_floor()
-        return dm
+        return _window(self, self.row(k), 0, 0)[1]
 
     def dminus_at(self, k: int, nodes, pos) -> np.ndarray:
         """dminus(k)[nodes, pos], bit for bit, without building the slice."""
@@ -193,83 +246,93 @@ class ValueField:
         return self.dminus(k)[:, vg.right_of(np.arange(vg.n_levels))]
 
 
-def solve(lattice: ScenarioLattice, time_grid: TimeGrid, volume_grid: VolumeGrid) -> ValueField:
-    """Backward induction over (node, volume level) arrays, one per time slice.
+def _recursion(lattice: ScenarioLattice, time_grid: TimeGrid, volume_grid: VolumeGrid):
+    """The backward band recursion, yielding each Slice, k = K down to 0,
+    with only slice k+1 held while slice k is built.
 
     At each state the stay candidate is E[J_{k+1}(same level)] and the
     exercise candidate is step*X + E[J_{k+1}(level+1)], excluded at the cap.
     Only the band is computed: at and below the full-rate boundary both
-    candidates read the tail of slice k+1, and fl(step*X + e) >= e for
-    X >= 0, so J there equals tail[k] = step*X + E[tail[k+1]] bit for bit.
+    candidates read the tail of slice k+1, and fl(step*X + e) >= e for X >= 0,
+    so J there equals tail[k] = step*X + E[tail[k+1]] bit for bit.
     """
-    K = time_grid.K
+    K, vg = time_grid.K, volume_grid
     if lattice.n_steps != K:
         raise ValueError("lattice has %d steps, time grid has %d" % (lattice.n_steps, K))
-    volume_grid.check_steps(K)
+    vg.check_steps(K)
     if any(lattice.n_nodes(k) == 0 for k in range(K + 1)):
         raise ValueError("empty lattice slice")
     lattice.check_cashflows()
-    step = volume_grid.step
-    tail = [None] * (K + 1)
-    band = [None] * (K + 1)
-    tail[K] = np.zeros(lattice.n_nodes(K))
-    band[K] = np.zeros((lattice.n_nodes(K), 0))
-    field = ValueField(lattice, time_grid, volume_grid, tail, band)
+    tail, band, ej = np.zeros(lattice.n_nodes(K)), np.zeros((lattice.n_nodes(K), 0)), None
     for k in range(K - 1, -1, -1):
+        nxt = _row(vg, k + 1, tail, band, vg.scan_start(k + 1))
+        yield Slice(k + 1, tail, band, nxt, ej)
         x = lattice.x(k)
-        tail[k] = step * x + lattice.expect_next(k, tail[k + 1])
-        ej = lattice.expect_next(k, field.row(k + 1, field.n_tail(k)))
-        band[k] = np.maximum(ej[:, :-1], step * x[:, None] + ej[:, 1:])
+        tail = vg.step * x + lattice.expect_next(k, tail)
+        ej = lattice.expect_next(k, nxt)
+        off = vg.n_tail(k) - vg.scan_start(k + 1)
+        band = np.maximum(ej[:, off:-1], vg.step * x[:, None] + ej[:, off + 1:])
+    yield Slice(0, tail, band, _row(vg, 0, tail, band, vg.scan_start(0)), ej)
+
+
+def solve(lattice: ScenarioLattice, time_grid: TimeGrid, volume_grid: VolumeGrid,
+          keep=None, *scans) -> ValueField:
+    """Backward induction (see _recursion) calling scan(field, Slice) on each
+    slice, k = K down to 0. The field stores the tail and, at the slices in
+    keep (all for None), the band."""
+    K = time_grid.K
+    field = ValueField(lattice, time_grid, volume_grid, [None] * (K + 1), [None] * (K + 1))
+    for s in _recursion(lattice, time_grid, volume_grid):
+        field.tail[s.k] = s.tail
+        stored = keep is None or s.k in keep
+        field.band[s.k] = s.band if stored else _Points(s.band, np.zeros(0, np.int64))
+        for scan in scans:
+            scan(field, s)
     return field
 
 
+class InvariantScan:
+    """Fed (field, Slice), k = K down to 0: terminal values vanish, J is
+    nonincreasing and concave in the volume, and |J(y1) - J(y2)| <= z *
+    |y1 - y2| for the sup Snell envelope z. The full-rate columns below the
+    row repeat its first, so every maximum is the full slice's. result()
+    raises InvariantError for the lowest failing slice, or returns them."""
+
+    def __init__(self):
+        self.report = {"monotone": 0.0, "concavity": 0.0, "lipschitz": 0.0, "terminal": 0.0}
+        self.error = None
+
+    def __call__(self, field: ValueField, s: Slice):
+        found = []
+
+        def note(key, worst, limit, text):
+            self.report[key] = max(self.report[key], worst)
+            if worst > limit:
+                found.append(text % (worst, s.k))
+
+        if s.k == field.time_grid.K:
+            self.report["terminal"] = float(np.abs(s.J).max())
+        d1 = np.diff(s.J, axis=1)
+        note("monotone", float(d1.max()), EXACT_TOL, "J increases in y by %.3g at slice %d")
+        if field.volume_grid.n_levels >= 3:
+            note("concavity", float(np.diff(d1, axis=1).max()), EXACT_TOL,
+                 "J is non-concave in y by %.3g at slice %d")
+        z = field.lattice.envelope("max").values[s.k][:, None]
+        note("lipschitz", float((np.abs(d1) - (z * field.volume_grid.step + EXACT_TOL)).max()),
+             0.0, "Lipschitz bound violated by %.3g at slice %d")
+        self.error = found[0] if found else self.error
+
+    def result(self) -> dict:
+        if self.report["terminal"] != 0.0:
+            raise InvariantError("terminal values are not identically zero")
+        if self.error is not None:
+            raise InvariantError(self.error)
+        return self.report
+
+
 def check_value_invariants(field: ValueField) -> dict:
-    """Assert the structural properties of a solved field.
-
-    Terminal values vanish, J is nonincreasing and concave in the
-    volume level, and adjacent differences obey the Lipschitz bound
-    |J(y1) - J(y2)| <= z * |y1 - y2| through the dominating field
-    z[k][node] = max(X, E[z_next | node]), the sup Snell envelope. Raises
-    InvariantError on the first violation and returns the observed extremes
-    otherwise.
-
-    Each slice is read from three columns below the band: the full-rate
-    columns further down repeat those values, so every maximum (and
-    message) is the one the full slice gives.
-    """
-    vg = field.volume_grid
-    step = vg.step
-    K = field.time_grid.K
-    z = Envelope(field.lattice, "max").values
-    report = {"monotone": 0.0, "concavity": 0.0, "lipschitz": 0.0, "terminal": 0.0}
-
-    def window(k):
-        return field.row(k, max(field.n_tail(k) - 3, 0))
-
-    last = window(K)
-    term = float(np.abs(last).max())
-    report["terminal"] = term
-    if term != 0.0:
-        raise InvariantError("terminal values are not identically zero")
-    for k in range(K + 1):
-        vals = last if k == K else window(k)
-        d1 = np.diff(vals, axis=1)
-        worst = float(d1.max())
-        report["monotone"] = max(report["monotone"], worst)
-        if worst > EXACT_TOL:
-            raise InvariantError("J increases in y by %.3g at slice %d" % (worst, k))
-        if vg.n_levels >= 3:
-            d2 = np.diff(d1, axis=1)
-            worst2 = float(d2.max())
-            report["concavity"] = max(report["concavity"], worst2)
-            if worst2 > EXACT_TOL:
-                raise InvariantError("J is non-concave in y by %.3g at slice %d" % (worst2, k))
-        bound = z[k][:, None] * step + EXACT_TOL
-        excess = float((np.abs(d1) - bound).max())
-        report["lipschitz"] = max(report["lipschitz"], excess)
-        if excess > 0:
-            raise InvariantError("Lipschitz bound violated by %.3g at slice %d" % (excess, k))
-    return report
+    """The InvariantScan of a stored field."""
+    return field.feed(InvariantScan())
 
 
 @dataclass(eq=False)
@@ -285,64 +348,68 @@ class ResidualReport:
     max_abs: float
 
 
-def bellman_residual(field: ValueField, form: str = "implicit") -> ResidualReport:
-    """Residual of J against its one-step optimality identity.
+def _window(field: ValueField, vals: np.ndarray, first: int, lo: int):
+    """J and dminus at positions lo..cap of a row built from position
+    first <= lo. Where first = lo > 0, lo - 1 and lo both hold the slice's
+    full-rate tail, so column lo stands in for lo - 1."""
+    step = field.volume_grid.step
+    v = vals[:, lo - first:]
+    dm = np.empty_like(v)
+    dm[:, 1:] = np.diff(v, axis=1) / step
+    dm[:, 0] = (v[:, 0] - vals[:, max(lo - first - 1, 0)]) / step if lo else field._dminus_floor()
+    return v, dm
 
-    implicit: r = J_k - (step*(X + dminus_k)_+ + E[J_{k+1}]), with the
-    derivative taken from the solved field at the same time index.
-    explicit: the derivative and positive part are taken at k+1 inside the
-    conditional expectation instead.
 
-    Slice k is scanned from position max(b - 1, 0), b = boundary_pos(k), to
-    the cap. Every position further down is full-rate at k and k+1, so its
-    residual column is that of position b - 1 (or, at position 0, masked or
-    equal to it), and the maximum is the one the full slice gives.
-    """
-    if form not in ("implicit", "explicit"):
-        raise ValueError("form must be 'implicit' or 'explicit'")
-    lattice = field.lattice
-    vg = field.volume_grid
-    step = vg.step
-    K = field.time_grid.K
-    explicit = form == "explicit"
+class ResidualScan:
+    """bellman_residual fed (field, Slice), k = K down to 0, against the row
+    of slice k+1 fed before and the slice's ej (taken here if it has none)."""
 
-    def window(vals, first, lo):
-        """J and dminus at positions lo..cap of a row built from position
-        first <= max(lo - 1, 0)."""
-        v = vals[:, lo - first:]
-        dm = np.empty_like(v)
-        dm[:, 1:] = np.diff(v, axis=1) / step
-        dm[:, 0] = (v[:, 0] - vals[:, lo - first - 1]) / step if lo else field._dminus_floor()
-        return v, dm
+    def __init__(self, form: str):
+        self.form, self.max_abs, self.nxt = form, 0.0, None
 
-    max_abs = 0.0
-    # each slice is built once. Slice k+1 starts at lo (implicit) or one
-    # position lower (explicit, for dminus_{k+1} at lo), which is at or below
-    # max(lo_{k+1} - 1, 0) = lo, so it serves as the next step's vals
-    first = max(vg.boundary_pos(0) - 2, 0)
-    vals = field.row(0, first)
-    for k in range(K):
-        x = lattice.x(k)
+    def __call__(self, field: ValueField, s: Slice):
+        vg, lattice, k, nxt = field.volume_grid, field.lattice, s.k, self.nxt
+        self.nxt = s.J
+        if nxt is None:
+            return
         b = vg.boundary_pos(k)
         lo = max(b - 1, 0)
-        nfirst = max(lo - 1, 0) if explicit else lo
-        nxt = field.row(k + 1, nfirst)
-        v, dm = window(vals, first, lo)
-        if explicit:
-            nv, dm_next = window(nxt, nfirst, lo)
-            start, child, prob = lattice.edges(k)
-            inner = (step * np.maximum(x[lattice.parents(k), None] + dm_next[child], 0.0)
-                     + nv[child])
-            r = v - np.add.reduceat(prob[:, None] * inner, start[:-1])
+        v, dm = _window(field, s.J, vg.scan_start(k), lo)
+        if self.form == "implicit":
+            ej = lattice.expect_next(k, nxt) if s.ej is None else s.ej
+            r = v - (vg.step * np.maximum(lattice.x(k)[:, None] + dm, 0.0)
+                     + ej[:, lo - vg.scan_start(k + 1):])
         else:
-            ej = lattice.expect_next(k, nxt)
-            r = v - (step * np.maximum(x[:, None] + dm, 0.0) + ej)
+            nv, dm_next = _window(field, nxt, vg.scan_start(k + 1), lo)
+            start, child, prob = lattice.edges(k)
+            inner = (vg.step * np.maximum(lattice.x(k)[lattice.parents(k), None] + dm_next[child],
+                                          0.0) + nv[child])
+            r = v - np.add.reduceat(prob[:, None] * inner, start[:-1])
         if lo <= b < vg.n_levels:
             r[:, b - lo] = np.nan
         r[np.isnan(dm)] = np.nan
-        max_abs = max(max_abs, float(np.max(np.abs(r), where=np.isfinite(r), initial=0.0)))
-        vals, first = nxt, nfirst
-    return ResidualReport(form, max_abs)
+        self.max_abs = max(self.max_abs,
+                           float(np.max(np.abs(r), where=np.isfinite(r), initial=0.0)))
+
+    def result(self) -> ResidualReport:
+        return ResidualReport(self.form, self.max_abs)
+
+
+def bellman_residual(field: ValueField, form: str) -> ResidualReport:
+    """Residual of J against its one-step optimality identity.
+
+    implicit: r = J_k - (step*(X + dminus_k)_+ + E[J_{k+1}]), with the
+    derivative taken from the solved field at the same time index; explicit:
+    the derivative and positive part are taken at k+1 inside the conditional
+    expectation instead. Slice k is scanned from position max(b - 1, 0),
+    b = boundary_pos(k), to the cap. Every position further down is
+    full-rate at k and k+1, so its residual column is that of position b - 1
+    (or, at position 0, masked or equal to it), and the maximum is the one
+    the full slice gives.
+    """
+    if form not in ("implicit", "explicit"):
+        raise ValueError("form must be 'implicit' or 'explicit'")
+    return field.feed(ResidualScan(form))
 
 
 @dataclass(eq=False)
@@ -361,20 +428,14 @@ def boundary_check(field: ValueField) -> BoundaryReport:
     E[sum step*X | node], to EXACT_TOL. Those levels hold the stored tail[k],
     so each node is compared once.
     """
-    lattice = field.lattice
-    vg = field.volume_grid
-    step = vg.step
-    K = field.time_grid.K
-    tail = [None] * (K + 1)
-    tail[K] = np.zeros(lattice.n_nodes(K))
-    for k in range(K - 1, -1, -1):
-        tail[k] = step * lattice.x(k) + lattice.expect_next(k, tail[k + 1])
-    max_deep = 0.0
-    violations = []
-    for k in range(K + 1):
+    lattice, vg = field.lattice, field.volume_grid
+    tail, max_deep, violations = np.zeros(lattice.n_nodes(vg.n_steps)), 0.0, []
+    for k in range(vg.n_steps, -1, -1):
+        if k < vg.n_steps:
+            tail = vg.step * lattice.x(k) + lattice.expect_next(k, tail)
         if vg.boundary_pos(k) >= 0:
-            err = float(np.abs(field.tail[k] - tail[k]).max())
+            err = float(np.abs(field.tail[k] - tail).max())
             max_deep = max(max_deep, err)
             if err > EXACT_TOL:
-                violations.append(("deep", k, err))
+                violations.insert(0, ("deep", k, err))
     return BoundaryReport(max_deep, violations)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Envelope, InvariantError, PathEnsemble, ScenarioLattice
+from .models import InvariantError, PathEnsemble, ScenarioLattice
 from .policy import PolicyField, RolloutBundle, exit_times, rollout
 
 @dataclass(eq=False)
@@ -199,8 +199,6 @@ def marginal_value_report(policy: PolicyField, ensemble: PathEnsemble,
     lattice, tg, vg = field.lattice, field.time_grid, field.volume_grid
     ensemble.check_lattice(lattice)
     occ = lattice.occupancy()
-    sup_env = Envelope(lattice, "max").values
-    inf_env = Envelope(lattice, "min").values
     tol = 3.0 * tg.dt * lattice.max_x()
     searchable = lattice.is_tree() and ensemble.exhaustive
     rows = []
@@ -220,11 +218,10 @@ def marginal_value_report(policy: PolicyField, ensemble: PathEnsemble,
         dm = field.dminus(k0)
         ndm = -float(w @ dm[:, pos0]) + 0.0
         ndp = -float(w @ dm[:, vg.right_of(pos0)]) + 0.0
-        ssup = float(w @ sup_env[k0])
-        sinf = float(w @ inf_env[k0])
-        ex_sig = np.nan
-        sup_a = np.nan
-        inf_b = np.nan
+        # each envelope is read (and built) only where the region calls for it
+        ssup = float(w @ lattice.envelope("max").values[k0]) if region == "cap" else np.nan
+        sinf = float(w @ lattice.envelope("min").values[k0]) if region == "boundary" else np.nan
+        ex_sig = sup_a = inf_b = np.nan
         if region != "cap":
             bundle = rollout(policy, ensemble, (k0, y0))
             exits = exit_times(bundle)
@@ -236,10 +233,7 @@ def marginal_value_report(policy: PolicyField, ensemble: PathEnsemble,
             if searchable and region == "interior":
                 _, sup_a = optimal_predictable_stop(bundle, "can_raise")
                 _, inf_b = optimal_predictable_stop(bundle, "can_lower")
-        row = MarginalRow(t0, y0, region, ndm, ndp, ex_sig, sup_a, inf_b,
-                          ssup if region == "cap" else np.nan,
-                          sinf if region == "boundary" else np.nan)
-        rows.append(row)
+        rows.append(MarginalRow(t0, y0, region, ndm, ndp, ex_sig, sup_a, inf_b, ssup, sinf))
         if not lattice.lce_declared:
             continue
         if region == "deep":

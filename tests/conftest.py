@@ -26,6 +26,13 @@ def make_exp_martingale(K, T=2.0, x0=1.0):
     return build_binomial("martingale", K, T, x0=x0, up=up, down=down, p_up=p_up)
 
 
+def exp_martingale_keys(K, T=2.0):
+    """Config lines of the binomial that make_exp_martingale(K, T) builds."""
+    up, down, p_up = exp_sigma_params(K, T)
+    return "model=binomial\nkind=martingale\nK=%d\nT=%r\nx0=1\nup=%r\ndown=%r\np_up=%r\n" % (
+        K, T, up, down, p_up)
+
+
 def with_policy(make):
     """Gap-study policy maker: the default-tolerance policy of the solved
     field of make(K) = (lattice, tg, vg)."""

@@ -292,9 +292,9 @@ def spy_extract_policy(monkeypatch):
     seen = []
     real = cli.extract_policy
 
-    def spying(field, tie_tol):
+    def spying(field, tie_tol, *rest):
         seen.append((field.time_grid.K, tie_tol))
-        return real(field, tie_tol)
+        return real(field, tie_tol, *rest)
 
     monkeypatch.setattr(cli, "extract_policy", spying)
     return seen

@@ -1,0 +1,185 @@
+"""A field that solve keeps at a few slices only (verify, stopping, dual)
+against the stored band (price, example): the scans fed by the one sweep,
+the kept rows and the replayed point reads agree bit for bit."""
+
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from swingkit import (InvariantError, ScenarioLattice, TimeGrid, VolumeGrid, bellman_residual,
+                      check_value_invariants, extract_policy, marginal_value_report,
+                      sample_paths, solve)
+from swingkit.cli import main
+from swingkit.policy import ThresholdScan
+from swingkit.solver import InvariantScan, ResidualScan
+
+from conftest import (exp_martingale_keys, make_exp_martingale, reference_check_value_invariants,
+                      tiny_lattice_rows)
+
+
+def outcome(fn):
+    """fn()'s value, or the text of the InvariantError it raises."""
+    try:
+        return fn()
+    except InvariantError as exc:
+        return "InvariantError: %s" % exc
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def same_thresholds(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return len(a) == len(b) and all(x.dtype == y.dtype == np.int32 and np.array_equal(x, y)
+                                    for x, y in zip(a, b))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(rows=tiny_lattice_rows(max_steps=5), j_cap=st.integers(1, 2), flat=st.booleans(),
+       tie_tol=st.sampled_from([0.0, 1e-9, 1.0]), data=st.data())
+def test_a_replayed_field_reads_as_the_stored_one(rows, j_cap, flat, tie_tol, data):
+    """One pass of the recursion that keeps slice 0 and a start slice feeds
+    the thresholds, the invariants and the implicit residual exactly as the
+    stored field does (or the same first error); its tail and kept rows are
+    the stored bits, and one replay answers drawn dminus_at reads with them.
+    A constant X puts the band on a tie, which tie_tol = 0 lets rounding
+    split into a refused non-threshold row."""
+    if flat:
+        rows = [[replace(nd, x=rows[0][0].x) for nd in row] for row in rows]
+    lat = ScenarioLattice.from_rows(rows).validate()
+    K = lat.n_steps
+    tg = TimeGrid(float(K), K)
+    vg = VolumeGrid.aligned(1.0 / j_cap, tg)
+    stored = solve(lat, tg, vg)
+    k0 = data.draw(st.integers(0, K - 1))
+    thr, inv, res = ThresholdScan(tie_tol), InvariantScan(), ResidualScan("implicit")
+    field = solve(lat, tg, vg, {0, k0}, thr, inv, res)
+
+    assert same_thresholds(outcome(thr.result),
+                           outcome(lambda: stored.feed(ThresholdScan(tie_tol))))
+    assert outcome(inv.result) == outcome(lambda: check_value_invariants(stored))
+    assert res.result().max_abs == bellman_residual(stored, "implicit").max_abs
+    for k in range(K + 1):
+        assert np.array_equal(bits(field.tail[k]), bits(stored.tail[k]))
+    for k in {0, k0}:
+        assert np.array_equal(bits(field.row(k)), bits(stored.row(k)))
+    with pytest.raises(TypeError, match="band of slice %d was not kept" % K):
+        field.row(K)
+
+    def draw_reads():
+        reads = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            k = data.draw(st.integers(0, K))
+            n = data.draw(st.integers(1, 4))
+            nodes = data.draw(st.lists(st.integers(0, lat.n_nodes(k) - 1), min_size=n,
+                                       max_size=n))
+            pos = data.draw(st.lists(st.integers(0, vg.cap_pos), min_size=n, max_size=n))
+            reads.append((k, np.array(nodes), np.array(pos)))
+        return reads
+
+    first, second = draw_reads(), draw_reads()
+    field.keep(first)
+    field.keep(second)          # a second replay keeps the first one's points
+    for k, nodes, pos in first + second:
+        assert np.array_equal(bits(field.dminus_at(k, nodes, pos)),
+                              bits(stored.dminus_at(k, nodes, pos)))
+        assert np.array_equal(bits(field.point(k, nodes, pos)), bits(stored.point(k, nodes, pos)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rows=tiny_lattice_rows(max_steps=6), j_cap=st.integers(1, 2), data=st.data())
+def test_the_downward_scans_report_the_lowest_failing_slice(rows, j_cap, data):
+    """The scans see the slices from K down to 0, as the sweep makes them,
+    yet a field dented at two slices reports the first error of an upward
+    scan: the invariants as the full-slice reference does, and the policy
+    the lower slice's non-threshold row."""
+    lat = ScenarioLattice.from_rows(rows).validate()
+    K = lat.n_steps
+    tg = TimeGrid(float(K), K)
+    vg = VolumeGrid.aligned(1.0 / j_cap, tg)
+    field = solve(lat, tg, vg)
+    wide = [k for k in range(K) if field.band[k].shape[1] >= 2]
+    if not wide:
+        return
+    dents = sorted(set(data.draw(st.lists(st.sampled_from(wide), min_size=2, max_size=2))))
+    band = [b.copy() for b in field.band]
+    for k in dents:
+        n = data.draw(st.integers(0, lat.n_nodes(k) - 1))
+        band[k][n, 1] -= 10.0       # a dip: J rises after it, and so does the rate
+    broken = replace(field, band=band)
+    want = outcome(lambda: reference_check_value_invariants(broken))
+    assert want.startswith("InvariantError: ")
+    assert outcome(lambda: check_value_invariants(broken)) == want
+    policy = outcome(lambda: extract_policy(broken, 1e-9))
+    assert policy.startswith("InvariantError: policy at slice %d node " % dents[0])
+
+
+STARTS = [(0.0, 0.0), (0.5, 0.5), (1.0, 0.25), (0.25, 1.0), (1.0, 0.0), (1.5, 0.25)]
+
+# occ[k0] @ values[k0][:, pos0] (the price summary) and the marginal table's
+# -D-J, -D+J, snell_sup and snell_inf at STARTS, as float.hex. The `@` sums
+# run over a strided column, whose layout decides their bits.
+PINS = {
+    96: (["0x1.0000000000008p+0", "0x1.0000000000006p-1", "0x1.8000000000005p-1", "0x0.0p+0",
+          "0x1.fffffffffffffp-1", "0x1.0000000000000p-1"],
+         [("0x1.0000000000020p+0", "0x1.fffffffffffe0p-1", "nan", "nan"),
+          ("0x1.0000000000008p+0", "0x1.000000000000ap+0", "nan", "nan"),
+          ("0x1.fffffffffffeap-1", "0x1.ffffffffffff4p-1", "nan", "nan"),
+          ("0x1.0000000000001p+0", "0x1.0000000000001p+0", "0x1.0000000000001p+0", "nan"),
+          ("0x0.0p+0", "0x1.fffffffffffd4p-1", "nan", "0x1.ffffffffffff4p-1"),
+          ("0x0.0p+0", "0x0.0p+0", "nan", "nan")]),
+    384: (["0x1.0000000000060p+0", "0x1.000000000005ep-1", "0x1.8000000000085p-1", "0x0.0p+0",
+           "0x1.0000000000045p+0", "0x1.0000000000050p-1"],
+          [("0x1.0000000000200p+0", "0x1.0000000000020p+0", "nan", "nan"),
+           ("0x1.00000000000dcp+0", "0x1.0000000000024p+0", "nan", "nan"),
+           ("0x1.000000000002ep+0", "0x1.ffffffffffffep-1", "nan", "nan"),
+           ("0x1.0000000000022p+0", "0x1.0000000000022p+0", "0x1.0000000000023p+0", "nan"),
+           ("0x0.0p+0", "0x1.ffffffffffe62p-1", "nan", "0x1.000000000002ep+0"),
+           ("0x0.0p+0", "0x0.0p+0", "nan", "nan")]),
+}
+
+
+@pytest.mark.parametrize("K", sorted(PINS))
+def test_summary_and_marginal_values_are_pinned(K):
+    """The stored and the replayed policy of the exp-martingale lattice give
+    the pinned price summary and marginal-table bits."""
+    lat = make_exp_martingale(K)
+    tg = TimeGrid(2.0, K)
+    vg = VolumeGrid.aligned(1.0, tg)
+    scan = ThresholdScan(1e-9)
+    kept = solve(lat, tg, vg, {0} | {tg.start_index(t) for t, _ in STARTS}, scan)
+    occ, ens = lat.occupancy(), sample_paths(lat, 8, 1)
+    for policy in (extract_policy(solve(lat, tg, vg)), extract_policy(kept, 1e-9, scan.result())):
+        values = policy.field.values
+        summary = [float(occ[k0] @ values[k0][:, vg.index_of(y)])
+                   for k0, y in ((tg.start_index(t), y) for t, y in STARTS)]
+        assert [v.hex() for v in summary] == PINS[K][0]
+        rows = marginal_value_report(policy, ens, STARTS).rows
+        assert [tuple(float(v).hex() for v in (r.dminus_neg, r.dplus_neg, r.snell_sup,
+                                               r.snell_inf)) for r in rows] == PINS[K][1]
+
+
+@pytest.mark.parametrize("command", ["verify", "stopping"])
+def test_verify_and_stopping_never_hold_the_band(command, tmp_path, capsys):
+    """verify and stopping on the K=192 exp-martingale binomial, built in
+    memory from its config: the traced peak stays below the bytes of the
+    stored band, which a resident band alone would reach (the stored solve
+    peaked at 1.73x and 1.56x of them)."""
+    K = 192
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(exp_martingale_keys(K) + "n_paths=256\nstarts=0:0;0.5:0.25;1:0.5;0.5:1\n")
+    tg = TimeGrid(2.0, K)
+    band = solve(make_exp_martingale(K), tg, VolumeGrid.aligned(1.0, tg)).nbytes
+    tracemalloc.start()
+    try:
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < band
