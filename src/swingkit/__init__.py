@@ -11,12 +11,11 @@ from .models import (Envelope, InvariantError, LatticeNode, PathEnsemble, Precon
                      ScenarioLattice, TimeGrid, build_binary_example, build_binomial,
                      count_paths, enumerate_paths, read_lattice, sample_paths,
                      write_lattice)
-from .solver import (BoundaryReport, ResidualReport, ValueField, VolumeGrid,
-                     bellman_residual, boundary_check, check_value_invariants, solve)
-from .policy import (ExerciseBoundary, ExerciseRegions, MollifiedControl,
-                     PolicyField, RolloutBundle, check_inclusion, check_saturation,
-                     exercise_regions, exit_times, extract_policy, mollified_iterate,
-                     rollout)
+from .solver import (BoundaryReport, InvariantScan, ResidualReport, ResidualScan, ValueField,
+                     VolumeGrid, boundary_check, solve)
+from .policy import (ExerciseBoundary, ExerciseRegions, MollifiedControl, PolicyField,
+                     RolloutBundle, ThresholdScan, check_inclusion, check_saturation,
+                     exercise_regions, exit_times, extract_policy, mollified_iterate, rollout)
 from .stopping import (MarginalReport, MarginalRow, StoppingRule, evaluate_stop_rule,
                        marginal_value_report, optimal_predictable_stop)
 from .duality import (DualReport, GapRow, MartingaleField, OptimalMartingaleResult,
@@ -31,10 +30,10 @@ __all__ = [
     "Envelope", "InvariantError", "LatticeNode", "PathEnsemble", "PreconditionError",
     "ScenarioLattice", "TimeGrid", "build_binary_example", "build_binomial", "count_paths",
     "enumerate_paths", "read_lattice", "sample_paths", "write_lattice",
-    "BoundaryReport", "ResidualReport", "ValueField", "VolumeGrid",
-    "bellman_residual", "boundary_check", "check_value_invariants", "solve",
+    "BoundaryReport", "InvariantScan", "ResidualReport", "ResidualScan", "ValueField",
+    "VolumeGrid", "boundary_check", "solve",
     "ExerciseBoundary", "ExerciseRegions", "MollifiedControl", "PolicyField",
-    "RolloutBundle", "check_inclusion", "check_saturation", "exercise_regions",
+    "RolloutBundle", "ThresholdScan", "check_inclusion", "check_saturation", "exercise_regions",
     "exit_times", "extract_policy", "mollified_iterate", "rollout",
     "MarginalReport", "MarginalRow", "StoppingRule",
     "evaluate_stop_rule", "marginal_value_report", "optimal_predictable_stop",

@@ -21,9 +21,9 @@ from .models import (MAX_PATHS, InvariantError, PreconditionError, TimeGrid,
                      _strings, _write_table, build_binary_example, build_binomial, count_paths,
                      enumerate_paths, read_lattice, sample_paths, write_lattice)
 from .oracle import brute_force_value
-from .policy import (ThresholdScan, check_inclusion, check_saturation, exit_times,
-                     extract_policy, inclusion_reads, rollout)
-from .solver import InvariantScan, ResidualScan, VolumeGrid, boundary_check, solve
+from .policy import (check_inclusion, check_saturation, exit_times, extract_policy,
+                     inclusion_reads, rollout)
+from .solver import InvariantScan, ResidualScan, VolumeGrid, boundary_check
 from .stopping import marginal_value_report
 
 _KEY_TYPES = {
@@ -173,7 +173,7 @@ def _write_value_field(fh, field):
     for k in range(tg.K + 1):
         dm = _strings(field.dminus(k), " %.17g", seen_dm)
         _write_table(fh, (times[k] + nodes[:sizes[k]])[:, None], levels,
-                     _strings(field.values[k], " %.17g", seen_J), dm, dm[:, right])
+                     _strings(field.row(k), " %.17g", seen_J), dm, dm[:, right])
     fh.write("\n")
 
 
@@ -214,8 +214,7 @@ def _solve_all(cfg: dict, model=None, keep=None, scans=()):
     if model is None:
         lattice, tg, L = build_model(cfg)
         model = lattice, tg, VolumeGrid.aligned(L, tg)
-    scan = ThresholdScan(cfg.get("tie_tol", 1e-9))
-    return extract_policy(solve(*model, keep, scan, *scans), scan.tie_tol, scan.result())
+    return extract_policy(*model, cfg.get("tie_tol", 1e-9), keep, *scans)
 
 
 def _prepare(cfg: dict, store: bool = True, scans=(), **ensemble):
@@ -251,7 +250,7 @@ def _export_price(out_dir: str, policy, ens, starts):
     summary, runs = [], []
     for (t0, y0), (k0, pos0) in zip(starts, _start_indices(starts, field.time_grid,
                                                            field.volume_grid)):
-        value = float(occ[k0] @ field.values[k0][:, pos0])
+        value = float(occ[k0] @ field.row(k0)[:, pos0])
         summary.append("J(%.17g,%.17g)=%.17g" % (t0, y0, value))
         bundle = rollout(policy, ens, (k0, y0))
         summary.append("rollout_mean(%.17g,%.17g)=%.17g" % (t0, y0, bundle.mean))
@@ -274,11 +273,11 @@ def _verify_checks(cfg: dict):
     policy, ens, starts = _prepare(cfg, False, (invariants, residual), n_paths=256,
                                    prefer_exhaustive=True)
     field, lattice, vg = policy.field, policy.field.lattice, policy.field.volume_grid
-    results = []
+    results, bundle = [], rollout(policy, ens, (0, 0.0))
     try:        # one replay answers the dminus_at reads of both rollout checks
-        field.keep(inclusion_reads(rollout(policy, ens, (0, 0.0))) + _pre_exit(policy)[2])
+        field.keep(inclusion_reads(bundle) + _pre_exit(policy)[2])
     except ValueError:      # the optimal_martingale line reports it
-        field.keep(inclusion_reads(rollout(policy, ens, (0, 0.0))))
+        field.keep(inclusion_reads(bundle))
 
     def run(name, fn):
         try:
@@ -309,7 +308,6 @@ def _verify_checks(cfg: dict):
         return "deep %.3g" % rep.max_deep
 
     def check_rollout():
-        bundle = rollout(policy, ens, (0, 0.0))
         inc = check_inclusion(bundle)
         saturated = check_saturation(bundle)
         if ens.exhaustive:

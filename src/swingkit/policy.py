@@ -10,25 +10,26 @@ saturating optimal control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .models import InvariantError, PathEnsemble
-from .solver import Slice, ValueField
+from .solver import Slice, ValueField, solve
 
 TIE_TOL = 1e-9
 
 
 class ThresholdScan:
     """The thresholds of PolicyField, fed (field, Slice) for k = K down to 0.
-    result() raises for the lowest slice whose rate-L set is not a prefix."""
+    result() raises for the lowest slice whose rate-L set is not a prefix,
+    else for the lowest one without the full rate on and below the boundary."""
 
     def __init__(self, tie_tol: float):
         if not (np.isfinite(tie_tol) and tie_tol >= 0):
             raise ValueError("tie_tol must be finite and nonnegative, got %r" % tie_tol)
         self.tie_tol = tie_tol
-        self.thr, self.error = {}, None
+        self.thr, self.error, self.below = {}, None, None
 
     def __call__(self, field: ValueField, s: Slice):
         vg, k = field.volume_grid, s.k
@@ -42,10 +43,15 @@ class ThresholdScan:
         if bad.size:
             self.error = "policy at slice %d node %d is not a volume threshold" % (k, bad[0])
         self.thr[k] = (lo - 1 + go.sum(axis=1)).astype(np.int32)
+        if np.any(self.thr[k] < vg.boundary_pos(k)):
+            self.below = k
 
     def result(self) -> list:
         if self.error is not None:
             raise InvariantError(self.error)
+        if self.below is not None:
+            raise InvariantError("full rate not selected below the boundary at slice %d"
+                                 % self.below)
         return [self.thr[k] for k in range(len(self.thr))]
 
 
@@ -56,17 +62,12 @@ class PolicyField:
     thr[k][node] is the highest position at which the optimal rate is L
     (-1 for none): X + dminus(level+1) >= -tie_tol holds exactly at the
     positions up to it. J is concave in the volume, so that set is a prefix
-    of the levels; a row that is not raises InvariantError. Without thr a
-    ThresholdScan reads them off the stored field.
+    of the levels, which the ThresholdScan that read thr checked.
     """
 
     field: ValueField
-    tie_tol: float = TIE_TOL
-    thr: list = dataclass_field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.thr is None:
-            self.thr = self.field.feed(ThresholdScan(self.tie_tol))
+    tie_tol: float
+    thr: list
 
     @property
     def L(self) -> float:
@@ -78,20 +79,17 @@ class PolicyField:
         return pos <= self.thr[k][nodes]
 
 
-def extract_policy(field: ValueField, tie_tol: float = TIE_TOL, thr: list = None) -> PolicyField:
-    """The bang-bang policy of a solved field, with the thresholds thr if a
-    ThresholdScan read them while solve solved the field.
+def extract_policy(lattice, time_grid, volume_grid, tie_tol: float = TIE_TOL, keep=None,
+                   *scans) -> PolicyField:
+    """The bang-bang policy, read by a ThresholdScan off the sweep of
+    solve(lattice, time_grid, volume_grid, keep, *scans), which feeds it first.
 
-    decision = L iff X + dminus(level+1) >= -tie_tol and the cap leaves room.
-    The forced full rate on and below the moving boundary is verified before
-    returning.
+    decision = L iff X + dminus(level+1) >= -tie_tol and the cap leaves room;
+    a bad tie_tol is refused before the solve.
     """
-    policy = PolicyField(field, tie_tol, thr)
-    vg = field.volume_grid
-    for k in range(field.time_grid.K):
-        if np.any(policy.thr[k] < vg.boundary_pos(k)):
-            raise InvariantError("full rate not selected below the boundary at slice %d" % k)
-    return policy
+    scan = ThresholdScan(tie_tol)
+    field = solve(lattice, time_grid, volume_grid, keep, scan, *scans)
+    return PolicyField(field, tie_tol, scan.result())
 
 
 @dataclass(eq=False)

@@ -8,9 +8,7 @@ successor values are evaluated on aligned levels.
 
 from __future__ import annotations
 
-import operator
 from collections import namedtuple
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,22 +100,6 @@ class VolumeGrid:
         return np.minimum(pos + 1, self.cap_pos)
 
 
-class _Rows(Sequence):
-    """Read-only sequence of full (node x level) slices, each built on demand."""
-
-    def __init__(self, build, n: int):
-        self._build = build
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, k):
-        row = self._build(range(self._n)[operator.index(k)])
-        row.flags.writeable = False
-        return row
-
-
 class _Points:
     """Band entries at sorted keys node * width + j, read like the band slice
     as points[nodes, j]; a last key past all others ends every search."""
@@ -136,7 +118,7 @@ class _Points:
 
 
 # slice k of the band recursion: its tail and band, J = its row from
-# scan_start(k) and ej = E[J_{k+1} | node] from scan_start(k + 1), or None
+# scan_start(k) and ej = E[J_{k+1} | node] from scan_start(k + 1) (None at K)
 Slice = namedtuple("Slice", "k tail band J ej")
 
 
@@ -158,7 +140,7 @@ class ValueField:
 
     band[k] holds the positions strictly between the full-rate boundary and
     the cap (n_tail(k) .. cap_pos - 1). At and below the boundary J equals the
-    full-rate value tail[k][node] and at the cap it is 0, so values[k] builds
+    full-rate value tail[k][node] and at the cap it is 0, so row(k) builds
     the full slice from the three parts when it is read. Where solve was not
     asked to keep the band, band[k] holds only the points keep() asked for.
     The field keeps the lattice and grids it was solved on, so everything
@@ -172,20 +154,16 @@ class ValueField:
     band: list
 
     @property
-    def values(self) -> Sequence:
-        return _Rows(self.row, len(self.tail))
-
-    @property
     def nbytes(self) -> int:
         return sum(a.nbytes for a in self.tail + self.band if isinstance(a, np.ndarray))
 
-    def row(self, k: int, lo: int = 0) -> np.ndarray:
+    def row(self, k: int) -> np.ndarray:
         if not isinstance(self.band[k], np.ndarray):
             raise TypeError("the band of slice %d was not kept" % k)
-        return _row(self.volume_grid, k, self.tail[k], self.band[k], lo)
+        return _row(self.volume_grid, k, self.tail[k], self.band[k], 0)
 
     def point(self, k: int, nodes, pos) -> np.ndarray:
-        """values[k][nodes, pos] for broadcast index arrays, gathered from the
+        """row(k)[nodes, pos] for broadcast index arrays, gathered from the
         band and the tail without building the slice."""
         nodes, pos = np.broadcast_arrays(np.asarray(nodes), np.asarray(pos))
         nt = self.volume_grid.n_tail(k)
@@ -210,14 +188,6 @@ class ValueField:
         for s in _recursion(self.lattice, self.time_grid, self.volume_grid) if want else ():
             if s.k in want:
                 self.band[s.k] = _Points(s.band, np.union1d(self.band[s.k].keys[:-1], want[s.k]))
-
-    def feed(self, scan):
-        """Feed scan(field, Slice) the stored slices, K down to 0 (ej None),
-        and return scan.result()."""
-        for k in range(self.time_grid.K, -1, -1):
-            J = self.row(k, self.volume_grid.scan_start(k))
-            scan(self, Slice(k, self.tail[k], self.band[k], J, None))
-        return scan.result()
 
     def at(self, k: int, node: int, y: float) -> float:
         return float(self.point(k, node, self.volume_grid.index_of(y)))
@@ -330,11 +300,6 @@ class InvariantScan:
         return self.report
 
 
-def check_value_invariants(field: ValueField) -> dict:
-    """The InvariantScan of a stored field."""
-    return field.feed(InvariantScan())
-
-
 @dataclass(eq=False)
 class ResidualReport:
     """Largest one-step consistency residual of a solved field.
@@ -361,10 +326,22 @@ def _window(field: ValueField, vals: np.ndarray, first: int, lo: int):
 
 
 class ResidualScan:
-    """bellman_residual fed (field, Slice), k = K down to 0, against the row
-    of slice k+1 fed before and the slice's ej (taken here if it has none)."""
+    """Residual of J against its one-step optimality identity, fed (field,
+    Slice), k = K down to 0, against the row of slice k+1 fed before.
+
+    implicit: r = J_k - (step*(X + dminus_k)_+ + E[J_{k+1}]), with the
+    derivative taken from the solved field at the same time index and
+    E[J_{k+1}] the slice's ej; explicit: the derivative and positive part
+    are taken at k+1 inside the conditional expectation instead. Slice k is
+    scanned from position max(b - 1, 0), b = boundary_pos(k), to the cap.
+    Every position further down is full-rate at k and k+1, so its residual
+    column is that of position b - 1 (or, at position 0, masked or equal to
+    it), and the maximum is the one the full slice gives.
+    """
 
     def __init__(self, form: str):
+        if form not in ("implicit", "explicit"):
+            raise ValueError("form must be 'implicit' or 'explicit'")
         self.form, self.max_abs, self.nxt = form, 0.0, None
 
     def __call__(self, field: ValueField, s: Slice):
@@ -376,9 +353,8 @@ class ResidualScan:
         lo = max(b - 1, 0)
         v, dm = _window(field, s.J, vg.scan_start(k), lo)
         if self.form == "implicit":
-            ej = lattice.expect_next(k, nxt) if s.ej is None else s.ej
             r = v - (vg.step * np.maximum(lattice.x(k)[:, None] + dm, 0.0)
-                     + ej[:, lo - vg.scan_start(k + 1):])
+                     + s.ej[:, lo - vg.scan_start(k + 1):])
         else:
             nv, dm_next = _window(field, nxt, vg.scan_start(k + 1), lo)
             start, child, prob = lattice.edges(k)
@@ -393,23 +369,6 @@ class ResidualScan:
 
     def result(self) -> ResidualReport:
         return ResidualReport(self.form, self.max_abs)
-
-
-def bellman_residual(field: ValueField, form: str) -> ResidualReport:
-    """Residual of J against its one-step optimality identity.
-
-    implicit: r = J_k - (step*(X + dminus_k)_+ + E[J_{k+1}]), with the
-    derivative taken from the solved field at the same time index; explicit:
-    the derivative and positive part are taken at k+1 inside the conditional
-    expectation instead. Slice k is scanned from position max(b - 1, 0),
-    b = boundary_pos(k), to the cap. Every position further down is
-    full-rate at k and k+1, so its residual column is that of position b - 1
-    (or, at position 0, masked or equal to it), and the maximum is the one
-    the full slice gives.
-    """
-    if form not in ("implicit", "explicit"):
-        raise ValueError("form must be 'implicit' or 'explicit'")
-    return field.feed(ResidualScan(form))
 
 
 @dataclass(eq=False)

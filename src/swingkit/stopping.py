@@ -23,17 +23,15 @@ class StoppingRule:
     first-hit semantics.
 
     A predictable rule keeps the stop flag constant across all children of
-    each parent node, so {sigma = t_k} is decided at t_{k-1}.
+    each parent node, so {sigma = t_k} is decided at t_{k-1}; check_predictable()
+    raises unless the rule is one.
     """
 
     lattice: ScenarioLattice
     stop: list
-    predictable: bool
     k0: int
 
     def check_predictable(self):
-        if not self.predictable:
-            return
         for k in range(self.k0 + 1, self.lattice.n_steps + 1):
             start, child, _ = self.lattice.edges(k - 1)
             stops = np.add.reduceat(self.stop[k][child].astype(np.int64), start[:-1])
@@ -136,7 +134,7 @@ def optimal_predictable_stop(bundle: RolloutBundle, constraint: str):
         stop[k + 1][child[stopping]] = True
         alive = np.zeros(lattice.n_nodes(k + 1), dtype=bool)
         alive[child[moving & ~stopping]] = True
-    rule = StoppingRule(lattice, stop, True, k0)
+    rule = StoppingRule(lattice, stop, k0)
     rule.check_predictable()
     return rule, best
 

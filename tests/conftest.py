@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from swingkit import (DualReport, Envelope, InvariantError, LatticeNode, MartingaleField,
                       OptimalMartingaleResult, ScenarioLattice, TimeGrid, VolumeGrid,
-                      build_binary_example, build_binomial, enumerate_paths, extract_policy,
-                      solve)
-from swingkit.solver import EXACT_TOL
+                      build_binary_example, build_binomial, enumerate_paths, extract_policy)
+from swingkit.solver import EXACT_TOL, Slice
 
 
 def exp_sigma_params(K, T=2.0, sigma=0.15):
@@ -37,16 +36,29 @@ def with_policy(make):
     """Gap-study policy maker: the default-tolerance policy of the solved
     field of make(K) = (lattice, tg, vg)."""
     def make_policy(K):
-        return extract_policy(solve(*make(K)))
+        return extract_policy(*make(K))
     return make_policy
 
 
 def solved(lattice, T, L=1.0):
     tg = TimeGrid(T, lattice.n_steps)
     vg = VolumeGrid.aligned(L, tg)
-    field = solve(lattice, tg, vg)
-    policy = extract_policy(field)
-    return tg, vg, field, policy
+    policy = extract_policy(lattice, tg, vg)
+    return tg, vg, policy.field, policy
+
+
+def feed(field, scan):
+    """scan.result() after feeding scan(field, Slice) the stored slices of
+    field, K down to 0, shaped as solve's sweep makes them: J from
+    scan_start(k), and ej = E[J_{k+1}] taken by expect_next from the next
+    row. Test harness for fields that no sweep made, such as dented ones."""
+    vg, nxt = field.volume_grid, None
+    for k in range(field.time_grid.K, -1, -1):
+        J = np.ascontiguousarray(field.row(k)[:, vg.scan_start(k):])
+        ej = None if nxt is None else field.lattice.expect_next(k, nxt)
+        scan(field, Slice(k, field.tail[k], field.band[k], J, ej))
+        nxt = J
+    return scan.result()
 
 
 def reference_solve(lattice, tg, vg):
@@ -159,19 +171,19 @@ def reference_read_lattice(path: str):
 
 
 def reference_check_value_invariants(field):
-    """check_value_invariants as it was before the second difference was
-    taken from the first."""
+    """The InvariantScan of a stored field as it was before the second
+    difference was taken from the first and the rows were cut to the band."""
     vg = field.volume_grid
     step = vg.step
     K = field.time_grid.K
     z = Envelope(field.lattice, "max").values
     report = {"monotone": 0.0, "concavity": 0.0, "lipschitz": 0.0, "terminal": 0.0}
-    term = float(np.abs(field.values[K]).max())
+    term = float(np.abs(field.row(K)).max())
     report["terminal"] = term
     if term != 0.0:
         raise InvariantError("terminal values are not identically zero")
     for k in range(K + 1):
-        vals = field.values[k]
+        vals = field.row(k)
         d1 = np.diff(vals, axis=1)
         worst = float(d1.max())
         report["monotone"] = max(report["monotone"], worst)
@@ -192,26 +204,26 @@ def reference_check_value_invariants(field):
 
 
 def reference_bellman_residual(field, form="implicit"):
-    """bellman_residual as it was before each slice was built once: J_k and
-    J_{k+1} rebuilt per use, and the finite residuals copied out before the
-    reduction. Returns (form, max_abs)."""
+    """The ResidualScan of a stored field as it was before each slice was
+    built once: J_k and J_{k+1} rebuilt per use, and the finite residuals
+    copied out before the reduction. Returns (form, max_abs)."""
     lattice = field.lattice
     vg = field.volume_grid
     step = vg.step
     K = field.time_grid.K
     max_abs = 0.0
     for k in range(K):
-        vals = field.values[k]
+        vals = field.row(k)
         x = lattice.x(k)
         dm = field.dminus(k)
         if form == "implicit":
-            ej = reference_expect_next(lattice, k, field.values[k + 1])
+            ej = reference_expect_next(lattice, k, field.row(k + 1))
             r = vals - (step * np.maximum(x[:, None] + dm, 0.0) + ej)
         else:
             start, child, prob = lattice.edges(k)
             dm_next = field.dminus(k + 1)[child]
             inner = (step * np.maximum(x[reference_parents(lattice, k), None] + dm_next, 0.0)
-                     + field.values[k + 1][child])
+                     + field.row(k + 1)[child])
             r = vals - np.add.reduceat(prob[:, None] * inner, start[:-1])
         b = vg.boundary_pos(k)
         if 0 <= b < vg.n_levels:
@@ -237,7 +249,7 @@ def reference_boundary_check(field, tol=EXACT_TOL):
     max_deep = 0.0
     violations = []
     for k in range(K + 1):
-        vals = field.values[k]
+        vals = field.row(k)
         hi = min(vg.boundary_pos(k), vg.n_levels - 1)
         if hi >= 0:
             err = float(np.abs(vals[:, :hi + 1] - tail[k][:, None]).max())

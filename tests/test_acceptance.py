@@ -11,9 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from swingkit import (StoppingRule, TimeGrid, VolumeGrid, boundary_check,
+from swingkit import (InvariantScan, StoppingRule, TimeGrid, VolumeGrid, boundary_check,
                       brute_force_value, build_binary_example, build_binomial,
-                      check_inclusion, check_saturation, check_value_invariants,
+                      check_inclusion, check_saturation,
                       closed_form, constant_martingale, dual_value,
                       duality_gap_study, enumerate_paths, evaluate_stop_rule, exercise_regions,
                       exit_times, extract_policy, mollified_iterate,
@@ -68,7 +68,7 @@ def binary_multi():
 @pytest.fixture(scope="module")
 def binary_solved(binary_multi):
     b = dict(binary_multi[96])
-    b["policy"] = extract_policy(b["field"])
+    b["policy"] = extract_policy(b["lat"], b["tg"], b["vg"])
     b["ens"] = enumerate_paths(b["lat"])
     return b
 
@@ -108,7 +108,7 @@ def test_criterion_03_predictability_separation(binary_solved):
     stop = [np.zeros(b["lat"].n_nodes(k), dtype=bool) for k in range(97)]
     stop[32][0] = True
     stop[80][1] = True
-    rule = StoppingRule(b["lat"], stop=stop, predictable=False, k0=0)
+    rule = StoppingRule(b["lat"], stop=stop, k0=0)
     ripped = evaluate_stop_rule(rule, b["ens"])
     seconds = time.perf_counter() - start
     assert sup_a == 1.5
@@ -200,9 +200,10 @@ def test_criterion_07_closed_forms():
 def test_criterion_08_invariant_suite():
     details = []
     for name, (lat, tg, vg) in shipped_models(96):
-        field = solve(lat, tg, vg)
-        policy = extract_policy(field)
-        check_value_invariants(field)
+        invariants = InvariantScan()
+        policy = extract_policy(lat, tg, vg, 1e-9, None, invariants)
+        field = policy.field
+        invariants.result()
         rep = boundary_check(field)
         assert rep.violations == []
         try:

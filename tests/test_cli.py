@@ -145,12 +145,12 @@ def test_cli_refuses_bad_input_before_the_solve(tmp_path, capsys, monkeypatch, c
                                                 text, message):
     """The starts and the path ensemble are checked before the solve: each
     bad input exits 1 with its message, writes nothing and never solves."""
-    import swingkit.cli as cli
+    import swingkit.policy as policy
 
     def no_solve(*args, **kwargs):
         raise AssertionError("solve was called")
 
-    monkeypatch.setattr(cli, "solve", no_solve)
+    monkeypatch.setattr(policy, "solve", no_solve)
     if command == "verify" and text == BINOMIAL_K20:
         # verify samples 256 paths where there are too many to enumerate,
         # so only a forced enumeration is refused there
@@ -271,16 +271,16 @@ def test_cli_example_builds_each_martingale_once(tmp_path, monkeypatch):
 def test_cli_example_solves_each_k_once(tmp_path, monkeypatch):
     """The dual study reuses the example's own solved K instead of solving
     it again."""
-    import swingkit.cli as cli
     import swingkit.duality as duality
+    import swingkit.policy as policy
     seen = []
-    real = cli.solve
+    real = policy.solve
 
     def counting(lattice, tg, *args, **kwargs):
         seen.append(tg.K)
         return real(lattice, tg, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "solve", counting)
+    monkeypatch.setattr(policy, "solve", counting)
     monkeypatch.setattr(duality, "solve", counting, raising=False)
     assert main(["example", "--steps", "12", "--out", str(tmp_path)]) == 0
     assert sorted(seen) == [6, 12, 24]
@@ -292,9 +292,9 @@ def spy_extract_policy(monkeypatch):
     seen = []
     real = cli.extract_policy
 
-    def spying(field, tie_tol, *rest):
-        seen.append((field.time_grid.K, tie_tol))
-        return real(field, tie_tol, *rest)
+    def spying(lattice, tg, vg, tie_tol, *rest):
+        seen.append((tg.K, tie_tol))
+        return real(lattice, tg, vg, tie_tol, *rest)
 
     monkeypatch.setattr(cli, "extract_policy", spying)
     return seen

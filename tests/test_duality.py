@@ -5,8 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 from swingkit import (InvariantError, LatticeNode, ScenarioLattice, TimeGrid,
                       VolumeGrid, build_binomial, build_optimal_martingale,
                       constant_martingale, doob_martingale_of_terminal,
-                      dual_value, duality_gap_study, extract_policy, random_martingale,
-                      solve)
+                      dual_value, duality_gap_study, extract_policy, random_martingale)
 
 from conftest import (collision_lattice, make_exp_martingale, reference_optimal_martingale,
                       solved, tiny_lattice_rows, with_policy)
@@ -125,9 +124,9 @@ def test_dual_needs_lt_above_one():
     vg = VolumeGrid.aligned(1.0, tg)
     with pytest.raises(ValueError, match="needs L\\*T > 1"):
         dual_value(constant_martingale(lat, 1.0), vg)
-    field = solve(lat, tg, vg)
+    policy = extract_policy(lat, tg, vg)
     with pytest.raises(ValueError, match="needs L\\*T > 1"):
-        build_optimal_martingale(extract_policy(field))
+        build_optimal_martingale(policy)
 
 
 def test_dual_value_refuses_a_grid_of_another_step_count():
@@ -182,7 +181,7 @@ def test_optimal_martingale_constant_model():
     lat = build_binomial("constant", 48, 3.0, c=c)
     tg = TimeGrid(3.0, 48)
     vg = VolumeGrid.aligned(1.0, tg)
-    res = build_optimal_martingale(extract_policy(solve(lat, tg, vg)))
+    res = build_optimal_martingale(extract_policy(lat, tg, vg))
     assert all(float(np.max(np.abs(res.field.values[k] - c))) == 0.0
                for k in range(49))
     assert res.report.gap == 0.0
@@ -193,16 +192,16 @@ def test_optimal_martingale_detects_path_dependence():
                          p_up=0.5)
     tg = TimeGrid(2.0, 48)
     vg = VolumeGrid.aligned(1.0, tg)
-    field = solve(lat, tg, vg)
+    policy = extract_policy(lat, tg, vg)
     with pytest.raises(ValueError, match="path-dependent"):
-        build_optimal_martingale(extract_policy(field))
+        build_optimal_martingale(policy)
 
 
 def test_optimal_martingale_rejects_level_collision():
     lat, tg, vg = collision_lattice()
-    field = solve(lat, tg, vg)
+    policy = extract_policy(lat, tg, vg)
     with pytest.raises(ValueError, match="pre-exit volume level"):
-        build_optimal_martingale(extract_policy(field))
+        build_optimal_martingale(policy)
 
 
 def test_optimal_martingale_needs_single_root():
@@ -211,9 +210,9 @@ def test_optimal_martingale_needs_single_root():
     lat = ScenarioLattice.from_rows(slices).validate()
     tg = TimeGrid(2.0, 2)
     vg = VolumeGrid.aligned(1.0, tg)
-    field = solve(lat, tg, vg)
+    policy = extract_policy(lat, tg, vg)
     with pytest.raises(ValueError, match="single-root"):
-        build_optimal_martingale(extract_policy(field))
+        build_optimal_martingale(policy)
 
 
 def test_gap_study_binary_is_exactly_tight():

@@ -27,7 +27,7 @@ def reference_value_field(field, lattice) -> str:
     times, levels = tg.times.tolist(), vg.levels.tolist()
     lines = ["t node y J dminus dplus"]
     for k in range(tg.K + 1):
-        t, J = times[k], field.values[k].tolist()
+        t, J = times[k], field.row(k).tolist()
         dm, dp = field.dminus(k).tolist(), field.dplus(k).tolist()
         for n in range(lattice.n_nodes(k)):
             for p in range(vg.n_levels):
@@ -141,7 +141,7 @@ def test_value_field_formats_each_distinct_value_once_per_file(monkeypatch):
     def distinct(slices):
         return np.unique(np.concatenate([s.ravel() for s in slices]).view(np.int64)).size
 
-    J = [field.values[k] for k in range(K + 1)]
+    J = [field.row(k) for k in range(K + 1)]
     dm = [field.dminus(k) for k in range(K + 1)]
     assert sum(formatted) == distinct(J) + distinct(dm) + (K + 1) + n_levels
     assert sum(distinct([s]) for s in J + dm) > distinct(J) + distinct(dm)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swingkit import (ExerciseRegions, InvariantError, PolicyField, ScenarioLattice,
+from swingkit import (ExerciseRegions, InvariantError, ScenarioLattice, ThresholdScan,
                       ValueField, brute_force_value, build_binary_example, build_binomial,
                       check_inclusion, check_saturation, enumerate_paths, exercise_regions,
                       exit_times, extract_policy, mollified_iterate, rollout)
 
-from conftest import (dense_go, is_threshold, make_exp_martingale, region_masks, solved,
+from conftest import (dense_go, feed, is_threshold, make_exp_martingale, region_masks, solved,
                       tiny_lattice_rows)
 
 
@@ -27,21 +27,26 @@ def test_binary_policy_switches_at_the_jump(binary96):
 def test_go_matches_the_dense_rule(rows, j_cap, flat, tie_tol):
     """go(k, nodes, pos) equals the dense (node x level) rule pos < cap and
     X + (J[pos+1] - J[pos]) / step >= -tie_tol, broadcast or one state at a
-    time, whenever every row of that rule is a volume threshold; otherwise
-    building the policy raises InvariantError. A constant X puts the whole
-    band on a tie, which any tie_tol >= 1e-9 resolves to the full rate, while
-    tie_tol = 0 leaves rounding to split the tie."""
+    time, whenever every row of that rule is a volume threshold that takes
+    the full rate on and below the boundary; otherwise building the policy
+    raises InvariantError. A constant X puts the whole band on a tie, which
+    any tie_tol >= 1e-9 resolves to the full rate, while tie_tol = 0 leaves
+    rounding to split the tie."""
     if flat:
         rows = [[replace(nd, x=rows[0][0].x) for nd in row] for row in rows]
     lat = ScenarioLattice.from_rows(rows).validate()
     K = lat.n_steps
     tg, vg, field, _ = solved(lat, float(K), 1.0 / j_cap)
-    wants = [dense_go(lat, k, field.values[k], vg, tie_tol) for k in range(K)]
+    wants = [dense_go(lat, k, field.row(k), vg, tie_tol) for k in range(K)]
     if not all(map(is_threshold, wants)):
         with pytest.raises(InvariantError, match="not a volume threshold"):
-            PolicyField(field, tie_tol)
+            extract_policy(lat, tg, vg, tie_tol)
         return
-    pol = PolicyField(field, tie_tol)
+    if any(np.any(want.sum(axis=1) - 1 < vg.boundary_pos(k)) for k, want in enumerate(wants)):
+        with pytest.raises(InvariantError, match="full rate not selected below the boundary"):
+            extract_policy(lat, tg, vg, tie_tol)
+        return
+    pol = extract_policy(lat, tg, vg, tie_tol)
     for k, want in enumerate(wants):
         got = pol.go(k, np.arange(lat.n_nodes(k))[:, None], np.arange(vg.n_levels))
         assert np.array_equal(got, want)
@@ -61,13 +66,20 @@ def test_extract_policy_rejects_a_non_threshold_row(binary96):
     band[k][n, 1] -= 10.0
     broken = replace(field, band=band)
     with pytest.raises(InvariantError, match="slice 60 node 0 is not a volume threshold"):
-        extract_policy(broken)
+        feed(broken, ThresholdScan(1e-9))
 
 
-def test_extract_policy_rejects_a_bad_tie_tol(binary96):
+def test_extract_policy_rejects_a_bad_tie_tol(binary96, monkeypatch):
+    """A bad tie_tol is refused before the model is solved."""
+    import swingkit.policy
+
+    def unsolved(*args):
+        raise AssertionError("solved with a bad tie_tol")
+
+    monkeypatch.setattr(swingkit.policy, "solve", unsolved)
     for bad in (np.nan, np.inf, -1.0, -1e-12):
         with pytest.raises(ValueError, match="tie_tol"):
-            extract_policy(binary96["field"], bad)
+            extract_policy(binary96["lat"], binary96["tg"], binary96["vg"], bad)
 
 
 def test_submartingale_policy_is_the_late_window():
@@ -136,7 +148,7 @@ def test_rollout_from_a_node(rows, j_cap):
             mass = np.bincount(start, b.weights, minlength=lat.n_nodes(k0))
             assert np.all(mass > 0)   # every drawn node is reachable
             mean = np.bincount(start, b.weights * b.rewards, minlength=lat.n_nodes(k0)) / mass
-            J = field.values[k0][:, pos0]
+            J = field.row(k0)[:, pos0]
             assert np.all(J - (K - k0) * vg.step * pol.tie_tol - 1e-12 <= mean)
             assert np.all(mean <= J + 1e-12)
 
@@ -184,11 +196,11 @@ def test_inclusion_reads_the_bundles_policy_and_tie_tol():
     -0.25; the check reads that tolerance off the bundle's policy, and the
     same rates judged by a default-tolerance policy fail."""
     lat = build_binary_example(12)
-    field = solved(lat, 3.0)[2]
-    loose = rollout(extract_policy(field, 0.5), enumerate_paths(lat), (0, 0.0))
+    tg, vg, _, policy = solved(lat, 3.0)
+    loose = rollout(extract_policy(lat, tg, vg, 0.5), enumerate_paths(lat), (0, 0.0))
     assert check_inclusion(loose) == {"max_zero_side": 0.0, "min_full_side": -0.25}
     with pytest.raises(InvariantError, match="full rate taken where X \\+ D = -0.25 < 0"):
-        check_inclusion(replace(loose, policy=extract_policy(field)))
+        check_inclusion(replace(loose, policy=policy))
 
 
 def test_saturation_in_and_out_of_region(binary96):

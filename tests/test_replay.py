@@ -1,6 +1,7 @@
 """A field that solve keeps at a few slices only (verify, stopping, dual)
-against the stored band (price, example): the scans fed by the one sweep,
-the kept rows and the replayed point reads agree bit for bit."""
+against the stored band (price, example): the scans fed by the one sweep
+give the results of the full-row references, and the kept rows and the
+replayed point reads are the stored bits."""
 
 import tracemalloc
 from dataclasses import replace
@@ -9,14 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swingkit import (InvariantError, ScenarioLattice, TimeGrid, VolumeGrid, bellman_residual,
-                      check_value_invariants, extract_policy, marginal_value_report,
+from swingkit import (InvariantError, InvariantScan, ResidualScan, ScenarioLattice,
+                      ThresholdScan, TimeGrid, VolumeGrid, extract_policy, marginal_value_report,
                       sample_paths, solve)
 from swingkit.cli import main
-from swingkit.policy import ThresholdScan
-from swingkit.solver import InvariantScan, ResidualScan
 
-from conftest import (exp_martingale_keys, make_exp_martingale, reference_check_value_invariants,
+from conftest import (dense_go, exp_martingale_keys, feed, is_threshold, make_exp_martingale,
+                      reference_bellman_residual, reference_check_value_invariants,
                       tiny_lattice_rows)
 
 
@@ -32,10 +32,28 @@ def bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
+def dense_thresholds(field, tie_tol):
+    """The thresholds of the dense rate-L rule on the stored field's full
+    slices, or the first error that building the policy raises."""
+    vg, K = field.volume_grid, field.time_grid.K
+    wants = [dense_go(field.lattice, k, field.row(k), vg, tie_tol) for k in range(K)]
+    bad = [k for k, want in enumerate(wants) if not is_threshold(want)]
+    if bad:
+        go = wants[bad[0]]
+        node = np.flatnonzero((go[:, 1:] & ~go[:, :-1]).any(axis=1))[0]
+        return "InvariantError: policy at slice %d node %d is not a volume threshold" % (
+            bad[0], node)
+    thr = [want.sum(axis=1) - 1 for want in wants]
+    below = [k for k, t in enumerate(thr) if np.any(t < vg.boundary_pos(k))]
+    if below:
+        return "InvariantError: full rate not selected below the boundary at slice %d" % below[0]
+    return thr
+
+
 def same_thresholds(a, b):
     if isinstance(a, str) or isinstance(b, str):
         return a == b
-    return len(a) == len(b) and all(x.dtype == y.dtype == np.int32 and np.array_equal(x, y)
+    return len(a) == len(b) and all(x.dtype == np.int32 and np.array_equal(x, y)
                                     for x, y in zip(a, b))
 
 
@@ -44,11 +62,11 @@ def same_thresholds(a, b):
        tie_tol=st.sampled_from([0.0, 1e-9, 1.0]), data=st.data())
 def test_a_replayed_field_reads_as_the_stored_one(rows, j_cap, flat, tie_tol, data):
     """One pass of the recursion that keeps slice 0 and a start slice feeds
-    the thresholds, the invariants and the implicit residual exactly as the
-    stored field does (or the same first error); its tail and kept rows are
-    the stored bits, and one replay answers drawn dminus_at reads with them.
-    A constant X puts the band on a tie, which tie_tol = 0 lets rounding
-    split into a refused non-threshold row."""
+    the thresholds, the invariants and both residual forms the results of the
+    full-slice references on the stored field (or the same first error); its
+    tail and kept rows are the stored bits, and one replay answers drawn
+    dminus_at reads with them. A constant X puts the band on a tie, which
+    tie_tol = 0 lets rounding split into a refused non-threshold row."""
     if flat:
         rows = [[replace(nd, x=rows[0][0].x) for nd in row] for row in rows]
     lat = ScenarioLattice.from_rows(rows).validate()
@@ -57,13 +75,14 @@ def test_a_replayed_field_reads_as_the_stored_one(rows, j_cap, flat, tie_tol, da
     vg = VolumeGrid.aligned(1.0 / j_cap, tg)
     stored = solve(lat, tg, vg)
     k0 = data.draw(st.integers(0, K - 1))
-    thr, inv, res = ThresholdScan(tie_tol), InvariantScan(), ResidualScan("implicit")
-    field = solve(lat, tg, vg, {0, k0}, thr, inv, res)
+    thr, inv = ThresholdScan(tie_tol), InvariantScan()
+    res = {form: ResidualScan(form) for form in ("implicit", "explicit")}
+    field = solve(lat, tg, vg, {0, k0}, thr, inv, *res.values())
 
-    assert same_thresholds(outcome(thr.result),
-                           outcome(lambda: stored.feed(ThresholdScan(tie_tol))))
-    assert outcome(inv.result) == outcome(lambda: check_value_invariants(stored))
-    assert res.result().max_abs == bellman_residual(stored, "implicit").max_abs
+    assert same_thresholds(outcome(thr.result), dense_thresholds(stored, tie_tol))
+    assert outcome(inv.result) == outcome(lambda: reference_check_value_invariants(stored))
+    for form, scan in res.items():
+        assert bits(scan.result().max_abs) == bits(reference_bellman_residual(stored, form)[1])
     for k in range(K + 1):
         assert np.array_equal(bits(field.tail[k]), bits(stored.tail[k]))
     for k in {0, k0}:
@@ -97,7 +116,9 @@ def test_the_downward_scans_report_the_lowest_failing_slice(rows, j_cap, data):
     """The scans see the slices from K down to 0, as the sweep makes them,
     yet a field dented at two slices reports the first error of an upward
     scan: the invariants as the full-slice reference does, and the policy
-    the lower slice's non-threshold row."""
+    the lower slice's non-threshold row, also when other slices, above or
+    below them, leave the full rate unchosen on the boundary; those alone
+    report the lowest of them."""
     lat = ScenarioLattice.from_rows(rows).validate()
     K = lat.n_steps
     tg = TimeGrid(float(K), K)
@@ -114,14 +135,47 @@ def test_the_downward_scans_report_the_lowest_failing_slice(rows, j_cap, data):
     broken = replace(field, band=band)
     want = outcome(lambda: reference_check_value_invariants(broken))
     assert want.startswith("InvariantError: ")
-    assert outcome(lambda: check_value_invariants(broken)) == want
-    policy = outcome(lambda: extract_policy(broken, 1e-9))
+    assert outcome(lambda: feed(broken, InvariantScan())) == want
+    policy = outcome(lambda: feed(broken, ThresholdScan(1e-9)))
     assert policy.startswith("InvariantError: policy at slice %d node " % dents[0])
+    spare = [k for k in range(K) if vg.boundary_pos(k) >= 0 and k not in dents]
+    if spare:
+        ks = sorted(set(data.draw(st.lists(st.sampled_from(spare), min_size=2, max_size=2))))
+        rows = [(k, data.draw(st.integers(0, lat.n_nodes(k) - 1))) for k in ks]
+        below = "InvariantError: full rate not selected below the boundary at slice %d" % ks[0]
+        assert outcome(lambda: feed(unexercised(field, rows), ThresholdScan(1e-9))) == below
+        assert outcome(lambda: feed(unexercised(broken, rows), ThresholdScan(1e-9))) == policy
+
+
+def unexercised(field, rows):
+    """field with J at each (slice k, node n) of rows falling by 1e6 a level
+    from the boundary up: the rate-L set of that row is empty, a threshold
+    that leaves the full rate unchosen on the boundary."""
+    tail, band = [t.copy() for t in field.tail], [b.copy() for b in field.band]
+    for k, n in rows:
+        w = band[k].shape[1]
+        tail[k][n] = 1e6 * (w + 2)
+        band[k][n] = 1e6 * (w + 1 - np.arange(w))
+    return replace(field, tail=tail, band=band)
+
+
+def test_a_kept_sweep_gives_the_reference_residuals_at_k384():
+    """Both residual forms, fed by a sweep that keeps slice 0 only, give the
+    full-row reference residuals of the stored K=384 exp-martingale field
+    bit for bit."""
+    lat = make_exp_martingale(384)
+    tg = TimeGrid(2.0, 384)
+    vg = VolumeGrid.aligned(1.0, tg)
+    res = {form: ResidualScan(form) for form in ("implicit", "explicit")}
+    solve(lat, tg, vg, {0}, *res.values())
+    stored = solve(lat, tg, vg)
+    for form, scan in res.items():
+        assert bits(scan.result().max_abs) == bits(reference_bellman_residual(stored, form)[1])
 
 
 STARTS = [(0.0, 0.0), (0.5, 0.5), (1.0, 0.25), (0.25, 1.0), (1.0, 0.0), (1.5, 0.25)]
 
-# occ[k0] @ values[k0][:, pos0] (the price summary) and the marginal table's
+# occ[k0] @ row(k0)[:, pos0] (the price summary) and the marginal table's
 # -D-J, -D+J, snell_sup and snell_inf at STARTS, as float.hex. The `@` sums
 # run over a strided column, whose layout decides their bits.
 PINS = {
@@ -151,12 +205,10 @@ def test_summary_and_marginal_values_are_pinned(K):
     lat = make_exp_martingale(K)
     tg = TimeGrid(2.0, K)
     vg = VolumeGrid.aligned(1.0, tg)
-    scan = ThresholdScan(1e-9)
-    kept = solve(lat, tg, vg, {0} | {tg.start_index(t) for t, _ in STARTS}, scan)
+    keep = {0} | {tg.start_index(t) for t, _ in STARTS}
     occ, ens = lat.occupancy(), sample_paths(lat, 8, 1)
-    for policy in (extract_policy(solve(lat, tg, vg)), extract_policy(kept, 1e-9, scan.result())):
-        values = policy.field.values
-        summary = [float(occ[k0] @ values[k0][:, vg.index_of(y)])
+    for policy in (extract_policy(lat, tg, vg), extract_policy(lat, tg, vg, 1e-9, keep)):
+        summary = [float(occ[k0] @ policy.field.row(k0)[:, vg.index_of(y)])
                    for k0, y in ((tg.start_index(t), y) for t, y in STARTS)]
         assert [v.hex() for v in summary] == PINS[K][0]
         rows = marginal_value_report(policy, ens, STARTS).rows

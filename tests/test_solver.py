@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from swingkit import (Envelope, InvariantError, LatticeNode, ScenarioLattice, TimeGrid,
-                      ValueField, VolumeGrid, bellman_residual, boundary_check,
-                      build_binary_example, build_binomial, check_value_invariants,
-                      extract_policy, solve)
+import swingkit.solver
+from swingkit import (Envelope, InvariantError, InvariantScan, LatticeNode, ResidualScan,
+                      ScenarioLattice, TimeGrid, ValueField, VolumeGrid, boundary_check,
+                      build_binary_example, build_binomial, extract_policy, solve)
 
-from conftest import (dense_go, is_threshold, make_exp_martingale, reference_bellman_residual,
-                      reference_boundary_check, reference_check_value_invariants,
-                      reference_solve, region_masks, solved, tiny_lattice_rows)
+from conftest import (dense_go, feed, is_threshold, make_exp_martingale,
+                      reference_bellman_residual, reference_boundary_check,
+                      reference_check_value_invariants, reference_solve, region_masks, solved,
+                      tiny_lattice_rows)
 
 
 def test_volume_grid_anchors():
@@ -76,7 +77,7 @@ def test_constant_value_matches_closed_form_everywhere():
         t = tg.times[k]
         want = c * np.minimum(1.0 - vg.levels, vg.L * (tg.T - t))
         want = np.maximum(want, 0.0)
-        worst = max(worst, float(np.max(np.abs(field.values[k][0] - want))))
+        worst = max(worst, float(np.max(np.abs(field.row(k)[0] - want))))
     assert worst <= 1e-12
 
 
@@ -88,22 +89,24 @@ def test_two_step_martingale_value():
 
 
 def test_bellman_residual_implicit_is_exact(binary96):
-    rep = bellman_residual(binary96["field"], "implicit")
+    rep = feed(binary96["field"], ResidualScan("implicit"))
     assert rep.form == "implicit"
     assert rep.max_abs <= 1e-12
     lat = build_binomial("constant", 24, 3.0, c=1.0)
-    tg, vg, field, _ = solved(lat, 3.0)
-    assert bellman_residual(field, "implicit").max_abs <= 1e-12
+    tg = TimeGrid(3.0, 24)
+    scan = ResidualScan("implicit")
+    extract_policy(lat, tg, VolumeGrid.aligned(1.0, tg), 1e-9, None, scan)
+    assert scan.result().max_abs <= 1e-12
 
 
 def test_bellman_residual_explicit_is_order_dt(binary96):
-    rep = bellman_residual(binary96["field"], "explicit")
+    rep = feed(binary96["field"], ResidualScan("explicit"))
     assert 0.0 < rep.max_abs <= 5.0 * binary96["tg"].dt
 
 
-def test_bellman_residual_rejects_unknown_form(binary96):
+def test_bellman_residual_rejects_unknown_form():
     with pytest.raises(ValueError, match="form must be"):
-        bellman_residual(binary96["field"], "midpoint")
+        ResidualScan("midpoint")
 
 
 def test_boundary_identities_are_exact(binary96):
@@ -114,7 +117,7 @@ def test_boundary_identities_are_exact(binary96):
 
 def test_value_invariants_pass(binary96, mart96):
     for bundle in (binary96, mart96):
-        ext = check_value_invariants(bundle["field"])
+        ext = feed(bundle["field"], InvariantScan())
         assert set(ext) == {"monotone", "concavity", "lipschitz", "terminal"}
         assert ext["terminal"] == 0.0
         assert ext["monotone"] <= 1e-10
@@ -123,7 +126,7 @@ def test_value_invariants_pass(binary96, mart96):
 
 def test_value_monotone_nonincreasing_in_volume(binary96):
     for k in range(97):
-        dv = np.diff(binary96["field"].values[k], axis=1)
+        dv = np.diff(binary96["field"].row(k), axis=1)
         assert dv.max() <= 1e-12
 
 
@@ -174,7 +177,7 @@ def test_derivatives_match_a_dense_reference(rows, j_cap):
     K = lat.n_steps
     tg, vg, field, _ = solved(lat, float(K), 1.0 / j_cap)
     for k in range(K + 1):
-        J = field.values[k]
+        J = field.row(k)
         dm = np.full(J.shape, 0.0 if vg.j_min < 0 else np.nan)
         for p in range(1, vg.n_levels):
             dm[:, p] = (J[:, p] - J[:, p - 1]) / vg.step
@@ -206,10 +209,10 @@ def test_shift_and_scale_identities(rows, j_cap, c, a):
     tg, vg = field.time_grid, field.volume_grid
     assert vg.L * tg.T > 1
     for k in range(K + 1):
-        J = field.values[k]
+        J = field.row(k)
         volume = np.minimum(1.0 - vg.levels, vg.L * (tg.T - tg.times[k]))
-        np.testing.assert_allclose(shifted.values[k], J + c * volume, rtol=1e-13, atol=1e-12)
-        np.testing.assert_allclose(scaled.values[k], a * J, rtol=1e-13, atol=1e-12)
+        np.testing.assert_allclose(shifted.row(k), J + c * volume, rtol=1e-13, atol=1e-12)
+        np.testing.assert_allclose(scaled.row(k), a * J, rtol=1e-13, atol=1e-12)
 
 
 def test_lipschitz_dominates_derivative(binary96):
@@ -225,16 +228,18 @@ def test_lipschitz_dominates_derivative(binary96):
 
 
 def test_invariant_error_on_corrupted_field(binary96):
-    """The slices are built on demand and read-only, so the corruption goes
-    into a stored band entry: J then rises in y at slice 3."""
+    """The slices are built on demand as new arrays, so writing into one
+    leaves the field as it was; the corruption goes into a stored band
+    entry: J then rises in y at slice 3."""
     field = binary96["field"]
-    with pytest.raises(ValueError, match="read-only"):
-        field.values[3][0, 5] = 0.0
+    J = field.row(3)
+    field.row(3)[0, 5] = 0.0
+    assert np.array_equal(field.row(3), J)
     broken = replace(field, tail=[t.copy() for t in field.tail],
                      band=[b.copy() for b in field.band])
     broken.band[3][0, 1] = broken.band[3][0, 0] + 1.0
-    with pytest.raises(InvariantError):
-        check_value_invariants(broken)
+    with pytest.raises(InvariantError, match="J increases in y by 1 at slice 3"):
+        feed(broken, InvariantScan())
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -254,18 +259,18 @@ def test_band_solve_matches_the_full_grid_reference(rows, j_cap, flat, tie_tol):
     field = solve(lat, tg, vg)
     ref = dict(reference_solve(lat, tg, vg))
     for k in range(K + 1):
-        assert np.array_equal(field.values[k].view(np.int64), ref[k].view(np.int64))
+        assert np.array_equal(field.row(k).view(np.int64), ref[k].view(np.int64))
     wants = [dense_go(lat, k, ref[k], vg, tie_tol) for k in range(K)]
     if not all(map(is_threshold, wants)):
         with pytest.raises(InvariantError, match="not a volume threshold"):
-            extract_policy(field, tie_tol)
+            extract_policy(lat, tg, vg, tie_tol)
         return
     thr_want = [want.sum(axis=1) - 1 for want in wants]
     if any(np.any(t < vg.boundary_pos(k)) for k, t in enumerate(thr_want)):
         with pytest.raises(InvariantError, match="full rate not selected"):
-            extract_policy(field, tie_tol)
+            extract_policy(lat, tg, vg, tie_tol)
         return
-    thr = extract_policy(field, tie_tol).thr
+    thr = extract_policy(lat, tg, vg, tie_tol).thr
     for k, want in enumerate(thr_want):
         assert thr[k].dtype == np.int32
         assert np.array_equal(thr[k], want)
@@ -281,9 +286,9 @@ def mart384():
 
 def test_band_solve_is_bitwise_on_exp_martingale_k384(mart384):
     lat, tg, vg, field = mart384
-    policy = extract_policy(field)
+    policy = extract_policy(lat, tg, vg)
     for k, J in reference_solve(lat, tg, vg):
-        assert np.array_equal(field.values[k].view(np.int64), J.view(np.int64))
+        assert np.array_equal(field.row(k).view(np.int64), J.view(np.int64))
         if k < tg.K:
             assert np.array_equal(policy.thr[k], dense_go(lat, k, J, vg, 1e-9).sum(axis=1) - 1)
 
@@ -350,7 +355,7 @@ def test_relabeling_a_slice_permutes_j_and_the_threshold(rows, j_cap, data):
     _, _, field2, pol2 = solved(ScenarioLattice.from_rows(moved).validate(), float(K), 1.0 / j_cap)
     for k in range(K + 1):
         order = perm if k == s else slice(None)
-        assert np.array_equal(field2.values[k], field.values[k][order])
+        assert np.array_equal(field2.row(k), field.row(k)[order])
         if k < K:
             assert np.array_equal(pol2.thr[k], pol.thr[k][order])
 
@@ -360,11 +365,11 @@ def bits(x):
 
 
 def assert_scans_match_reference(field):
-    """bellman_residual (both forms), boundary_check and check_value_invariants
+    """The residual scan (both forms), boundary_check and the invariant scan
     give the reports of the reference scans bit for bit, or raise the same
     message."""
     for form in ("implicit", "explicit"):
-        rep = bellman_residual(field, form)
+        rep = feed(field, ResidualScan(form))
         ref_form, ref_max = reference_bellman_residual(field, form)
         assert rep.form == ref_form and bits(rep.max_abs) == bits(ref_max)
     rep = boundary_check(field)
@@ -376,10 +381,10 @@ def assert_scans_match_reference(field):
         want = reference_check_value_invariants(field)
     except InvariantError as exc:
         with pytest.raises(InvariantError) as got:
-            check_value_invariants(field)
+            feed(field, InvariantScan())
         assert str(got.value) == str(exc)
         return str(exc)
-    got = check_value_invariants(field)
+    got = feed(field, InvariantScan())
     assert got.keys() == want.keys()
     assert all(bits(got[key]) == bits(want[key]) for key in want)
     return None
@@ -433,7 +438,7 @@ def test_a_band_dent_is_reported_at_the_same_slice(mart96, rise, prefix):
     band[3, 5] = band[3, 4] + 1.0 if rise else band[3, 5] - 1e-3
     message = assert_scans_match_reference(broken)
     assert message.startswith(prefix) and message.endswith(" at slice 40")
-    assert bellman_residual(broken, "implicit").max_abs > 1e-4
+    assert feed(broken, ResidualScan("implicit")).max_abs > 1e-4
 
 
 @pytest.mark.parametrize("k, node", [(40, 3), (0, 0), (95, 10)])
@@ -447,28 +452,29 @@ def test_a_tail_dent_is_reported_as_the_same_deep_violation(mart96, k, node):
 
 
 def test_scans_build_no_more_than_the_band_plus_four_columns(mart96, monkeypatch):
-    """Each scan builds at most the stored band plus four columns per slice
-    through ValueField.row. The explicit residual takes one column more, for
-    dminus at k+1; boundary_check reads only the stored tail and builds
-    nothing."""
-    field = mart96["field"]
+    """The sweep builds one row per slice, the stored band plus at most four
+    columns, and the scans fed it (the thresholds, the invariants and both
+    residual forms) build no row of their own; boundary_check reads only the
+    stored tail and builds nothing."""
+    lat, tg, vg, field = mart96["lat"], mart96["tg"], mart96["vg"], mart96["field"]
     band = sum(b.size for b in field.band)
     column = sum(t.size for t in field.tail)
     built = []
-    row = ValueField.row
+    row = swingkit.solver._row
 
-    def counted(self, k, lo=0):
-        out = row(self, k, lo)
+    def counted(*args):
+        out = row(*args)
         built.append(out.size)
         return out
 
-    monkeypatch.setattr(ValueField, "row", counted)
-    for scan, extra in [(check_value_invariants, 4),
-                        (lambda f: bellman_residual(f, "implicit"), 4),
-                        (lambda f: bellman_residual(f, "explicit"), 5)]:
-        built.clear()
-        scan(field)
-        assert 0 < sum(built) <= band + extra * column
+    def refused(self, k):
+        raise AssertionError("a scan built slice %d" % k)
+
+    monkeypatch.setattr(swingkit.solver, "_row", counted)
+    monkeypatch.setattr(ValueField, "row", refused)
+    extract_policy(lat, tg, vg, 1e-9, {0}, InvariantScan(), ResidualScan("implicit"),
+                   ResidualScan("explicit"))
+    assert len(built) == tg.K + 1 and sum(built) <= band + 4 * column
     built.clear()
     boundary_check(field)
     assert built == []

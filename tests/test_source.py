@@ -98,15 +98,21 @@ def test_no_function_takes_a_second_copy_of_a_carried_lattice():
     assert found == []
 
 
-def dataclass_fields(tree):
-    """(class name, line, field) for each field a @dataclass class declares."""
+def dataclass_items(tree):
+    """(class name, AnnAssign) for each field a @dataclass class declares."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and any(
                 _annotation_name(getattr(d, "func", d)) == "dataclass"
                 for d in node.decorator_list):
             for item in node.body:
                 if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    yield node.name, item.lineno, item.target.id
+                    yield node.name, item
+
+
+def dataclass_fields(tree):
+    """(class name, line, field) for each field a @dataclass class declares."""
+    for cls, item in dataclass_items(tree):
+        yield cls, item.lineno, item.target.id
 
 
 def attribute_loads(trees):
@@ -230,10 +236,34 @@ def test_every_private_helper_has_a_caller():
     assert unloaded == []
 
 
+def dataclass_parameters(tree):
+    """{class name: [(field, line, has a default)]} of the constructor parameters
+    of each @dataclass class: its fields, in order, less those declared with
+    init=False."""
+    params = {}
+    for cls, item in dataclass_items(tree):
+        value = item.value
+        call = isinstance(value, ast.Call) and _annotation_name(value.func) in (
+            "field", "dataclass_field")
+        opts = {kw.arg: kw.value for kw in value.keywords} if call else {}
+        if getattr(opts.get("init"), "value", True) is not False:
+            defaulted = (("default" in opts or "default_factory" in opts) if call
+                         else value is not None)
+            params.setdefault(cls, []).append((item.target.id, item.lineno, defaulted))
+    return params
+
+
 def defaulted_parameters(tree):
     """(function name, line, parameter, positional parameters) for each
     parameter with a default. A class's __init__ goes by the class name, and
-    the positional parameters of a method leave out self or cls."""
+    the positional parameters of a method leave out self or cls. The fields
+    of a @dataclass are the parameters of its class's constructor, in order,
+    leaving out those declared with init=False."""
+    for cls, fields in dataclass_parameters(tree).items():
+        names = [name for name, _, _ in fields]
+        for name, line, defaulted in fields:
+            if defaulted:
+                yield cls, line, name, names
     owner = {item: node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
              for item in node.body}
     for node in ast.walk(tree):
@@ -284,6 +314,16 @@ def test_the_scanner_flags_an_unset_knob():
     assert sorted(unset_knobs([tree])) == [("f", 1, "c"), ("f", 1, "d"), ("m", 8, "a")]
 
 
+def test_the_scanner_reads_a_dataclass_default_as_a_knob():
+    tree = ast.parse("@dataclass(eq=False)\nclass A:\n    a: int\n"
+                     "    f: list = field(repr=False)\n    b: int = 1\n    c: int = 2\n"
+                     "    d: list = dataclasses.field(default_factory=list)\n"
+                     "    e: list = field(init=False)\n    g: int = field(default=0)\n"
+                     "class B:\n    h: int = 3\n"
+                     "A(0, [], 1)\nA(0, [], d=[])\n")
+    assert sorted(unset_knobs([tree])) == [("A", 6, "c"), ("A", 9, "g")]
+
+
 # Defaulted parameters that no src/ call sets, each with its reason.
 USER_KNOBS = {
     ("from_rows", "lce_declared"): "a user's lattice declares LCE or not",
@@ -296,6 +336,8 @@ USER_KNOBS = {
     ("closed_form", "c"): "the cashflow of the constant family",
     ("doob_martingale_of_terminal", "label"): "names a user's martingale in reports",
     ("exercise_regions", "tie_tol"): "matches a policy extracted with another tie_tol",
+    ("LatticeNode", "children"): "a hand-built terminal node has no children",
+    ("LatticeNode", "probs"): "nor transition probabilities",
 }
 
 

@@ -146,7 +146,6 @@ def test_constrained_searches_hit_the_marginal_values(binary96, half_bundle):
     rule_b, vb = optimal_predictable_stop(half_bundle, "can_lower")
     assert va == 1.5
     assert vb == 1.5
-    assert rule_a.predictable and rule_b.predictable
     assert rule_a.lattice is rule_b.lattice is lat
     rule_a.check_predictable()
     rule_b.check_predictable()
@@ -168,7 +167,7 @@ def test_named_rule_evaluates_to_seven_quarters(binary96):
     stop = [np.zeros(lat.n_nodes(k), dtype=bool) for k in range(97)]
     stop[32][0] = True
     stop[80][1] = True
-    rule = StoppingRule(lat, stop=stop, predictable=False, k0=0)
+    rule = StoppingRule(lat, stop=stop, k0=0)
     assert evaluate_stop_rule(rule, binary96["ens"]) == 1.75
 
 
@@ -178,17 +177,15 @@ def test_predictability_check(binary96):
     stop[32][0] = True
     stop[80][1] = True
     stop[96][:] = True
-    bad = StoppingRule(lat, stop=stop, predictable=True, k0=0)
+    bad = StoppingRule(lat, stop=stop, k0=0)
     with pytest.raises(InvariantError, match="varies across one parent's children"):
         bad.check_predictable()
-    # the same decisions are fine when not declared predictable
-    StoppingRule(lat, stop=stop, predictable=False, k0=0).check_predictable()
 
 
 def test_evaluate_requires_stopping(binary96):
     lat = binary96["lat"]
     stop = [np.zeros(lat.n_nodes(k), dtype=bool) for k in range(97)]
-    rule = StoppingRule(lat, stop=stop, predictable=False, k0=0)
+    rule = StoppingRule(lat, stop=stop, k0=0)
     with pytest.raises(ValueError, match="path 0 never stops"):
         evaluate_stop_rule(rule, binary96["ens"])
 
@@ -207,9 +204,8 @@ def test_search_needs_a_tree():
     lat = build_binomial("martingale", 4, 2.0, x0=1.0, up=1.25, down=0.8, p_up=4 / 9)
     tg = TimeGrid(2.0, 4)
     vg = VolumeGrid.aligned(1.0, tg)
-    from swingkit import extract_policy, solve
-    field = solve(lat, tg, vg)
-    pol = extract_policy(field)
+    from swingkit import extract_policy
+    pol = extract_policy(lat, tg, vg)
     ens = enumerate_paths(lat)
     b = rollout(pol, ens, (0, 0.0))
     with pytest.raises(ValueError, match="needs a tree lattice"):
@@ -380,7 +376,7 @@ def test_stopping_reads_an_ensemble_on_its_own_lattice():
         marginal_value_report(policy, ens_b, [(0.0, 0.5)])
     at_end = [StoppingRule(lat, [np.arange(lat.n_nodes(k)) >= 0 if k == 12
                                  else np.zeros(lat.n_nodes(k), dtype=bool) for k in range(13)],
-                           predictable=False, k0=0) for lat in (a, b)]
+                           k0=0) for lat in (a, b)]
     assert evaluate_stop_rule(at_end[0], ens_a) == pytest.approx(1.0, abs=1e-12)
     # E[X_12] on b: one-step factor 0.7 * 1.25 + 0.3 * 0.75 = 1.1
     assert evaluate_stop_rule(at_end[1], ens_b) == pytest.approx(1.1 ** 12, rel=1e-12)
