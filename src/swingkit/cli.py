@@ -15,8 +15,7 @@ import sys
 
 import numpy as np
 
-from .duality import (_pre_exit, build_optimal_martingale, dual_value, duality_gap_study,
-                      random_martingale)
+from .duality import build_optimal_martingale, dual_value, duality_gap_study, random_martingale
 from .models import (MAX_PATHS, InvariantError, PreconditionError, TimeGrid,
                      _strings, _write_table, build_binary_example, build_binomial, count_paths,
                      enumerate_paths, read_lattice, sample_paths, write_lattice)
@@ -183,12 +182,14 @@ def _write_rollout(fh, bundle):
     fh.write("path t u y X inc")
     times = _strings(tg.times[k0:K], " %.17g")
     x = np.stack([lattice.x(k)[bundle.nodes[:, k]] for k in range(k0, K)], axis=1)
-    y = bundle.volumes[:, :-1]
+    vg, pos = bundle.policy.field.volume_grid, bundle.positions
+    moves = pos[:, 1:] != pos[:, :-1]
+    cols = (np.where(moves, vg.L, 0.0), bundle.volumes[:, :-1], x,
+            np.where(moves, vg.step * x, 0.0))      # rate and reward of each step
     block = max(1, (1 << 16) // (K - k0))          # paths per ~65k lines
     for rows in (slice(r, r + block) for r in range(0, bundle.n_paths, block)):
         _write_table(fh, _strings(np.arange(bundle.n_paths)[rows], "\n%d")[:, None], times,
-                     *(_strings(col[rows], " %.17g")
-                       for col in (bundle.rates, y, x, bundle.increments)))
+                     *(_strings(col[rows], " %.17g") for col in cols))
     fh.write("\n")
 
 
@@ -275,7 +276,7 @@ def _verify_checks(cfg: dict):
     field, lattice, vg = policy.field, policy.field.lattice, policy.field.volume_grid
     results, bundle = [], rollout(policy, ens, (0, 0.0))
     try:        # one replay answers the dminus_at reads of both rollout checks
-        field.keep(inclusion_reads(bundle) + _pre_exit(policy)[2])
+        field.keep(inclusion_reads(bundle) + policy.pre_exit[2])
     except ValueError:      # the optimal_martingale line reports it
         field.keep(inclusion_reads(bundle))
 

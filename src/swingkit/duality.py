@@ -127,41 +127,6 @@ class OptimalMartingaleResult:
     node_values: list
 
 
-def _pre_exit(policy: PolicyField):
-    """(trigger, exit_up, reads) of the forward closure of realized volume
-    levels from (0, y=0) up to the band exit: the exit nodes, those at the
-    cap, and the (k, nodes, pos) of the pre-exit states, one per slice."""
-    lattice, vg, K = policy.field.lattice, policy.field.volume_grid, policy.field.time_grid.K
-    if vg.n_steps <= vg.j_cap:
-        raise PreconditionError("the dual construction needs L*T > 1; this grid has L*T <= 1")
-    if lattice.n_nodes(0) != 1:
-        raise ValueError("needs a single-root lattice")
-    realized = [np.full(lattice.n_nodes(k), -1, dtype=np.int64) for k in range(K + 1)]
-    trigger, exit_up, reads = [], [], []
-    realized[0][0] = vg.index_of(0.0)
-    for k in range(K + 1):
-        pos = realized[k]
-        active = pos >= 0
-        exit_up.append(active & (pos >= vg.cap_pos))
-        trigger.append(exit_up[k] | (active & (pos <= vg.boundary_pos(k))))
-        pre = np.flatnonzero(active & ~trigger[k])
-        reads.append((k, pre, pos[pre]))
-        if k == K:
-            break
-        _, child, _ = lattice.edges(k)
-        parent = lattice.parents(k)
-        moving = (active & ~trigger[k])[parent]
-        kids = child[moving]
-        src_pos = pos[parent[moving]]
-        kid_pos = src_pos + policy.go(k, parent[moving], src_pos)
-        realized[k + 1][kids] = kid_pos
-        clash = np.flatnonzero(realized[k + 1][kids] != kid_pos)
-        if clash.size:
-            raise ValueError("pre-exit volume level at slice %d node %d is path-dependent"
-                             % (k + 1, kids[clash[0]]))
-    return trigger, exit_up, reads
-
-
 def build_optimal_martingale(policy: PolicyField) -> OptimalMartingaleResult:
     """Assemble the optimizing martingale for start (0, y=0) from a policy and
     its solved field.
@@ -176,7 +141,7 @@ def build_optimal_martingale(policy: PolicyField) -> OptimalMartingaleResult:
     value_field = policy.field
     lattice, time_grid, vg = value_field.lattice, value_field.time_grid, value_field.volume_grid
     K = time_grid.K
-    trigger, exit_up, reads = _pre_exit(policy)
+    trigger, exit_up, reads = policy.pre_exit
     pos0 = vg.index_of(0.0)
     tol = 3.0 * time_grid.dt * lattice.max_x()
     sup_env, inf_env = lattice.envelope("max"), lattice.envelope("min")

@@ -9,13 +9,14 @@ of piecewise-constant exercise rates against it are exact sums.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat
 from operator import itemgetter
 
 import numpy as np
 
 PROB_TOL = 1e-12
 MAX_PATHS = 65536       # the most paths enumerate_paths lists
+_CHUNK = 2048           # node lines that read_lattice splits and converts at a time
 
 
 class InvariantError(Exception):
@@ -595,14 +596,6 @@ def write_lattice(path: str, lattice: ScenarioLattice, time_grid: TimeGrid, L: f
         fh.write("".join(pieces.tolist()) + "\n")
 
 
-def _ints(tokens) -> np.ndarray:
-    values = list(map(int, tokens))
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise ValueError("integer %d is out of range" % max(values, key=abs)) from None
-
-
 def _distinct(tokens):
     """(the distinct tokens in first-occurrence order, the int64 index of
     each token into them); the reading mirror of `_strings`."""
@@ -614,25 +607,24 @@ def _distinct(tokens):
 def read_lattice(path: str):
     """Read a lattice export; returns (lattice, time_grid, L).
 
-    Node lines may come in any order. Each line is split once. Each column
-    is then converted one distinct token at a time and gathered back, so the
-    checks run on whole arrays; lattice files repeat their tokens heavily.
+    Node lines may come in any order. _read_body converts them _CHUNK at a
+    time into flat arrays, on which the checks then run whole. A token that
+    does not convert is reported after the read, in the order of the checks:
+    k, then node tokens by file order; edge format, X, child, then prob
+    tokens by (k, node) order (the error categories 0-8 of _read_body).
     """
+    errors = []
     with open(path) as fh:
-        lines = [words for words in map(str.split, fh) if words]
-    if not lines or len(lines[0]) != 5:
-        raise ValueError("malformed lattice header")
-    head, body = lines[0], lines[1:]
-    tg, L, lce = TimeGrid(float(head[0]), int(head[1])), float(head[2]), int(head[3])
-    if lce not in (0, 1):
-        raise ValueError("lattice header field lce = %d is not 0 or 1" % lce)
+        lines = filter(None, map(str.split, fh))
+        head = next(lines, [])
+        if len(head) != 5:
+            raise ValueError("malformed lattice header")
+        tg, L, lce = TimeGrid(float(head[0]), int(head[1])), float(head[2]), int(head[3])
+        if lce not in (0, 1):
+            raise ValueError("lattice header field lce = %d is not 0 or 1" % lce)
+        k, n, deg, x, child, prob = _read_body(lines, errors)
     K = tg.K
-    deg = np.fromiter(map(len, body), np.int64, len(body)) - 3
-    bad = np.flatnonzero(deg < 0)
-    if bad.size:
-        raise ValueError("malformed node line %r" % " ".join(body[bad[0]]))
-    distinct, at = _distinct(map(itemgetter(0), body))
-    k = _ints(distinct)[at]
+    _raise_below(errors, 2)
     bad = np.flatnonzero((k < 0) | (k > K))
     if bad.size:
         raise ValueError("slice index %d outside 0..%d" % (k[bad[0]], K))
@@ -640,10 +632,10 @@ def read_lattice(path: str):
     missing = np.append(np.flatnonzero(present != np.arange(present.size)), present.size)[0]
     if missing <= K:
         raise ValueError("missing slice %d in lattice file" % missing)
-    distinct, at = _distinct(map(itemgetter(1), body))
-    n = _ints(distinct)[at]
+    _raise_below(errors, 4)
     order = np.lexsort((n, k))
-    k, n, deg, body = k[order], n[order], deg[order], list(map(body.__getitem__, order.tolist()))
+    first = np.cumsum(deg) - deg    # each line's first edge, in file order
+    k, n, deg, x = k[order], n[order], deg[order], x[order]
     bad = np.flatnonzero((k[1:] == k[:-1]) & (n[1:] == n[:-1]))
     if bad.size:
         raise ValueError("duplicate node %d at slice %d" % (n[bad[0]], k[bad[0]]))
@@ -655,19 +647,77 @@ def read_lattice(path: str):
     bad = np.flatnonzero(deg[off[K]:])
     if bad.size:
         raise ValueError("terminal node %d has children" % bad[0])
-    tokens, edge = _distinct(chain.from_iterable(map(itemgetter(slice(3, None)), body)))
-    fields = " ".join(tokens).replace(":", " ").split()
-    colons = np.fromiter(map(str.count, tokens, repeat(":")), np.int64, len(tokens))
-    if len(fields) != 2 * len(tokens) or np.any(colons != 1):
-        raise ValueError("edge token %r is not child:prob" % next(
-            t for t in tokens if t.count(":") != 1 or t.startswith(":") or t.endswith(":")))
-    distinct, at = _distinct(map(itemgetter(2), body))
-    x = np.array(list(map(float, distinct)), dtype=float)[at]
-    child = _ints(fields[0::2])[edge]
-    prob = np.array(list(map(float, fields[1::2])), dtype=float)[edge]
+    _raise_below(errors, 9)
     start = np.concatenate([[0], np.cumsum(deg)])
+    at = np.repeat(first[order] - start[:-1], deg) + np.arange(start[-1])
+    child, prob = child[at], prob[at]
     lo, hi = off.tolist(), start[off].tolist()
     edges = [(start[lo[j]:lo[j + 1] + 1] - hi[j], child[hi[j]:hi[j + 1]], prob[hi[j]:hi[j + 1]])
              for j in range(K)]
     lat = ScenarioLattice(np.split(x, off[1:-1]), edges, lce_declared=bool(lce)).validate()
     return lat, tg, L
+
+
+def _read_body(lines, errors: list) -> list:
+    """The columns (k, node, degree, X, child, prob) of the split node lines
+    in file order. Each chunk of _CHUNK lines converts each distinct token of
+    a column once. A token that fails is noted in errors (see _column) under
+    category 0/1 (k), 2/3 (node), 4 (edge format), 5 (X), 6/7 (child) or 8
+    (prob), by its file line or by its line's (k, node) and its edge. A short
+    line is raised at once, as it precedes every error noted before it."""
+    cols = [tuple(np.zeros(0, dt) for dt in (np.int64,) * 3 + (float, np.int64, float))]
+    for chunk in iter(lambda: list(islice(lines, _CHUNK)), []):
+        base = sum(col[0].size for col in cols)
+        deg = np.fromiter(map(len, chunk), np.int64, len(chunk)) - 3
+        bad = np.flatnonzero(deg < 0)
+        if bad.size:
+            raise ValueError("malformed node line %r" % " ".join(chunk[bad[0]]))
+        k, n = (_column(int, *_distinct(map(itemgetter(j), chunk)), errors, 2 * j,
+                        lambda i: base + i) for j in (0, 1))
+        x = _column(float, *_distinct(map(itemgetter(2), chunk)), errors, 5,
+                    lambda i: (k[i], n[i]))
+        line = np.repeat(np.arange(deg.size), deg)
+        tokens, edge = _distinct(chain.from_iterable(map(itemgetter(slice(3, None)), chunk)))
+        fields = " ".join(tokens).replace(":", " ").split()
+        colons = np.fromiter(map(str.count, tokens, repeat(":")), np.int64, len(tokens))
+        if len(fields) != 2 * len(tokens) or np.any(colons != 1):
+            bad = np.array([t.count(":") != 1 or t[0] == ":" or t[-1] == ":" for t in tokens])
+            errors.extend((4, 0, (k[line[e]], n[line[e]], e), "edge token %r is not child:prob"
+                           % tokens[edge[e]]) for e in np.flatnonzero(bad[edge]).tolist())
+            fields = ["0"] * (2 * len(tokens))  # reported before any conversion error
+        cols.append((k, n, deg, x) + tuple(
+            _column(fn, fields[j::2], edge, errors, cat, lambda e: (k[line[e]], n[line[e]], e))
+            for j, fn, cat in ((0, int, 6), (1, float, 8))))
+    return [np.concatenate(col) for col in zip(*cols)]
+
+
+def _column(fn, tokens: list, at: np.ndarray, errors: list, cat: int, key) -> np.ndarray:
+    """fn (int or float) of each distinct token, gathered back by at. A token
+    it refuses reads 0, and each of its items i is noted in errors as
+    (cat, 0, key(i), message), or as (cat + 1, -|v|, key(i), message) for an
+    int v beyond int64."""
+    dtype = np.int64 if fn is int else float
+    try:
+        return np.array(list(map(fn, tokens)), dtype)[at]
+    except (ValueError, OverflowError):
+        notes = [_refusal(fn, t, cat) for t in tokens]
+    errors.extend(notes[at[i]][:2] + (key(i), notes[at[i]][2])
+                  for i in np.flatnonzero(np.array([nt is not None for nt in notes])[at]).tolist())
+    return np.array([0 if nt else fn(t) for t, nt in zip(tokens, notes)], dtype)[at]
+
+
+def _refusal(fn, token: str, cat: int):
+    """None if fn converts token into its dtype, else (category, -|value|, message)."""
+    try:
+        v = fn(token)
+    except ValueError as exc:
+        return cat, 0, str(exc)
+    if fn is int and abs(v) >= 2 ** 63:
+        return cat + 1, -abs(v), "integer %d is out of range" % v
+    return None
+
+
+def _raise_below(errors: list, cat: int):
+    """Raise the first noted error (the least entry) if its category is below cat."""
+    if errors and min(errors)[0] < cat:
+        raise ValueError(min(errors)[3])

@@ -11,10 +11,11 @@ saturating optimal control.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .models import InvariantError, PathEnsemble
+from .models import InvariantError, PathEnsemble, PreconditionError
 from .solver import Slice, ValueField, solve
 
 TIE_TOL = 1e-9
@@ -78,6 +79,42 @@ class PolicyField:
         broadcast."""
         return pos <= self.thr[k][nodes]
 
+    @cached_property
+    def pre_exit(self):
+        """(trigger, exit_up, reads) of the forward closure of realized volume
+        levels from (0, y=0) up to the band exit, computed once: the exit nodes,
+        those at the cap, and the (k, nodes, pos) of the pre-exit states, one
+        per slice."""
+        lattice, vg, K = self.field.lattice, self.field.volume_grid, self.field.time_grid.K
+        if vg.n_steps <= vg.j_cap:
+            raise PreconditionError("the dual construction needs L*T > 1; this grid has L*T <= 1")
+        if lattice.n_nodes(0) != 1:
+            raise ValueError("needs a single-root lattice")
+        realized = [np.full(lattice.n_nodes(k), -1, dtype=np.int64) for k in range(K + 1)]
+        trigger, exit_up, reads = [], [], []
+        realized[0][0] = vg.index_of(0.0)
+        for k in range(K + 1):
+            pos = realized[k]
+            active = pos >= 0
+            exit_up.append(active & (pos >= vg.cap_pos))
+            trigger.append(exit_up[k] | (active & (pos <= vg.boundary_pos(k))))
+            pre = np.flatnonzero(active & ~trigger[k])
+            reads.append((k, pre, pos[pre]))
+            if k == K:
+                break
+            _, child, _ = lattice.edges(k)
+            parent = lattice.parents(k)
+            moving = (active & ~trigger[k])[parent]
+            kids = child[moving]
+            src_pos = pos[parent[moving]]
+            kid_pos = src_pos + self.go(k, parent[moving], src_pos)
+            realized[k + 1][kids] = kid_pos
+            clash = np.flatnonzero(realized[k + 1][kids] != kid_pos)
+            if clash.size:
+                raise ValueError("pre-exit volume level at slice %d node %d is path-dependent"
+                                 % (k + 1, kids[clash[0]]))
+        return trigger, exit_up, reads
+
 
 def extract_policy(lattice, time_grid, volume_grid, tie_tol: float = TIE_TOL, keep=None,
                    *scans) -> PolicyField:
@@ -97,8 +134,9 @@ class RolloutBundle:
     """Policy rollout over an ensemble from a common start (t_{k0}, y_0).
 
     Row r is ensemble row r. nodes, the ensemble's own array, covers slices
-    0..K, positions the volume positions at slices k0..K, rates and
-    increments the steps k0..K-1; rewards are the row sums of increments and
+    0..K and positions the volume positions at slices k0..K: step k exercises
+    at rate L, earning step * X, where positions[:, k + 1 - k0] moves past
+    positions[:, k - k0]. rewards are the row sums of those earnings and
     weights the ensemble weights renormalized to sum to one.
     """
 
@@ -107,8 +145,6 @@ class RolloutBundle:
     pos0: int
     nodes: np.ndarray
     positions: np.ndarray
-    rates: np.ndarray
-    increments: np.ndarray
     rewards: np.ndarray
     weights: np.ndarray
     mean: float
@@ -134,21 +170,19 @@ def rollout(policy: PolicyField, ensemble: PathEnsemble, start) -> RolloutBundle
     pos0 = vg.start_pos(k0, y0)
     nodes = ensemble.nodes
     positions = np.empty((ensemble.n_paths, K - k0 + 1), dtype=np.int64)
-    rates = np.zeros((ensemble.n_paths, K - k0))
     incs = np.zeros((ensemble.n_paths, K - k0))
     positions[:, 0] = pos0
     for m in range(k0, K):
         n, pos = nodes[:, m], positions[:, m - k0]
         go = policy.go(m, n, pos)
-        rates[go, m - k0] = vg.L
         incs[go, m - k0] = vg.step * lattice.x(m)[n[go]]
         positions[:, m - k0 + 1] = pos + go
     rewards = incs.sum(axis=1)
     # running sums keep the left-to-right order of a path-by-path accumulation
     weights = ensemble.weights / np.cumsum(ensemble.weights)[-1]
     mean = float(np.cumsum(weights * rewards)[-1])
-    return RolloutBundle(policy, k0, pos0, nodes, positions, rates, incs, rewards,
-                         weights, mean, ensemble.exhaustive)
+    return RolloutBundle(policy, k0, pos0, nodes, positions, rewards, weights, mean,
+                         ensemble.exhaustive)
 
 
 def inclusion_reads(bundle: RolloutBundle) -> list:
@@ -172,7 +206,7 @@ def check_inclusion(bundle: RolloutBundle) -> dict:
     worst_zero, worst_full = -np.inf, np.inf
     for m, n, pos in reads:
         s = field.lattice.x(m)[n] + field.dminus_at(m, n, pos)
-        full, ok = bundle.rates[:, m - bundle.k0] > 0, ~np.isnan(s)
+        full, ok = bundle.positions[:, m + 1 - bundle.k0] != pos, ~np.isnan(s)
         worst_zero = max(worst_zero, np.max(s[ok & ~full], initial=-np.inf))
         worst_full = min(worst_full, np.min(s[ok & full], initial=np.inf))
     if worst_zero > tie_tol:

@@ -68,10 +68,11 @@ def _window_flags(bundle: RolloutBundle, constraint: str) -> list:
     """
     lattice, k0 = bundle.policy.field.lattice, bundle.k0
     K = lattice.n_steps
+    moves = bundle.positions[:, 1:] != bundle.positions[:, :-1]     # the step's rate is L
     if constraint == "can_raise":
-        allowed = bundle.rates < bundle.policy.L
+        allowed = ~moves
     elif constraint == "can_lower":
-        allowed = bundle.rates > 0.0
+        allowed = moves
     else:
         raise ValueError("constraint must be 'can_raise' or 'can_lower'")
     opened = allowed.copy()  # column i is t_{k0+1+i}: the step before it

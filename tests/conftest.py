@@ -409,13 +409,26 @@ def tiny_tree_rows(draw):
     return rows
 
 
+def rollout_steps(bundle):
+    """(rates, increments) of a rollout's steps k0..K-1: L and step * X where
+    the policy exercises at the realized (node, position), 0 elsewhere; read
+    off the policy's decisions, not off the moves of the positions."""
+    policy, k0, nodes = bundle.policy, bundle.k0, bundle.nodes
+    lattice, vg, K = policy.field.lattice, policy.field.volume_grid, policy.field.time_grid.K
+    go = np.stack([policy.go(m, nodes[:, m], bundle.positions[:, m - k0]) for m in range(k0, K)],
+                  axis=1)
+    x = np.stack([lattice.x(m)[nodes[:, m]] for m in range(k0, K)], axis=1)
+    return np.where(go, vg.L, 0.0), np.where(go, vg.step * x, 0.0)
+
+
 def reference_stop_windows(bundle):
     """The per-path window rule that per-node flags replaced: for each
     constraint ("can_raise", "can_lower") a (path x slice) flag array
     in which t_m past the start is open when the step before it or the step
     after it allows the move (a rate below L to raise, above 0 to lower)."""
     K, k0 = bundle.policy.field.time_grid.K, bundle.k0
-    low, pos = bundle.rates < bundle.policy.L, bundle.rates > 0.0
+    rates = rollout_steps(bundle)[0]
+    low, pos = rates < bundle.policy.L, rates > 0.0
     can_raise = np.zeros((bundle.n_paths, K + 1), dtype=bool)
     can_lower = np.zeros((bundle.n_paths, K + 1), dtype=bool)
     can_raise[:, k0 + 1:] = low

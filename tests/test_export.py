@@ -19,7 +19,7 @@ from swingkit.cli import (_solve_all, _strings, _write_exits, _write_martingale,
                           _write_rollout, _write_value_field, main, make_ensemble,
                           parse_config, parse_starts)
 
-from conftest import solved, tiny_lattice_rows
+from conftest import rollout_steps, solved, tiny_lattice_rows
 
 
 def reference_value_field(field, lattice) -> str:
@@ -42,9 +42,9 @@ def reference_rollout(bundle, lattice) -> str:
     times = tg.times[k0:K].tolist()
     x = np.stack([lattice.x(k)[bundle.nodes[:, k]] for k in range(k0, K)], axis=1)
     lines = ["path t u y X inc"]
-    for pid, u, y, xs, inc in zip(range(bundle.n_paths), bundle.rates.tolist(),
-                                  bundle.volumes[:, :-1].tolist(), x.tolist(),
-                                  bundle.increments.tolist()):
+    rates, incs = rollout_steps(bundle)
+    for pid, u, y, xs, inc in zip(range(bundle.n_paths), rates.tolist(),
+                                  bundle.volumes[:, :-1].tolist(), x.tolist(), incs.tolist()):
         lines.extend("%d %.17g %.17g %.17g %.17g %.17g" % (pid, *row)
                      for row in zip(times, u, y, xs, inc))
     return "\n".join(lines) + "\n"

@@ -1,5 +1,7 @@
 import os
 import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from swingkit import (Envelope, LatticeNode, PathEnsemble, ScenarioLattice, TimeGrid,
                       build_binary_example, build_binomial, count_paths, enumerate_paths,
-                      read_lattice, sample_paths, write_lattice)
+                      models, read_lattice, sample_paths, write_lattice)
 
 from conftest import (exp_sigma_params, make_exp_martingale, reference_expect_next,
                       reference_occupancy, reference_parents, reference_read_lattice,
@@ -394,6 +396,87 @@ def test_read_lattice_matches_the_reference(rows, seed):
         got = read_lattice(path)
     assert_bitwise_equal(got[0], want[0])
     assert (got[1].T, got[1].K, got[2]) == (want[1].T, want[1].K, want[2])
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(rows=tiny_lattice_rows(max_steps=6), seed=st.integers(0, 2 ** 32 - 1))
+def test_read_lattice_matches_the_reference_across_chunks(rows, seed):
+    """With chunks of 1-3 lines, shuffled node lines and a fault in each of
+    two chunks, the reader gives the reference's lattice bit for bit or its
+    ValueError text. Half the draws also put a bad edge token on the root
+    line, the first in (k, node) order, and move that line into the last
+    chunk, behind bad edge tokens in an earlier chunk."""
+    rng = np.random.default_rng(seed)
+    lat = ScenarioLattice.from_rows(rows).validate()
+    n_lines = sum(lat.n_nodes(k) for k in range(lat.n_steps + 1))
+    chunk = int(rng.integers(1, min(3, n_lines - 2) + 1))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(models, "_CHUNK", chunk):
+        path = os.path.join(tmp, "lat.txt")
+        write_lattice(path, lat, TimeGrid(float(lat.n_steps), lat.n_steps), 1.0)
+        with open(path) as fh:
+            head, *body = map(str.split, fh)
+        body, tail = [body[i] for i in rng.permutation(len(body))], []
+        if rng.random() < 0.5:
+            root = body.pop(next(i for i, words in enumerate(body) if words[:2] == ["0", "0"]))
+            root[3 + rng.integers(len(root) - 3)] = BAD_TOKENS[3][rng.integers(len(BAD_TOKENS[3]))]
+            tail = [root]
+        cut = chunk * int(rng.integers(1, (len(body) - 1) // chunk + 1))
+        faults = (3, rng.integers(-4, 8)) if tail else rng.integers(-4, 8, size=2)
+        body = spoil(body[:cut], faults[0], rng) + spoil(body[cut:], faults[1], rng) + tail
+        with open(path, "w") as fh:
+            fh.write("\n".join(map(" ".join, [head] + body)) + "\n")
+        try:
+            want = reference_read_lattice(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                read_lattice(path)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            return
+        got = read_lattice(path)
+    assert_bitwise_equal(got[0], want[0])
+    assert (got[1].T, got[1].K, got[2]) == (want[1].T, want[1].K, want[2])
+
+
+def test_read_lattice_reports_the_first_error_across_chunks(tmp_path):
+    """Two-line chunks of node lines out of (k, node) order: each spoiled
+    file raises the reference's error, whose token the expected text pins."""
+    lines = ["2 0 1 0:1", "3 0 1", "1 0 1 0:1", "0 0 1 0:1"]   # the last one sorts first
+    p = tmp_path / "lat.txt"
+    for spoilt, text in (({1: "a 0 1", 2: "b 0 1 0:1"}, "'a'"),
+                         ({1: BIG + " 0 1", 2: "9%s 0 1 0:1" % BIG}, "integer 9" + BIG),
+                         ({1: "3 z 1", 2: "7 0 1 0:1"}, "slice index 7"),
+                         ({0: "2 0 p 0:1", 3: "0 0 q 0:1"}, "'q'"),
+                         ({0: "2 0 1 a:1", 3: "0 0 1 b:1"}, "'b'"),
+                         ({0: "2 0 1 9%s:1" % BIG, 3: "0 0 1 %s:1" % BIG}, "integer 9" + BIG),
+                         ({0: "2 0 1 0:x", 3: "0 0 1 0:y"}, "'y'"),
+                         ({0: "2 0 1 01", 3: "0 0 q 0:1"}, "'01'"),
+                         ({0: "2 0 1 0:1:1", 3: "0 0 1 :1"}, "':1'")):
+        p.write_text("3 3 1 1 2\n" + "\n".join(spoilt.get(i, line) for i, line in enumerate(lines)))
+        with pytest.raises(ValueError) as want:
+            reference_read_lattice(str(p))
+        with mock.patch.object(models, "_CHUNK", 2), pytest.raises(ValueError) as got:
+            read_lattice(str(p))
+        assert text in str(want.value) and str(got.value) == str(want.value)
+
+
+def test_read_lattice_peak_memory_is_bounded_by_the_lattice(tmp_path):
+    """Reading the K=384 exp-martingale file allocates at most five times
+    the bytes of the lattice's own arrays at any moment: the reader holds
+    one chunk of split lines, not the whole file's."""
+    lat = make_exp_martingale(384)
+    p = tmp_path / "k384.txt"
+    write_lattice(str(p), lat, TimeGrid(2.0, 384), 1.0)
+    own = sum(lat.x(k).nbytes for k in range(385))
+    own += sum(a.nbytes for k in range(384) for a in lat.edges(k))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        read_lattice(str(p))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * own, (peak, own)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

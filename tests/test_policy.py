@@ -9,8 +9,8 @@ from swingkit import (ExerciseRegions, InvariantError, ScenarioLattice, Threshol
                       check_inclusion, check_saturation, enumerate_paths, exercise_regions,
                       exit_times, extract_policy, mollified_iterate, rollout)
 
-from conftest import (dense_go, feed, is_threshold, make_exp_martingale, region_masks, solved,
-                      tiny_lattice_rows)
+from conftest import (dense_go, feed, is_threshold, make_exp_martingale, region_masks,
+                      rollout_steps, solved, tiny_lattice_rows)
 
 
 def test_binary_policy_switches_at_the_jump(binary96):
@@ -115,16 +115,17 @@ def test_rollout_reproduces_value(binary96):
 
 def test_rollout_path_bookkeeping(binary96):
     b = rollout(binary96["policy"], binary96["ens"], (0, 0.5))
+    rates, incs = rollout_steps(b)
     assert b.positions.shape == (2, 97)
-    assert b.rates.shape == b.increments.shape == (2, 96)
+    assert rates.shape == incs.shape == (2, 96)
     assert b.nodes.shape == (2, 97)
     assert b.volumes.shape == (2, 97)
     for r in range(b.n_paths):
-        assert b.rewards[r] == pytest.approx(b.increments[r].sum(), abs=1e-15)
+        assert b.rewards[r] == pytest.approx(incs[r].sum(), abs=1e-15)
         assert b.positions[r, 0] == 80
         # positions advance one pitch exactly when the rate is L
         steps = np.diff(b.positions[r])
-        assert np.array_equal(steps == 1, b.rates[r] > 0)
+        assert np.array_equal(steps == 1, rates[r] > 0)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -142,8 +143,9 @@ def test_rollout_from_a_node(rows, j_cap):
             b = rollout(pol, ens, (k0, vg.levels[pos0]))
             assert b.nodes is ens.nodes
             assert abs(b.weights.sum() - 1.0) <= 1e-12
-            assert np.array_equal(np.diff(b.positions, axis=1), (b.rates == vg.L).astype(int))
-            assert b.rewards.tolist() == [row.sum() for row in b.increments]
+            rates, incs = rollout_steps(b)
+            assert np.array_equal(np.diff(b.positions, axis=1), (rates == vg.L).astype(int))
+            assert b.rewards.tolist() == [row.sum() for row in incs]
             start = b.nodes[:, k0]
             mass = np.bincount(start, b.weights, minlength=lat.n_nodes(k0))
             assert np.all(mass > 0)   # every drawn node is reachable
