@@ -110,15 +110,17 @@ def build_model(cfg: dict):
     raise ValueError("unknown model %r" % model)
 
 
-def make_ensemble(lattice, cfg: dict, n_paths: int = 0, prefer_exhaustive: bool = False):
+def make_ensemble(lattice, cfg: dict, n_paths: int, prefer_exhaustive: bool):
     """All paths under exhaustive=true, or when at most MAX_PATHS and either
     prefer_exhaustive is set or no count is given (the config's n_paths, else
     the n_paths here); otherwise that many sampled paths. A config n_paths
-    below 1 is refused, not read as unset."""
+    below 1 (not read as unset) or seed below 0 is refused, sampling or not."""
     if "n_paths" in cfg:
         n_paths = cfg["n_paths"]
         if n_paths < 1:
             raise ValueError("n_paths must be at least 1")
+    if cfg.get("seed", 0) < 0:
+        raise ValueError("seed must be nonnegative")
     if cfg.get("exhaustive", False) or (
             (prefer_exhaustive or n_paths < 1) and count_paths(lattice) <= MAX_PATHS):
         return enumerate_paths(lattice)
@@ -218,16 +220,16 @@ def _solve_all(cfg: dict, model=None, keep=None, scans=()):
     return extract_policy(*model, cfg.get("tie_tol", 1e-9), keep, *scans)
 
 
-def _prepare(cfg: dict, store: bool = True, scans=(), **ensemble):
+def _prepare(cfg: dict, store: bool = True, scans=(), n_paths=0, prefer_exhaustive=False):
     """(policy, ens, starts) of a run. The starts are checked against the
-    model's grids and the ensemble (make_ensemble with these options) is
-    built before the solve, so bad input fails before the solve is paid for.
+    model's grids and make_ensemble(lattice, cfg, n_paths, prefer_exhaustive)
+    runs before the solve, so bad input fails before the solve is paid for.
     Unless store is set, the band is kept at slice 0 and the start slices."""
     lattice, tg, L = build_model(cfg)
     vg = VolumeGrid.aligned(L, tg)
     starts = parse_starts(cfg.get("starts", "0:0"))
     keep = {0} | {k0 for k0, _ in _start_indices(starts, tg, vg)}
-    ens = make_ensemble(lattice, cfg, **ensemble)
+    ens = make_ensemble(lattice, cfg, n_paths, prefer_exhaustive)
     return _solve_all(cfg, (lattice, tg, vg), None if store else keep, scans), ens, starts
 
 

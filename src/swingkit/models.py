@@ -510,6 +510,8 @@ def sample_paths(lattice: ScenarioLattice, n_paths: int, seed: int = 0) -> PathE
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     K = lattice.n_steps
     nodes = np.zeros((n_paths, K + 1), dtype=np.int64)
@@ -605,15 +607,9 @@ def _distinct(tokens):
 
 
 def read_lattice(path: str):
-    """Read a lattice export; returns (lattice, time_grid, L).
-
-    Node lines may come in any order. _read_body converts them _CHUNK at a
-    time into flat arrays, on which the checks then run whole. A token that
-    does not convert is reported after the read, in the order of the checks:
-    k, then node tokens by file order; edge format, X, child, then prob
-    tokens by (k, node) order (the error categories 0-8 of _read_body).
-    """
-    errors = []
+    """Read a lattice export; returns (lattice, time_grid, L). Node lines may
+    come in any order. The error of the first bad node line in file order is
+    raised (_read_body); the layout checks then run on the whole arrays."""
     with open(path) as fh:
         lines = filter(None, map(str.split, fh))
         head = next(lines, [])
@@ -622,9 +618,8 @@ def read_lattice(path: str):
         tg, L, lce = TimeGrid(float(head[0]), int(head[1])), float(head[2]), int(head[3])
         if lce not in (0, 1):
             raise ValueError("lattice header field lce = %d is not 0 or 1" % lce)
-        k, n, deg, x, child, prob = _read_body(lines, errors)
+        k, n, deg, x, child, prob = _read_body(lines)
     K = tg.K
-    _raise_below(errors, 2)
     bad = np.flatnonzero((k < 0) | (k > K))
     if bad.size:
         raise ValueError("slice index %d outside 0..%d" % (k[bad[0]], K))
@@ -632,7 +627,6 @@ def read_lattice(path: str):
     missing = np.append(np.flatnonzero(present != np.arange(present.size)), present.size)[0]
     if missing <= K:
         raise ValueError("missing slice %d in lattice file" % missing)
-    _raise_below(errors, 4)
     order = np.lexsort((n, k))
     first = np.cumsum(deg) - deg    # each line's first edge, in file order
     k, n, deg, x = k[order], n[order], deg[order], x[order]
@@ -647,7 +641,6 @@ def read_lattice(path: str):
     bad = np.flatnonzero(deg[off[K]:])
     if bad.size:
         raise ValueError("terminal node %d has children" % bad[0])
-    _raise_below(errors, 9)
     start = np.concatenate([[0], np.cumsum(deg)])
     at = np.repeat(first[order] - start[:-1], deg) + np.arange(start[-1])
     child, prob = child[at], prob[at]
@@ -658,66 +651,58 @@ def read_lattice(path: str):
     return lat, tg, L
 
 
-def _read_body(lines, errors: list) -> list:
+def _read_body(lines) -> list:
     """The columns (k, node, degree, X, child, prob) of the split node lines
-    in file order. Each chunk of _CHUNK lines converts each distinct token of
-    a column once. A token that fails is noted in errors (see _column) under
-    category 0/1 (k), 2/3 (node), 4 (edge format), 5 (X), 6/7 (child) or 8
-    (prob), by its file line or by its line's (k, node) and its edge. A short
-    line is raised at once, as it precedes every error noted before it."""
+    in file order, _CHUNK lines at a time, each distinct token of a column
+    converted once. If a chunk fails to convert, _check_line walks its lines
+    in order and raises the first bad one's error."""
     cols = [tuple(np.zeros(0, dt) for dt in (np.int64,) * 3 + (float, np.int64, float))]
     for chunk in iter(lambda: list(islice(lines, _CHUNK)), []):
-        base = sum(col[0].size for col in cols)
-        deg = np.fromiter(map(len, chunk), np.int64, len(chunk)) - 3
-        bad = np.flatnonzero(deg < 0)
-        if bad.size:
-            raise ValueError("malformed node line %r" % " ".join(chunk[bad[0]]))
-        k, n = (_column(int, *_distinct(map(itemgetter(j), chunk)), errors, 2 * j,
-                        lambda i: base + i) for j in (0, 1))
-        x = _column(float, *_distinct(map(itemgetter(2), chunk)), errors, 5,
-                    lambda i: (k[i], n[i]))
-        line = np.repeat(np.arange(deg.size), deg)
-        tokens, edge = _distinct(chain.from_iterable(map(itemgetter(slice(3, None)), chunk)))
-        fields = " ".join(tokens).replace(":", " ").split()
-        colons = np.fromiter(map(str.count, tokens, repeat(":")), np.int64, len(tokens))
-        if len(fields) != 2 * len(tokens) or np.any(colons != 1):
-            bad = np.array([t.count(":") != 1 or t[0] == ":" or t[-1] == ":" for t in tokens])
-            errors.extend((4, 0, (k[line[e]], n[line[e]], e), "edge token %r is not child:prob"
-                           % tokens[edge[e]]) for e in np.flatnonzero(bad[edge]).tolist())
-            fields = ["0"] * (2 * len(tokens))  # reported before any conversion error
-        cols.append((k, n, deg, x) + tuple(
-            _column(fn, fields[j::2], edge, errors, cat, lambda e: (k[line[e]], n[line[e]], e))
-            for j, fn, cat in ((0, int, 6), (1, float, 8))))
+        try:
+            cols.append(_chunk_columns(chunk))
+        except (IndexError, ValueError, OverflowError):
+            for words in chunk:
+                _check_line(words)
+            raise
     return [np.concatenate(col) for col in zip(*cols)]
 
 
-def _column(fn, tokens: list, at: np.ndarray, errors: list, cat: int, key) -> np.ndarray:
-    """fn (int or float) of each distinct token, gathered back by at. A token
-    it refuses reads 0, and each of its items i is noted in errors as
-    (cat, 0, key(i), message), or as (cat + 1, -|v|, key(i), message) for an
-    int v beyond int64."""
-    dtype = np.int64 if fn is int else float
-    try:
-        return np.array(list(map(fn, tokens)), dtype)[at]
-    except (ValueError, OverflowError):
-        notes = [_refusal(fn, t, cat) for t in tokens]
-    errors.extend(notes[at[i]][:2] + (key(i), notes[at[i]][2])
-                  for i in np.flatnonzero(np.array([nt is not None for nt in notes])[at]).tolist())
-    return np.array([0 if nt else fn(t) for t, nt in zip(tokens, notes)], dtype)[at]
+def _chunk_columns(chunk: list) -> tuple:
+    """(k, node, degree, X, child, prob) of a chunk of node lines. A bad line
+    raises IndexError (a short line), ValueError or OverflowError, whose
+    message is not the one to report."""
+    k, n, x = (_column(fn, *_distinct(map(itemgetter(j), chunk)))
+               for j, fn in enumerate((int, int, float)))
+    deg = np.fromiter(map(len, chunk), np.int64, len(chunk)) - 3
+    tokens, edge = _distinct(chain.from_iterable(map(itemgetter(slice(3, None)), chunk)))
+    fields = " ".join(tokens).replace(":", " ").split()
+    colons = np.fromiter(map(str.count, tokens, repeat(":")), np.int64, len(tokens))
+    if len(fields) != 2 * len(tokens) or np.any(colons != 1):
+        raise ValueError("edge token is not child:prob")
+    return k, n, deg, x, _column(int, fields[0::2], edge), _column(float, fields[1::2], edge)
 
 
-def _refusal(fn, token: str, cat: int):
-    """None if fn converts token into its dtype, else (category, -|value|, message)."""
-    try:
-        v = fn(token)
-    except ValueError as exc:
-        return cat, 0, str(exc)
-    if fn is int and abs(v) >= 2 ** 63:
-        return cat + 1, -abs(v), "integer %d is out of range" % v
-    return None
+def _column(fn, tokens: list, at: np.ndarray) -> np.ndarray:
+    """fn (int or float) of each distinct token, gathered back by at; an int
+    beyond int64 raises OverflowError."""
+    return np.array(list(map(fn, tokens)), np.int64 if fn is int else float)[at]
 
 
-def _raise_below(errors: list, cat: int):
-    """Raise the first noted error (the least entry) if its category is below cat."""
-    if errors and min(errors)[0] < cat:
-        raise ValueError(min(errors)[3])
+def _check_line(words: list):
+    """Raise the error of a bad node line: a short line, else its first
+    token, left to right (k, node, X, then per edge token its format, child
+    and prob), that does not convert."""
+    if len(words) < 3:
+        raise ValueError("malformed node line %r" % " ".join(words))
+    _int64(words[0]), _int64(words[1]), float(words[2])
+    for token in words[3:]:
+        child, _, prob = token.partition(":")
+        if token.count(":") != 1 or not child or not prob:
+            raise ValueError("edge token %r is not child:prob" % token)
+        _int64(child), float(prob)
+
+
+def _int64(token: str):
+    v = int(token)
+    if not -2 ** 63 <= v < 2 ** 63:
+        raise ValueError("integer %d is out of range" % v)

@@ -70,10 +70,6 @@ class PolicyField:
     tie_tol: float
     thr: list
 
-    @property
-    def L(self) -> float:
-        return self.field.volume_grid.L
-
     def go(self, k: int, nodes, pos) -> np.ndarray:
         """True where the optimal rate at slice k < K is L. nodes and pos
         broadcast."""

@@ -1,6 +1,3 @@
-from itertools import chain, repeat
-from operator import itemgetter
-
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -108,18 +105,23 @@ def reference_occupancy(lattice):
     return occ
 
 
-def _reference_ints(tokens) -> np.ndarray:
-    values = list(map(int, tokens))
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise ValueError("integer %d is out of range" % max(values, key=abs)) from None
+def _reference_ints(tokens) -> list:
+    """int() of each token in turn; a value outside the int64 range is
+    refused, -2**63 included in the range."""
+    values = []
+    for token in tokens:
+        values.append(int(token))
+        if not -2 ** 63 <= values[-1] < 2 ** 63:
+            raise ValueError("integer %d is out of range" % values[-1])
+    return values
 
 
 def reference_read_lattice(path: str):
-    """read_lattice as it was before each distinct token was converted once:
-    int()/float() on every token, every edge token re-joined and re-split.
-    Its header still reads lce as bool(int(.)), which accepts any integer."""
+    """read_lattice read whole and line by line: each node line in file order
+    is short, or converts k, node, X, then per edge token its format, child
+    and prob, and the first failure is the error; the layout checks then run
+    on the converted file. Its header still reads lce as bool(int(.)), which
+    accepts any integer."""
     with open(path) as fh:
         lines = [words for words in map(str.split, fh) if words]
     if not lines or len(lines[0]) != 5:
@@ -127,11 +129,20 @@ def reference_read_lattice(path: str):
     head, body = lines[0], lines[1:]
     tg, L, lce = TimeGrid(float(head[0]), int(head[1])), float(head[2]), bool(int(head[3]))
     K = tg.K
-    deg = np.fromiter(map(len, body), np.int64, len(body)) - 3
-    bad = np.flatnonzero(deg < 0)
-    if bad.size:
-        raise ValueError("malformed node line %r" % " ".join(body[bad[0]]))
-    k = _reference_ints(map(itemgetter(0), body))
+    rows = []
+    for words in body:
+        if len(words) < 3:
+            raise ValueError("malformed node line %r" % " ".join(words))
+        kn, x, pairs = _reference_ints(words[:2]), float(words[2]), []
+        for token in words[3:]:
+            parts = token.split(":")
+            if len(parts) != 2 or "" in parts:
+                raise ValueError("edge token %r is not child:prob" % token)
+            pairs.append((_reference_ints(parts[:1])[0], float(parts[1])))
+        rows.append((kn, x, pairs))
+    k = np.array([kn[0] for kn, _, _ in rows], dtype=np.int64)
+    n = np.array([kn[1] for kn, _, _ in rows], dtype=np.int64)
+    deg = np.array([len(pairs) for _, _, pairs in rows], dtype=np.int64)
     bad = np.flatnonzero((k < 0) | (k > K))
     if bad.size:
         raise ValueError("slice index %d outside 0..%d" % (k[bad[0]], K))
@@ -139,9 +150,8 @@ def reference_read_lattice(path: str):
     missing = np.append(np.flatnonzero(present != np.arange(present.size)), present.size)[0]
     if missing <= K:
         raise ValueError("missing slice %d in lattice file" % missing)
-    n = _reference_ints(map(itemgetter(1), body))
     order = np.lexsort((n, k))
-    k, n, deg, body = k[order], n[order], deg[order], list(map(body.__getitem__, order.tolist()))
+    k, n, deg, rows = k[order], n[order], deg[order], [rows[i] for i in order.tolist()]
     bad = np.flatnonzero((k[1:] == k[:-1]) & (n[1:] == n[:-1]))
     if bad.size:
         raise ValueError("duplicate node %d at slice %d" % (n[bad[0]], k[bad[0]]))
@@ -153,15 +163,10 @@ def reference_read_lattice(path: str):
     bad = np.flatnonzero(deg[off[K]:])
     if bad.size:
         raise ValueError("terminal node %d has children" % bad[0])
-    tokens = list(chain.from_iterable(map(itemgetter(slice(3, None)), body)))
-    fields = " ".join(tokens).replace(":", " ").split()
-    colons = np.fromiter(map(str.count, tokens, repeat(":")), np.int64, len(tokens))
-    if len(fields) != 2 * len(tokens) or np.any(colons != 1):
-        raise ValueError("edge token %r is not child:prob" % next(
-            t for t in tokens if t.count(":") != 1 or t.startswith(":") or t.endswith(":")))
-    x = np.array(list(map(float, map(itemgetter(2), body))), dtype=float)
-    child = _reference_ints(fields[0::2])
-    prob = np.array(list(map(float, fields[1::2])), dtype=float)
+    x = np.array([x for _, x, _ in rows], dtype=float)
+    pairs = [pair for _, _, row_pairs in rows for pair in row_pairs]
+    child = np.array([c for c, _ in pairs], dtype=np.int64)
+    prob = np.array([p for _, p in pairs], dtype=float)
     start = np.concatenate([[0], np.cumsum(deg)])
     lo, hi = off.tolist(), start[off].tolist()
     edges = [(start[lo[j]:lo[j + 1] + 1] - hi[j], child[hi[j]:hi[j + 1]], prob[hi[j]:hi[j + 1]])
@@ -428,7 +433,7 @@ def reference_stop_windows(bundle):
     after it allows the move (a rate below L to raise, above 0 to lower)."""
     K, k0 = bundle.policy.field.time_grid.K, bundle.k0
     rates = rollout_steps(bundle)[0]
-    low, pos = rates < bundle.policy.L, rates > 0.0
+    low, pos = rates < bundle.policy.field.volume_grid.L, rates > 0.0
     can_raise = np.zeros((bundle.n_paths, K + 1), dtype=bool)
     can_lower = np.zeros((bundle.n_paths, K + 1), dtype=bool)
     can_raise[:, k0 + 1:] = low

@@ -140,7 +140,8 @@ BINOMIAL_K20 = ("model=binomial\nkind=martingale\nx0=1\nup=1.05\ndown=0.96\n"
     ("model=binary\nK=12\nn_paths=0\n", "n_paths must be at least 1"),
     ("model=binary\nK=96\nstarts=0.3:0\n", "time 0.29999999999999999 is off the grid"),
     (BINOMIAL_K20, "too many paths to enumerate"),
-], ids=["n_paths", "off-grid-start", "too-many-paths"])
+    ("model=binary\nK=12\nseed=-1\nn_paths=5\n", "seed must be nonnegative"),
+], ids=["n_paths", "off-grid-start", "too-many-paths", "negative-seed"])
 def test_cli_refuses_bad_input_before_the_solve(tmp_path, capsys, monkeypatch, command,
                                                 text, message):
     """The starts and the path ensemble are checked before the solve: each

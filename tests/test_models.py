@@ -208,6 +208,12 @@ def test_sample_paths_deterministic():
         sample_paths(lat, n_paths=0)
 
 
+def test_sample_paths_refuses_a_negative_seed():
+    """The refusal names the key, as the CLI's does, not numpy's wording."""
+    with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+        sample_paths(make_exp_martingale(6), n_paths=5, seed=-1)
+
+
 def test_ensemble_validate_rejects_bad_paths():
     lat = build_binary_example(6)
     ens = enumerate_paths(lat)
@@ -401,11 +407,12 @@ def test_read_lattice_matches_the_reference(rows, seed):
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(rows=tiny_lattice_rows(max_steps=6), seed=st.integers(0, 2 ** 32 - 1))
 def test_read_lattice_matches_the_reference_across_chunks(rows, seed):
-    """With chunks of 1-3 lines, shuffled node lines and a fault in each of
-    two chunks, the reader gives the reference's lattice bit for bit or its
-    ValueError text. Half the draws also put a bad edge token on the root
-    line, the first in (k, node) order, and move that line into the last
-    chunk, behind bad edge tokens in an earlier chunk."""
+    """With shuffled node lines and a fault in each of two chunks of 1-3
+    lines, the reader gives the reference's lattice bit for bit or its
+    ValueError text, and gives the same at chunks of 1, 2, 3 and 2048 lines.
+    Half the draws also put a bad edge token on the root line, the first in
+    (k, node) order, and move that line into the last chunk, behind bad edge
+    tokens in an earlier chunk."""
     rng = np.random.default_rng(seed)
     lat = ScenarioLattice.from_rows(rows).validate()
     n_lines = sum(lat.n_nodes(k) for k in range(lat.n_steps + 1))
@@ -428,9 +435,10 @@ def test_read_lattice_matches_the_reference_across_chunks(rows, seed):
         try:
             want = reference_read_lattice(path)
         except ValueError as exc:
-            with pytest.raises(ValueError) as got:
-                read_lattice(path)
-            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            for size in (1, 2, 3, 2048):
+                with mock.patch.object(models, "_CHUNK", size), pytest.raises(ValueError) as got:
+                    read_lattice(path)
+                assert type(got.value) is type(exc) and str(got.value) == str(exc)
             return
         got = read_lattice(path)
     assert_bitwise_equal(got[0], want[0])
@@ -439,24 +447,45 @@ def test_read_lattice_matches_the_reference_across_chunks(rows, seed):
 
 def test_read_lattice_reports_the_first_error_across_chunks(tmp_path):
     """Two-line chunks of node lines out of (k, node) order: each spoiled
-    file raises the reference's error, whose token the expected text pins."""
+    file raises the reference's error, that of its first bad line in file
+    order, whose token the expected text pins."""
     lines = ["2 0 1 0:1", "3 0 1", "1 0 1 0:1", "0 0 1 0:1"]   # the last one sorts first
     p = tmp_path / "lat.txt"
     for spoilt, text in (({1: "a 0 1", 2: "b 0 1 0:1"}, "'a'"),
-                         ({1: BIG + " 0 1", 2: "9%s 0 1 0:1" % BIG}, "integer 9" + BIG),
-                         ({1: "3 z 1", 2: "7 0 1 0:1"}, "slice index 7"),
-                         ({0: "2 0 p 0:1", 3: "0 0 q 0:1"}, "'q'"),
-                         ({0: "2 0 1 a:1", 3: "0 0 1 b:1"}, "'b'"),
+                         ({1: BIG + " 0 1", 2: "9%s 0 1 0:1" % BIG}, "integer %s " % BIG),
+                         ({1: "3 z 1", 2: "7 0 1 0:1"}, "'z'"),
+                         ({0: "2 0 p 0:1", 3: "0 0 q 0:1"}, "'p'"),
+                         ({0: "2 0 1 a:1", 3: "0 0 1 b:1"}, "'a'"),
                          ({0: "2 0 1 9%s:1" % BIG, 3: "0 0 1 %s:1" % BIG}, "integer 9" + BIG),
-                         ({0: "2 0 1 0:x", 3: "0 0 1 0:y"}, "'y'"),
+                         ({0: "2 0 1 0:x", 3: "0 0 1 0:y"}, "'x'"),
                          ({0: "2 0 1 01", 3: "0 0 q 0:1"}, "'01'"),
-                         ({0: "2 0 1 0:1:1", 3: "0 0 1 :1"}, "':1'")):
+                         ({0: "2 0 1 0:1:1", 3: "0 0 1 :1"}, "'0:1:1'"),
+                         # several faults on one line: its first token left to right
+                         ({1: "a z q"}, "'a'"), ({1: "3 z q"}, "'z'"),
+                         ({0: "2 0 q 01 0:x"}, "'q'"), ({0: "2 0 1 0:x 01"}, "'x'"),
+                         ({0: "2 0 1 a:x"}, "'a'"), ({0: "2 0 1 %s:x" % BIG}, "integer " + BIG),
+                         # a short line and a bad token in one chunk: the earlier line
+                         ({0: "2 0", 1: "a 0 1"}, "'2 0'"), ({0: "a 0 1 0:1", 1: "3 0"}, "'a'")):
         p.write_text("3 3 1 1 2\n" + "\n".join(spoilt.get(i, line) for i, line in enumerate(lines)))
         with pytest.raises(ValueError) as want:
             reference_read_lattice(str(p))
         with mock.patch.object(models, "_CHUNK", 2), pytest.raises(ValueError) as got:
             read_lattice(str(p))
         assert text in str(want.value) and str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 2048])
+def test_read_lattice_keeps_the_int64_minimum_in_range(tmp_path, chunk):
+    """-2**63 fits int64, so only 2**63 beside it is out of range, at every
+    chunk size; alone it reaches the slice range check."""
+    p = tmp_path / "lat.txt"
+    for ks, text in ((["-9223372036854775808", "9223372036854775808"],
+                      "integer 9223372036854775808 is out of range"),
+                     (["-9223372036854775808"], "slice index -9223372036854775808 outside 0..1")):
+        p.write_text("1 1 1 1 2\n" + "".join("%s 0 1 0:1\n" % k for k in ks))
+        with mock.patch.object(models, "_CHUNK", chunk), pytest.raises(ValueError) as got:
+            read_lattice(str(p))
+        assert str(got.value) == text
 
 
 def test_read_lattice_peak_memory_is_bounded_by_the_lattice(tmp_path):

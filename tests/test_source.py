@@ -329,8 +329,6 @@ USER_KNOBS = {
     ("from_rows", "lce_declared"): "a user's lattice declares LCE or not",
     ("build_binomial", "lce_declared"): "a user's binomial declares LCE or not",
     ("main", "argv"): "tests and embedding programs pass a command line",
-    ("make_ensemble", "n_paths"): "forwarded by _prepare(**ensemble), which the scan cannot see",
-    ("make_ensemble", "prefer_exhaustive"): "forwarded by _prepare(**ensemble) as well",
     ("brute_force_value", "start"): "the oracle prices any start, not only (0, 0)",
     ("brute_force_value", "max_policies"): "a user may enumerate past the default limit",
     ("closed_form", "c"): "the cashflow of the constant family",
