@@ -20,8 +20,8 @@ from .stopping import (MarginalReport, MarginalRow, StoppingRule, evaluate_stop_
                        marginal_value_report, optimal_predictable_stop)
 from .duality import (DualReport, GapRow, MartingaleField, OptimalMartingaleResult,
                       build_optimal_martingale, constant_martingale,
-                      doob_martingale_of_terminal, dual_value, duality_gap_study,
-                      random_martingale)
+                      doob_martingale_of_terminal, dual_value, dual_values,
+                      duality_gap_study, random_martingale, random_terminal)
 from .oracle import EnumerationResult, brute_force_value, closed_form
 
 __version__ = "0.1.0"
@@ -39,8 +39,8 @@ __all__ = [
     "evaluate_stop_rule", "marginal_value_report", "optimal_predictable_stop",
     "DualReport", "GapRow", "MartingaleField", "OptimalMartingaleResult",
     "build_optimal_martingale", "constant_martingale",
-    "doob_martingale_of_terminal", "dual_value", "duality_gap_study",
-    "random_martingale",
+    "doob_martingale_of_terminal", "dual_value", "dual_values", "duality_gap_study",
+    "random_martingale", "random_terminal",
     "EnumerationResult", "brute_force_value", "closed_form",
     "__version__",
 ]

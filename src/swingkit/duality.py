@@ -67,15 +67,21 @@ def doob_martingale_of_terminal(lattice: ScenarioLattice, terminal,
     return MartingaleField(lattice, vals, label)
 
 
-def random_martingale(lattice: ScenarioLattice, seed: int) -> MartingaleField:
-    """Seeded arbitrary-sign martingale, built as the closed martingale of a
-    randomized terminal payoff."""
+def random_terminal(lattice: ScenarioLattice, seed: int) -> np.ndarray:
+    """Seeded randomized terminal payoff: a random multiple of the terminal
+    cashflow plus a random shift and Gaussian noise."""
     rng = np.random.default_rng(seed)
     x_term = lattice.x(lattice.n_steps)
     coeff = rng.uniform(-1.0, 2.0)
     shift = rng.uniform(-1.0, 1.0) * max(1.0, lattice.max_x())
     noise = rng.normal(0.0, 0.3 * max(1.0, lattice.max_x()), size=x_term.shape)
-    return doob_martingale_of_terminal(lattice, coeff * x_term + shift + noise)
+    return coeff * x_term + shift + noise
+
+
+def random_martingale(lattice: ScenarioLattice, seed: int) -> MartingaleField:
+    """Seeded arbitrary-sign martingale, the closed martingale of
+    random_terminal(lattice, seed)."""
+    return doob_martingale_of_terminal(lattice, random_terminal(lattice, seed))
 
 
 @dataclass(eq=False)
@@ -86,6 +92,31 @@ class DualReport:
     label: str
 
 
+def _check_dual_grid(lattice: ScenarioLattice, volume_grid: VolumeGrid):
+    volume_grid.check_steps(lattice.n_steps)
+    if volume_grid.n_steps <= volume_grid.j_cap:
+        raise PreconditionError("the dual bound needs L*T > 1; this grid has L*T <= 1")
+
+
+def _gains(occ: np.ndarray, x: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """occ @ (x - M)_+ for each column of the (nodes x m) slice M. Each dot
+    reads one contiguous column, so a column's bits do not depend on m."""
+    return np.array([occ @ gain for gain in np.maximum(x - values.T, 0.0)])
+
+
+def _reports(m0: np.ndarray, gains: list, volume_grid: VolumeGrid, primal: float,
+             label: str) -> list:
+    """A DualReport per column: m0 + step * the gains of slices 0, 1, ...,
+    K - 1 summed in that order. Like Python floats, the sums overflow to
+    inf without a warning."""
+    total = np.zeros(m0.size)
+    with np.errstate(over="ignore"):
+        for gain in gains:
+            total += gain
+        dual = m0 + volume_grid.step * total
+    return [DualReport(float(d), primal, float(d) - primal, label) for d in dual]
+
+
 def dual_value(martingale: MartingaleField, volume_grid: VolumeGrid,
                primal: float = None) -> DualReport:
     """Upper bound from one martingale field on its lattice, start (0, y=0).
@@ -94,18 +125,52 @@ def dual_value(martingale: MartingaleField, volume_grid: VolumeGrid,
     the solver's reward convention, so weak duality is exact lattice algebra.
     """
     lattice = martingale.lattice
-    volume_grid.check_steps(lattice.n_steps)
-    if volume_grid.n_steps <= volume_grid.j_cap:
-        raise PreconditionError("the dual bound needs L*T > 1; this grid has L*T <= 1")
+    _check_dual_grid(lattice, volume_grid)
     martingale.validate()
     occ = lattice.occupancy()
-    total = 0.0
-    for k in range(lattice.n_steps):
-        gain = np.maximum(lattice.x(k) - martingale.values[k], 0.0)
-        total += float(occ[k] @ gain)
-    dual = float(martingale.values[0][0]) + volume_grid.step * total
-    gap = dual - primal if primal is not None else np.nan
-    return DualReport(dual, primal if primal is not None else np.nan, gap, martingale.label)
+    gains = [_gains(occ[k], lattice.x(k), np.reshape(martingale.values[k], (-1, 1)))
+             for k in range(lattice.n_steps)]
+    return _reports(np.array([float(martingale.values[0][0])]), gains, volume_grid,
+                    np.nan if primal is None else primal, martingale.label)[0]
+
+
+def dual_values(lattice: ScenarioLattice, volume_grid: VolumeGrid, terminals,
+                primal: float) -> list:
+    """dual_value(doob_martingale_of_terminal(lattice, terminals[:, i]),
+    volume_grid, primal) for each column i, bit for bit, in one sweep.
+
+    The closed martingales E[terminals[:, i] | F_k] are the columns of one
+    (nodes x m) array, carried from K down to 0 with only slices k and k+1
+    held. Each column is checked as MartingaleField.validate checks it:
+    finite values, then the one-step identity recomputed by a second
+    expect_next, against 1e-12 times the column's scale. The lowest failing
+    column raises validate's error.
+    """
+    K = lattice.n_steps
+    cur = np.asarray(terminals, dtype=float)
+    if cur.ndim != 2 or cur.shape[0] != lattice.n_nodes(K):
+        raise ValueError("terminal payoff must have one value per terminal node")
+    _check_dual_grid(lattice, volume_grid)
+    occ = lattice.occupancy()
+    m = cur.shape[1]
+    bad = [None] * m            # (k, node) of the lowest non-finite value of each column
+    scale, worst, gains = np.ones(m), np.zeros(m), [None] * K
+    for k in range(K, -1, -1):
+        if k < K:
+            nxt, cur = cur, lattice.expect_next(k, cur)
+            with np.errstate(invalid="ignore"):     # inf - inf in a non-finite column
+                worst = np.maximum(worst, np.abs(lattice.expect_next(k, nxt) - cur).max(axis=0))
+            gains[k] = _gains(occ[k], lattice.x(k), cur)
+        nonfinite = ~np.isfinite(cur)
+        for i in np.flatnonzero(nonfinite.any(axis=0)):
+            bad[i] = k, int(nonfinite[:, i].argmax())
+        scale = np.maximum(scale, np.abs(cur).max(axis=0))
+    for i in range(m):
+        if bad[i] is not None:
+            raise ValueError("martingale value at slice %d node %d is not finite" % bad[i])
+        if worst[i] > 1e-12 * scale[i]:
+            raise ValueError("martingale identity fails by %.3g" % worst[i])
+    return _reports(cur[0], gains, volume_grid, primal, "user")
 
 
 @dataclass(eq=False)

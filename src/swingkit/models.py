@@ -91,10 +91,11 @@ class ScenarioLattice:
     start[n]:start[n+1] of edges[k], which lead to node child[e] of slice
     k+1 with probability prob[e]. Arrays of the right dtype are kept
     without a copy and must not be mutated: the per-step fan-out tables,
-    parents, occupancy and Snell envelopes are derived from them once, on
-    first use, and handed out read-only. lce_declared is a model attribute
-    (left-continuity in expectation of the continuous-time limit cannot be
-    decided from finitely many grid values).
+    parents, occupancy, max_x and Snell envelopes are derived from them
+    once, on first use, and their arrays handed out read-only. lce_declared
+    is a model attribute (left-continuity in expectation of the
+    continuous-time limit cannot be decided from finitely many grid
+    values).
     """
 
     def __init__(self, xs, edges, lce_declared: bool = True):
@@ -108,6 +109,7 @@ class ScenarioLattice:
         self._fanouts = [None] * len(self._edges)
         self._parents = [None] * len(self._edges)
         self._occupancy = None
+        self._max_x = None
         self._envelopes = {}
 
     @classmethod
@@ -137,7 +139,10 @@ class ScenarioLattice:
         return self._x[k]
 
     def max_x(self) -> float:
-        return max(float(v.max()) for v in self._x)
+        """The largest cashflow over all slices, computed once."""
+        if self._max_x is None:
+            self._max_x = max(float(v.max()) for v in self._x)
+        return self._max_x
 
     def edges(self, k: int):
         """(start, child, prob) of the transitions from slice k to k+1."""

@@ -38,8 +38,9 @@ class ThresholdScan:
             return
         # below the boundary J is flat in y and X >= 0, so the rule holds
         lo = max(vg.boundary_pos(k), 0)
-        J = s.J[:, lo - vg.scan_start(k):]
-        go = field.lattice.x(k)[:, None] + np.diff(J, axis=1) / vg.step >= -self.tie_tol
+        d = s.dJ[:, lo - vg.scan_start(k):] / vg.step
+        d += field.lattice.x(k)[:, None]
+        go = d >= -self.tie_tol
         bad = np.flatnonzero((go[:, 1:] > go[:, :-1]).any(axis=1))
         if bad.size:
             self.error = "policy at slice %d node %d is not a volume threshold" % (k, bad[0])

@@ -8,12 +8,12 @@ successor values are evaluated on aligned levels.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .models import InvariantError, ScenarioLattice, TimeGrid
+from .models import InvariantError, ScenarioLattice, TimeGrid, _read_only
 
 EXACT_TOL = 1e-10
 
@@ -117,9 +117,22 @@ class _Points:
         return self.values[at]
 
 
-# slice k of the band recursion: its tail and band, J = its row from
-# scan_start(k) and ej = E[J_{k+1} | node] from scan_start(k + 1) (None at K)
-Slice = namedtuple("Slice", "k tail band J ej")
+@dataclass(eq=False)
+class Slice:
+    """Slice k of the band recursion: its tail and band, J = its row from
+    scan_start(k) and ej = E[J_{k+1} | node] from scan_start(k + 1) (None
+    at K). dJ = np.diff(J, axis=1) is taken once, on first use, and handed
+    read-only to every scan fed the slice."""
+
+    k: int
+    tail: np.ndarray
+    band: np.ndarray
+    J: np.ndarray
+    ej: np.ndarray
+
+    @cached_property
+    def dJ(self) -> np.ndarray:
+        return _read_only(np.diff(self.J, axis=1))
 
 
 def _row(vg: VolumeGrid, k: int, tail: np.ndarray, band: np.ndarray, lo: int) -> np.ndarray:
@@ -199,7 +212,8 @@ class ValueField:
         the grid extends through the full-rate region (J is constant in y
         there) and NaN otherwise.
         """
-        return _window(self, self.row(k), 0, 0)[1]
+        row = self.row(k)
+        return _window(self, row, np.diff(row, axis=1), 0, 0)[1]
 
     def dminus_at(self, k: int, nodes, pos) -> np.ndarray:
         """dminus(k)[nodes, pos], bit for bit, without building the slice."""
@@ -233,6 +247,10 @@ def _recursion(lattice: ScenarioLattice, time_grid: TimeGrid, volume_grid: Volum
     if any(lattice.n_nodes(k) == 0 for k in range(K + 1)):
         raise ValueError("empty lattice slice")
     lattice.check_cashflows()
+    if not 2.0 * vg.cap_pos * vg.step * lattice.max_x() < np.inf:
+        raise ValueError("cashflow scale max X = %.17g is too large: J can reach %.17g * max X, "
+                         "which must stay below half the largest float"
+                         % (lattice.max_x(), vg.cap_pos * vg.step))
     tail, band, ej = np.zeros(lattice.n_nodes(K)), np.zeros((lattice.n_nodes(K), 0)), None
     for k in range(K - 1, -1, -1):
         nxt = _row(vg, k + 1, tail, band, vg.scan_start(k + 1))
@@ -282,13 +300,17 @@ class InvariantScan:
 
         if s.k == field.time_grid.K:
             self.report["terminal"] = float(np.abs(s.J).max())
-        d1 = np.diff(s.J, axis=1)
-        note("monotone", float(d1.max()), EXACT_TOL, "J increases in y by %.3g at slice %d")
+        d1 = s.dJ
+        top = d1.max(axis=1)
+        note("monotone", float(top.max()), EXACT_TOL, "J increases in y by %.3g at slice %d")
         if field.volume_grid.n_levels >= 3:
             note("concavity", float(np.diff(d1, axis=1).max()), EXACT_TOL,
                  "J is non-concave in y by %.3g at slice %d")
-        z = field.lattice.envelope("max").values[s.k][:, None]
-        note("lipschitz", float((np.abs(d1) - (z * field.volume_grid.step + EXACT_TOL)).max()),
+        # fl(a - c) is nondecreasing in a, so the row maxima of |d1| give
+        # the extreme of |d1| - c bit for bit
+        z = field.lattice.envelope("max").values[s.k]
+        note("lipschitz", float((np.maximum(top, -d1.min(axis=1))
+                                 - (z * field.volume_grid.step + EXACT_TOL)).max()),
              0.0, "Lipschitz bound violated by %.3g at slice %d")
         self.error = found[0] if found else self.error
 
@@ -313,14 +335,15 @@ class ResidualReport:
     max_abs: float
 
 
-def _window(field: ValueField, vals: np.ndarray, first: int, lo: int):
+def _window(field: ValueField, vals: np.ndarray, diff: np.ndarray, first: int, lo: int):
     """J and dminus at positions lo..cap of a row built from position
-    first <= lo. Where first = lo > 0, lo - 1 and lo both hold the slice's
-    full-rate tail, so column lo stands in for lo - 1."""
+    first <= lo, whose differences np.diff(vals, axis=1) are diff. Where
+    first = lo > 0, lo - 1 and lo both hold the slice's full-rate tail, so
+    column lo stands in for lo - 1."""
     step = field.volume_grid.step
     v = vals[:, lo - first:]
     dm = np.empty_like(v)
-    dm[:, 1:] = np.diff(v, axis=1) / step
+    np.divide(diff[:, lo - first:], step, out=dm[:, 1:])
     dm[:, 0] = (v[:, 0] - vals[:, max(lo - first - 1, 0)]) / step if lo else field._dminus_floor()
     return v, dm
 
@@ -346,26 +369,31 @@ class ResidualScan:
 
     def __call__(self, field: ValueField, s: Slice):
         vg, lattice, k, nxt = field.volume_grid, field.lattice, s.k, self.nxt
-        self.nxt = s.J
+        self.nxt = s
         if nxt is None:
             return
         b = vg.boundary_pos(k)
         lo = max(b - 1, 0)
-        v, dm = _window(field, s.J, vg.scan_start(k), lo)
+        v, dm = _window(field, s.J, s.dJ, vg.scan_start(k), lo)
         if self.form == "implicit":
-            r = v - (vg.step * np.maximum(lattice.x(k)[:, None] + dm, 0.0)
-                     + s.ej[:, lo - vg.scan_start(k + 1):])
+            # v - (step * (X + dm)_+ + ej), formed in place; a NaN of dm
+            # carries through to r
+            r = dm + lattice.x(k)[:, None]
+            np.maximum(r, 0.0, out=r)
+            r *= vg.step
+            r += s.ej[:, lo - vg.scan_start(k + 1):]
+            np.subtract(v, r, out=r)
         else:
-            nv, dm_next = _window(field, nxt, vg.scan_start(k + 1), lo)
+            nv, dm_next = _window(field, nxt.J, nxt.dJ, vg.scan_start(k + 1), lo)
             start, child, prob = lattice.edges(k)
             inner = (vg.step * np.maximum(lattice.x(k)[lattice.parents(k), None] + dm_next[child],
                                           0.0) + nv[child])
             r = v - np.add.reduceat(prob[:, None] * inner, start[:-1])
+            r[np.isnan(dm)] = np.nan
         if lo <= b < vg.n_levels:
             r[:, b - lo] = np.nan
-        r[np.isnan(dm)] = np.nan
-        self.max_abs = max(self.max_abs,
-                           float(np.max(np.abs(r), where=np.isfinite(r), initial=0.0)))
+        np.abs(r, out=r)
+        self.max_abs = max(self.max_abs, float(np.max(r, where=np.isfinite(r), initial=0.0)))
 
     def result(self) -> ResidualReport:
         return ResidualReport(self.form, self.max_abs)

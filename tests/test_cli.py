@@ -1,11 +1,13 @@
 import filecmp
+import warnings
+from unittest import mock
 
 import pytest
 
-from swingkit import write_lattice
-from swingkit.cli import main, parse_config, parse_k_list, parse_starts
+from swingkit import ScenarioLattice, write_lattice
+from swingkit.cli import _verify_checks, main, parse_config, parse_k_list, parse_starts
 
-from conftest import collision_lattice
+from conftest import collision_lattice, exp_martingale_keys
 
 
 def run(tmp, *args):
@@ -162,6 +164,77 @@ def test_cli_refuses_bad_input_before_the_solve(tmp_path, capsys, monkeypatch, c
     captured = capsys.readouterr()
     assert "error: " + message in captured.err
     assert captured.out == "" and not out.exists()
+
+
+def two_node_lattice_file(x):
+    """A 4-step, two-node-per-slice lattice file on T = 2, L = 1 (L*T = 2)
+    whose node 0 pays x at every slice and node 1 pays 1."""
+    lines = ["2 4 1 1 2"]
+    for k in range(5):
+        kids = "" if k == 4 else " 0:0.5 1:0.5"
+        lines += ["%d 0 %r%s" % (k, x, kids)] + (["%d 1 1%s" % (k, kids)] if k else [])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command", ["price", "stopping", "verify"])
+def test_cli_refuses_an_overflowing_cashflow_scale_before_the_solve(tmp_path, capsys,
+                                                                    monkeypatch, command):
+    """J can reach 2 * max X here, which overflows at X = 1.7e308: before, the
+    solve printed numpy RuntimeWarnings and exited 2 with "policy at slice 0
+    node 0 is not a volume threshold". Now it exits 1 before any slice is
+    computed, writes nothing and warns nothing."""
+    (tmp_path / "lattice.txt").write_text(two_node_lattice_file(1.7e308))
+    cfg = write_cfg(tmp_path, "model=file\nlattice_file=%s\nn_paths=4\n"
+                    % (tmp_path / "lattice.txt"))
+
+    def no_slice(*args):
+        raise AssertionError("a slice was computed")
+
+    monkeypatch.setattr(ScenarioLattice, "expect_next", no_slice)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert ("error: cashflow scale max X = 1.6999999999999999e+308 is too large: J can "
+            "reach 2 * max X, which must stay below half the largest float") in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_cli_prices_a_large_but_bounded_cashflow_scale(tmp_path):
+    """X = 1e300 keeps 2 * 2 * max X finite: it is priced as before."""
+    (tmp_path / "lattice.txt").write_text(two_node_lattice_file(1e300))
+    cfg = write_cfg(tmp_path, "model=file\nlattice_file=%s\nn_paths=4\n"
+                    % (tmp_path / "lattice.txt"))
+    assert run(tmp_path, "price", "--config", cfg) == 0
+    assert (tmp_path / "summary.txt").read_text() == (
+        "J(0,0)=9.3750000000000001e+299\nrollout_mean(0,0)=7.5000000000000004e+299\n")
+
+
+def test_cli_verify_warns_nothing_just_below_the_cashflow_limit(tmp_path):
+    """X = 4e307 passes the scale check (2 * 2 * 4e307 is finite). The
+    integrand sums of the weak-duality bounds overflow to inf there, silently
+    as Python floats do; the absolute 1e-10 gates of other lines fail."""
+    (tmp_path / "lattice.txt").write_text(two_node_lattice_file(4e307))
+    cfg = write_cfg(tmp_path, "model=file\nlattice_file=%s\nn_paths=4\n"
+                    % (tmp_path / "lattice.txt"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, "verify", "--config", cfg) == 2
+    report = (tmp_path / "report.txt").read_text()
+    assert "PASS weak_duality: 10 random martingales, worst gap 3.41e+306\n" in report
+
+
+def test_verify_makes_at_most_13k_plus_8_expect_next_calls(tmp_path):
+    """One sweep carries all ten weak-duality martingales and checks them:
+    31*K calls (1,488 at K=48) when each had its own build and validate."""
+    K = 48
+    cfg = parse_config(write_cfg(tmp_path, exp_martingale_keys(K)))
+    with mock.patch.object(ScenarioLattice, "expect_next", autospec=True,
+                           side_effect=ScenarioLattice.expect_next) as counted:
+        results = _verify_checks(cfg)
+    assert [status for status, _, _ in results] == ["PASS"] * 5 + ["SKIP"] + ["PASS"] * 3
+    assert counted.call_count <= 13 * K + 8
 
 
 @pytest.mark.parametrize("tie_tol", ["nan", "inf", "-1"])

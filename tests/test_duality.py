@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from swingkit import (InvariantError, LatticeNode, ScenarioLattice, TimeGrid,
-                      VolumeGrid, build_binomial, build_optimal_martingale,
-                      constant_martingale, doob_martingale_of_terminal,
-                      dual_value, duality_gap_study, extract_policy, random_martingale)
+from swingkit import (InvariantError, LatticeNode, PreconditionError, ScenarioLattice,
+                      TimeGrid, VolumeGrid, build_binomial, build_optimal_martingale,
+                      constant_martingale, doob_martingale_of_terminal, dual_value,
+                      dual_values, duality_gap_study, extract_policy, random_martingale,
+                      random_terminal)
 
 from conftest import (collision_lattice, make_exp_martingale, reference_optimal_martingale,
                       solved, tiny_lattice_rows, with_policy)
@@ -139,6 +140,90 @@ def test_dual_value_refuses_a_grid_of_another_step_count():
     for K in (24, 6):
         with pytest.raises(ValueError, match="aligned to a different time grid"):
             dual_value(m, VolumeGrid.aligned(1.0, TimeGrid(2.0, K)))
+
+
+def terminals(lat, seeds):
+    return np.stack([random_terminal(lat, seed) for seed in seeds], axis=1)
+
+
+def assert_same_reports(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert [bits(a.dual_value), bits(a.primal), bits(a.gap), a.label] == \
+            [bits(b.dual_value), bits(b.primal), bits(b.gap), b.label]
+
+
+def per_seed_duals(lat, vg, seeds, primal):
+    return [dual_value(random_martingale(lat, seed), vg, primal) for seed in seeds]
+
+
+@pytest.mark.parametrize("case", ["binary96", "exp_martingale48"])
+def test_dual_values_match_the_per_seed_duals_bit_for_bit(binary96, case):
+    if case == "binary96":
+        lat, vg, primal = binary96["lat"], binary96["vg"], binary96["field"].at(0, 0, 0.0)
+    else:
+        lat = make_exp_martingale(48)
+        _, vg, field, _ = solved(lat, 2.0)
+        primal = field.at(0, 0, 0.0)
+    got = dual_values(lat, vg, terminals(lat, range(10)), primal)
+    assert_same_reports(got, per_seed_duals(lat, vg, range(10), primal))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rows=tiny_lattice_rows(max_steps=5), j_cap=st.integers(1, 3),
+       seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6))
+def test_dual_values_match_the_per_seed_duals_on_drawn_lattices(rows, j_cap, seeds):
+    K = len(rows) - 1
+    assume(K > j_cap)
+    lat = ScenarioLattice.from_rows(rows).validate()
+    _, vg, field, _ = solved(lat, float(K), 1.0 / j_cap)
+    primal = field.at(0, 0, 0.0)
+    assert_same_reports(dual_values(lat, vg, terminals(lat, seeds), primal),
+                        per_seed_duals(lat, vg, seeds, primal))
+
+
+def test_dual_values_raise_the_message_of_validate_for_a_nan_terminal():
+    lat = make_exp_martingale(12)
+    vg = VolumeGrid.aligned(1.0, TimeGrid(2.0, 12))
+    terms = terminals(lat, range(3))
+    terms[7, 1] = np.nan
+    want = outcome(dual_value, doob_martingale_of_terminal(lat, terms[:, 1]), vg, 0.0)
+    assert want == "martingale value at slice 0 node 0 is not finite"
+    assert outcome(dual_values, lat, vg, terms, 0.0) == want
+
+
+def test_dual_values_raise_the_first_error_of_the_per_seed_loop():
+    """Several bad columns: the error is the one a loop over the columns, in
+    order, meets first."""
+    lat = make_exp_martingale(12)
+    vg = VolumeGrid.aligned(1.0, TimeGrid(2.0, 12))
+    terms = terminals(lat, range(6))
+    terms[3, 2], terms[0, 4], terms[12, 5] = np.inf, -np.inf, np.nan
+
+    def loop():
+        for i in range(terms.shape[1]):
+            dual_value(doob_martingale_of_terminal(lat, terms[:, i]), vg, 0.0)
+
+    want = outcome(loop)
+    assert isinstance(want, str)
+    assert outcome(dual_values, lat, vg, terms, 0.0) == want
+
+
+def test_dual_values_refusals():
+    """The refusals of doob_martingale_of_terminal and dual_value, in their
+    order: the terminal shape, then the grid's step count, then L*T <= 1."""
+    lat = build_binomial("constant", 4, 1.0, c=1.0)
+    vg = VolumeGrid.aligned(1.0, TimeGrid(1.0, 4))
+    n = lat.n_nodes(4)
+    for bad in (np.zeros((n + 1, 2)), np.zeros(n)):
+        with pytest.raises(ValueError, match="one value per terminal node"):
+            dual_values(lat, vg, bad, 0.0)
+    with pytest.raises(ValueError, match="aligned to a different time grid"):
+        dual_values(lat, VolumeGrid.aligned(1.0, TimeGrid(1.0, 8)), np.zeros((n, 2)), 0.0)
+    with pytest.raises(PreconditionError, match="needs L\\*T > 1"):
+        dual_values(lat, vg, np.zeros((n, 2)), 0.0)
+    with pytest.raises(PreconditionError, match="needs L\\*T > 1"):
+        dual_value(constant_martingale(lat, 1.0), vg)
 
 
 def test_optimal_martingale_closes_the_gap(binary96):

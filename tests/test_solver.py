@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import swingkit.solver
 from swingkit import (Envelope, InvariantError, InvariantScan, LatticeNode, ResidualScan,
-                      ScenarioLattice, TimeGrid, ValueField, VolumeGrid, boundary_check,
-                      build_binary_example, build_binomial, extract_policy, solve)
+                      ScenarioLattice, ThresholdScan, TimeGrid, ValueField, VolumeGrid,
+                      boundary_check, build_binary_example, build_binomial, extract_policy, solve)
 
 from conftest import (dense_go, feed, is_threshold, make_exp_martingale,
                       reference_bellman_residual, reference_boundary_check,
@@ -478,6 +478,59 @@ def test_scans_build_no_more_than_the_band_plus_four_columns(mart96, monkeypatch
     built.clear()
     boundary_check(field)
     assert built == []
+
+
+def scan_outcome(result):
+    """result(), or the message of the InvariantError it raises."""
+    try:
+        return result()
+    except InvariantError as exc:
+        return str(exc)
+
+
+def same_outcome(a, b):
+    """Bitwise equality of two scan outcomes: messages, thresholds,
+    invariant extremes or residual reports."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    if isinstance(a, list):
+        return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(bits(a[key]) == bits(b[key]) for key in a)
+    return a.form == b.form and bits(a.max_abs) == bits(b.max_abs)
+
+
+def assert_shared_row_matches_each_scan_alone(lat, tg, vg, tie_tol):
+    """solve feeding the thresholds, the invariants and both residual forms
+    at once, so they share each slice's difference row, gives what each scan
+    fed alone through feed gives."""
+    def scans():
+        return [ThresholdScan(tie_tol), InvariantScan(), ResidualScan("implicit"),
+                ResidualScan("explicit")]
+
+    together = scans()
+    field = solve(lat, tg, vg, None, *together)
+    for shared, alone in zip(together, scans()):
+        assert same_outcome(scan_outcome(shared.result),
+                            scan_outcome(lambda: feed(field, alone)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rows=tiny_lattice_rows(max_steps=6), j_cap=st.integers(1, 8),
+       tie_tol=st.sampled_from([0.0, 1e-9]))
+def test_scans_sharing_the_difference_row_match_each_scan_alone(rows, j_cap, tie_tol):
+    lat = ScenarioLattice.from_rows(rows).validate()
+    tg = TimeGrid(float(lat.n_steps), lat.n_steps)
+    assert_shared_row_matches_each_scan_alone(lat, tg, VolumeGrid.aligned(1.0 / j_cap, tg),
+                                              tie_tol)
+
+
+@pytest.mark.parametrize("tie_tol", [0.0, 1e-9])
+def test_scans_sharing_the_difference_row_match_each_scan_alone_at_k96(mart96, tie_tol):
+    """With tie_tol = 0 the rounding noise on the exact ties of the
+    martingale cashflow makes the thresholds fail; the messages agree too."""
+    assert_shared_row_matches_each_scan_alone(mart96["lat"], mart96["tg"], mart96["vg"],
+                                              tie_tol)
 
 
 def single_node_chain(K, x_at, lce_declared):

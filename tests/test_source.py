@@ -333,6 +333,7 @@ USER_KNOBS = {
     ("brute_force_value", "max_policies"): "a user may enumerate past the default limit",
     ("closed_form", "c"): "the cashflow of the constant family",
     ("doob_martingale_of_terminal", "label"): "names a user's martingale in reports",
+    ("dual_value", "primal"): "bounds a user's martingale without a primal; gap reads NaN",
     ("exercise_regions", "tie_tol"): "matches a policy extracted with another tie_tol",
     ("LatticeNode", "children"): "a hand-built terminal node has no children",
     ("LatticeNode", "probs"): "nor transition probabilities",
