@@ -11,7 +11,7 @@ from .models import (Envelope, InvariantError, LatticeNode, PathEnsemble, Precon
                      ScenarioLattice, TimeGrid, build_binary_example, build_binomial,
                      count_paths, enumerate_paths, read_lattice, sample_paths,
                      write_lattice)
-from .solver import (BoundaryReport, InvariantScan, ResidualReport, ResidualScan, ValueField,
+from .solver import (BoundaryReport, InvariantScan, ResidualScan, ValueField,
                      VolumeGrid, boundary_check, solve)
 from .policy import (ExerciseBoundary, ExerciseRegions, MollifiedControl, PolicyField,
                      RolloutBundle, ThresholdScan, check_inclusion, check_saturation,
@@ -30,7 +30,7 @@ __all__ = [
     "Envelope", "InvariantError", "LatticeNode", "PathEnsemble", "PreconditionError",
     "ScenarioLattice", "TimeGrid", "build_binary_example", "build_binomial", "count_paths",
     "enumerate_paths", "read_lattice", "sample_paths", "write_lattice",
-    "BoundaryReport", "InvariantScan", "ResidualReport", "ResidualScan", "ValueField",
+    "BoundaryReport", "InvariantScan", "ResidualScan", "ValueField",
     "VolumeGrid", "boundary_check", "solve",
     "ExerciseBoundary", "ExerciseRegions", "MollifiedControl", "PolicyField",
     "RolloutBundle", "ThresholdScan", "check_inclusion", "check_saturation", "exercise_regions",

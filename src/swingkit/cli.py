@@ -20,7 +20,7 @@ from .models import (MAX_PATHS, InvariantError, PreconditionError, TimeGrid,
                      _strings, _write_table, build_binary_example, build_binomial, count_paths,
                      enumerate_paths, read_lattice, sample_paths, write_lattice)
 from .oracle import brute_force_value
-from .policy import (check_inclusion, check_saturation, exit_times, extract_policy,
+from .policy import (TIE_TOL, check_inclusion, check_saturation, exit_times, extract_policy,
                      inclusion_reads, rollout)
 from .solver import InvariantScan, ResidualScan, VolumeGrid, boundary_check
 from .stopping import marginal_value_report
@@ -79,15 +79,16 @@ def parse_config(path: str) -> dict:
 
 
 def build_model(cfg: dict):
-    """Returns (lattice, time_grid, L) from the configuration."""
+    """Returns (lattice, time_grid, volume_grid) from the configuration, the
+    volume grid aligned to the time grid."""
     model = cfg.get("model", "binary")
     if model == "binary":
         K = cfg.get("K", 96)
         T = cfg.get("T", 3.0)
         if T != 3.0:
             raise ValueError("the binary example lives on T = 3")
-        return build_binary_example(K), TimeGrid(3.0, K), cfg.get("L", 1.0)
-    if model == "binomial":
+        lat, tg, L = build_binary_example(K), TimeGrid(3.0, K), cfg.get("L", 1.0)
+    elif model == "binomial":
         kind = cfg.get("kind")
         if kind is None:
             raise ValueError("binomial model needs kind=")
@@ -97,8 +98,8 @@ def build_model(cfg: dict):
                              up=cfg.get("up"), down=cfg.get("down"),
                              p_up=cfg.get("p_up", 0.5), drift=cfg.get("drift"),
                              noise=cfg.get("noise"))
-        return lat, TimeGrid(T, K), cfg.get("L", 1.0)
-    if model == "file":
+        tg, L = TimeGrid(T, K), cfg.get("L", 1.0)
+    elif model == "file":
         path = cfg.get("lattice_file")
         if path is None:
             raise ValueError("model=file needs lattice_file=")
@@ -106,8 +107,9 @@ def build_model(cfg: dict):
         for key, have in (("K", tg.K), ("T", tg.T), ("L", L)):
             if key in cfg and cfg[key] != have:
                 raise ValueError("config %s=%r disagrees with the lattice file" % (key, cfg[key]))
-        return lat, tg, L
-    raise ValueError("unknown model %r" % model)
+    else:
+        raise ValueError("unknown model %r" % model)
+    return lat, tg, VolumeGrid.aligned(L, tg)
 
 
 def make_ensemble(lattice, cfg: dict, n_paths: int, prefer_exhaustive: bool):
@@ -211,26 +213,18 @@ def _write_martingale(fh, node_values):
     fh.write("\n")
 
 
-def _solve_all(cfg: dict, model=None, keep=None, scans=()):
-    """The policy, which carries the solved field, of the configured model;
-    keep=None stores the whole band, which only value_field.txt reads."""
-    if model is None:
-        lattice, tg, L = build_model(cfg)
-        model = lattice, tg, VolumeGrid.aligned(L, tg)
-    return extract_policy(*model, cfg.get("tie_tol", 1e-9), keep, *scans)
-
-
 def _prepare(cfg: dict, store: bool = True, scans=(), n_paths=0, prefer_exhaustive=False):
     """(policy, ens, starts) of a run. The starts are checked against the
     model's grids and make_ensemble(lattice, cfg, n_paths, prefer_exhaustive)
     runs before the solve, so bad input fails before the solve is paid for.
-    Unless store is set, the band is kept at slice 0 and the start slices."""
-    lattice, tg, L = build_model(cfg)
-    vg = VolumeGrid.aligned(L, tg)
+    Unless store is set (only value_field.txt reads the whole band), the
+    band is kept at slice 0 and the start slices."""
+    lattice, tg, vg = build_model(cfg)
     starts = parse_starts(cfg.get("starts", "0:0"))
     keep = {0} | {k0 for k0, _ in _start_indices(starts, tg, vg)}
     ens = make_ensemble(lattice, cfg, n_paths, prefer_exhaustive)
-    return _solve_all(cfg, (lattice, tg, vg), None if store else keep, scans), ens, starts
+    tie_tol = cfg.get("tie_tol", TIE_TOL)
+    return extract_policy(lattice, tg, vg, tie_tol, None if store else keep, *scans), ens, starts
 
 
 def cmd_price(cfg: dict, out_dir: str) -> int:
@@ -298,10 +292,10 @@ def _verify_checks(cfg: dict):
             ext["monotone"], ext["concavity"], ext["lipschitz"])
 
     def check_residual():
-        rep = residual.result()
-        if rep.max_abs > 1e-10:
-            raise InvariantError("implicit residual %.3g above 1e-10" % rep.max_abs)
-        return "max residual %.3g" % rep.max_abs
+        worst = residual.result()
+        if worst > 1e-10:
+            raise InvariantError("implicit residual %.3g above 1e-10" % worst)
+        return "max residual %.3g" % worst
 
     def check_boundary():
         rep = boundary_check(field)
@@ -385,7 +379,8 @@ def cmd_dual(cfg: dict, out_dir: str, solved=None) -> int:
     def make_policy(K):
         if solved is not None and solved.field.time_grid.K == K:
             return solved
-        return _solve_all(dict(cfg, K=int(K)), None, (0,))
+        model = build_model(dict(cfg, K=int(K)))
+        return extract_policy(*model, cfg.get("tie_tol", TIE_TOL), (0,))
 
     rows = duality_gap_study(make_policy, k_list)
     lines = ["K primal dual gap"]

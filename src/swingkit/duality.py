@@ -141,10 +141,9 @@ def dual_values(lattice: ScenarioLattice, volume_grid: VolumeGrid, terminals,
 
     The closed martingales E[terminals[:, i] | F_k] are the columns of one
     (nodes x m) array, carried from K down to 0 with only slices k and k+1
-    held. Each column is checked as MartingaleField.validate checks it:
-    finite values, then the one-step identity recomputed by a second
-    expect_next, against 1e-12 times the column's scale. The lowest failing
-    column raises validate's error.
+    held. Each column satisfies the one-step identity by construction, so
+    only its values are checked: the lowest column with a non-finite value
+    raises MartingaleField.validate's error for its lowest slice.
     """
     K = lattice.n_steps
     cur = np.asarray(terminals, dtype=float)
@@ -152,24 +151,17 @@ def dual_values(lattice: ScenarioLattice, volume_grid: VolumeGrid, terminals,
         raise ValueError("terminal payoff must have one value per terminal node")
     _check_dual_grid(lattice, volume_grid)
     occ = lattice.occupancy()
-    m = cur.shape[1]
-    bad = [None] * m            # (k, node) of the lowest non-finite value of each column
-    scale, worst, gains = np.ones(m), np.zeros(m), [None] * K
+    bad = {}                # column -> (k, node) of its lowest non-finite value
+    gains = [None] * K
     for k in range(K, -1, -1):
         if k < K:
-            nxt, cur = cur, lattice.expect_next(k, cur)
-            with np.errstate(invalid="ignore"):     # inf - inf in a non-finite column
-                worst = np.maximum(worst, np.abs(lattice.expect_next(k, nxt) - cur).max(axis=0))
+            cur = lattice.expect_next(k, cur)
             gains[k] = _gains(occ[k], lattice.x(k), cur)
         nonfinite = ~np.isfinite(cur)
         for i in np.flatnonzero(nonfinite.any(axis=0)):
             bad[i] = k, int(nonfinite[:, i].argmax())
-        scale = np.maximum(scale, np.abs(cur).max(axis=0))
-    for i in range(m):
-        if bad[i] is not None:
-            raise ValueError("martingale value at slice %d node %d is not finite" % bad[i])
-        if worst[i] > 1e-12 * scale[i]:
-            raise ValueError("martingale identity fails by %.3g" % worst[i])
+    if bad:
+        raise ValueError("martingale value at slice %d node %d is not finite" % bad[min(bad)])
     return _reports(cur[0], gains, volume_grid, primal, "user")
 
 

@@ -322,19 +322,6 @@ class InvariantScan:
         return self.report
 
 
-@dataclass(eq=False)
-class ResidualReport:
-    """Largest one-step consistency residual of a solved field.
-
-    Masked positions are left out: the moving-boundary level (where the left
-    and right volume derivatives legitimately differ) and levels where the
-    left derivative itself is undefined.
-    """
-
-    form: str
-    max_abs: float
-
-
 def _window(field: ValueField, vals: np.ndarray, diff: np.ndarray, first: int, lo: int):
     """J and dminus at positions lo..cap of a row built from position
     first <= lo, whose differences np.diff(vals, axis=1) are diff. Where
@@ -395,8 +382,14 @@ class ResidualScan:
         np.abs(r, out=r)
         self.max_abs = max(self.max_abs, float(np.max(r, where=np.isfinite(r), initial=0.0)))
 
-    def result(self) -> ResidualReport:
-        return ResidualReport(self.form, self.max_abs)
+    def result(self) -> float:
+        """Largest one-step consistency residual of the solved field.
+
+        Masked positions are left out: the moving-boundary level (where the
+        left and right volume derivatives legitimately differ) and levels
+        where the left derivative itself is undefined.
+        """
+        return self.max_abs
 
 
 @dataclass(eq=False)

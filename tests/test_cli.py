@@ -225,16 +225,17 @@ def test_cli_verify_warns_nothing_just_below_the_cashflow_limit(tmp_path):
     assert "PASS weak_duality: 10 random martingales, worst gap 3.41e+306\n" in report
 
 
-def test_verify_makes_at_most_13k_plus_8_expect_next_calls(tmp_path):
-    """One sweep carries all ten weak-duality martingales and checks them:
-    31*K calls (1,488 at K=48) when each had its own build and validate."""
+def test_verify_makes_at_most_12k_plus_8_expect_next_calls(tmp_path):
+    """One sweep carries all ten weak-duality martingales, with no second
+    sweep to re-derive their identity: 31*K calls (1,488 at K=48) when each
+    had its own build and validate, 13*K with the identity sweep."""
     K = 48
     cfg = parse_config(write_cfg(tmp_path, exp_martingale_keys(K)))
     with mock.patch.object(ScenarioLattice, "expect_next", autospec=True,
                            side_effect=ScenarioLattice.expect_next) as counted:
         results = _verify_checks(cfg)
     assert [status for status, _, _ in results] == ["PASS"] * 5 + ["SKIP"] + ["PASS"] * 3
-    assert counted.call_count <= 13 * K + 8
+    assert counted.call_count <= 12 * K + 8
 
 
 @pytest.mark.parametrize("tie_tol", ["nan", "inf", "-1"])

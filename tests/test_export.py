@@ -12,10 +12,10 @@ import tempfile
 import numpy as np
 from hypothesis import Phase, given, settings, strategies as st
 
-from swingkit import (ScenarioLattice, TimeGrid, enumerate_paths, exit_times, rollout,
-                      write_lattice)
+from swingkit import (ScenarioLattice, TimeGrid, enumerate_paths, exit_times, extract_policy,
+                      rollout, solve, write_lattice)
 from swingkit import models
-from swingkit.cli import (_solve_all, _strings, _write_exits, _write_martingale,
+from swingkit.cli import (_strings, build_model, _write_exits, _write_martingale,
                           _write_rollout, _write_value_field, main, make_ensemble,
                           parse_config, parse_starts)
 
@@ -133,8 +133,8 @@ def test_value_field_formats_each_distinct_value_once_per_file(monkeypatch):
         return real(spec, values)
 
     monkeypatch.setattr(models, "_format", counting)
-    field = _solve_all({"model": "binomial", "kind": "martingale", "drift": 0.0,
-                        "noise": 0.005, "x0": 1.0, "T": 2.0, "K": 12}).field
+    field = solve(*build_model({"model": "binomial", "kind": "martingale", "drift": 0.0,
+                                "noise": 0.005, "x0": 1.0, "T": 2.0, "K": 12}))
     streamed(_write_value_field, field)
     K, n_levels = field.time_grid.K, field.volume_grid.n_levels
 
@@ -205,7 +205,7 @@ def test_price_files_match_the_reference(tmp_path):
         out = tmp_path / name
         assert main(["price", "--config", str(cfg_path), "--out", str(out)]) == 0
         cfg = parse_config(str(cfg_path))
-        pol = _solve_all(cfg)
+        pol = extract_policy(*build_model(cfg))
         field = pol.field
         lat, tg, vg = field.lattice, field.time_grid, field.volume_grid
         ens = make_ensemble(lat, cfg, 0, False)

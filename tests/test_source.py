@@ -156,22 +156,123 @@ def class_methods(tree):
 
 
 # Public entry points that only users of the package (or the standard
-# library) call, each with its reason. The scan matches names only, so an
-# entry stays listed when an unrelated attribute of the same name is read
-# (bench/child.py reads the `dplus` of a derivative table).
+# library) call, each with its reason. A method name that one class defines
+# is matched by name alone, so such an entry stays listed when an unrelated
+# attribute of the same name is read; a name that several classes define is
+# credited to a class through its receiver (see resolved_loads).
 USER_ENTRY_POINTS = {
     ("ScenarioLattice", "from_rows"): "builds a lattice from LatticeNode rows in user code",
     ("Envelope", "accumulate"): "the martingale part along the paths of a user's ensemble",
     ("ValueField", "dplus"): "the right volume quotients of a slice, the paper's D+J",
+    ("PathEnsemble", "validate"): "checks a path ensemble that a user built",
     ("_Parser", "error"): "argparse calls it on a bad command line",
 }
 
 
 def uncalled_methods(trees, loads):
-    """(class name, line, method) for each method of the trees whose name no
-    attribute load reads."""
+    """(class name, line, method) for each method of the trees that no entry
+    of loads calls: an entry is a method name, read on any receiver, or a
+    (class name, method) pair, read on a receiver of that class."""
     return [(cls, line, name) for tree in trees for cls, line, name in class_methods(tree)
-            if name not in loads]
+            if name not in loads and (cls, name) not in loads]
+
+
+def _scopes(tree):
+    """(statements, owner class or None) of each top-level function, each
+    method and the rest of the module; a nested function belongs to the
+    scope it is defined in."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    rest = []
+    for node in tree.body:
+        if isinstance(node, funcs):
+            yield [node], None
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, funcs):
+                    yield [item], node.name
+                else:
+                    rest.append(item)
+        else:
+            rest.append(node)
+    yield rest, None
+
+
+_NONE = object()        # a binding to None, which leaves a name's class open
+
+
+def _name_classes(stmts, owner, classes):
+    """{name: class name, or None when unresolved} of the names bound in a
+    scope. A name resolves when every binding agrees: self of a method, a
+    parameter annotated with a class, or an assignment of a call of a class
+    (a binding to None is passed over)."""
+    def value_class(value):
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) in classes:
+            return value.func.id
+        if isinstance(value, ast.Constant) and value.value is None:
+            return _NONE
+        return None
+
+    assigned, seen = {}, {}
+    for node in (n for stmt in stmts for n in ast.walk(stmt)):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    assigned[target] = value_class(node.value)
+                elif (isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                      and len(target.elts) == len(node.value.elts)):
+                    assigned.update((t, value_class(v))
+                                    for t, v in zip(target.elts, node.value.elts))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            for i, arg in enumerate(params + [a for a in (args.vararg, args.kwarg) if a]):
+                name = _annotation_name(arg.annotation) if arg.annotation else None
+                if owner is not None and node is stmts[0] and i == 0 and arg.arg == "self":
+                    name = owner
+                seen.setdefault(arg.arg, set()).add(name if name in classes else None)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            seen.setdefault(node.id, set()).add(assigned.get(node))
+    return {name: next(iter(found)) if len(found) == 1 else None
+            for name, found in ((name, found - {_NONE}) for name, found in seen.items())}
+
+
+def resolved_loads(defining, callers):
+    """The loads of callers as uncalled_methods reads them. A load `x.m` of
+    a method name m that several classes of the defining trees define is
+    the pair (class, m) when x resolves to the class: self in its method, a
+    call of the class, a name bound from such a call, or a parameter or
+    dataclass field annotated with the class. Any other load is its name."""
+    classes = {node.name for tree in defining for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    owners = {}
+    for tree in defining:
+        for cls, _, name in class_methods(tree):
+            owners.setdefault(name, set()).add(cls)
+    field_types = {}
+    for tree in defining:
+        for _, item in dataclass_items(tree):
+            field_types.setdefault(item.target.id, set()).add(_annotation_name(item.annotation))
+    fields = {name: types.pop() for name, types in field_types.items()
+              if len(types) == 1 and types <= classes}
+    loads = set()
+    for tree in callers:
+        for stmts, owner in _scopes(tree):
+            names = _name_classes(stmts, owner, classes)
+            for n in (n for stmt in stmts for n in ast.walk(stmt)):
+                if not (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)):
+                    continue
+                x = n.value
+                if isinstance(x, ast.Name):
+                    cls = names.get(x.id)
+                elif isinstance(x, ast.Call):
+                    cls = getattr(x.func, "id", None)
+                elif isinstance(x, ast.Attribute):
+                    cls = fields.get(x.attr)
+                else:
+                    cls = None
+                shared = len(owners.get(n.attr, ())) > 1
+                loads.add((cls, n.attr) if shared and cls in classes else n.attr)
+    return loads
 
 
 def test_the_scanner_flags_an_uncalled_method():
@@ -186,12 +287,35 @@ def test_the_scanner_flags_an_uncalled_method():
     assert uncalled_methods([tree], attribute_loads([tree, other])) == []
 
 
+def test_the_scanner_resolves_the_receiver_of_a_shared_method_name():
+    """A dead B.read is flagged beside the called A.read, C.read, D.read and
+    E.read, which a name match alone hides; a shared name read on an
+    unresolved receiver credits every class that defines it."""
+    tree = ast.parse("class A:\n    def read(self):\n        pass\n"
+                     "    def size(self):\n        return self.read()\n"
+                     "class B:\n    def read(self):\n        pass\n"
+                     "    def size(self):\n        pass\n"
+                     "class C:\n    def read(self):\n        pass\n"
+                     "class D:\n    def read(self):\n        pass\n"
+                     "class E:\n    def read(self):\n        pass\n"
+                     "@dataclass\nclass Box:\n    e: E\n"
+                     "def f(c: C, box: 'Box', other):\n"
+                     "    d, n = D(), None\n    n = D()\n"
+                     "    return (c.read(), d.read(), n.read(), box.e.read(), A().read,\n"
+                     "            other.size)\n")
+    assert uncalled_methods([tree], resolved_loads([tree], [tree])) == [("B", 7, "read")]
+    assert uncalled_methods([tree], attribute_loads([tree])) == []
+    # bindings of two classes leave x unresolved
+    other = ast.parse("def g(x):\n    x = D()\n    x = B()\n    return x.read, x.size\n")
+    assert uncalled_methods([tree], resolved_loads([tree], [other])) == []
+
+
 def test_every_method_has_a_caller():
     """A method that no code in src/ or bench/ calls is dead code, unless it
     is a listed entry point for users."""
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
-    loads = attribute_loads(trees + [ast.parse(path.read_text())
-                                     for path in sorted((ROOT / "bench").glob("*.py"))])
+    loads = resolved_loads(trees, trees + [ast.parse(path.read_text())
+                                           for path in sorted((ROOT / "bench").glob("*.py"))])
     uncalled = {(cls, name) for cls, _, name in uncalled_methods(trees, loads)}
     assert sorted(uncalled - USER_ENTRY_POINTS.keys()) == []
     defined = {(cls, name) for tree in trees for cls, _, name in class_methods(tree)}
@@ -347,3 +471,22 @@ def test_every_knob_is_set_somewhere():
     unset = {(name, param) for name, _, param in unset_knobs(trees)}
     assert sorted(unset - USER_KNOBS.keys()) == []
     assert sorted(USER_KNOBS.keys() - unset) == []
+
+
+def verify_line_names(tree):
+    """The names of the run("...") calls in cli._verify_checks, in order."""
+    func = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "_verify_checks")
+    return [call.args[0].value for call in ast.walk(func)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "run"]
+
+
+def test_verify_lines_match_the_benchmark_checks():
+    """The report lines of verify are the VERIFY_CHECKS of bench/workloads.py,
+    in order, read without importing bench/: a renamed or dropped line fails
+    here, not only in the benchmark's output check."""
+    bench = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    checks = next(ast.literal_eval(node.value) for node in bench.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["VERIFY_CHECKS"])
+    assert verify_line_names(ast.parse((SRC / "cli.py").read_text())) == list(checks)
