@@ -184,6 +184,29 @@ class OptimalMartingaleResult:
     node_values: list
 
 
+def _merge(keys, w, v):
+    """Per group of equal key tuples (key[i] for key in keys), in first-seen
+    order: the first arrival, mass (sum of w), mean (of v weighted by w, or v
+    at the first arrival where the mass is 0) and spread (max - min of v).
+
+    Sums run in arrival order, as a loop over the arrivals adds. The mean's
+    weights are scaled per group by the power of two that puts the largest in
+    [0.5, 1): exact, so no bit moves, unless a scaled weight or product is
+    subnormal; and it keeps the mean of subnormal weights between its arrivals.
+    """
+    order = np.lexsort(keys[::-1])        # stable: each run starts at its first arrival
+    new = np.append(True, np.any([a[1:] != a[:-1] for a in (key[order] for key in keys)], 0))
+    starts = np.flatnonzero(new)
+    head, n, run = order[starts], starts.size, np.empty_like(order)
+    run[order] = np.cumsum(new) - 1
+    scaled = np.ldexp(w, -np.frexp(np.maximum.reduceat(w[order], starts))[1][run])
+    norm, mean, sv = np.bincount(run, scaled, n), v[head], v[order]
+    np.divide(np.bincount(run, scaled * v, n), norm, out=mean, where=norm > 0)
+    spread = np.maximum.reduceat(sv, starts) - np.minimum.reduceat(sv, starts)
+    rank = np.argsort(head)
+    return head[rank], np.bincount(run, w, n)[rank], mean[rank], spread[rank]
+
+
 def build_optimal_martingale(policy: PolicyField) -> OptimalMartingaleResult:
     """Assemble the optimizing martingale for start (0, y=0) from a policy and
     its solved field.
@@ -227,31 +250,17 @@ def build_optimal_martingale(policy: PolicyField) -> OptimalMartingaleResult:
     # of its first arrival when the state has probability 0
     mscale = max(1.0, lattice.max_x(), abs(m0))
     qtol = 1e-9 * mscale
-    node = np.zeros(1, dtype=np.int64)
-    phase = np.zeros(1, dtype=np.int64)
-    p = np.ones(1)
-    m = np.zeros(1)
-    integrand = 0.0
-    dom = 0.0
-    ident = 0.0
-    spread = 0.0
+    node, phase, p, m = np.zeros(1, np.int64), np.zeros(1, np.int64), np.ones(1), np.zeros(1)
+    integrand = dom = ident = spread = 0.0
     node_values = []
-    key = np.dtype([("node", np.int64), ("phase", np.int64), ("q", float)])
     for k in range(K + 1):
         x = lattice.x(k)[node]
         v = np.where(phase == 0, w_field[k][node], m)
-        size = lattice.n_nodes(k)
-        mass = np.bincount(node, p, size)
-        seen, head = np.unique(node, return_index=True)
-        vals = np.full(size, np.nan)
-        vals[seen] = v[head]
-        np.divide(np.bincount(node, p * v, size), mass, out=vals, where=mass > 0)
+        head, _, mean, node_spread = _merge((node,), p, v)
+        vals = np.full(lattice.n_nodes(k), np.nan)
+        vals[node[head]] = mean
         node_values.append(vals)
-        vmin = np.full(size, np.inf)
-        vmax = np.full(size, -np.inf)
-        np.minimum.at(vmin, node, v)
-        np.maximum.at(vmax, node, v)
-        spread = max(spread, float((vmax - vmin)[seen].max()))
+        spread = max(spread, float(node_spread.max()))
         dom = max(dom, float(np.where(phase == 1, x - v, v - x)[phase > 0].max(initial=0.0)))
         if k == K:
             break
@@ -267,26 +276,14 @@ def build_optimal_martingale(policy: PolicyField) -> OptimalMartingaleResult:
         m2 = np.where(stay[row], w_field[k + 1][child[e]], base[row] + inc)
         ev = np.bincount(row, prob[e] * m2, node.size)
         ident = max(ident, float(np.abs(ev - base).max()))
-        keys = np.empty(row.size, key)
-        keys["node"] = child[e]
-        keys["phase"] = np.where(stay, 0, new_phase)[row]
-        # + 0.0 maps -0.0 to 0.0: both are the one integer key 0
-        keys["q"] = np.where(stay[row], 0.0, np.rint(m2 / qtol) + 0.0)
-        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-        if first.size > 200000:
+        node, phase = child[e], np.where(stay, 0, new_phase)[row]
+        q = np.where(stay[row], 0.0, np.rint(m2 / qtol))
+        head, p, m, _ = _merge((node, phase, q), p[row] * prob[e], m2)
+        if head.size > 200000:
             raise ValueError(
                 "post-exit martingale is path-dependent beyond 200000 states at "
                 "slice %d; no node view exists on this lattice" % (k + 1))
-        rank = np.empty_like(first)
-        rank[np.argsort(first)] = np.arange(first.size)
-        group = rank[group]
-        first = np.sort(first)
-        w = p[row] * prob[e]
-        p = np.bincount(group, w, first.size)
-        m = m2[first]
-        np.divide(np.bincount(group, w * m2, first.size), p, out=m, where=p > 0)
-        node = keys["node"][first]
-        phase = keys["phase"][first]
+        node, phase = node[head], phase[head]
 
     primal = float(value_field.point(0, 0, pos0))
     dual = m0 + vg.step * integrand

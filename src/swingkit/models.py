@@ -628,7 +628,8 @@ def read_lattice(path: str):
     bad = np.flatnonzero((k < 0) | (k > K))
     if bad.size:
         raise ValueError("slice index %d outside 0..%d" % (k[bad[0]], K))
-    present = np.unique(k)          # checked before any array is sized by K
+    # checked before any array is sized by K; a plain np.unique imports numpy.ma
+    present = np.unique(k, return_index=True)[0]
     missing = np.append(np.flatnonzero(present != np.arange(present.size)), present.size)[0]
     if missing <= K:
         raise ValueError("missing slice %d in lattice file" % missing)

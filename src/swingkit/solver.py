@@ -197,10 +197,11 @@ class ValueField:
                 keys = np.append(nodes, nodes)[inside] * points.width + j[inside]
                 keys = keys[points.keys[points.keys.searchsorted(keys)] != keys]
                 if keys.size:
-                    want[k] = np.append(want.get(k, keys[:0]), keys)
+                    want[k] = np.append(want.get(k, points.keys[:-1]), keys)
         for s in _recursion(self.lattice, self.time_grid, self.volume_grid) if want else ():
             if s.k in want:
-                self.band[s.k] = _Points(s.band, np.union1d(self.band[s.k].keys[:-1], want[s.k]))
+                # return_index: a plain np.unique imports numpy.ma
+                self.band[s.k] = _Points(s.band, np.unique(want[s.k], return_index=True)[0])
 
     def at(self, k: int, node: int, y: float) -> float:
         return float(self.point(k, node, self.volume_grid.index_of(y)))

@@ -135,9 +135,7 @@ def optimal_predictable_stop(bundle: RolloutBundle, constraint: str):
         stop[k + 1][child[stopping]] = True
         alive = np.zeros(lattice.n_nodes(k + 1), dtype=bool)
         alive[child[moving & ~stopping]] = True
-    rule = StoppingRule(lattice, stop, k0)
-    rule.check_predictable()
-    return rule, best
+    return StoppingRule(lattice, stop, k0), best
 
 
 @dataclass(eq=False)
@@ -225,7 +223,7 @@ def marginal_value_report(policy: PolicyField, ensemble: PathEnsemble,
             bundle = rollout(policy, ensemble, (k0, y0))
             exits = exit_times(bundle)
             x_sig = np.empty(bundle.n_paths)
-            for m in np.unique(exits.k_sigma):
+            for m in set(exits.k_sigma.tolist()):
                 at = exits.k_sigma == m
                 x_sig[at] = lattice.x(m)[bundle.nodes[at, m]]
             ex_sig = float(np.cumsum(bundle.weights * x_sig)[-1])

@@ -1,10 +1,15 @@
 import filecmp
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from swingkit import ScenarioLattice, write_lattice
+import swingkit
+from swingkit import ScenarioLattice, TimeGrid, build_binary_example, write_lattice
 from swingkit.cli import _verify_checks, main, parse_config, parse_k_list, parse_starts
 
 from conftest import collision_lattice, exp_martingale_keys
@@ -311,6 +316,34 @@ def test_cli_zero_probability_edges(tmp_path, capsys):
     assert main(["dual", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
     trace = (tmp_path / "d" / "martingale.txt").read_text()
     assert "nan" not in trace and len(trace.splitlines()) == 1 + 13 * 14 // 2
+
+
+def test_cli_verify_merges_states_of_subnormal_mass(tmp_path):
+    """With p_up = 1e-4 the path masses of the extreme nodes go subnormal by
+    K = 80. The merged martingale values stay between their arrivals, so
+    the states of a node agree and optimal_martingale passes with spread 0."""
+    cfg = write_cfg(tmp_path, "model=binomial\nkind=martingale\nx0=1\nup=1.009999\n"
+                              "down=0.999999\np_up=0.0001\nT=2\nK=80\n")
+    assert run(tmp_path, "verify", "--config", cfg) == 0
+    report = (tmp_path / "report.txt").read_text().splitlines()
+    line = [ln for ln in report if ln.split()[1] == "optimal_martingale:"]
+    assert line[0].startswith("PASS") and line[0].endswith(" spread 0")
+
+
+def test_verify_and_stopping_do_not_import_numpy_ma(tmp_path):
+    """A plain np.unique or np.union1d imports numpy.ma (about 18 ms); a
+    fresh verify and stopping run on a lattice file never does."""
+    lattice = tmp_path / "binary.txt"
+    write_lattice(str(lattice), build_binary_example(12), TimeGrid(3.0, 12), 1.0)
+    cfg = write_cfg(tmp_path, "model=file\nlattice_file=%s\nstarts=0:0.5\n" % lattice)
+    code = ("import sys\nfrom swingkit.cli import main\n"
+            "print([main([c, '--config', %r, '--out', %r, '--exhaustive'])"
+            " for c in ('verify', 'stopping')], 'numpy.ma' in sys.modules)"
+            % (cfg, str(tmp_path)))
+    env = dict(os.environ, PYTHONPATH=str(Path(swingkit.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[0, 0] False"
 
 
 def test_cli_dual_study(tmp_path, capsys):

@@ -7,6 +7,7 @@ from swingkit import (InvariantError, LatticeNode, PreconditionError, ScenarioLa
                       constant_martingale, doob_martingale_of_terminal, dual_value,
                       dual_values, duality_gap_study, extract_policy, random_martingale,
                       random_terminal)
+from swingkit.duality import _merge
 
 from conftest import (collision_lattice, make_exp_martingale, reference_optimal_martingale,
                       solved, tiny_lattice_rows, with_policy)
@@ -336,6 +337,44 @@ def test_gap_study_rows_respect_weak_duality():
 
     for row in duality_gap_study(with_policy(make), [24, 48]):
         assert row.dual >= row.primal - 1e-10
+
+
+ARRIVAL = st.tuples(st.integers(0, 2), st.integers(0, 2),
+                    st.one_of(st.just(0.0), st.floats(2.0 ** -30, 1.0)),
+                    st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(arrivals=st.lists(ARRIVAL, min_size=1, max_size=40))
+def test_merged_means_lie_between_their_arrivals(arrivals):
+    """_merge groups in first-seen order and sums in arrival order, so with
+    normal products its means are sum(w*v) / sum(w) bit for bit. With the
+    weights scaled by 2^-j, down into the subnormal range, every mean stays
+    within [min, max] of its arrivals up to rounding, and keeps its bits
+    while the scaled weights are normal."""
+    a, b, w, v = map(np.array, zip(*arrivals))
+    groups = {}
+    for i, key in enumerate(zip(a.tolist(), b.tolist())):
+        groups.setdefault(key, []).append(i)
+    head, mass, mean, spread = _merge((a, b), w, v)
+    assert head.tolist() == [idx[0] for idx in groups.values()]
+    for g, idx in enumerate(groups.values()):
+        ws, vs = w[idx], v[idx]
+        assert bits(mass[g]) == bits(np.cumsum(ws)[-1])       # sequential sums
+        assert bits(spread[g]) == bits(vs.max() - vs.min())
+        want = np.cumsum(ws * vs)[-1] / mass[g] if mass[g] > 0 else vs[0]
+        assert bits(mean[g]) == bits(want)
+    for j in (1, 60, 1000, 1010, 1030, 1050, 1070):
+        tiny = np.ldexp(w, -j)
+        _, _, tmean, tspread = _merge((a, b), tiny, v)
+        assert np.array_equal(bits(tspread), bits(spread))
+        normal = np.all((w == 0) | (tiny >= np.finfo(float).tiny))
+        for g, idx in enumerate(groups.values()):
+            vs = v[idx]
+            slack = (len(idx) + 2) * np.finfo(float).eps * np.abs(vs).max()
+            assert vs.min() - slack <= tmean[g] <= vs.max() + slack, j
+            if normal:
+                assert bits(tmean[g]) == bits(mean[g])
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)

@@ -165,6 +165,7 @@ USER_ENTRY_POINTS = {
     ("Envelope", "accumulate"): "the martingale part along the paths of a user's ensemble",
     ("ValueField", "dplus"): "the right volume quotients of a slice, the paper's D+J",
     ("PathEnsemble", "validate"): "checks a path ensemble that a user built",
+    ("StoppingRule", "check_predictable"): "checks that a user's stopping rule decides a step ahead",
     ("_Parser", "error"): "argparse calls it on a bad command line",
 }
 
