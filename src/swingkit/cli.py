@@ -112,11 +112,12 @@ def build_model(cfg: dict):
     return lat, tg, VolumeGrid.aligned(L, tg)
 
 
-def make_ensemble(lattice, cfg: dict, n_paths: int, prefer_exhaustive: bool):
+def make_ensemble(lattice, cfg: dict, n_paths: int):
     """All paths under exhaustive=true, or when at most MAX_PATHS and either
-    prefer_exhaustive is set or no count is given (the config's n_paths, else
+    n_paths here is positive or no count is given (the config's n_paths, else
     the n_paths here); otherwise that many sampled paths. A config n_paths
     below 1 (not read as unset) or seed below 0 is refused, sampling or not."""
+    prefer_all = n_paths > 0
     if "n_paths" in cfg:
         n_paths = cfg["n_paths"]
         if n_paths < 1:
@@ -124,7 +125,7 @@ def make_ensemble(lattice, cfg: dict, n_paths: int, prefer_exhaustive: bool):
     if cfg.get("seed", 0) < 0:
         raise ValueError("seed must be nonnegative")
     if cfg.get("exhaustive", False) or (
-            (prefer_exhaustive or n_paths < 1) and count_paths(lattice) <= MAX_PATHS):
+            (prefer_all or n_paths < 1) and count_paths(lattice) <= MAX_PATHS):
         return enumerate_paths(lattice)
     if n_paths < 1:
         raise ValueError("too many paths to enumerate; set n_paths= or exhaustive=true")
@@ -213,16 +214,16 @@ def _write_martingale(fh, node_values):
     fh.write("\n")
 
 
-def _prepare(cfg: dict, store: bool = True, scans=(), n_paths=0, prefer_exhaustive=False):
+def _prepare(cfg: dict, store: bool = True, scans=(), n_paths=0):
     """(policy, ens, starts) of a run. The starts are checked against the
-    model's grids and make_ensemble(lattice, cfg, n_paths, prefer_exhaustive)
-    runs before the solve, so bad input fails before the solve is paid for.
+    model's grids and make_ensemble(lattice, cfg, n_paths) runs before the
+    solve, so bad input fails before the solve is paid for.
     Unless store is set (only value_field.txt reads the whole band), the
     band is kept at slice 0 and the start slices."""
     lattice, tg, vg = build_model(cfg)
     starts = parse_starts(cfg.get("starts", "0:0"))
     keep = {0} | {k0 for k0, _ in _start_indices(starts, tg, vg)}
-    ens = make_ensemble(lattice, cfg, n_paths, prefer_exhaustive)
+    ens = make_ensemble(lattice, cfg, n_paths)
     tie_tol = cfg.get("tie_tol", TIE_TOL)
     return extract_policy(lattice, tg, vg, tie_tol, None if store else keep, *scans), ens, starts
 
@@ -267,8 +268,7 @@ def _export_price(out_dir: str, policy, ens, starts):
 
 def _verify_checks(cfg: dict):
     invariants, residual = InvariantScan(), ResidualScan("implicit")
-    policy, ens, starts = _prepare(cfg, False, (invariants, residual), n_paths=256,
-                                   prefer_exhaustive=True)
+    policy, ens, starts = _prepare(cfg, False, (invariants, residual), n_paths=256)
     field, lattice, vg = policy.field, policy.field.lattice, policy.field.volume_grid
     results, bundle = [], rollout(policy, ens, (0, 0.0))
     try:        # one replay answers the dminus_at reads of both rollout checks

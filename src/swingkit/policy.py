@@ -145,7 +145,6 @@ class RolloutBundle:
     rewards: np.ndarray
     weights: np.ndarray
     mean: float
-    exhaustive: bool
 
     @property
     def n_paths(self) -> int:
@@ -178,8 +177,7 @@ def rollout(policy: PolicyField, ensemble: PathEnsemble, start) -> RolloutBundle
     # running sums keep the left-to-right order of a path-by-path accumulation
     weights = ensemble.weights / np.cumsum(ensemble.weights)[-1]
     mean = float(np.cumsum(weights * rewards)[-1])
-    return RolloutBundle(policy, k0, pos0, nodes, positions, rewards, weights, mean,
-                         ensemble.exhaustive)
+    return RolloutBundle(policy, k0, pos0, nodes, positions, rewards, weights, mean)
 
 
 def inclusion_reads(bundle: RolloutBundle) -> list:

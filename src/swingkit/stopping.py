@@ -1,5 +1,5 @@
 """Optimal stopping machinery: predictable stopping searches confined to
-the stop windows of a policy rollout, and the stopping representations of
+the stop windows of a policy, and the stopping representations of
 the marginal value of volume, which read the Snell envelopes of models.
 
 Discrete predictability convention: the event {sigma = t_k} must be decided
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import InvariantError, PathEnsemble, ScenarioLattice
-from .policy import PolicyField, RolloutBundle, exit_times, rollout
+from .policy import PolicyField, exit_times, rollout
 
 @dataclass(eq=False)
 class StoppingRule:
@@ -57,50 +57,48 @@ def evaluate_stop_rule(rule: StoppingRule, ensemble: PathEnsemble) -> float:
     return float(np.cumsum(weights / np.cumsum(weights)[-1] * x_hit)[-1])
 
 
-def _window_flags(bundle: RolloutBundle, constraint: str) -> list:
-    """Stop flags per node of each slice past the start, read off the rollout.
+def _window_flags(policy: PolicyField, k0: int, pos0: int, constraint: str) -> list:
+    """Stop flags per node of each slice past k0, with the policy walked
+    forward over the tree's nodes from every node of slice k0 at position pos0.
 
-    t_m is open when the step before it or the step after it allows the
-    move: a rate below L for "can_raise" (the holder could still exercise
-    more), above 0 for "can_lower" (could exercise less). On a tree every
-    path through a node shares its prefix, hence its positions and rates, so
-    each path writes its flag straight onto its node.
+    t_m is open when the step into it or the step out of it allows the move:
+    a rate below L for "can_raise" (the holder could still exercise more),
+    above 0 for "can_lower" (could exercise less). On a tree a node has one
+    parent, so one position: its parent's plus the parent's go.
     """
-    lattice, k0 = bundle.policy.field.lattice, bundle.k0
-    K = lattice.n_steps
-    moves = bundle.positions[:, 1:] != bundle.positions[:, :-1]     # the step's rate is L
-    if constraint == "can_raise":
-        allowed = ~moves
-    elif constraint == "can_lower":
-        allowed = moves
-    else:
+    if constraint not in ("can_raise", "can_lower"):
         raise ValueError("constraint must be 'can_raise' or 'can_lower'")
-    opened = allowed.copy()  # column i is t_{k0+1+i}: the step before it
-    opened[:, :-1] |= allowed[:, 1:]  # or the step after it
-    flags = [np.zeros(lattice.n_nodes(m), dtype=bool) for m in range(K + 1)]
-    for m in range(k0 + 1, K + 1):
-        flags[m][bundle.nodes[:, m]] = opened[:, m - k0 - 1]
+    lattice = policy.field.lattice
+    flags = [np.zeros(lattice.n_nodes(m), dtype=bool) for m in range(k0 + 1)]
+    pos = np.full(lattice.n_nodes(k0), pos0)
+    for m in range(k0, lattice.n_steps):
+        go = policy.go(m, np.arange(pos.size), pos)
+        allowed = go if constraint == "can_lower" else ~go
+        if m > k0:
+            flags[m] |= allowed             # the step out of t_m
+        up = np.empty(lattice.n_nodes(m + 1), dtype=np.int64)
+        up[lattice.edges(m)[1]] = lattice.parents(m)
+        flags.append(allowed[up])           # the step into t_{m+1}
+        pos = (pos + go)[up]
     return flags
 
 
-def optimal_predictable_stop(bundle: RolloutBundle, constraint: str):
+def optimal_predictable_stop(policy: PolicyField, start, constraint: str):
     """Best discrete-predictable stopping rule (stop decisions made one step
-    ahead, at the parent node) with stop times confined to the rollout's
-    windows (see _window_flags), on the rollout's lattice: the sup over the
-    "can_raise" windows, which represents -D-J, or the inf over the
-    "can_lower" windows, which represents -D+J.
+    ahead, at the parent node) from start = (k0, y0), with stop times
+    confined to the policy's windows (see _window_flags), on the policy's
+    lattice: the sup over the "can_raise" windows, which represents -D-J, or
+    the inf over the "can_lower" windows, which represents -D+J.
 
-    Needs a tree lattice and an exhaustive rollout so the flags are node
-    functions. Returns (rule, value). Raises when no admissible rule exists.
+    Needs a tree lattice; every node of slice k0 starts, weighted by its
+    occupancy. Returns (rule, value). Raises when no admissible rule exists.
     """
-    lattice = bundle.policy.field.lattice
+    lattice = policy.field.lattice
     if not lattice.is_tree():
         raise ValueError("the stopping search needs a tree lattice")
-    if not bundle.exhaustive:
-        raise ValueError("the stopping search needs an exhaustive rollout")
     K = lattice.n_steps
-    k0 = bundle.k0
-    flags = _window_flags(bundle, constraint)
+    k0, y0 = start
+    flags = _window_flags(policy, k0, policy.field.volume_grid.start_pos(k0, y0), constraint)
     sense = 1.0 if constraint == "can_raise" else -1.0
     bad = -np.inf
 
@@ -118,15 +116,14 @@ def optimal_predictable_stop(bundle: RolloutBundle, constraint: str):
         cont_val = bad if value is None else expect(k, value)
         value, choice[k] = np.maximum(stop_val, cont_val), stop_val >= cont_val
 
-    start_w = np.bincount(bundle.nodes[:, k0], bundle.weights, minlength=lattice.n_nodes(k0))
+    start_w = lattice.occupancy()[k0]
     reached = start_w > 0
     if np.any(~np.isfinite(value[reached])):
         raise ValueError("no admissible stopping rule for constraint %r" % (constraint,))
     best = float(start_w[reached] @ value[reached]) * sense
 
     stop = [np.zeros(lattice.n_nodes(k), dtype=bool) for k in range(K + 1)]
-    alive = np.zeros(lattice.n_nodes(k0), dtype=bool)
-    alive[bundle.nodes[:, k0]] = True
+    alive = np.ones(lattice.n_nodes(k0), dtype=bool)
     for k in range(k0, K):
         _, child, _ = lattice.edges(k)
         parent = lattice.parents(k)
@@ -197,11 +194,15 @@ def marginal_value_report(policy: PolicyField, ensemble: PathEnsemble,
     ensemble.check_lattice(lattice)
     occ = lattice.occupancy()
     tol = 3.0 * tg.dt * lattice.max_x()
-    searchable = lattice.is_tree() and ensemble.exhaustive
+    searchable = lattice.is_tree()
+    places = [(tg.start_index(t0), vg.index_of(y0)) for t0, y0 in starts]
+    # (k0, nodes, pos) of the -D-J and -D+J reads of each start
+    reads = [(k0, *np.broadcast_arrays(np.arange(lattice.n_nodes(k0))[:, None],
+                                       np.array([pos0, vg.right_of(pos0)])))
+             for k0, pos0 in places]
+    field.keep(reads)
     rows = []
-    for (t0, y0) in starts:
-        k0 = tg.start_index(t0)
-        pos0 = vg.index_of(y0)
+    for (t0, y0), (k0, pos0), read in zip(starts, places, reads):
         b = vg.boundary_pos(k0)
         if pos0 == vg.cap_pos:
             region = "cap"
@@ -212,9 +213,9 @@ def marginal_value_report(policy: PolicyField, ensemble: PathEnsemble,
         else:
             region = "interior"
         w = occ[k0]
-        dm = field.dminus(k0)
-        ndm = -float(w @ dm[:, pos0]) + 0.0
-        ndp = -float(w @ dm[:, vg.right_of(pos0)]) + 0.0
+        dm = field.dminus_at(*read)
+        ndm = -float(w @ dm[:, 0]) + 0.0
+        ndp = -float(w @ dm[:, 1]) + 0.0
         # each envelope is read (and built) only where the region calls for it
         ssup = float(w @ lattice.envelope("max").values[k0]) if region == "cap" else np.nan
         sinf = float(w @ lattice.envelope("min").values[k0]) if region == "boundary" else np.nan
@@ -228,8 +229,8 @@ def marginal_value_report(policy: PolicyField, ensemble: PathEnsemble,
                 x_sig[at] = lattice.x(m)[bundle.nodes[at, m]]
             ex_sig = float(np.cumsum(bundle.weights * x_sig)[-1])
             if searchable and region == "interior":
-                _, sup_a = optimal_predictable_stop(bundle, "can_raise")
-                _, inf_b = optimal_predictable_stop(bundle, "can_lower")
+                _, sup_a = optimal_predictable_stop(policy, (k0, y0), "can_raise")
+                _, inf_b = optimal_predictable_stop(policy, (k0, y0), "can_lower")
         rows.append(MarginalRow(t0, y0, region, ndm, ndp, ex_sig, sup_a, inf_b, ssup, sinf))
         if not lattice.lce_declared:
             continue

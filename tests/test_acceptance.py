@@ -103,8 +103,7 @@ def test_criterion_02_marginal_value_and_exit(binary_solved):
 def test_criterion_03_predictability_separation(binary_solved):
     b = binary_solved
     start = time.perf_counter()
-    bundle = rollout(b["policy"], b["ens"], (0, 0.5))
-    _, sup_a = optimal_predictable_stop(bundle, "can_raise")
+    _, sup_a = optimal_predictable_stop(b["policy"], (0, 0.5), "can_raise")
     stop = [np.zeros(b["lat"].n_nodes(k), dtype=bool) for k in range(97)]
     stop[32][0] = True
     stop[80][1] = True

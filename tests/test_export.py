@@ -208,7 +208,7 @@ def test_price_files_match_the_reference(tmp_path):
         pol = extract_policy(*build_model(cfg))
         field = pol.field
         lat, tg, vg = field.lattice, field.time_grid, field.volume_grid
-        ens = make_ensemble(lat, cfg, 0, False)
+        ens = make_ensemble(lat, cfg, 0)
         if name == "floor":
             assert vg.j_min == 0 and np.isnan(field.dminus(0)[:, 0]).all()
         assert (out / "value_field.txt").read_text() == reference_value_field(field, lat)

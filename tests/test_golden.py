@@ -9,9 +9,10 @@ pin and says which files changed and why.
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from swingkit import TimeGrid, write_lattice
+from swingkit import LatticeNode, ScenarioLattice, TimeGrid, write_lattice
 from swingkit.cli import main
 
 from conftest import exp_sigma_params, make_exp_martingale
@@ -22,8 +23,33 @@ def exp_martingale_keys(K, T=2.0):
     return "up=%.17g\ndown=%.17g\np_up=%.17g\n" % (up, down, p_up)
 
 
+def seeded_tree(K=8, seed=5):
+    """A non-recombining tree on T = 2: every other step splits each node in
+    two with a drawn probability that is no short binary fraction, so the
+    occupancy of a node rounds; the other steps have one child, drifted by
+    a drawn factor."""
+    rng = np.random.default_rng(seed)
+    rows, xs = [], [1.0]
+    for k in range(K + 1):
+        row, nxt = [], []
+        for x in xs:
+            if k == K:
+                row.append(LatticeNode(x))
+            elif k % 2 == 1:
+                p, s = rng.uniform(0.3, 0.7), rng.uniform(0.05, 0.15)
+                row.append(LatticeNode(x, (len(nxt), len(nxt) + 1), (1.0 - p, p)))
+                nxt += [x * float(np.exp(-s)), x * float(np.exp(s))]
+            else:
+                row.append(LatticeNode(x, (len(nxt),), (1.0,)))
+                nxt.append(x * (1.0 + rng.uniform(-0.05, 0.05)))
+        rows.append(row)
+        xs = nxt
+    return ScenarioLattice.from_rows(rows).validate()
+
+
 # name -> (subcommand arguments, config text or None); {lattice} is the path
-# of a K=12 exp-martingale lattice file written next to the outputs
+# of a K=12 exp-martingale lattice file and {tree} that of the K=8 seeded_tree(),
+# each written next to the outputs
 CASES = {
     "example": (["example", "--steps", "12"], None),
     "price-floor": (["price"], "model=binomial\nkind=submartingale\ndrift=0.01\nnoise=0.005\n"
@@ -32,6 +58,8 @@ CASES = {
                                         + exp_martingale_keys(12) + "starts=0:0;0.5:0.5\n"),
     "verify-file": (["verify"], "model=file\nlattice_file={lattice}\n"),
     "stopping-file": (["stopping"], "model=file\nlattice_file={lattice}\nstarts=0:0;0.5:0.5\n"),
+    "stopping-tree": (["stopping"], "model=file\nlattice_file={tree}\n"
+                                    "starts=0:0;0.5:0.25;1:0.5;0.5:1\n"),
     "dual": (["dual"], "model=binary\nk_list=6,12,24\n"),
     "dual-zero-probability": (["dual"], "model=binomial\nkind=martingale\nx0=1\nup=1\n"
                                         "down=0.9\np_up=1\nT=2\nk_list=6,12\n"),
@@ -86,6 +114,13 @@ GOLDEN = {
         "lattice.txt": "bda614f8dcbe58e800bc5173ce512470eb76e4002ede0e18d4d8baafa741f95c",
         "marginal.txt": "6eae13922ff71b6cc877fcb304c312c6e98fbcdf437546b74902fe000252e841",
     },
+    # the search columns on a tree whose branch probabilities are no short
+    # binary fractions, so the search's start mass, the occupancy, rounds
+    "stopping-tree": {
+        "stdout": "c2d78d36318d3e2d8ce38a80c856a19cf23a8777670d8c05aa268155be33a758",
+        "marginal.txt": "c2d78d36318d3e2d8ce38a80c856a19cf23a8777670d8c05aa268155be33a758",
+        "tree.txt": "19e63b389e158936b4dd73dcc7eb59ce58635b4406a8d80100ad36d2390d4c90",
+    },
     # boundary_identities reads "deep 0": the cap column it also reported is
     # the literal 0 that ValueField.row writes, so that check was dropped
     "verify-file": {
@@ -105,12 +140,14 @@ def run_case(name, tmp_path, capsys) -> dict:
     args, text = CASES[name]
     out = tmp_path / "out"
     out.mkdir()
-    lattice = out / "lattice.txt"
+    lattice, tree = out / "lattice.txt", out / "tree.txt"
     if text is not None and "{lattice}" in text:
         write_lattice(str(lattice), make_exp_martingale(12), TimeGrid(2.0, 12), 1.0)
+    if text is not None and "{tree}" in text:
+        write_lattice(str(tree), seeded_tree(), TimeGrid(2.0, 8), 1.0)
     if text is not None:
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(text.format(lattice=lattice))
+        cfg.write_text(text.format(lattice=lattice, tree=tree))
         args = args + ["--config", str(cfg)]
     capsys.readouterr()
     assert main(args + ["--out", str(out)]) == 0

@@ -108,7 +108,7 @@ def test_rollout_reproduces_value(binary96):
     b = rollout(binary96["policy"], binary96["ens"], (0, 0.5))
     assert b.mean == 0.875
     assert sorted(b.rewards.tolist()) == [0.8671875, 0.8828125]
-    assert b.exhaustive
+    assert binary96["ens"].exhaustive
     b0 = rollout(binary96["policy"], binary96["ens"], (0, 0.0))
     assert b0.mean == 1.5
 

@@ -201,16 +201,21 @@ PINS = {
 @pytest.mark.parametrize("K", sorted(PINS))
 def test_summary_and_marginal_values_are_pinned(K):
     """The stored and the replayed policy of the exp-martingale lattice give
-    the pinned price summary and marginal-table bits."""
+    the pinned price summary and marginal-table bits. A policy that kept
+    slice 0 only gives the same marginal bits: the report keeps its own
+    point reads."""
     lat = make_exp_martingale(K)
     tg = TimeGrid(2.0, K)
     vg = VolumeGrid.aligned(1.0, tg)
     keep = {0} | {tg.start_index(t) for t, _ in STARTS}
     occ, ens = lat.occupancy(), sample_paths(lat, 8, 1)
-    for policy in (extract_policy(lat, tg, vg), extract_policy(lat, tg, vg, 1e-9, keep)):
+    stored, replayed, bare = (extract_policy(lat, tg, vg, 1e-9, kept)
+                              for kept in (None, keep, {0}))
+    for policy in (stored, replayed):
         summary = [float(occ[k0] @ policy.field.row(k0)[:, vg.index_of(y)])
                    for k0, y in ((tg.start_index(t), y) for t, y in STARTS)]
         assert [v.hex() for v in summary] == PINS[K][0]
+    for policy in (stored, replayed, bare):
         rows = marginal_value_report(policy, ens, STARTS).rows
         assert [tuple(float(v).hex() for v in (r.dminus_neg, r.dplus_neg, r.snell_sup,
                                                r.snell_inf)) for r in rows] == PINS[K][1]

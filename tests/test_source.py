@@ -144,6 +144,15 @@ def test_every_dataclass_field_is_read():
     assert unread == []
 
 
+def test_only_the_cli_branches_on_an_exhaustive_ensemble():
+    """The stopping search reads the policy on the tree's nodes and the
+    rollout copies no ensemble flag, so no layer below the command line asks
+    whether an ensemble enumerates every path."""
+    readers = [path.name for path in sorted(SRC.glob("*.py"))
+               if "exhaustive" in attribute_loads([ast.parse(path.read_text())])]
+    assert readers == ["cli.py"]
+
+
 def class_methods(tree):
     """(class name, line, method) for each method a class body defines,
     other than the dunder methods that Python itself calls."""

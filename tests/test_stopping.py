@@ -77,10 +77,10 @@ def test_stop_windows_exact_sets(half_bundle):
     """The node flags of each window, read along the high (row 0) and the
     low (row 1) branch."""
     b = half_bundle
-    assert b.k0 == 0 and exit_times(b).m_event and b.exhaustive
+    assert b.k0 == 0 and exit_times(b).m_event
 
     def opened(constraint, r):
-        flags = _window_flags(b, constraint)
+        flags = _window_flags(b.policy, 0, b.pos0, constraint)
         return {m for m in range(1, 97) if flags[m][b.nodes[r, m]]}
 
     # high branch exercises on [1, 1.5): both windows pinch at the exit
@@ -93,8 +93,9 @@ def test_stop_windows_exact_sets(half_bundle):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(rows=tiny_tree_rows(), j_cap=st.integers(1, 2))
 def test_window_flags_follow_the_per_path_rule_on_drawn_trees(rows, j_cap):
-    """From every start of a drawn tiny tree, each path's window flag at
-    every later time sits on the node it passes."""
+    """From every start of a drawn tiny tree, the node flags of the forward
+    walk, gathered along each path of the exhaustive rollout, are that
+    path's flags under the per-path rule."""
     lat = ScenarioLattice.from_rows(rows).validate()
     K = lat.n_steps
     _, vg, _, policy = solved(lat, float(K), 1.0 / j_cap)
@@ -103,7 +104,7 @@ def test_window_flags_follow_the_per_path_rule_on_drawn_trees(rows, j_cap):
         for y0 in vg.levels:
             b = rollout(policy, ens, (k0, y0))
             for constraint, want in reference_stop_windows(b).items():
-                flags = _window_flags(b, constraint)
+                flags = _window_flags(policy, k0, b.pos0, constraint)
                 for m in range(k0 + 1, K + 1):
                     assert np.array_equal(flags[m][b.nodes[:, m]], want[:, m])
 
@@ -112,9 +113,9 @@ def test_window_flags_follow_the_per_path_rule_on_drawn_trees(rows, j_cap):
 @given(rows=tiny_tree_rows(), j_cap=st.integers(1, 2))
 def test_searches_are_bounded_by_the_envelopes_on_drawn_trees(rows, j_cap):
     """From every start of a drawn tiny tree, the can_raise search is worth
-    at most the start-weighted sup envelope and the can_lower search at least
-    the inf one: the envelopes stop at any time, adapted. Each returned rule
-    is predictable and evaluates to its value along the paths."""
+    at most the occupancy-weighted sup envelope and the can_lower search at
+    least the inf one: the envelopes stop at any time, adapted. Each returned
+    rule is predictable and evaluates to its value along the paths."""
     lat = ScenarioLattice.from_rows(rows).validate()
     K = lat.n_steps
     _, vg, _, policy = solved(lat, float(K), 1.0 / j_cap)
@@ -124,12 +125,11 @@ def test_searches_are_bounded_by_the_envelopes_on_drawn_trees(rows, j_cap):
     searched = 0
     for k0 in range(K):
         for y0 in vg.levels:
-            b = rollout(policy, ens, (k0, y0))
-            w = np.bincount(b.nodes[:, k0], b.weights, minlength=lat.n_nodes(k0))
+            w = lat.occupancy()[k0]
             for constraint, sense, bound in (("can_raise", 1.0, w @ sup[k0]),
                                              ("can_lower", -1.0, w @ inf[k0])):
                 try:
-                    rule, v = optimal_predictable_stop(b, constraint)
+                    rule, v = optimal_predictable_stop(policy, (k0, y0), constraint)
                 except ValueError as e:
                     assert "no admissible stopping rule" in str(e)
                     continue
@@ -140,10 +140,27 @@ def test_searches_are_bounded_by_the_envelopes_on_drawn_trees(rows, j_cap):
     assert searched > 0
 
 
-def test_constrained_searches_hit_the_marginal_values(binary96, half_bundle):
-    lat = binary96["lat"]
-    rule_a, va = optimal_predictable_stop(half_bundle, "can_raise")
-    rule_b, vb = optimal_predictable_stop(half_bundle, "can_lower")
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(rows=tiny_tree_rows(), j_cap=st.integers(1, 2), seed=st.integers(0, 99))
+def test_search_columns_do_not_read_the_ensemble_on_drawn_trees(rows, j_cap, seed):
+    """The search columns of the marginal table come from the policy and
+    the tree alone: three sampled paths give the bits of the exhaustive
+    ensemble at every start."""
+    lat = ScenarioLattice.from_rows(rows, lce_declared=False).validate()
+    K = lat.n_steps
+    _, vg, _, policy = solved(lat, float(K), 1.0 / j_cap)
+    starts = [(float(k0), float(y0)) for k0 in range(K) for y0 in vg.levels]
+    cols = [[(r.sup_raise.hex(), r.inf_lower.hex())
+             for r in marginal_value_report(policy, ens, starts).rows]
+            for ens in (enumerate_paths(lat), sample_paths(lat, n_paths=3, seed=seed))]
+    assert cols[0] == cols[1]
+    assert any(a != "nan" for a, _ in cols[0])
+
+
+def test_constrained_searches_hit_the_marginal_values(binary96):
+    lat, policy = binary96["lat"], binary96["policy"]
+    rule_a, va = optimal_predictable_stop(policy, (0, 0.5), "can_raise")
+    rule_b, vb = optimal_predictable_stop(policy, (0, 0.5), "can_lower")
     assert va == 1.5
     assert vb == 1.5
     assert rule_a.lattice is rule_b.lattice is lat
@@ -154,10 +171,10 @@ def test_constrained_searches_hit_the_marginal_values(binary96, half_bundle):
     assert evaluate_stop_rule(rule_b, ens) == 1.5
 
 
-def test_unconstrained_beats_constrained_strictly(binary96, half_bundle):
+def test_unconstrained_beats_constrained_strictly(binary96):
     """Dropping both the window constraint and predictability, which the
     sup envelope does, is worth exactly the 2 vs 1.5 difference here."""
-    _, va = optimal_predictable_stop(half_bundle, "can_raise")
+    _, va = optimal_predictable_stop(binary96["policy"], (0, 0.5), "can_raise")
     vu = Envelope(binary96["lat"], "max").values[0][0]
     assert vu - va == 0.5
 
@@ -190,14 +207,17 @@ def test_evaluate_requires_stopping(binary96):
         evaluate_stop_rule(rule, binary96["ens"])
 
 
-def test_search_rejections(binary96, half_bundle):
-    lat, policy = binary96["lat"], binary96["policy"]
+def test_search_rejections(binary96):
+    """An unknown constraint, a start volume off the grid and a start with
+    no step left are refused."""
+    policy = binary96["policy"]
     for constraint in ("sometimes", None):
         with pytest.raises(ValueError, match="constraint must be 'can_raise' or 'can_lower'"):
-            optimal_predictable_stop(half_bundle, constraint)
-    sampled = rollout(policy, sample_paths(lat, n_paths=16, seed=3), (0, 0.5))
-    with pytest.raises(ValueError, match="needs an exhaustive rollout"):
-        optimal_predictable_stop(sampled, "can_raise")
+            optimal_predictable_stop(policy, (0, 0.5), constraint)
+    with pytest.raises(ValueError, match="start volume .* is off the grid"):
+        optimal_predictable_stop(policy, (0, 0.5 + 1e-6), "can_raise")
+    with pytest.raises(ValueError, match="start index 96 outside the grid"):
+        optimal_predictable_stop(policy, (96, 0.5), "can_raise")
 
 
 def test_search_needs_a_tree():
@@ -206,18 +226,17 @@ def test_search_needs_a_tree():
     vg = VolumeGrid.aligned(1.0, tg)
     from swingkit import extract_policy
     pol = extract_policy(lat, tg, vg)
-    ens = enumerate_paths(lat)
-    b = rollout(pol, ens, (0, 0.0))
     with pytest.raises(ValueError, match="needs a tree lattice"):
-        optimal_predictable_stop(b, "can_raise")
+        optimal_predictable_stop(pol, (0, 0.0), "can_raise")
 
 
 def test_infeasible_constraint(binary96):
-    b = rollout(binary96["policy"], binary96["ens"], (0, 1.0))
+    policy = binary96["policy"]
+    b = rollout(policy, binary96["ens"], (0, 1.0))
     assert not exit_times(b).m_event
-    assert not any(flags.any() for flags in _window_flags(b, "can_lower"))
+    assert not any(flags.any() for flags in _window_flags(policy, 0, b.pos0, "can_lower"))
     with pytest.raises(ValueError, match="no admissible stopping rule"):
-        optimal_predictable_stop(b, "can_lower")
+        optimal_predictable_stop(policy, (0, 1.0), "can_lower")
 
 
 def assert_doob_split_on_a_tree(lat, tol=0.0):
@@ -284,7 +303,7 @@ def test_a_rule_is_refused_on_another_lattice():
     paying twice the cashflow is refused rather than read."""
     a = build_binary_example(6)
     ens = enumerate_paths(a)
-    rule, v = optimal_predictable_stop(rollout(solved(a, 3.0)[3], ens, (0, 0.5)), "can_raise")
+    rule, v = optimal_predictable_stop(solved(a, 3.0)[3], (0, 0.5), "can_raise")
     assert rule.lattice is a
     assert evaluate_stop_rule(rule, ens) == v == 1.5
     with pytest.raises(ValueError, match="another lattice"):
@@ -293,15 +312,14 @@ def test_a_rule_is_refused_on_another_lattice():
 
 def test_searches_read_the_windows_own_lattice():
     """On two same-shape trees, the second paying twice the first's cashflow,
-    a rollout carries the lattice of its policy and the search reads it. A
+    a policy carries the lattice of its field and the search reads it. A
     search that took the lattice apart from its windows returned 3.0 for
     the first tree's windows beside the second tree."""
     a = build_binary_example(6)
     for lat, want in ((a, 1.5), (doubled(a), 3.0)):
-        ens = enumerate_paths(lat)
-        bundle = rollout(solved(lat, 3.0)[3], ens, (0, 0.5))
-        assert bundle.policy.field.lattice is lat
-        assert optimal_predictable_stop(bundle, "can_raise")[1] == want
+        policy = solved(lat, 3.0)[3]
+        assert policy.field.lattice is lat
+        assert optimal_predictable_stop(policy, (0, 0.5), "can_raise")[1] == want
 
 
 def test_marginal_report_rejects_a_start_at_the_horizon(binary96):
