@@ -17,12 +17,12 @@ import numpy as np
 
 from .duality import build_optimal_martingale, dual_values, duality_gap_study, random_terminal
 from .models import (MAX_PATHS, InvariantError, PreconditionError, TimeGrid,
-                     _strings, _write_table, build_binary_example, build_binomial, count_paths,
-                     enumerate_paths, read_lattice, sample_paths, write_lattice)
+                     _strings, _write_table, _wsum, build_binary_example, build_binomial,
+                     count_paths, enumerate_paths, read_lattice, sample_paths, write_lattice)
 from .oracle import brute_force_value
 from .policy import (TIE_TOL, check_inclusion, check_saturation, exit_times, extract_policy,
                      inclusion_reads, rollout)
-from .solver import InvariantScan, ResidualScan, VolumeGrid, boundary_check
+from .solver import InvariantScan, ResidualScan, VolumeGrid, _start_indices, boundary_check
 from .stopping import marginal_value_report
 
 _KEY_TYPES = {
@@ -233,11 +233,6 @@ def cmd_price(cfg: dict, out_dir: str) -> int:
     return 0
 
 
-def _start_indices(starts: list, tg, vg) -> list:
-    """(k0, pos0) of each (t0, y0) start, checked against both grids."""
-    return [(tg.start_index(t0), vg.index_of(y0)) for t0, y0 in starts]
-
-
 def _export_price(out_dir: str, policy, ens, starts):
     """Write the price bundle of a solved model and print its summary.
 
@@ -248,7 +243,7 @@ def _export_price(out_dir: str, policy, ens, starts):
     summary, runs = [], []
     for (t0, y0), (k0, pos0) in zip(starts, _start_indices(starts, field.time_grid,
                                                            field.volume_grid)):
-        value = float(occ[k0] @ field.row(k0)[:, pos0])
+        value = _wsum(occ[k0], field.point(k0, np.arange(occ[k0].size), pos0))
         summary.append("J(%.17g,%.17g)=%.17g" % (t0, y0, value))
         bundle = rollout(policy, ens, (k0, y0))
         summary.append("rollout_mean(%.17g,%.17g)=%.17g" % (t0, y0, bundle.mean))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import InvariantError, PreconditionError, ScenarioLattice
+from .models import InvariantError, PreconditionError, ScenarioLattice, _wsum
 from .policy import PolicyField
 from .solver import VolumeGrid
 
@@ -99,9 +99,9 @@ def _check_dual_grid(lattice: ScenarioLattice, volume_grid: VolumeGrid):
 
 
 def _gains(occ: np.ndarray, x: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """occ @ (x - M)_+ for each column of the (nodes x m) slice M. Each dot
-    reads one contiguous column, so a column's bits do not depend on m."""
-    return np.array([occ @ gain for gain in np.maximum(x - values.T, 0.0)])
+    """sum_n occ[n] * (x[n] - M[n])_+ for each column of the (nodes x m)
+    slice M."""
+    return _wsum(occ, np.maximum(x - values.T, 0.0))
 
 
 def _reports(m0: np.ndarray, gains: list, volume_grid: VolumeGrid, primal: float,

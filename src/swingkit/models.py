@@ -8,6 +8,7 @@ of piecewise-constant exercise rates against it are exact sums.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from itertools import chain, count, islice, repeat
 from operator import itemgetter
@@ -30,6 +31,38 @@ class PreconditionError(ValueError):
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _fsum(terms: list) -> float:
+    """The correctly rounded sum of terms, or its IEEE value: +-inf where it
+    overflows, nan for inf - inf or a nan term."""
+    try:
+        return math.fsum(terms)
+    except ValueError:                          # inf - inf
+        return math.nan
+    except OverflowError:                       # a partial sum overflowed
+        special = [t for t in terms if not math.isfinite(t)]
+        if special:                             # they outweigh any finite sum
+            return _fsum(special)
+        from fractions import Fraction          # only this rare path pays its import
+        exact = sum(map(Fraction, terms))
+        try:
+            return float(exact)
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
+
+
+def _wsum(w, v):
+    """sum_i w[i] * v[..., i]: a float for a 1-D v, else an array of
+    v.shape[:-1]. Each row is the correctly rounded sum of its products
+    (math.fsum), so its bits depend on no summation order, memory layout,
+    BLAS kernel or SIMD path. Overflow and nan give their IEEE values, with
+    no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = np.multiply(w, v)
+    rows = prod.reshape(math.prod(prod.shape[:-1]), prod.shape[-1]).tolist()
+    sums = [_fsum(row) for row in rows]
+    return sums[0] if prod.ndim == 1 else np.array(sums).reshape(prod.shape[:-1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import PreconditionError, ScenarioLattice, TimeGrid
+from .models import PreconditionError, ScenarioLattice, TimeGrid, _wsum
 from .solver import VolumeGrid
 
 
@@ -137,5 +137,5 @@ def closed_form(kind: str, lattice: ScenarioLattice, time_grid: TimeGrid,
         lo, hi = k, min(tg.K, k + budget)
     total = 0.0
     for m in range(lo, hi):
-        total += volume_grid.step * float(occ[m] @ lattice.x(m))
+        total += volume_grid.step * _wsum(occ[m], lattice.x(m))
     return total

@@ -100,6 +100,11 @@ class VolumeGrid:
         return np.minimum(pos + 1, self.cap_pos)
 
 
+def _start_indices(starts: list, tg: TimeGrid, vg: VolumeGrid) -> list:
+    """(k0, pos0) of each (t0, y0) start, checked against both grids."""
+    return [(tg.start_index(t0), vg.index_of(y0)) for t0, y0 in starts]
+
+
 class _Points:
     """Band entries at sorted keys node * width + j, read like the band slice
     as points[nodes, j]; a last key past all others ends every search."""

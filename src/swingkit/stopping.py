@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import InvariantError, PathEnsemble, ScenarioLattice
+from .models import InvariantError, PathEnsemble, ScenarioLattice, _wsum
 from .policy import PolicyField, exit_times, rollout
+from .solver import _start_indices
 
 @dataclass(eq=False)
 class StoppingRule:
@@ -120,7 +121,7 @@ def optimal_predictable_stop(policy: PolicyField, start, constraint: str):
     reached = start_w > 0
     if np.any(~np.isfinite(value[reached])):
         raise ValueError("no admissible stopping rule for constraint %r" % (constraint,))
-    best = float(start_w[reached] @ value[reached]) * sense
+    best = _wsum(start_w[reached], value[reached]) * sense
 
     stop = [np.zeros(lattice.n_nodes(k), dtype=bool) for k in range(K + 1)]
     alive = np.ones(lattice.n_nodes(k0), dtype=bool)
@@ -195,7 +196,7 @@ def marginal_value_report(policy: PolicyField, ensemble: PathEnsemble,
     occ = lattice.occupancy()
     tol = 3.0 * tg.dt * lattice.max_x()
     searchable = lattice.is_tree()
-    places = [(tg.start_index(t0), vg.index_of(y0)) for t0, y0 in starts]
+    places = _start_indices(starts, tg, vg)
     # (k0, nodes, pos) of the -D-J and -D+J reads of each start
     reads = [(k0, *np.broadcast_arrays(np.arange(lattice.n_nodes(k0))[:, None],
                                        np.array([pos0, vg.right_of(pos0)])))
@@ -213,12 +214,10 @@ def marginal_value_report(policy: PolicyField, ensemble: PathEnsemble,
         else:
             region = "interior"
         w = occ[k0]
-        dm = field.dminus_at(*read)
-        ndm = -float(w @ dm[:, 0]) + 0.0
-        ndp = -float(w @ dm[:, 1]) + 0.0
+        ndm, ndp = (-_wsum(w, field.dminus_at(*read).T) + 0.0).tolist()
         # each envelope is read (and built) only where the region calls for it
-        ssup = float(w @ lattice.envelope("max").values[k0]) if region == "cap" else np.nan
-        sinf = float(w @ lattice.envelope("min").values[k0]) if region == "boundary" else np.nan
+        ssup = _wsum(w, lattice.envelope("max").values[k0]) if region == "cap" else np.nan
+        sinf = _wsum(w, lattice.envelope("min").values[k0]) if region == "boundary" else np.nan
         ex_sig = sup_a = inf_b = np.nan
         if region != "cap":
             bundle = rollout(policy, ensemble, (k0, y0))

@@ -2,9 +2,8 @@
 
 Each case runs `main()` on a small fixed config and compares the sha256 of
 every file in the output directory and of stdout with the digests pinned
-below. The configs stay small so that the short sums in them do not depend
-on numpy's SIMD paths. A change that alters a digest on purpose updates the
-pin and says which files changed and why.
+below. A change that alters a digest on purpose updates the pin and says
+which files changed and why.
 """
 
 import hashlib
@@ -15,19 +14,15 @@ import pytest
 from swingkit import LatticeNode, ScenarioLattice, TimeGrid, write_lattice
 from swingkit.cli import main
 
-from conftest import exp_sigma_params, make_exp_martingale
-
-
-def exp_martingale_keys(K, T=2.0):
-    up, down, p_up = exp_sigma_params(K, T)
-    return "up=%.17g\ndown=%.17g\np_up=%.17g\n" % (up, down, p_up)
+from conftest import exp_martingale_keys, make_exp_martingale
 
 
 def seeded_tree(K=8, seed=5):
     """A non-recombining tree on T = 2: every other step splits each node in
-    two with a drawn probability that is no short binary fraction, so the
-    occupancy of a node rounds; the other steps have one child, drifted by
-    a drawn factor."""
+    two, at x / u and x * u for a drawn u, with a drawn probability that is
+    no short binary fraction, so the occupancy of a node rounds; the other
+    steps have one child, drifted by a drawn factor. Only correctly rounded
+    operations make the values, so they have the same bits on every CPU."""
     rng = np.random.default_rng(seed)
     rows, xs = [], [1.0]
     for k in range(K + 1):
@@ -36,9 +31,9 @@ def seeded_tree(K=8, seed=5):
             if k == K:
                 row.append(LatticeNode(x))
             elif k % 2 == 1:
-                p, s = rng.uniform(0.3, 0.7), rng.uniform(0.05, 0.15)
+                p, u = rng.uniform(0.3, 0.7), 1.0 + rng.uniform(0.05, 0.15)
                 row.append(LatticeNode(x, (len(nxt), len(nxt) + 1), (1.0 - p, p)))
-                nxt += [x * float(np.exp(-s)), x * float(np.exp(s))]
+                nxt += [x / u, x * u]
             else:
                 row.append(LatticeNode(x, (len(nxt),), (1.0,)))
                 nxt.append(x * (1.0 + rng.uniform(-0.05, 0.05)))
@@ -54,8 +49,7 @@ CASES = {
     "example": (["example", "--steps", "12"], None),
     "price-floor": (["price"], "model=binomial\nkind=submartingale\ndrift=0.01\nnoise=0.005\n"
                                "x0=1\nT=1\nK=12\nstarts=0:0;0.25:0.5\n"),
-    "price-exp-martingale": (["price"], "model=binomial\nkind=martingale\nx0=1\nT=2\nK=12\n"
-                                        + exp_martingale_keys(12) + "starts=0:0;0.5:0.5\n"),
+    "price-exp-martingale": (["price"], exp_martingale_keys(12) + "starts=0:0;0.5:0.5\n"),
     "verify-file": (["verify"], "model=file\nlattice_file={lattice}\n"),
     "stopping-file": (["stopping"], "model=file\nlattice_file={lattice}\nstarts=0:0;0.5:0.5\n"),
     "stopping-tree": (["stopping"], "model=file\nlattice_file={tree}\n"
@@ -115,11 +109,13 @@ GOLDEN = {
         "marginal.txt": "6eae13922ff71b6cc877fcb304c312c6e98fbcdf437546b74902fe000252e841",
     },
     # the search columns on a tree whose branch probabilities are no short
-    # binary fractions, so the search's start mass, the occupancy, rounds
+    # binary fractions, so the search's start mass, the occupancy, rounds;
+    # its split children x / u and x * u are correctly rounded, so tree.txt
+    # has the same bits on every CPU
     "stopping-tree": {
-        "stdout": "c2d78d36318d3e2d8ce38a80c856a19cf23a8777670d8c05aa268155be33a758",
-        "marginal.txt": "c2d78d36318d3e2d8ce38a80c856a19cf23a8777670d8c05aa268155be33a758",
-        "tree.txt": "19e63b389e158936b4dd73dcc7eb59ce58635b4406a8d80100ad36d2390d4c90",
+        "stdout": "c469ff5d370bbd0f495ab5d9755278506b1ab317abe10716316c683dc16a0781",
+        "marginal.txt": "c469ff5d370bbd0f495ab5d9755278506b1ab317abe10716316c683dc16a0781",
+        "tree.txt": "4c5f5c099db0655a9626e9f4d2afce7108795d847a1c7af9e5b9d32be148268e",
     },
     # boundary_identities reads "deep 0": the cap column it also reported is
     # the literal 0 that ValueField.row writes, so that check was dropped

@@ -1,6 +1,9 @@
+import math
 import os
 import tempfile
 import tracemalloc
+import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -603,3 +606,61 @@ def test_step_tables_are_read_only_and_built_once():
         occ[4][0] = 0.25
     occ[4] = None               # the list is the caller's own
     assert lat.occupancy()[4].tolist() == [0.5, 0.5]
+
+
+# finite doubles of both signs, from subnormal to about 2^500 in size, so the
+# products of two stay finite and a sum of a few dozen cannot overflow
+WIDE = st.one_of(st.floats(-1e150, 1e150),
+                 st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 495)))
+
+
+def weighted_terms(shape=()):
+    """(w, v): a weight vector of a drawn length n and an array of shape
+    shape + (n,), drawn from WIDE."""
+    def draw(n):
+        size = n * math.prod(shape)
+        return st.tuples(st.lists(WIDE, min_size=n, max_size=n).map(np.array),
+                         st.lists(WIDE, min_size=size, max_size=size).map(
+                             lambda v: np.reshape(v, shape + (n,))))
+    return st.integers(0, 40).flatmap(draw)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(terms=weighted_terms(), data=st.data())
+def test_wsum_is_the_correctly_rounded_sum_of_the_products_in_any_order(terms, data):
+    w, v = terms
+    got = models._wsum(w, v)
+    assert type(got) is float
+    assert got == float(sum(Fraction(p) for p in (w * v).tolist()))
+    perm = np.array(data.draw(st.permutations(range(w.size))), dtype=int)
+    assert models._wsum(w[perm], v[perm]).hex() == got.hex()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(m=st.integers(0, 5), data=st.data())
+def test_wsum_of_a_matrix_is_the_sum_of_each_row(m, data):
+    """Also on a matrix in column-major order and on a strided view."""
+    w, v = data.draw(weighted_terms((m,)))
+    want = [models._wsum(w, row).hex() for row in v]
+    for layout in (v, np.asfortranarray(v), np.repeat(v, 2, axis=1)[:, ::2]):
+        got = models._wsum(w, layout)
+        assert got.shape == v.shape[:1] and [x.hex() for x in got.tolist()] == want
+
+
+def test_wsum_gives_the_ieee_value_of_a_nonfinite_sum_without_a_warning():
+    big = np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert models._wsum([1.0, 1.0], [big, big]) == math.inf
+        assert models._wsum([1.0, 1.0], [-big, -big]) == -math.inf
+        assert models._wsum([1e200, 1.0], [-1e200, 1.0]) == -math.inf   # the product overflows
+        # a partial sum overflows, the exact sum does not
+        assert models._wsum([1.0, 1.0, 1.0], [big, big, -big]) == big
+        # an infinite term outweighs any finite sum, in any order
+        assert models._wsum([1.0, 1.0, 1.0], [big, big, -math.inf]) == -math.inf
+        assert models._wsum([1.0, 1.0], [math.inf, 1.0]) == math.inf
+        for w, v in (([1.0, 1.0], [math.inf, -math.inf]), ([1.0, 1.0], [math.nan, 1.0]),
+                     ([0.0, 1.0], [math.inf, 1.0]), ([1.0, 1.0, 1.0], [big, big, math.nan])):
+            assert math.isnan(models._wsum(w, v))
+        rows = models._wsum([1.0, 1.0], [[big, big], [1.0, 2.0], [math.inf, -math.inf]])
+        assert rows[:2].tolist() == [math.inf, 3.0] and math.isnan(rows[2])

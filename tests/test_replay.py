@@ -14,6 +14,7 @@ from swingkit import (InvariantError, InvariantScan, ResidualScan, ScenarioLatti
                       ThresholdScan, TimeGrid, VolumeGrid, extract_policy, marginal_value_report,
                       sample_paths, solve)
 from swingkit.cli import main
+from swingkit.models import _wsum
 
 from conftest import (dense_go, exp_martingale_keys, feed, is_threshold, make_exp_martingale,
                       reference_bellman_residual, reference_check_value_invariants,
@@ -175,23 +176,22 @@ def test_a_kept_sweep_gives_the_reference_residuals_at_k384():
 
 STARTS = [(0.0, 0.0), (0.5, 0.5), (1.0, 0.25), (0.25, 1.0), (1.0, 0.0), (1.5, 0.25)]
 
-# occ[k0] @ row(k0)[:, pos0] (the price summary) and the marginal table's
-# -D-J, -D+J, snell_sup and snell_inf at STARTS, as float.hex. The `@` sums
-# run over a strided column, whose layout decides their bits.
+# The price summary J(t0, y0) = sum_n occ[k0][n] * row(k0)[n, pos0] and the
+# marginal table's -D-J, -D+J, snell_sup and snell_inf at STARTS, as float.hex.
 PINS = {
     96: (["0x1.0000000000008p+0", "0x1.0000000000006p-1", "0x1.8000000000005p-1", "0x0.0p+0",
           "0x1.fffffffffffffp-1", "0x1.0000000000000p-1"],
          [("0x1.0000000000020p+0", "0x1.fffffffffffe0p-1", "nan", "nan"),
-          ("0x1.0000000000008p+0", "0x1.000000000000ap+0", "nan", "nan"),
+          ("0x1.0000000000008p+0", "0x1.0000000000009p+0", "nan", "nan"),
           ("0x1.fffffffffffeap-1", "0x1.ffffffffffff4p-1", "nan", "nan"),
-          ("0x1.0000000000001p+0", "0x1.0000000000001p+0", "0x1.0000000000001p+0", "nan"),
-          ("0x0.0p+0", "0x1.fffffffffffd4p-1", "nan", "0x1.ffffffffffff4p-1"),
+          ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000001p+0", "nan"),
+          ("0x0.0p+0", "0x1.fffffffffffd5p-1", "nan", "0x1.ffffffffffff3p-1"),
           ("0x0.0p+0", "0x0.0p+0", "nan", "nan")]),
     384: (["0x1.0000000000060p+0", "0x1.000000000005ep-1", "0x1.8000000000085p-1", "0x0.0p+0",
-           "0x1.0000000000045p+0", "0x1.0000000000050p-1"],
+           "0x1.0000000000045p+0", "0x1.0000000000051p-1"],
           [("0x1.0000000000200p+0", "0x1.0000000000020p+0", "nan", "nan"),
            ("0x1.00000000000dcp+0", "0x1.0000000000024p+0", "nan", "nan"),
-           ("0x1.000000000002ep+0", "0x1.ffffffffffffep-1", "nan", "nan"),
+           ("0x1.000000000002ep+0", "0x1.fffffffffffffp-1", "nan", "nan"),
            ("0x1.0000000000022p+0", "0x1.0000000000022p+0", "0x1.0000000000023p+0", "nan"),
            ("0x0.0p+0", "0x1.ffffffffffe62p-1", "nan", "0x1.000000000002ep+0"),
            ("0x0.0p+0", "0x0.0p+0", "nan", "nan")]),
@@ -212,7 +212,7 @@ def test_summary_and_marginal_values_are_pinned(K):
     stored, replayed, bare = (extract_policy(lat, tg, vg, 1e-9, kept)
                               for kept in (None, keep, {0}))
     for policy in (stored, replayed):
-        summary = [float(occ[k0] @ policy.field.row(k0)[:, vg.index_of(y)])
+        summary = [_wsum(occ[k0], policy.field.row(k0)[:, vg.index_of(y)])
                    for k0, y in ((tg.start_index(t), y) for t, y in STARTS)]
         assert [v.hex() for v in summary] == PINS[K][0]
     for policy in (stored, replayed, bare):

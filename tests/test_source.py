@@ -500,3 +500,39 @@ def test_verify_lines_match_the_benchmark_checks():
                   if isinstance(node, ast.Assign)
                   and [getattr(t, "id", None) for t in node.targets] == ["VERIFY_CHECKS"])
     assert verify_line_names(ast.parse((SRC / "cli.py").read_text())) == list(checks)
+
+
+# numpy functions that may hand a sum of products to BLAS, whose summation
+# order depends on the CPU kernel and the operand's stride
+BLAS_FUNCTIONS = {"dot", "inner", "vdot", "matmul", "einsum", "tensordot"}
+
+
+def blas_reductions(tree):
+    """(line, operation) for each `@`, each `.dot(` call and each call of a
+    BLAS_FUNCTIONS name on np or numpy."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name, owner = node.func.attr, node.func.value
+            if name == "dot" or (name in BLAS_FUNCTIONS and isinstance(owner, ast.Name)
+                                 and owner.id in ("np", "numpy")):
+                yield node.lineno, name
+
+
+def test_the_scanner_flags_a_blas_reduction():
+    tree = ast.parse("a @ b\nc @= d\nnp.dot(a, b)\nx.dot(y)\nnumpy.einsum('i,i', a, b)\n"
+                     "np.inner(a, b)\nnp.vdot(a, b)\nnp.matmul(a, b)\nnp.tensordot(a, b)\n"
+                     "np.sum(a * b)\nmath.fsum(a)\nm.inner(a)\n_wsum(a, b)\n"
+                     "@dataclass\nclass C:\n    pass\n")
+    assert sorted(blas_reductions(tree)) == [
+        (1, "@"), (2, "@"), (3, "dot"), (4, "dot"), (5, "einsum"), (6, "inner"), (7, "vdot"),
+        (8, "matmul"), (9, "tensordot")]
+
+
+def test_no_blas_reduction_is_left_in_src():
+    """Every weighted sum goes through models._wsum, whose bits depend on no
+    BLAS kernel, SIMD path or memory layout."""
+    found = ["%s:%d %s" % (path.name, line, op) for path in sorted(SRC.glob("*.py"))
+             for line, op in blas_reductions(ast.parse(path.read_text()))]
+    assert found == []
