@@ -122,13 +122,14 @@ class ScenarioLattice:
     xs holds one array of cashflows per time slice and edges one
     (start, child, prob) triple per step: node n of slice k owns edges
     start[n]:start[n+1] of edges[k], which lead to node child[e] of slice
-    k+1 with probability prob[e]. Arrays of the right dtype are kept
-    without a copy and must not be mutated: the per-step fan-out tables,
-    parents, occupancy, max_x and Snell envelopes are derived from them
-    once, on first use, and their arrays handed out read-only. lce_declared
-    is a model attribute (left-continuity in expectation of the
-    continuous-time limit cannot be decided from finitely many grid
-    values).
+    k+1 with probability prob[e]. The constructor ends with validate(), so
+    every lattice has one root at slice 0 and passes its checks. Arrays of
+    the right dtype are kept without a copy and must not be mutated: the
+    per-step fan-out tables, parents, occupancy, max_x and Snell envelopes
+    are derived from them once, on first use, and their arrays handed out
+    read-only. lce_declared is a model attribute (left-continuity in
+    expectation of the continuous-time limit cannot be decided from
+    finitely many grid values).
     """
 
     def __init__(self, xs, edges, lce_declared: bool = True):
@@ -138,12 +139,13 @@ class ScenarioLattice:
         self._x = [np.asarray(x, dtype=float) for x in xs]
         self._edges = [(np.asarray(s, dtype=np.int64), np.asarray(c, dtype=np.int64),
                         np.asarray(p, dtype=float)) for s, c, p in edges]
-        # built on first use: the constructor does not check the edge layout
+        # derived tables, each built on first use
         self._fanouts = [None] * len(self._edges)
         self._parents = [None] * len(self._edges)
         self._occupancy = None
         self._max_x = None
         self._envelopes = {}
+        self.validate()
 
     @classmethod
     def from_rows(cls, rows, lce_declared: bool = True) -> "ScenarioLattice":
@@ -237,10 +239,8 @@ class ScenarioLattice:
         return out
 
     def occupancy(self) -> list:
-        """Forward node probabilities from the single root, one read-only
-        array per slice; the forward pass runs once."""
-        if self.n_nodes(0) != 1:
-            raise ValueError("occupancy needs a single root node")
+        """Forward node probabilities from the root, one read-only array per
+        slice; the forward pass runs once."""
         if self._occupancy is None:
             occ = [np.array([1.0])]
             for k in range(self.n_steps):
@@ -263,20 +263,19 @@ class ScenarioLattice:
         return all(np.all(np.bincount(self.edges(k)[1], minlength=self.n_nodes(k + 1)) == 1)
                    for k in range(self.n_steps))
 
-    def check_cashflows(self):
-        """Raise ValueError naming the first negative or non-finite X."""
+    def validate(self):
+        """Check the single root, cashflows, edge layout, probabilities,
+        child indices and reachability; the constructor runs it.
+
+        The comparisons are written so that NaN fails them.
+        """
+        if self.n_nodes(0) != 1:
+            raise ValueError("slice 0 holds %d nodes; a lattice has one root" % self.n_nodes(0))
         for k, x in enumerate(self._x):
             bad = np.flatnonzero(~((x >= 0) & (x < np.inf)))
             if bad.size:
                 raise ValueError("non-finite or negative cashflow %.17g at slice %d node %d"
                                  % (x[bad[0]], k, bad[0]))
-
-    def validate(self):
-        """Check cashflows, edge layout, probabilities, child indices and reachability.
-
-        The comparisons are written so that NaN fails them.
-        """
-        self.check_cashflows()
         for k, (start, child, prob) in enumerate(self._edges):
             if not (start.size == self.n_nodes(k) + 1 and start[0] == 0
                     and start[-1] == child.size == prob.size):
@@ -299,7 +298,6 @@ class ScenarioLattice:
             if np.any(incoming == 0):
                 raise ValueError("node %d at slice %d is unreachable"
                                  % (int(np.argmin(incoming)), k + 1))
-        return self
 
 
 ENVELOPE_TOL = 1e-12
@@ -392,7 +390,7 @@ def build_binary_example(K: int) -> ScenarioLattice:
     split = (np.array([0, 2]), np.array([0, 1]), np.array([0.5, 0.5]))
     pair = (np.array([0, 1, 2]), np.array([0, 1]), np.array([1.0, 1.0]))
     edges = [link] * (k_jump - 1) + [split] + [pair] * (K - k_jump)
-    return ScenarioLattice(xs, edges, lce_declared=True).validate()
+    return ScenarioLattice(xs, edges, lce_declared=True)
 
 
 def build_binomial(kind: str, K: int, T: float, c: float = None, x0: float = None,
@@ -417,8 +415,7 @@ def build_binomial(kind: str, K: int, T: float, c: float = None, x0: float = Non
         if c < 0:
             raise ValueError("constant cashflow must be nonnegative")
         link = (np.array([0, 1]), np.array([0]), np.array([1.0]))
-        return ScenarioLattice([np.full(1, float(c))] * (K + 1), [link] * K,
-                               lce_declared).validate()
+        return ScenarioLattice([np.full(1, float(c))] * (K + 1), [link] * K, lce_declared)
 
     if kind not in ("martingale", "submartingale", "supermartingale"):
         raise ValueError("unknown kind %r" % kind)
@@ -464,7 +461,7 @@ def build_binomial(kind: str, K: int, T: float, c: float = None, x0: float = Non
                              % (xs[k][bad[0]], k, bad[0]))
     edges = [(np.arange(0, 2 * k + 3, 2), (np.arange(2 * k + 2) + 1) // 2,
               np.tile([1.0 - p, p], k + 1)) for k in range(K)]
-    return ScenarioLattice(xs, edges, lce_declared).validate()
+    return ScenarioLattice(xs, edges, lce_declared)
 
 
 @dataclass(eq=False)
@@ -508,7 +505,7 @@ class PathEnsemble:
 
 def count_paths(lattice: ScenarioLattice) -> int:
     """Number of distinct root-to-terminal node sequences."""
-    counts = np.ones(lattice.n_nodes(0), dtype=object)
+    counts = np.ones(1, dtype=object)
     for k in range(lattice.n_steps):
         nxt = np.zeros(lattice.n_nodes(k + 1), dtype=object)
         np.add.at(nxt, lattice.edges(k)[1], counts[lattice.parents(k)])
@@ -520,15 +517,13 @@ def enumerate_paths(lattice: ScenarioLattice) -> PathEnsemble:
     """Exhaustive path ensemble with exact probability weights.
 
     Paths come in lexicographic order of their edge choices; each weight is
-    the product of its start weight and edge probabilities, left to right.
-    Lattices with more than MAX_PATHS paths are refused before enumerating.
+    the product of its edge probabilities, left to right. Lattices with more
+    than MAX_PATHS paths are refused before enumerating.
     """
     total = count_paths(lattice)
     if total > MAX_PATHS:
         raise ValueError("path count %d exceeds the bound %d" % (total, MAX_PATHS))
-    n0 = lattice.n_nodes(0)
-    nodes = np.arange(n0)[:, None]
-    weights = np.full(n0, 1.0 / n0)
+    nodes, weights = np.zeros((1, 1), dtype=np.int64), np.ones(1)
     for k in range(lattice.n_steps):
         child, prob = lattice.edges(k)[1:]
         owner, edge = lattice.out_edges(k, nodes[:, k])
@@ -540,8 +535,7 @@ def enumerate_paths(lattice: ScenarioLattice) -> PathEnsemble:
 def sample_paths(lattice: ScenarioLattice, n_paths: int, seed: int = 0) -> PathEnsemble:
     """Sampled path ensemble with uniform weights.
 
-    Sampling is deterministic given the seed. Start nodes are drawn first
-    (only when slice 0 has several nodes), then one uniform per path and
+    Sampling is deterministic given the seed: one uniform per path and
     step, path-major; each step picks the first edge whose normalized
     cumulative probability exceeds the uniform, the rule of
     numpy's Generator.choice.
@@ -553,8 +547,6 @@ def sample_paths(lattice: ScenarioLattice, n_paths: int, seed: int = 0) -> PathE
     rng = np.random.default_rng(seed)
     K = lattice.n_steps
     nodes = np.zeros((n_paths, K + 1), dtype=np.int64)
-    if lattice.n_nodes(0) > 1:
-        nodes[:, 0] = rng.integers(lattice.n_nodes(0), size=n_paths)
     u = rng.random((n_paths, K))
     for k in range(K):
         start, child, prob = lattice.edges(k)
@@ -647,7 +639,8 @@ def _distinct(tokens):
 def read_lattice(path: str):
     """Read a lattice export; returns (lattice, time_grid, L). Node lines may
     come in any order. The error of the first bad node line in file order is
-    raised (_read_body); the layout checks then run on the whole arrays."""
+    raised (_read_body); the layout checks then run on the whole arrays, and
+    the constructor's validate last."""
     with open(path) as fh:
         lines = filter(None, map(str.split, fh))
         head = next(lines, [])
@@ -686,8 +679,7 @@ def read_lattice(path: str):
     lo, hi = off.tolist(), start[off].tolist()
     edges = [(start[lo[j]:lo[j + 1] + 1] - hi[j], child[hi[j]:hi[j + 1]], prob[hi[j]:hi[j + 1]])
              for j in range(K)]
-    lat = ScenarioLattice(np.split(x, off[1:-1]), edges, lce_declared=bool(lce)).validate()
-    return lat, tg, L
+    return ScenarioLattice(np.split(x, off[1:-1]), edges, lce_declared=bool(lce)), tg, L
 
 
 def _read_body(lines) -> list:

@@ -85,8 +85,6 @@ class PolicyField:
         lattice, vg, K = self.field.lattice, self.field.volume_grid, self.field.time_grid.K
         if vg.n_steps <= vg.j_cap:
             raise PreconditionError("the dual construction needs L*T > 1; this grid has L*T <= 1")
-        if lattice.n_nodes(0) != 1:
-            raise ValueError("needs a single-root lattice")
         realized = [np.full(lattice.n_nodes(k), -1, dtype=np.int64) for k in range(K + 1)]
         trigger, exit_up, reads = [], [], []
         realized[0][0] = vg.index_of(0.0)

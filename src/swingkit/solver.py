@@ -250,9 +250,6 @@ def _recursion(lattice: ScenarioLattice, time_grid: TimeGrid, volume_grid: Volum
     if lattice.n_steps != K:
         raise ValueError("lattice has %d steps, time grid has %d" % (lattice.n_steps, K))
     vg.check_steps(K)
-    if any(lattice.n_nodes(k) == 0 for k in range(K + 1)):
-        raise ValueError("empty lattice slice")
-    lattice.check_cashflows()
     if not 2.0 * vg.cap_pos * vg.step * lattice.max_x() < np.inf:
         raise ValueError("cashflow scale max X = %.17g is too large: J can reach %.17g * max X, "
                          "which must stay below half the largest float"

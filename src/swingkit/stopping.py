@@ -123,16 +123,11 @@ def optimal_predictable_stop(policy: PolicyField, start, constraint: str):
         raise ValueError("no admissible stopping rule for constraint %r" % (constraint,))
     best = _wsum(start_w[reached], value[reached]) * sense
 
-    stop = [np.zeros(lattice.n_nodes(k), dtype=bool) for k in range(K + 1)]
-    alive = np.ones(lattice.n_nodes(k0), dtype=bool)
+    # each child copies its parent's choice; the rule acts at the first hit
+    stop = [np.zeros(lattice.n_nodes(k), dtype=bool) for k in range(k0 + 1)]
     for k in range(k0, K):
-        _, child, _ = lattice.edges(k)
-        parent = lattice.parents(k)
-        moving = alive[parent]
-        stopping = moving & choice[k][parent]
-        stop[k + 1][child[stopping]] = True
-        alive = np.zeros(lattice.n_nodes(k + 1), dtype=bool)
-        alive[child[moving & ~stopping]] = True
+        stop.append(np.empty(lattice.n_nodes(k + 1), dtype=bool))
+        stop[k + 1][lattice.edges(k)[1]] = choice[k][lattice.parents(k)]
     return StoppingRule(lattice, stop, k0), best
 
 

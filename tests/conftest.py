@@ -171,7 +171,7 @@ def reference_read_lattice(path: str):
     lo, hi = off.tolist(), start[off].tolist()
     edges = [(start[lo[j]:lo[j + 1] + 1] - hi[j], child[hi[j]:hi[j + 1]], prob[hi[j]:hi[j + 1]])
              for j in range(K)]
-    lat = ScenarioLattice(np.split(x, off[1:-1]), edges, lce_declared=lce).validate()
+    lat = ScenarioLattice(np.split(x, off[1:-1]), edges, lce_declared=lce)
     return lat, tg, L
 
 
@@ -325,7 +325,7 @@ def collision_lattice():
         [LatticeNode(0.5, (0,), (1.0,))],
         [LatticeNode(0.0)],
     ]
-    lat = ScenarioLattice.from_rows(slices).validate()
+    lat = ScenarioLattice.from_rows(slices)
     tg = TimeGrid(3.0, 3)
     vg = VolumeGrid.aligned(1.0, tg)
     return lat, tg, vg
@@ -358,7 +358,7 @@ def random_tiny_lattice(seed):
             row.append(LatticeNode(x, tuple(int(i) for i in kids),
                                    tuple(float(v) for v in w)))
         slices.append(row)
-    lat = ScenarioLattice.from_rows(slices).validate()
+    lat = ScenarioLattice.from_rows(slices)
     tg = TimeGrid(float(K), K)
     j_cap = int(rng.integers(1, 3))
     vg = VolumeGrid.aligned(1.0 / (j_cap * tg.dt), tg)
@@ -461,8 +461,6 @@ def reference_optimal_martingale(policy):
     K = time_grid.K
     if vg.n_steps <= vg.j_cap:
         raise ValueError("the dual construction needs L*T > 1; this grid has L*T <= 1")
-    if lattice.n_nodes(0) != 1:
-        raise ValueError("needs a single-root lattice")
     pos0 = vg.index_of(0.0)
     maxx = max(1.0, lattice.max_x())
     tol = 3.0 * time_grid.dt * lattice.max_x()

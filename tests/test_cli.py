@@ -6,10 +6,12 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import swingkit
-from swingkit import ScenarioLattice, TimeGrid, build_binary_example, write_lattice
+from swingkit import (InvariantError, LatticeNode, ScenarioLattice, TimeGrid,
+                      build_binary_example, read_lattice, write_lattice)
 from swingkit.cli import _verify_checks, main, parse_config, parse_k_list, parse_starts
 
 from conftest import collision_lattice, exp_martingale_keys
@@ -29,6 +31,7 @@ def test_parse_config_types(tmp_path):
     p = write_cfg(tmp_path, "# comment\nmodel = binary\nK=48\nT = 3.0\n\nexhaustive=true\n")
     cfg = parse_config(p)
     assert cfg == {"model": "binary", "K": 48, "T": 3.0, "exhaustive": True}
+    assert parse_config(write_cfg(tmp_path, "exhaustive=no\n")) == {"exhaustive": False}
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):
@@ -153,12 +156,7 @@ def test_cli_refuses_bad_input_before_the_solve(tmp_path, capsys, monkeypatch, c
                                                 text, message):
     """The starts and the path ensemble are checked before the solve: each
     bad input exits 1 with its message, writes nothing and never solves."""
-    import swingkit.policy as policy
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solve was called")
-
-    monkeypatch.setattr(policy, "solve", no_solve)
+    forbid_solve(monkeypatch)
     if command == "verify" and text == BINOMIAL_K20:
         # verify samples 256 paths where there are too many to enumerate,
         # so only a forced enumeration is refused there
@@ -169,6 +167,100 @@ def test_cli_refuses_bad_input_before_the_solve(tmp_path, capsys, monkeypatch, c
     captured = capsys.readouterr()
     assert "error: " + message in captured.err
     assert captured.out == "" and not out.exists()
+
+
+def forbid_solve(monkeypatch):
+    """Make every solve fail the test: the refusals must come first."""
+    import swingkit.policy as policy
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve was called")
+
+    monkeypatch.setattr(policy, "solve", no_solve)
+
+
+ONE_STEP_FILE = "1 1 1 1 2\n0 0 1 0:1\n1 0 1\n"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("price", "model=binary\nbogus\n", "line 2 is not key=value: 'bogus'"),
+    ("price", "exhaustive=maybe\n", "key 'exhaustive' wants a boolean, got 'maybe'"),
+    ("price", "K=twelve\n", "key 'K' wants int, got 'twelve'"),
+    ("price", "model=binomial\n", "binomial model needs kind="),
+    ("price", "model=file\n", "model=file needs lattice_file="),
+    ("price", "model=file\nlattice_file={file}\nK=2\n",
+     "config K=2 disagrees with the lattice file"),
+    ("price", "model=tree\n", "unknown model 'tree'"),
+    ("dual", "model=binary\nk_list=,\n", "empty k_list"),
+    ("dual", "model=file\nlattice_file={file}\n",
+     "the refinement study needs a rebuildable model, not model=file"),
+    ("price", "model=binomial\nkind=constant\nc=1\nK=0\n", "K must be at least 1"),
+    ("price", "model=binomial\nkind=constant\nc=-1\n", "constant cashflow must be nonnegative"),
+    ("price", "model=binomial\nkind=martingale\nx0=1\nup=1.05\n",
+     "multiplicative parameterization needs both up and down"),
+    ("price", "model=binomial\nkind=martingale\nx0=-1\nup=1.05\ndown=0.95\n",
+     "negative multiplicative parameters would produce negative cashflows"),
+    ("price", "model=binomial\nkind=martingale\nx0=1\ndrift=0\n",
+     "additive parameterization needs both drift and noise"),
+], ids=["not-key-value", "bad-boolean", "bad-int", "no-kind", "no-lattice-file",
+        "file-disagrees", "unknown-model", "empty-k-list", "dual-on-file", "zero-steps",
+        "negative-c", "lone-up", "negative-x0", "lone-drift"])
+def test_cli_refuses_a_bad_config(tmp_path, capsys, monkeypatch, command, text, message):
+    """Each config refusal exits 1 with its message, writes nothing and
+    never solves."""
+    (tmp_path / "lattice.txt").write_text(ONE_STEP_FILE)
+    forbid_solve(monkeypatch)
+    cfg = write_cfg(tmp_path, text.format(file=tmp_path / "lattice.txt"))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s\n" % message
+    assert captured.out == "" and not out.exists()
+
+
+TWO_ROOTS = "slice 0 holds 2 nodes; a lattice has one root"
+
+
+def test_a_two_root_lattice_is_refused(tmp_path, capsys, monkeypatch):
+    """J(0, y) is one number, so a lattice has one root: the array
+    constructor, from_rows and read_lattice refuse a second node at slice 0,
+    and price, verify and stopping exit 1 on such a file before the solve
+    and write nothing. Before, verify solved it, compared the rollout mean
+    over both roots with root 0's J (a false FAIL policy_rollout) and exited
+    2."""
+    edges = [(np.array([0, 1, 2]), np.array([0, 0]), np.array([1.0, 1.0])),
+             (np.array([0, 1]), np.array([0]), np.array([1.0]))]
+    with pytest.raises(ValueError, match="^%s$" % TWO_ROOTS):
+        ScenarioLattice([np.array([1.0, 2.0]), np.array([1.0]), np.array([0.0])], edges)
+    with pytest.raises(ValueError, match="^%s$" % TWO_ROOTS):
+        ScenarioLattice.from_rows([[LatticeNode(1.0, (0,), (1.0,)),
+                                    LatticeNode(2.0, (0,), (1.0,))],
+                                   [LatticeNode(1.0, (0,), (1.0,))], [LatticeNode(0.0)]])
+    path = tmp_path / "lattice.txt"
+    path.write_text("2 2 1 1 2\n0 0 1 0:1\n0 1 2 0:1\n1 0 1 0:1\n2 0 0\n")
+    with pytest.raises(ValueError, match="^%s$" % TWO_ROOTS):
+        read_lattice(str(path))
+    forbid_solve(monkeypatch)
+    cfg = write_cfg(tmp_path, "model=file\nlattice_file=%s\n" % path)
+    for command in ("price", "verify", "stopping"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: %s\n" % TWO_ROOTS
+        assert captured.out == "" and not out.exists()
+
+
+def test_cli_reports_an_invariant_violation_with_exit_2(tmp_path, capsys, monkeypatch):
+    """An InvariantError outside verify's lines is exit 2 with its message,
+    not the exit 1 of bad input."""
+    import swingkit.policy as policy
+
+    def broken(self):
+        raise InvariantError("forced by the test")
+
+    monkeypatch.setattr(policy.ThresholdScan, "result", broken)
+    assert run(tmp_path, "price", "--steps", "12") == 2
+    assert capsys.readouterr().err == "invariant violation: forced by the test\n"
 
 
 def two_node_lattice_file(x):

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from swingkit import (InvariantError, LatticeNode, PreconditionError, ScenarioLattice,
-                      TimeGrid, VolumeGrid, build_binomial, build_optimal_martingale,
-                      constant_martingale, doob_martingale_of_terminal, dual_value,
-                      dual_values, duality_gap_study, extract_policy, random_martingale,
-                      random_terminal)
+from swingkit import (PreconditionError, ScenarioLattice, TimeGrid, VolumeGrid,
+                      build_binomial, build_optimal_martingale, constant_martingale,
+                      doob_martingale_of_terminal, dual_value, dual_values, duality_gap_study,
+                      extract_policy, random_martingale, random_terminal)
 from swingkit.duality import _merge
 
 from conftest import (collision_lattice, make_exp_martingale, reference_optimal_martingale,
@@ -78,7 +77,7 @@ def test_weak_duality_for_drawn_terminal_payoffs(rows, j_cap, data):
     the solved value from above."""
     K = len(rows) - 1
     assume(K > j_cap)
-    lat = ScenarioLattice.from_rows(rows).validate()
+    lat = ScenarioLattice.from_rows(rows)
     tg, vg, field, _ = solved(lat, float(K), 1.0 / j_cap)
     payoff = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=lat.n_nodes(K),
                                 max_size=lat.n_nodes(K)))
@@ -176,7 +175,7 @@ def test_dual_values_match_the_per_seed_duals_bit_for_bit(binary96, case):
 def test_dual_values_match_the_per_seed_duals_on_drawn_lattices(rows, j_cap, seeds):
     K = len(rows) - 1
     assume(K > j_cap)
-    lat = ScenarioLattice.from_rows(rows).validate()
+    lat = ScenarioLattice.from_rows(rows)
     _, vg, field, _ = solved(lat, float(K), 1.0 / j_cap)
     primal = field.at(0, 0, 0.0)
     assert_same_reports(dual_values(lat, vg, terminals(lat, seeds), primal),
@@ -290,17 +289,6 @@ def test_optimal_martingale_rejects_level_collision():
         build_optimal_martingale(policy)
 
 
-def test_optimal_martingale_needs_single_root():
-    slices = [[LatticeNode(1.0, (0,), (1.0,)), LatticeNode(2.0, (0,), (1.0,))],
-              [LatticeNode(1.0, (0,), (1.0,))], [LatticeNode(0.0)]]
-    lat = ScenarioLattice.from_rows(slices).validate()
-    tg = TimeGrid(2.0, 2)
-    vg = VolumeGrid.aligned(1.0, tg)
-    policy = extract_policy(lat, tg, vg)
-    with pytest.raises(ValueError, match="single-root"):
-        build_optimal_martingale(policy)
-
-
 def test_gap_study_binary_is_exactly_tight():
     from swingkit import build_binary_example
 
@@ -382,7 +370,7 @@ def test_merged_means_lie_between_their_arrivals(arrivals):
 def test_state_table_matches_dict_machine_on_drawn_lattices(rows, j_cap):
     K = len(rows) - 1
     assume(K > j_cap)
-    lat = ScenarioLattice.from_rows(rows).validate()
+    lat = ScenarioLattice.from_rows(rows)
     *_, policy = solved(lat, float(K), 1.0 / j_cap)
     assert_same_construction(policy)
 

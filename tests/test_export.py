@@ -152,7 +152,7 @@ def test_value_field_formats_each_distinct_value_once_per_file(monkeypatch):
 def test_streamed_tables_match_the_reference(rows, j_cap, data):
     """On drawn tiny lattices (j_cap >= K gives a grid that stops at zero and
     a NaN dminus column) every table equals the per-line reference."""
-    lat = ScenarioLattice.from_rows(rows).validate()
+    lat = ScenarioLattice.from_rows(rows)
     K = lat.n_steps
     tg, vg, field, pol = solved(lat, float(K), 1.0 / j_cap)
     assert streamed(_write_value_field, field) == reference_value_field(field, lat)
@@ -170,7 +170,7 @@ def test_martingale_table_matches_the_reference(rows, data):
     """`martingale.txt`'s table equals the per-line reference for node values
     shaped by a drawn tiny lattice: drawn floats, repeats and the special
     values, NaN included."""
-    lat = ScenarioLattice.from_rows(rows).validate()
+    lat = ScenarioLattice.from_rows(rows)
     node_values = [np.array(data.draw(st.lists(st.sampled_from(SPECIAL) | st.floats(),
                                                min_size=n, max_size=n)), dtype=np.float64)
                    for n in map(lat.n_nodes, range(lat.n_steps + 1))]
@@ -181,7 +181,7 @@ def test_martingale_table_matches_the_reference(rows, data):
 @given(rows=tiny_lattice_rows(), lce=st.booleans(), L=st.sampled_from([1.0, 0.5, 1.0 / 3.0]))
 def test_lattice_text_matches_the_reference(rows, lce, L):
     """`write_lattice` on a drawn tiny lattice writes the per-line reference."""
-    lat = ScenarioLattice.from_rows(rows, lce_declared=lce).validate()
+    lat = ScenarioLattice.from_rows(rows, lce_declared=lce)
     tg = TimeGrid(float(lat.n_steps), lat.n_steps)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "lattice.txt")

@@ -39,7 +39,7 @@ def seeded_tree(K=8, seed=5):
                 nxt.append(x * (1.0 + rng.uniform(-0.05, 0.05)))
         rows.append(row)
         xs = nxt
-    return ScenarioLattice.from_rows(rows).validate()
+    return ScenarioLattice.from_rows(rows)
 
 
 # name -> (subcommand arguments, config text or None); {lattice} is the path

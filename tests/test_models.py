@@ -235,40 +235,69 @@ def test_lattice_validate_rejections():
     with pytest.raises(ValueError, match="at least two time slices"):
         ScenarioLattice.from_rows([[term]])
     with pytest.raises(ValueError, match="negative cashflow"):
-        ScenarioLattice.from_rows([[LatticeNode(-1.0, (0,), (1.0,))], [term]]).validate()
+        ScenarioLattice.from_rows([[LatticeNode(-1.0, (0,), (1.0,))], [term]])
     with pytest.raises(ValueError, match="sum to"):
-        ScenarioLattice.from_rows([[LatticeNode(1.0, (0,), (0.6,))], [term]]).validate()
+        ScenarioLattice.from_rows([[LatticeNode(1.0, (0,), (0.6,))], [term]])
     with pytest.raises(ValueError, match="has children"):
-        ScenarioLattice.from_rows([[ok], [LatticeNode(1.0, (0,), (1.0,))]]).validate()
+        ScenarioLattice.from_rows([[ok], [LatticeNode(1.0, (0,), (1.0,))]])
     with pytest.raises(ValueError, match="no children"):
-        ScenarioLattice.from_rows([[LatticeNode(1.0)], [term]]).validate()
+        ScenarioLattice.from_rows([[LatticeNode(1.0)], [term]])
     with pytest.raises(ValueError, match="out of range"):
         ScenarioLattice.from_rows([[LatticeNode(1.0, (0, 2), (0.5, 0.5))],
-                                   [term, term]]).validate()
+                                   [term, term]])
     with pytest.raises(ValueError, match="unreachable"):
-        ScenarioLattice.from_rows([[ok], [term, term]]).validate()
+        ScenarioLattice.from_rows([[ok], [term, term]])
     with pytest.raises(ValueError, match="length mismatch"):
-        ScenarioLattice.from_rows([[LatticeNode(1.0, (0,), (0.5, 0.5))], [term]]).validate()
+        ScenarioLattice.from_rows([[LatticeNode(1.0, (0,), (0.5, 0.5))], [term]])
     with pytest.raises(ValueError, match="negative transition"):
-        ScenarioLattice.from_rows([[LatticeNode(1.0, (0, 0), (1.5, -0.5))], [term]]).validate()
+        ScenarioLattice.from_rows([[LatticeNode(1.0, (0, 0), (1.5, -0.5))], [term]])
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="non-finite or negative cashflow"):
-            ScenarioLattice.from_rows([[LatticeNode(bad, (0,), (1.0,))], [term]]).validate()
+            ScenarioLattice.from_rows([[LatticeNode(bad, (0,), (1.0,))], [term]])
         with pytest.raises(ValueError, match="non-finite or negative cashflow"):
-            ScenarioLattice.from_rows([[ok], [LatticeNode(bad)]]).validate()
+            ScenarioLattice.from_rows([[ok], [LatticeNode(bad)]])
     with pytest.raises(ValueError, match="sum to nan"):
         ScenarioLattice.from_rows([[LatticeNode(1.0, (0, 1), (np.nan, 1.0))],
-                                   [term, term]]).validate()
+                                   [term, term]])
     # the array constructor: one edge triple per step, laid out to fit its slices
     with pytest.raises(ValueError, match="one edge triple per step"):
         ScenarioLattice([[1.0], [1.0]], [])
     for start, child, prob in (([0, 1, 1], [0], [1.0]), ([1, 1], [0], [1.0]),
                                ([0, 2], [0], [1.0]), ([0, 1], [0], [0.5, 0.5])):
         with pytest.raises(ValueError, match="edge layout of slice 0"):
-            ScenarioLattice([[1.0], [1.0]], [(start, child, prob)]).validate()
+            ScenarioLattice([[1.0], [1.0]], [(start, child, prob)])
     assert_bitwise_equal(ScenarioLattice([[1.0], [2.0, 0.0]], [([0, 2], [0, 1], [0.5, 0.5])]),
                          ScenarioLattice.from_rows([[LatticeNode(1.0, (0, 1), (0.5, 0.5))],
                                                     [LatticeNode(2.0), LatticeNode(0.0)]]))
+
+
+def test_the_array_constructor_rejects_a_negative_or_non_finite_cashflow():
+    """The constructor validates, so no lattice with a negative, NaN or inf
+    X reaches solve, however it was built."""
+    edges = [(np.array([0, 2]), np.array([0, 1]), np.array([0.5, 0.5])),
+             (np.array([0, 1, 2]), np.array([0, 0]), np.array([1.0, 1.0]))]
+    for bad in (-0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^non-finite or negative cashflow %.17g at slice 1 "
+                                             "node 1$" % bad):
+            ScenarioLattice([np.array([1.0]), np.array([1.0, bad]), np.array([1.0])], edges)
+
+
+def test_each_builder_validates_its_lattice_once(tmp_path):
+    """The constructor runs validate, and no builder runs it again."""
+    path = str(tmp_path / "lattice.txt")
+    write_lattice(path, build_binary_example(12), TimeGrid(3.0, 12), 1.0)
+    builds = {
+        "read_lattice": lambda: read_lattice(path),
+        "constant binomial": lambda: build_binomial("constant", 8, 1.0, c=0.7),
+        "martingale binomial": lambda: build_binomial("martingale", 8, 2.0, x0=1.0, drift=0.0,
+                                                      noise=0.005),
+        "binary example": lambda: build_binary_example(12),
+    }
+    for name, build in builds.items():
+        with mock.patch.object(ScenarioLattice, "validate", autospec=True,
+                               side_effect=ScenarioLattice.validate) as counted:
+            build()
+        assert counted.call_count == 1, name
 
 
 def test_serialization_round_trip(tmp_path):
@@ -382,7 +411,7 @@ def test_read_lattice_matches_the_reference(rows, seed):
     blank lines and at most one injected fault, the reader returns the
     reference's lattice bit for bit or raises its ValueError text."""
     rng = np.random.default_rng(seed)
-    lat = ScenarioLattice.from_rows(rows).validate()
+    lat = ScenarioLattice.from_rows(rows)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "lat.txt")
         write_lattice(path, lat, TimeGrid(float(lat.n_steps), lat.n_steps), 1.0)
@@ -417,7 +446,7 @@ def test_read_lattice_matches_the_reference_across_chunks(rows, seed):
     (k, node) order, and move that line into the last chunk, behind bad edge
     tokens in an earlier chunk."""
     rng = np.random.default_rng(seed)
-    lat = ScenarioLattice.from_rows(rows).validate()
+    lat = ScenarioLattice.from_rows(rows)
     n_lines = sum(lat.n_nodes(k) for k in range(lat.n_steps + 1))
     chunk = int(rng.integers(1, min(3, n_lines - 2) + 1))
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(models, "_CHUNK", chunk):
@@ -516,7 +545,7 @@ def test_read_lattice_peak_memory_is_bounded_by_the_lattice(tmp_path):
 def test_edge_layout_properties(rows, seed):
     """expect_next matches the dense matrix of the rows; enumeration covers
     count_paths paths of total weight one; sampled paths follow edges."""
-    lat = ScenarioLattice.from_rows(rows).validate()
+    lat = ScenarioLattice.from_rows(rows)
     for k in range(lat.n_steps):
         P = np.zeros((lat.n_nodes(k), lat.n_nodes(k + 1)))
         for n, node in enumerate(rows[k]):
@@ -536,7 +565,7 @@ def test_edge_layout_properties(rows, seed):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(rows=tiny_lattice_rows())
 def test_lattice_file_round_trip_is_byte_identical(rows):
-    lat = ScenarioLattice.from_rows(rows).validate()
+    lat = ScenarioLattice.from_rows(rows)
     tg = TimeGrid(float(lat.n_steps), lat.n_steps)
     with tempfile.TemporaryDirectory() as tmp:
         p1, p2 = os.path.join(tmp, "a.txt"), os.path.join(tmp, "b.txt")
@@ -572,15 +601,14 @@ def assert_tables_match_reference(lat, seed):
                 got, want = lat.expect_next(k, v), reference_expect_next(lat, k, v)
             assert got.shape == want.shape and got.dtype == want.dtype
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    if lat.n_nodes(0) == 1:
-        for got, want in zip(lat.occupancy(), reference_occupancy(lat), strict=True):
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for got, want in zip(lat.occupancy(), reference_occupancy(lat), strict=True):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(rows=tiny_lattice_rows(), seed=st.integers(0, 2 ** 32 - 1))
 def test_step_tables_match_the_reference_on_mixed_fanout(rows, seed):
-    assert_tables_match_reference(ScenarioLattice.from_rows(rows).validate(), seed)
+    assert_tables_match_reference(ScenarioLattice.from_rows(rows), seed)
 
 
 @pytest.mark.parametrize("make", [

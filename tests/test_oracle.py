@@ -79,7 +79,7 @@ def test_enumeration_matches_solver_on_random_lattices():
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(rows=tiny_lattice_rows(), j_cap=st.integers(1, 2))
 def test_enumeration_matches_solver_on_drawn_lattices(rows, j_cap):
-    lat = ScenarioLattice.from_rows(rows).validate()
+    lat = ScenarioLattice.from_rows(rows)
     K = lat.n_steps
     tg, vg, field, _ = solved(lat, float(K), 1.0 / j_cap)
     assert abs(brute_force_value(lat, vg).value - field.at(0, 0, 0.0)) <= 1e-12

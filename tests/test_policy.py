@@ -34,7 +34,7 @@ def test_go_matches_the_dense_rule(rows, j_cap, flat, tie_tol):
     rounding to split the tie."""
     if flat:
         rows = [[replace(nd, x=rows[0][0].x) for nd in row] for row in rows]
-    lat = ScenarioLattice.from_rows(rows).validate()
+    lat = ScenarioLattice.from_rows(rows)
     K = lat.n_steps
     tg, vg, field, _ = solved(lat, float(K), 1.0 / j_cap)
     wants = [dense_go(lat, k, field.row(k), vg, tie_tol) for k in range(K)]
@@ -134,7 +134,7 @@ def test_rollout_from_a_node(rows, j_cap):
     """Rolled out from (k0, y0) over the exhaustive ensemble, the paths
     through each node at k0 earn their conditional value J[k0][node, pos0],
     up to the tie_tol a tie can cost per step, at every start."""
-    lat = ScenarioLattice.from_rows(rows).validate()
+    lat = ScenarioLattice.from_rows(rows)
     K = lat.n_steps
     tg, vg, field, pol = solved(lat, float(K), 1.0 / j_cap)
     ens = enumerate_paths(lat)
@@ -288,7 +288,7 @@ def test_exercise_regions_match_the_dminus_then_dplus_signs(rows, j_cap, tie_tol
     """The sign table is that of X + dminus, with X + dplus where dminus is
     NaN (grids that stop at y = 0), dplus built as dminus shifted one column
     left with the top column repeated; the terminal slice is all zero."""
-    lat = ScenarioLattice.from_rows(rows).validate()
+    lat = ScenarioLattice.from_rows(rows)
     K = lat.n_steps
     _, vg, field, _ = solved(lat, float(K), 1.0 / j_cap)
     regs = exercise_regions(field, tie_tol)

@@ -70,7 +70,7 @@ def test_a_replayed_field_reads_as_the_stored_one(rows, j_cap, flat, tie_tol, da
     tie_tol = 0 lets rounding split into a refused non-threshold row."""
     if flat:
         rows = [[replace(nd, x=rows[0][0].x) for nd in row] for row in rows]
-    lat = ScenarioLattice.from_rows(rows).validate()
+    lat = ScenarioLattice.from_rows(rows)
     K = lat.n_steps
     tg = TimeGrid(float(K), K)
     vg = VolumeGrid.aligned(1.0 / j_cap, tg)
@@ -120,7 +120,7 @@ def test_the_downward_scans_report_the_lowest_failing_slice(rows, j_cap, data):
     the lower slice's non-threshold row, also when other slices, above or
     below them, leave the full rate unchosen on the boundary; those alone
     report the lowest of them."""
-    lat = ScenarioLattice.from_rows(rows).validate()
+    lat = ScenarioLattice.from_rows(rows)
     K = lat.n_steps
     tg = TimeGrid(float(K), K)
     vg = VolumeGrid.aligned(1.0 / j_cap, tg)

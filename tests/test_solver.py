@@ -170,7 +170,7 @@ def test_derivatives_match_a_dense_reference(rows, j_cap):
     """dminus/dplus are the column differences of J over the step, with the
     lowest left quotient 0 (grid below zero) or NaN and the top right
     quotient repeated. The point reads give the same bits as the slices."""
-    lat = ScenarioLattice.from_rows(rows).validate()
+    lat = ScenarioLattice.from_rows(rows)
     K = lat.n_steps
     tg, vg, field, _ = solved(lat, float(K), 1.0 / j_cap)
     for k in range(K + 1):
@@ -198,7 +198,7 @@ def test_shift_and_scale_identities(rows, j_cap, c, a):
 
     def value(f):
         lat = ScenarioLattice.from_rows([[replace(nd, x=f(nd.x)) for nd in row] for row in rows])
-        return solved(lat.validate(), float(K), 1.0 / j_cap)[2]
+        return solved(lat, float(K), 1.0 / j_cap)[2]
 
     field = value(lambda x: x)
     shifted = value(lambda x: x + c)
@@ -239,6 +239,18 @@ def test_invariant_error_on_corrupted_field(binary96):
         feed(broken, InvariantScan())
 
 
+def test_invariant_scan_refuses_a_nonzero_terminal_slice():
+    """J vanishes at the horizon; a terminal slice flat at 0.5 in y passes
+    the shape checks but not that one."""
+    lat, tg = build_binary_example(12), TimeGrid(3.0, 12)
+    field = solve(lat, tg, VolumeGrid.aligned(1.0, tg))
+    J = np.full_like(field.row(12)[:, field.volume_grid.scan_start(12):], 0.5)
+    scan = InvariantScan()
+    scan(field, swingkit.solver.Slice(12, field.tail[12], field.band[12], J, None))
+    with pytest.raises(InvariantError, match="^terminal values are not identically zero$"):
+        scan.result()
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(rows=tiny_lattice_rows(), j_cap=st.integers(1, 2), flat=st.booleans(),
        tie_tol=st.sampled_from([0.0, 1e-12, 1e-9, 1.0]))
@@ -249,7 +261,7 @@ def test_band_solve_matches_the_full_grid_reference(rows, j_cap, flat, tie_tol):
     rounding tie) leaves the full rate below the boundary, is refused."""
     if flat:
         rows = [[replace(nd, x=rows[0][0].x) for nd in row] for row in rows]
-    lat = ScenarioLattice.from_rows(rows).validate()
+    lat = ScenarioLattice.from_rows(rows)
     K = lat.n_steps
     tg = TimeGrid(float(K), K)
     vg = VolumeGrid.aligned(1.0 / j_cap, tg)
@@ -304,18 +316,6 @@ def test_solve_refuses_a_volume_grid_of_another_step_count():
             solve(lat, TimeGrid(3.0, 12), VolumeGrid.aligned(1.0, TimeGrid(3.0, K)))
 
 
-def test_solve_rejects_a_negative_or_non_finite_cashflow():
-    """The array constructor does not validate, so solve checks X itself."""
-    edges = [(np.array([0, 2]), np.array([0, 1]), np.array([0.5, 0.5])),
-             (np.array([0, 1, 2]), np.array([0, 0]), np.array([1.0, 1.0]))]
-    tg = TimeGrid(2.0, 2)
-    vg = VolumeGrid.aligned(1.0, tg)
-    for bad in (-0.5, np.nan, np.inf):
-        lat = ScenarioLattice([np.array([1.0]), np.array([1.0, bad]), np.array([1.0])], edges)
-        with pytest.raises(ValueError, match="cashflow .* at slice 1 node 1"):
-            solve(lat, tg, vg)
-
-
 def test_volume_grid_rejects_an_infinite_rate_cap():
     for L in (np.inf, np.nan, 0.0, -1.0):
         with pytest.raises(ValueError, match="rate cap L must be positive and finite"):
@@ -348,8 +348,8 @@ def test_relabeling_a_slice_permutes_j_and_the_threshold(rows, j_cap, data):
     moved[s] = [rows[s][i] for i in perm]
     moved[s - 1] = [replace(nd, children=tuple(int(inv[c]) for c in nd.children))
                     for nd in rows[s - 1]]
-    _, vg, field, pol = solved(ScenarioLattice.from_rows(rows).validate(), float(K), 1.0 / j_cap)
-    _, _, field2, pol2 = solved(ScenarioLattice.from_rows(moved).validate(), float(K), 1.0 / j_cap)
+    _, vg, field, pol = solved(ScenarioLattice.from_rows(rows), float(K), 1.0 / j_cap)
+    _, _, field2, pol2 = solved(ScenarioLattice.from_rows(moved), float(K), 1.0 / j_cap)
     for k in range(K + 1):
         order = perm if k == s else slice(None)
         assert np.array_equal(field2.row(k), field.row(k)[order])
@@ -391,7 +391,7 @@ def assert_scans_match_reference(field):
 def test_verify_scans_match_the_reference_on_drawn_lattices(rows, j_cap):
     """Horizons up to 6 steps with j_cap up to 8 cover L*T below, at and
     above 1, and slices with several full-rate columns below the boundary."""
-    lat = ScenarioLattice.from_rows(rows).validate()
+    lat = ScenarioLattice.from_rows(rows)
     tg = TimeGrid(float(lat.n_steps), lat.n_steps)
     assert_scans_match_reference(solve(lat, tg, VolumeGrid.aligned(1.0 / j_cap, tg)))
 
@@ -515,7 +515,7 @@ def assert_shared_row_matches_each_scan_alone(lat, tg, vg, tie_tol):
 @given(rows=tiny_lattice_rows(max_steps=6), j_cap=st.integers(1, 8),
        tie_tol=st.sampled_from([0.0, 1e-9]))
 def test_scans_sharing_the_difference_row_match_each_scan_alone(rows, j_cap, tie_tol):
-    lat = ScenarioLattice.from_rows(rows).validate()
+    lat = ScenarioLattice.from_rows(rows)
     tg = TimeGrid(float(lat.n_steps), lat.n_steps)
     assert_shared_row_matches_each_scan_alone(lat, tg, VolumeGrid.aligned(1.0 / j_cap, tg),
                                               tie_tol)
@@ -534,7 +534,7 @@ def single_node_chain(K, x_at, lce_declared):
     times = TimeGrid(1.5, K).times
     rows = [[LatticeNode(float(x_at(k, t)), (0,), (1.0,))] for k, t in enumerate(times[:-1])]
     rows.append([LatticeNode(float(x_at(K, times[-1])))])
-    return ScenarioLattice.from_rows(rows, lce_declared).validate()
+    return ScenarioLattice.from_rows(rows, lce_declared)
 
 
 def sup_interior_gap(field):

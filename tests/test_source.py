@@ -5,6 +5,16 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "swingkit"
+MODULES = ["__init__.py", "cli.py", "duality.py", "models.py", "oracle.py", "policy.py",
+           "solver.py", "stopping.py"]
+
+
+def src_trees() -> dict:
+    """{file name: parsed module} of the package source. Asserts that all of
+    its modules were found, so that no scan passes on an empty directory."""
+    paths = sorted(SRC.glob("*.py"))
+    assert [path.name for path in paths] == MODULES
+    return {path.name: ast.parse(path.read_text()) for path in paths}
 
 
 def unread_parameters(tree):
@@ -33,9 +43,8 @@ def test_the_scanner_flags_an_unread_parameter():
 
 
 def test_every_parameter_is_read():
-    unread = ["%s:%d %s(%s)" % (path.name, line, func, name)
-              for path in sorted(SRC.glob("*.py"))
-              for func, line, name in unread_parameters(ast.parse(path.read_text()))]
+    unread = ["%s:%d %s(%s)" % (name, line, func, param) for name, tree in src_trees().items()
+              for func, line, param in unread_parameters(tree)]
     assert unread == []
 
 
@@ -89,7 +98,7 @@ def test_the_scanner_flags_a_second_lattice_copy():
 
 
 def test_no_function_takes_a_second_copy_of_a_carried_lattice():
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = src_trees()
     carriers = lattice_carriers(trees.values())
     assert {"ValueField", "PathEnsemble", "Envelope", "MartingaleField",
             "StoppingRule"} <= carriers
@@ -134,13 +143,12 @@ def test_the_scanner_flags_an_unread_dataclass_field():
 
 def test_every_dataclass_field_is_read():
     """A field that no code in src/, tests/ or bench/ reads is dead state."""
-    paths = sorted(SRC.glob("*.py"))
-    loads = attribute_loads(ast.parse(path.read_text()) for path in
-                            paths + sorted((ROOT / "tests").glob("*.py"))
-                            + sorted((ROOT / "bench").glob("*.py")))
-    unread = ["%s:%d %s.%s" % (path.name, line, cls, name) for path in paths
-              for cls, line, name in dataclass_fields(ast.parse(path.read_text()))
-              if name not in loads]
+    trees = src_trees()
+    loads = attribute_loads(list(trees.values()) + [
+        ast.parse(path.read_text()) for path in sorted((ROOT / "tests").glob("*.py"))
+        + sorted((ROOT / "bench").glob("*.py"))])
+    unread = ["%s:%d %s.%s" % (file, line, cls, name) for file, tree in trees.items()
+              for cls, line, name in dataclass_fields(tree) if name not in loads]
     assert unread == []
 
 
@@ -148,8 +156,8 @@ def test_only_the_cli_branches_on_an_exhaustive_ensemble():
     """The stopping search reads the policy on the tree's nodes and the
     rollout copies no ensemble flag, so no layer below the command line asks
     whether an ensemble enumerates every path."""
-    readers = [path.name for path in sorted(SRC.glob("*.py"))
-               if "exhaustive" in attribute_loads([ast.parse(path.read_text())])]
+    readers = [name for name, tree in src_trees().items()
+               if "exhaustive" in attribute_loads([tree])]
     assert readers == ["cli.py"]
 
 
@@ -323,7 +331,7 @@ def test_the_scanner_resolves_the_receiver_of_a_shared_method_name():
 def test_every_method_has_a_caller():
     """A method that no code in src/ or bench/ calls is dead code, unless it
     is a listed entry point for users."""
-    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    trees = list(src_trees().values())
     loads = resolved_loads(trees, trees + [ast.parse(path.read_text())
                                            for path in sorted((ROOT / "bench").glob("*.py"))])
     uncalled = {(cls, name) for cls, _, name in uncalled_methods(trees, loads)}
@@ -363,7 +371,7 @@ def test_the_scanner_flags_an_unloaded_private_helper():
 
 def test_every_private_helper_has_a_caller():
     """A module-level _helper that no code in src/ loads is dead code."""
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = src_trees()
     loads = name_loads(trees.values())
     unloaded = ["%s:%d %s" % (name, line, helper) for name, tree in trees.items()
                 for line, helper in module_helpers(tree) if helper not in loads]
@@ -477,7 +485,7 @@ USER_KNOBS = {
 def test_every_knob_is_set_somewhere():
     """A defaulted parameter that no src/ call sets is a knob nobody turns,
     unless it is listed for users with its reason."""
-    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    trees = list(src_trees().values())
     unset = {(name, param) for name, _, param in unset_knobs(trees)}
     assert sorted(unset - USER_KNOBS.keys()) == []
     assert sorted(USER_KNOBS.keys() - unset) == []
@@ -499,7 +507,7 @@ def test_verify_lines_match_the_benchmark_checks():
     checks = next(ast.literal_eval(node.value) for node in bench.body
                   if isinstance(node, ast.Assign)
                   and [getattr(t, "id", None) for t in node.targets] == ["VERIFY_CHECKS"])
-    assert verify_line_names(ast.parse((SRC / "cli.py").read_text())) == list(checks)
+    assert verify_line_names(src_trees()["cli.py"]) == list(checks)
 
 
 # numpy functions that may hand a sum of products to BLAS, whose summation
@@ -533,6 +541,6 @@ def test_the_scanner_flags_a_blas_reduction():
 def test_no_blas_reduction_is_left_in_src():
     """Every weighted sum goes through models._wsum, whose bits depend on no
     BLAS kernel, SIMD path or memory layout."""
-    found = ["%s:%d %s" % (path.name, line, op) for path in sorted(SRC.glob("*.py"))
-             for line, op in blas_reductions(ast.parse(path.read_text()))]
+    found = ["%s:%d %s" % (name, line, op) for name, tree in src_trees().items()
+             for line, op in blas_reductions(tree)]
     assert found == []

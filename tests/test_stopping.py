@@ -96,7 +96,7 @@ def test_window_flags_follow_the_per_path_rule_on_drawn_trees(rows, j_cap):
     """From every start of a drawn tiny tree, the node flags of the forward
     walk, gathered along each path of the exhaustive rollout, are that
     path's flags under the per-path rule."""
-    lat = ScenarioLattice.from_rows(rows).validate()
+    lat = ScenarioLattice.from_rows(rows)
     K = lat.n_steps
     _, vg, _, policy = solved(lat, float(K), 1.0 / j_cap)
     ens = enumerate_paths(lat)
@@ -116,7 +116,7 @@ def test_searches_are_bounded_by_the_envelopes_on_drawn_trees(rows, j_cap):
     at most the occupancy-weighted sup envelope and the can_lower search at
     least the inf one: the envelopes stop at any time, adapted. Each returned
     rule is predictable and evaluates to its value along the paths."""
-    lat = ScenarioLattice.from_rows(rows).validate()
+    lat = ScenarioLattice.from_rows(rows)
     K = lat.n_steps
     _, vg, _, policy = solved(lat, float(K), 1.0 / j_cap)
     ens = enumerate_paths(lat)
@@ -146,7 +146,7 @@ def test_search_columns_do_not_read_the_ensemble_on_drawn_trees(rows, j_cap, see
     """The search columns of the marginal table come from the policy and
     the tree alone: three sampled paths give the bits of the exhaustive
     ensemble at every start."""
-    lat = ScenarioLattice.from_rows(rows, lce_declared=False).validate()
+    lat = ScenarioLattice.from_rows(rows, lce_declared=False)
     K = lat.n_steps
     _, vg, _, policy = solved(lat, float(K), 1.0 / j_cap)
     starts = [(float(k0), float(y0)) for k0 in range(K) for y0 in vg.levels]
@@ -265,7 +265,7 @@ def test_doob_decomposition_on_the_tree(binary96):
 def test_doob_decomposition_on_drawn_trees(rows):
     """Drawn cashflows leave rounding in Y - M, so a step may go the wrong
     way by ENVELOPE_TOL times the largest cashflow."""
-    lat = ScenarioLattice.from_rows(rows).validate()
+    lat = ScenarioLattice.from_rows(rows)
     assert_doob_split_on_a_tree(lat, ENVELOPE_TOL * max(1.0, lat.max_x()))
 
 
@@ -424,7 +424,7 @@ def assert_regional_identities(field):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(rows=tiny_lattice_rows(), j_cap=st.integers(1, 3))
 def test_regional_identities_are_exact_on_drawn_lattices(rows, j_cap):
-    lat = ScenarioLattice.from_rows(rows).validate()
+    lat = ScenarioLattice.from_rows(rows)
     assert_regional_identities(solved(lat, float(lat.n_steps), 1.0 / j_cap)[2])
 
 
