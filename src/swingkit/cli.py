@@ -46,11 +46,13 @@ _KEY_TYPES = {
     "lattice_file": str,
     "tie_tol": float,
 }
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def parse_config(path: str) -> dict:
-    """Flat key=value file; blank lines and # comments are skipped."""
-    cfg = {}
+    """Flat key=value file; blank lines and # comments are skipped. Unknown
+    and repeated keys are refused."""
+    cfg, seen = {}, {}
     with open(path) as fh:
         for ln, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -61,20 +63,14 @@ def parse_config(path: str) -> dict:
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in _KEY_TYPES:
                 raise ValueError("unknown config key %r" % key)
-            typ = _KEY_TYPES[key]
-            if typ is bool:
-                low = val.lower()
-                if low in ("1", "true", "yes"):
-                    cfg[key] = True
-                elif low in ("0", "false", "no"):
-                    cfg[key] = False
-                else:
-                    raise ValueError("key %r wants a boolean, got %r" % (key, val))
-            else:
-                try:
-                    cfg[key] = typ(val)
-                except ValueError:
-                    raise ValueError("key %r wants %s, got %r" % (key, typ.__name__, val))
+            if key in seen:
+                raise ValueError("key %r is given twice (lines %d and %d)" % (key, seen[key], ln))
+            seen[key], typ = ln, _KEY_TYPES[key]
+            try:
+                cfg[key] = _BOOLS[val.lower()] if typ is bool else typ(val)
+            except (KeyError, ValueError):
+                raise ValueError("key %r wants %s, got %r"
+                                 % (key, "a boolean" if typ is bool else typ.__name__, val))
     return cfg
 
 
@@ -125,10 +121,11 @@ def make_ensemble(lattice, cfg: dict, n_paths: int):
     if cfg.get("seed", 0) < 0:
         raise ValueError("seed must be nonnegative")
     if cfg.get("exhaustive", False) or (
-            (prefer_all or n_paths < 1) and count_paths(lattice) <= MAX_PATHS):
+            (prefer_all or n_paths < 1) and (total := count_paths(lattice)) <= MAX_PATHS):
         return enumerate_paths(lattice)
     if n_paths < 1:
-        raise ValueError("too many paths to enumerate; set n_paths= or exhaustive=true")
+        raise ValueError("too many paths to enumerate (%d, above the bound %d); set n_paths="
+                         % (total, MAX_PATHS))
     return sample_paths(lattice, n_paths=n_paths, seed=cfg.get("seed", 0))
 
 

@@ -272,7 +272,7 @@ def build_optimal_martingale(policy: PolicyField) -> OptimalMartingaleResult:
         stay = (phase == 0) & ~trigger[k][node]
         new_phase = np.where(phase > 0, phase, np.where(exit_up[k][node], 1, 2))
         base = np.where(stay, w_field[k][node], np.where(phase == 0, x, m))
-        inc = np.where(new_phase[row] == 1, sup_env.increments[k][e], inf_env.increments[k][e])
+        inc = np.where(new_phase[row] == 1, sup_env.increments(k)[e], inf_env.increments(k)[e])
         m2 = np.where(stay[row], w_field[k + 1][child[e]], base[row] + inc)
         ev = np.bincount(row, prob[e] * m2, node.size)
         ident = max(ident, float(np.abs(ev - base).max()))

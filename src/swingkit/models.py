@@ -254,7 +254,7 @@ class ScenarioLattice:
         """The Snell envelope in direction "max" or "min", built once."""
         if direction not in self._envelopes:
             env = self._envelopes[direction] = Envelope(self, direction)
-            for a in env.values + env.increments:
+            for a in env.values + env.cont:
                 _read_only(a)
         return self._envelopes[direction]
 
@@ -309,14 +309,14 @@ class Envelope:
 
     direction "max": smallest supermartingale dominating X, the value of
     sup E[X(sigma)]; "min": largest submartingale below X. One backward pass
-    takes e = E[Y[k+1] | node] once per step for Y[k] = extremum(X[k], e) and
-    increments[k] = Y[k+1][child] - e[parent] over the edges of edges(k).
+    takes cont[k] = E[Y[k+1] | node] once per step for Y[k] =
+    extremum(X[k], cont[k]); the increments are derived from the two.
     """
 
     lattice: ScenarioLattice
     direction: str
     values: list = dataclass_field(init=False, repr=False)
-    increments: list = dataclass_field(init=False, repr=False)
+    cont: list = dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
         if self.direction not in ("max", "min"):
@@ -324,37 +324,38 @@ class Envelope:
         op = np.maximum if self.direction == "max" else np.minimum
         lattice, K = self.lattice, self.lattice.n_steps
         self.values = vals = [None] * K + [lattice.x(K).copy()]
-        self.increments = incs = [None] * K
+        self.cont = cont = [None] * K
         for k in range(K - 1, -1, -1):
-            e = lattice.expect_next(k, vals[k + 1])
-            vals[k] = op(lattice.x(k), e)
-            incs[k] = vals[k + 1][lattice.edges(k)[1]] - e[lattice.parents(k)]
+            cont[k] = lattice.expect_next(k, vals[k + 1])
+            vals[k] = op(lattice.x(k), cont[k])
+
+    def increments(self, k: int) -> np.ndarray:
+        """Doob increments Y[k+1][child] - cont[k][parent] over the edges of
+        edges(k)."""
+        lattice = self.lattice
+        return self.values[k + 1][lattice.edges(k)[1]] - self.cont[k][lattice.parents(k)]
 
     def check(self) -> dict:
-        """Terminal match, centred increments, dominance and drift, to ENVELOPE_TOL."""
+        """Terminal match, dominance, centred increments and drift to ENVELOPE_TOL, from cont."""
         lattice, vals = self.lattice, self.values
         K = lattice.n_steps
-        sup = self.direction == "max"
-        worst_dom = 0.0
-        worst_mart = 0.0
+        # how far a lies on the wrong side of b: above it for "max", below for "min"
+        gap = (lambda a, b: a - b) if self.direction == "max" else (lambda a, b: b - a)
         if np.any(vals[K] != lattice.x(K)):
             raise InvariantError("terminal envelope does not equal the terminal cashflow")
-        scale = max(1.0, max(float(np.abs(v).max()) for v in vals))
-        for k in range(K + 1):
-            gap = lattice.x(k) - vals[k] if sup else vals[k] - lattice.x(k)
-            worst_dom = max(worst_dom, float(gap.max()))
-            if k < K:
-                start, _, prob = lattice.edges(k)
-                mean = np.add.reduceat(prob * self.increments[k], start[:-1])
-                bad = np.flatnonzero(~(np.abs(mean) <= ENVELOPE_TOL * scale))
-                if bad.size:
-                    raise InvariantError("increment mean %.3g at slice %d node %d"
-                                         % (mean[bad[0]], k, bad[0]))
-                drift = lattice.expect_next(k, vals[k + 1]) - vals[k]
-                drift = drift if sup else -drift
-                worst_mart = max(worst_mart, float(drift.max()))
+        worst_dom = max([0.0] + [float(gap(lattice.x(k), vals[k]).max()) for k in range(K + 1)])
         if worst_dom > ENVELOPE_TOL:
             raise InvariantError("envelope fails to dominate the cashflow by %.3g" % worst_dom)
+        scale = max(1.0, max(float(np.abs(v).max()) for v in vals))
+        worst_mart = 0.0
+        for k in range(K):
+            start, _, prob = lattice.edges(k)
+            mean = np.add.reduceat(prob * self.increments(k), start[:-1])
+            bad = np.flatnonzero(~(np.abs(mean) <= ENVELOPE_TOL * scale))
+            if bad.size:
+                raise InvariantError("increment mean %.3g at slice %d node %d"
+                                     % (mean[bad[0]], k, bad[0]))
+            worst_mart = max(worst_mart, float(gap(self.cont[k], vals[k]).max()))
         if worst_mart > ENVELOPE_TOL:
             raise InvariantError("envelope drifts the wrong way by %.3g" % worst_mart)
         return {"dominance": worst_dom, "drift": worst_mart}
@@ -367,8 +368,7 @@ class Envelope:
         out = np.zeros((ensemble.n_paths, lattice.n_steps + 1))
         out[:, 0] = y[0][nodes[:, 0]]
         for k in range(lattice.n_steps):
-            ey = lattice.expect_next(k, y[k + 1])
-            out[:, k + 1] = out[:, k] + (y[k + 1][nodes[:, k + 1]] - ey[nodes[:, k]])
+            out[:, k + 1] = out[:, k] + (y[k + 1][nodes[:, k + 1]] - self.cont[k][nodes[:, k]])
         return out
 
 

@@ -547,7 +547,7 @@ def reference_optimal_martingale(policy):
             break
         start, child, prob = (arr.tolist() for arr in lattice.edges(k))
         w_next = w_field[k + 1].tolist()
-        inc_by_phase = {1: sup_env.increments[k].tolist(), 2: inf_env.increments[k].tolist()}
+        inc_by_phase = {1: sup_env.increments(k).tolist(), 2: inf_env.increments(k).tolist()}
         pre_exit = (~trigger[k]).tolist()
         up = exit_up[k].tolist()
         nxt = {}

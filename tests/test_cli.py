@@ -149,13 +149,15 @@ BINOMIAL_K20 = ("model=binomial\nkind=martingale\nx0=1\nup=1.05\ndown=0.96\n"
 @pytest.mark.parametrize("text, message", [
     ("model=binary\nK=12\nn_paths=0\n", "n_paths must be at least 1"),
     ("model=binary\nK=96\nstarts=0.3:0\n", "time 0.29999999999999999 is off the grid"),
-    (BINOMIAL_K20, "too many paths to enumerate"),
+    (BINOMIAL_K20, "too many paths to enumerate (1048576, above the bound 65536); set n_paths="),
     ("model=binary\nK=12\nseed=-1\nn_paths=5\n", "seed must be nonnegative"),
 ], ids=["n_paths", "off-grid-start", "too-many-paths", "negative-seed"])
 def test_cli_refuses_bad_input_before_the_solve(tmp_path, capsys, monkeypatch, command,
                                                 text, message):
     """The starts and the path ensemble are checked before the solve: each
-    bad input exits 1 with its message, writes nothing and never solves."""
+    bad input exits 1 with its message, writes nothing and never solves.
+    The too-many-paths hint names the count and asks for n_paths= only:
+    exhaustive=true is refused on that lattice too."""
     forbid_solve(monkeypatch)
     if command == "verify" and text == BINOMIAL_K20:
         # verify samples 256 paths where there are too many to enumerate,
@@ -166,6 +168,8 @@ def test_cli_refuses_bad_input_before_the_solve(tmp_path, capsys, monkeypatch, c
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert "error: " + message in captured.err
+    if text == BINOMIAL_K20:
+        assert captured.err == "error: %s\n" % message
     assert captured.out == "" and not out.exists()
 
 
@@ -186,6 +190,7 @@ ONE_STEP_FILE = "1 1 1 1 2\n0 0 1 0:1\n1 0 1\n"
     ("price", "model=binary\nbogus\n", "line 2 is not key=value: 'bogus'"),
     ("price", "exhaustive=maybe\n", "key 'exhaustive' wants a boolean, got 'maybe'"),
     ("price", "K=twelve\n", "key 'K' wants int, got 'twelve'"),
+    ("price", "K=48\nmodel=binary\n\nK=96\n", "key 'K' is given twice (lines 1 and 4)"),
     ("price", "model=binomial\n", "binomial model needs kind="),
     ("price", "model=file\n", "model=file needs lattice_file="),
     ("price", "model=file\nlattice_file={file}\nK=2\n",
@@ -202,7 +207,7 @@ ONE_STEP_FILE = "1 1 1 1 2\n0 0 1 0:1\n1 0 1\n"
      "negative multiplicative parameters would produce negative cashflows"),
     ("price", "model=binomial\nkind=martingale\nx0=1\ndrift=0\n",
      "additive parameterization needs both drift and noise"),
-], ids=["not-key-value", "bad-boolean", "bad-int", "no-kind", "no-lattice-file",
+], ids=["not-key-value", "bad-boolean", "bad-int", "repeated-key", "no-kind", "no-lattice-file",
         "file-disagrees", "unknown-model", "empty-k-list", "dual-on-file", "zero-steps",
         "negative-c", "lone-up", "negative-x0", "lone-drift"])
 def test_cli_refuses_a_bad_config(tmp_path, capsys, monkeypatch, command, text, message):
@@ -322,17 +327,19 @@ def test_cli_verify_warns_nothing_just_below_the_cashflow_limit(tmp_path):
     assert "PASS weak_duality: 10 random martingales, worst gap 3.41e+306\n" in report
 
 
-def test_verify_makes_at_most_12k_plus_8_expect_next_calls(tmp_path):
+def test_verify_makes_at_most_10k_plus_8_expect_next_calls(tmp_path):
     """One sweep carries all ten weak-duality martingales, with no second
-    sweep to re-derive their identity: 31*K calls (1,488 at K=48) when each
-    had its own build and validate, 13*K with the identity sweep."""
+    sweep to re-derive their identity, and the envelope checks read the
+    envelopes' own continuation values: 31*K calls (1,488 at K=48) when each
+    martingale had its own build and validate, 13*K with the identity sweep,
+    12*K while the envelope checks took their expectations again."""
     K = 48
     cfg = parse_config(write_cfg(tmp_path, exp_martingale_keys(K)))
     with mock.patch.object(ScenarioLattice, "expect_next", autospec=True,
                            side_effect=ScenarioLattice.expect_next) as counted:
         results = _verify_checks(cfg)
     assert [status for status, _, _ in results] == ["PASS"] * 5 + ["SKIP"] + ["PASS"] * 3
-    assert counted.call_count <= 12 * K + 8
+    assert counted.call_count <= 10 * K + 8
 
 
 @pytest.mark.parametrize("tie_tol", ["nan", "inf", "-1"])

@@ -36,9 +36,10 @@ def test_snell_roots(binary96):
 
 
 def test_an_envelope_takes_one_expectation_per_step(monkeypatch):
-    """Building an envelope, values and Doob increments together, calls
-    expect_next once per step; its check may read it again."""
+    """Building an envelope calls expect_next once per step and keeps each
+    result as cont; check() and accumulate() read cont and call it no more."""
     for lat in (build_binary_example(12), make_exp_martingale(24)):
+        ens = sample_paths(lat, n_paths=16, seed=1)
         calls = []
         real = lat.expect_next
 
@@ -49,7 +50,10 @@ def test_an_envelope_takes_one_expectation_per_step(monkeypatch):
         monkeypatch.setattr(lat, "expect_next", counting)
         for d in ("max", "min"):
             calls.clear()
-            Envelope(lat, d)
+            env = Envelope(lat, d)
+            assert sorted(calls) == list(range(lat.n_steps))
+            env.check()
+            env.accumulate(ens)
             assert sorted(calls) == list(range(lat.n_steps))
 
 
@@ -66,9 +70,10 @@ def test_snell_detects_corruption(binary96):
     env.values[10][0] = 0.0
     with pytest.raises(InvariantError, match="fails to dominate"):
         env.check()
-    # building never checks: an off-centre increment surfaces in check()
+    # building never checks: a continuation value off E[Y_41 | node] shows
+    # as an off-centre increment mean in check()
     env = Envelope(lat, "max")
-    env.increments[40][1] += 1e-6
+    env.cont[40][1] += 1e-6
     with pytest.raises(InvariantError, match="increment mean .* at slice 40 node 1"):
         env.check()
 
@@ -274,7 +279,7 @@ def test_doob_increments_are_centered(binary96):
     dd = Envelope(lat, "max")
     for k in range(96):
         start, _, prob = lat.edges(k)
-        mean = np.add.reduceat(prob * dd.increments[k], start[:-1])
+        mean = np.add.reduceat(prob * dd.increments(k), start[:-1])
         assert np.abs(mean).max() <= 1e-12
 
 
