@@ -18,7 +18,7 @@ from .policy import (ExerciseBoundary, ExerciseRegions, MollifiedControl, Policy
                      exercise_regions, exit_times, extract_policy, mollified_iterate, rollout)
 from .stopping import (MarginalReport, MarginalRow, StoppingRule, evaluate_stop_rule,
                        marginal_value_report, optimal_predictable_stop)
-from .duality import (DualReport, GapRow, MartingaleField, OptimalMartingaleResult,
+from .duality import (DualReport, MartingaleField, OptimalMartingaleResult,
                       build_optimal_martingale, constant_martingale,
                       doob_martingale_of_terminal, dual_value, dual_values,
                       duality_gap_study, random_martingale, random_terminal)
@@ -37,7 +37,7 @@ __all__ = [
     "exit_times", "extract_policy", "mollified_iterate", "rollout",
     "MarginalReport", "MarginalRow", "StoppingRule",
     "evaluate_stop_rule", "marginal_value_report", "optimal_predictable_stop",
-    "DualReport", "GapRow", "MartingaleField", "OptimalMartingaleResult",
+    "DualReport", "MartingaleField", "OptimalMartingaleResult",
     "build_optimal_martingale", "constant_martingale",
     "doob_martingale_of_terminal", "dual_value", "dual_values", "duality_gap_study",
     "random_martingale", "random_terminal",

@@ -367,20 +367,17 @@ def cmd_dual(cfg: dict, out_dir: str, solved=None) -> int:
     if model == "file":
         raise ValueError("the refinement study needs a rebuildable model, not model=file")
     k_list = parse_k_list(cfg.get("k_list", "48,96,192"))
-
-    def make_policy(K):
-        if solved is not None and solved.field.time_grid.K == K:
-            return solved
-        model = build_model(dict(cfg, K=int(K)))
-        return extract_policy(*model, cfg.get("tie_tol", TIE_TOL), (0,))
-
-    rows = duality_gap_study(make_policy, k_list)
+    tie_tol = cfg.get("tie_tol", TIE_TOL)
+    results = duality_gap_study(
+        solved if solved is not None and solved.field.time_grid.K == K
+        else extract_policy(*build_model(dict(cfg, K=K)), tie_tol, (0,)) for K in k_list)
     lines = ["K primal dual gap"]
-    for row in rows:
-        lines.append("%d %.17g %.17g %.17g" % (row.K, row.primal, row.dual, row.gap))
+    for K, res in zip(k_list, results):
+        lines.append("%d %.17g %.17g %.17g"
+                     % (K, res.report.primal, res.report.dual_value, res.report.gap))
     _write(out_dir, "gap_study.txt", "\n".join(lines) + "\n")
 
-    res = max(rows, key=lambda row: row.K).martingale
+    res = results[k_list.index(max(k_list))]
     with open(os.path.join(out_dir, "martingale.txt"), "w") as fh:
         _write_martingale(fh, res.node_values)
     for line in lines:
@@ -463,7 +460,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print("invariant violation: %s" % exc, file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -314,40 +314,25 @@ def build_optimal_martingale(policy: PolicyField) -> OptimalMartingaleResult:
     return OptimalMartingaleResult(report, m0, field, diagnostics, flags, node_values)
 
 
-@dataclass(eq=False)
-class GapRow:
-    """One refinement level; martingale is the construction the row reports."""
+def duality_gap_study(policies) -> list:
+    """The optimal martingale of each solved policy, in order.
 
-    K: int
-    primal: float
-    dual: float
-    gap: float
-    martingale: OptimalMartingaleResult
-
-
-def duality_gap_study(make_policy, k_list) -> list:
-    """Primal/dual/gap per refinement level.
-
-    make_policy(K) must return the policy of the solved field at K; the
-    construction is built from it. Asserts
-    gap >= -1e-10 at every K, and on declared-regular models a 0.75 decay
-    factor between consecutive exact doublings, with a 1e-12 absolute floor
-    for gaps at rounding level.
+    K and the declared regularity are read off each policy's field. Asserts
+    gap >= -1e-10 at every K, and when every model is declared regular a
+    0.75 decay factor between consecutive exact doublings, with a 1e-12
+    absolute floor for gaps at rounding level.
     """
     rows = []
     lce = True
-    for K in k_list:
-        policy = make_policy(K)
+    for policy in policies:
         lce = lce and policy.field.lattice.lce_declared
-        res = build_optimal_martingale(policy)
-        rows.append(GapRow(int(K), res.report.primal, res.report.dual_value,
-                           res.report.gap, res))
-    for row in rows:
-        if row.gap < -1e-10:
-            raise InvariantError("negative duality gap %.3g at K=%d" % (row.gap, row.K))
+        rows.append((policy.field.time_grid.K, build_optimal_martingale(policy)))
+    for K, res in rows:
+        if res.report.gap < -1e-10:
+            raise InvariantError("negative duality gap %.3g at K=%d" % (res.report.gap, K))
     if lce:
-        for a, b in zip(rows, rows[1:]):
-            if b.K == 2 * a.K and b.gap > 0.75 * a.gap + 1e-12:
+        for (Ka, a), (Kb, b) in zip(rows, rows[1:]):
+            if Kb == 2 * Ka and b.report.gap > 0.75 * a.report.gap + 1e-12:
                 raise InvariantError("duality gap fails to shrink: %.3g -> %.3g"
-                                     % (a.gap, b.gap))
-    return rows
+                                     % (a.report.gap, b.report.gap))
+    return [res for _, res in rows]

@@ -517,16 +517,17 @@ def enumerate_paths(lattice: ScenarioLattice) -> PathEnsemble:
     """Exhaustive path ensemble with exact probability weights.
 
     Paths come in lexicographic order of their edge choices; each weight is
-    the product of its edge probabilities, left to right. Lattices with more
-    than MAX_PATHS paths are refused before enumerating.
+    the product of its edge probabilities, left to right. Every node before
+    the last slice has a child, so the rows never fall in number: lattices
+    with more than MAX_PATHS paths are refused as soon as a step passes it.
     """
-    total = count_paths(lattice)
-    if total > MAX_PATHS:
-        raise ValueError("path count %d exceeds the bound %d" % (total, MAX_PATHS))
     nodes, weights = np.zeros((1, 1), dtype=np.int64), np.ones(1)
     for k in range(lattice.n_steps):
         child, prob = lattice.edges(k)[1:]
         owner, edge = lattice.out_edges(k, nodes[:, k])
+        if owner.size > MAX_PATHS:
+            raise ValueError("path count %d exceeds the bound %d"
+                             % (count_paths(lattice), MAX_PATHS))
         nodes = np.column_stack([nodes[owner], child[edge]])
         weights = weights[owner] * prob[edge]
     return PathEnsemble(lattice, nodes, weights, exhaustive=True)

@@ -179,29 +179,31 @@ def rollout(policy: PolicyField, ensemble: PathEnsemble, start) -> RolloutBundle
 
 
 def inclusion_reads(bundle: RolloutBundle) -> list:
-    """(k, nodes, pos) of the dminus_at reads of check_inclusion."""
-    return [(m, bundle.nodes[:, m], bundle.positions[:, m - bundle.k0])
+    """(k, nodes, pos + 1) of the dminus_at reads of check_inclusion, the cap
+    repeated."""
+    vg = bundle.policy.field.volume_grid
+    return [(m, bundle.nodes[:, m], vg.right_of(bundle.positions[:, m - bundle.k0]))
             for m in range(bundle.k0, bundle.policy.field.time_grid.K)]
 
 
 def check_inclusion(bundle: RolloutBundle) -> dict:
     """Differential-inclusion consistency along rolled-out paths.
 
-    At every realized (k, node, level): a zero rate requires X + dminus <=
-    tie_tol and a full rate requires X + dminus >= -tie_tol, with dminus and
-    tie_tol read off the bundle's policy. Positions whose left derivative is
-    undefined (the lowest level of a grid that does not extend below zero)
-    are skipped.
+    At every realized (k, node, level) below the cap, where the policy
+    decides, X + dminus(level+1) is the quotient its decision read: a zero
+    rate requires it <= tie_tol and a full rate >= -tie_tol, with dminus and
+    tie_tol read off the bundle's policy.
     """
     field, tie_tol = bundle.policy.field, bundle.policy.tie_tol
-    reads = inclusion_reads(bundle)
+    cap, reads = field.volume_grid.cap_pos, inclusion_reads(bundle)
     field.keep(reads)
     worst_zero, worst_full = -np.inf, np.inf
-    for m, n, pos in reads:
-        s = field.lattice.x(m)[n] + field.dminus_at(m, n, pos)
-        full, ok = bundle.positions[:, m + 1 - bundle.k0] != pos, ~np.isnan(s)
-        worst_zero = max(worst_zero, np.max(s[ok & ~full], initial=-np.inf))
-        worst_full = min(worst_full, np.min(s[ok & full], initial=np.inf))
+    for m, n, right in reads:
+        s = field.lattice.x(m)[n] + field.dminus_at(m, n, right)
+        pos = bundle.positions[:, m - bundle.k0]
+        full = bundle.positions[:, m + 1 - bundle.k0] != pos
+        worst_zero = max(worst_zero, np.max(s[(pos < cap) & ~full], initial=-np.inf))
+        worst_full = min(worst_full, np.min(s[full], initial=np.inf))
     if worst_zero > tie_tol:
         raise InvariantError("zero rate taken where X + D = %.3g > 0" % worst_zero)
     if worst_full < -tie_tol:

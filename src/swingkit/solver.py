@@ -88,8 +88,10 @@ class VolumeGrid:
         return pos
 
     def start_pos(self, k0: int, y0: float) -> int:
-        """Array position of a start (k0, y0), which must leave at least one
-        step to go."""
+        """Array position of a start (k0, y0): k0 an integer that leaves at
+        least one step to go."""
+        if not isinstance(k0, (int, np.integer)):
+            raise ValueError("start index %r is not an integer" % k0)
         if not 0 <= k0 < self.n_steps:
             raise ValueError("start index %d outside the grid" % k0)
         return self.index_of(y0)

@@ -29,14 +29,6 @@ def exp_martingale_keys(K, T=2.0):
         K, T, up, down, p_up)
 
 
-def with_policy(make):
-    """Gap-study policy maker: the default-tolerance policy of the solved
-    field of make(K) = (lattice, tg, vg)."""
-    def make_policy(K):
-        return extract_policy(*make(K))
-    return make_policy
-
-
 def solved(lattice, T, L=1.0):
     tg = TimeGrid(T, lattice.n_steps)
     vg = VolumeGrid.aligned(L, tg)

@@ -20,7 +20,7 @@ from swingkit import (InvariantScan, StoppingRule, TimeGrid, VolumeGrid, boundar
                       optimal_predictable_stop, random_martingale, rollout,
                       sample_paths, solve)
 
-from conftest import make_exp_martingale, random_tiny_lattice, region_masks, with_policy
+from conftest import make_exp_martingale, random_tiny_lattice, region_masks
 
 FLOOR = 1e-12
 
@@ -167,14 +167,15 @@ def test_criterion_06_strong_duality_refinement():
 
     summaries = []
     for name, make in (("binary", binary_make), ("martingale", mart_make)):
-        rows = duality_gap_study(with_policy(make), [48, 96, 192])
-        for row in rows:
-            assert row.gap >= -1e-10
-        for a, b in zip(rows, rows[1:]):
-            assert max(b.gap, FLOOR) <= 0.75 * max(a.gap, FLOOR) + FLOOR
-        summaries.append("%s gaps %s" % (name, ["%.2g" % r.gap for r in rows]))
-    for row in duality_gap_study(with_policy(const_make), [48, 96, 192]):
-        assert row.gap == 0.0
+        gaps = [res.report.gap for res in
+                duality_gap_study(extract_policy(*make(K)) for K in (48, 96, 192))]
+        for gap in gaps:
+            assert gap >= -1e-10
+        for a, b in zip(gaps, gaps[1:]):
+            assert max(b, FLOOR) <= 0.75 * max(a, FLOOR) + FLOOR
+        summaries.append("%s gaps %s" % (name, ["%.2g" % gap for gap in gaps]))
+    for res in duality_gap_study(extract_policy(*const_make(K)) for K in (48, 96, 192)):
+        assert res.report.gap == 0.0
     summaries.append("constant gaps identically 0")
     print("criterion 6 PASS: " + "; ".join(summaries))
 

@@ -11,8 +11,9 @@ import pytest
 
 import swingkit
 from swingkit import (InvariantError, LatticeNode, ScenarioLattice, TimeGrid,
-                      build_binary_example, read_lattice, write_lattice)
-from swingkit.cli import _verify_checks, main, parse_config, parse_k_list, parse_starts
+                      build_binary_example, build_binomial, read_lattice, write_lattice)
+from swingkit.cli import (_verify_checks, main, make_ensemble, parse_config, parse_k_list,
+                          parse_starts)
 
 from conftest import collision_lattice, exp_martingale_keys
 
@@ -170,6 +171,40 @@ def test_cli_refuses_bad_input_before_the_solve(tmp_path, capsys, monkeypatch, c
     assert "error: " + message in captured.err
     if text == BINOMIAL_K20:
         assert captured.err == "error: %s\n" % message
+    assert captured.out == "" and not out.exists()
+
+
+def test_make_ensemble_counts_the_paths_once():
+    """make_ensemble counts the paths to choose between listing and
+    sampling them; enumerate_paths counts only to name the total it
+    refuses, and a forced enumeration within the bound counts nothing."""
+    real = swingkit.models.count_paths
+    lat = build_binary_example(12)
+    with mock.patch("swingkit.cli.count_paths", wraps=real) as by_cli, \
+            mock.patch("swingkit.models.count_paths", wraps=real) as by_models:
+        assert make_ensemble(lat, {}, 0).exhaustive
+        assert (by_cli.call_count, by_models.call_count) == (1, 0)
+        assert make_ensemble(lat, {"exhaustive": True}, 0).exhaustive
+        assert (by_cli.call_count, by_models.call_count) == (1, 0)
+        big = build_binomial("martingale", 20, 2.0, x0=1.0, up=1.05, down=0.96,
+                             p_up=0.44444444444444442)
+        with pytest.raises(ValueError, match="^path count 1048576 exceeds the bound 65536$"):
+            make_ensemble(big, {"exhaustive": True}, 0)
+        assert (by_cli.call_count, by_models.call_count) == (1, 1)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("model=binomial\nkind=constant\nc=1\nK=100000000000000000000\n",
+     "cannot fit 'int' into an index-sized integer"),
+    ("K=6\nn_paths=100000000000000\n", "Unable to allocate 4.97 PiB"),
+], ids=["K", "n_paths"])
+def test_a_number_beyond_the_address_space_exits_1(tmp_path, capsys, text, message):
+    """numpy refuses these sizes at once, as they pass the address space;
+    the CLI reports the OverflowError or MemoryError and exits 1."""
+    out = tmp_path / "out"
+    assert main(["price", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: " + message)
     assert captured.out == "" and not out.exists()
 
 

@@ -9,7 +9,7 @@ from swingkit import (PreconditionError, ScenarioLattice, TimeGrid, VolumeGrid,
 from swingkit.duality import _merge
 
 from conftest import (collision_lattice, make_exp_martingale, reference_optimal_martingale,
-                      solved, tiny_lattice_rows, with_policy)
+                      solved, tiny_lattice_rows)
 
 
 def bits(x):
@@ -296,13 +296,11 @@ def test_gap_study_binary_is_exactly_tight():
         tg = TimeGrid(3.0, K)
         return build_binary_example(K), tg, VolumeGrid.aligned(1.0, tg)
 
-    rows = duality_gap_study(with_policy(make), [48, 96, 192])
-    assert [r.K for r in rows] == [48, 96, 192]
-    for r in rows:
-        assert r.primal == 1.5
-        assert abs(r.gap) <= 1e-12
-        assert r.martingale.report.gap == r.gap
-        assert len(r.martingale.node_values) == r.K + 1
+    results = duality_gap_study(extract_policy(*make(K)) for K in (48, 96, 192))
+    assert [len(res.node_values) - 1 for res in results] == [48, 96, 192]
+    for res in results:
+        assert res.report.primal == 1.5
+        assert abs(res.report.gap) <= 1e-12
 
 
 def test_gap_study_martingale_family():
@@ -310,10 +308,9 @@ def test_gap_study_martingale_family():
         tg = TimeGrid(2.0, K)
         return make_exp_martingale(K), tg, VolumeGrid.aligned(1.0, tg)
 
-    rows = duality_gap_study(with_policy(make), [24, 48])
-    for r in rows:
-        assert r.gap >= -1e-10
-        assert abs(r.gap) <= 1e-12
+    for res in duality_gap_study(extract_policy(*make(K)) for K in (24, 48)):
+        assert res.report.gap >= -1e-10
+        assert abs(res.report.gap) <= 1e-12
 
 
 def test_gap_study_rows_respect_weak_duality():
@@ -323,8 +320,8 @@ def test_gap_study_rows_respect_weak_duality():
         tg = TimeGrid(3.0, K)
         return build_binary_example(K), tg, VolumeGrid.aligned(1.0, tg)
 
-    for row in duality_gap_study(with_policy(make), [24, 48]):
-        assert row.dual >= row.primal - 1e-10
+    for res in duality_gap_study(extract_policy(*make(K)) for K in (24, 48)):
+        assert res.report.dual_value >= res.report.primal - 1e-10
 
 
 ARRIVAL = st.tuples(st.integers(0, 2), st.integers(0, 2),

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from swingkit import (ExerciseRegions, InvariantError, ScenarioLattice, ThresholdScan,
                       ValueField, brute_force_value, build_binary_example, build_binomial,
                       check_inclusion, check_saturation, enumerate_paths, exercise_regions,
-                      exit_times, extract_policy, mollified_iterate, rollout)
+                      exit_times, extract_policy, mollified_iterate, optimal_predictable_stop,
+                      rollout)
 
 from conftest import (dense_go, feed, is_threshold, make_exp_martingale, region_masks,
                       rollout_steps, solved, tiny_lattice_rows)
@@ -171,6 +172,27 @@ def test_a_start_without_a_step_to_go_is_refused(caller, k0):
         call()
 
 
+@pytest.mark.parametrize("k0", [0.5, 1.0])
+@pytest.mark.parametrize("caller", ["rollout", "brute_force_value", "mollified_iterate",
+                                    "optimal_predictable_stop"])
+def test_a_start_index_that_is_not_an_integer_is_refused(caller, k0):
+    """A start index is an int or a numpy integer: a float, even a whole
+    one, is refused with a message that names it, before it indexes a
+    slice."""
+    lat = build_binomial("constant", 4, 1.0, c=1.0)
+    _, vg, field, pol = solved(lat, 1.0)
+    ens = enumerate_paths(lat)
+    call = {"rollout": lambda: rollout(pol, ens, (k0, 0.0)),
+            "brute_force_value": lambda: brute_force_value(lat, vg, (k0, 0.0)),
+            "mollified_iterate": lambda: mollified_iterate(exercise_regions(field), ens,
+                                                           (k0, 0.0), 1),
+            "optimal_predictable_stop": lambda: optimal_predictable_stop(pol, (k0, 0.0),
+                                                                         "can_raise")}[caller]
+    with pytest.raises(ValueError, match="^start index %r is not an integer$" % k0):
+        call()
+    assert rollout(pol, ens, (np.int64(1), 0.0)).k0 == 1
+
+
 def test_constant_rollout_reward_is_deterministic():
     from swingkit import build_binomial
     c = 1.25
@@ -189,19 +211,19 @@ def test_inclusion_holds_along_rollout(binary96):
     rep = check_inclusion(b)
     assert rep["max_zero_side"] <= 1e-9
     assert rep["min_full_side"] >= -1e-9
-    assert rep["max_zero_side"] == 0.0
-    assert rep["min_full_side"] == 0.03125
+    assert rep["max_zero_side"] == -0.03125
+    assert rep["min_full_side"] == 0.0
 
 
 def test_inclusion_reads_the_bundles_policy_and_tie_tol():
     """A policy extracted at tie_tol 0.5 takes the full rate where X + D is
-    -0.25; the check reads that tolerance off the bundle's policy, and the
+    -0.5; the check reads that tolerance off the bundle's policy, and the
     same rates judged by a default-tolerance policy fail."""
     lat = build_binary_example(12)
     tg, vg, _, policy = solved(lat, 3.0)
     loose = rollout(extract_policy(lat, tg, vg, 0.5), enumerate_paths(lat), (0, 0.0))
-    assert check_inclusion(loose) == {"max_zero_side": 0.0, "min_full_side": -0.25}
-    with pytest.raises(InvariantError, match="full rate taken where X \\+ D = -0.25 < 0"):
+    assert check_inclusion(loose) == {"max_zero_side": -0.625, "min_full_side": -0.5}
+    with pytest.raises(InvariantError, match="full rate taken where X \\+ D = -0.5 < 0"):
         check_inclusion(replace(loose, policy=policy))
 
 

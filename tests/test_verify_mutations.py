@@ -15,7 +15,7 @@ import pytest
 
 import swingkit.cli as cli
 import swingkit.solver as solver
-from swingkit import PolicyField, enumerate_paths, rollout
+from swingkit import PolicyField, enumerate_paths, rollout, sample_paths
 from swingkit.solver import Slice
 
 from conftest import exp_martingale_keys
@@ -29,6 +29,8 @@ LINES = ("value_invariants", "bellman_residual", "boundary_identities", "policy_
 EXP48 = exp_martingale_keys(48)
 # the two-branch example: the threshold defect below lands where X + D = 0.0625, not on a tie
 BINARY48 = "model=binary\nK=48\n"
+# 2^48 paths, so verify rolls out 256 sampled ones
+SUBMART48 = "model=binomial\nkind=submartingale\nK=48\nx0=1\ndrift=0.01\nnoise=0.005\n"
 
 
 def parse(tmp_path, text):
@@ -130,6 +132,28 @@ def test_a_threshold_off_by_one_fails_policy_rollout(tmp_path, monkeypatch):
     assert_reported(tmp_path, BINARY48, "policy_rollout")
 
 
+def test_a_threshold_raised_by_one_fails_policy_rollout(tmp_path, monkeypatch):
+    """Fails only on a corrupted stored object: at the first state where a
+    path of verify's 256 sampled paths rests one level above its threshold,
+    below the cap, the threshold is raised by one, so the rollout exercises
+    there where X + dminus(level+1) is negative. The rollout mean is not
+    checked on sampled paths, so only the inclusion check can see it."""
+    def corrupt(policy):
+        cap = policy.field.volume_grid.cap_pos
+        bundle = rollout(policy, sample_paths(policy.field.lattice, 256), (0, 0.0))
+        thr = [t.copy() for t in policy.thr]
+        for k in range(len(thr)):
+            n, pos = bundle.nodes[:, k], bundle.positions[:, k]
+            at = np.flatnonzero((pos == thr[k][n] + 1) & (pos < cap))
+            if at.size:
+                thr[k][n[at[0]]] += 1
+                return PolicyField(policy.field, policy.tie_tol, thr)
+        raise AssertionError("no path rests one level above a threshold")
+
+    after_solve(monkeypatch, corrupt)
+    assert_reported(tmp_path, SUBMART48, "policy_rollout")
+
+
 def test_an_envelope_value_below_x_fails_snell_envelopes(tmp_path, monkeypatch):
     """Fails only on a corrupted stored object: one cached value of the sup
     envelope is pushed below X after the solve."""
@@ -202,7 +226,7 @@ def test_every_verify_line_has_a_mutation():
 def test_the_unmutated_runs_pass(tmp_path):
     """Without a defect the same configurations pass: every line is PASS,
     apart from the oracle's SKIP above K = 4."""
-    for text in (EXP48, BINARY48, EXP48 + "starts=1:0.5\n"):
+    for text in (EXP48, BINARY48, SUBMART48, EXP48 + "starts=1:0.5\n"):
         rc, report = verify(tmp_path, text)
         assert rc == 0 and [s for s, _ in report] == ["PASS"] * 5 + ["SKIP"] + ["PASS"] * 3
     rc, report = verify(tmp_path, exp_martingale_keys(4))
